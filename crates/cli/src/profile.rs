@@ -257,9 +257,12 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
         let (plan, stats) = session.plan(&workload).map_err(|e| e.to_string())?;
         if stats.final_cost < stats.naive_cost && !opts.json {
             println!(
-                "optimizer: estimated {:.2}× cheaper than naive ({} cost-model calls)",
+                "optimizer: estimated {:.2}× cheaper than naive ({} cost-model calls; \
+                 {} statistics created in {} µs)",
                 stats.naive_cost / stats.final_cost,
-                stats.optimizer_calls
+                stats.optimizer_calls,
+                stats.stats_created,
+                stats.stats_create_us
             );
         }
         plan

@@ -145,7 +145,8 @@ impl PlanCache {
     /// Look up a plan. A hit refreshes the entry's recency and returns
     /// the cached plan and its per-node group estimates, with the search
     /// stats rewritten to report the skip: `cache_hit = true`,
-    /// `optimizer_calls = 0` (no cost-model call is made on a hit).
+    /// `optimizer_calls = 0` and no statistics created (no cost-model
+    /// call is made on a hit).
     pub fn get(
         &mut self,
         key: WorkloadFingerprint,
@@ -156,6 +157,8 @@ impl PlanCache {
                     entry.plan.clone(),
                     SearchStats {
                         optimizer_calls: 0,
+                        stats_created: 0,
+                        stats_create_us: 0,
                         cache_hit: true,
                         ..entry.stats
                     },
@@ -333,6 +336,8 @@ mod tests {
         assert!(cache.get(key).is_none());
         let stats = SearchStats {
             optimizer_calls: 17,
+            stats_created: 5,
+            stats_create_us: 900,
             rounds: 2,
             ..Default::default()
         };
@@ -343,6 +348,11 @@ mod tests {
         assert_eq!(
             hit_stats.optimizer_calls, 0,
             "a hit makes no optimizer calls"
+        );
+        assert_eq!(
+            (hit_stats.stats_created, hit_stats.stats_create_us),
+            (0, 0),
+            "nor creates statistics"
         );
         assert_eq!(hit_stats.rounds, 2, "other stats are preserved");
         assert_eq!(

@@ -87,6 +87,14 @@ pub struct SearchStats {
     /// Calls issued to the underlying cost model — the paper's "number of
     /// calls to the query optimizer".
     pub optimizer_calls: u64,
+    /// Statistics (per-column-set counts or estimates, sample draws) this
+    /// search had to create because no earlier search over the same table
+    /// contents had — the paper's Figure-12 "statistics creation", kept
+    /// apart from the search itself. Filled in by [`crate::Session`];
+    /// zero for a search run directly against a caller's cost model.
+    pub stats_created: u64,
+    /// Wall time spent creating those statistics, in microseconds.
+    pub stats_create_us: u64,
     /// Cost of the naive plan.
     pub naive_cost: f64,
     /// Cost of the returned plan.

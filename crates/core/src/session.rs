@@ -56,16 +56,19 @@ use gbmqo_feedback::{q_error, AdaptiveCardinalitySource, FeedbackStore, NodeObse
 use gbmqo_matcache::{
     agg_signature, CacheControl, CachedAggregate, MatCache, MatCacheStats, StaleAggregate,
 };
-use gbmqo_stats::{DistinctEstimator, ExactSource, SampledSource, TableSketches};
+use gbmqo_stats::{
+    CardinalitySource, DistinctEstimator, ExactSource, SampledSource, StatsCatalog, TableSketches,
+};
 use gbmqo_storage::{shard_table_name, Catalog, Table};
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Which cost model a [`Session`] optimizes under. The session builds a
-/// fresh model instance per search (they borrow catalog tables), so the
-/// spec is plain data.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Which cost model a [`Session`] optimizes under. Plain data: each
+/// search assembles a model from it over the session's statistics
+/// catalog, which is what carries column-set statistics (and the
+/// reservoir sample) from one search to the next.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum CostModelSpec {
     /// §3.2.1's cardinality model over exact statistics.
     #[default]
@@ -97,29 +100,7 @@ impl CostModelSpec {
     /// tag produce the same plans (given the same statistics version).
     fn tag(&self) -> u64 {
         let mut h = rustc_hash::FxHasher::default();
-        match self {
-            CostModelSpec::Cardinality => 0u8.hash(&mut h),
-            CostModelSpec::SampledCardinality {
-                sample_size,
-                estimator,
-                seed,
-            } => {
-                1u8.hash(&mut h);
-                sample_size.hash(&mut h);
-                format!("{estimator:?}").hash(&mut h);
-                seed.hash(&mut h);
-            }
-            CostModelSpec::Optimizer {
-                sample_size,
-                estimator,
-                seed,
-            } => {
-                2u8.hash(&mut h);
-                sample_size.hash(&mut h);
-                format!("{estimator:?}").hash(&mut h);
-                seed.hash(&mut h);
-            }
-        }
+        self.hash(&mut h);
         h.finish()
     }
 }
@@ -223,9 +204,7 @@ fn specs_mergeable(specs: &[AggSpec]) -> bool {
     })
 }
 
-/// Run the merge search and per-node estimation with `model`. Shared by
-/// every [`CostModelSpec`] arm of the planner so the adaptive overlay
-/// wrapping stays in one place per arm instead of four.
+/// Run the merge search and per-node estimation with `model`.
 fn search_and_estimate(
     gbmqo: &GbMqo,
     workload: &Workload,
@@ -469,6 +448,7 @@ impl SessionBuilder {
             cache: PlanCache::new(self.plan_cache),
             mat_cache: MatCache::new(self.mat_cache_budget_bytes),
             stats_version: 0,
+            stats: StatsCatalog::new(),
             shards: self.shards,
             refresh_policy: self.refresh_policy,
             max_delta_fraction,
@@ -513,6 +493,11 @@ pub struct Session {
     /// Bumped whenever registered tables change; part of the plan-cache
     /// fingerprint so stale plans are not reused.
     stats_version: u64,
+    /// Column-set statistics per base table, each tied to the contents
+    /// version it was computed at and discarded when a lookup finds the
+    /// catalog at another — built lazily by searches, never by
+    /// registration or append.
+    stats: StatsCatalog,
     /// Default shard count applied to tables registered through the
     /// session (`0`/`1` = unsharded).
     shards: u32,
@@ -946,88 +931,62 @@ impl Session {
                 }
             }
         }
-        let (plan, stats, estimates) = {
-            let table = self.engine.catalog().table(&workload.table)?;
-            let gbmqo = GbMqo::with_config(self.search.clone());
-            // The adaptive overlay wraps whichever source the spec
-            // produces — the cost models are generic over
-            // `CardinalitySource`, so both benefit without API changes.
-            let adaptive = self.adaptive.as_ref();
-            match &self.cost_model {
+        let catalog = self.engine.catalog();
+        let table = catalog.table(&workload.table)?;
+        // Statistics outlive the search: whatever an earlier search over
+        // these table contents counted or estimated is reused, and only
+        // column sets never seen at this version are built (and charged
+        // to this search's `stats_created`).
+        self.stats.retain(|name| catalog.contains(name));
+        let table_stats = self.stats.table(&workload.table, table_version);
+        let (created_before, create_time_before) = table_stats.created();
+        let (plan, mut stats, estimates) = {
+            let mut source: Box<dyn CardinalitySource + '_> = match self.cost_model {
                 CostModelSpec::Cardinality => {
-                    let source = ExactSource::new(table);
-                    match adaptive {
-                        Some(ad) => search_and_estimate(
-                            &gbmqo,
-                            workload,
-                            &mut CardinalityCostModel::new(AdaptiveCardinalitySource::new(
-                                source,
-                                &workload.table,
-                                &ad.feedback,
-                                ad.sketches.get(&workload.table),
-                            )),
-                        )?,
-                        None => search_and_estimate(
-                            &gbmqo,
-                            workload,
-                            &mut CardinalityCostModel::new(source),
-                        )?,
-                    }
+                    Box::new(ExactSource::with_store(table, table_stats.exact()))
                 }
                 CostModelSpec::SampledCardinality {
                     sample_size,
                     estimator,
                     seed,
-                } => {
-                    let source = SampledSource::try_new(table, *sample_size, *estimator, *seed)?;
-                    match adaptive {
-                        Some(ad) => search_and_estimate(
-                            &gbmqo,
-                            workload,
-                            &mut CardinalityCostModel::new(AdaptiveCardinalitySource::new(
-                                source,
-                                &workload.table,
-                                &ad.feedback,
-                                ad.sketches.get(&workload.table),
-                            )),
-                        )?,
-                        None => search_and_estimate(
-                            &gbmqo,
-                            workload,
-                            &mut CardinalityCostModel::new(source),
-                        )?,
-                    }
                 }
-                CostModelSpec::Optimizer {
+                | CostModelSpec::Optimizer {
                     sample_size,
                     estimator,
                     seed,
-                } => {
-                    let source = SampledSource::try_new(table, *sample_size, *estimator, *seed)?;
-                    let indexes = IndexSnapshot::capture(self.engine.catalog(), &workload.table);
-                    match adaptive {
-                        Some(ad) => search_and_estimate(
-                            &gbmqo,
-                            workload,
-                            &mut OptimizerCostModel::new(
-                                AdaptiveCardinalitySource::new(
-                                    source,
-                                    &workload.table,
-                                    &ad.feedback,
-                                    ad.sketches.get(&workload.table),
-                                ),
-                                indexes,
-                            ),
-                        )?,
-                        None => search_and_estimate(
-                            &gbmqo,
-                            workload,
-                            &mut OptimizerCostModel::new(source, indexes),
-                        )?,
-                    }
+                } => Box::new(SampledSource::with_sample(
+                    table,
+                    table_stats.sample(table.num_rows(), sample_size, seed),
+                    estimator,
+                )),
+            };
+            // The adaptive overlay wraps whichever source the spec
+            // produces — the cost models are generic over
+            // `CardinalitySource`, so both benefit without API changes.
+            if let Some(ad) = self.adaptive.as_ref() {
+                source = Box::new(AdaptiveCardinalitySource::new(
+                    source,
+                    &workload.table,
+                    &ad.feedback,
+                    ad.sketches.get(&workload.table),
+                ));
+            }
+            let gbmqo = GbMqo::with_config(self.search.clone());
+            match self.cost_model {
+                CostModelSpec::Optimizer { .. } => {
+                    let indexes = IndexSnapshot::capture(catalog, &workload.table);
+                    search_and_estimate(
+                        &gbmqo,
+                        workload,
+                        &mut OptimizerCostModel::new(source, indexes),
+                    )?
                 }
+                _ => search_and_estimate(&gbmqo, workload, &mut CardinalityCostModel::new(source))?,
             }
         };
+        let (created, create_time) = table_stats.created();
+        stats.stats_created = created.saturating_sub(created_before) as u64;
+        stats.stats_create_us = create_time.saturating_sub(create_time_before).as_micros() as u64;
         self.cache
             .insert(key, plan.clone(), stats, estimates.clone());
         Ok((plan, stats, estimates, key))
@@ -1438,9 +1397,11 @@ impl Session {
     }
 
     /// Declare that table statistics changed (data refreshed in place,
-    /// indexes rebuilt, …): cached plans stop matching from now on.
+    /// indexes rebuilt, …): cached plans stop matching from now on and
+    /// every column-set statistic is rebuilt on next use.
     pub fn bump_stats_version(&mut self) {
         self.stats_version += 1;
+        self.stats.clear();
     }
 
     /// Current statistics version (see [`Session::bump_stats_version`]).

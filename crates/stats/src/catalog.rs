@@ -1,0 +1,218 @@
+//! The statistics catalog: statistics that outlive one optimization.
+//!
+//! The paper prices plans with statistics that are created once and reused
+//! (§3.2.2), and reports their creation as a separate, amortised cost
+//! (§6.7 / Figure 12). A [`StatsCatalog`] holds, per base table, one
+//! [`TableStats`] tied to a single *contents version* of that table: the
+//! exact-distinct memo, the reservoir sample for the `(sample_size, seed)` in use, and
+//! the sampled-estimate memo per estimator. [`crate::ExactSource`] and
+//! [`crate::SampledSource`] borrow these instead of building their own, so
+//! a column set is scanned once per table version, not once per search.
+//!
+//! Nothing is computed until a source asks for it, and nothing here needs
+//! to be told about a mutation: [`StatsCatalog::table`] compares the version
+//! it is handed with the one the statistics were built at and starts over
+//! on a mismatch.
+
+use crate::distinct::DistinctEstimator;
+use crate::sample::reservoir_sample;
+use crate::store::{StatsCreationEvent, StatsCreationLog, StatsStore};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rustc_hash::FxHashMap;
+use std::time::{Duration, Instant};
+
+/// Column sets each memo of a [`TableStats`] keeps before evicting the
+/// least recently used (an entry is a few dozen bytes).
+pub const MAX_COLUMN_SETS: usize = 4096;
+
+/// One reservoir sample of a table and the estimates made from it.
+#[derive(Debug)]
+pub struct SampleStats {
+    sample_size: usize,
+    seed: u64,
+    rows: Vec<u32>,
+    /// Estimate memo per estimator, made on the estimator's first use.
+    estimates: FxHashMap<DistinctEstimator, StatsStore>,
+}
+
+impl SampleStats {
+    /// Draw `sample_size` of `num_rows` row ids (deterministic for a given
+    /// `seed`).
+    pub fn draw(num_rows: usize, sample_size: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        SampleStats {
+            sample_size,
+            seed,
+            rows: reservoir_sample(num_rows, sample_size, &mut rng),
+            estimates: FxHashMap::default(),
+        }
+    }
+
+    /// The sampled row ids.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// The sampled row ids and the estimate memo of `estimator`.
+    pub(crate) fn parts(&mut self, estimator: DistinctEstimator) -> (&[u32], &mut StatsStore) {
+        let memo = self
+            .estimates
+            .entry(estimator)
+            .or_insert_with(|| StatsStore::with_capacity(MAX_COLUMN_SETS));
+        (&self.rows, memo)
+    }
+
+    /// The estimate memo of `estimator`, if it has estimated anything.
+    pub(crate) fn estimates(&self, estimator: DistinctEstimator) -> Option<&StatsStore> {
+        self.estimates.get(&estimator)
+    }
+}
+
+/// Every statistic held about one contents version of one table.
+#[derive(Debug)]
+pub struct TableStats {
+    exact: StatsStore,
+    /// The one sample in use: a session's cost model, and with it the
+    /// `(sample_size, seed)` it samples with, is fixed when it is built.
+    sample: Option<SampleStats>,
+    /// Sample draws; a draw covers no particular column set.
+    draws: StatsCreationLog,
+}
+
+impl Default for TableStats {
+    fn default() -> Self {
+        TableStats {
+            exact: StatsStore::with_capacity(MAX_COLUMN_SETS),
+            sample: None,
+            draws: StatsCreationLog::default(),
+        }
+    }
+}
+
+impl TableStats {
+    /// The exact-distinct memo.
+    pub fn exact(&mut self) -> &mut StatsStore {
+        &mut self.exact
+    }
+
+    /// The sample drawn with `(sample_size, seed)` from a table of
+    /// `num_rows` rows. It is drawn (one O(`num_rows`) pass, charged to the
+    /// creation log) on first use, and again — dropping the estimates made
+    /// from the previous one — whenever `(sample_size, seed)` differs.
+    pub fn sample(&mut self, num_rows: usize, sample_size: usize, seed: u64) -> &mut SampleStats {
+        let current = self
+            .sample
+            .take()
+            .filter(|s| s.sample_size == sample_size && s.seed == seed);
+        self.sample.insert(current.unwrap_or_else(|| {
+            let start = Instant::now();
+            let drawn = SampleStats::draw(num_rows, sample_size, seed);
+            self.draws.events.push(StatsCreationEvent {
+                cols: Vec::new(),
+                elapsed: start.elapsed(),
+            });
+            drawn
+        }))
+    }
+
+    /// How many statistics this table version has had created so far —
+    /// exact counts, sample draws and the current sample's estimates
+    /// together — and the time that took.
+    pub fn created(&self) -> (usize, Duration) {
+        let mut logs = vec![self.exact.creation_log(), &self.draws];
+        if let Some(sample) = &self.sample {
+            logs.extend(sample.estimates.values().map(StatsStore::creation_log));
+        }
+        (
+            logs.iter().map(|log| log.count()).sum(),
+            logs.iter().map(|log| log.total()).sum(),
+        )
+    }
+}
+
+/// Per-table statistics, each valid for one contents version.
+#[derive(Debug, Default)]
+pub struct StatsCatalog {
+    tables: FxHashMap<String, (u64, TableStats)>,
+}
+
+impl StatsCatalog {
+    /// An empty catalog.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The statistics of table `name` at contents version `version`.
+    /// Statistics built at any other version are discarded here, so a
+    /// caller that passes the table's current version can never read a
+    /// statistic computed over older contents.
+    pub fn table(&mut self, name: &str, version: u64) -> &mut TableStats {
+        if !self.tables.contains_key(name) {
+            self.tables.insert(name.to_string(), Default::default());
+        }
+        let (built_at, stats) = self.tables.get_mut(name).expect("just ensured");
+        if *built_at != version {
+            *built_at = version;
+            *stats = TableStats::default();
+        }
+        stats
+    }
+
+    /// Drop the statistics of every table `keep` rejects (tables that no
+    /// longer exist).
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.tables.retain(|name, _| keep(name));
+    }
+
+    /// Drop every statistic.
+    pub fn clear(&mut self) {
+        self.tables.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn version_change_discards_statistics() {
+        let mut cat = StatsCatalog::new();
+        cat.table("r", 1).exact().put(&[0], 7.0);
+        assert_eq!(cat.table("r", 1).exact().get(&[0]), Some(7.0));
+        assert_eq!(cat.table("s", 1).exact().get(&[0]), None, "per table");
+        assert_eq!(cat.table("r", 2).exact().get(&[0]), None);
+        // Going back does not resurrect anything either.
+        assert_eq!(cat.table("r", 1).exact().get(&[0]), None);
+    }
+
+    #[test]
+    fn retain_and_clear() {
+        let mut cat = StatsCatalog::new();
+        cat.table("r", 1).exact().put(&[0], 7.0);
+        cat.table("s", 1).exact().put(&[0], 8.0);
+        cat.retain(|name| name == "s");
+        assert_eq!(cat.table("r", 1).exact().get(&[0]), None);
+        assert_eq!(cat.table("s", 1).exact().get(&[0]), Some(8.0));
+        cat.clear();
+        assert_eq!(cat.table("s", 1).exact().get(&[0]), None);
+    }
+
+    #[test]
+    fn the_sample_is_drawn_once_per_size_and_seed() {
+        let mut stats = TableStats::default();
+        let first = stats.sample(1000, 100, 7).rows().to_vec();
+        assert_eq!(stats.created().0, 1);
+        let (_, memo) = stats.sample(1000, 100, 7).parts(DistinctEstimator::Gee);
+        memo.get_or_create(&[0], || 1.0);
+        assert_eq!(stats.sample(1000, 100, 7).rows(), &first[..]);
+        assert_eq!(stats.created().0, 2, "second use draws nothing");
+
+        // Another seed is another sample, with no estimates yet.
+        assert_ne!(stats.sample(1000, 100, 8).rows(), &first[..]);
+        assert!(stats
+            .sample(1000, 100, 8)
+            .estimates(DistinctEstimator::Gee)
+            .is_none());
+    }
+}

@@ -16,11 +16,11 @@
 //! the sample and `n` the table size.
 
 use crate::freq::FrequencyProfile;
-use gbmqo_storage::{KeyEncoder, RowKey, Table};
+use gbmqo_storage::{Column, KeyCode, KeyEncoder, PackedKeySpec, RowKey, Table};
 use rustc_hash::FxHashSet;
 
 /// Which estimator to apply to a sample frequency profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DistinctEstimator {
     /// Guaranteed-Error Estimator (Charikar et al.): robust default.
     #[default]
@@ -123,15 +123,60 @@ fn hybrid(p: &FrequencyProfile, n: f64, r: f64) -> f64 {
     }
 }
 
-/// Exactly count the distinct value combinations of `cols` in `table`.
-pub fn exact_distinct(table: &Table, cols: &[usize]) -> usize {
-    let key_cols: Vec<&gbmqo_storage::Column> = cols.iter().map(|&c| table.column(c)).collect();
-    let mut enc = KeyEncoder::new();
-    let mut seen: FxHashSet<RowKey> = FxHashSet::default();
-    for row in 0..table.num_rows() {
-        seen.insert(enc.encode(&key_cols, row));
+/// Rows packed per [`PackedKeySpec::encode_into`] call: the code buffer
+/// stays in L1 while each column's field is OR-ed into it.
+const MORSEL: usize = 1024;
+
+/// Feed the packed key code of each of the first `rows` rows of `cols`
+/// to `f`, in row order. `spec` must have been built from `cols` and fit
+/// `K`.
+pub(crate) fn for_each_packed_key<K: KeyCode>(
+    spec: &PackedKeySpec,
+    cols: &[&Column],
+    rows: usize,
+    mut f: impl FnMut(K),
+) {
+    let mut buf = vec![K::default(); MORSEL.min(rows)];
+    let mut start = 0;
+    while start < rows {
+        let out = &mut buf[..MORSEL.min(rows - start)];
+        out.fill(K::default());
+        spec.encode_into(cols, start, out);
+        out.iter().for_each(|&k| f(k));
+        start += out.len();
     }
+}
+
+fn distinct_packed<K: KeyCode>(spec: &PackedKeySpec, cols: &[&Column], rows: usize) -> usize {
+    let mut seen: FxHashSet<K> = FxHashSet::default();
+    for_each_packed_key(spec, cols, rows, |k: K| {
+        seen.insert(k);
+    });
     seen.len()
+}
+
+/// Exactly count the distinct value combinations of `cols` in `table`
+/// (NULL is a value of its own).
+///
+/// Keys are bit-packed into `u64`/`u128` codes where the columns allow
+/// ([`PackedKeySpec`]; byte [`RowKey`]s only for `Float64` columns and
+/// layouts over 128 bits).
+pub fn exact_distinct(table: &Table, cols: &[usize]) -> usize {
+    let key_cols: Vec<&Column> = cols.iter().map(|&c| table.column(c)).collect();
+    let rows = table.num_rows();
+    let Some(spec) = PackedKeySpec::build(&key_cols) else {
+        let mut enc = KeyEncoder::new();
+        let mut seen: FxHashSet<RowKey> = FxHashSet::default();
+        for row in 0..rows {
+            seen.insert(enc.encode(&key_cols, row));
+        }
+        return seen.len();
+    };
+    if spec.fits_u64() {
+        distinct_packed::<u64>(&spec, &key_cols, rows)
+    } else {
+        distinct_packed::<u128>(&spec, &key_cols, rows)
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Sample frequency profiles: the `f_i` statistics that distinct-value
 //! estimators consume.
 
-use gbmqo_storage::{KeyEncoder, RowKey, Table};
+use crate::distinct::for_each_packed_key;
+use gbmqo_storage::{Column, KeyCode, KeyEncoder, PackedKeySpec, RowKey, Table};
 use rustc_hash::FxHashMap;
 
 /// Frequency profile of a sample of rows projected on a set of columns.
@@ -15,27 +16,55 @@ pub struct FrequencyProfile {
     distinct_in_sample: usize,
 }
 
+/// Occurrence count of each distinct packed key among the first `rows`
+/// rows of `cols`, in no particular order.
+fn packed_occurrences<K: KeyCode>(
+    spec: &PackedKeySpec,
+    cols: &[&Column],
+    rows: usize,
+) -> Vec<usize> {
+    let mut per_value: FxHashMap<K, usize> = FxHashMap::default();
+    for_each_packed_key(spec, cols, rows, |k: K| {
+        *per_value.entry(k).or_insert(0) += 1;
+    });
+    per_value.into_values().collect()
+}
+
 impl FrequencyProfile {
     /// Build a profile of `sample_rows` of `table`, projected on `cols`.
+    ///
+    /// The sampled rows of the key columns are gathered first, so the
+    /// packed key layout ([`PackedKeySpec`]) is sized from — and its
+    /// range scan reads — the sample, never the whole table.
     pub fn build(table: &Table, cols: &[usize], sample_rows: &[u32]) -> Self {
-        let key_cols: Vec<&gbmqo_storage::Column> = cols.iter().map(|&c| table.column(c)).collect();
-        let mut enc = KeyEncoder::new();
-        let mut per_value: FxHashMap<RowKey, usize> = FxHashMap::default();
-        for &row in sample_rows {
-            *per_value
-                .entry(enc.encode(&key_cols, row as usize))
-                .or_insert(0) += 1;
-        }
-        let mut counts: Vec<usize> = Vec::new();
-        for (_, c) in per_value.iter() {
-            if *c > counts.len() {
-                counts.resize(*c, 0);
+        let gathered: Vec<Column> = cols
+            .iter()
+            .map(|&c| table.column(c).gather(sample_rows))
+            .collect();
+        let key_cols: Vec<&Column> = gathered.iter().collect();
+        let rows = sample_rows.len();
+        let per_value: Vec<usize> = match PackedKeySpec::build(&key_cols) {
+            Some(spec) if spec.fits_u64() => packed_occurrences::<u64>(&spec, &key_cols, rows),
+            Some(spec) => packed_occurrences::<u128>(&spec, &key_cols, rows),
+            None => {
+                let mut enc = KeyEncoder::new();
+                let mut per_value: FxHashMap<RowKey, usize> = FxHashMap::default();
+                for row in 0..rows {
+                    *per_value.entry(enc.encode(&key_cols, row)).or_insert(0) += 1;
+                }
+                per_value.into_values().collect()
             }
-            counts[*c - 1] += 1;
+        };
+        let mut counts: Vec<usize> = Vec::new();
+        for &c in &per_value {
+            if c > counts.len() {
+                counts.resize(c, 0);
+            }
+            counts[c - 1] += 1;
         }
         FrequencyProfile {
             counts,
-            sample_size: sample_rows.len(),
+            sample_size: rows,
             distinct_in_sample: per_value.len(),
         }
     }

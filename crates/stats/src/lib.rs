@@ -19,10 +19,14 @@
 //! * [`sketch`] — HyperLogLog distinct sketches maintained incrementally
 //!   from appended delta rows (online sketch maintenance),
 //! * [`source`] — the [`source::CardinalitySource`] trait (the what-if API
-//!   analog) with sampled and exact implementations.
+//!   analog) with sampled and exact implementations,
+//! * [`catalog`] — a [`catalog::StatsCatalog`] keeping all of the above per
+//!   table *contents version*, so statistics are built once and reused
+//!   across optimizations until the table changes.
 
 #![warn(missing_docs)]
 
+pub mod catalog;
 pub mod column_stats;
 pub mod distinct;
 pub mod error;
@@ -33,6 +37,7 @@ pub mod sketch;
 pub mod source;
 pub mod store;
 
+pub use catalog::{SampleStats, StatsCatalog, TableStats};
 pub use column_stats::ColumnStats;
 pub use distinct::{exact_distinct, DistinctEstimator};
 pub use error::{Result, StatsError};

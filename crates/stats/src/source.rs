@@ -15,13 +15,12 @@
 //! its distinct count in `R` — so a single source over `R` prices every
 //! hypothetical edge `u → v`.
 
+use crate::catalog::SampleStats;
 use crate::distinct::{exact_distinct, DistinctEstimator};
 use crate::freq::FrequencyProfile;
-use crate::sample::reservoir_sample;
 use crate::store::{StatsCreationLog, StatsStore};
 use gbmqo_storage::Table;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::borrow::BorrowMut;
 
 /// Supplies cardinality and width information about column sets of one
 /// base relation.
@@ -48,26 +47,61 @@ pub trait CardinalitySource {
     }
 }
 
+impl<S: CardinalitySource + ?Sized> CardinalitySource for Box<S> {
+    fn base_rows(&self) -> usize {
+        (**self).base_rows()
+    }
+
+    fn distinct(&mut self, cols: &[usize]) -> f64 {
+        (**self).distinct(cols)
+    }
+
+    fn row_width(&self, cols: &[usize]) -> f64 {
+        (**self).row_width(cols)
+    }
+
+    fn full_row_width(&self) -> f64 {
+        (**self).full_row_width()
+    }
+
+    fn creation_log(&self) -> Option<&StatsCreationLog> {
+        (**self).creation_log()
+    }
+}
+
 /// Exact cardinalities computed by scanning the table; an oracle used by
 /// tests and by experiments that isolate search quality from estimation
-/// error.
+/// error, and the session's default.
+///
+/// The counts are memoized in a [`StatsStore`] the source either owns
+/// ([`ExactSource::new`]) or borrows from a longer-lived
+/// [`crate::TableStats`] ([`ExactSource::with_store`]) — one lookup path
+/// either way.
 #[derive(Debug)]
-pub struct ExactSource<'a> {
+pub struct ExactSource<'a, S = StatsStore> {
     table: &'a Table,
-    cache: StatsStore,
+    store: S,
 }
 
 impl<'a> ExactSource<'a> {
-    /// Create an exact source over `table`.
+    /// Create an exact source over `table` with a memo of its own.
     pub fn new(table: &'a Table) -> Self {
         ExactSource {
             table,
-            cache: StatsStore::new(),
+            store: StatsStore::new(),
         }
     }
 }
 
-impl CardinalitySource for ExactSource<'_> {
+impl<'a> ExactSource<'a, &'a mut StatsStore> {
+    /// Create an exact source over `table` that reads and fills `store`,
+    /// which must hold counts of this `table`'s current contents only.
+    pub fn with_store(table: &'a Table, store: &'a mut StatsStore) -> Self {
+        ExactSource { table, store }
+    }
+}
+
+impl<S: BorrowMut<StatsStore>> CardinalitySource for ExactSource<'_, S> {
     fn base_rows(&self) -> usize {
         self.table.num_rows()
     }
@@ -77,8 +111,8 @@ impl CardinalitySource for ExactSource<'_> {
             return 1.0;
         }
         let table = self.table;
-        self.cache
-            .get_or_create(cols, || exact_distinct(table, cols) as f64)
+        let store: &mut StatsStore = self.store.borrow_mut();
+        store.get_or_create(cols, || exact_distinct(table, cols) as f64)
     }
 
     fn row_width(&self, cols: &[usize]) -> f64 {
@@ -88,17 +122,25 @@ impl CardinalitySource for ExactSource<'_> {
     fn full_row_width(&self) -> f64 {
         self.table.stored_total_row_width()
     }
+
+    fn creation_log(&self) -> Option<&StatsCreationLog> {
+        Some(self.store.borrow().creation_log())
+    }
 }
 
 /// Sampling-based cardinalities, the realistic counterpart of DBMS
 /// statistics: one shared row sample, per-column-set estimates built on
-/// first use (and their build time logged — Figure 12).
+/// first use (and their build time logged — Figure 12; there is no log
+/// before the first estimate).
+///
+/// Sample and estimates live in a [`SampleStats`] the source either owns
+/// ([`SampledSource::new`]) or borrows from a longer-lived
+/// [`crate::TableStats`] ([`SampledSource::with_sample`]).
 #[derive(Debug)]
-pub struct SampledSource<'a> {
+pub struct SampledSource<'a, S = SampleStats> {
     table: &'a Table,
-    sample: Vec<u32>,
+    sample: S,
     estimator: DistinctEstimator,
-    store: StatsStore,
 }
 
 impl<'a> SampledSource<'a> {
@@ -110,13 +152,10 @@ impl<'a> SampledSource<'a> {
         estimator: DistinctEstimator,
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sample = reservoir_sample(table.num_rows(), sample_size, &mut rng);
         SampledSource {
             table,
-            sample,
+            sample: SampleStats::draw(table.num_rows(), sample_size, seed),
             estimator,
-            store: StatsStore::new(),
         }
     }
 
@@ -136,25 +175,43 @@ impl<'a> SampledSource<'a> {
         }
         Ok(Self::new(table, sample_size, estimator, seed))
     }
+}
 
+impl<'a> SampledSource<'a, &'a mut SampleStats> {
+    /// Create a source over `sample`, which must have been drawn from this
+    /// `table`'s current contents.
+    pub fn with_sample(
+        table: &'a Table,
+        sample: &'a mut SampleStats,
+        estimator: DistinctEstimator,
+    ) -> Self {
+        SampledSource {
+            table,
+            sample,
+            estimator,
+        }
+    }
+}
+
+impl<S: BorrowMut<SampleStats>> SampledSource<'_, S> {
     /// The sampled row ids.
     pub fn sample_rows(&self) -> &[u32] {
-        &self.sample
+        self.sample.borrow().rows()
     }
 
     fn estimate(&mut self, cols: &[usize]) -> f64 {
         let table = self.table;
-        let sample = &self.sample;
         let estimator = self.estimator;
-
-        self.store.get_or_create(cols, || {
-            let p = FrequencyProfile::build(table, cols, sample);
+        let sample: &mut SampleStats = self.sample.borrow_mut();
+        let (rows, store) = sample.parts(estimator);
+        store.get_or_create(cols, || {
+            let p = FrequencyProfile::build(table, cols, rows);
             estimator.estimate(&p, table.num_rows())
         })
     }
 }
 
-impl CardinalitySource for SampledSource<'_> {
+impl<S: BorrowMut<SampleStats>> CardinalitySource for SampledSource<'_, S> {
     fn base_rows(&self) -> usize {
         self.table.num_rows()
     }
@@ -190,7 +247,10 @@ impl CardinalitySource for SampledSource<'_> {
     }
 
     fn creation_log(&self) -> Option<&StatsCreationLog> {
-        Some(self.store.creation_log())
+        let sample: &SampleStats = self.sample.borrow();
+        sample
+            .estimates(self.estimator)
+            .map(StatsStore::creation_log)
     }
 }
 
@@ -224,6 +284,19 @@ mod tests {
         let joint = s.distinct(&[0, 1]);
         assert!(joint <= 200.0 && joint > 20.0);
         assert_eq!(s.row_width(&[0]), 16.0);
+    }
+
+    #[test]
+    fn exact_source_shares_a_borrowed_store() {
+        let t = two_col_table(1000, 10, 20, 1);
+        let mut store = StatsStore::new();
+        let first = ExactSource::with_store(&t, &mut store).distinct(&[0, 1]);
+        assert_eq!(store.creation_log().count(), 1);
+        // A second source over the same store scans nothing.
+        let mut again = ExactSource::with_store(&t, &mut store);
+        assert_eq!(again.distinct(&[1, 0]), first);
+        assert_eq!(again.creation_log().unwrap().count(), 1);
+        assert_eq!(first, ExactSource::new(&t).distinct(&[0, 1]));
     }
 
     #[test]

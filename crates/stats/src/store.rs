@@ -2,8 +2,7 @@
 //! cost of creating statistics (experiment §6.7 / Figure 12).
 
 use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One statistics-creation event: which column set, and how long building
 /// the statistic took.
@@ -15,7 +14,9 @@ pub struct StatsCreationEvent {
     pub elapsed: Duration,
 }
 
-/// Log of statistics created so far.
+/// Log of statistics created so far. It lives and dies with its store: in
+/// a [`crate::StatsCatalog`] that is one contents version of one table, and
+/// every event stands for one pass over the table or its sample.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCreationLog {
     /// All creation events in order.
@@ -34,6 +35,40 @@ impl StatsCreationLog {
     }
 }
 
+/// A column set as a map key. Sets whose ordinals are all below 128 — every
+/// set the optimizer's `ColSet` can express — are a bitmask, so building
+/// the key for a lookup allocates nothing; wider ordinals fall back to a
+/// sorted, deduplicated slice.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ColKey {
+    Mask(u128),
+    Wide(Box<[usize]>),
+}
+
+impl ColKey {
+    fn new(cols: &[usize]) -> Self {
+        if cols.iter().all(|&c| c < 128) {
+            ColKey::Mask(cols.iter().fold(0, |m, &c| m | 1u128 << c))
+        } else {
+            ColKey::Wide(sorted(cols).into())
+        }
+    }
+}
+
+fn sorted(cols: &[usize]) -> Vec<usize> {
+    let mut v = cols.to_vec();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+#[derive(Debug)]
+struct Entry {
+    value: f64,
+    /// Value of the store's clock at the entry's last use.
+    stamp: u64,
+}
+
 /// A cache of column-set → distinct-count estimates for one table.
 ///
 /// The paper amortizes statistics: a statistic is created the first time a
@@ -43,13 +78,16 @@ impl StatsCreationLog {
 /// With [`StatsStore::with_capacity`] the store is bounded: once full, the
 /// least-recently-used column set is evicted, and re-creating an evicted
 /// statistic re-charges its cost to the creation log (the charge is for
-/// *work done*, not for entries alive).
+/// *work done*, not for entries alive). Recency is a per-entry stamp of a
+/// store-wide clock, so a hit costs one hash lookup and one store; only an
+/// insert into a full store — which has just paid for building a statistic
+/// — scans for the oldest stamp.
 #[derive(Debug, Default)]
 pub struct StatsStore {
-    cache: FxHashMap<Vec<usize>, f64>,
+    cache: FxHashMap<ColKey, Entry>,
     log: StatsCreationLog,
     capacity: Option<usize>,
-    lru: VecDeque<Vec<usize>>,
+    clock: u64,
     evictions: u64,
 }
 
@@ -69,20 +107,20 @@ impl StatsStore {
         }
     }
 
-    /// Fetch the cached estimate for `cols` (sorted internally), or build it
-    /// with `build` and record the creation cost.
+    /// Fetch the cached estimate for `cols` (order and duplicates are
+    /// ignored), or build it with `build` and record the creation cost.
     pub fn get_or_create(&mut self, cols: &[usize], build: impl FnOnce() -> f64) -> f64 {
-        let key = sorted(cols);
-        if let Some(&v) = self.cache.get(&key) {
-            self.touch(&key);
-            return v;
+        let key = ColKey::new(cols);
+        self.clock += 1;
+        if let Some(e) = self.cache.get_mut(&key) {
+            e.stamp = self.clock;
+            return e.value;
         }
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let v = build();
-        let elapsed = start.elapsed();
         self.log.events.push(StatsCreationEvent {
-            cols: key.clone(),
-            elapsed,
+            cols: sorted(cols),
+            elapsed: start.elapsed(),
         });
         self.insert(key, v);
         v
@@ -90,39 +128,26 @@ impl StatsStore {
 
     /// Peek without creating.
     pub fn get(&self, cols: &[usize]) -> Option<f64> {
-        self.cache.get(&sorted(cols)).copied()
+        self.cache.get(&ColKey::new(cols)).map(|e| e.value)
     }
 
     /// Insert or overwrite an estimate without logging a creation.
     pub fn put(&mut self, cols: &[usize], value: f64) {
-        self.insert(sorted(cols), value);
+        self.clock += 1;
+        self.insert(ColKey::new(cols), value);
     }
 
-    fn insert(&mut self, key: Vec<usize>, value: f64) {
-        if self.cache.insert(key.clone(), value).is_some() {
-            self.touch(&key);
-        } else {
-            self.lru.push_back(key);
-            if let Some(cap) = self.capacity {
-                while self.cache.len() > cap {
-                    if let Some(victim) = self.lru.pop_front() {
-                        self.cache.remove(&victim);
-                        self.evictions += 1;
-                    } else {
-                        break;
-                    }
-                }
+    fn insert(&mut self, key: ColKey, value: f64) {
+        let stamp = self.clock;
+        self.cache.insert(key, Entry { value, stamp });
+        if self.capacity.is_some_and(|cap| self.cache.len() > cap) {
+            // The entry just inserted carries the newest stamp, so it is
+            // never its own victim.
+            let oldest = self.cache.iter().min_by_key(|(_, e)| e.stamp);
+            if let Some(victim) = oldest.map(|(k, _)| k.clone()) {
+                self.cache.remove(&victim);
+                self.evictions += 1;
             }
-        }
-    }
-
-    fn touch(&mut self, key: &[usize]) {
-        if self.capacity.is_none() {
-            return; // unbounded stores never evict; skip the bookkeeping
-        }
-        if let Some(pos) = self.lru.iter().position(|k| k == key) {
-            let k = self.lru.remove(pos).unwrap();
-            self.lru.push_back(k);
         }
     }
 
@@ -145,13 +170,6 @@ impl StatsStore {
     pub fn is_empty(&self) -> bool {
         self.cache.is_empty()
     }
-}
-
-fn sorted(cols: &[usize]) -> Vec<usize> {
-    let mut v = cols.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v
 }
 
 #[cfg(test)]
@@ -252,5 +270,30 @@ mod tests {
         assert_eq!(log.count(), 2);
         assert!(log.total() >= Duration::ZERO);
         assert_eq!(log.events[0].cols, vec![0]);
+    }
+
+    #[test]
+    fn many_hits_keep_exact_lru_order() {
+        // Many hits on a full store: the victim is still the one entry
+        // that was never touched again.
+        let mut s = StatsStore::with_capacity(3);
+        for c in 0..3 {
+            s.get_or_create(&[c], || c as f64);
+        }
+        for _ in 0..100 {
+            s.get_or_create(&[0], || unreachable!("cached"));
+            s.get_or_create(&[2], || unreachable!("cached"));
+        }
+        s.get_or_create(&[3], || 3.0);
+        assert_eq!(s.get(&[1]), None);
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn wide_ordinals_share_the_lookup_path() {
+        let mut s = StatsStore::new();
+        s.get_or_create(&[300, 2], || 9.0);
+        assert_eq!(s.get(&[2, 300, 300]), Some(9.0));
+        assert_eq!(s.get(&[2]), None);
     }
 }

@@ -2,20 +2,150 @@
 
 use gbmqo_stats::{
     exact_distinct, reservoir_sample, CardinalitySource, DistinctEstimator, ExactSource,
-    FrequencyProfile, SampledSource,
+    FrequencyProfile, SampledSource, TableStats,
 };
-use gbmqo_storage::{Column, DataType, Field, Schema, Table};
+use gbmqo_storage::{
+    Column, ColumnBuilder, DataType, Field, KeyEncoder, RowKey, Schema, Table, Value,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 fn int_table(vals: Vec<i64>) -> Table {
     let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
     Table::new(schema, vec![Column::from_i64(vals)]).unwrap()
 }
 
+/// A table exercising every key encoding: a narrow int and a dictionary
+/// string, both with NULLs (`u64` codes), two full-range ints (65 bits
+/// each: one needs `u128` codes, both together exceed 128 bits and fall
+/// back to byte keys) and a float (never packable). `vals[i]` drives row
+/// `i`; a value divisible by 7 is NULL where NULLs are allowed.
+fn mixed_table(vals: &[i64]) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("narrow", DataType::Int64),
+        Field::new("name", DataType::Utf8),
+        Field::new("wide_a", DataType::Int64),
+        Field::new("wide_b", DataType::Int64),
+        Field::new("ratio", DataType::Float64),
+    ])
+    .unwrap();
+    let mut cols: Vec<ColumnBuilder> = schema
+        .fields()
+        .iter()
+        .map(|f| ColumnBuilder::new(f.data_type))
+        .collect();
+    for &v in vals {
+        let null = v % 7 == 0;
+        let cells = [
+            if null { Value::Null } else { Value::Int(v % 5) },
+            if null {
+                Value::Null
+            } else {
+                Value::Str(format!("s{}", v % 4).into())
+            },
+            Value::Int([i64::MIN, -1, i64::MAX][(v % 3) as usize]),
+            Value::Int([i64::MAX, i64::MIN][(v % 2) as usize]),
+            Value::Float((v % 3) as f64 / 2.0),
+        ];
+        for (col, cell) in cols.iter_mut().zip(&cells) {
+            col.push(cell).unwrap();
+        }
+    }
+    Table::new(
+        schema,
+        cols.into_iter().map(ColumnBuilder::finish).collect(),
+    )
+    .unwrap()
+}
+
+/// The byte-key reference both packed paths must agree with: occurrences
+/// of each distinct key among `rows` of `table` projected on `cols`.
+fn reference_occurrences(table: &Table, cols: &[usize], rows: &[u32]) -> HashMap<RowKey, usize> {
+    let key_cols: Vec<&Column> = cols.iter().map(|&c| table.column(c)).collect();
+    let mut enc = KeyEncoder::new();
+    let mut seen = HashMap::new();
+    for &row in rows {
+        *seen.entry(enc.encode(&key_cols, row as usize)).or_insert(0) += 1;
+    }
+    seen
+}
+
+const ESTIMATORS: [DistinctEstimator; 4] = [
+    DistinctEstimator::Gee,
+    DistinctEstimator::Shlosser,
+    DistinctEstimator::Jackknife,
+    DistinctEstimator::Hybrid,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Packed-key counting (`u64`, `u128`) and the byte-key fallback all
+    /// count what the byte-key reference counts — over NULLs, dictionary
+    /// strings (including a slice whose dictionary has codes the slice
+    /// never uses), empty tables, floats and key sets wider than 128 bits
+    /// — and `ExactSource` memoizes the same counts.
+    #[test]
+    fn exact_distinct_matches_byte_key_reference(
+        vals in prop::collection::vec(0i64..60, 0..120),
+        skip in 0usize..40,
+    ) {
+        let full = mixed_table(&vals);
+        let skip = skip.min(full.num_rows());
+        let tail = full.slice_rows(skip, full.num_rows() - skip).unwrap();
+        for table in [&full, &tail] {
+            let all: Vec<u32> = (0..table.num_rows() as u32).collect();
+            let mut source = ExactSource::new(table);
+            for cols in [
+                vec![], vec![0], vec![1], vec![2], vec![4], vec![0, 1], vec![1, 0],
+                vec![2, 0], vec![2, 3], vec![1, 4], vec![0, 1, 2], vec![0, 1, 2, 3],
+            ] {
+                let expected = reference_occurrences(table, &cols, &all).len();
+                prop_assert_eq!(exact_distinct(table, &cols), expected, "cols {:?}", &cols);
+                if !cols.is_empty() {
+                    prop_assert_eq!(source.distinct(&cols), expected as f64, "cols {:?}", &cols);
+                }
+            }
+        }
+    }
+
+    /// The packed frequency profile is the byte-key profile, and a sample
+    /// held by a `TableStats` is the sample — and yields the estimates —
+    /// that a source drawing its own would get.
+    #[test]
+    fn sampled_statistics_match_byte_key_reference(
+        vals in prop::collection::vec(0i64..60, 1..120),
+        sample_size in 1usize..150,
+        seed in 0u64..50,
+    ) {
+        let table = mixed_table(&vals);
+        let n = table.num_rows();
+        let expected_rows = reservoir_sample(n, sample_size, &mut StdRng::seed_from_u64(seed));
+        let mut stats = TableStats::default();
+        prop_assert_eq!(stats.sample(n, sample_size, seed).rows(), &expected_rows[..]);
+
+        for est in ESTIMATORS {
+            let mut owned = SampledSource::new(&table, sample_size, est, seed);
+            prop_assert_eq!(owned.sample_rows(), &expected_rows[..]);
+            for cols in [vec![0], vec![1], vec![2], vec![0, 1], vec![2, 3], vec![1, 4]] {
+                let reference = reference_occurrences(&table, &cols, &expected_rows);
+                let profile = FrequencyProfile::build(&table, &cols, &expected_rows);
+                prop_assert_eq!(profile.distinct_in_sample(), reference.len());
+                for i in 1..=sample_size {
+                    let f_i = reference.values().filter(|&&c| c == i).count();
+                    prop_assert_eq!(profile.f(i), f_i, "f_{} of {:?}", i, &cols);
+                }
+                // Twice through the shared sample: built, then memoized.
+                for _ in 0..2 {
+                    let shared = stats.sample(n, sample_size, seed);
+                    let mut borrowed = SampledSource::with_sample(&table, shared, est);
+                    prop_assert_eq!(borrowed.distinct(&cols), owned.distinct(&cols));
+                }
+            }
+        }
+    }
 
     /// Every estimator's output lies in [distinct-in-sample, table rows].
     #[test]

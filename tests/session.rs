@@ -2,8 +2,12 @@
 //! execution equivalence, the workload plan cache, and the unified
 //! error type.
 
+use gbmqo_core::plan_to_text;
 use gbmqo_core::prelude::*;
+use gbmqo_cost::{CardinalityCostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_integration::{assert_same_results, col_names, modular_table};
+use gbmqo_stats::{DistinctEstimator, ExactSource, SampledSource};
+use gbmqo_storage::Table;
 use proptest::prelude::*;
 
 fn workload_of(table: &gbmqo_storage::Table, requests: &[Vec<usize>]) -> Workload {
@@ -36,6 +40,58 @@ fn workload_strategy() -> impl Strategy<Value = (Vec<usize>, Vec<Vec<usize>>)> {
                 prop::collection::vec(prop::collection::vec(0..n, 1..=n.min(3)), 1..=(n + 2));
             (Just(cards), requests)
         })
+}
+
+/// One of each [`CostModelSpec`] variant.
+fn cost_model_specs() -> Vec<CostModelSpec> {
+    let (sample_size, estimator, seed) = (200, DistinctEstimator::Hybrid, 5);
+    vec![
+        CostModelSpec::Cardinality,
+        CostModelSpec::SampledCardinality {
+            sample_size,
+            estimator,
+            seed,
+        },
+        CostModelSpec::Optimizer {
+            sample_size,
+            estimator,
+            seed,
+        },
+    ]
+}
+
+/// What `Session::plan` chose before sessions kept statistics: a pruned
+/// search over a cardinality source built for this one search.
+fn plan_from_scratch(table: &Table, w: &Workload, spec: &CostModelSpec) -> LogicalPlan {
+    let gbmqo = GbMqo::with_config(SearchConfig::pruned());
+    let sampled =
+        |&sample_size, &estimator, &seed| SampledSource::new(table, sample_size, estimator, seed);
+    let (plan, _) = match spec {
+        CostModelSpec::Cardinality => {
+            gbmqo.plan(w, &mut CardinalityCostModel::new(ExactSource::new(table)))
+        }
+        CostModelSpec::SampledCardinality {
+            sample_size,
+            estimator,
+            seed,
+        } => gbmqo.plan(
+            w,
+            &mut CardinalityCostModel::new(sampled(sample_size, estimator, seed)),
+        ),
+        CostModelSpec::Optimizer {
+            sample_size,
+            estimator,
+            seed,
+        } => gbmqo.plan(
+            w,
+            &mut OptimizerCostModel::new(
+                sampled(sample_size, estimator, seed),
+                IndexSnapshot::none(),
+            ),
+        ),
+    }
+    .unwrap();
+    plan
 }
 
 proptest! {
@@ -113,6 +169,75 @@ proptest! {
         assert_same_results(&w, &rep_s, &rep_b, "budgeted parallel vs serial");
         prop_assert!(budgeted.engine().catalog().temp_names().is_empty());
     }
+
+    /// The session's statistics catalog changes when statistics are
+    /// built, never what they say: a long-lived session plans and answers
+    /// exactly like one whose statistics are thrown away before every
+    /// search — and, with the feedback overlay off, exactly like a search
+    /// over a source built from scratch — for every cost-model spec,
+    /// adaptive or not, sharded or not, across an append.
+    #[test]
+    fn shared_statistics_plan_like_fresh_ones(
+        (cards, raw_requests) in workload_strategy(),
+        spec in 0usize..3,
+        adaptive in any::<bool>(),
+        sharded in any::<bool>(),
+    ) {
+        let mut requests: Vec<Vec<usize>> = raw_requests
+            .into_iter()
+            .map(|mut r| { r.sort_unstable(); r.dedup(); r })
+            .collect();
+        requests.sort();
+        requests.dedup();
+        let table = modular_table(600, &cards);
+        let spec = cost_model_specs().swap_remove(spec);
+        let build = || {
+            Session::builder()
+                .table("t", table.clone())
+                .search(SearchConfig::pruned())
+                .cost_model(spec.clone())
+                .adaptive(adaptive)
+                .shards(if sharded { 2 } else { 0 })
+                .build()
+                .unwrap()
+        };
+        let (mut shared, mut fresh) = (build(), build());
+
+        // Two overlapping workloads, before and after an append that
+        // changes every cardinality the statistics describe.
+        let all = workload_of(&table, &requests);
+        let head = workload_of(&table, &requests[..requests.len().div_ceil(2)]);
+        let mut contents = table.clone();
+        for step in 0..6 {
+            if step == 3 {
+                let delta = modular_table(150, &cards.iter().map(|c| c + 3).collect::<Vec<_>>());
+                shared.append("t", delta.clone()).unwrap();
+                fresh.append("t", delta.clone()).unwrap();
+                contents = Table::concat(&[&contents, &delta]).unwrap();
+            }
+            let w = if step % 2 == 0 { &all } else { &head };
+            // Both sessions search anew; only `fresh` also forgets its
+            // statistics (feedback and sketches survive on both sides).
+            shared.clear_plan_cache();
+            fresh.bump_stats_version();
+
+            let (plan_shared, stats_shared) = shared.plan(w).unwrap();
+            let (plan_fresh, stats_fresh) = fresh.plan(w).unwrap();
+            prop_assert_eq!(plan_to_text(&plan_shared), plan_to_text(&plan_fresh), "step {}", step);
+            prop_assert_eq!(stats_shared.optimizer_calls, stats_fresh.optimizer_calls);
+            prop_assert_eq!(stats_shared.final_cost, stats_fresh.final_cost);
+            if !adaptive {
+                let scratch = plan_from_scratch(&contents, w, &spec);
+                prop_assert_eq!(plan_to_text(&plan_shared), plan_to_text(&scratch), "step {}", step);
+            }
+
+            let out_shared = shared.run_workload(w, CacheControl::Default).unwrap();
+            let out_fresh = fresh.run_workload(w, CacheControl::Default).unwrap();
+            assert_same_results(w, &out_shared.report, &out_fresh.report, "shared vs fresh");
+            let naive = fresh.run_plan(&LogicalPlan::naive(w), w).unwrap();
+            assert_same_results(w, &out_shared.report, &naive, "shared vs naive");
+        }
+    }
 }
 
 #[test]
@@ -179,4 +304,97 @@ fn unified_error_type_spans_subsystems() {
         .build()
         .unwrap_err();
     assert!(matches!(err, CoreError::InvalidSession(_)), "got {err:?}");
+}
+
+/// Plan and run `w`, asserting the search ran and that every node's
+/// estimate — exact statistics — equals what execution then observed,
+/// i.e. the statistics describe the table's current contents. Returns
+/// the search stats.
+fn assert_statistics_current(s: &mut Session, w: &Workload, context: &str) -> SearchStats {
+    let out = s.run_workload(w, CacheControl::Default).unwrap();
+    assert!(!out.stats.cache_hit, "{context}: expected a fresh search");
+    assert!(!s.last_node_cards().is_empty(), "{context}");
+    for card in s.last_node_cards() {
+        assert_eq!(
+            card.estimated, card.observed,
+            "{context}: stale statistic for {:?}",
+            card.cols
+        );
+    }
+    out.stats
+}
+
+#[test]
+fn statistics_are_created_once_per_table_version() {
+    // c0, c1 are tiny, so both searches merge them first and then weigh
+    // the same second-round merges.
+    let table = modular_table(600, &[2, 3, 50, 200]);
+    let mut s = Session::builder()
+        .table("t", table.clone())
+        .build()
+        .unwrap();
+    let four = workload_of(&table, &[vec![0], vec![1], vec![2], vec![3]]);
+    let first = s.plan(&four).unwrap().1;
+    assert!(first.stats_created >= 4, "singles and merges: {first:?}");
+
+    // A different workload whose search only meets column sets the
+    // first one already counted: it searches, and builds nothing.
+    let three = workload_of(&table, &[vec![0], vec![1], vec![2]]);
+    let second = s.plan(&three).unwrap().1;
+    assert!(!second.cache_hit && second.optimizer_calls > 0);
+    assert_eq!((second.stats_created, second.stats_create_us), (0, 0));
+
+    // Same plan as a session meeting the workload cold.
+    let mut cold = Session::builder().table("t", table).build().unwrap();
+    let (cold_plan, cold_stats) = cold.plan(&three).unwrap();
+    assert!(cold_stats.stats_created > 0);
+    assert_eq!(cold_stats.optimizer_calls, second.optimizer_calls);
+    assert_eq!(
+        plan_to_text(&cold_plan),
+        plan_to_text(&s.plan(&three).unwrap().0)
+    );
+}
+
+#[test]
+fn every_table_mutation_invalidates_statistics() {
+    for shards in [0, 2] {
+        let cards = [3, 7, 40];
+        let table = modular_table(500, &cards);
+        let w = workload_of(&table, &[vec![0], vec![1], vec![2], vec![0, 1]]);
+        let mut s = Session::builder()
+            .table("t", table.clone())
+            .shards(shards)
+            .build()
+            .unwrap();
+        let built = assert_statistics_current(&mut s, &w, "initial");
+        assert!(built.stats_created > 0);
+
+        // Each mutation brings values no earlier contents had, so a
+        // statistic kept from before would under-count.
+        let grown = |extra: usize| {
+            let cards: Vec<usize> = cards.iter().map(|c| c + extra).collect();
+            modular_table(500, &cards)
+        };
+        s.append("t", grown(2)).unwrap();
+        let rebuilt = assert_statistics_current(&mut s, &w, "append");
+        assert!(rebuilt.stats_created > 0);
+
+        s.register_table("t", grown(4)).unwrap();
+        assert_statistics_current(&mut s, &w, "register_table");
+
+        s.append("t", grown(6)).unwrap();
+        s.reshard("t").unwrap();
+        assert_statistics_current(&mut s, &w, "append + reshard");
+
+        // Behind the session's back, and without bump_stats_version.
+        s.engine_mut().catalog_mut().replace("t", grown(8)).unwrap();
+        assert_statistics_current(&mut s, &w, "Catalog::replace");
+        s.engine_mut().catalog_mut().append("t", grown(10)).unwrap();
+        assert_statistics_current(&mut s, &w, "Catalog::append");
+
+        // Same contents, declared changed: everything is rebuilt.
+        s.bump_stats_version();
+        let declared = assert_statistics_current(&mut s, &w, "bump_stats_version");
+        assert!(declared.stats_created > 0);
+    }
 }
