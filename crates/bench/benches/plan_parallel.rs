@@ -2,14 +2,14 @@
 //! the Session plan cache on repeated workloads.
 //!
 //! The first group times the same logical plan (≥4 independent edges
-//! over a 150k-row lineitem) through the serial client-side driver and
-//! through the wave-scheduled parallel executor. The second group times
+//! over a 150k-row lineitem) through a `ClientSide` session (one query
+//! at a time) and through `Parallel` sessions (dependency waves on 2 and
+//! 4 threads) — the same scheduler both times. The second group times
 //! `Session::plan` with a cold cache (cleared every iteration) against a
 //! warm one, where the merge search is skipped entirely.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gbmqo_bench::harness::{run_plan_serial, session_for};
-use gbmqo_core::executor::execute_plan_parallel;
+use gbmqo_bench::harness::{run_plan_serial, session_for, IO_NS_PER_BYTE};
 use gbmqo_core::prelude::*;
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
 
@@ -28,7 +28,7 @@ fn bench_parallel_execution(c: &mut Criterion) {
         "the bench needs at least 4 independent edges"
     );
 
-    let mut session = session_for(table, "lineitem");
+    let mut session = session_for(table.clone(), "lineitem");
     let mut group = c.benchmark_group("plan_parallel_naive6");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_secs(1));
@@ -37,16 +37,15 @@ fn bench_parallel_execution(c: &mut Criterion) {
         b.iter(|| run_plan_serial(&plan, &workload, &mut session))
     });
     for threads in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| {
-                execute_plan_parallel(
-                    &plan,
-                    &workload,
-                    session.engine_mut(),
-                    ParallelOptions::with_threads(t),
-                )
-                .unwrap()
-            })
+        let mut parallel = Session::builder()
+            .table("lineitem", table.clone())
+            .mode(ExecutionMode::Parallel)
+            .parallelism(threads)
+            .io_ns_per_byte(IO_NS_PER_BYTE)
+            .build()
+            .unwrap();
+        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, _| {
+            b.iter(|| parallel.run_plan(&plan, &workload).unwrap())
         });
     }
     group.finish();

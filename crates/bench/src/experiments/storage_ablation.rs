@@ -7,7 +7,7 @@ use crate::harness::{
     optimize_timed, run_plan_scheduled, sampled_optimizer_model, session_for, Report, Scale,
 };
 use gbmqo_core::prelude::*;
-use gbmqo_core::schedule::{plan_min_storage, schedule_plan, simulate_peak, Step};
+use gbmqo_core::schedule::{plan_min_storage, schedule_plan, simulate_peak, PlanEdge, Step};
 use gbmqo_cost::{CostModel, IndexSnapshot};
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
 
@@ -27,73 +27,40 @@ pub struct Outcome {
 /// Simulate the peak of a schedule where the traversal of every node is
 /// forced, by rebuilding the plan's step list manually.
 fn forced_peak(plan: &LogicalPlan, breadth: bool, d: &mut dyn FnMut(ColSet) -> f64) -> f64 {
-    fn emit(
-        node: &gbmqo_core::SubNode,
-        source: Option<ColSet>,
-        breadth: bool,
-        steps: &mut Vec<Step>,
-    ) {
-        steps.push(Step::Query {
+    fn query(node: &gbmqo_core::SubNode, source: Option<ColSet>) -> Step {
+        Step::Query(PlanEdge {
             source,
             target: node.cols,
             materialize: !node.children.is_empty(),
             required: node.required,
             kind: gbmqo_core::NodeKind::GroupBy,
-        });
+        })
+    }
+    /// `node` is computed; schedule its children.
+    fn emit_body(node: &gbmqo_core::SubNode, breadth: bool, steps: &mut Vec<Step>) {
         if node.children.is_empty() {
             return;
         }
         if breadth {
             for c in &node.children {
-                steps.push(Step::Query {
-                    source: Some(node.cols),
-                    target: c.cols,
-                    materialize: !c.children.is_empty(),
-                    required: c.required,
-                    kind: gbmqo_core::NodeKind::GroupBy,
-                });
+                steps.push(query(c, Some(node.cols)));
             }
             steps.push(Step::Drop(node.cols));
             for c in &node.children {
-                if !c.children.is_empty() {
-                    emit_body(c, breadth, steps);
-                }
+                emit_body(c, breadth, steps);
             }
         } else {
             for c in &node.children {
-                emit(c, Some(node.cols), breadth, steps);
-            }
-            steps.push(Step::Drop(node.cols));
-        }
-    }
-    fn emit_body(node: &gbmqo_core::SubNode, breadth: bool, steps: &mut Vec<Step>) {
-        // node already computed; schedule its children
-        if breadth {
-            for c in &node.children {
-                steps.push(Step::Query {
-                    source: Some(node.cols),
-                    target: c.cols,
-                    materialize: !c.children.is_empty(),
-                    required: c.required,
-                    kind: gbmqo_core::NodeKind::GroupBy,
-                });
-            }
-            steps.push(Step::Drop(node.cols));
-            for c in &node.children {
-                if !c.children.is_empty() {
-                    emit_body(c, breadth, steps);
-                }
-            }
-        } else {
-            for c in &node.children {
-                emit(c, Some(node.cols), breadth, steps);
+                steps.push(query(c, Some(node.cols)));
+                emit_body(c, breadth, steps);
             }
             steps.push(Step::Drop(node.cols));
         }
     }
     let mut steps = Vec::new();
     for sp in &plan.subplans {
-        emit(sp, None, breadth, &mut steps);
+        steps.push(query(sp, None));
+        emit_body(sp, breadth, &mut steps);
     }
     simulate_peak(&steps, d)
 }

@@ -1,43 +1,42 @@
-//! High-level GROUPING SETS API: optimize + execute + assemble the
-//! union-all result in one call (§5's two integration paths).
+//! High-level GROUPING SETS API: the execution-mode switch and the
+//! union-all result (§5's two integration paths).
 //!
 //! A `GROUPING SETS` query returns one result set — the UNION ALL of its
 //! member Group Bys, distinguishable by a `Grp-Tag` (§5.1.1). This module
-//! provides that semantics on top of the optimizer:
+//! provides that semantics on top of the optimizer. Every mode runs the
+//! same scheduler ([`crate::executor`]); a mode only picks the order the
+//! plan's edges run in, how many threads a wave gets, and whether edges
+//! reading the same table share a scan:
 //!
 //! * [`ExecutionMode::ClientSide`] — §5.2: the plan runs as a sequence of
 //!   separate SQL-like queries (`SELECT … INTO`, `SUM(cnt)`), exactly
-//!   what an application can do against a stock DBMS.
+//!   what an application can do against a stock DBMS, in §4.4's
+//!   storage-minimizing order.
 //! * [`ExecutionMode::ServerSide`] — §5.1: the plan runs inside the
 //!   engine, where queries that read the same table can share one scan
 //!   (PipeHash-style; the paper: "when implemented inside the server our
 //!   approach can also potentially benefit from shared sorts … even
 //!   greater speedup").
+//! * [`ExecutionMode::Parallel`] — independent edges run concurrently.
 
 use crate::colset::ColSet;
 use crate::error::Result;
-use crate::executor::{
-    cleanup_exec_temps, exec_prefix, exec_temp_name, execute_plan_parallel_sharded,
-    execute_plan_parallel_with, next_exec_id, run_plan, CacheHooks, GroupEstimates,
-    ParallelOptions, ShardContext, WHOLE_TABLE_PIN,
-};
 use crate::greedy::SearchStats;
-use crate::plan::{LogicalPlan, NodeKind, SubNode};
+use crate::plan::LogicalPlan;
 use crate::workload::Workload;
-use gbmqo_exec::{union_all_tagged, AggSpec, Engine, ExecMetrics};
+use gbmqo_exec::{union_all_tagged, ExecMetrics};
 use gbmqo_storage::Table;
 
 /// How the optimized plan is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// One engine query per plan edge (§5.2).
+    /// One engine query per plan edge, one at a time (§5.2).
     #[default]
     ClientSide,
     /// Shared scans across queries reading the same table (§5.1).
     ServerSide,
     /// Dependency-parallel waves: independent plan edges run
-    /// concurrently on scoped threads
-    /// (see [`crate::executor::execute_plan_parallel`]).
+    /// concurrently on scoped threads.
     Parallel,
 }
 
@@ -72,59 +71,6 @@ impl GroupingSetsResult {
     }
 }
 
-/// Execute an optimized plan under `mode` (the execution half of
-/// [`crate::session::Session::grouping_sets`]). `estimates` carries the
-/// optimizer's distinct-group counts per node (empty when no cost model
-/// is available); the executors forward them to the engine's radix
-/// kernel.
-pub(crate) fn run_mode(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    mode: ExecutionMode,
-    parallel: ParallelOptions,
-    estimates: &GroupEstimates,
-    hooks: &mut CacheHooks,
-) -> Result<(Vec<(ColSet, Table)>, ExecMetrics)> {
-    // A radix-sharded base table executes shard-parallel in client-side
-    // and parallel modes: every plan edge fans out across the shard
-    // entries, with a final merge at delivery. Server-side shared scans
-    // keep reading the logical table, which the dual-resident layout
-    // registers alongside the shards.
-    if mode != ExecutionMode::ServerSide {
-        if let Some(desc) = engine.catalog().shard_desc(&workload.table).cloned() {
-            let ctx = ShardContext::build(&desc, workload);
-            let opts = if mode == ExecutionMode::ClientSide {
-                // Client-side stays serial: one engine query at a time,
-                // per shard — the fan-out still narrows each query's
-                // input and preserves per-shard cache granularity.
-                ParallelOptions {
-                    threads: 1,
-                    memory_budget: parallel.memory_budget,
-                }
-            } else {
-                parallel
-            };
-            let report = execute_plan_parallel_sharded(
-                plan, workload, engine, opts, estimates, hooks, &ctx,
-            )?;
-            return Ok((report.results, report.metrics));
-        }
-    }
-    Ok(match mode {
-        ExecutionMode::ClientSide => {
-            let report = run_plan(plan, workload, engine, None, estimates, hooks)?;
-            (report.results, report.metrics)
-        }
-        ExecutionMode::ServerSide => execute_server_side(plan, workload, engine, estimates, hooks)?,
-        ExecutionMode::Parallel => {
-            let report =
-                execute_plan_parallel_with(plan, workload, engine, parallel, estimates, hooks)?;
-            (report.results, report.metrics)
-        }
-    })
-}
-
 /// Tag each member result with its grouping columns and UNION ALL them
 /// into the single GROUPING SETS result table (§5.1.1's `Grp-Tag`).
 pub(crate) fn assemble_union(
@@ -149,162 +95,12 @@ pub(crate) fn assemble_union(
     })
 }
 
-/// Server-side execution: all queries that read the same table run in one
-/// shared scan. Sub-plan roots share the base-relation scan; each
-/// materialized node's children share a scan of its temp table.
-fn execute_server_side(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    estimates: &GroupEstimates,
-    hooks: &mut CacheHooks,
-) -> Result<(Vec<(ColSet, Table)>, ExecMetrics)> {
-    plan.validate(workload)?;
-    engine.reset_metrics();
-    let exec_id = next_exec_id();
-    let out = server_side_levels(plan, workload, engine, estimates, exec_id, hooks);
-    if out.is_err() {
-        cleanup_exec_temps(engine, exec_id);
-    }
-    out
-}
-
-fn server_side_levels(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    estimates: &GroupEstimates,
-    exec_id: u64,
-    hooks: &mut CacheHooks,
-) -> Result<(Vec<(ColSet, Table)>, ExecMetrics)> {
-    let mut results: Vec<(ColSet, Table)> = Vec::new();
-
-    // Level order: (source table name, source aggs, nodes to compute).
-    // Roots served from pinned cached aggregates read their pinned
-    // table (with re-aggregation) instead of the base relation; the
-    // remaining roots share one scan of the base relation as usual.
-    let reagg: Vec<AggSpec> = workload
-        .aggregates
-        .iter()
-        .map(AggSpec::reaggregate)
-        .collect();
-    let mut frontier: Vec<(String, Vec<AggSpec>, Vec<&SubNode>)> = Vec::new();
-    let mut base_nodes: Vec<&SubNode> = Vec::new();
-    for node in &plan.subplans {
-        match hooks.roots.get(&(node.cols.0, WHOLE_TABLE_PIN)) {
-            Some(pinned) if node.children.is_empty() && node.kind == NodeKind::GroupBy => {
-                frontier.push((pinned.clone(), reagg.clone(), vec![node]));
-            }
-            _ => base_nodes.push(node),
-        }
-    }
-    if !base_nodes.is_empty() {
-        frontier.push((
-            workload.table.clone(),
-            workload.aggregates.clone(),
-            base_nodes,
-        ));
-    }
-
-    while let Some((source, aggs, nodes)) = frontier.pop() {
-        // ROLLUP/CUBE nodes keep their dedicated execution path; plain
-        // nodes share one scan of `source`.
-        let (plain, special): (Vec<&SubNode>, Vec<&SubNode>) =
-            nodes.into_iter().partition(|n| n.kind == NodeKind::GroupBy);
-        if !plain.is_empty() {
-            let groupings: Vec<Vec<String>> = plain
-                .iter()
-                .map(|n| {
-                    workload
-                        .col_names(n.cols)
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect()
-                })
-                .collect();
-            let in_rows = hooks
-                .observing()
-                .then(|| crate::executor::input_rows_of(engine, &source));
-            let tables = engine.run_shared_group_bys(&source, &groupings, &aggs)?;
-            for (node, table) in plain.iter().zip(tables) {
-                if let Some(rows) = in_rows {
-                    hooks.observe(node.cols, rows, table.num_rows() as u64, 0);
-                }
-                if node.required {
-                    results.push((node.cols, table.clone()));
-                }
-                if node.is_materialized() {
-                    engine.materialize_temp(&exec_temp_name(exec_id, node.cols), table)?;
-                    hooks.harvest_temp(engine, exec_id, node.cols);
-                    frontier.push((
-                        exec_temp_name(exec_id, node.cols),
-                        aggs.iter().map(AggSpec::reaggregate).collect(),
-                        node.children.iter().collect(),
-                    ));
-                }
-            }
-        }
-        for node in special {
-            // Fall back to the client-side executor for CUBE/ROLLUP
-            // nodes: wrap the node in a one-subplan plan.
-            let sub = LogicalPlan {
-                subplans: vec![(*node).clone()],
-            };
-            // The sub-plan reads `source`; only base-relation sources are
-            // supported here (plan validation enforces child ⊂ parent, so
-            // special nodes under temps would need node-local workloads).
-            debug_assert_eq!(source, workload.table, "CUBE/ROLLUP under a temp");
-            // The sub-workload shares the outer column universe, so the
-            // inner executor's observations transfer directly: lend it
-            // the sink and take it back afterwards.
-            let mut inner = CacheHooks {
-                observations: hooks.observations.take(),
-                ..Default::default()
-            };
-            let report = run_plan(
-                &sub,
-                &sub_workload(workload, node),
-                engine,
-                None,
-                estimates,
-                &mut inner,
-            );
-            hooks.observations = inner.observations;
-            results.extend(report?.results);
-        }
-    }
-
-    // Drop any of *this execution's* temps that still linger (children
-    // consumed them already, but required-internal nodes may remain).
-    // Other executions' temps in a shared catalog are left alone.
-    let prefix = exec_prefix(exec_id);
-    for name in engine.catalog().temp_names() {
-        if name.starts_with(&prefix) {
-            engine.drop_temp(&name)?;
-        }
-    }
-    Ok((results, engine.metrics()))
-}
-
-/// A workload whose requests are exactly the required sets inside `node`
-/// (used to execute a single CUBE/ROLLUP sub-plan).
-fn sub_workload(workload: &Workload, node: &SubNode) -> Workload {
-    let mut required = Vec::new();
-    node.collect_required(&mut required);
-    Workload {
-        table: workload.table.clone(),
-        column_names: workload.column_names.clone(),
-        base_ordinals: workload.base_ordinals.clone(),
-        requests: required,
-        aggregates: workload.aggregates.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::greedy::SearchConfig;
     use crate::session::Session;
+    use gbmqo_exec::Engine;
     use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Value};
 
     fn setup() -> (Engine, Table) {

@@ -1,17 +1,22 @@
 //! Plan execution: turning a [`LogicalPlan`] into Group By queries against
 //! the engine, exactly as the paper's client-side implementation does
 //! (§5.2): intermediates become `SELECT … INTO tmp`, queries over
-//! intermediates replace `COUNT(*)` with `SUM(cnt)`, and temp tables are
-//! dropped per the storage-minimizing schedule (§4.4).
+//! intermediates replace `COUNT(*)` with `SUM(cnt)`, and a temp table is
+//! dropped once its last child is computed (§4.4).
+//!
+//! There is one scheduler, `execute_plan`. It consumes an ordered list
+//! of waves of [`PlanEdge`]s and retires temps by reader count; serial,
+//! dependency-parallel, sharded and shared-scan execution are values of
+//! its `Schedule` and of the base table's shard layout, not code paths.
 
 use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
 use crate::plan::{LogicalPlan, NodeKind, SubNode};
-use crate::schedule::{level_plan, schedule_plan, PlanEdge, Step};
+use crate::schedule::PlanEdge;
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
 use gbmqo_exec::{cube, hash_group_by, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery};
-use gbmqo_storage::{shard_table_name, ShardDesc, Table};
+use gbmqo_storage::{shard_table_name, Table};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,28 +80,27 @@ pub(crate) fn next_exec_id() -> u64 {
 }
 
 /// Name prefix shared by every temp of execution `exec_id`.
-pub(crate) fn exec_prefix(exec_id: u64) -> String {
+fn exec_prefix(exec_id: u64) -> String {
     format!("__gbmqo_tmp_e{exec_id:x}_")
 }
 
-/// Name of the temp table materializing `cols` within execution
-/// `exec_id`.
-pub(crate) fn exec_temp_name(exec_id: u64, cols: ColSet) -> String {
-    format!("{}{:x}", exec_prefix(exec_id), cols.0)
-}
-
-/// Name of the temp holding shard `shard`'s partial of the node `cols`
-/// within execution `exec_id` (sharded executions materialize one temp
-/// per shard; see [`execute_waves_sharded`]). Shares [`exec_prefix`], so
-/// [`cleanup_exec_temps`] covers these too.
-pub(crate) fn shard_temp_name(exec_id: u64, cols: ColSet, shard: u32) -> String {
-    format!("{}_s{shard}", exec_temp_name(exec_id, cols))
+/// Name of the temp holding slot `slot` of the node `cols` within
+/// execution `exec_id`: the whole node for [`WHOLE_TABLE_PIN`], one
+/// shard's partial otherwise. Every name shares [`exec_prefix`], so
+/// [`cleanup_exec_temps`] covers them all.
+fn exec_temp_name(exec_id: u64, cols: ColSet, slot: u32) -> String {
+    let whole = format!("{}{:x}", exec_prefix(exec_id), cols.0);
+    if slot == WHOLE_TABLE_PIN {
+        whole
+    } else {
+        format!("{whole}_s{slot}")
+    }
 }
 
 /// Drop every temp table belonging to execution `exec_id`, ignoring
 /// individual drop failures (cleanup runs on error paths — a cancelled
 /// execution may not have materialized everything it scheduled).
-pub(crate) fn cleanup_exec_temps(engine: &mut Engine, exec_id: u64) {
+fn cleanup_exec_temps(engine: &mut Engine, exec_id: u64) {
     let prefix = exec_prefix(exec_id);
     let names: Vec<String> = engine
         .catalog()
@@ -110,24 +114,26 @@ pub(crate) fn cleanup_exec_temps(engine: &mut Engine, exec_id: u64) {
 }
 
 /// Shard slot meaning "the whole logical table" in [`RootSources`] and
-/// [`Harvest`] entries: pins and harvests of unsharded executions (and
-/// of logical-level cache hits over sharded tables) use this sentinel
-/// instead of a real shard ordinal.
+/// [`Harvest`] entries and in temp names: whatever is not a per-shard
+/// partial — everything over an unsharded table, and logical-level
+/// cache hits over a sharded one — uses this sentinel instead of a real
+/// shard ordinal.
 pub(crate) const WHOLE_TABLE_PIN: u32 = u32::MAX;
 
 /// Virtual-root sources for cache-served nodes: (node column-set bits,
 /// shard ordinal) → catalog name of a pinned table holding a cached
 /// covering aggregate. An edge that would read the base relation reads
 /// the pinned table (with re-aggregation) instead when its target is
-/// listed here. Unsharded executions only consult the
-/// [`WHOLE_TABLE_PIN`] slot; the sharded executor consults per-shard
-/// slots so a partially warm cache still serves the shards it covers.
+/// listed here: under [`WHOLE_TABLE_PIN`] the whole edge does, under a
+/// shard ordinal that shard's instance of a fanned-out edge does — so a
+/// partially warm cache still serves the shards it covers.
 pub(crate) type RootSources = FxHashMap<(u128, u32), String>;
 
 /// Intermediates harvested for cache admission: the column set, shard
 /// ordinal ([`WHOLE_TABLE_PIN`] for whole-table intermediates) and the
 /// materialized result of every temp an execution produced, captured
-/// just before the temp is dropped (an `Arc` clone, not a data copy).
+/// when its last reader has run, just before the temp is dropped (an
+/// `Arc` clone, not a data copy).
 pub(crate) type Harvest = Vec<(ColSet, u32, Arc<Table>)>;
 
 /// One whole-table Group By observed during plan execution. Every
@@ -135,8 +141,8 @@ pub(crate) type Harvest = Vec<(ColSet, u32, Arc<Table>)>;
 /// pinned cached aggregate — computes the *complete* distinct-group set
 /// of its target columns over the logical table, so its output row count
 /// is the true cardinality the optimizer estimated. (Per-shard partials
-/// of a fan-out edge are the one exception and are never observed; see
-/// [`execute_waves_sharded`].)
+/// of a fanned-out intermediate are the one exception and are never
+/// observed; see [`execute_plan`].)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanObservation {
     /// The node's target column set.
@@ -145,10 +151,6 @@ pub(crate) struct PlanObservation {
     pub input_rows: u64,
     /// Rows of the node's result — the true distinct-group count.
     pub output_groups: u64,
-    /// Measured wall-clock of the node's query, when individually
-    /// attributable (serial execution); 0 inside parallel waves, where
-    /// per-node time cannot be separated.
-    pub elapsed_ns: u64,
 }
 
 /// Materialized-aggregate-cache integration handles threaded through
@@ -167,123 +169,85 @@ pub(crate) struct CacheHooks {
 }
 
 impl CacheHooks {
-    /// Record a temp's contents before it is dropped.
-    fn keep(&mut self, cols: ColSet, shard: u32, table: Arc<Table>) {
-        if let Some(h) = self.harvest.as_mut() {
-            h.push((cols, shard, table));
-        }
-    }
-
-    /// True when an observation sink is attached (callers can then skip
-    /// the catalog lookups that feed it).
-    pub(crate) fn observing(&self) -> bool {
-        self.observations.is_some()
-    }
-
     /// Record one whole-table Group By outcome (no-op without a sink).
-    pub(crate) fn observe(
-        &mut self,
-        cols: ColSet,
-        input_rows: u64,
-        output_groups: u64,
-        elapsed_ns: u64,
-    ) {
+    fn observe(&mut self, cols: ColSet, input_rows: u64, output_groups: u64) {
         if let Some(o) = self.observations.as_mut() {
             o.push(PlanObservation {
                 cols,
                 input_rows,
                 output_groups,
-                elapsed_ns,
             });
         }
-    }
-
-    /// Harvest the temp materializing `cols` (no-op without a sink).
-    pub(crate) fn harvest_temp(&mut self, engine: &Engine, exec_id: u64, cols: ColSet) {
-        if self.harvest.is_some() {
-            if let Ok(t) = engine.catalog().table_arc(&exec_temp_name(exec_id, cols)) {
-                self.keep(cols, WHOLE_TABLE_PIN, t);
-            }
-        }
-    }
-}
-
-/// Input table name and aggregate list for an edge reading `source`
-/// (`None` = the base relation; temps re-aggregate with `SUM(cnt)` etc.).
-/// A base-relation edge whose `target` has a pinned cached root reads
-/// that root instead — the cached table already holds the aggregate
-/// outputs, so it re-aggregates exactly like a temp.
-fn source_io(
-    workload: &Workload,
-    source: Option<ColSet>,
-    exec_id: u64,
-    roots: &RootSources,
-    target: ColSet,
-) -> (String, Vec<AggSpec>) {
-    let reagg = || {
-        workload
-            .aggregates
-            .iter()
-            .map(AggSpec::reaggregate)
-            .collect()
-    };
-    match source {
-        None => match roots.get(&(target.0, WHOLE_TABLE_PIN)) {
-            Some(pinned) => (pinned.clone(), reagg()),
-            None => (workload.table.clone(), workload.aggregates.clone()),
-        },
-        Some(s) => (exec_temp_name(exec_id, s), reagg()),
     }
 }
 
 /// Rows of catalog table `name`, 0 when it is not registered. Feeds
 /// [`PlanObservation::input_rows`]; an unregistered input only happens on
 /// error paths, where the observation is discarded with the execution.
-pub(crate) fn input_rows_of(engine: &Engine, name: &str) -> u64 {
+fn input_rows_of(engine: &Engine, name: &str) -> u64 {
     engine
         .catalog()
         .table(name)
         .map_or(0, |t| t.num_rows() as u64)
 }
 
-/// Observe freshly delivered ROLLUP/CUBE level results: the lattice
-/// descent materializes each required level as a complete whole-table
-/// aggregate, so every one is a valid cardinality observation. `in_rows`
-/// is `None` when no sink is attached.
-pub(crate) fn observe_delivered(
-    hooks: &mut CacheHooks,
-    delivered: &[(ColSet, Table)],
-    in_rows: Option<u64>,
-) {
-    let Some(rows) = in_rows else { return };
-    for (cols, t) in delivered {
-        hooks.observe(*cols, rows, t.num_rows() as u64, 0);
-    }
+/// Largest shard as a percentage of the mean shard size (100 = perfectly
+/// balanced, 0 for an empty table).
+pub(crate) fn shard_skew(shard_rows: &[u64]) -> u64 {
+    let largest = shard_rows.iter().copied().max().unwrap_or(0);
+    (largest * 100 * shard_rows.len() as u64)
+        .checked_div(shard_rows.iter().sum())
+        .unwrap_or(0)
 }
 
-/// Serial plan execution (the §5.2 client-side driver), reached through
-/// [`crate::session::Session`]'s `run_workload` when the execution mode
-/// is serial.
-pub(crate) fn run_plan(
+/// How [`execute_plan`] runs a plan. Every execution mode is a value of
+/// this struct (see `Session::execute`).
+#[derive(Debug)]
+pub(crate) struct Schedule<'a> {
+    /// The plan's edges in execution order. Edges of one wave are
+    /// independent — each source was materialized by an earlier wave —
+    /// and run as one batch: [`crate::schedule::serial_waves`] for the
+    /// §4.4 storage-minimizing order, [`crate::schedule::level_plan`]
+    /// for the widest batches.
+    pub waves: Vec<Vec<PlanEdge>>,
+    /// Worker threads per wave; a wave narrower than this hands the
+    /// spare threads to its queries' kernels.
+    pub threads: usize,
+    /// Compute the Group Bys of a wave that read the same input in one
+    /// shared scan (§5.1) instead of one query each.
+    pub fuse: bool,
+    /// Cap on live temp-table bytes. When materializing a node would
+    /// exceed the cap, the node is left unmaterialized and its children
+    /// re-read the node's own source — more work, bounded storage (the
+    /// §4.4.2 trade, applied at run time).
+    pub memory_budget: Option<usize>,
+    /// Optimizer distinct-group estimates forwarded to the engine's
+    /// radix kernel (empty when no cost model planned the plan).
+    pub estimates: &'a GroupEstimates,
+}
+
+/// Execute `plan` as `sched` orders: each wave's Group By edges run as
+/// one engine batch, ROLLUP/CUBE edges descend their lattice, and a temp
+/// table is offered to the aggregate cache and dropped the moment its
+/// last reader has run — where §4.4's schedule drops it, or earlier.
+///
+/// Over a radix-sharded base table every edge that reads the base
+/// relation fans out into one query per shard entry, intermediates stay
+/// per-shard partials all the way down, and required results merge at
+/// delivery ([`Sources::merge_shards`]); an unsharded table is the layout in which
+/// nothing fans out. Results and metric counters (other than elapsed
+/// time) are the same for every `sched` up to row order.
+pub(crate) fn execute_plan(
     plan: &LogicalPlan,
     workload: &Workload,
     engine: &mut Engine,
-    size_estimate: Option<&mut dyn FnMut(ColSet) -> f64>,
-    estimates: &GroupEstimates,
+    sched: &Schedule<'_>,
     hooks: &mut CacheHooks,
 ) -> Result<ExecutionReport> {
     plan.validate(workload)?;
     engine.reset_metrics();
     let exec_id = next_exec_id();
-    let out = run_plan_steps(
-        plan,
-        workload,
-        engine,
-        size_estimate,
-        estimates,
-        exec_id,
-        hooks,
-    );
+    let out = run_waves(plan, workload, engine, sched, exec_id, hooks);
     if out.is_err() {
         // A failed (or cancelled) execution must not leave its temps
         // behind: the catalog may be shared with other executions.
@@ -292,111 +256,403 @@ pub(crate) fn run_plan(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_plan_steps(
+/// Shard layout of a workload's base table as one execution sees it.
+/// The default is an unsharded table: no shard entries, so nothing fans
+/// out.
+#[derive(Debug, Default)]
+struct Layout {
+    /// Catalog names of the base table's shard entries, in shard order.
+    shard_names: Vec<String>,
+    /// Rows of each shard entry.
+    shard_rows: Vec<u64>,
+    /// Shard-key columns as workload bits. `None` when a key column is
+    /// outside the workload universe — merge elision is then impossible
+    /// and every cross-shard merge re-aggregates.
+    key_set: Option<ColSet>,
+}
+
+impl Layout {
+    fn of(engine: &Engine, workload: &Workload) -> Self {
+        let Some(desc) = engine.catalog().shard_desc(&workload.table) else {
+            return Layout::default();
+        };
+        let shard_names: Vec<String> = (0..desc.shard_count)
+            .map(|s| shard_table_name(&workload.table, s))
+            .collect();
+        Layout {
+            shard_rows: shard_names
+                .iter()
+                .map(|n| input_rows_of(engine, n))
+                .collect(),
+            shard_names,
+            key_set: desc.key_cols.iter().try_fold(ColSet::EMPTY, |bits, key| {
+                let i = workload.column_names.iter().position(|c| c == key)?;
+                Some(bits.union(ColSet::single(i)))
+            }),
+        }
+    }
+
+    /// True when grouping by `target` keeps shards hash-disjoint: the
+    /// target contains every shard-key column, so no group can span two
+    /// shards and per-shard partials concatenate into the final result
+    /// without re-aggregation.
+    fn covers_key(&self, target: ColSet) -> bool {
+        self.key_set.is_some_and(|k| (target.0 & k.0) == k.0)
+    }
+}
+
+/// A materialized node awaiting its readers.
+#[derive(Debug)]
+struct LiveTemp {
+    /// Edges that have yet to read it.
+    readers: usize,
+    /// Whether it is held as per-shard partials (one temp per shard) or
+    /// as one whole-table temp.
+    fan_out: bool,
+}
+
+/// Everything that decides which table a query instance reads.
+struct Sources<'a> {
+    workload: &'a Workload,
+    layout: &'a Layout,
+    exec_id: u64,
+    /// The workload's aggregates re-aggregated (`SUM(cnt)`-style): what
+    /// any input other than the base relation is read with.
+    reagg: Vec<AggSpec>,
+}
+
+impl Sources<'_> {
+    /// Input table name and aggregate list of slot `slot` of the edge
+    /// `source → target` (`None` = the base relation). A base-relation
+    /// read whose `(target, slot)` has a pinned cached root reads that
+    /// root instead — the cached table already holds the aggregate
+    /// outputs, so it re-aggregates exactly like a temp. Base rows read
+    /// through a shard entry are counted into `extra.shard_rows`.
+    fn io(
+        &self,
+        roots: &RootSources,
+        source: Option<ColSet>,
+        target: ColSet,
+        slot: u32,
+        extra: &mut ExecMetrics,
+    ) -> (String, Vec<AggSpec>) {
+        if let Some(s) = source {
+            return (exec_temp_name(self.exec_id, s, slot), self.reagg.clone());
+        }
+        if let Some(pinned) = roots.get(&(target.0, slot)) {
+            return (pinned.clone(), self.reagg.clone());
+        }
+        let base = match self.layout.shard_names.get(slot as usize) {
+            Some(shard) => {
+                extra.shard_rows += self.layout.shard_rows[slot as usize];
+                shard.clone()
+            }
+            None => self.workload.table.clone(),
+        };
+        (base, self.workload.aggregates.clone())
+    }
+
+    /// Combine per-shard partial aggregates of `target` into the final
+    /// result. Shards are hash-disjoint on the shard key, so a grouping
+    /// that covers the key concatenates directly; any other grouping may
+    /// hold the same group in several shards and re-aggregates the
+    /// concatenation (`SUM(cnt)`-style, per §7.2's lossless merge rules).
+    fn merge_shards(
+        &self,
+        target: ColSet,
+        parts: &[Table],
+        extra: &mut ExecMetrics,
+    ) -> Result<Table> {
+        let refs: Vec<&Table> = parts.iter().collect();
+        let combined = Table::concat(&refs)?;
+        if self.layout.covers_key(target) {
+            return Ok(combined);
+        }
+        extra.merge_rows += combined.num_rows() as u64;
+        let group_cols: Vec<usize> = self
+            .workload
+            .col_names(target)
+            .iter()
+            .map(|n| combined.schema().index_of(n))
+            .collect::<gbmqo_storage::Result<_>>()?;
+        Ok(hash_group_by(&combined, &group_cols, &self.reagg, extra)?)
+    }
+}
+
+/// Run one wave's query instances. With `fuse`, instances that read the
+/// same input share one scan of it (they then also share their
+/// aggregate list, which the input determines); an instance that shares
+/// its input with nobody goes through the ordinary batch either way.
+fn run_queries(
+    engine: &mut Engine,
+    queries: &[GroupByQuery],
+    threads: usize,
+    fuse: bool,
+) -> Result<Vec<Table>> {
+    if !fuse {
+        return Ok(engine.run_group_bys_parallel(queries, threads)?);
+    }
+    let mut by_input: Vec<(&str, Vec<usize>)> = Vec::new();
+    for (i, q) in queries.iter().enumerate() {
+        match by_input.iter_mut().find(|(input, _)| *input == q.input) {
+            Some((_, members)) => members.push(i),
+            None => by_input.push((&q.input, vec![i])),
+        }
+    }
+    let mut out: Vec<Option<Table>> = vec![None; queries.len()];
+    let mut solo: Vec<usize> = Vec::new();
+    for (input, members) in by_input {
+        if let [only] = members[..] {
+            solo.push(only);
+            continue;
+        }
+        let groupings: Vec<Vec<String>> = members
+            .iter()
+            .map(|&i| queries[i].group_cols.clone())
+            .collect();
+        let tables = engine.run_shared_group_bys(input, &groupings, &queries[members[0]].aggs)?;
+        for (i, t) in members.into_iter().zip(tables) {
+            out[i] = Some(t);
+        }
+    }
+    let solo_queries: Vec<GroupByQuery> = solo.iter().map(|&i| queries[i].clone()).collect();
+    let tables = engine.run_group_bys_parallel(&solo_queries, threads)?;
+    for (i, t) in solo.into_iter().zip(tables) {
+        out[i] = Some(t);
+    }
+    Ok(out
+        .into_iter()
+        .map(|t| t.expect("every instance ran in exactly one group"))
+        .collect())
+}
+
+fn run_waves(
     plan: &LogicalPlan,
     workload: &Workload,
     engine: &mut Engine,
-    size_estimate: Option<&mut dyn FnMut(ColSet) -> f64>,
-    estimates: &GroupEstimates,
+    sched: &Schedule<'_>,
     exec_id: u64,
     hooks: &mut CacheHooks,
 ) -> Result<ExecutionReport> {
-    // Collect ROLLUP/CUBE nodes so their single step can deliver child
-    // results.
-    let special = collect_special(plan);
-
-    let mut neutral = |_: ColSet| 1.0;
-    let d: &mut dyn FnMut(ColSet) -> f64 = match size_estimate {
-        Some(f) => f,
-        None => &mut neutral,
+    let layout = Layout::of(engine, workload);
+    let sources = Sources {
+        workload,
+        layout: &layout,
+        exec_id,
+        reagg: workload
+            .aggregates
+            .iter()
+            .map(AggSpec::reaggregate)
+            .collect(),
     };
-    let steps = schedule_plan(plan, d);
+    let nshards = layout.shard_names.len() as u32;
+    let all_shards: Vec<u32> = (0..nshards).collect();
+    // The slots a node occupies: one per shard when fanned out, the
+    // whole-table slot otherwise.
+    let slots_of = |fan_out: bool| -> &[u32] {
+        if fan_out {
+            &all_shards
+        } else {
+            &[WHOLE_TABLE_PIN]
+        }
+    };
+
+    // ROLLUP/CUBE nodes by column set: their single edge delivers all
+    // child results via lattice descent.
+    let special = collect_special(plan);
+    // Edges that read each node — the initial reader count of its temp.
+    let mut fan_in: FxHashMap<u128, usize> = FxHashMap::default();
+    for source in sched.waves.iter().flatten().filter_map(|e| e.source) {
+        *fan_in.entry(source.0).or_default() += 1;
+    }
 
     let mut results: Vec<(ColSet, Table)> = Vec::new();
     let mut extra = ExecMetrics::new();
+    // Shard fan-out and skew are plan-independent facts of the layout.
+    extra.shards = u64::from(nshards);
+    extra.shard_skew = shard_skew(&layout.shard_rows);
+    let mut live: FxHashMap<u128, LiveTemp> = FxHashMap::default();
+    // Nodes the budget left unmaterialized → the source their children
+    // read instead.
+    let mut evicted: FxHashMap<u128, Option<ColSet>> = FxHashMap::default();
 
-    for step in &steps {
-        // Cancellation boundary between plan steps: small queries never
-        // poll internally, so the executor polls for them.
+    for wave in &sched.waves {
+        // Cancellation boundary between waves: small queries never poll
+        // internally, so the scheduler polls for them.
         engine.check_cancelled()?;
-        match step {
-            Step::Drop(cols) => {
-                hooks.harvest_temp(engine, exec_id, *cols);
-                engine.drop_temp(&exec_temp_name(exec_id, *cols))?;
+        let (batch, specials): (Vec<_>, Vec<_>) = wave
+            .iter()
+            .map(|e| {
+                let src = e
+                    .source
+                    .and_then(|s| evicted.get(&s.0).copied().unwrap_or(Some(s)));
+                (*e, src)
+            })
+            .partition(|(e, _)| e.kind == NodeKind::GroupBy);
+
+        // Expand each Group By edge into its query instances: one per
+        // shard when its source is per-shard, a single query otherwise
+        // (an unsharded table, or a node served whole from a pinned
+        // aggregate). All instances of a wave run as one batch.
+        let mut queries: Vec<GroupByQuery> = Vec::new();
+        let mut fan_outs: Vec<bool> = Vec::new();
+        for (edge, src) in &batch {
+            let fan_out = match src {
+                Some(s) => live[&s.0].fan_out,
+                None => nshards > 0 && !hooks.roots.contains_key(&(edge.target.0, WHOLE_TABLE_PIN)),
+            };
+            fan_outs.push(fan_out);
+            // A grouping that covers the shard key splits its groups
+            // across shards; any other grouping may repeat every group
+            // in every shard.
+            let mut est = sched.estimates.get(&edge.target.0).copied();
+            if fan_out && layout.covers_key(edge.target) {
+                est = est.map(|e| (e / u64::from(nshards)).max(1));
             }
-            Step::Query {
-                source,
-                target,
-                materialize,
-                required,
-                kind,
-            } => {
-                let (input, aggs) = source_io(workload, *source, exec_id, &hooks.roots, *target);
-                let in_rows = hooks.observing().then(|| input_rows_of(engine, &input));
-                match kind {
-                    NodeKind::GroupBy => {
-                        let q = GroupByQuery {
-                            input,
-                            group_cols: workload
-                                .col_names(*target)
-                                .iter()
-                                .map(|s| s.to_string())
-                                .collect(),
-                            aggs,
-                            into: materialize.then(|| exec_temp_name(exec_id, *target)),
-                            estimated_groups: estimates.get(&target.0).copied(),
-                        };
-                        let started = std::time::Instant::now();
-                        let out = engine.run_group_by(&q)?;
-                        if let Some(rows) = in_rows {
-                            hooks.observe(
-                                *target,
-                                rows,
-                                out.num_rows() as u64,
-                                started.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        if *required {
-                            results.push((*target, out));
-                        }
-                    }
-                    NodeKind::Rollup => {
-                        let node = special
-                            .get(&target.0)
-                            .ok_or_else(|| CoreError::InvalidPlan("unknown rollup".into()))?;
-                        let before = results.len();
-                        run_rollup(
-                            node,
-                            &input,
-                            workload,
-                            engine,
-                            &aggs,
-                            &mut results,
-                            &mut extra,
-                        )?;
-                        observe_delivered(hooks, &results[before..], in_rows);
-                    }
-                    NodeKind::Cube => {
-                        let node = special
-                            .get(&target.0)
-                            .ok_or_else(|| CoreError::InvalidPlan("unknown cube".into()))?;
-                        let before = results.len();
-                        run_cube(
-                            node,
-                            &input,
-                            workload,
-                            engine,
-                            &aggs,
-                            &mut results,
-                            &mut extra,
-                        )?;
-                        observe_delivered(hooks, &results[before..], in_rows);
-                    }
+            for &slot in slots_of(fan_out) {
+                let (input, aggs) = sources.io(&hooks.roots, *src, edge.target, slot, &mut extra);
+                queries.push(GroupByQuery {
+                    input,
+                    group_cols: workload
+                        .col_names(edge.target)
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect(),
+                    aggs,
+                    // Materialization is decided below, under the budget.
+                    into: None,
+                    estimated_groups: est,
+                });
+            }
+        }
+        // Input sizes must be read before the batch runs: a temp source
+        // may be retired at the end of this very wave.
+        let input_rows: Vec<u64> = queries
+            .iter()
+            .map(|q| input_rows_of(engine, &q.input))
+            .collect();
+        let tables = run_queries(engine, &queries, sched.threads, sched.fuse)?;
+        let mut outputs = input_rows.into_iter().zip(tables);
+
+        for ((edge, src), fan_out) in batch.iter().zip(fan_outs) {
+            let slots = slots_of(fan_out);
+            // Whole-logical-table input of this node: the sum over its
+            // query instances.
+            let (in_rows, parts): (Vec<u64>, Vec<Table>) =
+                outputs.by_ref().take(slots.len()).unzip();
+            let in_rows: u64 = in_rows.iter().sum();
+            // A whole-table result is a complete group count, hence an
+            // observation. Fanned-out intermediates stay per-shard
+            // partials — a group can repeat across shards, so their row
+            // counts are NOT whole-table observations and are skipped.
+            let whole = if !fan_out {
+                Some(parts[0].clone())
+            } else if edge.required {
+                Some(sources.merge_shards(edge.target, &parts, &mut extra)?)
+            } else {
+                None
+            };
+            if let Some(table) = whole {
+                hooks.observe(edge.target, in_rows, table.num_rows() as u64);
+                if edge.required {
+                    results.push((edge.target, table));
+                }
+            }
+            if !edge.materialize {
+                continue;
+            }
+            let readers = fan_in[&edge.target.0];
+            let bytes: usize = parts.iter().map(Table::byte_size).sum();
+            let fits = sched
+                .memory_budget
+                .is_none_or(|b| engine.catalog().accounting().current_temp_bytes + bytes <= b);
+            if fits {
+                for (&slot, part) in slots.iter().zip(parts) {
+                    engine.materialize_temp(&exec_temp_name(exec_id, edge.target, slot), part)?;
+                }
+                live.insert(edge.target.0, LiveTemp { readers, fan_out });
+            } else {
+                // The children re-read this edge's own source; if that
+                // source is a temp, it gains their reads and must stay
+                // live accordingly.
+                evicted.insert(edge.target.0, *src);
+                if let Some(s) = src {
+                    live.get_mut(&s.0).expect("source temp is live").readers += readers;
                 }
             }
         }
+
+        // ROLLUP/CUBE nodes descend a lattice over one combined input,
+        // serially (the descent already re-aggregates level by level):
+        // a per-shard source concatenates into a scratch temp first (the
+        // descent's own re-aggregation absorbs overlapping groups); a
+        // base-relation source reads the logical table, which the
+        // dual-resident layout keeps registered alongside the shards.
+        for (edge, src) in &specials {
+            let node = special
+                .get(&edge.target.0)
+                .ok_or_else(|| CoreError::InvalidPlan("unknown rollup/cube node".into()))?;
+            let (input, aggs, scratch) = match src {
+                Some(cols) if live[&cols.0].fan_out => {
+                    let shard_tables: Vec<Arc<Table>> = all_shards
+                        .iter()
+                        .map(|&s| {
+                            engine
+                                .catalog()
+                                .table_arc(&exec_temp_name(exec_id, *cols, s))
+                        })
+                        .collect::<gbmqo_storage::Result<_>>()?;
+                    let refs: Vec<&Table> = shard_tables.iter().map(Arc::as_ref).collect();
+                    let combined = Table::concat(&refs)?;
+                    extra.merge_rows += combined.num_rows() as u64;
+                    let name = format!("{}_m", exec_temp_name(exec_id, *cols, WHOLE_TABLE_PIN));
+                    engine.materialize_temp(&name, combined)?;
+                    (name.clone(), sources.reagg.clone(), Some(name))
+                }
+                _ => {
+                    let (input, aggs) =
+                        sources.io(&hooks.roots, *src, edge.target, WHOLE_TABLE_PIN, &mut extra);
+                    (input, aggs, None)
+                }
+            };
+            let in_rows = input_rows_of(engine, &input);
+            let delivered = run_lattice(node, &input, workload, engine, &aggs, &mut extra)?;
+            // The descent materializes each delivered level as a complete
+            // whole-table aggregate, so every one is an observation.
+            for (cols, table) in &delivered {
+                hooks.observe(*cols, in_rows, table.num_rows() as u64);
+            }
+            results.extend(delivered);
+            if let Some(name) = scratch {
+                engine.drop_temp(&name)?;
+            }
+        }
+
+        // Every edge of this wave has read its source once: decrement
+        // reader counts and retire temps nobody will read again, each
+        // offered to the aggregate cache first (under its own shard
+        // ordinal) so a later workload asking for exactly this set, or a
+        // subset, is served instead of recomputed. This runs after the
+        // reparenting above so a temp that just inherited readers is not
+        // dropped in between.
+        for source in batch.iter().chain(&specials).filter_map(|(_, src)| *src) {
+            let temp = live.get_mut(&source.0).expect("source temp is live");
+            temp.readers -= 1;
+            if temp.readers > 0 {
+                continue;
+            }
+            let fan_out = temp.fan_out;
+            live.remove(&source.0);
+            for &slot in slots_of(fan_out) {
+                let name = exec_temp_name(exec_id, source, slot);
+                if let Some(harvest) = hooks.harvest.as_mut() {
+                    harvest.push((source, slot, engine.catalog().table_arc(&name)?));
+                }
+                engine.drop_temp(&name)?;
+            }
+        }
     }
+    debug_assert!(live.is_empty(), "temps leaked: {live:?}");
 
     let mut metrics = engine.metrics();
     metrics += extra;
@@ -407,8 +663,7 @@ fn run_plan_steps(
     })
 }
 
-/// ROLLUP/CUBE nodes of a plan, keyed by column set: their single edge
-/// delivers all child results via lattice descent.
+/// ROLLUP/CUBE nodes of a plan, keyed by column set.
 fn collect_special(plan: &LogicalPlan) -> FxHashMap<u128, &SubNode> {
     fn walk<'p>(n: &'p SubNode, out: &mut FxHashMap<u128, &'p SubNode>) {
         if n.kind != NodeKind::GroupBy {
@@ -423,676 +678,6 @@ fn collect_special(plan: &LogicalPlan) -> FxHashMap<u128, &SubNode> {
         walk(sp, &mut special);
     }
     special
-}
-
-/// Options for dependency-parallel plan execution
-/// (see [`execute_plan_parallel`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParallelOptions {
-    /// Worker threads per wave; `0` means one per available CPU.
-    pub threads: usize,
-    /// Cap on live temp-table bytes. When materializing a node would
-    /// exceed the cap, the node is left unmaterialized and its children
-    /// re-read the node's own source — more work, bounded storage (the
-    /// §4.4.2 trade, applied at run time).
-    pub memory_budget: Option<usize>,
-}
-
-impl ParallelOptions {
-    /// Use `threads` worker threads and no memory budget.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelOptions {
-            threads,
-            ..Default::default()
-        }
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-}
-
-/// Execute `plan` by dependency waves: [`level_plan`] splits the tree
-/// into topological levels, each wave's edges run concurrently on scoped
-/// threads ([`Engine::run_group_bys_parallel`]), and temp tables are
-/// dropped the moment their last reader has executed — the run-time
-/// counterpart of the §4.4 storage-minimizing schedule, trading some
-/// peak storage for wall-clock time. A `memory_budget` bounds that trade
-/// by skipping materializations that would exceed it.
-///
-/// The results (and metrics counters other than elapsed time) match
-/// [`run_plan`]'s up to row order.
-pub fn execute_plan_parallel(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    options: ParallelOptions,
-) -> Result<ExecutionReport> {
-    execute_plan_parallel_with(
-        plan,
-        workload,
-        engine,
-        options,
-        &GroupEstimates::default(),
-        &mut CacheHooks::default(),
-    )
-}
-
-/// [`execute_plan_parallel`] with per-node distinct-group estimates
-/// forwarded to the engine (the session path, which has a cost model)
-/// and materialized-aggregate-cache hooks.
-pub(crate) fn execute_plan_parallel_with(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    options: ParallelOptions,
-    estimates: &GroupEstimates,
-    hooks: &mut CacheHooks,
-) -> Result<ExecutionReport> {
-    plan.validate(workload)?;
-    engine.reset_metrics();
-    let exec_id = next_exec_id();
-    let out = execute_waves(plan, workload, engine, options, estimates, exec_id, hooks);
-    if out.is_err() {
-        cleanup_exec_temps(engine, exec_id);
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_waves(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    options: ParallelOptions,
-    estimates: &GroupEstimates,
-    exec_id: u64,
-    hooks: &mut CacheHooks,
-) -> Result<ExecutionReport> {
-    let threads = options.effective_threads();
-
-    let special = collect_special(plan);
-    // Direct children of every materialized Group By node — the initial
-    // reader count of its temp table.
-    let mut children: FxHashMap<u128, Vec<ColSet>> = FxHashMap::default();
-    fn walk_children(n: &SubNode, out: &mut FxHashMap<u128, Vec<ColSet>>) {
-        if n.kind == NodeKind::GroupBy && n.is_materialized() {
-            out.insert(n.cols.0, n.children.iter().map(|c| c.cols).collect());
-            for c in &n.children {
-                walk_children(c, out);
-            }
-        }
-    }
-    for sp in &plan.subplans {
-        walk_children(sp, &mut children);
-    }
-
-    let mut results: Vec<(ColSet, Table)> = Vec::new();
-    let mut extra = ExecMetrics::new();
-    // Pending readers of each live temp table.
-    let mut readers: FxHashMap<u128, usize> = FxHashMap::default();
-    // Where budget-evicted nodes' children actually read from.
-    let mut source_override: FxHashMap<u128, Option<ColSet>> = FxHashMap::default();
-
-    for wave in level_plan(plan) {
-        // Cancellation boundary between dependency waves.
-        engine.check_cancelled()?;
-        let mut batch: Vec<(PlanEdge, Option<ColSet>)> = Vec::new();
-        let mut specials: Vec<(PlanEdge, Option<ColSet>)> = Vec::new();
-        for edge in wave {
-            let src = source_override
-                .get(&edge.target.0)
-                .copied()
-                .unwrap_or(edge.source);
-            if edge.kind == NodeKind::GroupBy {
-                batch.push((edge, src));
-            } else {
-                specials.push((edge, src));
-            }
-        }
-
-        let queries: Vec<GroupByQuery> = batch
-            .iter()
-            .map(|(edge, src)| {
-                let (input, aggs) = source_io(workload, *src, exec_id, &hooks.roots, edge.target);
-                GroupByQuery {
-                    input,
-                    group_cols: workload
-                        .col_names(edge.target)
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
-                    aggs,
-                    // Materialization is decided below, under the budget.
-                    into: None,
-                    estimated_groups: estimates.get(&edge.target.0).copied(),
-                }
-            })
-            .collect();
-        // Input sizes must be read before the batch runs: a temp source
-        // may be dropped later in this very wave.
-        let query_input_rows: Vec<u64> = if hooks.observing() {
-            queries
-                .iter()
-                .map(|q| input_rows_of(engine, &q.input))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let tables = engine.run_group_bys_parallel(&queries, threads)?;
-
-        for (k, ((edge, src), table)) in batch.iter().zip(tables).enumerate() {
-            if hooks.observing() {
-                hooks.observe(edge.target, query_input_rows[k], table.num_rows() as u64, 0);
-            }
-            if edge.required {
-                results.push((edge.target, table.clone()));
-            }
-            if !edge.materialize {
-                continue;
-            }
-            let kids = &children[&edge.target.0];
-            let fits = options.memory_budget.is_none_or(|b| {
-                engine.catalog().accounting().current_temp_bytes + table.byte_size() <= b
-            });
-            if fits {
-                engine.materialize_temp(&exec_temp_name(exec_id, edge.target), table)?;
-                readers.insert(edge.target.0, kids.len());
-            } else {
-                // Reparent the children to this edge's own source; if
-                // that source is a temp, it gains their reads and must
-                // stay live accordingly.
-                for k in kids {
-                    source_override.insert(k.0, *src);
-                }
-                if let Some(s) = src {
-                    *readers.get_mut(&s.0).expect("source temp is live") += kids.len();
-                }
-            }
-        }
-
-        // ROLLUP/CUBE nodes run serially: their lattice descent already
-        // re-aggregates level-by-level internally.
-        for (edge, src) in &specials {
-            let (input, aggs) = source_io(workload, *src, exec_id, &hooks.roots, edge.target);
-            let in_rows = hooks.observing().then(|| input_rows_of(engine, &input));
-            let before = results.len();
-            let node = special
-                .get(&edge.target.0)
-                .ok_or_else(|| CoreError::InvalidPlan("unknown rollup/cube node".into()))?;
-            match edge.kind {
-                NodeKind::Rollup => run_rollup(
-                    node,
-                    &input,
-                    workload,
-                    engine,
-                    &aggs,
-                    &mut results,
-                    &mut extra,
-                )?,
-                NodeKind::Cube => run_cube(
-                    node,
-                    &input,
-                    workload,
-                    engine,
-                    &aggs,
-                    &mut results,
-                    &mut extra,
-                )?,
-                NodeKind::GroupBy => unreachable!("partitioned above"),
-            }
-            observe_delivered(hooks, &results[before..], in_rows);
-        }
-
-        // Every edge of this wave has read its source once: decrement
-        // reader counts and drop temps nobody will read again. This runs
-        // after the reparenting above so a temp that just inherited
-        // readers is not dropped in between.
-        for (_, src) in batch.iter().chain(specials.iter()) {
-            if let Some(s) = src {
-                let r = readers.get_mut(&s.0).expect("source temp is live");
-                *r -= 1;
-                if *r == 0 {
-                    readers.remove(&s.0);
-                    // The last reader is done — offer the intermediate
-                    // to the aggregate cache before recycling it, so a
-                    // later workload asking for exactly this set (or a
-                    // subset) is served instead of recomputed.
-                    hooks.harvest_temp(engine, exec_id, *s);
-                    engine.drop_temp(&exec_temp_name(exec_id, *s))?;
-                }
-            }
-        }
-    }
-    debug_assert!(readers.is_empty(), "temps leaked: {readers:?}");
-
-    let mut metrics = engine.metrics();
-    metrics += extra;
-    Ok(ExecutionReport {
-        results,
-        metrics,
-        peak_temp_bytes: engine.catalog().accounting().peak_temp_bytes,
-    })
-}
-
-/// Per-execution sharding context for a radix-partitioned base table:
-/// the catalog names of its shard entries plus the shard key mapped
-/// onto the workload's column universe.
-#[derive(Debug)]
-pub(crate) struct ShardContext {
-    /// Catalog names of the base table's shard entries, in shard order.
-    pub shard_names: Vec<String>,
-    /// Shard-key columns as workload bits. `None` when a key column is
-    /// outside the workload universe — merge elision is then impossible
-    /// and every cross-shard merge re-aggregates.
-    pub key_set: Option<ColSet>,
-}
-
-impl ShardContext {
-    /// Build the context for `workload`'s base table from its
-    /// [`ShardDesc`].
-    pub(crate) fn build(desc: &ShardDesc, workload: &Workload) -> Self {
-        let shard_names = (0..desc.shard_count)
-            .map(|s| shard_table_name(&workload.table, s))
-            .collect();
-        let mut bits = ColSet::EMPTY;
-        let mut all_mapped = true;
-        for key in &desc.key_cols {
-            match workload.column_names.iter().position(|c| c == key) {
-                Some(i) => bits = bits.union(ColSet::single(i)),
-                None => {
-                    all_mapped = false;
-                    break;
-                }
-            }
-        }
-        ShardContext {
-            shard_names,
-            key_set: all_mapped.then_some(bits),
-        }
-    }
-
-    /// True when grouping by `target` keeps shards hash-disjoint: the
-    /// target contains every shard-key column, so no group can span two
-    /// shards and per-shard partials concatenate into the final result
-    /// without re-aggregation.
-    fn covers_key(&self, target: ColSet) -> bool {
-        self.key_set.is_some_and(|k| (target.0 & k.0) == k.0)
-    }
-}
-
-/// [`execute_plan_parallel_with`] for a radix-sharded base table: every
-/// Group By edge fans out into one query per shard, intermediates stay
-/// per-shard partials all the way down, and required results merge at
-/// delivery — by pure concatenation when the grouping covers the shard
-/// key (hash-disjoint groups), by concatenation plus re-aggregation
-/// otherwise.
-pub(crate) fn execute_plan_parallel_sharded(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    options: ParallelOptions,
-    estimates: &GroupEstimates,
-    hooks: &mut CacheHooks,
-    ctx: &ShardContext,
-) -> Result<ExecutionReport> {
-    plan.validate(workload)?;
-    engine.reset_metrics();
-    let exec_id = next_exec_id();
-    let out = execute_waves_sharded(
-        plan, workload, engine, options, estimates, exec_id, hooks, ctx,
-    );
-    if out.is_err() {
-        cleanup_exec_temps(engine, exec_id);
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_waves_sharded(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    options: ParallelOptions,
-    estimates: &GroupEstimates,
-    exec_id: u64,
-    hooks: &mut CacheHooks,
-    ctx: &ShardContext,
-) -> Result<ExecutionReport> {
-    let threads = options.effective_threads();
-    let nshards = ctx.shard_names.len() as u32;
-
-    let special = collect_special(plan);
-    let mut children: FxHashMap<u128, Vec<ColSet>> = FxHashMap::default();
-    fn walk_children(n: &SubNode, out: &mut FxHashMap<u128, Vec<ColSet>>) {
-        if n.kind == NodeKind::GroupBy && n.is_materialized() {
-            out.insert(n.cols.0, n.children.iter().map(|c| c.cols).collect());
-            for c in &n.children {
-                walk_children(c, out);
-            }
-        }
-    }
-    for sp in &plan.subplans {
-        walk_children(sp, &mut children);
-    }
-
-    let mut results: Vec<(ColSet, Table)> = Vec::new();
-    let mut extra = ExecMetrics::new();
-    let mut readers: FxHashMap<u128, usize> = FxHashMap::default();
-    let mut source_override: FxHashMap<u128, Option<ColSet>> = FxHashMap::default();
-    // Whether each materialized node's temps are per-shard partials
-    // (`true`) or one whole-table temp (`false` — the node was served
-    // from a logical-level pinned aggregate, which is already merged).
-    let mut per_shard: FxHashMap<u128, bool> = FxHashMap::default();
-
-    // Shard fan-out and skew are plan-independent facts of the layout.
-    let shard_sizes: Vec<u64> = ctx
-        .shard_names
-        .iter()
-        .map(|n| engine.catalog().table(n).map_or(0, |t| t.num_rows() as u64))
-        .collect();
-    extra.shards = u64::from(nshards);
-    let total_rows: u64 = shard_sizes.iter().sum();
-    let largest = shard_sizes.iter().copied().max().unwrap_or(0);
-    extra.shard_skew = (largest * 100 * u64::from(nshards))
-        .checked_div(total_rows)
-        .unwrap_or(0);
-
-    let reagg = |workload: &Workload| -> Vec<AggSpec> {
-        workload
-            .aggregates
-            .iter()
-            .map(AggSpec::reaggregate)
-            .collect()
-    };
-
-    for wave in level_plan(plan) {
-        engine.check_cancelled()?;
-        let mut batch: Vec<(PlanEdge, Option<ColSet>)> = Vec::new();
-        let mut specials: Vec<(PlanEdge, Option<ColSet>)> = Vec::new();
-        for edge in wave {
-            let src = source_override
-                .get(&edge.target.0)
-                .copied()
-                .unwrap_or(edge.source);
-            if edge.kind == NodeKind::GroupBy {
-                batch.push((edge, src));
-            } else {
-                specials.push((edge, src));
-            }
-        }
-
-        // Expand each Group By edge into its query instances: one per
-        // shard when its source is per-shard, a single query when the
-        // node reads a whole-table pinned aggregate. All instances of a
-        // wave run in one parallel batch.
-        let mut queries: Vec<GroupByQuery> = Vec::new();
-        let mut fan_outs: Vec<bool> = Vec::new();
-        for (edge, src) in &batch {
-            let group_cols: Vec<String> = workload
-                .col_names(edge.target)
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let fan_out = match src {
-                Some(s) => per_shard[&s.0],
-                None => !hooks.roots.contains_key(&(edge.target.0, WHOLE_TABLE_PIN)),
-            };
-            fan_outs.push(fan_out);
-            let est_full = estimates.get(&edge.target.0).copied();
-            if fan_out {
-                // A grouping that covers the shard key splits its groups
-                // across shards; any other grouping may repeat every
-                // group in every shard.
-                let est = if ctx.covers_key(edge.target) {
-                    est_full.map(|e| (e / u64::from(nshards)).max(1))
-                } else {
-                    est_full
-                };
-                for s in 0..nshards {
-                    let (input, aggs) = match src {
-                        Some(cols) => (shard_temp_name(exec_id, *cols, s), reagg(workload)),
-                        None => match hooks.roots.get(&(edge.target.0, s)) {
-                            Some(pinned) => (pinned.clone(), reagg(workload)),
-                            None => {
-                                extra.shard_rows += shard_sizes[s as usize];
-                                (
-                                    ctx.shard_names[s as usize].clone(),
-                                    workload.aggregates.clone(),
-                                )
-                            }
-                        },
-                    };
-                    queries.push(GroupByQuery {
-                        input,
-                        group_cols: group_cols.clone(),
-                        aggs,
-                        into: None,
-                        estimated_groups: est,
-                    });
-                }
-            } else {
-                let (input, aggs) = source_io(workload, *src, exec_id, &hooks.roots, edge.target);
-                queries.push(GroupByQuery {
-                    input,
-                    group_cols,
-                    aggs,
-                    into: None,
-                    estimated_groups: est_full,
-                });
-            }
-        }
-        // Input sizes before the batch runs (shard temps of this wave's
-        // sources are dropped at the end of the wave).
-        let query_input_rows: Vec<u64> = if hooks.observing() {
-            queries
-                .iter()
-                .map(|q| input_rows_of(engine, &q.input))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let tables = engine.run_group_bys_parallel(&queries, threads)?;
-
-        let mut cursor = 0usize;
-        for (i, (edge, src)) in batch.iter().enumerate() {
-            let fan_out = fan_outs[i];
-            let len = if fan_out { nshards as usize } else { 1 };
-            let parts = &tables[cursor..cursor + len];
-            // Whole-logical-table input of this node: the sum over its
-            // query instances.
-            let in_rows = hooks
-                .observing()
-                .then(|| query_input_rows[cursor..cursor + len].iter().sum::<u64>());
-            cursor += len;
-
-            if edge.required {
-                let merged = if fan_out {
-                    merge_shards(workload, edge.target, parts, ctx, &mut extra)?
-                } else {
-                    parts[0].clone()
-                };
-                if let Some(rows) = in_rows {
-                    hooks.observe(edge.target, rows, merged.num_rows() as u64, 0);
-                }
-                results.push((edge.target, merged));
-            } else if !fan_out {
-                // A non-fan-out node read a whole-table pinned aggregate,
-                // so its single result is a complete group count. Fan-out
-                // intermediates stay per-shard partials — a group can
-                // repeat across shards, so their row counts are NOT
-                // whole-table observations and are skipped.
-                if let Some(rows) = in_rows {
-                    hooks.observe(edge.target, rows, parts[0].num_rows() as u64, 0);
-                }
-            }
-            if !edge.materialize {
-                continue;
-            }
-            let kids = &children[&edge.target.0];
-            let bytes: usize = parts.iter().map(Table::byte_size).sum();
-            let fits = options
-                .memory_budget
-                .is_none_or(|b| engine.catalog().accounting().current_temp_bytes + bytes <= b);
-            if fits {
-                if fan_out {
-                    for (s, t) in parts.iter().enumerate() {
-                        engine.materialize_temp(
-                            &shard_temp_name(exec_id, edge.target, s as u32),
-                            t.clone(),
-                        )?;
-                    }
-                } else {
-                    engine.materialize_temp(
-                        &exec_temp_name(exec_id, edge.target),
-                        parts[0].clone(),
-                    )?;
-                }
-                per_shard.insert(edge.target.0, fan_out);
-                readers.insert(edge.target.0, kids.len());
-            } else {
-                for k in kids {
-                    source_override.insert(k.0, *src);
-                }
-                if let Some(s) = src {
-                    *readers.get_mut(&s.0).expect("source temp is live") += kids.len();
-                }
-            }
-        }
-
-        // ROLLUP/CUBE nodes descend a lattice over one combined input:
-        // a per-shard source concatenates into a scratch temp first (the
-        // descent's own re-aggregation absorbs overlapping groups); a
-        // base-relation source reads the logical table, which the
-        // dual-resident layout keeps registered alongside the shards.
-        for (edge, src) in &specials {
-            let node = special
-                .get(&edge.target.0)
-                .ok_or_else(|| CoreError::InvalidPlan("unknown rollup/cube node".into()))?;
-            let (input, aggs, scratch) = match src {
-                Some(cols) if per_shard[&cols.0] => {
-                    let shard_tables: Vec<Arc<Table>> = (0..nshards)
-                        .map(|s| {
-                            engine
-                                .catalog()
-                                .table_arc(&shard_temp_name(exec_id, *cols, s))
-                        })
-                        .collect::<gbmqo_storage::Result<_>>()?;
-                    let refs: Vec<&Table> = shard_tables.iter().map(Arc::as_ref).collect();
-                    let combined = Table::concat(&refs)?;
-                    extra.merge_rows += combined.num_rows() as u64;
-                    let name = format!("{}_m", exec_temp_name(exec_id, *cols));
-                    engine.materialize_temp(&name, combined)?;
-                    (name.clone(), reagg(workload), Some(name))
-                }
-                _ => {
-                    let (input, aggs) =
-                        source_io(workload, *src, exec_id, &hooks.roots, edge.target);
-                    (input, aggs, None)
-                }
-            };
-            let in_rows = hooks.observing().then(|| input_rows_of(engine, &input));
-            let before = results.len();
-            match edge.kind {
-                NodeKind::Rollup => run_rollup(
-                    node,
-                    &input,
-                    workload,
-                    engine,
-                    &aggs,
-                    &mut results,
-                    &mut extra,
-                )?,
-                NodeKind::Cube => run_cube(
-                    node,
-                    &input,
-                    workload,
-                    engine,
-                    &aggs,
-                    &mut results,
-                    &mut extra,
-                )?,
-                NodeKind::GroupBy => unreachable!("partitioned above"),
-            }
-            observe_delivered(hooks, &results[before..], in_rows);
-            if let Some(name) = scratch {
-                engine.drop_temp(&name)?;
-            }
-        }
-
-        // Decrement reader counts and retire fully-read temps — all of a
-        // node's shard temps go together, each offered to the aggregate
-        // cache under its own shard ordinal first.
-        for (_, src) in batch.iter().chain(specials.iter()) {
-            if let Some(s) = src {
-                let r = readers.get_mut(&s.0).expect("source temp is live");
-                *r -= 1;
-                if *r == 0 {
-                    readers.remove(&s.0);
-                    if per_shard[&s.0] {
-                        for sh in 0..nshards {
-                            let name = shard_temp_name(exec_id, *s, sh);
-                            if hooks.harvest.is_some() {
-                                if let Ok(t) = engine.catalog().table_arc(&name) {
-                                    hooks.keep(*s, sh, t);
-                                }
-                            }
-                            engine.drop_temp(&name)?;
-                        }
-                    } else {
-                        hooks.harvest_temp(engine, exec_id, *s);
-                        engine.drop_temp(&exec_temp_name(exec_id, *s))?;
-                    }
-                }
-            }
-        }
-    }
-    debug_assert!(readers.is_empty(), "temps leaked: {readers:?}");
-
-    let mut metrics = engine.metrics();
-    metrics += extra;
-    Ok(ExecutionReport {
-        results,
-        metrics,
-        peak_temp_bytes: engine.catalog().accounting().peak_temp_bytes,
-    })
-}
-
-/// Combine per-shard partial aggregates of `target` into the final
-/// result. Shards are hash-disjoint on the shard key, so a grouping
-/// that covers the key concatenates directly; any other grouping may
-/// hold the same group in several shards and re-aggregates the
-/// concatenation (`SUM(cnt)`-style, per §7.2's lossless merge rules).
-fn merge_shards(
-    workload: &Workload,
-    target: ColSet,
-    parts: &[Table],
-    ctx: &ShardContext,
-    extra: &mut ExecMetrics,
-) -> Result<Table> {
-    let refs: Vec<&Table> = parts.iter().collect();
-    let combined = Table::concat(&refs)?;
-    if ctx.covers_key(target) {
-        return Ok(combined);
-    }
-    extra.merge_rows += combined.num_rows() as u64;
-    let group_cols: Vec<usize> = workload
-        .col_names(target)
-        .iter()
-        .map(|n| combined.schema().index_of(n))
-        .collect::<gbmqo_storage::Result<_>>()?;
-    let reagg: Vec<AggSpec> = workload
-        .aggregates
-        .iter()
-        .map(AggSpec::reaggregate)
-        .collect();
-    Ok(hash_group_by(&combined, &group_cols, &reagg, extra)?)
 }
 
 /// Column order over `node.cols` such that every child is a prefix
@@ -1114,103 +699,77 @@ fn rollup_order(node: &SubNode) -> Vec<usize> {
     order
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_rollup(
+/// Run the ROLLUP/CUBE `node` over `input`: one lattice descent computes
+/// the node and every child. Returns what the node delivers — itself
+/// when required, then each child.
+fn run_lattice(
     node: &SubNode,
     input: &str,
     workload: &Workload,
     engine: &mut Engine,
     aggs: &[AggSpec],
-    results: &mut Vec<(ColSet, Table)>,
     extra: &mut ExecMetrics,
-) -> Result<()> {
-    let order_bits = rollup_order(node);
-    // Arc clone, not a deep copy of the table's columns.
-    let table = engine.catalog().table_arc(input)?;
-    let cols: Vec<usize> = order_bits
-        .iter()
-        .map(|&b| table.schema().index_of(&workload.column_names[b]))
-        .collect::<gbmqo_storage::Result<_>>()?;
-    let levels = rollup(&table, &cols, aggs, extra)?;
-    extra.queries_executed += 1;
-    // level i groups by order_bits[.. len-i]
-    let deliver = |cols_kept: usize| ColSet::from_cols(order_bits[..cols_kept].iter().copied());
-    if node.required {
-        results.push((node.cols, levels[0].clone()));
-    }
-    for child in &node.children {
-        debug_assert!(child.required);
-        let kept = child.cols.len();
-        let level_idx = order_bits.len() - kept;
-        debug_assert_eq!(deliver(kept), child.cols);
-        results.push((child.cols, levels[level_idx].clone()));
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cube(
-    node: &SubNode,
-    input: &str,
-    workload: &Workload,
-    engine: &mut Engine,
-    aggs: &[AggSpec],
-    results: &mut Vec<(ColSet, Table)>,
-    extra: &mut ExecMetrics,
-) -> Result<()> {
-    let bits: Vec<usize> = node.cols.iter().collect();
+) -> Result<Vec<(ColSet, Table)>> {
+    let bits: Vec<usize> = match node.kind {
+        NodeKind::Rollup => rollup_order(node),
+        _ => node.cols.iter().collect(),
+    };
     // Arc clone, not a deep copy of the table's columns.
     let table = engine.catalog().table_arc(input)?;
     let cols: Vec<usize> = bits
         .iter()
         .map(|&b| table.schema().index_of(&workload.column_names[b]))
         .collect::<gbmqo_storage::Result<_>>()?;
-    let subsets = cube(&table, &cols, aggs, extra)?;
-    extra.queries_executed += 1;
-    let lookup = |set: ColSet| -> u32 {
-        let mut mask = 0u32;
-        for (i, &b) in bits.iter().enumerate() {
-            if set.contains(b) {
-                mask |= 1 << i;
-            }
-        }
-        mask
+    let wanted = node
+        .required
+        .then_some(node.cols)
+        .into_iter()
+        .chain(node.children.iter().map(|c| c.cols));
+    let delivered = if node.kind == NodeKind::Rollup {
+        // Level i groups by bits[.. len - i], and every child is such a
+        // prefix.
+        let levels = rollup(&table, &cols, aggs, extra)?;
+        wanted
+            .map(|set| {
+                debug_assert_eq!(ColSet::from_cols(bits[..set.len()].iter().copied()), set);
+                (set, levels[bits.len() - set.len()].clone())
+            })
+            .collect()
+    } else {
+        // Bit i of a subset's mask selects bits[i].
+        let subsets = cube(&table, &cols, aggs, extra)?;
+        wanted
+            .map(|set| {
+                let mask = (0..bits.len())
+                    .filter(|&i| set.contains(bits[i]))
+                    .fold(0u32, |m, i| m | 1 << i);
+                let (_, t) = subsets
+                    .iter()
+                    .find(|(m, _)| *m == mask)
+                    .expect("cube computes every subset");
+                (set, t.clone())
+            })
+            .collect()
     };
-    if node.required {
-        let full = lookup(node.cols);
-        let t = &subsets
-            .iter()
-            .find(|(m, _)| *m == full)
-            .expect("full cube")
-            .1;
-        results.push((node.cols, t.clone()));
-    }
-    for child in &node.children {
-        let m = lookup(child.cols);
-        let t = &subsets
-            .iter()
-            .find(|(mm, _)| *mm == m)
-            .expect("cube subset")
-            .1;
-        results.push((child.cols, t.clone()));
-    }
-    Ok(())
+    extra.queries_executed += 1;
+    Ok(delivered)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::SubNode;
+    use crate::schedule::{level_plan, serial_waves};
     use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Value};
 
-    fn setup() -> (Engine, Workload) {
+    fn base_table() -> Table {
         let schema = Schema::new(vec![
             Field::new("a", DataType::Int64),
             Field::new("b", DataType::Int64),
             Field::new("c", DataType::Int64),
         ])
         .unwrap();
-        let t = Table::new(
+        Table::new(
             schema,
             vec![
                 Column::from_i64((0..60).map(|i| i % 3).collect()),
@@ -1218,11 +777,60 @@ mod tests {
                 Column::from_i64((0..60).map(|i| i % 4).collect()),
             ],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    fn setup() -> (Engine, Workload) {
+        let t = base_table();
         let w = Workload::single_columns("r", &t, &["a", "b", "c"]).unwrap();
         let mut cat = Catalog::new();
         cat.register("r", t).unwrap();
         (Engine::new(cat), w)
+    }
+
+    /// The three mode-shaped parameterizations of the one scheduler.
+    #[derive(Debug, Clone, Copy)]
+    enum Order {
+        /// §4.4 order, one query at a time.
+        Serial,
+        /// Dependency waves on `threads` workers.
+        Leveled { threads: usize },
+        /// Dependency waves with same-input edges sharing a scan.
+        Fused,
+    }
+
+    const ORDERS: [Order; 5] = [
+        Order::Serial,
+        Order::Leveled { threads: 1 },
+        Order::Leveled { threads: 2 },
+        Order::Leveled { threads: 4 },
+        Order::Fused,
+    ];
+
+    fn run(
+        plan: &LogicalPlan,
+        w: &Workload,
+        engine: &mut Engine,
+        order: Order,
+        memory_budget: Option<usize>,
+    ) -> Result<ExecutionReport> {
+        let (waves, threads, fuse) = match order {
+            Order::Serial => (serial_waves(plan, &mut |_| 1.0), 1, false),
+            Order::Leveled { threads } => (level_plan(plan), threads, false),
+            Order::Fused => (level_plan(plan), 1, true),
+        };
+        let sched = Schedule {
+            waves,
+            threads,
+            fuse,
+            memory_budget,
+            estimates: &GroupEstimates::default(),
+        };
+        execute_plan(plan, w, engine, &sched, &mut CacheHooks::default())
+    }
+
+    fn run_serial(plan: &LogicalPlan, w: &Workload, engine: &mut Engine) -> ExecutionReport {
+        run(plan, w, engine, Order::Serial, None).unwrap()
     }
 
     fn norm(t: &Table) -> Vec<(Vec<Value>, i64)> {
@@ -1239,19 +847,24 @@ mod tests {
         v
     }
 
+    fn assert_same(expected: &ExecutionReport, got: &ExecutionReport, what: &str) {
+        assert_eq!(got.results.len(), expected.results.len(), "{what}");
+        for (set, et) in &expected.results {
+            let gt = &got
+                .results
+                .iter()
+                .find(|(s, _)| s == set)
+                .expect("result present")
+                .1;
+            assert_eq!(norm(et), norm(gt), "{what}: results differ for {set:?}");
+        }
+    }
+
     #[test]
     fn naive_plan_produces_all_results() {
         let (mut engine, w) = setup();
         let plan = LogicalPlan::naive(&w);
-        let report = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
+        let report = run_serial(&plan, &w, &mut engine);
         assert_eq!(report.results.len(), 3);
         assert_eq!(report.peak_temp_bytes, 0);
         // counts of (a): 3 groups of 20
@@ -1264,22 +877,9 @@ mod tests {
         assert_eq!(ta.value(0, 1), Value::Int(20));
     }
 
-    #[test]
-    fn merged_plan_matches_naive_results() {
-        let (mut engine, w) = setup();
-        let naive = LogicalPlan::naive(&w);
-        let nr = run_plan(
-            &naive,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-
-        // merged: (a,b) → {a, b}; c direct
-        let merged = LogicalPlan {
+    /// (a,b) → {a, b}; c direct.
+    fn merged_plan() -> LogicalPlan {
+        LogicalPlan {
             subplans: vec![
                 SubNode::internal(
                     ColSet::from_cols([0, 1]),
@@ -1290,35 +890,23 @@ mod tests {
                 ),
                 SubNode::leaf(ColSet::single(2)),
             ],
-        };
-        let mr = run_plan(
-            &merged,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        assert!(mr.peak_temp_bytes > 0);
-        // temp table is gone afterwards
-        assert_eq!(engine.catalog().accounting().current_temp_bytes, 0);
-        assert!(engine.catalog().temp_names().is_empty());
-
-        for (set, nt) in &nr.results {
-            let mt = &mr
-                .results
-                .iter()
-                .find(|(s, _)| s == set)
-                .expect("result present")
-                .1;
-            assert_eq!(norm(nt), norm(mt), "results differ for {set:?}");
         }
     }
 
     #[test]
-    fn rollup_node_delivers_chain_results() {
-        let (mut engine, w0) = setup();
+    fn merged_plan_matches_naive_results() {
+        let (mut engine, w) = setup();
+        let nr = run_serial(&LogicalPlan::naive(&w), &w, &mut engine);
+        let mr = run_serial(&merged_plan(), &w, &mut engine);
+        assert!(mr.peak_temp_bytes > 0);
+        // temp table is gone afterwards
+        assert_eq!(engine.catalog().accounting().current_temp_bytes, 0);
+        assert!(engine.catalog().temp_names().is_empty());
+        assert_same(&nr, &mr, "merged vs naive");
+    }
+
+    /// ROLLUP(a,b,c) delivering (a,b) and (a).
+    fn rollup_case(engine: &Engine) -> (Workload, LogicalPlan) {
         let w = Workload::new(
             "r",
             engine.catalog().table("r").unwrap(),
@@ -1326,7 +914,6 @@ mod tests {
             &[vec!["a"], vec!["a", "b"], vec!["a", "b", "c"]],
         )
         .unwrap();
-        drop(w0);
         let plan = LogicalPlan {
             subplans: vec![SubNode {
                 cols: ColSet::from_cols([0, 1, 2]),
@@ -1338,30 +925,27 @@ mod tests {
                 ],
             }],
         };
-        let report = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
+        (w, plan)
+    }
+
+    #[test]
+    fn rollup_node_delivers_chain_results() {
+        let (mut engine, _) = setup();
+        let (w, plan) = rollup_case(&engine);
+        let report = run_serial(&plan, &w, &mut engine);
         assert_eq!(report.results.len(), 3);
-        // verify (a) counts equal direct computation
-        let naive = LogicalPlan::naive(&w);
-        let nr = run_plan(
-            &naive,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        for (set, nt) in &nr.results {
-            let rt = &report.results.iter().find(|(s, _)| s == set).unwrap().1;
-            assert_eq!(norm(nt), norm(rt), "rollup result differs for {set:?}");
+        let naive = run_serial(&LogicalPlan::naive(&w), &w, &mut engine);
+        assert_same(&naive, &report, "rollup vs naive");
+    }
+
+    #[test]
+    fn every_order_handles_rollup_nodes() {
+        let (mut engine, _) = setup();
+        let (w, plan) = rollup_case(&engine);
+        let serial = run_serial(&plan, &w, &mut engine);
+        for order in ORDERS {
+            let report = run(&plan, &w, &mut engine, order, None).unwrap();
+            assert_same(&serial, &report, &format!("rollup under {order:?}"));
         }
     }
 
@@ -1386,36 +970,13 @@ mod tests {
                 ],
             }],
         };
-        let report = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        assert_eq!(report.results.len(), 3);
-        let naive = LogicalPlan::naive(&w);
-        let nr = run_plan(
-            &naive,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        for (set, nt) in &nr.results {
-            let ct = &report.results.iter().find(|(s, _)| s == set).unwrap().1;
-            assert_eq!(norm(nt), norm(ct), "cube result differs for {set:?}");
-        }
+        let report = run_serial(&plan, &w, &mut engine);
+        let naive = run_serial(&LogicalPlan::naive(&w), &w, &mut engine);
+        assert_same(&naive, &report, "cube vs naive");
     }
 
-    #[test]
-    fn deep_plans_reaggregate_transitively() {
-        // R → (a,b,c*) → (a,b) → (a); checks SUM(cnt) chains.
-        let (mut engine, _) = setup();
+    /// R → (a,b,c)* → (a,b) → (a): a chain of re-aggregations.
+    fn deep_case(engine: &Engine) -> (Workload, LogicalPlan) {
         let w = Workload::new(
             "r",
             engine.catalog().table("r").unwrap(),
@@ -1434,15 +995,15 @@ mod tests {
                 )],
             }],
         };
-        let report = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
+        (w, plan)
+    }
+
+    #[test]
+    fn deep_plans_reaggregate_transitively() {
+        // checks SUM(cnt) chains
+        let (mut engine, _) = setup();
+        let (w, plan) = deep_case(&engine);
+        let report = run_serial(&plan, &w, &mut engine);
         let (_, ta) = report
             .results
             .iter()
@@ -1461,132 +1022,59 @@ mod tests {
         let bad = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(0))],
         };
-        assert!(run_plan(
-            &bad,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default()
-        )
-        .is_err());
-        assert!(execute_plan_parallel(&bad, &w, &mut engine, ParallelOptions::default()).is_err());
-    }
-
-    fn merged_plan() -> LogicalPlan {
-        LogicalPlan {
-            subplans: vec![
-                SubNode::internal(
-                    ColSet::from_cols([0, 1]),
-                    vec![
-                        SubNode::leaf(ColSet::single(0)),
-                        SubNode::leaf(ColSet::single(1)),
-                    ],
-                ),
-                SubNode::leaf(ColSet::single(2)),
-            ],
+        for order in ORDERS {
+            assert!(run(&bad, &w, &mut engine, order, None).is_err());
         }
     }
 
     #[test]
-    fn parallel_executor_matches_serial() {
+    fn every_order_matches_serial() {
         let (mut engine, w) = setup();
         let plan = merged_plan();
-        let sr = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        for threads in [1, 2, 4] {
-            let pr = execute_plan_parallel(
-                &plan,
-                &w,
-                &mut engine,
-                ParallelOptions::with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(pr.results.len(), sr.results.len());
-            for (set, st) in &sr.results {
-                let pt = &pr.results.iter().find(|(s, _)| s == set).unwrap().1;
-                assert_eq!(norm(st), norm(pt), "parallel differs for {set:?}");
-            }
+        let sr = run_serial(&plan, &w, &mut engine);
+        for order in ORDERS {
+            let pr = run(&plan, &w, &mut engine, order, None).unwrap();
+            assert_same(&sr, &pr, &format!("{order:?} vs serial"));
             assert_eq!(pr.metrics.queries_executed, sr.metrics.queries_executed);
-            assert_eq!(pr.metrics.rows_scanned, sr.metrics.rows_scanned);
+            match order {
+                // (a,b) and c share one scan of R; a and b one of the temp.
+                Order::Fused => assert_eq!(pr.metrics.rows_scanned * 2, sr.metrics.rows_scanned),
+                _ => assert_eq!(pr.metrics.rows_scanned, sr.metrics.rows_scanned),
+            }
             assert!(pr.peak_temp_bytes > 0);
             assert!(engine.catalog().temp_names().is_empty(), "temps leaked");
         }
     }
 
     #[test]
-    fn parallel_budget_skips_materialization_and_reparents() {
-        let (mut engine, w) = setup();
+    fn budget_skips_materialization_and_reparents() {
         let plan = merged_plan();
-        let unbounded =
-            execute_plan_parallel(&plan, &w, &mut engine, ParallelOptions::with_threads(2))
-                .unwrap();
-        let opts = ParallelOptions {
-            threads: 2,
-            memory_budget: Some(0),
-        };
-        let bounded = execute_plan_parallel(&plan, &w, &mut engine, opts).unwrap();
-        assert_eq!(
-            bounded.peak_temp_bytes, 0,
-            "budget 0 must materialize nothing"
-        );
-        // reparented children re-read the base relation: strictly more work
-        assert!(bounded.metrics.rows_scanned > unbounded.metrics.rows_scanned);
-        for (set, ut) in &unbounded.results {
-            let bt = &bounded.results.iter().find(|(s, _)| s == set).unwrap().1;
-            assert_eq!(norm(ut), norm(bt), "budgeted run differs for {set:?}");
+        for order in ORDERS {
+            let (mut engine, w) = setup();
+            let unbounded = run(&plan, &w, &mut engine, order, None).unwrap();
+            let bounded = run(&plan, &w, &mut engine, order, Some(0)).unwrap();
+            assert_eq!(
+                bounded.peak_temp_bytes, 0,
+                "budget 0 must materialize nothing"
+            );
+            // reparented children re-read the base relation: strictly more work
+            assert!(bounded.metrics.rows_scanned > unbounded.metrics.rows_scanned);
+            assert_same(&unbounded, &bounded, &format!("budgeted {order:?}"));
+            assert!(engine.catalog().temp_names().is_empty());
         }
-        assert!(engine.catalog().temp_names().is_empty());
     }
 
     #[test]
-    fn parallel_budget_reparents_across_deep_chains() {
-        // R → (a,b,c)* → (a,b)* → (a): with budget 0 every node re-reads
-        // the base relation, exercising transitive reparenting.
+    fn budget_reparents_across_deep_chains() {
+        // With budget 0 every node re-reads the base relation,
+        // exercising transitive reparenting.
         let (mut engine, _) = setup();
-        let w = Workload::new(
-            "r",
-            engine.catalog().table("r").unwrap(),
-            &["a", "b", "c"],
-            &[vec!["a"], vec!["a", "b", "c"]],
-        )
-        .unwrap();
-        let plan = LogicalPlan {
-            subplans: vec![SubNode {
-                cols: ColSet::from_cols([0, 1, 2]),
-                required: true,
-                kind: NodeKind::GroupBy,
-                children: vec![SubNode::internal(
-                    ColSet::from_cols([0, 1]),
-                    vec![SubNode::leaf(ColSet::single(0))],
-                )],
-            }],
-        };
-        let serial = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        let opts = ParallelOptions {
-            threads: 4,
-            memory_budget: Some(0),
-        };
-        let bounded = execute_plan_parallel(&plan, &w, &mut engine, opts).unwrap();
-        assert_eq!(bounded.peak_temp_bytes, 0);
-        for (set, st) in &serial.results {
-            let bt = &bounded.results.iter().find(|(s, _)| s == set).unwrap().1;
-            assert_eq!(norm(st), norm(bt), "deep budgeted run differs for {set:?}");
+        let (w, plan) = deep_case(&engine);
+        let serial = run_serial(&plan, &w, &mut engine);
+        for order in ORDERS {
+            let bounded = run(&plan, &w, &mut engine, order, Some(0)).unwrap();
+            assert_eq!(bounded.peak_temp_bytes, 0);
+            assert_same(&serial, &bounded, &format!("deep budgeted {order:?}"));
         }
     }
 
@@ -1594,8 +1082,8 @@ mod tests {
     fn temp_names_are_namespaced_per_execution() {
         // Two runs of the same plan allocate distinct exec ids, so even
         // a snapshot of their temp names mid-run could never collide.
-        let a = exec_temp_name(next_exec_id(), ColSet::single(0));
-        let b = exec_temp_name(next_exec_id(), ColSet::single(0));
+        let a = exec_temp_name(next_exec_id(), ColSet::single(0), WHOLE_TABLE_PIN);
+        let b = exec_temp_name(next_exec_id(), ColSet::single(0), WHOLE_TABLE_PIN);
         assert_ne!(a, b, "same node in two executions must not collide");
         assert!(a.starts_with("__gbmqo_tmp_e"));
         // and both differ from the display name used in SQL scripts
@@ -1606,82 +1094,36 @@ mod tests {
     fn cancelled_run_drops_its_temps() {
         let (mut engine, w) = setup();
         let plan = merged_plan();
-        // Trip the token only after the first query has materialized its
-        // temp: attach an untripped token, run one step manually is not
-        // possible here, so use a deadline that expires mid-run instead —
-        // simplest deterministic variant: pre-tripped token, plus a
-        // manually materialized orphan proving cleanup is prefix-scoped.
+        // A pre-tripped token, plus a manually materialized orphan
+        // proving cleanup is prefix-scoped.
         engine
             .materialize_temp(
                 "__gbmqo_tmp_eff_1",
                 engine.catalog().table("r").unwrap().clone(),
             )
             .unwrap();
-        let token = gbmqo_exec::CancelToken::new();
-        token.cancel();
-        engine.set_cancel_token(Some(token));
-        let err = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
-        ));
-        engine.set_cancel_token(None);
-        // the foreign temp survives; no temps of the failed run linger
-        assert_eq!(engine.catalog().temp_names(), vec!["__gbmqo_tmp_eff_1"]);
-
-        // Same contract for the parallel executor.
-        let token = gbmqo_exec::CancelToken::new();
-        token.cancel();
-        engine.set_cancel_token(Some(token));
-        let err = execute_plan_parallel(&plan, &w, &mut engine, ParallelOptions::with_threads(2))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
-        ));
-        engine.set_cancel_token(None);
-        assert_eq!(engine.catalog().temp_names(), vec!["__gbmqo_tmp_eff_1"]);
+        for order in ORDERS {
+            let token = gbmqo_exec::CancelToken::new();
+            token.cancel();
+            engine.set_cancel_token(Some(token));
+            let err = run(&plan, &w, &mut engine, order, None).unwrap_err();
+            assert!(matches!(
+                err,
+                CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
+            ));
+            engine.set_cancel_token(None);
+            // the foreign temp survives; no temps of the failed run linger
+            assert_eq!(engine.catalog().temp_names(), vec!["__gbmqo_tmp_eff_1"]);
+        }
         engine.drop_temp("__gbmqo_tmp_eff_1").unwrap();
 
         // With the token detached the same plan runs to completion.
-        let ok = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        assert_eq!(ok.results.len(), 3);
+        assert_eq!(run_serial(&plan, &w, &mut engine).results.len(), 3);
     }
 
     fn sharded_engine(shards: u32) -> Engine {
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Int64),
-            Field::new("b", DataType::Int64),
-            Field::new("c", DataType::Int64),
-        ])
-        .unwrap();
-        let t = Table::new(
-            schema,
-            vec![
-                Column::from_i64((0..60).map(|i| i % 3).collect()),
-                Column::from_i64((0..60).map(|i| i % 6).collect()),
-                Column::from_i64((0..60).map(|i| i % 4).collect()),
-            ],
-        )
-        .unwrap();
         let mut cat = Catalog::new();
-        cat.register_sharded("r", t, shards, Some(vec!["a".into()]))
+        cat.register_sharded("r", base_table(), shards, Some(vec!["a".into()]))
             .unwrap();
         Engine::new(cat)
     }
@@ -1690,64 +1132,34 @@ mod tests {
     fn sharded_execution_matches_unsharded() {
         let (mut plain, w) = setup();
         let plan = merged_plan();
-        let sr = run_plan(
-            &plan,
-            &w,
-            &mut plain,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
+        let sr = run_serial(&plan, &w, &mut plain);
+        assert_eq!(sr.metrics.shards, 0, "an unsharded table reports no shards");
         for shards in [2u32, 4] {
             let mut engine = sharded_engine(shards);
-            let desc = engine.catalog().shard_desc("r").unwrap().clone();
-            let ctx = ShardContext::build(&desc, &w);
-            let report = execute_plan_parallel_sharded(
-                &plan,
-                &w,
-                &mut engine,
-                ParallelOptions::with_threads(2),
-                &Default::default(),
-                &mut Default::default(),
-                &ctx,
-            )
-            .unwrap();
-            assert_eq!(report.results.len(), sr.results.len());
-            for (set, st) in &sr.results {
-                let pt = &report.results.iter().find(|(s, _)| s == set).unwrap().1;
-                assert_eq!(norm(st), norm(pt), "{shards}-sharded differs for {set:?}");
+            for order in ORDERS {
+                let report = run(&plan, &w, &mut engine, order, None).unwrap();
+                assert_same(&sr, &report, &format!("{shards} shards, {order:?}"));
+                assert_eq!(report.metrics.shards, u64::from(shards));
+                // Two base-reading edges ((a,b) and c), 60 rows each.
+                assert_eq!(report.metrics.shard_rows, 120);
+                assert!(report.metrics.shard_skew >= 100);
+                assert!(engine.catalog().temp_names().is_empty(), "temps leaked");
             }
-            assert_eq!(report.metrics.shards, u64::from(shards));
-            // Two base-reading edges ((a,b) and c), 60 rows each.
-            assert_eq!(report.metrics.shard_rows, 120);
-            assert!(report.metrics.shard_skew >= 100);
-            assert!(engine.catalog().temp_names().is_empty(), "temps leaked");
         }
     }
 
     #[test]
     fn sharded_merge_elides_reaggregation_when_key_is_covered() {
         let mut engine = sharded_engine(4);
-        let t = engine.catalog().table("r").unwrap().clone();
+        let t = base_table();
+        let order = Order::Leveled { threads: 2 };
 
         // Grouping by the shard key: hash-disjoint shards concatenate.
         let w = Workload::single_columns("r", &t, &["a"]).unwrap();
         let plan = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(0))],
         };
-        let desc = engine.catalog().shard_desc("r").unwrap().clone();
-        let ctx = ShardContext::build(&desc, &w);
-        let report = execute_plan_parallel_sharded(
-            &plan,
-            &w,
-            &mut engine,
-            ParallelOptions::with_threads(2),
-            &Default::default(),
-            &mut Default::default(),
-            &ctx,
-        )
-        .unwrap();
+        let report = run(&plan, &w, &mut engine, order, None).unwrap();
         assert_eq!(
             report.metrics.merge_rows, 0,
             "covered key must elide the merge"
@@ -1760,61 +1172,11 @@ mod tests {
         let plan2 = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(1))],
         };
-        let ctx2 = ShardContext::build(&desc, &w2);
-        let report2 = execute_plan_parallel_sharded(
-            &plan2,
-            &w2,
-            &mut engine,
-            ParallelOptions::with_threads(2),
-            &Default::default(),
-            &mut Default::default(),
-            &ctx2,
-        )
-        .unwrap();
+        let report2 = run(&plan2, &w2, &mut engine, order, None).unwrap();
         assert!(
             report2.metrics.merge_rows > 0,
             "uncovered key must re-aggregate"
         );
         assert_eq!(report2.results[0].1.num_rows(), 4);
-    }
-
-    #[test]
-    fn parallel_executor_handles_rollup_nodes() {
-        let (mut engine, _) = setup();
-        let w = Workload::new(
-            "r",
-            engine.catalog().table("r").unwrap(),
-            &["a", "b", "c"],
-            &[vec!["a"], vec!["a", "b"], vec!["a", "b", "c"]],
-        )
-        .unwrap();
-        let plan = LogicalPlan {
-            subplans: vec![SubNode {
-                cols: ColSet::from_cols([0, 1, 2]),
-                required: true,
-                kind: NodeKind::Rollup,
-                children: vec![
-                    SubNode::leaf(ColSet::from_cols([0, 1])),
-                    SubNode::leaf(ColSet::single(0)),
-                ],
-            }],
-        };
-        let serial = run_plan(
-            &plan,
-            &w,
-            &mut engine,
-            None,
-            &Default::default(),
-            &mut Default::default(),
-        )
-        .unwrap();
-        let parallel =
-            execute_plan_parallel(&plan, &w, &mut engine, ParallelOptions::with_threads(2))
-                .unwrap();
-        assert_eq!(parallel.results.len(), serial.results.len());
-        for (set, st) in &serial.results {
-            let pt = &parallel.results.iter().find(|(s, _)| s == set).unwrap().1;
-            assert_eq!(norm(st), norm(pt), "rollup differs for {set:?}");
-        }
     }
 }

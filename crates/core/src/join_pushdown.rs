@@ -14,8 +14,9 @@
 //! (validated here).
 
 use crate::error::{CoreError, Result};
-use crate::executor::run_plan;
+use crate::executor::{execute_plan, Schedule};
 use crate::greedy::{GbMqo, SearchConfig};
+use crate::schedule::serial_waves;
 use crate::workload::Workload;
 use gbmqo_cost::CardinalityCostModel;
 use gbmqo_exec::{
@@ -193,14 +194,14 @@ fn star_over_base(
     // Optimize and execute the pushed-down Group Bys (work sharing!).
     let mut model = CardinalityCostModel::new(ExactSource::new(base_table));
     let (plan, _) = GbMqo::with_config(SearchConfig::pruned()).plan(&workload, &mut model)?;
-    let report = run_plan(
-        &plan,
-        &workload,
-        engine,
-        None,
-        &Default::default(),
-        &mut Default::default(),
-    )?;
+    let sched = Schedule {
+        waves: serial_waves(&plan, &mut |_| 1.0),
+        threads: 1,
+        fuse: false,
+        memory_budget: None,
+        estimates: &Default::default(),
+    };
+    let report = execute_plan(&plan, &workload, engine, &sched, &mut Default::default())?;
     let mut metrics = report.metrics;
 
     let tag_of = |req: &Vec<&str>| req.join(",");

@@ -22,10 +22,10 @@
 //! * §4.2 greedy algorithm → [`greedy`] ([`GbMqo`])
 //! * §4.3 pruning → [`greedy::SearchConfig`] flags
 //! * §4.4 storage-minimizing scheduling → [`schedule`]
-//! * §5.1 server-side execution (shared scans) and the GROUPING SETS
-//!   union-all facade → [`api`]
+//! * §5.1 / §5.2 server-side (shared scans) and client-side execution →
+//!   one scheduler, [`executor`]; the mode switch and the GROUPING SETS
+//!   union-all facade → [`api`]; SQL rendering → [`sql`]
 //! * §5.1.1 GROUPING SETS over joins (Grp-Tag) → [`join_pushdown`]
-//! * §5.2 client-side execution → [`executor`], SQL rendering → [`sql`]
 //! * §6.1 commercial GROUPING SETS baseline → [`grouping_sets`]
 //! * §6.3 exhaustive optimum → [`exhaustive`]
 //! * §7.1 CUBE/ROLLUP nodes → [`extensions`]
@@ -107,9 +107,7 @@ pub use api::{ExecutionMode, GroupingSetsResult};
 pub use cache::{CacheStats, PlanCache, WorkloadFingerprint};
 pub use colset::ColSet;
 pub use error::{CoreError, Result};
-pub use executor::{
-    execute_plan_parallel, plan_group_estimates, ExecutionReport, GroupEstimates, ParallelOptions,
-};
+pub use executor::{plan_group_estimates, ExecutionReport, GroupEstimates};
 pub use exhaustive::optimal_plan;
 pub use explain::{explain, render_explain, ExplainedEdge};
 pub use extensions::cube_rollup_pass;
@@ -134,7 +132,7 @@ pub mod prelude {
     pub use crate::cache::CacheStats;
     pub use crate::colset::ColSet;
     pub use crate::error::{CoreError, Result};
-    pub use crate::executor::{ExecutionReport, ParallelOptions};
+    pub use crate::executor::ExecutionReport;
     pub use crate::greedy::{GbMqo, SearchConfig, SearchStats};
     pub use crate::plan::{LogicalPlan, SubNode};
     pub use crate::session::{

@@ -33,23 +33,41 @@ pub enum Traversal {
     DepthFirst,
 }
 
+/// One Group By (or ROLLUP/CUBE) of a plan: compute `target` from
+/// `source`. The unit both schedules are made of — the serial §4.4
+/// order ([`schedule_plan`]) and the dependency waves ([`level_plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanEdge {
+    /// Source node (temp table) or `None` for the base relation.
+    pub source: Option<ColSet>,
+    /// The node computed by this edge.
+    pub target: ColSet,
+    /// Whether the target is materialized as a temp table (it has
+    /// Group By children that re-aggregate from it).
+    pub materialize: bool,
+    /// Whether the target is a requested result.
+    pub required: bool,
+    /// Evaluation strategy of the target node.
+    pub kind: NodeKind,
+}
+
+impl PlanEdge {
+    fn new(source: Option<ColSet>, node: &SubNode) -> Self {
+        PlanEdge {
+            source,
+            target: node.cols,
+            materialize: node.is_materialized() && node.kind == NodeKind::GroupBy,
+            required: node.required,
+            kind: node.kind,
+        }
+    }
+}
+
 /// One scheduled action.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
-    /// Run the Group By producing `target` from `source`
-    /// (`None` = the base relation).
-    Query {
-        /// Source node (temp table) or `None` for the base relation.
-        source: Option<ColSet>,
-        /// The node computed by this query.
-        target: ColSet,
-        /// Materialize the result as a temp table.
-        materialize: bool,
-        /// Stream the result to the client (a required node).
-        required: bool,
-        /// Evaluation strategy of the target node.
-        kind: NodeKind,
-    },
+    /// Run the edge's query.
+    Query(PlanEdge),
     /// Drop the temp table of `node`.
     Drop(ColSet),
 }
@@ -112,13 +130,7 @@ pub fn schedule_plan(plan: &LogicalPlan, d: &mut dyn FnMut(ColSet) -> f64) -> Ve
 }
 
 fn emit_query(node: &SubNode, source: Option<ColSet>, steps: &mut Vec<Step>) {
-    steps.push(Step::Query {
-        source,
-        target: node.cols,
-        materialize: node.is_materialized() && node.kind == NodeKind::GroupBy,
-        required: node.required,
-        kind: node.kind,
-    });
+    steps.push(Step::Query(PlanEdge::new(source, node)));
 }
 
 /// Steps after `node` itself has been computed (and materialized if it is
@@ -153,24 +165,22 @@ fn emit_body(node: &SubNode, d: &mut dyn FnMut(ColSet) -> f64, steps: &mut Vec<S
     }
 }
 
-/// A plan edge annotated for wave (dependency-parallel) execution.
-///
-/// The same information as [`Step::Query`], but grouped into topological
-/// waves instead of a serial schedule — drops are decided at run time by
-/// the parallel executor's reader counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanEdge {
-    /// Source node (temp table) or `None` for the base relation.
-    pub source: Option<ColSet>,
-    /// The node computed by this edge.
-    pub target: ColSet,
-    /// Whether the target is materialized as a temp table (it has
-    /// Group By children that re-aggregate from it).
-    pub materialize: bool,
-    /// Whether the target is a requested result.
-    pub required: bool,
-    /// Evaluation strategy of the target node.
-    pub kind: NodeKind,
+/// The §4.4 order as the scheduler consumes it: one singleton wave per
+/// query of [`schedule_plan`]. The `Drop`s are not carried over — the
+/// scheduler retires a temp when its last reader has run, which is
+/// where `schedule_plan` drops it or earlier, so the §4.4 peak bound
+/// holds for the executed order too.
+pub(crate) fn serial_waves(
+    plan: &LogicalPlan,
+    d: &mut dyn FnMut(ColSet) -> f64,
+) -> Vec<Vec<PlanEdge>> {
+    schedule_plan(plan, d)
+        .into_iter()
+        .filter_map(|s| match s {
+            Step::Query(edge) => Some(vec![edge]),
+            Step::Drop(_) => None,
+        })
+        .collect()
 }
 
 /// Topologically level `plan` into dependency waves: wave 0 holds the
@@ -189,15 +199,8 @@ pub fn level_plan(plan: &LogicalPlan) -> Vec<Vec<PlanEdge>> {
         let mut next: Vec<(Option<ColSet>, &SubNode)> = Vec::new();
         let mut wave: Vec<PlanEdge> = Vec::with_capacity(frontier.len());
         for (source, node) in frontier {
-            let group_by = node.kind == NodeKind::GroupBy;
-            wave.push(PlanEdge {
-                source,
-                target: node.cols,
-                materialize: group_by && node.is_materialized(),
-                required: node.required,
-                kind: node.kind,
-            });
-            if group_by {
+            wave.push(PlanEdge::new(source, node));
+            if node.kind == NodeKind::GroupBy {
                 for child in &node.children {
                     next.push((Some(node.cols), child));
                 }
@@ -216,13 +219,9 @@ pub fn simulate_peak(steps: &[Step], d: &mut dyn FnMut(ColSet) -> f64) -> f64 {
     let mut peak = 0.0f64;
     for s in steps {
         match s {
-            Step::Query {
-                target,
-                materialize,
-                ..
-            } => {
-                if *materialize {
-                    live += d(*target);
+            Step::Query(edge) => {
+                if edge.materialize {
+                    live += d(edge.target);
                     peak = peak.max(live);
                 }
             }
@@ -330,22 +329,11 @@ mod tests {
         };
         let mut d = |s: ColSet| sizes.get(&s.0).copied().unwrap_or(0.0);
         let steps = schedule_plan(&plan, &mut d);
-        let queries = steps
-            .iter()
-            .filter(|s| matches!(s, Step::Query { .. }))
-            .count();
+        let queries = steps.iter().filter(|s| matches!(s, Step::Query(_))).count();
         assert_eq!(queries, plan.node_count());
         let mats = steps
             .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Step::Query {
-                        materialize: true,
-                        ..
-                    }
-                )
-            })
+            .filter(|s| matches!(s, Step::Query(e) if e.materialize))
             .count();
         let drops = steps.iter().filter(|s| matches!(s, Step::Drop(_))).count();
         assert_eq!(mats, drops, "every materialized temp is dropped");
@@ -353,17 +341,16 @@ mod tests {
         let mut live: Vec<ColSet> = Vec::new();
         for s in &steps {
             match s {
-                Step::Query {
-                    source,
-                    target,
-                    materialize,
-                    ..
-                } => {
-                    if let Some(src) = source {
-                        assert!(live.contains(src), "query {target:?} from dropped {src:?}");
+                Step::Query(e) => {
+                    if let Some(src) = &e.source {
+                        assert!(
+                            live.contains(src),
+                            "query {:?} from dropped {src:?}",
+                            e.target
+                        );
                     }
-                    if *materialize {
-                        live.push(*target);
+                    if e.materialize {
+                        live.push(e.target);
                     }
                 }
                 Step::Drop(c) => {
@@ -461,12 +448,8 @@ mod tests {
         assert_eq!(plan_min_storage(&plan, &mut d), 0.0);
         let steps = schedule_plan(&plan, &mut d);
         assert_eq!(steps.len(), 2);
-        assert!(steps.iter().all(|s| matches!(
-            s,
-            Step::Query {
-                materialize: false,
-                ..
-            }
-        )));
+        assert!(steps
+            .iter()
+            .all(|s| matches!(s, Step::Query(e) if !e.materialize)));
     }
 }

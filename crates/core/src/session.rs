@@ -36,16 +36,17 @@
 //! assert!(again.stats.cache_hit, "second request reuses the cached plan");
 //! ```
 
-use crate::api::{assemble_union, run_mode, ExecutionMode, GroupingSetsResult};
+use crate::api::{assemble_union, ExecutionMode, GroupingSetsResult};
 use crate::cache::{CacheStats, PlanCache, WorkloadFingerprint};
 use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
 use crate::executor::{
-    next_exec_id, plan_group_estimates, CacheHooks, ExecutionReport, GroupEstimates,
-    ParallelOptions, PlanObservation, WHOLE_TABLE_PIN,
+    execute_plan, next_exec_id, plan_group_estimates, shard_skew, CacheHooks, ExecutionReport,
+    GroupEstimates, PlanObservation, Schedule, WHOLE_TABLE_PIN,
 };
 use crate::greedy::{GbMqo, SearchConfig, SearchStats};
 use crate::plan::{LogicalPlan, SubNode};
+use crate::schedule::{level_plan, serial_waves};
 use crate::workload::Workload;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_exec::{
@@ -233,6 +234,10 @@ fn plan_scan_cost(plan: &LogicalPlan, base: f64, d: &mut dyn FnMut(u128) -> f64)
     plan.subplans.iter().map(|sp| walk(sp, base, d)).sum()
 }
 
+fn available_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Builder for [`Session`]; see the module docs for a walkthrough.
 #[derive(Debug, Default)]
 pub struct SessionBuilder {
@@ -289,15 +294,22 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker threads for [`ExecutionMode::Parallel`]; `0` (the default)
-    /// means one per available CPU.
+    /// Thread budget of an execution, in every mode: the queries of a
+    /// wave run on up to this many workers, and a wave narrower than
+    /// that (every wave of the one-query-at-a-time modes) hands the
+    /// spare threads to its queries' kernels. `0` (the default) means
+    /// one per available CPU under [`ExecutionMode::Parallel`] and a
+    /// single thread under the other modes.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads;
         self
     }
 
-    /// Cap on live temp-table bytes during parallel execution (see
-    /// [`ParallelOptions::memory_budget`]).
+    /// Cap on live temp-table bytes during execution, in every mode.
+    /// When materializing a node would exceed the cap, the node is left
+    /// unmaterialized and its children re-read the node's own source —
+    /// more work, bounded storage (the §4.4.2 trade, applied at run
+    /// time).
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
         self
@@ -408,9 +420,7 @@ impl SessionBuilder {
         let kernel_threads = if self.parallelism > 0 {
             self.parallelism
         } else if self.mode == ExecutionMode::Parallel {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            available_cpus()
         } else {
             1
         };
@@ -651,12 +661,10 @@ impl Session {
         // 1b. Per-shard serving: a request not covered at the logical
         // level may still be covered shard by shard. Every warm shard
         // pins its cached partial; cold shards scan their shard entry
-        // directly — the sharded executor merges partials at delivery.
-        // Only the sharded executors consult per-shard pins, so this is
-        // skipped under server-side mode (which reads logical tables).
+        // directly — the scheduler merges partials at delivery.
         let mut shard_covered: Vec<(ColSet, u32, CachedAggregate)> = Vec::new();
         let mut shard_served: Vec<ColSet> = Vec::new();
-        if use_cache && cache.allows_lookup() && self.mode != ExecutionMode::ServerSide {
+        if use_cache && cache.allows_lookup() {
             for &req in &workload.requests {
                 if covered.iter().any(|(c, _)| *c == req) {
                     continue;
@@ -698,7 +706,7 @@ impl Session {
         if use_cache && cache.allows_lookup() {
             // Fold the delta scans' engine-side counters (delta_rows,
             // rows scanned, elapsed) into this request's metrics before
-            // run_mode resets the engine for the main execution.
+            // the scheduler resets the engine for the main execution.
             ingest += self.engine.metrics();
         }
 
@@ -763,20 +771,15 @@ impl Session {
         hooks.observations = Some(Vec::new());
 
         // 4. Execute; unpin the cached roots afterwards even on error.
-        let parallel = self.parallel_options();
-        let run = run_mode(
-            &plan,
-            workload,
-            &mut self.engine,
-            self.mode,
-            parallel,
-            &estimates,
-            &mut hooks,
-        );
+        let run = self.execute(&plan, workload, &estimates, &mut hooks);
         for name in hooks.roots.values() {
             let _ = self.engine.catalog_mut().remove(name);
         }
-        let (results, mut metrics) = run?;
+        let ExecutionReport {
+            results,
+            mut metrics,
+            peak_temp_bytes,
+        } = run?;
 
         // 4b. Observe → correct → re-optimize: fold the execution's
         // per-node cardinality observations into the q-error report and
@@ -865,7 +868,7 @@ impl Session {
             report: ExecutionReport {
                 results,
                 metrics,
-                peak_temp_bytes: self.engine.catalog().accounting().peak_temp_bytes,
+                peak_temp_bytes,
             },
         })
     }
@@ -1044,7 +1047,6 @@ impl Session {
                 cols: workload.base_cols(obs.cols),
                 input_rows: obs.input_rows,
                 output_groups: obs.output_groups,
-                elapsed_ns: obs.elapsed_ns,
                 table_version,
             });
         }
@@ -1091,25 +1093,45 @@ impl Session {
     /// ALL). For pre-built or deserialized plans; `Session::grouping_sets`
     /// is the usual path.
     pub fn run_plan(&mut self, plan: &LogicalPlan, workload: &Workload) -> Result<ExecutionReport> {
-        let parallel = self.parallel_options();
-        let (results, metrics) = run_mode(
+        self.execute(
             plan,
             workload,
-            &mut self.engine,
-            self.mode,
-            parallel,
             &GroupEstimates::default(),
             &mut CacheHooks::default(),
-        )?;
-        Ok(ExecutionReport {
-            results,
-            metrics,
-            peak_temp_bytes: self.engine.catalog().accounting().peak_temp_bytes,
-        })
+        )
     }
 
-    /// Execute an explicit plan serially under the §4.4
-    /// storage-minimizing schedule, with `size_estimate` guiding the
+    /// Run `plan` as the session's mode prescribes. Every mode is the one
+    /// scheduler ([`execute_plan`]) with a different (wave order, thread
+    /// default, fuse rule).
+    fn execute(
+        &mut self,
+        plan: &LogicalPlan,
+        workload: &Workload,
+        estimates: &GroupEstimates,
+        hooks: &mut CacheHooks,
+    ) -> Result<ExecutionReport> {
+        let (waves, threads, fuse) = match self.mode {
+            ExecutionMode::ClientSide => (serial_waves(plan, &mut |_| 1.0), 1, false),
+            ExecutionMode::ServerSide => (level_plan(plan), 1, true),
+            ExecutionMode::Parallel => (level_plan(plan), available_cpus(), false),
+        };
+        let sched = Schedule {
+            waves,
+            threads: if self.parallelism > 0 {
+                self.parallelism
+            } else {
+                threads
+            },
+            fuse,
+            memory_budget: self.memory_budget,
+            estimates,
+        };
+        execute_plan(plan, workload, &mut self.engine, &sched, hooks)
+    }
+
+    /// Execute an explicit plan one query at a time in the §4.4
+    /// storage-minimizing order, with `size_estimate` guiding the
     /// breadth-first/depth-first choice (pass a cost model's
     /// `result_bytes` for faithful behaviour). Ignores the session's
     /// execution mode: the storage schedule is inherently sequential.
@@ -1119,12 +1141,18 @@ impl Session {
         workload: &Workload,
         size_estimate: &mut dyn FnMut(crate::colset::ColSet) -> f64,
     ) -> Result<ExecutionReport> {
-        crate::executor::run_plan(
+        let sched = Schedule {
+            waves: serial_waves(plan, size_estimate),
+            threads: self.parallelism.max(1),
+            fuse: false,
+            memory_budget: self.memory_budget,
+            estimates: &GroupEstimates::default(),
+        };
+        execute_plan(
             plan,
             workload,
             &mut self.engine,
-            Some(size_estimate),
-            &GroupEstimates::default(),
+            &sched,
             &mut CacheHooks::default(),
         )
     }
@@ -1188,11 +1216,7 @@ impl Session {
                         .map_or(0, |t| t.num_rows() as u64)
                 })
                 .collect();
-            let total: u64 = sizes.iter().sum();
-            let largest = sizes.iter().copied().max().unwrap_or(0);
-            let skew = (largest * 100 * u64::from(desc.shard_count))
-                .checked_div(total)
-                .unwrap_or(0);
+            let skew = shard_skew(&sizes);
             self.pending.shard_skew = self.pending.shard_skew.max(skew);
             if skew >= RESHARD_SKEW_THRESHOLD {
                 reshard_hint = true;
@@ -1477,13 +1501,6 @@ impl Session {
     /// plans are invalidated.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
-    }
-
-    fn parallel_options(&self) -> ParallelOptions {
-        ParallelOptions {
-            threads: self.parallelism,
-            memory_budget: self.memory_budget,
-        }
     }
 }
 

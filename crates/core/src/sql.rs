@@ -45,28 +45,22 @@ pub fn render_sql(plan: &LogicalPlan, workload: &Workload) -> Vec<String> {
         .iter()
         .map(|s| match s {
             Step::Drop(cols) => format!("DROP TABLE {};", temp_name(*cols)),
-            Step::Query {
-                source,
-                target,
-                materialize,
-                kind,
-                ..
-            } => {
+            Step::Query(edge) => {
                 let cols = workload
-                    .col_names(*target)
+                    .col_names(edge.target)
                     .iter()
                     .map(|c| quote_sql_ident(c))
                     .collect::<Vec<_>>()
                     .join(", ");
-                let (from, agg) = match source {
+                let (from, agg) = match edge.source {
                     None => (quote_sql_ident(&workload.table), "COUNT(*)".to_string()),
-                    Some(s) => (temp_name(*s), "SUM(cnt)".to_string()),
+                    Some(s) => (temp_name(s), "SUM(cnt)".to_string()),
                 };
-                let into = match materialize {
-                    true => format!(" INTO {}", temp_name(*target)),
+                let into = match edge.materialize {
+                    true => format!(" INTO {}", temp_name(edge.target)),
                     false => String::new(),
                 };
-                let grouping = match kind {
+                let grouping = match edge.kind {
                     NodeKind::GroupBy => format!("GROUP BY {cols}"),
                     NodeKind::Rollup => format!("GROUP BY ROLLUP ({cols})"),
                     NodeKind::Cube => format!("GROUP BY CUBE ({cols})"),

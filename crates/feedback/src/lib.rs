@@ -9,9 +9,9 @@
 //!
 //! The loop has three parts:
 //!
-//! * **Observe** — executors record [`NodeObservation`]s (column set,
-//!   input rows → output groups, measured cost) into a bounded,
-//!   decay-weighted [`FeedbackStore`].
+//! * **Observe** — the executor records [`NodeObservation`]s (column
+//!   set, input rows → output groups) into a bounded, decay-weighted
+//!   [`FeedbackStore`].
 //! * **Correct** — [`AdaptiveCardinalitySource`] answers `distinct()`
 //!   preferring (1) a true observation, (2) an online sketch estimate
 //!   kept fresh from delta rows, (3) the wrapped static estimate.
@@ -40,8 +40,6 @@ pub struct NodeObservation {
     /// Groups the node produced — the *true* distinct count of `cols`
     /// within the node's input (for whole-table inputs, within `R`).
     pub output_groups: u64,
-    /// Measured wall time of the node in nanoseconds (0 if not timed).
-    pub elapsed_ns: u64,
     /// Table version the observation was taken at.
     pub table_version: u64,
 }
@@ -51,7 +49,6 @@ pub struct NodeObservation {
 struct FeedbackEntry {
     groups: f64,
     input_rows: f64,
-    cost_ns: f64,
     hits: u64,
     last_version: u64,
 }
@@ -127,12 +124,10 @@ impl FeedbackStore {
                 if obs.table_version > e.last_version {
                     e.groups = obs.output_groups as f64;
                     e.input_rows = obs.input_rows as f64;
-                    e.cost_ns = obs.elapsed_ns as f64;
                     e.last_version = obs.table_version;
                 } else {
                     e.groups = decay * obs.output_groups as f64 + (1.0 - decay) * e.groups;
                     e.input_rows = decay * obs.input_rows as f64 + (1.0 - decay) * e.input_rows;
-                    e.cost_ns = decay * obs.elapsed_ns as f64 + (1.0 - decay) * e.cost_ns;
                 }
                 e.hits += 1;
                 self.touch(&key);
@@ -143,7 +138,6 @@ impl FeedbackStore {
                     FeedbackEntry {
                         groups: obs.output_groups as f64,
                         input_rows: obs.input_rows as f64,
-                        cost_ns: obs.elapsed_ns as f64,
                         hits: 1,
                         last_version: obs.table_version,
                     },
@@ -177,11 +171,6 @@ impl FeedbackStore {
     /// Decay-weighted observed group count for (table, cols), if any.
     pub fn observed_groups(&self, table: &str, cols: &[usize]) -> Option<f64> {
         self.lookup(table, cols).map(|e| e.groups)
-    }
-
-    /// Decay-weighted observed node cost in nanoseconds, if any.
-    pub fn observed_cost_ns(&self, table: &str, cols: &[usize]) -> Option<f64> {
-        self.lookup(table, cols).map(|e| e.cost_ns)
     }
 
     fn lookup(&self, table: &str, cols: &[usize]) -> Option<&FeedbackEntry> {
@@ -336,7 +325,6 @@ mod tests {
             cols: cols.to_vec(),
             input_rows: rows,
             output_groups: groups,
-            elapsed_ns: 1_000,
             table_version: version,
         }
     }

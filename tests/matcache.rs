@@ -63,17 +63,20 @@ proptest! {
 
     /// Whatever state the cache is in after the warm-up workload, the
     /// follow-up workload's results are row-identical to a cold
-    /// cacheless session's — in both execution modes.
+    /// cacheless session's — in every execution mode.
     #[test]
     fn warm_cache_answers_match_cold(
         (cards, warm_raw, query_raw) in two_phase_strategy(),
-        parallel in any::<bool>(),
+        mode in prop::sample::select(vec![
+            ExecutionMode::ClientSide,
+            ExecutionMode::ServerSide,
+            ExecutionMode::Parallel,
+        ]),
     ) {
         let warm_requests = dedup(warm_raw);
         let query_requests = dedup(query_raw);
 
         let table = modular_table(600, &cards);
-        let mode = if parallel { ExecutionMode::Parallel } else { ExecutionMode::ClientSide };
         let mut cold = session_with(&table, mode, 0);
         let mut warm = session_with(&table, mode, BUDGET);
 

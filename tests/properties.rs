@@ -221,14 +221,18 @@ proptest! {
     /// Delta-propagation invariant: under any append schedule, a warm
     /// session whose cached aggregates are delta-refreshed returns
     /// exactly what a cold session computes from scratch over the full
-    /// table — serial and parallel, sharded and unsharded, count-only
-    /// and SUM/MIN/MAX workloads alike.
+    /// table — in every execution mode, sharded and unsharded,
+    /// count-only and SUM/MIN/MAX workloads alike.
     #[test]
     fn refreshed_cache_equals_cold_recompute(
         cards in prop::collection::vec(prop::sample::select(vec![3usize, 7, 20, 400]), 2..=4),
         appends in prop::collection::vec(20usize..150, 1..=3),
         shards in prop::sample::select(vec![0u32, 4]),
-        parallel in any::<bool>(),
+        mode in prop::sample::select(vec![
+            ExecutionMode::ClientSide,
+            ExecutionMode::ServerSide,
+            ExecutionMode::Parallel,
+        ]),
         rich_aggs in any::<bool>(),
     ) {
         let base_rows = 300usize;
@@ -246,7 +250,6 @@ proptest! {
             ]);
         }
 
-        let mode = if parallel { ExecutionMode::Parallel } else { ExecutionMode::ClientSide };
         let mut warm = Session::builder()
             .table("t", base.clone())
             .search(SearchConfig::pruned())
@@ -294,8 +297,8 @@ proptest! {
                 prop_assert_eq!(
                     rows_by_name(warm_t),
                     rows_by_name(cold_t),
-                    "append {} (shards {}, parallel {}, set {:?})",
-                    i, shards, parallel, w.col_names(*set)
+                    "append {} (shards {}, {:?}, set {:?})",
+                    i, shards, mode, w.col_names(*set)
                 );
             }
         }

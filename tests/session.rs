@@ -136,12 +136,17 @@ proptest! {
         prop_assert!(parallel.engine().catalog().temp_names().is_empty());
     }
 
-    /// A memory budget degrades parallel execution (skipping
-    /// materializations) but never changes results.
+    /// A memory budget degrades execution (skipping materializations)
+    /// in every mode, is honoured, and never changes results.
     #[test]
-    fn budgeted_parallel_matches_serial(
+    fn budgeted_session_matches_serial(
         (cards, raw_requests) in workload_strategy(),
         budget_kb in 0usize..=64,
+        mode in prop::sample::select(vec![
+            ExecutionMode::ClientSide,
+            ExecutionMode::ServerSide,
+            ExecutionMode::Parallel,
+        ]),
     ) {
         let mut requests: Vec<Vec<usize>> = raw_requests
             .into_iter()
@@ -157,7 +162,7 @@ proptest! {
         let mut budgeted = Session::builder()
             .table("t", table.clone())
             .search(SearchConfig::pruned())
-            .mode(ExecutionMode::Parallel)
+            .mode(mode)
             .parallelism(2)
             .memory_budget(budget_kb * 1024)
             .build()
@@ -166,7 +171,8 @@ proptest! {
         let (plan, _) = serial.plan(&w).unwrap();
         let rep_s = serial.run_plan(&plan, &w).unwrap();
         let rep_b = budgeted.run_plan(&plan, &w).unwrap();
-        assert_same_results(&w, &rep_s, &rep_b, "budgeted parallel vs serial");
+        assert_same_results(&w, &rep_s, &rep_b, &format!("budgeted {mode:?} vs serial"));
+        prop_assert!(rep_b.peak_temp_bytes <= budget_kb * 1024);
         prop_assert!(budgeted.engine().catalog().temp_names().is_empty());
     }
 

@@ -25,8 +25,8 @@ fn workload_of(table: &Table, n: usize) -> Workload {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any shard count, in both serial and parallel modes, computes
-    /// exactly what the unsharded session computes.
+    /// Any shard count, in every execution mode, computes exactly what
+    /// the unsharded session computes.
     #[test]
     fn sharded_matches_unsharded(cards in cards_strategy()) {
         let table = modular_table(400, &cards);
@@ -35,7 +35,11 @@ proptest! {
         let baseline = reference.run_workload(&w, CacheControl::Default).unwrap();
 
         for shards in [1u32, 2, 4, 8] {
-            for mode in [ExecutionMode::ClientSide, ExecutionMode::Parallel] {
+            for mode in [
+                ExecutionMode::ClientSide,
+                ExecutionMode::ServerSide,
+                ExecutionMode::Parallel,
+            ] {
                 let mut s = Session::builder()
                     .table("t", table.clone())
                     .shards(shards)
