@@ -15,7 +15,7 @@ use crate::plan::{LogicalPlan, NodeKind, SubNode};
 use crate::schedule::PlanEdge;
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
-use gbmqo_exec::{cube, hash_group_by, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery};
+use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery};
 use gbmqo_storage::{shard_table_name, Table};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,12 +231,14 @@ pub(crate) struct Schedule<'a> {
 /// table is offered to the aggregate cache and dropped the moment its
 /// last reader has run — where §4.4's schedule drops it, or earlier.
 ///
-/// Over a radix-sharded base table every edge that reads the base
-/// relation fans out into one query per shard entry, intermediates stay
-/// per-shard partials all the way down, and required results merge at
-/// delivery ([`Sources::merge_shards`]); an unsharded table is the layout in which
-/// nothing fans out. Results and metric counters (other than elapsed
-/// time) are the same for every `sched` up to row order.
+/// Over a radix-sharded base table an edge that reads the base relation
+/// fans out into one query per shard entry where that pays
+/// ([`Layout::fan_out_pays`]) and reads the logical table otherwise;
+/// below a fanned-out node intermediates stay per-shard partials all the
+/// way down, and required results merge at delivery
+/// ([`Sources::merge_shards`]). An unsharded table is the layout in
+/// which nothing fans out. Results and metric counters (other than
+/// elapsed time) are the same for every `sched` up to row order.
 pub(crate) fn execute_plan(
     plan: &LogicalPlan,
     workload: &Workload,
@@ -299,6 +301,23 @@ impl Layout {
     fn covers_key(&self, target: ColSet) -> bool {
         self.key_set.is_some_and(|k| (target.0 & k.0) == k.0)
     }
+
+    /// Whether computing `target` from the base relation as one query
+    /// per shard beats one query over the logical table. Per-shard
+    /// partials pay when nothing has to merge them (the target covers
+    /// the shard key) or when they are smaller than the rows they
+    /// summarise. A non-covering grouping can repeat each of its
+    /// `groups` in every shard, so at `groups × shards ≥ rows` the
+    /// partials together are as large as the table: the merge would
+    /// re-read every row the shards just read, and a cached partial
+    /// would save a later request nothing over its shard. Without an
+    /// estimate (a hand-built plan) there is nothing to price with and
+    /// the edge fans out.
+    fn fan_out_pays(&self, target: ColSet, groups: Option<u64>) -> bool {
+        let rows: u64 = self.shard_rows.iter().sum();
+        let shards = self.shard_names.len() as u64;
+        self.covers_key(target) || groups.is_none_or(|g| g.saturating_mul(shards) < rows)
+    }
 }
 
 /// A materialized node awaiting its readers.
@@ -356,10 +375,14 @@ impl Sources<'_> {
     /// result. Shards are hash-disjoint on the shard key, so a grouping
     /// that covers the key concatenates directly; any other grouping may
     /// hold the same group in several shards and re-aggregates the
-    /// concatenation (`SUM(cnt)`-style, per §7.2's lossless merge rules).
+    /// concatenation (`SUM(cnt)`-style, per §7.2's lossless merge rules)
+    /// as the engine runs any Group By: its kernel choice sized by the
+    /// plan's estimate `groups` of the target, under its cancel token.
     fn merge_shards(
         &self,
+        engine: &mut Engine,
         target: ColSet,
+        groups: Option<u64>,
         parts: &[Table],
         extra: &mut ExecMetrics,
     ) -> Result<Table> {
@@ -375,7 +398,7 @@ impl Sources<'_> {
             .iter()
             .map(|n| combined.schema().index_of(n))
             .collect::<gbmqo_storage::Result<_>>()?;
-        Ok(hash_group_by(&combined, &group_cols, &self.reagg, extra)?)
+        Ok(engine.aggregate_table(&combined, &group_cols, &self.reagg, groups)?)
     }
 }
 
@@ -493,19 +516,30 @@ fn run_waves(
         // Expand each Group By edge into its query instances: one per
         // shard when its source is per-shard, a single query otherwise
         // (an unsharded table, or a node served whole from a pinned
-        // aggregate). All instances of a wave run as one batch.
+        // aggregate). An edge that reads the sharded base relation fans
+        // out where per-shard partials pay ([`Layout::fan_out_pays`]) or
+        // some shard's partial is already pinned from the cache;
+        // otherwise it is one query over the logical table, and the
+        // wave's thread budget goes to that query's kernel instead. All
+        // instances of a wave run as one batch.
         let mut queries: Vec<GroupByQuery> = Vec::new();
         let mut fan_outs: Vec<bool> = Vec::new();
         for (edge, src) in &batch {
+            let mut est = sched.estimates.get(&edge.target.0).copied();
+            let pinned = |slot: u32| hooks.roots.contains_key(&(edge.target.0, slot));
             let fan_out = match src {
                 Some(s) => live[&s.0].fan_out,
-                None => nshards > 0 && !hooks.roots.contains_key(&(edge.target.0, WHOLE_TABLE_PIN)),
+                None => {
+                    nshards > 0
+                        && !pinned(WHOLE_TABLE_PIN)
+                        && (layout.fan_out_pays(edge.target, est)
+                            || all_shards.iter().any(|&s| pinned(s)))
+                }
             };
             fan_outs.push(fan_out);
             // A grouping that covers the shard key splits its groups
             // across shards; any other grouping may repeat every group
             // in every shard.
-            let mut est = sched.estimates.get(&edge.target.0).copied();
             if fan_out && layout.covers_key(edge.target) {
                 est = est.map(|e| (e / u64::from(nshards)).max(1));
             }
@@ -548,7 +582,8 @@ fn run_waves(
             let whole = if !fan_out {
                 Some(parts[0].clone())
             } else if edge.required {
-                Some(sources.merge_shards(edge.target, &parts, &mut extra)?)
+                let groups = sched.estimates.get(&edge.target.0).copied();
+                Some(sources.merge_shards(engine, edge.target, groups, &parts, &mut extra)?)
             } else {
                 None
             };
@@ -728,7 +763,7 @@ fn run_lattice(
     let delivered = if node.kind == NodeKind::Rollup {
         // Level i groups by bits[.. len - i], and every child is such a
         // prefix.
-        let levels = rollup(&table, &cols, aggs, extra)?;
+        let levels = rollup(engine, &table, &cols, aggs)?;
         wanted
             .map(|set| {
                 debug_assert_eq!(ColSet::from_cols(bits[..set.len()].iter().copied()), set);
@@ -737,7 +772,7 @@ fn run_lattice(
             .collect()
     } else {
         // Bit i of a subset's mask selects bits[i].
-        let subsets = cube(&table, &cols, aggs, extra)?;
+        let subsets = cube(engine, &table, &cols, aggs)?;
         wanted
             .map(|set| {
                 let mask = (0..bits.len())
@@ -814,6 +849,20 @@ mod tests {
         order: Order,
         memory_budget: Option<usize>,
     ) -> Result<ExecutionReport> {
+        let estimates = GroupEstimates::default();
+        let hooks = &mut CacheHooks::default();
+        run_with(plan, w, engine, order, memory_budget, &estimates, hooks)
+    }
+
+    fn run_with(
+        plan: &LogicalPlan,
+        w: &Workload,
+        engine: &mut Engine,
+        order: Order,
+        memory_budget: Option<usize>,
+        estimates: &GroupEstimates,
+        hooks: &mut CacheHooks,
+    ) -> Result<ExecutionReport> {
         let (waves, threads, fuse) = match order {
             Order::Serial => (serial_waves(plan, &mut |_| 1.0), 1, false),
             Order::Leveled { threads } => (level_plan(plan), threads, false),
@@ -824,9 +873,26 @@ mod tests {
             threads,
             fuse,
             memory_budget,
-            estimates: &GroupEstimates::default(),
+            estimates,
         };
-        execute_plan(plan, w, engine, &sched, &mut CacheHooks::default())
+        execute_plan(plan, w, engine, &sched, hooks)
+    }
+
+    /// Run the one-leaf plan for `w`'s single request with the
+    /// optimizer's estimate `groups` for it, if any.
+    fn run_leaf(
+        w: &Workload,
+        engine: &mut Engine,
+        order: Order,
+        groups: Option<u64>,
+        hooks: &mut CacheHooks,
+    ) -> ExecutionReport {
+        let cols = w.requests[0];
+        let plan = LogicalPlan {
+            subplans: vec![SubNode::leaf(cols)],
+        };
+        let estimates: GroupEstimates = groups.map(|g| (cols.0, g)).into_iter().collect();
+        run_with(&plan, w, engine, order, None, &estimates, hooks).unwrap()
     }
 
     fn run_serial(plan: &LogicalPlan, w: &Workload, engine: &mut Engine) -> ExecutionReport {
@@ -1178,5 +1244,114 @@ mod tests {
             "uncovered key must re-aggregate"
         );
         assert_eq!(report2.results[0].1.num_rows(), 4);
+    }
+
+    /// 60 rows: `a` (3 values, the shard key), `b` (6 values), `u`
+    /// (unique). Over 4 shards `b`'s partials are 24 rows at most — less
+    /// than the table — and `u`'s are the table itself.
+    fn priced_table() -> Table {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::Int64),
+            Field::new("u", DataType::Int64),
+        ])
+        .unwrap();
+        Table::new(
+            schema,
+            vec![
+                Column::from_i64((0..60).map(|i| i % 3).collect()),
+                Column::from_i64((0..60).map(|i| i % 6).collect()),
+                Column::from_i64((0..60).collect()),
+            ],
+        )
+        .unwrap()
+    }
+
+    fn priced_engines() -> (Engine, Engine) {
+        let mut plain = Catalog::new();
+        plain.register("r", priced_table()).unwrap();
+        let mut sharded = Catalog::new();
+        sharded
+            .register_sharded("r", priced_table(), 4, Some(vec!["a".into()]))
+            .unwrap();
+        (Engine::new(plain), Engine::new(sharded))
+    }
+
+    fn leaf_workload(col: &str) -> Workload {
+        Workload::new("r", &priced_table(), &["a", "b", "u"], &[vec![col]]).unwrap()
+    }
+
+    #[test]
+    fn base_edges_fan_out_only_where_partials_reduce() {
+        let (mut plain, mut sharded) = priced_engines();
+        for order in ORDERS {
+            let mut run = |col: &str, groups: Option<u64>| {
+                let w = leaf_workload(col);
+                let hooks = &mut CacheHooks::default();
+                let expected = run_leaf(&w, &mut plain, order, groups, hooks);
+                let got = run_leaf(&w, &mut sharded, order, groups, hooks);
+                assert_same(
+                    &expected,
+                    &got,
+                    &format!("{col} {groups:?} under {order:?}"),
+                );
+                assert!(sharded.catalog().temp_names().is_empty(), "temps leaked");
+                got.metrics
+            };
+
+            // Covers the shard key: one query per shard, nothing to merge.
+            let m = run("a", Some(3));
+            assert_eq!((m.queries_executed, m.shard_rows, m.merge_rows), (4, 60, 0));
+
+            // 6 groups x 4 shards < 60 rows: partials reduce, so the edge
+            // fans out and the (at most 24) partial rows re-aggregate.
+            let m = run("b", Some(6));
+            assert_eq!((m.queries_executed, m.shard_rows), (4, 60));
+            assert!(m.merge_rows > 0 && m.merge_rows <= 24, "{order:?}: {m:?}");
+
+            // 60 groups x 4 shards >= 60 rows: each partial is its shard,
+            // so the edge is one query over the logical table.
+            let m = run("u", Some(60));
+            assert_eq!((m.queries_executed, m.shard_rows, m.merge_rows), (1, 0, 0));
+            assert_eq!(m.rows_scanned, 60, "no partial is read twice");
+
+            // Nothing to price with: fan out, as a hand-built plan always did.
+            let m = run("u", None);
+            assert_eq!(
+                (m.queries_executed, m.shard_rows, m.merge_rows),
+                (4, 60, 60)
+            );
+        }
+    }
+
+    #[test]
+    fn pinned_shard_partial_keeps_its_edge_fanned_out() {
+        let (mut plain, mut sharded) = priced_engines();
+        let w = leaf_workload("u");
+        // One non-empty shard's partial of (u), as the aggregate cache
+        // would pin it (three key values leave a fourth shard empty).
+        let (slot, shard, pinned_rows) = (0..4u32)
+            .map(|s| (s, shard_table_name("r", s)))
+            .map(|(s, name)| (s, input_rows_of(&sharded, &name), name))
+            .find_map(|(s, rows, name)| (rows > 0).then_some((s, name, rows)))
+            .unwrap();
+        let partial = sharded
+            .run_group_by(&GroupByQuery::count_star(&shard, &["u"]))
+            .unwrap();
+        sharded.catalog_mut().register("pinned_u", partial).unwrap();
+        for order in ORDERS {
+            let expected = run_leaf(&w, &mut plain, order, Some(60), &mut CacheHooks::default());
+            let mut hooks = CacheHooks::default();
+            hooks
+                .roots
+                .insert((w.requests[0].0, slot), "pinned_u".into());
+            let got = run_leaf(&w, &mut sharded, order, Some(60), &mut hooks);
+            assert_same(&expected, &got, &format!("pinned shard under {order:?}"));
+            // Near-unique, so unpinned it would be one logical query; the
+            // pin makes it four, and the pinned shard is not rescanned.
+            assert_eq!(got.metrics.queries_executed, 4);
+            assert_eq!(got.metrics.shard_rows, 60 - pinned_rows);
+            assert_eq!(got.metrics.merge_rows, 60);
+        }
     }
 }

@@ -19,9 +19,7 @@ use crate::greedy::{GbMqo, SearchConfig};
 use crate::schedule::serial_waves;
 use crate::workload::Workload;
 use gbmqo_cost::CardinalityCostModel;
-use gbmqo_exec::{
-    filter, hash_group_by, union_all_tagged, AggSpec, Engine, ExecMetrics, Predicate,
-};
+use gbmqo_exec::{filter, union_all_tagged, AggSpec, Engine, ExecMetrics, Predicate};
 use gbmqo_stats::ExactSource;
 use gbmqo_storage::{Table, Value};
 
@@ -114,7 +112,7 @@ pub fn grouping_sets_over_star(
             .index_of(&dim.dim_key)
             .map_err(CoreError::Storage)?;
         // Key requirement on every dimension (see module docs).
-        let keys = hash_group_by(&table, &[dim_key], &[AggSpec::count()], &mut m)?;
+        let keys = engine.aggregate_table(&table, &[dim_key], &[AggSpec::count()], None)?;
         if keys.num_rows() != table.num_rows() {
             return Err(CoreError::InvalidWorkload(format!(
                 "join column {} is not a key of {}",
@@ -258,8 +256,11 @@ fn star_over_base(
 
     // Final per-set aggregation above the joins, filtered by Grp-Tag.
     // Each aggregate re-aggregates from its pushed-down partial.
+    // They run in the engine, whose counters `report.metrics` already
+    // holds up to here: count from zero and add the difference.
     let final_aggs: Vec<AggSpec> = aggregates.iter().map(AggSpec::reaggregate).collect();
     let mut results = Vec::with_capacity(requests.len());
+    engine.reset_metrics();
     for req in requests {
         let tag = tag_of(req);
         let relevant = filter(
@@ -271,9 +272,10 @@ fn star_over_base(
             .iter()
             .map(|c| relevant.schema().index_of(c))
             .collect::<gbmqo_storage::Result<_>>()?;
-        let out = hash_group_by(&relevant, &cols, &final_aggs, &mut metrics)?;
+        let out = engine.aggregate_table(&relevant, &cols, &final_aggs, None)?;
         results.push((tag, out));
     }
+    metrics += engine.metrics();
 
     Ok(JoinGroupingSets {
         results,
@@ -285,6 +287,7 @@ fn star_over_base(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbmqo_exec::sort_group_by;
     use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, TableBuilder};
 
     fn setup() -> Engine {
@@ -359,7 +362,7 @@ mod tests {
                 .split(',')
                 .map(|c| joined.schema().index_of(c).unwrap())
                 .collect();
-            let direct = hash_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
+            let direct = sort_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
             // column order: pushed results group by request order; align by sorting
             assert_eq!(norm(table), norm(&direct), "grouping set {tag}");
         }
@@ -443,7 +446,7 @@ mod tests {
                 .split(',')
                 .map(|c| joined.schema().index_of(c).unwrap())
                 .collect();
-            let direct = hash_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
+            let direct = sort_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
             assert_eq!(norm(table), norm(&direct), "grouping set {tag}");
         }
     }
@@ -471,7 +474,7 @@ mod tests {
         let j1 = gbmqo_exec::hash_join(&filtered, &s, &[0], &[0], &mut m).unwrap();
         let bk = j1.schema().index_of("b").unwrap();
         let joined = gbmqo_exec::hash_join(&j1, &d, &[bk], &[0], &mut m).unwrap();
-        let direct = hash_group_by(&joined, &[bk], &[AggSpec::count()], &mut m).unwrap();
+        let direct = sort_group_by(&joined, &[bk], &[AggSpec::count()], &mut m).unwrap();
         assert_eq!(norm(&out.results[0].1), norm(&direct));
         // The scratch temp is cleaned up.
         assert!(engine.catalog().table(super::FILTERED_BASE_TEMP).is_err());
@@ -521,7 +524,7 @@ mod tests {
         let r = engine.catalog().table("r").unwrap().clone();
         let mut m = ExecMetrics::new();
         let filtered = filter(&r, &pred, &mut m).unwrap();
-        let direct = hash_group_by(&filtered, &[0], &[AggSpec::count()], &mut m).unwrap();
+        let direct = sort_group_by(&filtered, &[0], &[AggSpec::count()], &mut m).unwrap();
         assert_eq!(norm(&out.results[0].1), norm(&direct));
     }
 }

@@ -50,8 +50,7 @@ use crate::schedule::{level_plan, serial_waves};
 use crate::workload::Workload;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_exec::{
-    hash_group_by, AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery,
-    GroupByStrategy,
+    AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery, GroupByStrategy,
 };
 use gbmqo_feedback::{q_error, AdaptiveCardinalitySource, FeedbackStore, NodeObservation};
 use gbmqo_matcache::{
@@ -1391,7 +1390,7 @@ impl Session {
                 let combined = Table::concat(&[stale.table.as_ref(), &delta])?;
                 let reagg: Vec<AggSpec> = stale.specs.iter().map(AggSpec::reaggregate).collect();
                 let idx: Vec<usize> = (0..ngroup).collect();
-                hash_group_by(&combined, &idx, &reagg, metrics)
+                self.engine.aggregate_table(&combined, &idx, &reagg, None)
             });
         let Ok(merged) = merged else {
             return fallback(&mut self.mat_cache, metrics);

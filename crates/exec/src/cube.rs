@@ -7,9 +7,8 @@
 //! smallest already-computed parent one column larger.
 
 use crate::agg::AggSpec;
+use crate::engine::Engine;
 use crate::error::{ExecError, Result};
-use crate::group_by::hash_group_by;
-use crate::metrics::ExecMetrics;
 use gbmqo_storage::Table;
 use rustc_hash::FxHashMap;
 
@@ -21,12 +20,14 @@ pub const MAX_CUBE_COLS: usize = 16;
 /// Returns one `(mask, table)` pair per subset of `cols`, where bit `i` of
 /// `mask` selects `cols[i]`; sorted by descending popcount then ascending
 /// mask. The full-set table is computed from `input`; every other subset is
-/// re-aggregated from a minimum-cardinality parent.
+/// re-aggregated from a minimum-cardinality parent. Every Group By of
+/// the descent goes through [`Engine::aggregate_table`]: the engine's
+/// kernel choice, cancel token and metrics.
 pub fn cube(
+    engine: &mut Engine,
     input: &Table,
     cols: &[usize],
     aggs: &[AggSpec],
-    metrics: &mut ExecMetrics,
 ) -> Result<Vec<(u32, Table)>> {
     let k = cols.len();
     if k > MAX_CUBE_COLS {
@@ -37,7 +38,7 @@ pub fn cube(
     let full: u32 = if k == 32 { u32::MAX } else { (1u32 << k) - 1 };
     let mut results: FxHashMap<u32, Table> = FxHashMap::default();
 
-    let finest = hash_group_by(input, cols, aggs, metrics)?;
+    let finest = engine.aggregate_table(input, cols, aggs, None)?;
     results.insert(full, finest);
 
     let reaggs: Vec<AggSpec> = aggs.iter().map(AggSpec::reaggregate).collect();
@@ -74,7 +75,7 @@ pub fn cube(
             .filter(|(_, &b)| mask >> b & 1 == 1)
             .map(|(i, _)| i)
             .collect();
-        let table = hash_group_by(parent, &keep, &reaggs, metrics)?;
+        let table = engine.aggregate_table(parent, &keep, &reaggs, None)?;
         results.insert(mask, table);
     }
 
@@ -86,7 +87,13 @@ pub fn cube(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbmqo_storage::{DataType, Field, Schema, TableBuilder, Value};
+    use crate::group_by::hash_group_by;
+    use crate::metrics::ExecMetrics;
+    use gbmqo_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
+
+    fn engine() -> Engine {
+        Engine::new(Catalog::new())
+    }
 
     fn input() -> Table {
         let schema = Schema::new(vec![
@@ -120,8 +127,7 @@ mod tests {
     #[test]
     fn cube_has_all_subsets() {
         let t = input();
-        let mut m = ExecMetrics::new();
-        let c = cube(&t, &[0, 1, 2], &[AggSpec::count()], &mut m).unwrap();
+        let c = cube(&mut engine(), &t, &[0, 1, 2], &[AggSpec::count()]).unwrap();
         assert_eq!(c.len(), 8);
         let masks: Vec<u32> = c.iter().map(|(m, _)| *m).collect();
         let mut sorted = masks.clone();
@@ -136,7 +142,7 @@ mod tests {
     fn cube_subsets_match_direct_group_bys() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let c = cube(&t, &[0, 1, 2], &[AggSpec::count()], &mut m).unwrap();
+        let c = cube(&mut engine(), &t, &[0, 1, 2], &[AggSpec::count()]).unwrap();
         for (mask, table) in &c {
             let cols: Vec<usize> = (0..3).filter(|b| mask >> b & 1 == 1).collect();
             let direct = hash_group_by(&t, &cols, &[AggSpec::count()], &mut m).unwrap();
@@ -147,8 +153,7 @@ mod tests {
     #[test]
     fn cube_apex_is_grand_total() {
         let t = input();
-        let mut m = ExecMetrics::new();
-        let c = cube(&t, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
+        let c = cube(&mut engine(), &t, &[0, 1], &[AggSpec::count()]).unwrap();
         let apex = &c.iter().find(|(m, _)| *m == 0).unwrap().1;
         assert_eq!(apex.num_rows(), 1);
         assert_eq!(apex.value(0, 0), Value::Int(5));
@@ -157,8 +162,7 @@ mod tests {
     #[test]
     fn oversized_cube_rejected() {
         let t = input();
-        let mut m = ExecMetrics::new();
         let cols: Vec<usize> = (0..MAX_CUBE_COLS + 1).map(|i| i % 3).collect();
-        assert!(cube(&t, &cols, &[AggSpec::count()], &mut m).is_err());
+        assert!(cube(&mut engine(), &t, &cols, &[AggSpec::count()]).is_err());
     }
 }

@@ -252,17 +252,7 @@ impl Engine {
             crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
             self.metrics.bytes_scanned += bytes;
         }
-        let result = group_by_with_strategy(
-            &slice,
-            &cols,
-            &q.aggs,
-            None,
-            self.strategy,
-            self.kernel_threads,
-            q.estimated_groups,
-            self.cancel.as_ref(),
-            &mut self.metrics,
-        )?;
+        let result = self.aggregate_table(&slice, &cols, &q.aggs, q.estimated_groups)?;
         self.metrics.queries_executed += 1;
         self.metrics.delta_rows += rows as u64;
         if let Some(name) = &q.into {
@@ -274,6 +264,36 @@ impl Engine {
         }
         self.metrics.add_elapsed(t0.elapsed());
         Ok(result)
+    }
+
+    /// Group an in-memory `table` that is not a catalog entry — the
+    /// concatenated per-shard partials of a cross-shard merge, a cached
+    /// aggregate plus its delta, one level of a ROLLUP/CUBE descent —
+    /// through the same kernel dispatch as a catalog query
+    /// ([`group_by_with_strategy`]), with the engine's strategy, kernel
+    /// threads, cancel token and metrics. `estimated_groups` sizes the
+    /// radix fan-out as [`GroupByQuery::estimated_groups`] does. Rows and
+    /// kernel time are counted; a query is not (the caller's operator
+    /// decides what one query is), and no simulated I/O is charged — the
+    /// input is already in memory.
+    pub fn aggregate_table(
+        &mut self,
+        table: &Table,
+        group_cols: &[usize],
+        aggs: &[AggSpec],
+        estimated_groups: Option<u64>,
+    ) -> Result<Table> {
+        group_by_with_strategy(
+            table,
+            group_cols,
+            aggs,
+            None,
+            self.strategy,
+            self.kernel_threads,
+            estimated_groups,
+            self.cancel.as_ref(),
+            &mut self.metrics,
+        )
     }
 
     /// Run a batch of **independent** Group By queries concurrently on up
@@ -425,6 +445,15 @@ mod tests {
         c
     }
 
+    /// `(key, count)` rows of a one-column Group By result, sorted.
+    fn norm(t: &Table) -> Vec<(Value, i64)> {
+        let mut v: Vec<(Value, i64)> = (0..t.num_rows())
+            .map(|i| (t.value(i, 0), t.value(i, 1).as_int().unwrap()))
+            .collect();
+        v.sort();
+        v
+    }
+
     #[test]
     fn run_returns_results() {
         let mut e = Engine::new(catalog());
@@ -458,13 +487,6 @@ mod tests {
         let direct = e
             .run_group_by(&GroupByQuery::count_star("r", &["b"]))
             .unwrap();
-        let norm = |t: &Table| {
-            let mut v: Vec<(Value, i64)> = (0..t.num_rows())
-                .map(|i| (t.value(i, 0), t.value(i, 1).as_int().unwrap()))
-                .collect();
-            v.sort();
-            v
-        };
         assert_eq!(norm(&r), norm(&direct));
 
         e.drop_temp("t_ab").unwrap();
@@ -543,6 +565,32 @@ mod tests {
         assert!(e
             .run_group_by_range(&GroupByQuery::count_star("r", &["a"]), 4, 5)
             .is_err());
+    }
+
+    #[test]
+    fn aggregate_table_is_the_query_kernel_without_the_catalog() {
+        let mut e = Engine::new(catalog());
+        let by_name = e
+            .run_group_by(&GroupByQuery::count_star("r", &["b"]))
+            .unwrap();
+        let before = e.metrics();
+        let table = e.catalog().table_arc("r").unwrap();
+        let direct = e
+            .aggregate_table(&table, &[1], &[AggSpec::count()], Some(3))
+            .unwrap();
+        assert_eq!(norm(&direct), norm(&by_name));
+        // Rows are counted, a query is not.
+        assert_eq!(e.metrics().rows_scanned, before.rows_scanned + 5);
+        assert_eq!(e.metrics().queries_executed, before.queries_executed);
+
+        // It runs under the engine's token like any query.
+        let token = CancelToken::new();
+        token.cancel();
+        e.set_cancel_token(Some(token));
+        let err = e
+            .aggregate_table(&table, &[1], &[AggSpec::count()], None)
+            .unwrap_err();
+        assert_eq!(err, crate::ExecError::Cancelled { timed_out: false });
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   §5.1.1's GROUPING SETS over selections and joins with `Grp-Tag`,
 //! * [`engine::Engine`] — runs named Group By queries against a
 //!   [`gbmqo_storage::Catalog`], materializing `SELECT … INTO` temp tables
-//!   and collecting [`metrics::ExecMetrics`].
+//!   and collecting [`metrics::ExecMetrics`];
+//!   [`Engine::aggregate_table`] is the same kernel dispatch for an
+//!   in-memory table (shard merges, delta refreshes, lattice levels).
 
 #![warn(missing_docs)]
 

@@ -5,9 +5,8 @@
 //! the whole hierarchy costs little more than the finest Group By.
 
 use crate::agg::AggSpec;
+use crate::engine::Engine;
 use crate::error::Result;
-use crate::group_by::hash_group_by;
-use crate::metrics::ExecMetrics;
 use gbmqo_storage::Table;
 
 /// Compute `ROLLUP(cols)` over `input`.
@@ -15,19 +14,21 @@ use gbmqo_storage::Table;
 /// Returns one table per level, finest first: index 0 groups by all of
 /// `cols`, index `k` by `cols[..cols.len()-k]`, and the last entry is the
 /// grand total (empty grouping). Aggregates in levels below the finest are
-/// the re-aggregations of `aggs`.
+/// the re-aggregations of `aggs`. Every level, the finest one over the
+/// whole input included, goes through [`Engine::aggregate_table`]: the
+/// engine's kernel choice, cancel token and metrics.
 ///
 /// Follows this engine's GROUP BY convention that an empty input produces
 /// empty results at every level — including the grand total, where SQL's
 /// `ROLLUP` would emit a single `COUNT(*) = 0` row.
 pub fn rollup(
+    engine: &mut Engine,
     input: &Table,
     cols: &[usize],
     aggs: &[AggSpec],
-    metrics: &mut ExecMetrics,
 ) -> Result<Vec<Table>> {
     let mut levels = Vec::with_capacity(cols.len() + 1);
-    let finest = hash_group_by(input, cols, aggs, metrics)?;
+    let finest = engine.aggregate_table(input, cols, aggs, None)?;
     levels.push(finest);
 
     let reaggs: Vec<AggSpec> = aggs.iter().map(AggSpec::reaggregate).collect();
@@ -36,7 +37,7 @@ pub fn rollup(
         // The previous level's schema lays out group columns first, in the
         // order of `cols`; the next level keeps the first `level` of them.
         let keep: Vec<usize> = (0..level).collect();
-        let next = hash_group_by(prev, &keep, &reaggs, metrics)?;
+        let next = engine.aggregate_table(prev, &keep, &reaggs, None)?;
         levels.push(next);
     }
     Ok(levels)
@@ -45,7 +46,13 @@ pub fn rollup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbmqo_storage::{DataType, Field, Schema, TableBuilder, Value};
+    use crate::group_by::hash_group_by;
+    use crate::metrics::ExecMetrics;
+    use gbmqo_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
+
+    fn engine() -> Engine {
+        Engine::new(Catalog::new())
+    }
 
     fn input() -> Table {
         let schema = Schema::new(vec![
@@ -63,8 +70,7 @@ mod tests {
     #[test]
     fn rollup_levels_have_expected_shapes() {
         let t = input();
-        let mut m = ExecMetrics::new();
-        let levels = rollup(&t, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
+        let levels = rollup(&mut engine(), &t, &[0, 1], &[AggSpec::count()]).unwrap();
         assert_eq!(levels.len(), 3);
         assert_eq!(levels[0].num_rows(), 3); // (1,1),(1,2),(2,1)
         assert_eq!(levels[1].num_rows(), 2); // a=1, a=2
@@ -76,7 +82,7 @@ mod tests {
     fn rollup_counts_match_direct_group_bys() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let levels = rollup(&t, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
+        let levels = rollup(&mut engine(), &t, &[0, 1], &[AggSpec::count()]).unwrap();
         let direct_a = hash_group_by(&t, &[0], &[AggSpec::count()], &mut m).unwrap();
         let norm = |t: &Table| {
             let mut v: Vec<(Value, i64)> = (0..t.num_rows())
@@ -96,8 +102,7 @@ mod tests {
     #[test]
     fn rollup_single_column() {
         let t = input();
-        let mut m = ExecMetrics::new();
-        let levels = rollup(&t, &[1], &[AggSpec::count()], &mut m).unwrap();
+        let levels = rollup(&mut engine(), &t, &[1], &[AggSpec::count()]).unwrap();
         assert_eq!(levels.len(), 2);
         assert_eq!(levels[0].num_rows(), 2);
         assert_eq!(levels[1].num_rows(), 1);

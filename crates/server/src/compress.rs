@@ -150,11 +150,16 @@ pub fn decompress(src: &[u8], expected_len: usize) -> ServerResult<Vec<u8>> {
         if out.len() + match_len > expected_len {
             return Err(malformed("output larger than declared"));
         }
-        // Byte-wise copy: matches may overlap their own output (RLE).
+        // A match that reaches into its own output (`offset <
+        // match_len`, the RLE case) repeats the `offset`-byte pattern.
+        // `out[start..]` is whole periods of that pattern before every
+        // pass, so copying all of it doubles the run; a match that does
+        // not overlap is the single-pass case.
         let start = out.len() - offset;
-        for i in 0..match_len {
-            let b = out[start + i];
-            out.push(b);
+        let end = out.len() + match_len;
+        while out.len() < end {
+            let run = (out.len() - start).min(end - out.len());
+            out.extend_from_within(start..start + run);
         }
     }
     if out.len() != expected_len {
@@ -221,6 +226,45 @@ mod tests {
             packed.len()
         );
         assert_eq!(decompress(&packed, data.len()).unwrap(), data);
+    }
+
+    #[test]
+    fn matches_shorter_and_longer_than_their_offset_copy_correctly() {
+        for offset in 1..=8usize {
+            let pattern: Vec<u8> = (0..offset as u8).map(|i| b'a' + i).collect();
+            let lens = [
+                MIN_MATCH,
+                offset.saturating_sub(1),
+                offset,
+                offset + 1,
+                2 * offset + 3,
+                1_000,
+            ];
+            for match_len in lens.into_iter().filter(|&l| l >= MIN_MATCH) {
+                // The pattern as literals, then a match `offset` back:
+                // the output repeats the pattern for `match_len` bytes.
+                let mut block = Vec::new();
+                put_sequence(&mut block, &pattern, match_len, offset);
+                put_sequence(&mut block, b"tail", 0, 0);
+                let mut expected: Vec<u8> = pattern
+                    .iter()
+                    .copied()
+                    .cycle()
+                    .take(offset + match_len)
+                    .collect();
+                expected.extend_from_slice(b"tail");
+                assert_eq!(
+                    decompress(&block, expected.len()).unwrap(),
+                    expected,
+                    "offset {offset}, match length {match_len}"
+                );
+                // The declared size stays an exact obligation.
+                assert!(decompress(&block, expected.len() - 1).is_err());
+                assert!(decompress(&block, expected.len() + 1).is_err());
+                // And the compressor's own choice of sequences round-trips.
+                roundtrip(&expected);
+            }
+        }
     }
 
     #[test]

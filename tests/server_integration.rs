@@ -233,6 +233,63 @@ fn expired_deadline_times_out_and_drops_temps() {
     handle.shutdown();
 }
 
+/// A deadline reaches every operator of a sharded request — the
+/// per-shard queries, the one logical query a near-unique grouping is
+/// priced into, and the cross-shard merge all run under the request's
+/// token. A request it interrupts reports `Timeout`, leaves no temp
+/// table and no poisoned session lock behind, and the connection it
+/// came in on answers the next query.
+#[test]
+fn deadline_interrupts_a_sharded_near_unique_grouping() {
+    // 631 x 641 > 400,000 with coprime moduli: (c1, c2) is unique per
+    // row. c0 is the shard key, so the pair does not cover it.
+    let table = modular_table(400_000, &[3, 631, 641]);
+    let mut catalog = gbmqo_storage::Catalog::new();
+    catalog
+        .register_sharded("r", table, 4, Some(vec!["c0".to_string()]))
+        .unwrap();
+    let session = Session::builder()
+        .engine(gbmqo_exec::Engine::new(catalog))
+        .shards(4)
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        session,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 16,
+            batch_window: None,
+            default_deadline: None,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+
+    for cols in [&["c1", "c2"][..], &["c1"][..]] {
+        // 2 ms: expires while the 400,000 rows are being grouped.
+        match client.query_with("r", cols, 2, CacheControl::Bypass) {
+            Err(ServerError::Remote {
+                code: ErrorCode::Timeout,
+                ..
+            }) => {}
+            other => panic!("{cols:?}: expected Timeout, got {other:?}"),
+        }
+    }
+
+    // Reading the stats takes the session lock: it is not poisoned, and
+    // the interrupted executions dropped what they had materialized.
+    let json = client.stats().unwrap();
+    assert_eq!(stats_field(&json, "temp_tables"), Some(0), "stats: {json}");
+    assert_eq!(stats_field(&json, "timeouts"), Some(2), "stats: {json}");
+    let result = client.query("r", &["c0"], 0).unwrap();
+    assert_eq!(result.num_rows(), 3);
+    drop(client);
+    handle.shutdown();
+}
+
 #[test]
 fn micro_batching_merges_concurrent_queries_into_one_plan() {
     let cards = [6usize, 10, 15];

@@ -8,18 +8,32 @@ use gbmqo_integration::{assert_same_results, col_names, modular_table, session_w
 use gbmqo_storage::{route_rows, shard_table_name, Catalog, Column, Schema, Table};
 use proptest::prelude::*;
 
-/// Strategy: 2–6 columns with cardinalities from tiny to row count.
+/// Strategy: 2–6 columns with cardinalities from tiny to row count,
+/// then two columns of 19 and 23 values. Each of the two is small on its
+/// own, but the moduli are coprime (to each other and to every column
+/// stride [`modular_table`] uses here), so over 400 rows their *pair* is
+/// unique. A workload that asks for the pair therefore has edges on both
+/// sides of the fan-out rule: per-shard partials of the pair are as
+/// large as the shards (one logical query), partials of the small
+/// columns are not (one query per shard).
 fn cards_strategy() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(
         prop::sample::select(vec![2usize, 3, 7, 20, 100, 400]),
         2..=6,
     )
+    .prop_map(|mut cards| {
+        cards.extend([19, 23]);
+        cards
+    })
 }
 
+/// Every column on its own, plus the unique pair of the last two.
 fn workload_of(table: &Table, n: usize) -> Workload {
     let names = col_names(n);
     let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-    Workload::single_columns("t", table, &refs).unwrap()
+    let mut requests: Vec<Vec<&str>> = refs.iter().map(|c| vec![*c]).collect();
+    requests.push(refs[n - 2..].to_vec());
+    Workload::new("t", table, &refs, &requests).unwrap()
 }
 
 proptest! {
@@ -180,6 +194,59 @@ fn single_shard_append_keeps_sibling_shards_warm() {
     );
 
     // And the mixed warm/cold merge is still correct.
+    let after = s.engine().catalog().table("t").unwrap().clone();
+    let mut fresh = session_with(after, "t");
+    let expected = fresh.run_workload(&w, CacheControl::Default).unwrap();
+    assert_same_results(&w, &expected.report, &warm.report, "post-append");
+}
+
+/// The same single-shard append, for a grouping the fan-out rule runs
+/// as one logical query: a pair with more than a quarter as many groups
+/// as the table has rows, so that its four per-shard partials together
+/// would be no smaller than the table. Nothing per-shard is ever
+/// computed or cached for it, so what keeps it warm is the logical
+/// entry — under the default lazy policy the first request after the
+/// append refreshes that entry from the logical table's own delta chain
+/// (the 8 appended rows) and scans no shard.
+#[test]
+fn unfanned_grouping_refreshes_from_the_logical_delta_chain() {
+    // c1 and c2 have coprime moduli, so (c1, c2) has 31 x 37 = 1147
+    // groups; c0 is the shard key and outside the grouping.
+    let t = modular_table(4000, &[3, 31, 37]);
+    let w = Workload::new("t", &t, &["c0", "c1", "c2"], &[vec!["c1", "c2"]]).unwrap();
+    let mut catalog = Catalog::new();
+    catalog
+        .register_sharded("t", t, 4, Some(vec!["c0".to_string()]))
+        .unwrap();
+    let mut s = Session::builder()
+        .engine(Engine::new(catalog))
+        .shards(4)
+        .mode(ExecutionMode::ClientSide)
+        .mat_cache_budget_bytes(1 << 20)
+        .build()
+        .unwrap();
+
+    let cold = s.run_workload(&w, CacheControl::Default).unwrap();
+    let m = cold.report.metrics;
+    assert_eq!(m.shards, 4);
+    assert_eq!(
+        (m.queries_executed, m.shard_rows, m.merge_rows),
+        (1, 0, 0),
+        "1147 groups x 4 shards >= 4000 rows: one query over the logical table"
+    );
+    assert_eq!(cold.report.results[0].1.num_rows(), 1147);
+
+    let schema = s.engine().catalog().table("t").unwrap().schema().clone();
+    let (delta, _) = delta_for_one_shard(&schema, 0, 4, 8);
+    s.append("t", delta).unwrap();
+
+    let warm = s.run_workload(&w, CacheControl::Default).unwrap();
+    let m = warm.report.metrics;
+    assert_eq!(m.matcache_hits, 1, "the refreshed logical entry serves");
+    assert_eq!((m.delta_refreshes, m.delta_fallbacks), (1, 0));
+    assert_eq!(m.delta_rows, 8, "only the appended rows are aggregated");
+    assert_eq!(m.shard_rows, 0, "no shard is rescanned");
+
     let after = s.engine().catalog().table("t").unwrap().clone();
     let mut fresh = session_with(after, "t");
     let expected = fresh.run_workload(&w, CacheControl::Default).unwrap();
