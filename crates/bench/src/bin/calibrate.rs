@@ -6,7 +6,7 @@
 //! ```
 
 use gbmqo_datagen::lineitem;
-use gbmqo_exec::{hash_group_by, AggSpec, ExecMetrics};
+use gbmqo_exec::{radix_group_by, AggSpec, ExecMetrics};
 use std::time::Instant;
 
 fn main() {
@@ -15,7 +15,10 @@ fn main() {
     let idx = |n: &str| t.schema().index_of(n).unwrap();
     let mut m = ExecMetrics::new();
     // warmup
-    let _ = hash_group_by(&t, &[idx("l_returnflag")], &[AggSpec::count()], &mut m).unwrap();
+    let serial = |cols: &[usize], m: &mut ExecMetrics| {
+        radix_group_by(&t, cols, &[AggSpec::count()], 1, None, None, m).unwrap()
+    };
+    let _ = serial(&[idx("l_returnflag")], &mut m);
     println!("hash Group By over {rows} rows:");
     for (label, cols) in [
         ("1 col low-card", vec![idx("l_returnflag")]),
@@ -37,7 +40,7 @@ fn main() {
         ),
     ] {
         let start = Instant::now();
-        let r = hash_group_by(&t, &cols, &[AggSpec::count()], &mut m).unwrap();
+        let r = serial(&cols, &mut m);
         let ns = start.elapsed().as_nanos() as f64 / rows as f64;
         println!("  {label:<16} {:>8} groups  {ns:>6.1} ns/row", r.num_rows());
     }

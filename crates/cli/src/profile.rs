@@ -465,7 +465,7 @@ mod tests {
         let t = table_from_csv(csv).unwrap();
         let mut m = gbmqo_exec::ExecMetrics::new();
         let r =
-            gbmqo_exec::hash_group_by(&t, &[0], &[gbmqo_exec::AggSpec::count()], &mut m).unwrap();
+            gbmqo_exec::sort_group_by(&t, &[0], &[gbmqo_exec::AggSpec::count()], &mut m).unwrap();
         let s = summarize(&["a"], &r, 3, 2);
         assert!(s.contains("2 distinct"));
         let x_pos = s.find('x').unwrap();

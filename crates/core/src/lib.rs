@@ -111,7 +111,7 @@ pub use executor::{plan_group_estimates, ExecutionReport, GroupEstimates};
 pub use exhaustive::optimal_plan;
 pub use explain::{explain, render_explain, ExplainedEdge};
 pub use extensions::cube_rollup_pass;
-pub use gbmqo_exec::{CancelToken, GroupByStrategy};
+pub use gbmqo_exec::CancelToken;
 pub use gbmqo_matcache::{CacheControl, MatCacheStats};
 pub use greedy::{GbMqo, SearchConfig, SearchStats};
 pub use grouping_sets::{grouping_sets_plan, BaselineKind};
@@ -141,6 +141,6 @@ pub mod prelude {
         RESHARD_SKEW_THRESHOLD,
     };
     pub use crate::workload::Workload;
-    pub use gbmqo_exec::{CancelToken, GroupByStrategy};
+    pub use gbmqo_exec::CancelToken;
     pub use gbmqo_matcache::{CacheControl, MatCacheStats};
 }

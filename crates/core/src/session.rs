@@ -49,9 +49,7 @@ use crate::plan::{LogicalPlan, SubNode};
 use crate::schedule::{level_plan, serial_waves};
 use crate::workload::Workload;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
-use gbmqo_exec::{
-    AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery, GroupByStrategy,
-};
+use gbmqo_exec::{AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery};
 use gbmqo_feedback::{q_error, AdaptiveCardinalitySource, FeedbackStore, NodeObservation};
 use gbmqo_matcache::{
     agg_signature, CacheControl, CachedAggregate, MatCache, MatCacheStats, StaleAggregate,
@@ -249,7 +247,6 @@ pub struct SessionBuilder {
     memory_budget: Option<usize>,
     plan_cache: usize,
     io_ns_per_byte: f64,
-    strategy: GroupByStrategy,
     mat_cache_budget_bytes: usize,
     shards: u32,
     refresh_policy: RefreshPolicy,
@@ -328,14 +325,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Group-by kernel selection (default [`GroupByStrategy::Auto`]:
-    /// the radix-partitioned kernel for large un-indexed inputs, the
-    /// scalar hash kernel otherwise).
-    pub fn group_by_strategy(mut self, strategy: GroupByStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Byte budget of the cross-request materialized aggregate cache
     /// (default `0` = disabled). With a budget, the session retains
     /// aggregates computed while answering workloads and plans later
@@ -411,7 +400,6 @@ impl SessionBuilder {
         if self.io_ns_per_byte > 0.0 {
             engine.set_io_ns_per_byte(self.io_ns_per_byte);
         }
-        engine.set_group_by_strategy(self.strategy);
         // One thread budget for both wave parallelism and in-kernel
         // partition parallelism: explicit `parallelism` wins; Parallel
         // mode defaults to the machine; serial modes stay single-threaded

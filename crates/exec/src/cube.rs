@@ -22,7 +22,7 @@ pub const MAX_CUBE_COLS: usize = 16;
 /// mask. The full-set table is computed from `input`; every other subset is
 /// re-aggregated from a minimum-cardinality parent. Every Group By of
 /// the descent goes through [`Engine::aggregate_table`]: the engine's
-/// kernel choice, cancel token and metrics.
+/// kernel threads, cancel token and metrics.
 pub fn cube(
     engine: &mut Engine,
     input: &Table,
@@ -87,8 +87,8 @@ pub fn cube(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_by::hash_group_by;
     use crate::metrics::ExecMetrics;
+    use crate::sort_agg::sort_group_by;
     use gbmqo_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 
     fn engine() -> Engine {
@@ -145,7 +145,7 @@ mod tests {
         let c = cube(&mut engine(), &t, &[0, 1, 2], &[AggSpec::count()]).unwrap();
         for (mask, table) in &c {
             let cols: Vec<usize> = (0..3).filter(|b| mask >> b & 1 == 1).collect();
-            let direct = hash_group_by(&t, &cols, &[AggSpec::count()], &mut m).unwrap();
+            let direct = sort_group_by(&t, &cols, &[AggSpec::count()], &mut m).unwrap();
             assert_eq!(norm(table), norm(&direct), "mask {mask:b}");
         }
     }

@@ -9,21 +9,20 @@
 //! `&Catalog` borrows, and accumulates private [`ExecMetrics`] that the
 //! coordinator merges after the join, so no locks are taken anywhere.
 //!
-//! When a wave has fewer queries than available threads, the spare
-//! threads flow into intra-query parallelism (the radix kernel's
-//! partitioned pass 2, or [`crate::parallel_hash_group_by`] under the
-//! Scalar strategy) so a single large edge still uses the whole machine.
+//! When a wave has fewer queries than available threads, every query is
+//! handed an equal share of them for intra-query parallelism (the hash
+//! kernel's partitioned passes), so a single large edge still uses the
+//! whole machine; whether an input is large enough to use its share is
+//! the kernel's decision, not the driver's.
 
 use crate::agg::AggSpec;
 use crate::cancel::CancelToken;
 use crate::engine::GroupByQuery;
 use crate::error::Result;
+use crate::group_by::stream_group_by;
 use crate::metrics::ExecMetrics;
-use crate::radix::{group_by_with_strategy, GroupByStrategy};
+use crate::radix::radix_group_by;
 use gbmqo_storage::{Catalog, Table};
-
-/// Inputs below this many rows are not worth intra-query partitioning.
-const INNER_PARALLEL_MIN_ROWS: usize = 16 * 1024;
 
 /// A query with its catalog lookups done up front, so workers touch the
 /// catalog only through these shared borrows.
@@ -38,9 +37,7 @@ struct Resolved<'a> {
     io_ns_per_byte: f64,
     /// Threads this query may use internally.
     inner_threads: usize,
-    /// Kernel selection for un-indexed groupings.
-    strategy: GroupByStrategy,
-    /// Optimizer distinct-group estimate, threaded to the radix kernel.
+    /// Optimizer distinct-group estimate, threaded to the hash kernel.
     estimated_groups: Option<u64>,
 }
 
@@ -56,21 +53,23 @@ impl Resolved<'_> {
             crate::rowstore::simulated_io_wait(self.io_bytes, self.io_ns_per_byte);
             metrics.bytes_scanned += self.io_bytes;
         }
-        // Intra-query partition parallelism uses `inner_threads` — the
-        // share of the wave's thread budget this edge was handed — so
-        // plan-level wave parallelism and in-kernel parallelism draw
-        // from one pool instead of oversubscribing the machine.
-        group_by_with_strategy(
-            self.table,
-            &self.cols,
-            self.aggs,
-            self.order,
-            self.strategy,
-            self.inner_threads,
-            self.estimated_groups,
-            cancel,
-            metrics,
-        )
+        match self.order {
+            // An index order serves the grouping: stream, no hash table.
+            Some(order) => stream_group_by(self.table, &self.cols, self.aggs, order, metrics),
+            // Intra-query partition parallelism uses `inner_threads` — the
+            // share of the wave's thread budget this edge was handed — so
+            // plan-level wave parallelism and in-kernel parallelism draw
+            // from one pool instead of oversubscribing the machine.
+            None => radix_group_by(
+                self.table,
+                &self.cols,
+                self.aggs,
+                self.inner_threads,
+                self.estimated_groups,
+                cancel,
+                metrics,
+            ),
+        }
     }
 }
 
@@ -90,7 +89,6 @@ pub(crate) fn run_batch(
     io_ns_per_byte: f64,
     queries: &[GroupByQuery],
     threads: usize,
-    strategy: GroupByStrategy,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<Table>, ExecMetrics)> {
     let threads = threads.max(1);
@@ -109,11 +107,9 @@ pub(crate) fn run_batch(
             .iter()
             .map(|n| table.schema().index_of(n))
             .collect::<gbmqo_storage::Result<_>>()?;
-        let order = catalog
-            .index_serving(&q.input, &cols)
-            .map(|idx| idx.perm.as_slice());
+        let index = catalog.index_serving(&q.input, &cols);
         let io_bytes = if io_ns_per_byte > 0.0 {
-            match catalog.index_serving(&q.input, &cols) {
+            match index {
                 Some(idx) => idx
                     .key_cols
                     .iter()
@@ -124,20 +120,14 @@ pub(crate) fn run_batch(
         } else {
             0
         };
-        let inner_threads = if order.is_none() && table.num_rows() >= INNER_PARALLEL_MIN_ROWS {
-            inner
-        } else {
-            1
-        };
         resolved.push(Resolved {
             table,
             cols,
             aggs: &q.aggs,
-            order,
+            order: index.map(|idx| idx.perm.as_slice()),
             io_bytes,
             io_ns_per_byte,
-            inner_threads,
-            strategy,
+            inner_threads: inner,
             estimated_groups: q.estimated_groups,
         });
     }
@@ -211,7 +201,7 @@ pub(crate) fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_by::group_by;
+    use crate::sort_agg::sort_group_by;
     use gbmqo_storage::{Column, DataType, Field, Schema, Value};
 
     fn catalog(rows: i64) -> Catalog {
@@ -249,8 +239,7 @@ mod tests {
             GroupByQuery::count_star("r", &["b"]),
             GroupByQuery::count_star("r", &["a", "b"]),
         ];
-        let (tables, metrics) =
-            run_batch(&cat, 0.0, &queries, 4, GroupByStrategy::Auto, None).unwrap();
+        let (tables, metrics) = run_batch(&cat, 0.0, &queries, 4, None).unwrap();
         assert_eq!(tables.len(), 3);
         assert_eq!(metrics.rows_scanned, 3 * 5_000);
         assert_eq!(metrics.elapsed_nanos, 0);
@@ -262,7 +251,7 @@ mod tests {
                 .iter()
                 .map(|n| table.schema().index_of(n).unwrap())
                 .collect();
-            let serial = group_by(table, &cols, &q.aggs, None, &mut m).unwrap();
+            let serial = sort_group_by(table, &cols, &q.aggs, &mut m).unwrap();
             assert_eq!(norm(t), norm(&serial), "{:?}", q.group_cols);
         }
     }
@@ -271,7 +260,7 @@ mod tests {
     fn single_query_uses_inner_parallelism() {
         let cat = catalog(40_000);
         let queries = vec![GroupByQuery::count_star("r", &["a", "b"])];
-        let (tables, _) = run_batch(&cat, 0.0, &queries, 8, GroupByStrategy::Auto, None).unwrap();
+        let (tables, _) = run_batch(&cat, 0.0, &queries, 8, None).unwrap();
         assert_eq!(tables[0].num_rows(), 77);
     }
 
@@ -279,13 +268,13 @@ mod tests {
     fn missing_table_errors_cleanly() {
         let cat = catalog(10);
         let queries = vec![GroupByQuery::count_star("ghost", &["a"])];
-        assert!(run_batch(&cat, 0.0, &queries, 4, GroupByStrategy::Auto, None).is_err());
+        assert!(run_batch(&cat, 0.0, &queries, 4, None).is_err());
     }
 
     #[test]
     fn empty_batch_is_fine() {
         let cat = catalog(10);
-        let (tables, _) = run_batch(&cat, 0.0, &[], 4, GroupByStrategy::Auto, None).unwrap();
+        let (tables, _) = run_batch(&cat, 0.0, &[], 4, None).unwrap();
         assert!(tables.is_empty());
     }
 }

@@ -6,7 +6,7 @@ use crate::agg::AggSpec;
 use crate::cancel::CancelToken;
 use crate::error::Result;
 use crate::metrics::ExecMetrics;
-use crate::radix::{group_by_with_strategy, GroupByStrategy};
+use crate::radix::radix_group_by;
 use gbmqo_storage::{Catalog, Table};
 use std::time::Instant;
 
@@ -59,7 +59,6 @@ pub struct Engine {
     catalog: Catalog,
     metrics: ExecMetrics,
     io_ns_per_byte: f64,
-    strategy: GroupByStrategy,
     kernel_threads: usize,
     cancel: Option<CancelToken>,
 }
@@ -71,7 +70,6 @@ impl Engine {
             catalog,
             metrics: ExecMetrics::new(),
             io_ns_per_byte: 0.0,
-            strategy: GroupByStrategy::default(),
             kernel_threads: 1,
             cancel: None,
         }
@@ -95,17 +93,6 @@ impl Engine {
     /// observed even when individual queries are too small to poll.
     pub fn check_cancelled(&self) -> Result<()> {
         crate::cancel::check(self.cancel.as_ref())
-    }
-
-    /// Choose the group-by kernel for un-indexed groupings (default
-    /// [`GroupByStrategy::Auto`]).
-    pub fn set_group_by_strategy(&mut self, strategy: GroupByStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The configured group-by kernel strategy.
-    pub fn group_by_strategy(&self) -> GroupByStrategy {
-        self.strategy
     }
 
     /// Threads a *single* query run through [`Engine::run_group_by`] may
@@ -157,77 +144,24 @@ impl Engine {
         self.catalog.reset_peak();
     }
 
-    /// Run one Group By query. The result is returned either way; when
-    /// `q.into` is set it is also materialized as a temp table.
+    /// Run one Group By query — a one-query batch
+    /// ([`Engine::run_group_bys_parallel`]) on the engine's kernel
+    /// threads. The result is returned either way; when `q.into` is set
+    /// it is also materialized as a temp table.
     ///
     /// If the input table has an index whose order serves the grouping,
     /// the engine streams over it instead of hashing — the executor-level
     /// counterpart of the paper's observation that its plans "automatically
     /// benefit from the addition of indices" (§6.9).
     pub fn run_group_by(&mut self, q: &GroupByQuery) -> Result<Table> {
-        let start = Instant::now();
-        let entry = self.catalog.get(&q.input)?;
-        let table = &entry.table;
-        let cols: Vec<usize> = q
-            .group_cols
-            .iter()
-            .map(|n| table.schema().index_of(n))
-            .collect::<gbmqo_storage::Result<_>>()?;
-
-        let order = self
-            .catalog
-            .index_serving(&q.input, &cols)
-            .map(|idx| idx.perm.clone());
-
-        let result = {
-            let table = self.catalog.table(&q.input)?;
-            // Row-store emulation: an index-order scan pays I/O only for
-            // its key columns; everything else reads (and waits out) the
-            // full width of the input.
-            if self.io_ns_per_byte > 0.0 {
-                let bytes = match self.catalog.index_serving(&q.input, &cols) {
-                    Some(idx) => idx
-                        .key_cols
-                        .iter()
-                        .map(|&c| table.column(c).byte_size() as u64)
-                        .sum(),
-                    None => {
-                        std::hint::black_box(crate::rowstore::full_scan_tax(table));
-                        table.byte_size() as u64
-                    }
-                };
-                crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
-                self.metrics.bytes_scanned += bytes;
-            }
-            group_by_with_strategy(
-                table,
-                &cols,
-                &q.aggs,
-                order.as_deref(),
-                self.strategy,
-                self.kernel_threads,
-                q.estimated_groups,
-                self.cancel.as_ref(),
-                &mut self.metrics,
-            )?
-        };
-        self.metrics.queries_executed += 1;
-
-        if let Some(name) = &q.into {
-            if self.io_ns_per_byte > 0.0 {
-                // Write I/O for the temp table.
-                crate::rowstore::simulated_io_wait(result.byte_size() as u64, self.io_ns_per_byte);
-            }
-            self.catalog.create_temp(name.clone(), result.clone())?;
-            self.metrics.tables_materialized += 1;
-        }
-        self.metrics.add_elapsed(start.elapsed());
-        Ok(result)
+        let mut tables =
+            self.run_group_bys_parallel(std::slice::from_ref(q), self.kernel_threads)?;
+        Ok(tables.pop().expect("one query, one result"))
     }
 
     /// Run one Group By over only rows `[start, start + rows)` of the
     /// input — the delta-scan node of the ingest pipeline. It feeds the
-    /// same radix/scalar kernels as [`Engine::run_group_by`], but over a
+    /// same hash kernel as [`Engine::run_group_by`], but over a
     /// cheap O(rows) slice of the table, so refreshing a cached
     /// aggregate after an append costs work proportional to the delta
     /// rather than the base. Indexes are ignored (they describe the
@@ -256,11 +190,7 @@ impl Engine {
         self.metrics.queries_executed += 1;
         self.metrics.delta_rows += rows as u64;
         if let Some(name) = &q.into {
-            if self.io_ns_per_byte > 0.0 {
-                crate::rowstore::simulated_io_wait(result.byte_size() as u64, self.io_ns_per_byte);
-            }
-            self.catalog.create_temp(name.clone(), result.clone())?;
-            self.metrics.tables_materialized += 1;
+            self.materialize_temp(name, result.clone())?;
         }
         self.metrics.add_elapsed(t0.elapsed());
         Ok(result)
@@ -269,10 +199,10 @@ impl Engine {
     /// Group an in-memory `table` that is not a catalog entry — the
     /// concatenated per-shard partials of a cross-shard merge, a cached
     /// aggregate plus its delta, one level of a ROLLUP/CUBE descent —
-    /// through the same kernel dispatch as a catalog query
-    /// ([`group_by_with_strategy`]), with the engine's strategy, kernel
-    /// threads, cancel token and metrics. `estimated_groups` sizes the
-    /// radix fan-out as [`GroupByQuery::estimated_groups`] does. Rows and
+    /// through the same hash kernel as a catalog query
+    /// ([`radix_group_by`]), with the engine's kernel threads,
+    /// cancel token and metrics. `estimated_groups` sizes the radix
+    /// fan-out as [`GroupByQuery::estimated_groups`] does. Rows and
     /// kernel time are counted; a query is not (the caller's operator
     /// decides what one query is), and no simulated I/O is charged — the
     /// input is already in memory.
@@ -283,12 +213,10 @@ impl Engine {
         aggs: &[AggSpec],
         estimated_groups: Option<u64>,
     ) -> Result<Table> {
-        group_by_with_strategy(
+        radix_group_by(
             table,
             group_cols,
             aggs,
-            None,
-            self.strategy,
             self.kernel_threads,
             estimated_groups,
             self.cancel.as_ref(),
@@ -308,9 +236,9 @@ impl Engine {
     /// table another one materializes — that dependency belongs in the
     /// next wave.
     ///
-    /// When the batch is narrower than `threads`, spare threads are used
-    /// *inside* large un-indexed queries via
-    /// [`crate::parallel_hash_group_by`].
+    /// When the batch is narrower than `threads`, the spare threads are
+    /// each query's budget *inside* the kernel, which uses them once its
+    /// input is large enough.
     pub fn run_group_bys_parallel(
         &mut self,
         queries: &[GroupByQuery],
@@ -322,18 +250,13 @@ impl Engine {
             self.io_ns_per_byte,
             queries,
             threads,
-            self.strategy,
             self.cancel.as_ref(),
         )?;
         self.metrics += batch_metrics;
         self.metrics.queries_executed += queries.len() as u64;
         for (q, t) in queries.iter().zip(&tables) {
             if let Some(name) = &q.into {
-                if self.io_ns_per_byte > 0.0 {
-                    crate::rowstore::simulated_io_wait(t.byte_size() as u64, self.io_ns_per_byte);
-                }
-                self.catalog.create_temp(name.clone(), t.clone())?;
-                self.metrics.tables_materialized += 1;
+                self.materialize_temp(name, t.clone())?;
             }
         }
         self.metrics.add_elapsed(start.elapsed());

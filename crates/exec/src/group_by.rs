@@ -1,5 +1,5 @@
-//! Group By operators: hash aggregation and sort-order streaming
-//! aggregation.
+//! Sort-order streaming aggregation, and what it shares with the hash
+//! kernel ([`crate::radix`]): result assembly and the scan counters.
 //!
 //! Both produce the same logical result: one row per distinct combination
 //! of the group columns (NULL is a value; empty input ⇒ empty output),
@@ -8,8 +8,7 @@
 use crate::agg::{Accumulator, AggSpec};
 use crate::error::Result;
 use crate::metrics::ExecMetrics;
-use gbmqo_storage::{Column, Field, KeyEncoder, RowKey, Schema, Table};
-use rustc_hash::FxHashMap;
+use gbmqo_storage::{Column, Field, Schema, Table};
 use std::time::Instant;
 
 /// Assemble a group-by result: group columns gathered from the
@@ -35,41 +34,6 @@ pub(crate) fn output_table(
         columns.push(col);
     }
     Ok(Table::new(Schema::new(fields)?, columns)?)
-}
-
-/// Hash-based Group By over `input` on the columns at `group_cols`.
-pub fn hash_group_by(
-    input: &Table,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    metrics: &mut ExecMetrics,
-) -> Result<Table> {
-    let start = Instant::now();
-    let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
-    let mut enc = KeyEncoder::new();
-    let mut groups: FxHashMap<RowKey, u32> = FxHashMap::default();
-    let mut representatives: Vec<u32> = Vec::new();
-    let mut accumulators: Vec<Accumulator> = aggs
-        .iter()
-        .map(|a| Accumulator::build(a, input))
-        .collect::<Result<_>>()?;
-
-    for row in 0..input.num_rows() {
-        let key = enc.encode(&key_cols, row);
-        let next_gid = representatives.len() as u32;
-        let gid = *groups.entry(key).or_insert_with(|| {
-            representatives.push(row as u32);
-            next_gid
-        }) as usize;
-        for acc in &mut accumulators {
-            acc.ensure_group(gid);
-            acc.update(input, gid, row);
-        }
-    }
-
-    let result = output_table(input, group_cols, aggs, representatives, accumulators)?;
-    record(metrics, input, group_cols, &result, start);
-    Ok(result)
 }
 
 /// Streaming Group By over rows visited in `order`, which must sort (or at
@@ -121,21 +85,6 @@ pub fn stream_group_by(
     Ok(result)
 }
 
-/// Group By dispatcher: streams when a clustering `order` is supplied,
-/// hashes otherwise.
-pub fn group_by(
-    input: &Table,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    order: Option<&[u32]>,
-    metrics: &mut ExecMetrics,
-) -> Result<Table> {
-    match order {
-        Some(order) => stream_group_by(input, group_cols, aggs, order, metrics),
-        None => hash_group_by(input, group_cols, aggs, metrics),
-    }
-}
-
 /// Record the standard scan/output counters for one group-by execution.
 pub(crate) fn record(
     metrics: &mut ExecMetrics,
@@ -153,6 +102,8 @@ pub(crate) fn record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, GroupByQuery};
+    use crate::radix::{group_by_with_strategy, radix_group_by};
     use gbmqo_storage::DataType;
     use gbmqo_storage::{sort_permutation, TableBuilder, Value};
 
@@ -176,6 +127,11 @@ mod tests {
         tb.finish().unwrap()
     }
 
+    /// The hash kernel on the calling thread.
+    fn hashed(t: &Table, cols: &[usize], aggs: &[AggSpec], m: &mut ExecMetrics) -> Table {
+        radix_group_by(t, cols, aggs, 1, None, None, m).unwrap()
+    }
+
     fn counts_by_key(t: &Table) -> Vec<(Value, i64)> {
         let mut v: Vec<(Value, i64)> = (0..t.num_rows())
             .map(|r| (t.value(r, 0), t.value(r, 1).as_int().unwrap()))
@@ -185,10 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn hash_group_by_counts() {
+    fn hash_kernel_counts() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let r = hash_group_by(&t, &[0], &[AggSpec::count()], &mut m).unwrap();
+        let r = hashed(&t, &[0], &[AggSpec::count()], &mut m);
         assert_eq!(r.num_rows(), 3);
         assert_eq!(
             counts_by_key(&r),
@@ -203,17 +159,17 @@ mod tests {
     fn stream_group_by_matches_hash() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let hashed = hash_group_by(&t, &[0], &[AggSpec::count()], &mut m).unwrap();
+        let by_hash = hashed(&t, &[0], &[AggSpec::count()], &mut m);
         let order = sort_permutation(&t, &[0]);
         let streamed = stream_group_by(&t, &[0], &[AggSpec::count()], &order, &mut m).unwrap();
-        assert_eq!(counts_by_key(&hashed), counts_by_key(&streamed));
+        assert_eq!(counts_by_key(&by_hash), counts_by_key(&streamed));
     }
 
     #[test]
     fn multi_column_grouping() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let r = hash_group_by(&t, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
+        let r = hashed(&t, &[0, 1], &[AggSpec::count()], &mut m);
         // distinct (a,b) pairs: (x,1) x2, (y,2), (NULL,3), (x,9), (NULL,4)
         assert_eq!(r.num_rows(), 5);
         let total: i64 = (0..r.num_rows())
@@ -226,7 +182,7 @@ mod tests {
     fn empty_group_cols_single_group() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let r = hash_group_by(&t, &[], &[AggSpec::count()], &mut m).unwrap();
+        let r = hashed(&t, &[], &[AggSpec::count()], &mut m);
         assert_eq!(r.num_rows(), 1);
         assert_eq!(r.value(0, 0), Value::Int(6));
     }
@@ -235,9 +191,9 @@ mod tests {
     fn empty_input_empty_output() {
         let t = Table::empty(input().schema().clone());
         let mut m = ExecMetrics::new();
-        let r = hash_group_by(&t, &[0], &[AggSpec::count()], &mut m).unwrap();
+        let r = hashed(&t, &[0], &[AggSpec::count()], &mut m);
         assert_eq!(r.num_rows(), 0);
-        let r = hash_group_by(&t, &[], &[AggSpec::count()], &mut m).unwrap();
+        let r = hashed(&t, &[], &[AggSpec::count()], &mut m);
         assert_eq!(r.num_rows(), 0);
     }
 
@@ -246,11 +202,11 @@ mod tests {
         let t = input();
         let mut m = ExecMetrics::new();
         // direct: group by b
-        let direct = hash_group_by(&t, &[1], &[AggSpec::count()], &mut m).unwrap();
+        let direct = hashed(&t, &[1], &[AggSpec::count()], &mut m);
         // two-step: group by (a,b) then re-aggregate on b with SUM(cnt)
-        let ab = hash_group_by(&t, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
+        let ab = hashed(&t, &[0, 1], &[AggSpec::count()], &mut m);
         let b_col = ab.schema().index_of("b").unwrap();
-        let two_step = hash_group_by(&ab, &[b_col], &[AggSpec::sum_count()], &mut m).unwrap();
+        let two_step = hashed(&ab, &[b_col], &[AggSpec::sum_count()], &mut m);
         let norm = |t: &Table| {
             let mut v: Vec<(Value, i64)> = (0..t.num_rows())
                 .map(|r| {
@@ -276,19 +232,53 @@ mod tests {
 
     #[test]
     fn dispatcher_picks_stream_with_order() {
-        let t = input();
-        let mut m = ExecMetrics::new();
-        let order = sort_permutation(&t, &[1]);
-        let a = group_by(&t, &[1], &[AggSpec::count()], Some(&order), &mut m).unwrap();
-        let b = group_by(&t, &[1], &[AggSpec::count()], None, &mut m).unwrap();
+        // The engine's dispatch: an index that serves the grouping streams.
+        let engine = || {
+            let mut catalog = gbmqo_storage::Catalog::new();
+            catalog.register("r", input()).unwrap();
+            Engine::new(catalog)
+        };
+        let (mut hashing, mut streaming) = (engine(), engine());
+        streaming
+            .catalog_mut()
+            .create_index("r", "ix_b", gbmqo_storage::IndexKind::NonClustered, vec![1])
+            .unwrap();
+        let q = GroupByQuery::count_star("r", &["b"]);
+        let a = streaming.run_group_by(&q).unwrap();
+        assert_eq!(streaming.metrics().radix_partitions, 0, "an order streams");
+        let b = hashing.run_group_by(&q).unwrap();
+        assert_eq!(hashing.metrics().radix_partitions, 1, "no order hashes");
         assert_eq!(counts_by_key(&a), counts_by_key(&b));
+
+        // The same dispatch under the signature kept for external callers.
+        let t = input();
+        let aggs = [AggSpec::count()];
+        let order = sort_permutation(&t, &[1]);
+        let strategy = Default::default();
+        let mut m = ExecMetrics::new();
+        let c = group_by_with_strategy(
+            &t,
+            &[1],
+            &aggs,
+            Some(&order),
+            strategy,
+            1,
+            None,
+            None,
+            &mut m,
+        );
+        assert_eq!(m.radix_partitions, 0);
+        let d = group_by_with_strategy(&t, &[1], &aggs, None, strategy, 1, None, None, &mut m);
+        assert_eq!(m.radix_partitions, 1);
+        assert_eq!(counts_by_key(&c.unwrap()), counts_by_key(&a));
+        assert_eq!(counts_by_key(&d.unwrap()), counts_by_key(&a));
     }
 
     #[test]
     fn extended_aggregates_through_group_by() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let r = hash_group_by(
+        let r = hashed(
             &t,
             &[0],
             &[
@@ -298,8 +288,7 @@ mod tests {
                 AggSpec::max("b", "max_b"),
             ],
             &mut m,
-        )
-        .unwrap();
+        );
         let row_x = (0..r.num_rows())
             .find(|&i| r.value(i, 0) == Value::str("x"))
             .unwrap();

@@ -5,12 +5,14 @@
 //!
 //! Operators:
 //!
-//! * [`group_by`] / [`hash_group_by`] / [`stream_group_by`] — hash
-//!   aggregation and sort-order (index) streaming aggregation with
-//!   COUNT(\*), SUM(cnt) re-aggregation, SUM/MIN/MAX (§7.2),
-//! * [`radix_group_by`] — the radix-partitioned, morsel-driven parallel
-//!   kernel with packed `u64`/`u128` key codes (default for large
-//!   inputs; see [`GroupByStrategy`]),
+//! * [`radix_group_by`] — hash aggregation, one kernel for every input
+//!   size: radix-partitioned, morsel-driven, packed `u64`/`u128` key
+//!   codes, with COUNT(\*), SUM(cnt) re-aggregation, SUM/MIN/MAX (§7.2).
+//!   The partition and worker counts are its only size-dependent
+//!   decisions; a small input is one partition on the calling thread,
+//! * [`stream_group_by`] — sort-order streaming aggregation, taken when
+//!   an index order serves the grouping; [`sort_group_by`] sorts first
+//!   and is the independent reference the tests compare the kernel with,
 //! * [`rollup`] and [`cube`] — §7.1's alternative plan nodes, computed by
 //!   lattice descent (each level re-aggregated from the previous),
 //! * [`filter`], [`join`], [`union_all`] — the relational plumbing for
@@ -33,7 +35,6 @@ pub mod filter;
 pub mod group_by;
 pub mod join;
 pub mod metrics;
-pub mod parallel;
 pub mod radix;
 pub mod rollup;
 pub mod rowstore;
@@ -47,10 +48,9 @@ pub use cube::cube;
 pub use engine::{Engine, GroupByQuery};
 pub use error::{ExecError, Result};
 pub use filter::{filter, Predicate};
-pub use group_by::{group_by, hash_group_by, stream_group_by};
+pub use group_by::stream_group_by;
 pub use join::hash_join;
 pub use metrics::ExecMetrics;
-pub use parallel::parallel_hash_group_by;
 pub use radix::{group_by_with_strategy, radix_group_by, GroupByStrategy};
 pub use rollup::rollup;
 pub use rowstore::full_scan_tax;

@@ -1,61 +1,63 @@
-//! Radix-partitioned, morsel-driven parallel group-by kernel.
+//! The hash-aggregation kernel: radix-partitioned, morsel-driven, and
+//! parallel once the input is large enough to pay for it.
 //!
 //! The partitioned-aggregation design (Partitioned-Cube \[16\] and the
 //! modern radix-partitioning literature) applied to the hot loop of
 //! every GB-MQO plan edge. Two passes over the input:
 //!
 //! 1. **Partition** — the input is split into contiguous per-worker
-//!    chunks, processed in cache-sized morsels. Each row's group key is
-//!    encoded (packed `u64`/`u128` code when
-//!    [`PackedKeySpec`] applies, byte [`RowKey`] otherwise), hashed, and
-//!    the `(key, row id)` pair is scattered into one of `2^k` disjoint
-//!    partitions by the hash's top bits.
+//!    chunks, processed in cache-sized morsels. Each morsel's group keys
+//!    are encoded by the grouping's `KeyRepr` (packed `u64`/`u128`
+//!    codes when [`PackedKeySpec`] applies, byte [`RowKey`]s otherwise)
+//!    and every `(key, row id)` pair is scattered into one of `2^k`
+//!    disjoint partitions by the top bits of the key's hash.
 //! 2. **Aggregate** — each partition is aggregated independently (worker
-//!    threads own disjoint partition sets): a private hash table maps
-//!    key → dense gid, producing the partition's gid vector, and every
-//!    accumulator then folds the whole partition in one tight columnar
-//!    loop ([`Accumulator::update_batch`]) — no per-row dispatch.
+//!    threads own disjoint partition sets): a private `GroupTable`
+//!    maps key → dense gid, producing the partition's gid vector, and
+//!    every accumulator then folds the whole partition in one tight
+//!    columnar loop ([`Accumulator::update_batch`]) — no per-row dispatch.
 //!
 //! Because rows are routed by key hash, partitions hold disjoint group
 //! sets; the final result is pure concatenation in partition order
 //! ([`Accumulator::merge_disjoint`]) — there is no merge/re-aggregation
-//! phase. `k` is chosen from the optimizer's cardinality estimate for
-//! the grouping (the same number `gbmqo-cost` prices plan edges with)
-//! so each partition's hash table stays cache-resident.
+//! phase.
+//!
+//! Input size is not a second implementation but a value of `k`:
+//! `Fanout::plan` is the one place that decides how many workers and
+//! partitions an input gets, from its row count, the thread budget and
+//! the optimizer's cardinality estimate for the grouping (the same
+//! number `gbmqo-cost` prices plan edges with). A small input — a
+//! re-aggregation of a materialized intermediate, a delta, a cached
+//! aggregate — is this kernel at one partition on the calling thread: a
+//! packed-key hash table filled once and folded with `update_batch`.
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::cancel::CancelToken;
 use crate::error::Result;
-use crate::group_by::{hash_group_by, output_table, record, stream_group_by};
+use crate::group_by::{output_table, record, stream_group_by};
 use crate::metrics::ExecMetrics;
-use crate::parallel::parallel_hash_group_by;
 use gbmqo_storage::packed::KeyCode;
 use gbmqo_storage::{Column, KeyEncoder, PackedKeySpec, RowKey, Table};
 use rustc_hash::{FxBuildHasher, FxHashMap};
 use std::hash::{BuildHasher, Hash};
 use std::time::Instant;
 
-/// Which group-by kernel the engine uses for un-indexed groupings.
+/// The strategy argument of [`group_by_with_strategy`]. There is one
+/// hash kernel, so there is one value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GroupByStrategy {
-    /// Pick per query: radix for large inputs, scalar otherwise.
+    /// The kernel sizes itself from the input ([`radix_group_by`]).
     #[default]
     Auto,
-    /// Always the scalar row-at-a-time kernel (hash-partitioned across
-    /// threads when more than one is available).
-    Scalar,
-    /// Always the radix-partitioned kernel.
-    Radix,
 }
 
-/// Inputs below this many rows take the scalar kernel under
-/// [`GroupByStrategy::Auto`]: partitioning overhead only pays for
-/// itself once the input outgrows the cache.
-pub const RADIX_MIN_ROWS: usize = 8 * 1024;
-
-/// Rows per morsel (key-code buffer reuse + cache locality); shared
-/// with the shared-scan operator's batched loop.
+/// Rows per morsel (key buffer reuse + cache locality); shared with the
+/// shared-scan operator's batched loop.
 pub(crate) const MORSEL_ROWS: usize = 16 * 1024;
+
+/// Inputs below this many rows run on the calling thread: spawning
+/// workers costs more than partitioning them saves.
+const PARALLEL_MIN_ROWS: usize = 16 * 1024;
 
 /// Groups one partition's hash table should stay around for it to
 /// remain cache-resident; drives partition-count selection.
@@ -64,30 +66,70 @@ const GROUPS_PER_PARTITION: u64 = 4 * 1024;
 /// Hard cap on partition count (scatter state is per-worker × per-partition).
 const MAX_PARTITIONS: usize = 512;
 
+/// Distinct groups to plan for: the optimizer's estimate for this
+/// grouping when the plan executor threaded one through from
+/// `gbmqo-cost`, otherwise a rows-based guess.
+fn planned_groups(rows: usize, estimated_groups: Option<u64>) -> u64 {
+    estimated_groups
+        .filter(|&g| g > 0)
+        .unwrap_or(rows as u64 / 16)
+        .max(1)
+}
+
 /// Pick the radix partition count `2^k` for an input of `rows` rows.
 ///
-/// `estimated_groups` is the optimizer's cardinality estimate for this
-/// grouping when one is available (plan executors thread it through
-/// from `gbmqo-cost`); otherwise a rows-based guess stands in. The
-/// count is at least `threads` (so pass 2 can use every worker), scales
-/// with estimated groups so per-partition tables stay ~cache-sized, and
-/// is capped both by `rows` (tiny inputs don't want 512 vecs) and
+/// The count is at least `threads` (so pass 2 can use every worker),
+/// scales with [`planned_groups`] so per-partition tables stay
+/// ~cache-sized, and is capped both by `rows` (tiny inputs don't want
+/// 512 vecs — under 8,192 rows there is one partition) and
 /// [`MAX_PARTITIONS`].
-pub(crate) fn partition_count(threads: usize, rows: usize, estimated_groups: Option<u64>) -> usize {
+fn partition_count(threads: usize, rows: usize, estimated_groups: Option<u64>) -> usize {
     if rows == 0 {
         return 1;
     }
-    let est = estimated_groups
-        .filter(|&g| g > 0)
-        .unwrap_or(rows as u64 / 16)
-        .max(1);
-    let by_groups = (est / GROUPS_PER_PARTITION).max(1) as usize;
+    let by_groups = (planned_groups(rows, estimated_groups) / GROUPS_PER_PARTITION).max(1) as usize;
     let by_rows = (rows / 4096).max(1);
     by_groups
         .max(threads)
         .min(by_rows)
         .min(MAX_PARTITIONS)
         .next_power_of_two()
+}
+
+/// How one input is spread over workers and partitions — every
+/// size-dependent decision the kernel makes.
+struct Fanout {
+    /// Workers scattering in pass 1.
+    scatter_workers: usize,
+    /// Workers aggregating partitions in pass 2 (never more than
+    /// `partitions`).
+    aggregate_workers: usize,
+    /// Radix partitions, a power of two.
+    partitions: usize,
+    /// Groups each partition's [`GroupTable`] makes room for up front
+    /// (capped, where the table is built, by the partition's rows).
+    groups_per_partition: usize,
+}
+
+impl Fanout {
+    /// Size the kernel for `rows` rows given a budget of `threads`
+    /// (callers pass their whole share; whether it is worth using is
+    /// decided here) and the optimizer's estimate, if any.
+    fn plan(threads: usize, rows: usize, estimated_groups: Option<u64>) -> Self {
+        let threads = if rows >= PARALLEL_MIN_ROWS {
+            threads.max(1)
+        } else {
+            1
+        };
+        let partitions = partition_count(threads, rows, estimated_groups);
+        let groups = planned_groups(rows, estimated_groups).div_ceil(partitions as u64);
+        Fanout {
+            scatter_workers: if rows >= 2 * MORSEL_ROWS { threads } else { 1 },
+            aggregate_workers: threads.min(partitions),
+            partitions,
+            groups_per_partition: groups as usize,
+        }
+    }
 }
 
 /// Run `workers` copies of `f` (worker id as argument) on scoped
@@ -110,222 +152,296 @@ where
     })
 }
 
+/// A key representation: how a run of rows becomes hashable keys of
+/// type `K`. The kernel and the shared scan are generic over it, so a
+/// key format is written once, here: bit-packed `u64`/`u128` codes
+/// ([`PackedKeySpec`]) and the byte-[`RowKey`] fallback ([`ByteKeys`]).
+pub(crate) trait KeyRepr<K>: Sync {
+    /// Replace `out` with the keys of rows `start .. start + len`.
+    fn encode(&self, key_cols: &[&Column], start: usize, len: usize, out: &mut Vec<K>);
+
+    /// A 64-bit hash whose *top* bits pick the key's radix partition.
+    fn partition_hash(key: &K) -> u64;
+}
+
+impl<K: KeyCode> KeyRepr<K> for PackedKeySpec {
+    fn encode(&self, key_cols: &[&Column], start: usize, len: usize, out: &mut Vec<K>) {
+        out.clear();
+        out.resize(len, K::default());
+        self.encode_into(key_cols, start, out);
+    }
+
+    fn partition_hash(key: &K) -> u64 {
+        key.partition_hash()
+    }
+}
+
+/// Byte row keys, for what does not pack: `Float64` columns and layouts
+/// wider than 128 bits.
+pub(crate) struct ByteKeys;
+
+impl KeyRepr<RowKey> for ByteKeys {
+    fn encode(&self, key_cols: &[&Column], start: usize, len: usize, out: &mut Vec<RowKey>) {
+        let mut enc = KeyEncoder::new();
+        out.clear();
+        out.extend((start..start + len).map(|row| enc.encode(key_cols, row)));
+    }
+
+    fn partition_hash(key: &RowKey) -> u64 {
+        FxBuildHasher.hash_one(key)
+    }
+}
+
+/// Build the packing layout for `key_cols` if they pack, counting the
+/// `rows` about to be keyed as packed or fallback in `metrics`. `None`
+/// means [`ByteKeys`]; otherwise `fits_u64` picks the code width.
+pub(crate) fn packed_spec(
+    key_cols: &[&Column],
+    rows: usize,
+    metrics: &mut ExecMetrics,
+) -> Option<PackedKeySpec> {
+    let spec = PackedKeySpec::build(key_cols);
+    match spec {
+        Some(_) => metrics.packed_key_rows += rows as u64,
+        None => metrics.fallback_key_rows += rows as u64,
+    }
+    spec
+}
+
+/// Key → dense group id, the one hash table of hash aggregation. Pass 2
+/// probes one per partition; the shared scan probes one per grouping
+/// per morsel.
+pub(crate) struct GroupTable<K> {
+    map: FxHashMap<K, u32>,
+    /// First row seen of each group, indexed by gid.
+    representatives: Vec<u32>,
+    resizes: u64,
+}
+
+impl<K: Eq + Hash + Clone> GroupTable<K> {
+    /// A table with room for `groups` groups before its first resize.
+    pub(crate) fn with_capacity(groups: usize) -> Self {
+        GroupTable {
+            map: FxHashMap::with_capacity_and_hasher(groups, FxBuildHasher),
+            representatives: Vec::with_capacity(groups),
+            resizes: 0,
+        }
+    }
+
+    /// Groups registered so far.
+    pub(crate) fn num_groups(&self) -> usize {
+        self.representatives.len()
+    }
+
+    /// Append the gid of every `(key, row)` to `gids`. A key not seen
+    /// before becomes the next group, with `row` as its representative.
+    pub(crate) fn probe<'k>(
+        &mut self,
+        keys: impl Iterator<Item = (&'k K, u32)>,
+        gids: &mut Vec<u32>,
+    ) where
+        K: 'k,
+    {
+        let mut capacity = self.map.capacity();
+        for (key, row) in keys {
+            let gid = match self.map.get(key) {
+                Some(&g) => g,
+                None => {
+                    let g = self.representatives.len() as u32;
+                    self.map.insert(key.clone(), g);
+                    self.representatives.push(row);
+                    if self.map.capacity() != capacity {
+                        self.resizes += 1;
+                        capacity = self.map.capacity();
+                    }
+                    g
+                }
+            };
+            gids.push(gid);
+        }
+    }
+
+    /// Hand over the groups with the `accumulators` folded against them.
+    pub(crate) fn finish(self, accumulators: Vec<Accumulator>) -> Aggregated {
+        (self.representatives, accumulators, self.resizes)
+    }
+}
+
 /// Per-worker scatter output of pass 1: one `(key, row)` vector per
 /// partition. Ordered worker-major so pass 2 can replay rows in a
 /// deterministic order regardless of thread scheduling.
 type Scatter<K> = Vec<Vec<(K, u32)>>;
 
-/// What pass 2 produces for one partition.
-type PartitionAgg = (Vec<u32>, Vec<Accumulator>, u64);
+/// What aggregation produces: representatives, accumulators (both
+/// indexed by gid) and the hash-table resize count.
+pub(crate) type Aggregated = (Vec<u32>, Vec<Accumulator>, u64);
 
-/// Pass 1 for packed keys: encode morsels into `K` codes and scatter.
-///
-/// Cancellation is polled once per morsel; a tripped token makes every
-/// worker bail out early (the partial scatter is discarded by the
-/// caller's [`crate::cancel::check`]).
-fn scatter_packed<K: KeyCode>(
-    spec: &PackedKeySpec,
-    key_cols: &[&Column],
-    rows: usize,
-    workers: usize,
-    partitions: usize,
-    cancel: Option<&CancelToken>,
-) -> Vec<Scatter<K>> {
-    let chunk = rows.div_ceil(workers);
-    scoped_map(workers, |w| {
-        let lo = (w * chunk).min(rows);
-        let hi = ((w + 1) * chunk).min(rows);
-        let mut parts: Scatter<K> = (0..partitions)
-            .map(|_| Vec::with_capacity((hi - lo) / partitions + 8))
-            .collect();
-        let mut codes: Vec<K> = Vec::new();
-        let shift = 64 - partitions.trailing_zeros();
-        let mut pos = lo;
-        while pos < hi {
-            if crate::cancel::tripped(cancel) {
-                break;
-            }
-            let len = MORSEL_ROWS.min(hi - pos);
-            codes.clear();
-            codes.resize(len, K::default());
-            spec.encode_into(key_cols, pos, &mut codes);
-            if partitions == 1 {
-                parts[0].extend(
-                    codes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| (c, (pos + i) as u32)),
-                );
-            } else {
-                for (i, &c) in codes.iter().enumerate() {
-                    let j = (c.partition_hash() >> shift) as usize;
-                    parts[j].push((c, (pos + i) as u32));
+/// One invocation of the kernel: what both passes read.
+struct Job<'a> {
+    input: &'a Table,
+    key_cols: &'a [&'a Column],
+    aggs: &'a [AggSpec],
+    fanout: Fanout,
+    cancel: Option<&'a CancelToken>,
+}
+
+impl Job<'_> {
+    /// Pass 1: encode morsels into keys and scatter them by partition.
+    ///
+    /// Cancellation is polled once per morsel; a tripped token makes
+    /// every worker bail out early (the partial scatter is discarded by
+    /// the caller's [`crate::cancel::check`]).
+    fn scatter<K: Send, R: KeyRepr<K>>(&self, repr: &R) -> Vec<Scatter<K>> {
+        let rows = self.input.num_rows();
+        let partitions = self.fanout.partitions;
+        let chunk = rows.div_ceil(self.fanout.scatter_workers);
+        scoped_map(self.fanout.scatter_workers, |w| {
+            let lo = (w * chunk).min(rows);
+            let hi = ((w + 1) * chunk).min(rows);
+            let mut parts: Scatter<K> = (0..partitions)
+                .map(|_| Vec::with_capacity((hi - lo) / partitions + 8))
+                .collect();
+            let mut keys: Vec<K> = Vec::new();
+            let shift = 64 - partitions.trailing_zeros();
+            let mut pos = lo;
+            while pos < hi {
+                if crate::cancel::tripped(self.cancel) {
+                    break;
                 }
-            }
-            pos += len;
-        }
-        parts
-    })
-}
-
-/// Pass 1 for the `RowKey` fallback: byte-encode each row and scatter.
-fn scatter_rowkey(
-    key_cols: &[&Column],
-    rows: usize,
-    workers: usize,
-    partitions: usize,
-    cancel: Option<&CancelToken>,
-) -> Vec<Scatter<RowKey>> {
-    let chunk = rows.div_ceil(workers);
-    let hasher = FxBuildHasher;
-    scoped_map(workers, |w| {
-        let lo = (w * chunk).min(rows);
-        let hi = ((w + 1) * chunk).min(rows);
-        let mut parts: Scatter<RowKey> = (0..partitions)
-            .map(|_| Vec::with_capacity((hi - lo) / partitions + 8))
-            .collect();
-        let mut enc = KeyEncoder::new();
-        let shift = 64 - partitions.trailing_zeros();
-        for row in lo..hi {
-            // Morsel-granular poll (per-row would cost more than it saves).
-            if row % MORSEL_ROWS == 0 && crate::cancel::tripped(cancel) {
-                break;
-            }
-            let key = enc.encode(key_cols, row);
-            let j = if partitions == 1 {
-                0
-            } else {
-                (hasher.hash_one(&key) >> shift) as usize
-            };
-            parts[j].push((key, row as u32));
-        }
-        parts
-    })
-}
-
-/// Pass 2 for one partition: build its key → gid table, compute the
-/// (row, gid) vectors, and fold every accumulator over them in one
-/// columnar sweep. `scatters[w][partition]` are replayed in worker
-/// order, keeping group numbering deterministic.
-fn aggregate_partition<K: Eq + Hash + Clone>(
-    input: &Table,
-    aggs: &[AggSpec],
-    scatters: &[Scatter<K>],
-    partition: usize,
-) -> Result<PartitionAgg> {
-    let total: usize = scatters.iter().map(|s| s[partition].len()).sum();
-    let mut map: FxHashMap<K, u32> = FxHashMap::default();
-    let mut representatives: Vec<u32> = Vec::new();
-    let mut rows: Vec<u32> = Vec::with_capacity(total);
-    let mut gids: Vec<u32> = Vec::with_capacity(total);
-    let mut resizes = 0u64;
-    let mut last_cap = map.capacity();
-    for scatter in scatters {
-        for (key, row) in &scatter[partition] {
-            let gid = match map.get(key) {
-                Some(&g) => g,
-                None => {
-                    let g = representatives.len() as u32;
-                    map.insert(key.clone(), g);
-                    representatives.push(*row);
-                    if map.capacity() != last_cap {
-                        resizes += 1;
-                        last_cap = map.capacity();
+                let len = MORSEL_ROWS.min(hi - pos);
+                repr.encode(self.key_cols, pos, len, &mut keys);
+                let keyed = keys.drain(..).zip(pos as u32..);
+                if partitions == 1 {
+                    parts[0].extend(keyed);
+                } else {
+                    for (key, row) in keyed {
+                        let j = (R::partition_hash(&key) >> shift) as usize;
+                        parts[j].push((key, row));
                     }
-                    g
                 }
-            };
-            rows.push(*row);
-            gids.push(gid);
-        }
-    }
-    let mut accumulators: Vec<Accumulator> = aggs
-        .iter()
-        .map(|a| Accumulator::build(a, input))
-        .collect::<Result<_>>()?;
-    for acc in &mut accumulators {
-        acc.resize_groups(representatives.len());
-        acc.update_batch(input, &rows, &gids);
-    }
-    Ok((representatives, accumulators, resizes))
-}
-
-/// Pass 2 over all partitions (strided across `threads` workers), then
-/// concatenate the per-partition results in partition order.
-fn aggregate_all<K: Eq + Hash + Clone + Send + Sync>(
-    input: &Table,
-    aggs: &[AggSpec],
-    scatters: &[Scatter<K>],
-    partitions: usize,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<u32>, Vec<Accumulator>, u64)> {
-    let workers = threads.min(partitions).max(1);
-    let per_worker: Vec<Vec<(usize, Result<PartitionAgg>)>> = scoped_map(workers, |w| {
-        let mut out = Vec::new();
-        let mut j = w;
-        while j < partitions {
-            // Cancellation boundary between partitions: a tripped token
-            // surfaces as a per-partition error and stops this worker.
-            if let Err(e) = crate::cancel::check(cancel) {
-                out.push((j, Err(e)));
-                break;
+                pos += len;
             }
-            out.push((j, aggregate_partition(input, aggs, scatters, j)));
-            j += workers;
-        }
-        out
-    });
+            parts
+        })
+    }
 
-    let mut slots: Vec<Option<PartitionAgg>> = (0..partitions).map(|_| None).collect();
-    let mut first_err: Option<(usize, crate::error::ExecError)> = None;
-    for worker_out in per_worker {
-        for (j, r) in worker_out {
-            match r {
-                Ok(agg) => slots[j] = Some(agg),
-                // Keep the earliest partition's error for determinism.
-                Err(e) => match first_err {
-                    Some((i, _)) if i < j => {}
-                    _ => first_err = Some((j, e)),
-                },
+    /// Pass 2 for one partition: build its key → gid table, compute the
+    /// (row, gid) vectors, and fold every accumulator over them in one
+    /// columnar sweep. `scatters[w][partition]` are replayed in worker
+    /// order, keeping group numbering deterministic.
+    fn aggregate_partition<K: Eq + Hash + Clone>(
+        &self,
+        scatters: &[Scatter<K>],
+        partition: usize,
+    ) -> Result<Aggregated> {
+        let total: usize = scatters.iter().map(|s| s[partition].len()).sum();
+        let mut table = GroupTable::with_capacity(self.fanout.groups_per_partition.min(total));
+        let mut rows: Vec<u32> = Vec::with_capacity(total);
+        let mut gids: Vec<u32> = Vec::with_capacity(total);
+        for scatter in scatters {
+            let part = &scatter[partition];
+            rows.extend(part.iter().map(|(_, row)| *row));
+            table.probe(part.iter().map(|(key, row)| (key, *row)), &mut gids);
+        }
+        let mut accumulators: Vec<Accumulator> = self
+            .aggs
+            .iter()
+            .map(|a| Accumulator::build(a, self.input))
+            .collect::<Result<_>>()?;
+        for acc in &mut accumulators {
+            acc.resize_groups(table.num_groups());
+            acc.update_batch(self.input, &rows, &gids);
+        }
+        Ok(table.finish(accumulators))
+    }
+
+    /// Pass 2 over all partitions (strided across the fan-out's
+    /// workers), then concatenate the per-partition results in partition
+    /// order.
+    fn aggregate_all<K: Eq + Hash + Clone + Send + Sync>(
+        &self,
+        scatters: &[Scatter<K>],
+    ) -> Result<Aggregated> {
+        let partitions = self.fanout.partitions;
+        let workers = self.fanout.aggregate_workers;
+        let per_worker: Vec<Vec<(usize, Result<Aggregated>)>> = scoped_map(workers, |w| {
+            let mut out = Vec::new();
+            let mut j = w;
+            while j < partitions {
+                // Cancellation boundary between partitions: a tripped token
+                // surfaces as a per-partition error and stops this worker.
+                if let Err(e) = crate::cancel::check(self.cancel) {
+                    out.push((j, Err(e)));
+                    break;
+                }
+                out.push((j, self.aggregate_partition(scatters, j)));
+                j += workers;
             }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
+            out
+        });
 
-    let mut representatives: Vec<u32> = Vec::new();
-    let mut accumulators: Option<Vec<Accumulator>> = None;
-    let mut resizes = 0u64;
-    for slot in slots {
-        let (reps, accs, rz) = slot.expect("no error, so every partition aggregated");
-        representatives.extend(reps);
-        resizes += rz;
-        match &mut accumulators {
-            None => accumulators = Some(accs),
-            Some(base) => {
-                for (b, a) in base.iter_mut().zip(accs) {
-                    b.merge_disjoint(a);
+        let mut slots: Vec<Option<Aggregated>> = (0..partitions).map(|_| None).collect();
+        let mut first_err: Option<(usize, crate::error::ExecError)> = None;
+        for worker_out in per_worker {
+            for (j, r) in worker_out {
+                match r {
+                    Ok(agg) => slots[j] = Some(agg),
+                    // Keep the earliest partition's error for determinism.
+                    Err(e) => match first_err {
+                        Some((i, _)) if i < j => {}
+                        _ => first_err = Some((j, e)),
+                    },
                 }
             }
         }
+        if let Some((_, e)) = first_err {
+            return Err(e);
+        }
+
+        let mut representatives: Vec<u32> = Vec::new();
+        let mut accumulators: Option<Vec<Accumulator>> = None;
+        let mut resizes = 0u64;
+        for slot in slots {
+            let (reps, accs, rz) = slot.expect("no error, so every partition aggregated");
+            representatives.extend(reps);
+            resizes += rz;
+            match &mut accumulators {
+                None => accumulators = Some(accs),
+                Some(base) => {
+                    for (b, a) in base.iter_mut().zip(accs) {
+                        b.merge_disjoint(a);
+                    }
+                }
+            }
+        }
+        Ok((
+            representatives,
+            accumulators.expect("at least one partition"),
+            resizes,
+        ))
     }
-    Ok((
-        representatives,
-        accumulators.expect("at least one partition"),
-        resizes,
-    ))
+
+    /// Both passes under one key representation.
+    fn run<K: Eq + Hash + Clone + Send + Sync, R: KeyRepr<K>>(
+        &self,
+        repr: &R,
+    ) -> Result<Aggregated> {
+        let scatters = self.scatter(repr);
+        crate::cancel::check(self.cancel)?;
+        self.aggregate_all(&scatters)
+    }
 }
 
-/// Radix-partitioned parallel Group By: semantically identical to
-/// [`hash_group_by`] up to row order.
+/// Hash Group By over `input` on the columns at `group_cols`: one row
+/// per distinct combination of the group columns (NULL is a value; an
+/// empty input has no groups, an empty `group_cols` has one).
 ///
 /// `threads` bounds the workers used by *both* passes, so a plan
 /// executor running several edges at once can hand each edge a slice of
 /// one shared thread budget. `estimated_groups` (the optimizer's
 /// cardinality estimate for this grouping, if known) sizes the
-/// partition fan-out; `None` falls back to a rows-based guess.
+/// partition fan-out and the hash tables; `None` falls back to a
+/// rows-based guess (`Fanout::plan`).
 pub fn radix_group_by(
     input: &Table,
     group_cols: &[usize],
@@ -335,41 +451,23 @@ pub fn radix_group_by(
     cancel: Option<&CancelToken>,
     metrics: &mut ExecMetrics,
 ) -> Result<Table> {
-    let rows = input.num_rows();
-    if rows == 0 || group_cols.is_empty() {
-        // Nothing to partition (and the empty grouping is one group).
-        return hash_group_by(input, group_cols, aggs, metrics);
-    }
     crate::cancel::check(cancel)?;
     let start = Instant::now();
-    let threads = threads.max(1).min(rows);
-    let partitions = partition_count(threads, rows, estimated_groups);
-    let pass1_workers = if rows >= 2 * MORSEL_ROWS { threads } else { 1 };
+    let rows = input.num_rows();
     let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
-
-    let (representatives, accumulators, resizes) = match PackedKeySpec::build(&key_cols) {
-        Some(spec) if spec.fits_u64() => {
-            metrics.packed_key_rows += rows as u64;
-            let scatters =
-                scatter_packed::<u64>(&spec, &key_cols, rows, pass1_workers, partitions, cancel);
-            crate::cancel::check(cancel)?;
-            aggregate_all(input, aggs, &scatters, partitions, threads, cancel)?
-        }
-        Some(spec) => {
-            metrics.packed_key_rows += rows as u64;
-            let scatters =
-                scatter_packed::<u128>(&spec, &key_cols, rows, pass1_workers, partitions, cancel);
-            crate::cancel::check(cancel)?;
-            aggregate_all(input, aggs, &scatters, partitions, threads, cancel)?
-        }
-        None => {
-            metrics.fallback_key_rows += rows as u64;
-            let scatters = scatter_rowkey(&key_cols, rows, pass1_workers, partitions, cancel);
-            crate::cancel::check(cancel)?;
-            aggregate_all(input, aggs, &scatters, partitions, threads, cancel)?
-        }
+    let job = Job {
+        input,
+        key_cols: &key_cols,
+        aggs,
+        fanout: Fanout::plan(threads, rows, estimated_groups),
+        cancel,
     };
-    metrics.radix_partitions += partitions as u64;
+    let (representatives, accumulators, resizes) = match packed_spec(&key_cols, rows, metrics) {
+        Some(spec) if spec.fits_u64() => job.run::<u64, _>(&spec),
+        Some(spec) => job.run::<u128, _>(&spec),
+        None => job.run(&ByteKeys),
+    }?;
+    metrics.radix_partitions += job.fanout.partitions as u64;
     metrics.hash_resizes += resizes;
 
     let result = output_table(input, group_cols, aggs, representatives, accumulators)?;
@@ -377,41 +475,28 @@ pub fn radix_group_by(
     Ok(result)
 }
 
-/// Group-by kernel dispatcher used by the engine and the batch driver.
-///
-/// An index-provided clustering `order` always streams (cheapest by
-/// far). Otherwise `strategy` picks the kernel: `Auto` takes the radix
-/// kernel once the input reaches [`RADIX_MIN_ROWS`] rows, `Radix`
-/// forces it, and `Scalar` keeps the row-at-a-time kernel
-/// (hash-partitioned across `threads` when several are available —
-/// exactly the pre-radix behavior).
+/// The engine's Group By dispatch (`exec::driver`) — an index `order`
+/// streams, everything else is [`radix_group_by`] — under the signature
+/// external callers (the benchmark's kernel probes) were built against;
+/// `_strategy` has one value and is ignored.
 #[allow(clippy::too_many_arguments)]
 pub fn group_by_with_strategy(
     input: &Table,
     group_cols: &[usize],
     aggs: &[AggSpec],
     order: Option<&[u32]>,
-    strategy: GroupByStrategy,
+    _strategy: GroupByStrategy,
     threads: usize,
     estimated_groups: Option<u64>,
     cancel: Option<&CancelToken>,
     metrics: &mut ExecMetrics,
 ) -> Result<Table> {
-    // Scalar paths have no internal poll points; a pre-flight check
-    // still bounds over-deadline work to one query.
-    crate::cancel::check(cancel)?;
-    if let Some(order) = order {
-        return stream_group_by(input, group_cols, aggs, order, metrics);
-    }
-    match strategy {
-        GroupByStrategy::Scalar => {
-            if threads > 1 {
-                parallel_hash_group_by(input, group_cols, aggs, threads, metrics)
-            } else {
-                hash_group_by(input, group_cols, aggs, metrics)
-            }
+    match order {
+        Some(order) => {
+            crate::cancel::check(cancel)?;
+            stream_group_by(input, group_cols, aggs, order, metrics)
         }
-        GroupByStrategy::Radix => radix_group_by(
+        None => radix_group_by(
             input,
             group_cols,
             aggs,
@@ -420,27 +505,13 @@ pub fn group_by_with_strategy(
             cancel,
             metrics,
         ),
-        GroupByStrategy::Auto => {
-            if input.num_rows() >= RADIX_MIN_ROWS {
-                radix_group_by(
-                    input,
-                    group_cols,
-                    aggs,
-                    threads,
-                    estimated_groups,
-                    cancel,
-                    metrics,
-                )
-            } else {
-                hash_group_by(input, group_cols, aggs, metrics)
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sort_agg::sort_group_by;
     use gbmqo_storage::{DataType, Field, Schema, TableBuilder, Value};
 
     fn table(rows: usize, cardinality: i64) -> Table {
@@ -489,7 +560,7 @@ mod tests {
     fn radix_matches_hash_across_threads_and_partitions() {
         let t = table(10_000, 97);
         let mut m = ExecMetrics::new();
-        let expected = hash_group_by(&t, &[0, 1], &aggs(), &mut m).unwrap();
+        let expected = sort_group_by(&t, &[0, 1], &aggs(), &mut m).unwrap();
         for threads in [1, 2, 4] {
             for est in [None, Some(4), Some(1_000_000)] {
                 let got = radix_group_by(&t, &[0, 1], &aggs(), threads, est, None, &mut m).unwrap();
@@ -504,7 +575,7 @@ mod tests {
     fn float_group_key_takes_fallback_and_matches() {
         let t = table(5_000, 41);
         let mut m = ExecMetrics::new();
-        let expected = hash_group_by(&t, &[3, 1], &[AggSpec::count()], &mut m).unwrap();
+        let expected = sort_group_by(&t, &[3, 1], &[AggSpec::count()], &mut m).unwrap();
         let got = radix_group_by(&t, &[3, 1], &[AggSpec::count()], 4, None, None, &mut m).unwrap();
         assert_eq!(norm(&got), norm(&expected));
         assert_eq!(m.packed_key_rows, 0);
@@ -546,42 +617,57 @@ mod tests {
         // tiny input stays small even with many threads
         assert!(partition_count(16, 4_000, None) <= 16);
         assert_eq!(partition_count(1, 0, None), 1);
+
+        // Workers: an input under 16,384 rows stays on the calling thread
+        // whatever the budget, pass 1 fans out from two morsels on, and
+        // pass 2 never has more workers than partitions.
+        let small = Fanout::plan(8, PARALLEL_MIN_ROWS - 1, Some(1 << 20));
+        assert_eq!((small.scatter_workers, small.aggregate_workers), (1, 1));
+        let mid = Fanout::plan(8, PARALLEL_MIN_ROWS, Some(256));
+        assert_eq!((mid.scatter_workers, mid.aggregate_workers), (1, 4));
+        assert_eq!(mid.partitions, 4, "capped by rows / 4096");
+        let large = Fanout::plan(8, 2 * MORSEL_ROWS, Some(256));
+        assert_eq!((large.scatter_workers, large.aggregate_workers), (8, 8));
+        assert_eq!(Fanout::plan(0, 1 << 20, None).aggregate_workers, 1);
+
+        // Tables reserve their share of the planned groups: the estimate
+        // when there is one, rows / 16 otherwise.
+        assert_eq!(Fanout::plan(1, 4_000, Some(97)).groups_per_partition, 97);
+        assert_eq!(Fanout::plan(1, 4_000, None).groups_per_partition, 250);
+        let wide = Fanout::plan(1, 1 << 20, Some(1 << 16));
+        assert_eq!(wide.partitions, 16);
+        assert_eq!(wide.groups_per_partition, 1 << 12);
     }
 
     #[test]
-    fn strategy_dispatch_is_equivalent() {
-        let t = table(9_000, 50);
-        let mut m = ExecMetrics::new();
-        let base = hash_group_by(&t, &[0], &aggs(), &mut m).unwrap();
-        for strategy in [
-            GroupByStrategy::Auto,
-            GroupByStrategy::Scalar,
-            GroupByStrategy::Radix,
-        ] {
-            let r =
-                group_by_with_strategy(&t, &[0], &aggs(), None, strategy, 2, None, None, &mut m)
-                    .unwrap();
-            assert_eq!(norm(&r), norm(&base), "{strategy:?}");
+    fn small_and_large_inputs_take_the_packed_path() {
+        // Both sides of 8,192 rows, under which there is one partition.
+        for rows in [0, 100, 500, 8_191, 8_192, 9_000, 20_000] {
+            let t = table(rows, 50);
+            let mut m = ExecMetrics::new();
+            let base = sort_group_by(&t, &[0], &aggs(), &mut m).unwrap();
+            for threads in [1, 4] {
+                let mut m = ExecMetrics::new();
+                let r = radix_group_by(&t, &[0], &aggs(), threads, None, None, &mut m).unwrap();
+                assert_eq!(norm(&r), norm(&base), "{rows} rows, {threads} threads");
+                assert_eq!(m.packed_key_rows, rows as u64);
+                assert_eq!(m.fallback_key_rows, 0);
+                if rows < 8_192 || (threads == 1 && rows < 16_384) {
+                    assert_eq!(m.radix_partitions, 1, "{rows} rows, {threads} threads");
+                }
+            }
         }
     }
 
     #[test]
-    fn auto_small_input_stays_scalar() {
-        let t = table(500, 7);
+    fn reserved_tables_do_not_resize() {
+        let t = table(5_000, 97);
         let mut m = ExecMetrics::new();
-        let _ = group_by_with_strategy(
-            &t,
-            &[0],
-            &[AggSpec::count()],
-            None,
-            GroupByStrategy::Auto,
-            4,
-            None,
-            None,
-            &mut m,
-        )
-        .unwrap();
-        assert_eq!(m.radix_partitions, 0, "small input should not radix");
+        // 97 non-null keys + NULL, doubled by the second column at most.
+        radix_group_by(&t, &[0, 1], &aggs(), 1, Some(196), None, &mut m).unwrap();
+        assert_eq!(m.hash_resizes, 0);
+        radix_group_by(&t, &[0, 1], &aggs(), 1, Some(2), None, &mut m).unwrap();
+        assert!(m.hash_resizes > 0, "an under-estimate grows and is counted");
     }
 
     #[test]
@@ -603,5 +689,12 @@ mod tests {
         let token = CancelToken::new();
         let ok = radix_group_by(&t, &[0], &[AggSpec::count()], 4, None, Some(&token), &mut m);
         assert!(ok.is_ok());
+
+        // Small inputs are polled like any other.
+        let t = table(100, 7);
+        token.cancel();
+        let err = radix_group_by(&t, &[0], &[AggSpec::count()], 1, None, Some(&token), &mut m)
+            .unwrap_err();
+        assert_eq!(err, crate::error::ExecError::Cancelled { timed_out: false });
     }
 }

@@ -16,7 +16,7 @@ use gbmqo_storage::Table;
 /// grand total (empty grouping). Aggregates in levels below the finest are
 /// the re-aggregations of `aggs`. Every level, the finest one over the
 /// whole input included, goes through [`Engine::aggregate_table`]: the
-/// engine's kernel choice, cancel token and metrics.
+/// engine's kernel threads, cancel token and metrics.
 ///
 /// Follows this engine's GROUP BY convention that an empty input produces
 /// empty results at every level — including the grand total, where SQL's
@@ -46,8 +46,8 @@ pub fn rollup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_by::hash_group_by;
     use crate::metrics::ExecMetrics;
+    use crate::sort_agg::sort_group_by;
     use gbmqo_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 
     fn engine() -> Engine {
@@ -83,7 +83,7 @@ mod tests {
         let t = input();
         let mut m = ExecMetrics::new();
         let levels = rollup(&mut engine(), &t, &[0, 1], &[AggSpec::count()]).unwrap();
-        let direct_a = hash_group_by(&t, &[0], &[AggSpec::count()], &mut m).unwrap();
+        let direct_a = sort_group_by(&t, &[0], &[AggSpec::count()], &mut m).unwrap();
         let norm = |t: &Table| {
             let mut v: Vec<(Value, i64)> = (0..t.num_rows())
                 .map(|r| {

@@ -11,60 +11,51 @@
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::error::Result;
+use crate::group_by::output_table;
 use crate::metrics::ExecMetrics;
-use crate::radix::MORSEL_ROWS;
-use gbmqo_storage::packed::KeyCode;
-use gbmqo_storage::{Column, Field, KeyEncoder, PackedKeySpec, RowKey, Schema, Table};
-use rustc_hash::FxHashMap;
+use crate::radix::{packed_spec, Aggregated, ByteKeys, GroupTable, KeyRepr, MORSEL_ROWS};
+use gbmqo_storage::{Column, RowKey, Table};
+use std::hash::Hash;
 use std::time::Instant;
 
-/// How one grouping's keys are resolved to dense gids during the scan:
-/// packed integer codes when every group column is fixed-width (the
-/// same fast path as the radix kernel), byte `RowKey`s otherwise.
-enum Keyer {
-    Packed64 {
-        spec: PackedKeySpec,
-        codes: Vec<u64>,
-        map: FxHashMap<u64, u32>,
-    },
-    Packed128 {
-        spec: PackedKeySpec,
-        codes: Vec<u128>,
-        map: FxHashMap<u128, u32>,
-    },
-    Rows {
-        map: FxHashMap<RowKey, u32>,
-    },
-}
-
-struct GroupingState<'t> {
+/// One grouping's state during the scan, generic over how its keys are
+/// represented (packed integer codes when every group column is
+/// fixed-width — the same fast path as the hash kernel — byte `RowKey`s
+/// otherwise).
+struct Grouping<'t, K, R> {
+    repr: R,
     key_cols: Vec<&'t Column>,
-    keyer: Keyer,
-    representatives: Vec<u32>,
+    table: GroupTable<K>,
     accumulators: Vec<Accumulator>,
-    /// Per-morsel gid vector, reused across morsels.
+    /// Per-morsel key and gid buffers, reused across morsels.
+    keys: Vec<K>,
     gids: Vec<u32>,
 }
 
-/// Map a morsel's packed codes to gids, registering new groups.
-fn probe_packed<K: KeyCode>(
-    map: &mut FxHashMap<K, u32>,
-    codes: &[K],
-    morsel_start: usize,
-    representatives: &mut Vec<u32>,
-    gids: &mut Vec<u32>,
-) {
-    for (i, &code) in codes.iter().enumerate() {
-        let gid = match map.get(&code) {
-            Some(&g) => g,
-            None => {
-                let g = representatives.len() as u32;
-                map.insert(code, g);
-                representatives.push((morsel_start + i) as u32);
-                g
-            }
-        };
-        gids.push(gid);
+/// What the scan loop asks of a grouping, whatever its key type.
+trait MorselSink {
+    /// Fold one morsel of `input`: `rows` are the consecutive row ids
+    /// from `start` on.
+    fn consume(&mut self, input: &Table, start: usize, rows: &[u32]);
+
+    fn finish(self: Box<Self>) -> Aggregated;
+}
+
+impl<K: Eq + Hash + Clone, R: KeyRepr<K>> MorselSink for Grouping<'_, K, R> {
+    fn consume(&mut self, input: &Table, start: usize, rows: &[u32]) {
+        self.repr
+            .encode(&self.key_cols, start, rows.len(), &mut self.keys);
+        self.gids.clear();
+        self.table
+            .probe(self.keys.iter().zip(rows.iter().copied()), &mut self.gids);
+        for acc in &mut self.accumulators {
+            acc.resize_groups(self.table.num_groups());
+            acc.update_batch(input, rows, &self.gids);
+        }
+    }
+
+    fn finish(self: Box<Self>) -> Aggregated {
+        self.table.finish(self.accumulators)
     }
 }
 
@@ -72,130 +63,70 @@ fn probe_packed<K: KeyCode>(
 ///
 /// `groupings` lists the grouping-column ordinals of each output; all
 /// outputs compute the same `aggs`. Returns one table per grouping, in
-/// order — each identical to what [`crate::hash_group_by`] would produce.
+/// order — each identical to what [`crate::radix_group_by`] would
+/// produce.
 ///
 /// The scan is morsel-batched: for each block of rows, every grouping
-/// state encodes the block's keys (packed codes where possible),
-/// resolves the block's gid vector, and feeds its accumulators one
-/// columnar [`Accumulator::update_batch`] call — the same vectorized
-/// shape as the radix kernel, amortized across all groupings.
+/// encodes the block's keys (packed codes where possible), resolves the
+/// block's gid vector against its group table, and feeds its
+/// accumulators one columnar [`Accumulator::update_batch`] call — the
+/// hash kernel's pass 2, amortized across all groupings.
 pub fn shared_scan_group_by(
     input: &Table,
     groupings: &[Vec<usize>],
     aggs: &[AggSpec],
     metrics: &mut ExecMetrics,
 ) -> Result<Vec<Table>> {
+    fn sink<'t, K: Eq + Hash + Clone + 't, R: KeyRepr<K> + 't>(
+        repr: R,
+        key_cols: Vec<&'t Column>,
+        accumulators: Vec<Accumulator>,
+    ) -> Box<dyn MorselSink + 't> {
+        Box::new(Grouping {
+            repr,
+            key_cols,
+            table: GroupTable::with_capacity(0),
+            accumulators,
+            keys: Vec::new(),
+            gids: Vec::new(),
+        })
+    }
+
     let start = Instant::now();
     let n = input.num_rows();
-    let mut states: Vec<GroupingState<'_>> = groupings
+    let mut sinks: Vec<Box<dyn MorselSink + '_>> = groupings
         .iter()
         .map(|cols| {
             let key_cols: Vec<&Column> = cols.iter().map(|&c| input.column(c)).collect();
-            let keyer = match PackedKeySpec::build(&key_cols) {
-                Some(spec) if spec.fits_u64() => {
-                    metrics.packed_key_rows += n as u64;
-                    Keyer::Packed64 {
-                        spec,
-                        codes: Vec::new(),
-                        map: FxHashMap::default(),
-                    }
-                }
-                Some(spec) => {
-                    metrics.packed_key_rows += n as u64;
-                    Keyer::Packed128 {
-                        spec,
-                        codes: Vec::new(),
-                        map: FxHashMap::default(),
-                    }
-                }
-                None => {
-                    metrics.fallback_key_rows += n as u64;
-                    Keyer::Rows {
-                        map: FxHashMap::default(),
-                    }
-                }
-            };
-            Ok(GroupingState {
-                key_cols,
-                keyer,
-                representatives: Vec::new(),
-                accumulators: aggs
-                    .iter()
-                    .map(|a| Accumulator::build(a, input))
-                    .collect::<Result<_>>()?,
-                gids: Vec::new(),
+            let accumulators = aggs
+                .iter()
+                .map(|a| Accumulator::build(a, input))
+                .collect::<Result<_>>()?;
+            Ok(match packed_spec(&key_cols, n, metrics) {
+                Some(spec) if spec.fits_u64() => sink::<u64, _>(spec, key_cols, accumulators),
+                Some(spec) => sink::<u128, _>(spec, key_cols, accumulators),
+                None => sink::<RowKey, _>(ByteKeys, key_cols, accumulators),
             })
         })
         .collect::<Result<_>>()?;
 
-    let mut enc = KeyEncoder::new();
-    let mut rows_buf: Vec<u32> = Vec::with_capacity(MORSEL_ROWS.min(n.max(1)));
+    let mut rows_buf: Vec<u32> = Vec::with_capacity(MORSEL_ROWS.min(n));
     let mut pos = 0;
     while pos < n {
         let len = MORSEL_ROWS.min(n - pos);
         rows_buf.clear();
         rows_buf.extend((pos..pos + len).map(|r| r as u32));
-        for state in &mut states {
-            let GroupingState {
-                key_cols,
-                keyer,
-                representatives,
-                accumulators,
-                gids,
-            } = state;
-            gids.clear();
-            match keyer {
-                Keyer::Packed64 { spec, codes, map } => {
-                    codes.clear();
-                    codes.resize(len, 0);
-                    spec.encode_into(key_cols, pos, codes);
-                    probe_packed(map, codes, pos, representatives, gids);
-                }
-                Keyer::Packed128 { spec, codes, map } => {
-                    codes.clear();
-                    codes.resize(len, 0);
-                    spec.encode_into(key_cols, pos, codes);
-                    probe_packed(map, codes, pos, representatives, gids);
-                }
-                Keyer::Rows { map } => {
-                    for row in pos..pos + len {
-                        let key = enc.encode(key_cols, row);
-                        let gid = match map.get(&key) {
-                            Some(&g) => g,
-                            None => {
-                                let g = representatives.len() as u32;
-                                map.insert(key, g);
-                                representatives.push(row as u32);
-                                g
-                            }
-                        };
-                        gids.push(gid);
-                    }
-                }
-            }
-            for acc in accumulators.iter_mut() {
-                acc.resize_groups(representatives.len());
-                acc.update_batch(input, &rows_buf, gids);
-            }
+        for sink in &mut sinks {
+            sink.consume(input, pos, &rows_buf);
         }
         pos += len;
     }
 
     let mut outputs = Vec::with_capacity(groupings.len());
-    for (state, cols) in states.into_iter().zip(groupings) {
-        let num_groups = state.representatives.len();
-        let mut fields: Vec<Field> = Vec::with_capacity(cols.len() + aggs.len());
-        let mut columns: Vec<Column> = Vec::with_capacity(cols.len() + aggs.len());
-        for &c in cols {
-            fields.push(input.schema().field(c).clone());
-            columns.push(input.column(c).gather(&state.representatives));
-        }
-        for (acc, spec) in state.accumulators.into_iter().zip(aggs) {
-            let (field, col) = acc.finish(spec, input, num_groups);
-            fields.push(field);
-            columns.push(col);
-        }
-        let out = Table::new(Schema::new(fields)?, columns)?;
+    for (sink, cols) in sinks.into_iter().zip(groupings) {
+        let (representatives, accumulators, resizes) = sink.finish();
+        let out = output_table(input, cols, aggs, representatives, accumulators)?;
+        metrics.hash_resizes += resizes;
         metrics.rows_output += out.num_rows() as u64;
         outputs.push(out);
     }
@@ -208,8 +139,8 @@ pub fn shared_scan_group_by(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_by::hash_group_by;
-    use gbmqo_storage::{DataType, Value};
+    use crate::sort_agg::sort_group_by;
+    use gbmqo_storage::{DataType, Field, Schema, Value};
 
     fn input() -> Table {
         let schema = Schema::new(vec![
@@ -252,7 +183,7 @@ mod tests {
         let shared = shared_scan_group_by(&t, &groupings, &[AggSpec::count()], &mut m).unwrap();
         assert_eq!(shared.len(), 4);
         for (cols, out) in groupings.iter().zip(&shared) {
-            let direct = hash_group_by(&t, cols, &[AggSpec::count()], &mut m).unwrap();
+            let direct = sort_group_by(&t, cols, &[AggSpec::count()], &mut m).unwrap();
             assert_eq!(norm(out), norm(&direct), "grouping {cols:?}");
         }
     }
@@ -286,7 +217,7 @@ mod tests {
             AggSpec::max("b", "max_b"),
         ];
         let shared = shared_scan_group_by(&t, &[vec![0]], &aggs, &mut m).unwrap();
-        let direct = hash_group_by(&t, &[0], &aggs, &mut m).unwrap();
+        let direct = sort_group_by(&t, &[0], &aggs, &mut m).unwrap();
         let all = |t: &Table| {
             let mut v: Vec<Vec<Value>> = (0..t.num_rows())
                 .map(|r| (0..t.num_columns()).map(|c| t.value(r, c)).collect())

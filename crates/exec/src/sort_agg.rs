@@ -14,7 +14,7 @@ use gbmqo_storage::{sort_permutation, Table};
 
 /// Group `input` by `group_cols` using sort + streaming aggregation.
 ///
-/// Produces the same multiset of rows as [`crate::hash_group_by`], but
+/// Produces the same multiset of rows as [`crate::radix_group_by`], but
 /// ordered ascending by the grouping columns (NULLS FIRST).
 pub fn sort_group_by(
     input: &Table,
@@ -29,7 +29,7 @@ pub fn sort_group_by(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_by::hash_group_by;
+    use crate::radix::radix_group_by;
     use gbmqo_storage::{DataType, Field, Schema, Value};
 
     fn table() -> Table {
@@ -50,11 +50,12 @@ mod tests {
     }
 
     #[test]
-    fn matches_hash_group_by() {
+    fn matches_hash_kernel() {
         let t = table();
         let mut m = ExecMetrics::new();
         let sorted = sort_group_by(&t, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
-        let hashed = hash_group_by(&t, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
+        let hashed =
+            radix_group_by(&t, &[0, 1], &[AggSpec::count()], 1, None, None, &mut m).unwrap();
         let norm = |t: &Table| {
             let mut v: Vec<(Value, Value, i64)> = (0..t.num_rows())
                 .map(|r| {

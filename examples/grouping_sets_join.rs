@@ -13,7 +13,7 @@
 
 use gbmqo_core::grouping_sets_over_join;
 use gbmqo_datagen::{ColumnGen, TableSpec};
-use gbmqo_exec::{hash_group_by, hash_join, AggSpec, Engine, ExecMetrics};
+use gbmqo_exec::{hash_join, radix_group_by, AggSpec, Engine, ExecMetrics};
 use gbmqo_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 use std::time::Instant;
 
@@ -102,7 +102,7 @@ fn main() {
             .iter()
             .map(|c| joined.schema().index_of(c).unwrap())
             .collect();
-        let _ = hash_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
+        let _ = radix_group_by(&joined, &cols, &[AggSpec::count()], 1, None, None, &mut m).unwrap();
     }
     let t_direct = start.elapsed().as_secs_f64();
 
@@ -113,7 +113,8 @@ fn main() {
 
     // Verify one set end-to-end.
     let cols = vec![joined.schema().index_of("returnflag").unwrap()];
-    let direct = hash_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
+    let direct =
+        radix_group_by(&joined, &cols, &[AggSpec::count()], 1, None, None, &mut m).unwrap();
     let ours = &pushed
         .results
         .iter()

@@ -5,7 +5,7 @@ use gbmqo_core::prelude::*;
 use gbmqo_core::{parse_grouping_sets, ExecutionMode};
 use gbmqo_cost::CardinalityCostModel;
 use gbmqo_datagen::{lineitem, sales};
-use gbmqo_exec::{hash_group_by, sort_group_by, AggSpec, ExecMetrics};
+use gbmqo_exec::{radix_group_by, sort_group_by, AggSpec, ExecMetrics};
 use gbmqo_integration::engine_with;
 use gbmqo_stats::ExactSource;
 use gbmqo_storage::{Table, Value};
@@ -123,7 +123,7 @@ fn shared_scan_engine_api_matches_per_query_execution() {
             .iter()
             .map(|c| table.schema().index_of(c).unwrap())
             .collect();
-        let direct = hash_group_by(&table, &ords, &[AggSpec::count()], &mut m).unwrap();
+        let direct = sort_group_by(&table, &ords, &[AggSpec::count()], &mut m).unwrap();
         assert_eq!(out.num_rows(), direct.num_rows(), "grouping {cols:?}");
         let sum = |t: &Table| -> i64 {
             (0..t.num_rows())
@@ -140,7 +140,8 @@ fn sort_based_aggregation_is_equivalent_and_ordered() {
     let ship = table.schema().index_of("l_shipdate").unwrap();
     let mut m = ExecMetrics::new();
     let sorted = sort_group_by(&table, &[ship], &[AggSpec::count()], &mut m).unwrap();
-    let hashed = hash_group_by(&table, &[ship], &[AggSpec::count()], &mut m).unwrap();
+    let hashed =
+        radix_group_by(&table, &[ship], &[AggSpec::count()], 1, None, None, &mut m).unwrap();
     assert_eq!(sorted.num_rows(), hashed.num_rows());
     for w in 0..sorted.num_rows() - 1 {
         assert!(sorted.value(w, 0) <= sorted.value(w + 1, 0), "row {w}");

@@ -4,7 +4,7 @@ use gbmqo_core::prelude::*;
 use gbmqo_core::{cube_rollup_pass, grouping_sets_over_join, NodeKind};
 use gbmqo_cost::{CardinalityCostModel, CostConstants, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::{lineitem, sales};
-use gbmqo_exec::{hash_group_by, hash_join, AggSpec, ExecMetrics};
+use gbmqo_exec::{hash_join, sort_group_by, AggSpec, ExecMetrics};
 use gbmqo_integration::{assert_same_results, normalize, session_with};
 use gbmqo_stats::ExactSource;
 use gbmqo_storage::{DataType, Field, Schema, TableBuilder, Value};
@@ -163,7 +163,7 @@ fn join_pushdown_on_generated_data() {
             .iter()
             .map(|c| joined.schema().index_of(c).unwrap())
             .collect();
-        let direct = hash_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
+        let direct = sort_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
         assert_eq!(
             normalize(ours, &names),
             normalize(&direct, &names),

@@ -1,10 +1,11 @@
-//! Kernel-equivalence properties: the radix-partitioned kernel, the
-//! scalar hash kernel, and sort-based aggregation must agree on every
-//! input — including NULL keys, dictionary strings, keys too wide for
-//! packed codes (`RowKey::Heap` / u128 overflow), empty inputs, a single
-//! group, and any thread count.
+//! Kernel-equivalence properties: the hash kernel must agree with
+//! sort-based aggregation — which shares no key → gid code with it — on
+//! every input: NULL keys, dictionary strings, float keys and keys too
+//! wide for packed codes (`RowKey` fallback, inline and heap), the empty
+//! input, the empty grouping, a single group, input sizes on both sides
+//! of every partition/worker threshold, and any thread count.
 
-use gbmqo_exec::{hash_group_by, radix_group_by, sort_group_by, AggSpec, ExecMetrics};
+use gbmqo_exec::{radix_group_by, sort_group_by, AggSpec, ExecMetrics};
 use gbmqo_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use proptest::prelude::*;
 
@@ -13,13 +14,15 @@ type Row = (Option<i64>, Option<&'static str>, Option<i64>, Option<i64>);
 
 /// Schema: g_small (packable), g_str (dict-coded, one word longer than
 /// 23 bytes so row-key fallbacks heap-allocate), g_wide (full i64 range:
-/// one column needs 65 bits, two overflow u128), v (aggregated).
+/// one column needs 65 bits, two overflow u128), v (aggregated), g_float
+/// (derived from v; a float key is never packable).
 fn build(rows: &[Row]) -> Table {
     let schema = Schema::new(vec![
         Field::new("g_small", DataType::Int64),
         Field::new("g_str", DataType::Utf8),
         Field::new("g_wide", DataType::Int64),
         Field::new("v", DataType::Int64),
+        Field::new("g_float", DataType::Float64),
     ])
     .unwrap();
     let mut tb = TableBuilder::new(schema);
@@ -30,10 +33,29 @@ fn build(rows: &[Row]) -> Table {
             s.map(Value::str).unwrap_or(Value::Null),
             val(*w),
             val(*v),
+            v.map(|v| Value::Float((v % 7) as f64 * 0.5))
+                .unwrap_or(Value::Null),
         ])
         .unwrap();
     }
     tb.finish().unwrap()
+}
+
+/// One grouping per key representation — packed u64 (g_small, g_str),
+/// 65-bit u128 (g_wide), byte row keys (g_float) — their mixes, the
+/// all-columns key and the empty grouping.
+fn groupings() -> Vec<Vec<usize>> {
+    vec![
+        vec![],
+        vec![0],
+        vec![1],
+        vec![2],
+        vec![4],
+        vec![0, 1],
+        vec![2, 0],
+        vec![4, 1],
+        vec![0, 1, 2],
+    ]
 }
 
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
@@ -54,6 +76,15 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
     ];
     let value = prop_oneof![1 => Just(None), 7 => (-100i64..100).prop_map(Some)];
     prop::collection::vec((small, word, wide, value), 0..300)
+}
+
+/// Input sizes on both sides of where the kernel's fan-out changes:
+/// 4,096 rows per partition, 8,192 (a second partition), 16,384 (more
+/// than one worker, more than one morsel).
+fn straddling_size() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![
+        4_095usize, 4_096, 4_097, 8_191, 8_192, 8_193, 16_383, 16_384, 16_385,
+    ])
 }
 
 fn aggs() -> Vec<AggSpec> {
@@ -80,16 +111,15 @@ fn norm(t: &Table) -> Vec<Vec<String>> {
 
 fn assert_kernels_agree(table: &Table, group_cols: &[usize]) {
     let mut m = ExecMetrics::new();
-    let reference = hash_group_by(table, group_cols, &aggs(), &mut m).unwrap();
-    let sorted = sort_group_by(table, group_cols, &aggs(), &mut m).unwrap();
-    assert_eq!(norm(&reference), norm(&sorted), "sort kernel diverged");
+    let reference = norm(&sort_group_by(table, group_cols, &aggs(), &mut m).unwrap());
     for threads in [1usize, 2, 4] {
-        let radix =
+        let hashed =
             radix_group_by(table, group_cols, &aggs(), threads, None, None, &mut m).unwrap();
         assert_eq!(
-            norm(&reference),
-            norm(&radix),
-            "radix kernel diverged (threads {threads}, cols {group_cols:?})"
+            reference,
+            norm(&hashed),
+            "hash kernel diverged ({} rows, threads {threads}, cols {group_cols:?})",
+            table.num_rows()
         );
     }
 }
@@ -97,27 +127,32 @@ fn assert_kernels_agree(table: &Table, group_cols: &[usize]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// radix == hash == sort for every grouping over mixed-type keys
-    /// with NULLs, at 1, 2 and 4 threads.
+    /// hash == sort for every grouping over mixed-type keys with NULLs,
+    /// at 1, 2 and 4 threads.
     #[test]
     fn kernels_agree_on_arbitrary_tables(rows in rows_strategy()) {
         let table = build(&rows);
-        // Packed u64 (g_small), dict (g_str), 65-bit u128 (g_wide),
-        // multi-column mixes, and the all-columns key.
-        for cols in [
-            vec![0usize],
-            vec![1],
-            vec![2],
-            vec![0, 1],
-            vec![2, 0],
-            vec![0, 1, 2],
-        ] {
+        for cols in groupings() {
+            assert_kernels_agree(&table, &cols);
+        }
+    }
+
+    /// The same at sizes where the partition and worker counts change:
+    /// the generated rows, cycled up to the size (no rows stay no rows).
+    #[test]
+    fn kernels_agree_across_fanout_thresholds(
+        rows in rows_strategy(),
+        size in straddling_size(),
+    ) {
+        let cycled: Vec<Row> = rows.iter().cycle().take(size).copied().collect();
+        let table = build(&cycled);
+        for cols in groupings() {
             assert_kernels_agree(&table, &cols);
         }
     }
 
     /// Two full-range i64 columns overflow the u128 code; the kernel must
-    /// fall back to row keys and still agree with the scalar kernels.
+    /// fall back to row keys and still agree with the sort kernel.
     #[test]
     fn wide_keys_fall_back_to_row_keys(
         rows in prop::collection::vec((any::<i64>(), any::<i64>(), 0i64..50), 1..200),
@@ -134,7 +169,7 @@ proptest! {
         }
         let table = tb.finish().unwrap();
         let mut m = ExecMetrics::new();
-        let reference = hash_group_by(&table, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
+        let reference = sort_group_by(&table, &[0, 1], &[AggSpec::count()], &mut m).unwrap();
         let radix = radix_group_by(&table, &[0, 1], &[AggSpec::count()], 4, None, None, &mut m).unwrap();
         prop_assert_eq!(norm(&reference), norm(&radix));
     }
@@ -143,7 +178,8 @@ proptest! {
 #[test]
 fn empty_input_yields_empty_result() {
     let table = build(&[]);
-    for cols in [vec![0usize], vec![0, 1, 2]] {
+    for cols in groupings() {
+        assert_kernels_agree(&table, &cols);
         let mut m = ExecMetrics::new();
         let out = radix_group_by(&table, &cols, &aggs(), 4, None, None, &mut m).unwrap();
         assert_eq!(out.num_rows(), 0);

@@ -196,7 +196,7 @@ proptest! {
         let ords_of = |s: ColSet| w.base_cols(s);
         let mut exact = move |s: ColSet| -> f64 {
             let mut m = gbmqo_exec::ExecMetrics::new();
-            let t = gbmqo_exec::hash_group_by(
+            let t = gbmqo_exec::sort_group_by(
                 &base, &ords_of(s), &[gbmqo_exec::AggSpec::count()], &mut m,
             ).unwrap();
             t.byte_size() as f64

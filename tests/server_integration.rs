@@ -2,7 +2,7 @@
 //! control, deadlines, micro-batching, and graceful shutdown.
 
 use gbmqo_core::prelude::*;
-use gbmqo_exec::{hash_group_by, AggSpec, ExecMetrics};
+use gbmqo_exec::{sort_group_by, AggSpec, ExecMetrics};
 use gbmqo_integration::{col_names, modular_table, normalize};
 use gbmqo_server::{
     stats_field, CacheControl, Client, ClientOptions, ErrorCode, Server, ServerConfig, ServerError,
@@ -30,7 +30,7 @@ fn expected(table: &Table, cols: &[&str]) -> Table {
         .map(|c| table.schema().index_of(c).unwrap())
         .collect();
     let mut m = ExecMetrics::new();
-    hash_group_by(table, &ords, &[AggSpec::count()], &mut m).unwrap()
+    sort_group_by(table, &ords, &[AggSpec::count()], &mut m).unwrap()
 }
 
 fn assert_result(table: &Table, cols: &[&str], got: &Table, context: &str) {
