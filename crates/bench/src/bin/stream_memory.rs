@@ -10,8 +10,11 @@
 //! This binary streams a Group By whose result has `GBMQO_STREAM_ROWS/2`
 //! groups (default 2,000,000) through a server configured with a small
 //! chunk/budget, then compares the monolithic encoded-response size
-//! against the server's measured `outbound_peak_bytes`. Output feeds
-//! EXPERIMENTS.md.
+//! against the server's measured `outbound_peak_bytes`. The "monolithic
+//! encoding" line is the result in the codec's packed layout (protocol
+//! v3: frame-of-reference bit-packed integer columns) — what a
+//! buffering server would queue today, not the 16 bytes a row these two
+//! `Int64` columns cost at fixed width. Output feeds EXPERIMENTS.md.
 
 use gbmqo_core::prelude::*;
 use gbmqo_server::codec;

@@ -1,4 +1,4 @@
-//! Blocking client for the gbmqo wire protocol (v2).
+//! Blocking client for the gbmqo wire protocol (v3).
 //!
 //! [`Client`] negotiates features on connect (a `Hello`/`HelloAck`
 //! exchange; LZ4-style frame compression is opt-in via

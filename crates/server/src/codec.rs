@@ -3,28 +3,59 @@
 //! row-range (chunk) encoding, borrowed zero-copy decode views, and a
 //! reusable receive buffer.
 //!
-//! Tables go over the wire in their native columnar layout: a schema
-//! header, then per column an optional validity bitmap and a typed
-//! payload. Dictionary-encoded string columns ship their dictionary
-//! entries in code order followed by the per-row codes; a *chunk* of a
-//! table ships a chunk-local dictionary containing only the entries
-//! its rows reference, so a bounded row range is a bounded number of
-//! bytes regardless of the full column's dictionary size.
+//! Tables go over the wire column by column, each column at the width
+//! its values need rather than the width its type allows. A table (or
+//! a *chunk*: rows `[start, end)` of one) is
+//!
+//! ```text
+//! u32 ncols, then per column: str name · u8 type code · u8 nullable
+//! u64 rows
+//! per column:
+//!   u8 validity flag -- 0: every row of the chunk is valid
+//!                       1: ceil(rows / 8) bytes follow, bit i (LSB
+//!                          first) set = row i valid
+//!   payload by type:
+//!     Int64, Date32  i64 min · u8 width · packed run
+//!     Utf8           u32 dict_len · dict_len strings · u8 width · packed run
+//!     Float64        rows × 8 bytes, IEEE bits little-endian
+//! ```
+//!
+//! A *packed run* is `ceil(rows × width / 8)` bytes holding one
+//! `width`-bit field per row, LSB first, the last byte zero-padded.
+//! Integer and date columns are frame-of-reference coded: `min` is the
+//! smallest valid value of the chunk, a row's field is `value − min`,
+//! and `width` is the bit length of `max − min` — at most 64 for
+//! `Int64`, 32 for `Date32`. Width 0 is a constant column and has no
+//! payload at all; the native width is the plain little-endian layout.
+//! Null rows carry field 0. A string column ships a chunk-local
+//! dictionary — only the entries its rows reference, in first-seen
+//! order — so a bounded row range is a bounded number of bytes
+//! regardless of the full column's dictionary size, and its rows are
+//! codes into that dictionary at `width` = the bit length of
+//! `dict_len − 1` (at most 32).
 //!
 //! Decoding is two-phase. [`TableView::parse`] walks a payload once,
-//! validating every length, type code, and dictionary code, and
-//! producing a *view* whose columns are borrowed slices of the frame
-//! buffer — no row data is copied. Callers that need an owned
-//! [`Table`] call [`TableView::to_table`] (or the [`get_table`]
-//! convenience); callers that only inspect values read through the
-//! view. Paired with [`RecvBuf`], a connection decodes every frame out
-//! of one reusable allocation.
+//! validating every length, type code, field width and dictionary
+//! code, and producing a *view* whose columns are borrowed slices of
+//! the frame buffer — no row data is copied, [`TableView::value`]
+//! reads one field by bit offset. Callers that need an owned [`Table`]
+//! call [`TableView::to_table`] (or the [`get_table`] convenience),
+//! which unpacks a word at a time. A frame's size no longer bounds what
+//! it decodes to (a constant column of any length is ten bytes), so
+//! `parse` bounds `rows × native row width` by [`MAX_WIRE_LEN`] before
+//! anything is allocated. `min + field` wraps: every well-formed run
+//! decodes to *some* value and none can panic. Paired with
+//! [`RecvBuf`], a connection decodes every frame out of one reusable
+//! allocation.
 
 use crate::error::{ServerError, ServerResult};
 use gbmqo_storage::column::ColumnData;
+use gbmqo_storage::packed::{bits_for, value_range};
 use gbmqo_storage::{Bitmap, Column, DataType, Dictionary, Field, Schema, Table, Value};
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
+use std::collections::HashSet;
 use std::io::Read;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Hard cap on any length field read from the wire (strings, vectors,
@@ -157,11 +188,148 @@ fn dtype_from(code: u8) -> ServerResult<DataType> {
     })
 }
 
-fn fixed_width(t: DataType) -> Option<usize> {
-    match t {
-        DataType::Int64 | DataType::Float64 => Some(8),
-        DataType::Date32 => Some(4),
-        DataType::Utf8 => None,
+/// Bytes one value of type `t` occupies once decoded; for `Utf8`, its
+/// `u32` dictionary code.
+fn native_width(t: DataType) -> usize {
+    t.fixed_width().unwrap_or(4)
+}
+
+/// Bit `i` of an LSB-first validity run.
+#[inline]
+fn bit(bits: &[u8], i: usize) -> bool {
+    bits[i / 8] & (1 << (i % 8)) != 0
+}
+
+/// Append `fields` as a packed run: `width` bits each, LSB first, the
+/// last byte zero-padded. Every field must fit `width` bits.
+#[inline]
+fn pack_bits(buf: &mut Vec<u8>, width: u32, fields: impl ExactSizeIterator<Item = u64>) {
+    if width == 0 {
+        return;
+    }
+    buf.reserve((fields.len() * width as usize).div_ceil(8) + 8);
+    let (mut acc, mut nbits) = (0u64, 0u32);
+    for field in fields {
+        acc |= field << nbits;
+        nbits += width;
+        if nbits >= 64 {
+            buf.extend_from_slice(&acc.to_le_bytes());
+            nbits -= 64;
+            // What of `field` the flushed word had no room for.
+            acc = if nbits == 0 {
+                0
+            } else {
+                field >> (width - nbits)
+            };
+        }
+    }
+    buf.extend_from_slice(&acc.to_le_bytes()[..nbits.div_ceil(8) as usize]);
+}
+
+/// The all-ones value of a `width`-bit field.
+#[inline]
+fn field_mask(width: u32) -> u64 {
+    u64::MAX.checked_shr(64 - width).unwrap_or(0)
+}
+
+/// Field `i` of a packed run, by bit offset: the nine bytes it can lie
+/// in, shifted and masked. Reads past the end of `run` as zeros.
+#[inline]
+fn field_at(run: &[u8], width: u32, i: usize) -> u64 {
+    let start = i * width as usize;
+    let (byte, shift) = (start / 8, (start % 8) as u32);
+    let mut padded = [0u8; 9];
+    let window: &[u8; 9] = match run.get(byte..byte + 9) {
+        Some(window) => window.try_into().unwrap(),
+        None => {
+            let tail = run.get(byte..).unwrap_or_default();
+            padded[..tail.len()].copy_from_slice(tail);
+            &padded
+        }
+    };
+    let low = u64::from_le_bytes(window[..8].try_into().unwrap()) >> shift;
+    let high = u64::from(window[8]).checked_shl(64 - shift).unwrap_or(0);
+    (low | high) & field_mask(width)
+}
+
+/// Call `f(row, field)` for the first `rows` fields of a packed run, in
+/// row order.
+///
+/// Eight `width`-bit fields are exactly `width` bytes, so the run is
+/// walked a group of eight at a time: within a group, field `j` sits at
+/// a byte offset and shift that depend only on `j` and `width` — loop
+/// invariants once the inner loop is unrolled — and is one unaligned
+/// 64-bit load, a shift and a mask. Fields of 57 to 63 bits can spill
+/// into a ninth byte, and the last groups' loads would run past the
+/// run; both go field by field through [`field_at`].
+#[inline]
+fn for_each_field(run: &[u8], width: u32, rows: usize, mut f: impl FnMut(usize, u64)) {
+    let mut done = 0;
+    if width == 0 {
+        (0..rows).for_each(|row| f(row, 0));
+        return;
+    }
+    if width <= 56 || width == 64 {
+        let w = width as usize;
+        let mask = field_mask(width);
+        let span = 7 * w / 8 + 8; // bytes a group's eight loads touch
+        while done + 8 <= rows {
+            let from = done / 8 * w;
+            let Some(group) = run.get(from..from + span) else {
+                break;
+            };
+            for j in 0..8 {
+                let at = j * w / 8;
+                let word = u64::from_le_bytes(group[at..at + 8].try_into().unwrap());
+                f(done + j, (word >> (j * w % 8)) & mask);
+            }
+            done += 8;
+        }
+    }
+    (done..rows).for_each(|row| f(row, field_at(run, width, row)));
+}
+
+/// The first `rows` fields of a packed run, each through
+/// `decode(row, field)`.
+#[inline]
+fn unpack<T: Copy + Default>(
+    run: &[u8],
+    width: u32,
+    rows: usize,
+    decode: impl Fn(usize, u64) -> T,
+) -> Vec<T> {
+    let mut out = vec![T::default(); rows];
+    for_each_field(run, width, rows, |row, field| out[row] = decode(row, field));
+    out
+}
+
+/// Append an integer column's rows as `i64 min · u8 width · packed run`.
+/// `valid` is the chunk's own validity run (`None`: every row valid).
+fn put_packed_ints<T: Copy + Into<i64>>(
+    buf: &mut Vec<u8>,
+    values: &[T],
+    col: &Column,
+    rows: Range<usize>,
+    valid: Option<&[u8]>,
+) {
+    let validity = valid.and(col.validity());
+    let (min, max) = value_range(values, validity, rows.clone()).unwrap_or((0, 0));
+    let width = bits_for(max.wrapping_sub(min) as u64 as u128);
+    buf.extend_from_slice(&min.to_le_bytes());
+    buf.push(width as u8);
+    let deltas = values[rows]
+        .iter()
+        .map(|&v| v.into().wrapping_sub(min) as u64);
+    match valid {
+        None => pack_bits(buf, width, deltas),
+        Some(valid) => pack_bits(
+            buf,
+            width,
+            // A null slot holds anything; its field is 0.
+            deltas
+                .enumerate()
+                .map(|(i, d)| if bit(valid, i) { d } else { 0 }),
+        ),
     }
 }
 
@@ -171,11 +339,11 @@ pub fn put_table(buf: &mut Vec<u8>, table: &Table) {
     put_table_slice(buf, table, 0, table.num_rows());
 }
 
-/// Serialize rows `[start, end)` of `table` as a self-contained chunk:
-/// schema header, chunk row count, then per-column validity + typed
-/// payload. String columns ship a chunk-local dictionary holding only
-/// the entries referenced by the range, so the encoded size is bounded
-/// by the range, not the table.
+/// Serialize rows `[start, end)` of `table` as a self-contained chunk
+/// in the layout the [module docs](self) give: schema header, chunk row
+/// count, then per column validity and a payload sized by the range's
+/// own values, so the encoded size is bounded by the range, not the
+/// table.
 pub fn put_table_slice(buf: &mut Vec<u8>, table: &Table, start: usize, end: usize) {
     debug_assert!(start <= end && end <= table.num_rows());
     let schema = table.schema();
@@ -188,54 +356,40 @@ pub fn put_table_slice(buf: &mut Vec<u8>, table: &Table, start: usize, end: usiz
     let rows = end - start;
     put_u64(buf, rows as u64);
     for col in table.columns() {
-        match col.validity() {
+        // A bitmap with no null in this range is not worth its bytes.
+        let valid = col
+            .validity()
+            .map(|v| v.to_le_bytes(start..end))
+            .filter(|run| run.iter().map(|b| b.count_ones() as usize).sum::<usize>() < rows);
+        match &valid {
             None => buf.push(0),
-            Some(v) => {
+            Some(run) => {
                 buf.push(1);
-                let mut byte = 0u8;
-                for (i, row) in (start..end).enumerate() {
-                    if v.get(row) {
-                        byte |= 1 << (i % 8);
-                    }
-                    if i % 8 == 7 {
-                        buf.push(byte);
-                        byte = 0;
-                    }
-                }
-                if !rows.is_multiple_of(8) {
-                    buf.push(byte);
-                }
+                buf.extend_from_slice(run);
             }
         }
+        let valid = valid.as_deref();
         match col.data() {
-            ColumnData::Int64(vals) => {
-                for v in &vals[start..end] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            ColumnData::Int64(vals) => put_packed_ints(buf, vals, col, start..end, valid),
+            ColumnData::Date32(vals) => put_packed_ints(buf, vals, col, start..end, valid),
             ColumnData::Float64(vals) => {
                 for v in &vals[start..end] {
                     buf.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
             }
-            ColumnData::Date32(vals) => {
-                for v in &vals[start..end] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
             ColumnData::Utf8 { codes, dict } => {
                 // Chunk-local dictionary: entries referenced by this
                 // range, remapped to dense codes in first-seen order.
-                let mut remap: HashMap<u32, u32> = HashMap::new();
+                // The keys are the engine's own codes, not outside
+                // input, so the map needs no keyed hash.
+                let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
                 let mut entries: Vec<u32> = Vec::new();
                 let chunk_codes: Vec<u32> = codes[start..end]
                     .iter()
                     .enumerate()
                     .map(|(i, &c)| {
-                        let valid =
-                            col.validity().is_none_or(|v| v.get(start + i)) && c != u32::MAX;
-                        if !valid {
-                            return 0; // placeholder; decoder normalizes null rows
+                        if c == u32::MAX || valid.is_some_and(|run| !bit(run, i)) {
+                            return 0; // a null row's field
                         }
                         *remap.entry(c).or_insert_with(|| {
                             entries.push(c);
@@ -244,12 +398,12 @@ pub fn put_table_slice(buf: &mut Vec<u8>, table: &Table, start: usize, end: usiz
                     })
                     .collect();
                 put_u32(buf, entries.len() as u32);
-                for code in entries {
+                for &code in &entries {
                     put_str(buf, dict.get(code));
                 }
-                for c in chunk_codes {
-                    put_u32(buf, c);
-                }
+                let width = bits_for(entries.len().saturating_sub(1) as u128);
+                buf.push(width as u8);
+                pack_bits(buf, width, chunk_codes.iter().map(|&c| u64::from(c)));
             }
         }
     }
@@ -257,24 +411,48 @@ pub fn put_table_slice(buf: &mut Vec<u8>, table: &Table, start: usize, end: usiz
 
 /// One column of a [`TableView`]: borrowed slices of the frame buffer.
 enum ColView<'a> {
-    /// `Int64`/`Float64`/`Date32` raw little-endian values.
-    Fixed(&'a [u8]),
-    /// Dictionary entries (in code order) plus raw `u32` codes.
-    Utf8 { dict: Vec<&'a str>, codes: &'a [u8] },
+    /// `Float64`: raw little-endian IEEE bits.
+    Float64(&'a [u8]),
+    /// `Int64` / `Date32`: frame of reference plus a packed run of
+    /// `value − min` fields.
+    Packed { min: i64, width: u32, run: &'a [u8] },
+    /// Dictionary entries (in code order) plus a packed run of codes.
+    Utf8 {
+        dict: Vec<&'a str>,
+        width: u32,
+        run: &'a [u8],
+    },
 }
 
 /// A borrowed, validated decode of one encoded table (or table chunk).
 ///
 /// Parsing performs every hostility check the owned decoder does —
-/// bounded lengths, known type codes, dictionary codes in range on
-/// valid rows — but copies nothing: columns are slices into the frame
-/// buffer. Use [`TableView::value`] to inspect, or
-/// [`TableView::to_table`] to materialize.
+/// bounded lengths and decoded size, known type codes, field widths the
+/// column type can hold, dictionary codes in range on valid rows — but
+/// copies nothing: columns are slices into the frame buffer. Use
+/// [`TableView::value`] to inspect, or [`TableView::to_table`] to
+/// materialize.
 pub struct TableView<'a> {
     fields: Vec<(&'a str, DataType, bool)>,
     rows: usize,
     validity: Vec<Option<&'a [u8]>>,
     cols: Vec<ColView<'a>>,
+}
+
+/// Read `u8 width` and the `rows`-field packed run it sizes.
+fn take_run<'a>(
+    cur: &mut Cursor<'a>,
+    rows: usize,
+    max_width: u32,
+) -> ServerResult<(u32, &'a [u8])> {
+    let width = u32::from(cur.u8()?);
+    if width > max_width {
+        return Err(malformed("field width exceeds the column type"));
+    }
+    let bits = rows
+        .checked_mul(width as usize)
+        .ok_or_else(|| malformed("packed run length overflows"))?;
+    Ok((width, cur.take(bits.div_ceil(8))?))
 }
 
 impl<'a> TableView<'a> {
@@ -292,6 +470,16 @@ impl<'a> TableView<'a> {
         if rows > MAX_WIRE_LEN {
             return Err(malformed("row count out of bounds"));
         }
+        // A packed run's length says nothing about its row count (a
+        // constant column has none), so bound what the table decodes
+        // to, not what it arrived as.
+        let row_width: usize = fields.iter().map(|&(_, t, _)| native_width(t)).sum();
+        if rows
+            .checked_mul(row_width)
+            .is_none_or(|decoded| decoded > MAX_WIRE_LEN)
+        {
+            return Err(malformed("decoded size out of bounds"));
+        }
         let mut validity = Vec::with_capacity(ncols);
         let mut cols = Vec::with_capacity(ncols);
         for &(_, data_type, _) in &fields {
@@ -300,45 +488,49 @@ impl<'a> TableView<'a> {
                 1 => Some(cur.take(rows.div_ceil(8))?),
                 _ => return Err(malformed("bad validity flag")),
             };
-            let col = match fixed_width(data_type) {
-                Some(w) => ColView::Fixed(
-                    cur.take(
-                        rows.checked_mul(w)
-                            .ok_or_else(|| malformed("row count overflows"))?,
-                    )?,
-                ),
-                None => {
+            let col = match data_type {
+                // `rows * 8` is within the decoded-size bound just checked.
+                DataType::Float64 => ColView::Float64(cur.take(rows * 8)?),
+                DataType::Int64 | DataType::Date32 => {
+                    let min = cur.u64()? as i64;
+                    let (width, run) = take_run(cur, rows, native_width(data_type) as u32 * 8)?;
+                    ColView::Packed { min, width, run }
+                }
+                DataType::Utf8 => {
                     let dict_len = cur.len()?;
                     let mut dict = Vec::with_capacity(dict_len);
-                    let mut seen: HashMap<&str, ()> = HashMap::with_capacity(dict_len);
+                    // Entries are outside input: the set keeps std's
+                    // keyed hash.
+                    let mut seen: HashSet<&str> = HashSet::with_capacity(dict_len);
                     for _ in 0..dict_len {
                         let s = cur.str_ref()?;
                         // Re-interning on materialization must reproduce
                         // these codes exactly, so entries must be unique.
-                        if seen.insert(s, ()).is_some() {
+                        if !seen.insert(s) {
                             return Err(malformed("duplicate dictionary entry"));
                         }
                         dict.push(s);
                     }
-                    let codes = cur.take(rows * 4)?;
+                    let (width, run) = take_run(cur, rows, 32)?;
                     // Every valid row must index the dictionary — with
                     // an empty dictionary no valid row is acceptable.
                     // Null rows may carry any code; materialization
                     // normalizes them to the engine's null sentinel.
-                    for i in 0..rows {
-                        let valid = match v {
-                            None => true,
-                            Some(bytes) => bytes[i / 8] & (1 << (i % 8)) != 0,
-                        };
-                        if valid {
-                            let code =
-                                u32::from_le_bytes(codes[i * 4..i * 4 + 4].try_into().unwrap());
-                            if code as usize >= dict_len {
-                                return Err(malformed("dictionary code out of range"));
+                    let mut codes_end = 0; // one past the largest valid row's code
+                    match v {
+                        None => for_each_field(run, width, rows, |_, code| {
+                            codes_end = codes_end.max(code + 1);
+                        }),
+                        Some(valid) => for_each_field(run, width, rows, |row, code| {
+                            if bit(valid, row) {
+                                codes_end = codes_end.max(code + 1);
                             }
-                        }
+                        }),
                     }
-                    ColView::Utf8 { dict, codes }
+                    if codes_end > dict_len as u64 {
+                        return Err(malformed("dictionary code out of range"));
+                    }
+                    ColView::Utf8 { dict, width, run }
                 }
             };
             validity.push(v);
@@ -368,10 +560,7 @@ impl<'a> TableView<'a> {
     }
 
     fn is_valid(&self, row: usize, col: usize) -> bool {
-        match self.validity[col] {
-            None => true,
-            Some(bytes) => bytes[row / 8] & (1 << (row % 8)) != 0,
-        }
+        self.validity[col].is_none_or(|valid| bit(valid, row))
     }
 
     /// Read one value without materializing the column.
@@ -381,21 +570,18 @@ impl<'a> TableView<'a> {
             return Value::Null;
         }
         match &self.cols[col] {
-            ColView::Fixed(bytes) => match self.fields[col].1 {
-                DataType::Int64 => Value::Int(i64::from_le_bytes(
-                    bytes[row * 8..row * 8 + 8].try_into().unwrap(),
-                )),
-                DataType::Float64 => Value::Float(f64::from_bits(u64::from_le_bytes(
-                    bytes[row * 8..row * 8 + 8].try_into().unwrap(),
-                ))),
-                DataType::Date32 => Value::Date(i32::from_le_bytes(
-                    bytes[row * 4..row * 4 + 4].try_into().unwrap(),
-                )),
-                DataType::Utf8 => unreachable!("utf8 is never fixed-width"),
-            },
-            ColView::Utf8 { dict, codes } => {
-                let code = u32::from_le_bytes(codes[row * 4..row * 4 + 4].try_into().unwrap());
-                Value::str(dict[code as usize])
+            ColView::Float64(bytes) => Value::Float(f64::from_bits(u64::from_le_bytes(
+                bytes[row * 8..row * 8 + 8].try_into().unwrap(),
+            ))),
+            &ColView::Packed { min, width, run } => {
+                let v = min.wrapping_add(field_at(run, width, row) as i64);
+                match self.fields[col].1 {
+                    DataType::Date32 => Value::Date(v as i32),
+                    _ => Value::Int(v),
+                }
+            }
+            ColView::Utf8 { dict, width, run } => {
+                Value::str(dict[field_at(run, *width, row) as usize])
             }
         }
     }
@@ -415,51 +601,51 @@ impl<'a> TableView<'a> {
             .collect();
         let mut columns = Vec::with_capacity(fields.len());
         for (c, col) in self.cols.iter().enumerate() {
-            let validity = self.validity[c].map(|bytes| {
-                let mut bm = Bitmap::new();
-                for i in 0..self.rows {
-                    bm.push(bytes[i / 8] & (1 << (i % 8)) != 0);
+            let valid = self.validity[c];
+            let validity = valid
+                .map(|run| Bitmap::from_le_bytes(run, self.rows))
+                .transpose()
+                .map_err(|e| malformed(&format!("bad validity: {e}")))?;
+            let data = match *col {
+                ColView::Float64(bytes) => ColumnData::Float64(
+                    bytes
+                        .chunks_exact(8)
+                        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
+                        .collect(),
+                ),
+                ColView::Packed { min, width, run } => {
+                    let rows = self.rows;
+                    match self.fields[c].1 {
+                        DataType::Date32 => ColumnData::Date32(unpack(run, width, rows, |_, d| {
+                            min.wrapping_add(d as i64) as i32
+                        })),
+                        _ => ColumnData::Int64(unpack(run, width, rows, |_, d| {
+                            min.wrapping_add(d as i64)
+                        })),
+                    }
                 }
-                bm
-            });
-            let data = match col {
-                ColView::Fixed(bytes) => match self.fields[c].1 {
-                    DataType::Int64 => ColumnData::Int64(
-                        bytes
-                            .chunks_exact(8)
-                            .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
-                            .collect(),
-                    ),
-                    DataType::Float64 => ColumnData::Float64(
-                        bytes
-                            .chunks_exact(8)
-                            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-                            .collect(),
-                    ),
-                    DataType::Date32 => ColumnData::Date32(
-                        bytes
-                            .chunks_exact(4)
-                            .map(|b| i32::from_le_bytes(b.try_into().unwrap()))
-                            .collect(),
-                    ),
-                    DataType::Utf8 => unreachable!("utf8 is never fixed-width"),
-                },
-                ColView::Utf8 { dict, codes } => {
+                ColView::Utf8 {
+                    ref dict,
+                    width,
+                    run,
+                } => {
                     let mut owned = Dictionary::new();
                     for entry in dict {
                         owned.intern(entry);
                     }
-                    let values: Vec<u32> = (0..self.rows)
-                        .map(|i| {
-                            if self.is_valid(i, c) {
-                                u32::from_le_bytes(codes[i * 4..i * 4 + 4].try_into().unwrap())
+                    let codes = match valid {
+                        None => unpack(run, width, self.rows, |_, code| code as u32),
+                        // `u32::MAX` is the engine's null sentinel.
+                        Some(valid) => unpack(run, width, self.rows, |row, code| {
+                            if bit(valid, row) {
+                                code as u32
                             } else {
-                                u32::MAX // the engine's null sentinel
+                                u32::MAX
                             }
-                        })
-                        .collect();
+                        }),
+                    };
                     ColumnData::Utf8 {
-                        codes: values,
+                        codes,
                         dict: Arc::new(owned),
                     }
                 }
@@ -717,22 +903,44 @@ mod tests {
         assert!(cur.finish().is_err());
     }
 
+    /// A hand-assembled table of one nullable column `x`, up to the
+    /// point where the column's validity flag goes.
+    fn one_column(type_code: u8, rows: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 1);
+        put_str(&mut buf, "x");
+        buf.push(type_code);
+        buf.push(1); // nullable
+        put_u64(&mut buf, rows);
+        buf
+    }
+
+    const INT64: u8 = 0;
+    const UTF8: u8 = 2;
+    const DATE32: u8 = 3;
+
+    /// The error a frame is refused with; panics if it decodes.
+    fn refusal(buf: &[u8]) -> String {
+        let mut cur = Cursor::new(buf);
+        match TableView::parse(&mut cur).and_then(|view| {
+            cur.finish()?;
+            view.to_table()
+        }) {
+            Ok(_) => panic!("hostile frame decoded"),
+            Err(e) => e.to_string(),
+        }
+    }
+
     /// A Utf8 column header claiming rows but an empty dictionary must
     /// be rejected: accepting it would let any later query panic in
     /// `Dictionary::get` and kill a worker thread.
     #[test]
     fn empty_dictionary_with_rows_is_rejected() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 1); // one column
-        put_str(&mut buf, "x");
-        buf.push(2); // Utf8
-        buf.push(1); // nullable
-        put_u64(&mut buf, 2); // two rows
+        let mut buf = one_column(UTF8, 2);
         buf.push(0); // no validity bitmap: every row is valid
         put_u32(&mut buf, 0); // dict_len = 0
-        put_u32(&mut buf, 0); // row 0 code
-        put_u32(&mut buf, 0); // row 1 code
-        assert!(get_table(&mut Cursor::new(&buf)).is_err());
+        buf.push(0); // width 0: both rows are code 0, no payload
+        assert!(refusal(&buf).contains("dictionary code out of range"));
     }
 
     /// Out-of-range codes on *valid* rows are rejected even when the
@@ -740,47 +948,205 @@ mod tests {
     /// decoder normalizes them to the null sentinel).
     #[test]
     fn out_of_range_code_on_valid_row_is_rejected() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 1);
-        put_str(&mut buf, "x");
-        buf.push(2); // Utf8
-        buf.push(1); // nullable
-        put_u64(&mut buf, 2);
+        let mut buf = one_column(UTF8, 2);
         buf.push(1); // validity bitmap present
         buf.push(0b01); // row 0 valid, row 1 null
         put_u32(&mut buf, 1); // dict_len = 1
         put_str(&mut buf, "only");
-        put_u32(&mut buf, 1); // row 0 (valid): code 1 out of range
-        put_u32(&mut buf, 7); // row 1 (null): arbitrary code is fine
-        assert!(get_table(&mut Cursor::new(&buf)).is_err());
+        buf.push(3); // 3-bit codes
+        buf.push(0b111_001); // row 0 (valid): code 1 out of range; row 1 (null): 7
+        assert!(refusal(&buf).contains("dictionary code out of range"));
 
         // Same frame with row 0's code in range decodes, and the null
         // row's junk code is normalized away.
-        let fixed = {
-            let mut b = buf.clone();
-            let code_at = buf.len() - 8;
-            b[code_at..code_at + 4].copy_from_slice(&0u32.to_le_bytes());
-            b
-        };
-        let t = get_table(&mut Cursor::new(&fixed)).unwrap();
+        *buf.last_mut().unwrap() = 0b111_000;
+        let t = get_table(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(t.value(0, 0), Value::str("only"));
         assert_eq!(t.value(1, 0), Value::Null);
     }
 
     #[test]
     fn duplicate_dictionary_entries_are_rejected() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 1);
-        put_str(&mut buf, "x");
-        buf.push(2); // Utf8
-        buf.push(0); // not nullable
-        put_u64(&mut buf, 1);
+        let mut buf = one_column(UTF8, 1);
         buf.push(0); // no validity
         put_u32(&mut buf, 2); // two dictionary entries...
         put_str(&mut buf, "dup");
         put_str(&mut buf, "dup"); // ...that collide on re-intern
-        put_u32(&mut buf, 1);
-        assert!(get_table(&mut Cursor::new(&buf)).is_err());
+        buf.push(1); // 1-bit codes
+        buf.push(1); // row 0: code 1, in range
+        assert!(refusal(&buf).contains("duplicate dictionary entry"));
+    }
+
+    /// Each frame is well-formed but for the one defect it is named
+    /// after, and is refused for that defect.
+    #[test]
+    fn hostile_packed_runs_are_rejected() {
+        let packed = |type_code: u8, rows: u64, width: u8, run: &[u8]| {
+            let mut buf = one_column(type_code, rows);
+            buf.push(0); // no validity
+            if type_code == UTF8 {
+                put_u32(&mut buf, 1);
+                put_str(&mut buf, "a");
+            } else {
+                put_u64(&mut buf, 0); // min
+            }
+            buf.push(width);
+            buf.extend_from_slice(run);
+            buf
+        };
+        // Fields wider than the column type: the run is as long as the
+        // width claims, so only the width itself is wrong.
+        for (type_code, width) in [(INT64, 65), (DATE32, 33), (UTF8, 33)] {
+            let run = vec![0u8; 2 * width as usize];
+            assert!(
+                refusal(&packed(type_code, 16, width, &run)).contains("field width"),
+                "type {type_code} width {width}"
+            );
+        }
+        // The native widths themselves are fine.
+        for (type_code, width) in [(INT64, 64), (DATE32, 32)] {
+            let run = vec![0u8; 2 * width as usize];
+            get_table(&mut Cursor::new(&packed(type_code, 16, width, &run))).unwrap();
+        }
+        // 5 rows × 13 bits = 65 bits = 9 bytes; 8 is one short, 10 one over.
+        assert!(refusal(&packed(INT64, 5, 13, &[0; 8])).contains("truncated"));
+        assert!(refusal(&packed(INT64, 5, 13, &[0; 10])).contains("trailing"));
+        get_table(&mut Cursor::new(&packed(INT64, 5, 13, &[0; 9]))).unwrap();
+        // A row count whose packed length cannot be computed, let alone held.
+        assert!(refusal(&packed(INT64, u64::MAX / 8, 64, &[])).contains("out of bounds"));
+        let overflow = take_run(&mut Cursor::new(&[64]), usize::MAX / 8, 64);
+        assert!(overflow.unwrap_err().to_string().contains("overflows"));
+    }
+
+    /// A constant column costs no payload, so a frame of a few dozen
+    /// bytes can claim any row count: it must be refused by what it
+    /// would decode to, before anything is allocated for it.
+    #[test]
+    fn width_zero_column_cannot_demand_a_huge_allocation() {
+        let mut buf = one_column(INT64, MAX_WIRE_LEN as u64);
+        buf.push(0); // no validity
+        put_u64(&mut buf, 1); // min: COUNT(*) = 1 ...
+        buf.push(0); // ... on every row
+        assert!(buf.len() < 40);
+        // `parse` allocates per column, never per row: refusing here is
+        // refusing before the 2 GiB `Vec`.
+        let err = TableView::parse(&mut Cursor::new(&buf)).err().unwrap();
+        assert!(err.to_string().contains("decoded size out of bounds"));
+
+        // The same column at a size the bound admits decodes to the constant.
+        let mut buf = one_column(INT64, 1000);
+        buf.push(0);
+        put_u64(&mut buf, 1);
+        buf.push(0);
+        let t = get_table(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(t.num_rows(), 1000);
+        assert!((0..1000).all(|r| t.value(r, 0) == Value::Int(1)));
+    }
+
+    /// `min + field` wraps rather than panics, at both ends of both
+    /// integer types, and honest extremes round-trip exactly.
+    #[test]
+    fn frame_of_reference_wraps_at_the_type_bounds() {
+        let framed = |type_code: u8, min: i64, width: u8, field: u64| {
+            let mut buf = one_column(type_code, 1);
+            buf.push(0);
+            put_u64(&mut buf, min as u64);
+            buf.push(width);
+            buf.extend_from_slice(&field.to_le_bytes()[..(width as usize).div_ceil(8)]);
+            let view = TableView::parse(&mut Cursor::new(&buf)).unwrap();
+            let owned = view.to_table().unwrap();
+            assert_eq!(view.value(0, 0), owned.value(0, 0));
+            owned.value(0, 0)
+        };
+        assert_eq!(framed(INT64, i64::MAX, 1, 1), Value::Int(i64::MIN));
+        assert_eq!(framed(INT64, i64::MIN, 64, u64::MAX), Value::Int(i64::MAX));
+        assert_eq!(framed(INT64, i64::MIN, 0, 0), Value::Int(i64::MIN));
+        assert_eq!(
+            framed(DATE32, i64::from(i32::MAX), 1, 1),
+            Value::Date(i32::MIN)
+        );
+        assert_eq!(framed(DATE32, -5, 32, 3), Value::Date(-2));
+        // A frame of reference outside the date type wraps into it.
+        assert_eq!(framed(DATE32, i64::MIN, 32, 7), Value::Date(7));
+
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("d", DataType::Date32),
+        ])
+        .unwrap();
+        let mut tb = TableBuilder::new(schema);
+        for (i, d) in [(i64::MIN, i32::MIN), (i64::MAX, i32::MAX), (0, -1)] {
+            tb.push_row(&[Value::Int(i), Value::Date(d)]).unwrap();
+        }
+        let t = tb.finish().unwrap();
+        let mut buf = Vec::new();
+        put_table(&mut buf, &t);
+        let back = get_table(&mut Cursor::new(&buf)).unwrap();
+        for r in 0..3 {
+            assert_eq!(t.value(r, 0), back.value(r, 0));
+            assert_eq!(t.value(r, 1), back.value(r, 1));
+        }
+    }
+
+    /// What the last byte of a run holds past its final field is
+    /// padding: a decoder ignores it.
+    #[test]
+    fn padding_bits_of_a_packed_run_are_ignored() {
+        let schema = Schema::new(vec![Field::not_null("k", DataType::Int64)]).unwrap();
+        let t = Table::new(schema, vec![Column::from_i64(vec![10, 15, 12])]).unwrap();
+        let mut buf = Vec::new();
+        put_table(&mut buf, &t); // 3 rows × 3 bits: 7 padding bits
+        *buf.last_mut().unwrap() |= 0b1111_1110;
+        let view = TableView::parse(&mut Cursor::new(&buf)).unwrap();
+        let back = view.to_table().unwrap();
+        for r in 0..3 {
+            assert_eq!(back.value(r, 0), t.value(r, 0));
+            assert_eq!(view.value(r, 0), t.value(r, 0));
+        }
+    }
+
+    /// The layout's sizes, as the module docs give them.
+    #[test]
+    fn columns_cost_what_their_values_need() {
+        // Bytes rows `[start, end)` add to an empty chunk of the same
+        // table: validity bitmap plus packed run.
+        let payload = |col: &Column, dt: DataType, start: usize, end: usize| {
+            let schema = Schema::new(vec![Field::new("c", dt)]).unwrap();
+            let t = Table::new(schema, vec![col.clone()]).unwrap();
+            let (mut empty, mut buf) = (Vec::new(), Vec::new());
+            put_table_slice(&mut empty, &t, 0, 0);
+            put_table_slice(&mut buf, &t, start, end);
+            buf.len() - empty.len()
+        };
+        let ints = |v: Vec<i64>| payload(&Column::from_i64(v), DataType::Int64, 0, 1000);
+        assert_eq!(ints(vec![1; 1000]), 0, "a constant column has no payload");
+        assert_eq!(ints((0..1000).collect()), 1250, "10 bits a row");
+        assert_eq!(
+            ints((5000..6000).collect()),
+            1250,
+            "the range, not the values"
+        );
+        let extremes = Column::from_i64(vec![i64::MIN, i64::MAX]);
+        assert_eq!(
+            payload(&extremes, DataType::Int64, 0, 2),
+            16,
+            "native width"
+        );
+        let dates = Column::from_dates((0..1000).collect());
+        assert_eq!(payload(&dates, DataType::Date32, 0, 1000), 1250);
+
+        // 0..16 then a null: the bitmap goes out only with the chunk
+        // that holds the null.
+        let mut b = gbmqo_storage::ColumnBuilder::new(DataType::Int64);
+        (0..16).for_each(|i| b.push_i64(i));
+        b.push_null();
+        let col = b.finish();
+        assert_eq!(payload(&col, DataType::Int64, 0, 16), 8, "16 × 4 bits");
+        assert_eq!(
+            payload(&col, DataType::Int64, 8, 17),
+            2 + 4,
+            "bitmap + 9 × 3 bits"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # gbmqo-server
 //!
 //! A concurrent query service over the GB-MQO [`Session`] engine,
-//! speaking a length-prefixed binary protocol (v2) over TCP.
+//! speaking a length-prefixed binary protocol (v3) over TCP.
 //!
 //! The paper this repository reproduces ("Efficient Computation of
 //! Multiple Group By Queries", SIGMOD 2005) optimizes *sets* of Group

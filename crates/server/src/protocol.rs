@@ -1,11 +1,11 @@
-//! Wire protocol **v2**: versioned frames, negotiated features,
+//! Wire protocol **v3**: versioned frames, negotiated features,
 //! streamed chunked results.
 //!
 //! Every frame is `u32 payload_len (LE)` followed by the payload. The
 //! payload starts with an 11-byte header that is never compressed:
 //!
 //! ```text
-//! u8 version  -- PROTOCOL_VERSION (2)
+//! u8 version  -- PROTOCOL_VERSION (3)
 //! u8 flags    -- FLAG_COMPRESSED is the only assigned bit
 //! u64 id (LE) -- client-chosen request id, echoed in every response
 //! u8 opcode
@@ -25,6 +25,16 @@
 //! the low byte of its request id, so stale clients surface as an
 //! unsupported *version*, never as a garbage decode.
 //!
+//! Version 3 has version 2's frames, opcodes and features; what moved
+//! is the table layout inside `RegisterTable`, `Append` and `Chunk`
+//! bodies. Integer, date and dictionary-code columns are frame-of-
+//! reference bit-packed at the width each chunk's values need (see
+//! [`crate::codec`]), where version 2 wrote 8, 4 and 4 bytes a row and
+//! left it to LZ4 to find the slack. There is one table layout, not a
+//! negotiated second one, so a version 2 peer could not tell a packed
+//! run from fixed-width values: the version byte moved, and that peer
+//! gets the clean `Unsupported` above.
+//!
 //! A streaming response to one request is a sequence of bounded
 //! [`Response::Chunk`] frames terminated by one [`Response::Finish`]
 //! carrying totals and execution metrics (or cut short by a single
@@ -40,7 +50,7 @@ use std::borrow::Cow;
 use std::io::{Read, Write};
 
 /// The one protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Frame flag: the body (not the header) is an LZ4-style block.
 pub const FLAG_COMPRESSED: u8 = 0x01;

@@ -1,5 +1,8 @@
 //! A packed validity bitmap (1 = valid, 0 = null).
 
+use crate::error::{Result, StorageError};
+use std::ops::Range;
+
 /// A simple packed bitmap used as a column validity mask.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Bitmap {
@@ -22,6 +25,59 @@ impl Bitmap {
         };
         bm.mask_tail();
         bm
+    }
+
+    /// Build a bitmap of `len` bits from LSB-first packed bytes (bit `i`
+    /// is bit `i % 8` of `bytes[i / 8]`), a word at a time. `bytes` must
+    /// be exactly `ceil(len / 8)` long; what the last byte holds past
+    /// `len` is ignored.
+    pub fn from_le_bytes(bytes: &[u8], len: usize) -> Result<Self> {
+        if len.checked_add(7).map(|n| n / 8) != Some(bytes.len()) {
+            return Err(StorageError::Malformed(format!(
+                "{} bitmap bytes cannot hold exactly {len} bits",
+                bytes.len()
+            )));
+        }
+        let words = bytes
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        let mut bm = Bitmap { words, len };
+        bm.mask_tail();
+        Ok(bm)
+    }
+
+    /// Bits `range` as LSB-first packed bytes, zero-padded to a whole
+    /// byte: the inverse of [`Bitmap::from_le_bytes`], a word at a time.
+    /// Panics if the range reaches past the bitmap.
+    pub fn to_le_bytes(&self, range: Range<usize>) -> Vec<u8> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "bitmap range {range:?} out of range {}",
+            self.len
+        );
+        let bits = range.end - range.start;
+        let first = range.start / 64;
+        let shift = range.start % 64;
+        let mut out = Vec::with_capacity(bits.div_ceil(64) * 8);
+        for i in first..first + bits.div_ceil(64) {
+            // The top of an output word comes from the next source word
+            // unless the range starts on a word boundary.
+            let high = match self.words.get(i + 1) {
+                Some(next) if shift > 0 => next << (64 - shift),
+                _ => 0,
+            };
+            out.extend_from_slice(&((self.words[i] >> shift) | high).to_le_bytes());
+        }
+        out.truncate(bits.div_ceil(8));
+        if let (Some(last), tail @ 1..) = (out.last_mut(), bits % 8) {
+            *last &= (1u8 << tail) - 1;
+        }
+        out
     }
 
     /// Number of bits.
@@ -149,6 +205,42 @@ mod tests {
         bm.set(3, false);
         assert!(!bm.get(3));
         assert_eq!(bm.count_ones(), 1);
+    }
+
+    #[test]
+    fn le_bytes_roundtrip_any_range() {
+        let bm: Bitmap = (0..300).map(|i| i % 3 == 0 || i % 7 == 0).collect();
+        for (start, end) in [
+            (0, 300),
+            (0, 0),
+            (5, 5),
+            (3, 10),
+            (7, 200),
+            (64, 128),
+            (63, 300),
+        ] {
+            let bytes = bm.to_le_bytes(start..end);
+            assert_eq!(bytes.len(), (end - start).div_ceil(8));
+            let back = Bitmap::from_le_bytes(&bytes, end - start).unwrap();
+            let want: Bitmap = (start..end).map(|i| bm.get(i)).collect();
+            assert_eq!(back, want, "range {start}..{end}");
+            // Bits of the following rows never leak into the padding.
+            let tail = (end - start) % 8;
+            if tail > 0 {
+                assert_eq!(bytes.last().unwrap() >> tail, 0, "range {start}..{end}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_le_bytes_checks_length_and_masks_padding() {
+        assert!(Bitmap::from_le_bytes(&[0xFF], 9).is_err());
+        assert!(Bitmap::from_le_bytes(&[0xFF, 0xFF], 8).is_err());
+        assert!(Bitmap::from_le_bytes(&[], usize::MAX).is_err());
+        let bm = Bitmap::from_le_bytes(&[0xFF, 0xFF], 9).unwrap();
+        assert_eq!(bm.count_ones(), 9);
+        assert!(bm.all_set());
+        assert_eq!(bm, Bitmap::filled(9, true));
     }
 
     #[test]

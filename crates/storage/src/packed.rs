@@ -17,7 +17,9 @@
 //!
 //! [`RowKey`]: crate::key::RowKey
 
+use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
+use std::ops::Range;
 
 /// An integer type that can hold a packed group key: `u64` or `u128`.
 ///
@@ -102,16 +104,13 @@ impl PackedKeySpec {
         for col in cols {
             let (base, max_code) = match col.data() {
                 ColumnData::Float64(_) => return None,
-                ColumnData::Int64(v) => int_range(v, col),
-                ColumnData::Date32(v) => {
-                    let (base, max_code) = int_range32(v, col);
-                    (base, max_code)
-                }
+                ColumnData::Int64(v) => code_range(value_range(v, col.validity(), 0..v.len())),
+                ColumnData::Date32(v) => code_range(value_range(v, col.validity(), 0..v.len())),
                 // Dictionary codes are dense in 0..len, no scan needed;
                 // the packed value is code + 1.
                 ColumnData::Utf8 { dict, .. } => (0i64, dict.len() as u128),
             };
-            let bits = bits_for(max_code);
+            let bits = bits_for(max_code).max(1);
             packed.push(PackedColumn {
                 base,
                 shift: total,
@@ -210,27 +209,39 @@ impl PackedKeySpec {
     }
 }
 
-/// Bits needed to represent packed values `0..=max_code`.
-fn bits_for(max_code: u128) -> u32 {
-    (128 - max_code.leading_zeros()).max(1)
+/// Bits needed to represent the values `0..=max` (`0` for `max == 0`).
+pub fn bits_for(max: u128) -> u32 {
+    128 - max.leading_zeros()
 }
 
-/// (min, largest packed value) over the non-null rows of an i64 column.
-fn int_range(values: &[i64], col: &Column) -> (i64, u128) {
+/// `(min, max)` over the non-null rows among `values[rows]`, widened to
+/// `i64`, or `None` when that range holds no non-null row. `validity`
+/// is the column's bitmap, indexed like `values`.
+///
+/// This is the one range scan behind every bit-width decision: the
+/// packed group keys above take it over a whole column, the wire codec
+/// over one chunk's rows.
+pub fn value_range<T: Copy + Into<i64>>(
+    values: &[T],
+    validity: Option<&Bitmap>,
+    rows: Range<usize>,
+) -> Option<(i64, i64)> {
     let mut min = i64::MAX;
     let mut max = i64::MIN;
     let mut any = false;
-    match col.validity() {
+    match validity {
         None => {
-            for &v in values {
+            any = !rows.is_empty();
+            for &v in &values[rows] {
+                let v = v.into();
                 min = min.min(v);
                 max = max.max(v);
             }
-            any = !values.is_empty();
         }
         Some(valid) => {
-            for (row, &v) in values.iter().enumerate() {
+            for row in rows {
                 if valid.get(row) {
+                    let v = values[row].into();
                     min = min.min(v);
                     max = max.max(v);
                     any = true;
@@ -238,43 +249,16 @@ fn int_range(values: &[i64], col: &Column) -> (i64, u128) {
             }
         }
     }
-    if !any {
-        return (0, 0);
-    }
-    let range = (max as i128 - min as i128) as u128;
-    (min, range + 1)
+    any.then_some((min, max))
 }
 
-/// As [`int_range`] for a `Date32` column (values widened to i64).
-fn int_range32(values: &[i32], col: &Column) -> (i64, u128) {
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    let mut any = false;
-    match col.validity() {
-        None => {
-            for &v in values {
-                let v = i64::from(v);
-                min = min.min(v);
-                max = max.max(v);
-            }
-            any = !values.is_empty();
-        }
-        Some(valid) => {
-            for (row, &v) in values.iter().enumerate() {
-                if valid.get(row) {
-                    let v = i64::from(v);
-                    min = min.min(v);
-                    max = max.max(v);
-                    any = true;
-                }
-            }
-        }
+/// (min, largest packed value) for a key column whose non-null rows
+/// span `range`: codes `1..=max - min + 1`, `0` being NULL.
+fn code_range(range: Option<(i64, i64)>) -> (i64, u128) {
+    match range {
+        None => (0, 0),
+        Some((min, max)) => (min, (max as i128 - min as i128) as u128 + 1),
     }
-    if !any {
-        return (0, 0);
-    }
-    let range = (max - min) as u128;
-    (min, range + 1)
 }
 
 #[cfg(test)]
@@ -378,6 +362,26 @@ mod tests {
         let mut tail = vec![0u64; 40];
         spec.encode_into(&[&c], 60, &mut tail);
         assert_eq!(&full[60..], &tail[..]);
+    }
+
+    #[test]
+    fn value_range_sees_only_the_valid_rows_of_its_slice() {
+        let mut b = ColumnBuilder::new(DataType::Int64);
+        for v in [Value::Int(-50), Value::Int(7), Value::Null, Value::Int(9)] {
+            b.push(&v).unwrap();
+        }
+        let c = b.finish();
+        let ColumnData::Int64(vals) = c.data() else {
+            unreachable!()
+        };
+        assert_eq!(value_range(vals, c.validity(), 0..4), Some((-50, 9)));
+        // the null slot's stored 0 is not a value
+        assert_eq!(value_range(vals, c.validity(), 1..4), Some((7, 9)));
+        assert_eq!(value_range(vals, c.validity(), 2..3), None);
+        assert_eq!(value_range(vals, None, 1..1), None);
+        assert_eq!(value_range(&[3i32, -4], None, 0..2), Some((-4, 3)));
+        assert_eq!((bits_for(0), bits_for(1), bits_for(16)), (0, 1, 5));
+        assert_eq!(bits_for(u64::MAX as u128), 64);
     }
 
     #[test]
