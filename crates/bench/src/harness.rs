@@ -263,4 +263,37 @@ mod tests {
         let mut est = size_estimator(&t);
         assert!(est(gbmqo_core::ColSet::single(0)) > 0.0);
     }
+
+    /// An append costs its delta, not the table: 1,000-row appends onto
+    /// a 50k-row and onto an 800k-row fact table take about the same
+    /// time each. A whole-table copy per append reads ≈ 16× here.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "timing-sensitive shape test; run with `cargo test --release`"
+    )]
+    fn append_cost_does_not_grow_with_the_table() {
+        let _guard = timing_lock();
+        // generated apart from the fact table, as a wire `Append`
+        // arrives: same strings, dictionaries of its own
+        let delta = gbmqo_datagen::star(1_000, 8).sales;
+        let median_append_secs = |fact_rows: usize| {
+            let mut session = session_for(gbmqo_datagen::star(fact_rows, 7).sales, "sales");
+            let mut secs: Vec<f64> = (0..50)
+                .map(|_| {
+                    let rows = delta.clone();
+                    let start = Instant::now();
+                    session.append("sales", rows).unwrap();
+                    start.elapsed().as_secs_f64()
+                })
+                .collect();
+            secs.sort_by(f64::total_cmp);
+            secs[secs.len() / 2]
+        };
+        let (small, big) = (median_append_secs(50_000), median_append_secs(800_000));
+        assert!(
+            big < small * 4.0,
+            "append onto 800k rows {big:.6}s vs onto 50k rows {small:.6}s"
+        );
+    }
 }

@@ -513,8 +513,9 @@ pub struct Session {
     last_node_cards: Vec<NodeCardReport>,
 }
 
-// A session is plain owned data (tables are `Arc`-shared but immutable),
-// so it can move between threads — the server wraps one in a mutex and
+// A session is plain owned data (tables are `Arc`-shared, and a shared one
+// is never written: the catalog's append copies on write), so it can move
+// between threads — the server wraps one in a mutex and
 // serves it from a worker pool. Compile-time audit; `Sync` is *not*
 // claimed: all the interesting methods take `&mut self` anyway.
 const _: () = {

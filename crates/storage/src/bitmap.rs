@@ -102,6 +102,37 @@ impl Bitmap {
         }
     }
 
+    /// Append every bit of `other`, a word at a time: whole words are
+    /// copied when this bitmap ends on a word boundary, otherwise each
+    /// source word is split across the current tail word and the next.
+    pub fn extend_from(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            // Bits past `len` are kept zero, so the tail can be OR-ed into.
+            self.words.reserve(other.words.len());
+            for &word in &other.words {
+                *self.words.last_mut().expect("unaligned tail has a word") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
+        self.mask_tail();
+    }
+
+    /// Append `n` set bits, a word at a time.
+    pub fn extend_ones(&mut self, n: usize) {
+        let shift = self.len % 64;
+        if shift != 0 {
+            *self.words.last_mut().expect("unaligned tail has a word") |= u64::MAX << shift;
+        }
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), u64::MAX);
+        self.mask_tail();
+    }
+
     /// Read bit `i`. Panics if out of range.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -241,6 +272,29 @@ mod tests {
         assert_eq!(bm.count_ones(), 9);
         assert!(bm.all_set());
         assert_eq!(bm, Bitmap::filled(9, true));
+    }
+
+    #[test]
+    fn extend_matches_per_bit_push_at_every_alignment() {
+        let bit = |i: usize| i % 3 == 1 || i % 11 == 4;
+        for head in 0..=130usize {
+            let base: Bitmap = (0..head).map(bit).collect();
+            for tail in 0..=130usize {
+                let other: Bitmap = (0..tail).map(|i| bit(i + 1_000)).collect();
+                let mut want = base.clone();
+                (0..tail).for_each(|i| want.push(other.get(i)));
+                let mut got = base.clone();
+                got.extend_from(&other);
+                assert_eq!(got, want, "extend_from {head} + {tail}");
+
+                let mut want = base.clone();
+                (0..tail).for_each(|_| want.push(true));
+                let mut got = base.clone();
+                got.extend_ones(tail);
+                assert_eq!(got, want, "extend_ones {head} + {tail}");
+                assert_eq!(got.count_ones(), base.count_ones() + tail);
+            }
+        }
     }
 
     #[test]

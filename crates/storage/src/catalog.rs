@@ -16,7 +16,9 @@ use std::sync::Arc;
 /// past a catalog mutation) clone a pointer, not the data.
 #[derive(Debug, Clone)]
 pub struct TableEntry {
-    /// The table data (shared, immutable once registered).
+    /// The table data. A clone of this `Arc` is a snapshot: it never
+    /// changes, and [`Catalog::append`] grows the catalog's copy in place
+    /// only while no such clone is alive (it copies once otherwise).
     pub table: Arc<Table>,
     /// True for temporary (materialized intermediate) tables.
     pub is_temp: bool,
@@ -308,17 +310,42 @@ impl Catalog {
     }
 
     /// Append `rows` (same schema) to base table `name`, producing a new
-    /// generation: the columns are concatenated, the version bumps, and
-    /// existing indexes are dropped (they describe the old rows). On a
+    /// generation: the catalog's own columns grow in place, the version
+    /// bumps, a [`DeltaDesc`] is logged and existing indexes are dropped
+    /// (they describe the old rows). The cost is the delta's size, not
+    /// the table's — unless someone still holds the pre-append table (an
+    /// `Arc` from [`Catalog::table_arc`], or a `Table` clone sharing its
+    /// columns): that holder keeps seeing exactly the old rows, and this
+    /// append pays one copy of the table to leave them alone. On a
     /// sharded table the delta is routed by the shard key and appended
     /// to the receiving shard entries only — shards no delta row landed
     /// in keep their version, so their cached aggregates stay warm.
-    /// Returns the new version of the logical table.
+    /// Everything that can fail is checked before the first row is
+    /// written, so an error leaves every entry as it was. Returns the new
+    /// version of the logical table.
     pub fn append(&mut self, name: &str, rows: Table) -> Result<u64> {
-        let entry = self
-            .tables
-            .get(name)
-            .ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
+        self.check_append(name, &rows)?;
+        let parts = match self.shard_descs.get(name) {
+            Some(desc) => {
+                for s in 0..desc.shard_count {
+                    self.check_append(&shard_table_name(name, s), &rows)?;
+                }
+                split_table(&rows, &desc.key_cols, desc.shard_count)?
+            }
+            None => Vec::new(),
+        };
+        for (s, part) in parts.iter().enumerate() {
+            if part.num_rows() > 0 {
+                self.grow(&shard_table_name(name, s as u32), part);
+            }
+        }
+        Ok(self.grow(name, &rows))
+    }
+
+    /// The checks of [`Catalog::append`] for one entry: `name` is a base
+    /// table with `rows`' schema.
+    fn check_append(&self, name: &str, rows: &Table) -> Result<()> {
+        let entry = self.get(name)?;
         if entry.is_temp {
             return Err(StorageError::Malformed(format!(
                 "cannot append to temp table {name}"
@@ -329,26 +356,27 @@ impl Catalog {
                 "append to {name}: schema mismatch"
             )));
         }
-        let old = Arc::clone(&entry.table);
-        let from_version = entry.version;
-        let combined = Table::concat(&[old.as_ref(), &rows])?;
-        if let Some(desc) = self.shard_descs.get(name).cloned() {
-            let parts = split_table(&rows, &desc.key_cols, desc.shard_count)?;
-            for (s, part) in parts.into_iter().enumerate() {
-                if part.num_rows() == 0 {
-                    continue;
-                }
-                self.append(&shard_table_name(name, s as u32), part)?;
-            }
-        }
+        Ok(())
+    }
+
+    /// Grow one entry that passed [`Catalog::check_append`] by `rows`;
+    /// returns its new version.
+    fn grow(&mut self, name: &str, rows: &Table) -> u64 {
         let version = self.bump_version();
-        let log = self.delta_logs.entry(name.to_string()).or_default();
-        log.push(DeltaDesc {
-            from_version,
+        let entry = self.tables.get_mut(name).expect("checked by check_append");
+        let desc = DeltaDesc {
+            from_version: entry.version,
             to_version: version,
-            base_rows: old.num_rows(),
+            base_rows: entry.table.num_rows(),
             delta_rows: rows.num_rows(),
-        });
+        };
+        Arc::make_mut(&mut entry.table)
+            .append(rows)
+            .expect("schema checked by check_append");
+        entry.indexes.clear();
+        entry.version = version;
+        let log = self.delta_logs.entry(name.to_string()).or_default();
+        log.push(desc);
         // Compaction: drop the oldest descriptors once the log outgrows
         // its bound. Consumers behind the surviving chain head can no
         // longer catch up incrementally and fall back to recompute.
@@ -356,16 +384,7 @@ impl Catalog {
             let excess = log.len() - MAX_DELTA_LOG;
             log.drain(..excess);
         }
-        self.tables.insert(
-            name.to_string(),
-            TableEntry {
-                table: Arc::new(combined),
-                is_temp: false,
-                indexes: Vec::new(),
-                version,
-            },
-        );
-        Ok(version)
+        version
     }
 
     /// The append history of `name` still retained (oldest first). Empty
@@ -604,9 +623,9 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
+    use crate::column::{Column, ColumnData};
     use crate::schema::{Field, Schema};
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn tiny(n: i64) -> Table {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
@@ -682,6 +701,126 @@ mod tests {
         .unwrap();
         assert!(c.append("t", other).is_err());
         assert!(c.append("ghost", tiny(1)).is_err());
+    }
+
+    /// `x` (Int64), `s` (Utf8 over `alphabet` strings, NULL every fifth
+    /// row) for `x` in `rows`.
+    fn mixed(rows: std::ops::Range<i64>, alphabet: i64) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Int64),
+            Field::new("s", DataType::Utf8),
+        ])
+        .unwrap();
+        let mut b = crate::table::TableBuilder::new(schema);
+        for x in rows {
+            let s = if x % 5 == 4 {
+                Value::Null
+            } else {
+                Value::str(&format!("s{}", x % alphabet))
+            };
+            b.push_row(&[Value::Int(x), s]).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    fn cells(t: &Table) -> Vec<Vec<Value>> {
+        (0..t.num_rows())
+            .map(|r| (0..t.num_columns()).map(|c| t.value(r, c)).collect())
+            .collect()
+    }
+
+    /// The dictionary of [`mixed`]'s string column.
+    fn dict_of(t: &Table) -> &Arc<crate::dictionary::Dictionary> {
+        match t.column(1).data() {
+            ColumnData::Utf8 { dict, .. } => dict,
+            other => panic!("expected Utf8, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failed_append_changes_nothing() {
+        let mut c = Catalog::new();
+        c.register_sharded("t", mixed(0..40, 3), 4, Some(vec!["x".into()]))
+            .unwrap();
+        c.create_temp("tmp", mixed(0..3, 3)).unwrap();
+        c.append("t", mixed(40..48, 5)).unwrap();
+        let mut names: Vec<String> = (0..4).map(|s| shard_table_name("t", s)).collect();
+        names.push("t".into());
+        names.push("tmp".into());
+        let state =
+            |c: &Catalog, names: &[String]| -> Vec<(u64, Vec<Vec<Value>>, Vec<DeltaDesc>)> {
+                names
+                    .iter()
+                    .map(|n| {
+                        let e = c.get(n).unwrap();
+                        (e.version, cells(&e.table), c.delta_log(n).to_vec())
+                    })
+                    .collect()
+            };
+        let before = state(&c, &names);
+
+        // wrong schema, temp target, unknown target
+        assert!(c.append("t", tiny(2)).is_err());
+        assert!(c.append("tmp", mixed(3..5, 3)).is_err());
+        assert!(matches!(
+            c.append("ghost", mixed(0..2, 3)),
+            Err(StorageError::TableNotFound(_))
+        ));
+        assert_eq!(state(&c, &names), before);
+
+        // a shard entry gone missing: refused before the shards that do
+        // exist, or the logical entry, take a row
+        c.remove(&names[3]).unwrap();
+        names.remove(3);
+        let before = state(&c, &names);
+        assert!(matches!(
+            c.append("t", mixed(48..80, 5)),
+            Err(StorageError::TableNotFound(_))
+        ));
+        assert_eq!(state(&c, &names), before);
+    }
+
+    #[test]
+    fn append_leaves_snapshots_alone_and_then_grows_in_place() {
+        let mut c = Catalog::new();
+        let base = mixed(0..20, 3);
+        c.register("t", base.clone()).unwrap(); // a clone shares the columns
+        let arc = c.table_arc("t").unwrap();
+        let v0 = c.table_version("t").unwrap();
+        let old_cells = cells(&base);
+
+        // a delta with its own dictionary and strings the base lacks
+        let d1 = mixed(20..27, 7);
+        c.append("t", d1.clone()).unwrap();
+        for held in [&base, arc.as_ref()] {
+            assert_eq!(held.num_rows(), 20);
+            assert_eq!(cells(held), old_cells);
+            assert_eq!(dict_of(held).len(), 3);
+        }
+        assert_eq!(c.table("t").unwrap().num_rows(), 27);
+        assert_eq!(dict_of(c.table("t").unwrap()).len(), 6);
+
+        // holders gone: appends of known strings write where the columns
+        // are and leave the dictionary alone
+        drop((base, arc));
+        let own = c.table("t").unwrap().columns().as_ptr();
+        let dict = Arc::clone(dict_of(c.table("t").unwrap()));
+        let d2 = mixed(27..30, 7);
+        let d3 = mixed(30..41, 3);
+        c.append("t", d2.clone()).unwrap();
+        c.append("t", d3.clone()).unwrap();
+        let t = c.table("t").unwrap();
+        assert_eq!(t.columns().as_ptr(), own);
+        assert!(Arc::ptr_eq(dict_of(t), &dict));
+        assert_eq!(c.delta_log("t").len(), 3);
+
+        // the chain over the grown table is exactly the appended rows
+        let r = c.delta_chain("t", v0).unwrap();
+        assert_eq!((r.start_row, r.rows), (20, 21));
+        let appended = t.slice_rows(r.start_row, r.rows).unwrap();
+        let want = Table::concat(&[&d1, &d2, &d3]).unwrap();
+        assert_eq!(cells(&appended), cells(&want));
+        assert_eq!(cells(t)[..20], old_cells[..]);
     }
 
     #[test]

@@ -316,12 +316,93 @@ impl Column {
         Column::new(data, validity).expect("slice preserves lengths")
     }
 
-    /// Concatenate same-typed columns into one. For string columns whose
-    /// parts share one dictionary (the common case: shards gathered from
-    /// one base table) the codes are concatenated and the dictionary
-    /// shared; parts with distinct dictionaries are re-interned through a
-    /// per-part remap table (O(dict + rows), never per-row hashing of
-    /// string bytes).
+    /// An empty column of `data_type` with room for `capacity` rows.
+    fn with_capacity(data_type: DataType, capacity: usize) -> Column {
+        let data = match data_type {
+            DataType::Int64 => ColumnData::Int64(Vec::with_capacity(capacity)),
+            DataType::Float64 => ColumnData::Float64(Vec::with_capacity(capacity)),
+            DataType::Date32 => ColumnData::Date32(Vec::with_capacity(capacity)),
+            DataType::Utf8 => ColumnData::Utf8 {
+                codes: Vec::with_capacity(capacity),
+                dict: Arc::default(),
+            },
+        };
+        Column {
+            data,
+            validity: None,
+        }
+    }
+
+    /// Append `other`'s rows to this column in place, in O(`other`)
+    /// amortised. A string delta that shares this column's dictionary
+    /// adds its codes as they are; one with its own dictionary is
+    /// remapped through a per-code table (O(its dictionary + its rows),
+    /// never per-row hashing of string bytes), and only a string this
+    /// column has never seen interns — copy-on-write, so whoever shares
+    /// the old `Arc<Dictionary>` keeps it and the codes already stored
+    /// never change. A column with no rows adopts the delta's dictionary.
+    /// Validity appears, all ones, when the first NULL arrives.
+    ///
+    /// Panics if the data types differ.
+    pub fn append(&mut self, other: &Column) {
+        let old_len = self.len();
+        match (&mut self.data, &other.data) {
+            (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend_from_slice(b),
+            (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend_from_slice(b),
+            (ColumnData::Date32(a), ColumnData::Date32(b)) => a.extend_from_slice(b),
+            (
+                ColumnData::Utf8 { codes, dict },
+                ColumnData::Utf8 {
+                    codes: other_codes,
+                    dict: other_dict,
+                },
+            ) => {
+                if codes.is_empty() {
+                    *dict = Arc::clone(other_dict);
+                }
+                if Arc::ptr_eq(dict, other_dict) {
+                    codes.extend_from_slice(other_codes);
+                } else {
+                    let remap: Vec<u32> = (0..other_dict.len() as u32)
+                        .map(|c| {
+                            let s = other_dict.get(c);
+                            match dict.code_of(s) {
+                                Some(code) => code,
+                                None => Arc::make_mut(dict).intern(s),
+                            }
+                        })
+                        .collect();
+                    // A NULL slot may carry any code; it lands on code 0.
+                    codes.extend(
+                        other_codes
+                            .iter()
+                            .map(|&c| remap.get(c as usize).copied().unwrap_or(0)),
+                    );
+                }
+                if dict.is_empty() && !codes.is_empty() {
+                    // all-null parts carry empty dicts; keep code 0 valid
+                    Arc::make_mut(dict).intern("");
+                }
+            }
+            _ => panic!(
+                "append across column types: {:?} onto {:?}",
+                other.data_type(),
+                self.data_type()
+            ),
+        }
+        if let Some(o) = &other.validity {
+            self.validity
+                .get_or_insert_with(|| Bitmap::filled(old_len, true))
+                .extend_from(o);
+        } else if let Some(v) = &mut self.validity {
+            v.extend_ones(other.len());
+        }
+    }
+
+    /// Concatenate same-typed columns into one: [`Column::append`]
+    /// folded over the parts into a column reserved for the total. String
+    /// parts that share one dictionary (the common case: shards gathered
+    /// from one base table) keep sharing it.
     pub fn concat(parts: &[&Column]) -> Result<Column> {
         let first = parts
             .first()
@@ -333,95 +414,11 @@ impl Column {
                 got: format!("{:?}", bad.data_type()),
             });
         }
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        let data = match dt {
-            DataType::Int64 => {
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    let ColumnData::Int64(v) = p.data() else {
-                        unreachable!()
-                    };
-                    out.extend_from_slice(v);
-                }
-                ColumnData::Int64(out)
-            }
-            DataType::Float64 => {
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    let ColumnData::Float64(v) = p.data() else {
-                        unreachable!()
-                    };
-                    out.extend_from_slice(v);
-                }
-                ColumnData::Float64(out)
-            }
-            DataType::Date32 => {
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    let ColumnData::Date32(v) = p.data() else {
-                        unreachable!()
-                    };
-                    out.extend_from_slice(v);
-                }
-                ColumnData::Date32(out)
-            }
-            DataType::Utf8 => {
-                let ColumnData::Utf8 { dict: d0, .. } = first.data() else {
-                    unreachable!()
-                };
-                let shared = parts.iter().all(|p| {
-                    let ColumnData::Utf8 { dict, .. } = p.data() else {
-                        unreachable!()
-                    };
-                    Arc::ptr_eq(dict, d0)
-                });
-                let mut out = Vec::with_capacity(total);
-                if shared {
-                    for p in parts {
-                        let ColumnData::Utf8 { codes, .. } = p.data() else {
-                            unreachable!()
-                        };
-                        out.extend_from_slice(codes);
-                    }
-                    ColumnData::Utf8 {
-                        codes: out,
-                        dict: Arc::clone(d0),
-                    }
-                } else {
-                    let mut merged = Dictionary::new();
-                    for p in parts {
-                        let ColumnData::Utf8 { codes, dict } = p.data() else {
-                            unreachable!()
-                        };
-                        let remap: Vec<u32> = (0..dict.len() as u32)
-                            .map(|c| merged.intern(dict.get(c)))
-                            .collect();
-                        out.extend(codes.iter().map(|&c| remap[c as usize]));
-                    }
-                    if merged.is_empty() && !out.is_empty() {
-                        // all-null parts carry empty dicts; keep code 0 valid
-                        merged.intern("");
-                    }
-                    ColumnData::Utf8 {
-                        codes: out,
-                        dict: Arc::new(merged),
-                    }
-                }
-            }
-        };
-        let validity = if parts.iter().any(|p| p.validity().is_some()) {
-            let mut bm = Bitmap::new();
-            for p in parts {
-                match p.validity() {
-                    Some(v) => (0..p.len()).for_each(|i| bm.push(v.get(i))),
-                    None => (0..p.len()).for_each(|_| bm.push(true)),
-                }
-            }
-            Some(bm)
-        } else {
-            None
-        };
-        Column::new(data, validity)
+        let mut out = Column::with_capacity(dt, parts.iter().map(|p| p.len()).sum());
+        for part in parts {
+            out.append(part);
+        }
+        Ok(out)
     }
 }
 
@@ -816,6 +813,104 @@ mod tests {
         assert!(Column::concat(&[]).is_err());
     }
 
+    fn dict_of(col: &Column) -> &Arc<Dictionary> {
+        match col.data() {
+            ColumnData::Utf8 { dict, .. } => dict,
+            other => panic!("expected Utf8, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn append_of_known_strings_never_touches_the_dictionary() {
+        let mut base = Column::from_strs(&["a", "b", "c"]);
+        // what a cached aggregate over the column holds
+        let shared = Arc::clone(dict_of(&base));
+        // an independently built delta (a decoded wire `Append`): its own
+        // dictionary, its own code order
+        let delta = Column::from_strs(&["c", "a", "c"]);
+        base.append(&delta);
+        assert!(Arc::ptr_eq(dict_of(&base), &shared));
+        assert_eq!(shared.len(), 3);
+        let vals: Vec<Value> = base.iter_values().collect();
+        let want = ["a", "b", "c", "c", "a", "c"].map(Value::str);
+        assert_eq!(vals, want);
+        // a delta sliced off the column shares the Arc and adds its codes
+        let tail = base.slice(1, 2);
+        base.append(&tail);
+        assert!(Arc::ptr_eq(dict_of(&base), &shared));
+        assert_eq!(base.value(7), Value::str("c"));
+    }
+
+    #[test]
+    fn append_of_a_new_string_copies_a_shared_dictionary_once() {
+        let mut base = Column::from_strs(&["a", "b"]);
+        let snapshot = base.clone(); // shares the dictionary
+        base.append(&Column::from_strs(&["z", "a"]));
+        // the sharer keeps the old dictionary; base codes did not move
+        assert_eq!(dict_of(&snapshot).len(), 2);
+        assert!(!Arc::ptr_eq(dict_of(&base), dict_of(&snapshot)));
+        assert_eq!(dict_of(&base).len(), 3);
+        let vals: Vec<Value> = base.iter_values().collect();
+        assert_eq!(vals, ["a", "b", "z", "a"].map(Value::str));
+        for code in 0..2 {
+            assert_eq!(dict_of(&base).get(code), dict_of(&snapshot).get(code));
+        }
+        // now unshared: the next new string interns in place
+        let own = Arc::as_ptr(dict_of(&base));
+        base.append(&Column::from_strs(&["y"]));
+        assert_eq!(Arc::as_ptr(dict_of(&base)), own);
+        assert_eq!(dict_of(&base).len(), 4);
+    }
+
+    #[test]
+    fn append_creates_validity_when_the_first_null_arrives() {
+        let mut nulls = ColumnBuilder::new(DataType::Date32);
+        nulls.push_date(5);
+        nulls.push_null();
+        let nulls = nulls.finish();
+        // 70 valid rows put the first NULL past a word boundary
+        let mut col = Column::from_dates((0..70).collect());
+        col.append(&Column::from_dates(vec![70]));
+        assert!(col.validity().is_none());
+        col.append(&nulls);
+        col.append(&Column::from_dates(vec![9, 9, 9]));
+        assert_eq!(col.len(), 76);
+        assert_eq!(col.null_count(), 1);
+        assert_eq!(col.validity().unwrap().len(), 76);
+        for i in 0..76 {
+            assert_eq!(col.is_null(i), i == 72, "row {i}");
+        }
+        assert_eq!(col.value(71), Value::Date(5));
+        assert_eq!(col.value(75), Value::Date(9));
+    }
+
+    #[test]
+    fn append_remap_tolerates_any_code_in_a_null_slot() {
+        // The wire decoder leaves `u32::MAX` in NULL string slots.
+        let mut dict = Dictionary::new();
+        dict.intern("only");
+        let delta = Column::new(
+            ColumnData::Utf8 {
+                codes: vec![0, u32::MAX],
+                dict: Arc::new(dict),
+            },
+            Some([true, false].into_iter().collect()),
+        )
+        .unwrap();
+        let mut base = Column::from_strs(&["x"]);
+        base.append(&delta);
+        let vals: Vec<Value> = base.iter_values().collect();
+        assert_eq!(vals, vec![Value::str("x"), Value::str("only"), Value::Null]);
+        // the placeholder is a resolvable code: gathers stay in range
+        assert_eq!(base.gather(&[2, 1]).value(0), Value::Null);
+    }
+
+    #[test]
+    #[should_panic(expected = "append across column types")]
+    fn append_across_types_panics() {
+        Column::from_i64(vec![1]).append(&Column::from_dates(vec![1]));
+    }
+
     #[test]
     fn all_null_string_column_is_safe() {
         let mut b = ColumnBuilder::new(DataType::Utf8);
@@ -944,6 +1039,16 @@ mod concat_properties {
                     c.null_count(),
                     a.iter().chain(b.iter()).filter(|(n, _)| *n).count()
                 );
+                // growing `ca` in place by a delta that shares its
+                // dictionary (a slice of itself) or brings its own
+                let mut grown = ca.clone();
+                grown.append(&ca.slice(0, a.len() / 2));
+                grown.append(&cb);
+                let want = a[..a.len() / 2].iter().chain(b.iter());
+                prop_assert_eq!(grown.len(), a.len() + a.len() / 2 + b.len());
+                for (i, x) in a.iter().chain(want).enumerate() {
+                    prop_assert_eq!(grown.value(i), to_value(dt, *x));
+                }
             }
         }
     }

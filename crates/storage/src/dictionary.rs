@@ -8,7 +8,12 @@ use std::sync::Arc;
 /// String columns store a `Vec<u32>` of codes plus an `Arc<Dictionary>`;
 /// grouping and comparison within one column operate on codes, which is why
 /// hash aggregation on text columns is as cheap as on integers.
-#[derive(Debug, Default)]
+///
+/// Codes are never reassigned, so a clone that goes on to intern more
+/// strings (an append meeting a string the table has not seen, while
+/// cached aggregates still share the old `Arc`) agrees with the original
+/// on every code the original holds.
+#[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     values: Vec<Arc<str>>,
     lookup: FxHashMap<Arc<str>, u32>,

@@ -7,7 +7,10 @@ use crate::value::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// An immutable, in-memory, columnar table.
+/// An in-memory, columnar table: shared immutably, grown copy-on-write
+/// by the catalog that owns it. A clone shares the columns; the one
+/// mutation, [`Table::append`], writes in place only while no other
+/// handle shares them, so a clone is a snapshot.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
@@ -160,9 +163,42 @@ impl Table {
         Table::new(self.schema.clone(), columns)
     }
 
+    /// Append `rows` (same schema) to this table. While no clone shares
+    /// the columns they grow in place, in O(`rows`) amortised
+    /// ([`Column::append`]); otherwise the sharers keep the old columns
+    /// untouched and this table pays one copy, made with room for the
+    /// delta. A schema mismatch is the only error and leaves the table
+    /// unchanged.
+    pub fn append(&mut self, rows: &Table) -> Result<()> {
+        if self.schema != rows.schema {
+            return Err(StorageError::Malformed(format!(
+                "append schema mismatch: {:?} vs {:?}",
+                rows.schema.names(),
+                self.schema.names()
+            )));
+        }
+        match Arc::get_mut(&mut self.columns) {
+            Some(columns) => {
+                for (column, delta) in columns.iter_mut().zip(rows.columns()) {
+                    column.append(delta);
+                }
+            }
+            None => {
+                self.columns = self
+                    .columns
+                    .iter()
+                    .zip(rows.columns())
+                    .map(|(column, delta)| Column::concat(&[column, delta]))
+                    .collect::<Result<_>>()?;
+            }
+        }
+        self.num_rows += rows.num_rows;
+        Ok(())
+    }
+
     /// Concatenate same-schema tables into one (the row-wise union of
-    /// the parts, in order). This is the columnar fast path appends and
-    /// shard merges use instead of rebuilding row by row.
+    /// the parts, in order). This is the columnar fast path shard merges
+    /// use instead of rebuilding row by row.
     pub fn concat(parts: &[&Table]) -> Result<Table> {
         let first = parts
             .first()
@@ -367,6 +403,42 @@ mod tests {
         let other = Table::empty(Schema::new(vec![Field::new("zzz", DataType::Int64)]).unwrap());
         assert!(Table::concat(&[&t, &other]).is_err());
         assert!(Table::concat(&[]).is_err());
+    }
+
+    #[test]
+    fn append_grows_in_place_unless_a_clone_shares_the_columns() {
+        let mut t = sample();
+        let delta = sample().gather(&[2, 1]);
+        let columns_at = |t: &Table| t.columns().as_ptr();
+
+        // a clone is a snapshot: the append copies and leaves it alone
+        let snapshot = t.clone();
+        let shared = columns_at(&t);
+        t.append(&delta).unwrap();
+        assert_ne!(columns_at(&t), shared);
+        assert_eq!(columns_at(&snapshot), shared);
+        assert_eq!(snapshot.num_rows(), 3);
+        assert_eq!(t.num_rows(), 5);
+
+        // once the holder is gone the columns grow where they are
+        drop(snapshot);
+        let own = columns_at(&t);
+        t.append(&delta).unwrap();
+        t.append(&delta).unwrap();
+        assert_eq!(columns_at(&t), own);
+        assert_eq!(t.num_rows(), 9);
+        let want = Table::concat(&[&sample(), &delta, &delta, &delta]).unwrap();
+        for r in 0..9 {
+            for c in 0..3 {
+                assert_eq!(t.value(r, c), want.value(r, c), "row {r} col {c}");
+            }
+        }
+
+        // a schema mismatch changes nothing
+        let other = Table::empty(Schema::new(vec![Field::new("zzz", DataType::Int64)]).unwrap());
+        assert!(t.append(&other).is_err());
+        assert_eq!(t.num_rows(), 9);
+        assert_eq!(columns_at(&t), own);
     }
 
     #[test]

@@ -305,6 +305,199 @@ proptest! {
     }
 }
 
+/// One part (the base or a delta) of an append schedule over the
+/// four-typed table `k` Int64 · `s` Utf8 · `f` Float64 · `d` Date32.
+#[derive(Debug, Clone)]
+struct AppendPart {
+    /// Per row: a NULL mask over the four columns and the value seed.
+    rows: Vec<(u8, i64)>,
+    /// Whether the NULL masks apply — off, the part has no NULL.
+    nulls: bool,
+    /// The part's `s` column is NULL in every row.
+    all_null_strs: bool,
+    /// Distinct strings the part draws from; more than the base's means
+    /// strings the table has never seen.
+    alphabet: i64,
+    /// Take the rows from the base (a gather, sharing its dictionary)
+    /// instead of building them with a dictionary of their own.
+    from_base: bool,
+}
+
+fn append_part(max_rows: usize) -> impl Strategy<Value = AppendPart> {
+    (
+        prop::collection::vec((0u8..16, 0i64..10_000), 0..=max_rows),
+        (
+            any::<bool>(),
+            0u8..5,
+            prop::sample::select(vec![2i64, 5, 9]),
+            0u8..3,
+        ),
+    )
+        .prop_map(
+            |(rows, (nulls, all_null_strs, alphabet, from_base))| AppendPart {
+                rows,
+                nulls,
+                all_null_strs: all_null_strs == 0,
+                alphabet,
+                from_base: from_base == 0,
+            },
+        )
+}
+
+fn build_part(part: &AppendPart, base: Option<&Table>) -> Table {
+    use gbmqo_storage::{DataType, Field, Schema, TableBuilder, Value};
+    if let Some(base) = base.filter(|b| part.from_base && b.num_rows() > 0) {
+        let picks: Vec<u32> = part
+            .rows
+            .iter()
+            .map(|&(_, v)| (v as usize % base.num_rows()) as u32)
+            .collect();
+        return base.gather(&picks);
+    }
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("s", DataType::Utf8),
+        Field::new("f", DataType::Float64),
+        Field::new("d", DataType::Date32),
+    ])
+    .unwrap();
+    let mut b = TableBuilder::new(schema);
+    for &(mask, v) in &part.rows {
+        let null = |bit: u8| part.nulls && mask & (1 << bit) != 0;
+        let cell = |is_null: bool, value: Value| if is_null { Value::Null } else { value };
+        b.push_row(&[
+            cell(null(0), Value::Int(v % 13)),
+            cell(
+                null(1) || part.all_null_strs,
+                Value::str(&format!("s{}", v % part.alphabet)),
+            ),
+            cell(null(2), Value::Float((v % 7) as f64 * 0.5)),
+            cell(null(3), Value::Date((v % 11) as i32)),
+        ])
+        .unwrap();
+    }
+    b.finish().unwrap()
+}
+
+fn cells(t: &Table) -> Vec<Vec<gbmqo_storage::Value>> {
+    (0..t.num_rows())
+        .map(|r| (0..t.num_columns()).map(|c| t.value(r, c)).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// In-place growth is invisible: any schedule of appends through
+    /// `Catalog::append` leaves exactly `Table::concat` of base + deltas,
+    /// cell for cell — NULLs on either side, both or neither, all-NULL
+    /// string parts, deltas that bring new strings, share the base's
+    /// dictionary or are empty, an empty base, every column type — and
+    /// `delta_chain` + `slice_rows` over the grown table hand back
+    /// exactly the appended rows.
+    #[test]
+    fn catalog_appends_equal_concat(
+        base in append_part(40),
+        deltas in prop::collection::vec(append_part(30), 1..=5),
+    ) {
+        let base = build_part(&base, None);
+        let deltas: Vec<Table> = deltas.iter().map(|d| build_part(d, Some(&base))).collect();
+        let mut catalog = gbmqo_storage::Catalog::new();
+        catalog.register("t", base.clone()).unwrap();
+        let v0 = catalog.table_version("t").unwrap();
+        let base_cells = cells(&base);
+        let mut parts: Vec<&Table> = vec![&base];
+        for delta in &deltas {
+            catalog.append("t", delta.clone()).unwrap();
+            parts.push(delta);
+            let want = Table::concat(&parts).unwrap();
+            prop_assert_eq!(cells(catalog.table("t").unwrap()), cells(&want));
+        }
+        let range = catalog.delta_chain("t", v0).unwrap();
+        prop_assert_eq!(range.start_row, base.num_rows());
+        let appended = catalog
+            .table("t")
+            .unwrap()
+            .slice_rows(range.start_row, range.rows)
+            .unwrap();
+        prop_assert_eq!(cells(&appended), cells(&Table::concat(&parts[1..]).unwrap()));
+        // the registered clone shared `base`'s columns: still the base
+        prop_assert_eq!(cells(&base), base_cells);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The same schedules through `Session::append`, at 1 / 2 / 4 shards
+    /// under lazy and eager refresh: the logical table is the concat of
+    /// its parts, the shard entries partition it, and a warm session's
+    /// answers equal a cold session's over base + deltas.
+    #[test]
+    fn session_appends_equal_concat_and_cold_recompute(
+        base in append_part(40).prop_filter("sessions start from rows", |p| !p.rows.is_empty()),
+        deltas in prop::collection::vec(append_part(30), 1..=3),
+    ) {
+        let base = build_part(&base, None);
+        let deltas: Vec<Table> = deltas.iter().map(|d| build_part(d, Some(&base))).collect();
+        let w = Workload::single_columns("t", &base, &["k", "s", "d"]).unwrap();
+        for shards in [1u32, 2, 4] {
+            for policy in [RefreshPolicy::Lazy, RefreshPolicy::Eager] {
+                let mut warm = Session::builder()
+                    .table("t", base.clone())
+                    .shards(shards)
+                    .refresh_policy(policy)
+                    .mat_cache_budget_bytes(1 << 20)
+                    .build()
+                    .unwrap();
+                warm.run_workload(&w, CacheControl::Default).unwrap();
+                let mut parts: Vec<&Table> = vec![&base];
+                for delta in &deltas {
+                    warm.append("t", delta.clone()).unwrap();
+                    parts.push(delta);
+                }
+                let want = Table::concat(&parts).unwrap();
+                let catalog = warm.engine().catalog();
+                prop_assert_eq!(cells(catalog.table("t").unwrap()), cells(&want));
+                if let Some(desc) = catalog.shard_desc("t") {
+                    let shard_tables: Vec<&Table> = (0..desc.shard_count)
+                        .map(|s| {
+                            catalog
+                                .table(&gbmqo_storage::shard_table_name("t", s))
+                                .unwrap()
+                        })
+                        .collect();
+                    prop_assert_eq!(
+                        rows_by_name(&Table::concat(&shard_tables).unwrap()),
+                        rows_by_name(&want)
+                    );
+                }
+                let warm_out = warm.run_workload(&w, CacheControl::Default).unwrap();
+                let mut cold = Session::builder()
+                    .table("t", want)
+                    .shards(shards)
+                    .build()
+                    .unwrap();
+                let cold_out = cold.run_workload(&w, CacheControl::Default).unwrap();
+                for (set, warm_t) in &warm_out.report.results {
+                    let (_, cold_t) = cold_out
+                        .report
+                        .results
+                        .iter()
+                        .find(|(s, _)| s == set)
+                        .expect("cold run answers every set");
+                    prop_assert_eq!(
+                        rows_by_name(warm_t),
+                        rows_by_name(cold_t),
+                        "shards {} {:?} set {:?}",
+                        shards, policy, w.col_names(*set)
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Every row of `t` as sorted `name=value` cells, with rows sorted —
 /// equality independent of row and column order.
 fn rows_by_name(t: &Table) -> Vec<Vec<String>> {
