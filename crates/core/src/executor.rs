@@ -1,13 +1,17 @@
 //! Plan execution: turning a [`LogicalPlan`] into Group By queries against
-//! the engine, exactly as the paper's client-side implementation does
-//! (§5.2): intermediates become `SELECT … INTO tmp`, queries over
-//! intermediates replace `COUNT(*)` with `SUM(cnt)`, and a temp table is
-//! dropped once its last child is computed (§4.4).
+//! the engine, as the paper's client-side implementation does (§5.2):
+//! intermediates are materialized (`SELECT … INTO tmp`), queries over
+//! intermediates replace `COUNT(*)` with `SUM(cnt)`, and an intermediate
+//! is released once its last child is computed (§4.4).
 //!
 //! There is one scheduler, `execute_plan`. It consumes an ordered list
-//! of waves of [`PlanEdge`]s and retires temps by reader count; serial,
-//! dependency-parallel, sharded and shared-scan execution are values of
-//! its `Schedule` and of the base table's shard layout, not code paths.
+//! of waves of [`PlanEdge`]s and retires intermediates by reader count;
+//! serial, dependency-parallel, sharded and shared-scan execution are
+//! values of its `Schedule` and of the base table's shard layout, not
+//! code paths. The execution owns what it computes: live intermediates,
+//! the cached aggregates it was handed and the §4.4 byte count are
+//! locals of `execute_plan`, which only reads the catalog — a failed or
+//! cancelled execution drops them and leaves nothing behind.
 
 use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
@@ -15,10 +19,9 @@ use crate::plan::{LogicalPlan, NodeKind, SubNode};
 use crate::schedule::PlanEdge;
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
-use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery};
+use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery, Input};
 use gbmqo_storage::{shard_table_name, Table};
 use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Optimizer distinct-group estimates per plan node, keyed by the node's
@@ -55,99 +58,51 @@ pub struct ExecutionReport {
     pub results: Vec<(ColSet, Table)>,
     /// Work performed.
     pub metrics: ExecMetrics,
-    /// Peak bytes held in temp tables during execution.
+    /// Peak bytes held in materialized intermediates during execution.
     pub peak_temp_bytes: usize,
 }
 
-/// Display name of the temp table materializing a node, as rendered in
-/// SQL scripts (see [`crate::render_sql`]). Actual executions namespace
-/// their temps per run (see [`exec_temp_name`]) so concurrent plans
-/// sharing a catalog cannot collide; this un-namespaced form is the
-/// stable, human-readable name.
+/// Name of the temp table materializing a node in the paper's
+/// `SELECT … INTO` script (see [`crate::render_sql`]). Executions hold
+/// their intermediates by value and name none.
 pub fn temp_name(cols: ColSet) -> String {
     format!("__gbmqo_tmp_{:x}", cols.0)
 }
 
-/// Monotonic id generator for plan executions. Namespacing temps by
-/// execution id is what lets several plans run against one shared
-/// catalog at the same time (the server's worker pool does exactly
-/// that) without clobbering each other's intermediates.
-static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Allocate a fresh execution id.
-pub(crate) fn next_exec_id() -> u64 {
-    NEXT_EXEC_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Name prefix shared by every temp of execution `exec_id`.
-fn exec_prefix(exec_id: u64) -> String {
-    format!("__gbmqo_tmp_e{exec_id:x}_")
-}
-
-/// Name of the temp holding slot `slot` of the node `cols` within
-/// execution `exec_id`: the whole node for [`WHOLE_TABLE_PIN`], one
-/// shard's partial otherwise. Every name shares [`exec_prefix`], so
-/// [`cleanup_exec_temps`] covers them all.
-fn exec_temp_name(exec_id: u64, cols: ColSet, slot: u32) -> String {
-    let whole = format!("{}{:x}", exec_prefix(exec_id), cols.0);
-    if slot == WHOLE_TABLE_PIN {
-        whole
-    } else {
-        format!("{whole}_s{slot}")
-    }
-}
-
-/// Drop every temp table belonging to execution `exec_id`, ignoring
-/// individual drop failures (cleanup runs on error paths — a cancelled
-/// execution may not have materialized everything it scheduled).
-fn cleanup_exec_temps(engine: &mut Engine, exec_id: u64) {
-    let prefix = exec_prefix(exec_id);
-    let names: Vec<String> = engine
-        .catalog()
-        .temp_names()
-        .into_iter()
-        .filter(|n| n.starts_with(&prefix))
-        .collect();
-    for name in names {
-        let _ = engine.drop_temp(&name);
-    }
-}
-
 /// Shard slot meaning "the whole logical table" in [`RootSources`] and
-/// [`Harvest`] entries and in temp names: whatever is not a per-shard
-/// partial — everything over an unsharded table, and logical-level
-/// cache hits over a sharded one — uses this sentinel instead of a real
-/// shard ordinal.
+/// [`Harvest`] entries: whatever is not a per-shard partial — everything
+/// over an unsharded table, and logical-level cache hits over a sharded
+/// one — uses this sentinel instead of a real shard ordinal.
 pub(crate) const WHOLE_TABLE_PIN: u32 = u32::MAX;
 
 /// Virtual-root sources for cache-served nodes: (node column-set bits,
-/// shard ordinal) → catalog name of a pinned table holding a cached
-/// covering aggregate. An edge that would read the base relation reads
-/// the pinned table (with re-aggregation) instead when its target is
-/// listed here: under [`WHOLE_TABLE_PIN`] the whole edge does, under a
-/// shard ordinal that shard's instance of a fanned-out edge does — so a
-/// partially warm cache still serves the shards it covers.
-pub(crate) type RootSources = FxHashMap<(u128, u32), String>;
+/// shard ordinal) → a cached covering aggregate. An edge that would read
+/// the base relation reads the cached table (with re-aggregation)
+/// instead when its target is listed here: under [`WHOLE_TABLE_PIN`] the
+/// whole edge does, under a shard ordinal that shard's instance of a
+/// fanned-out edge does — so a partially warm cache still serves the
+/// shards it covers.
+pub(crate) type RootSources = FxHashMap<(u128, u32), Arc<Table>>;
 
 /// Intermediates harvested for cache admission: the column set, shard
 /// ordinal ([`WHOLE_TABLE_PIN`] for whole-table intermediates) and the
-/// materialized result of every temp an execution produced, captured
-/// when its last reader has run, just before the temp is dropped (an
-/// `Arc` clone, not a data copy).
+/// materialized result of every intermediate an execution produced,
+/// moved out when its last reader has run.
 pub(crate) type Harvest = Vec<(ColSet, u32, Arc<Table>)>;
 
 /// One whole-table Group By observed during plan execution. Every
-/// GroupBy plan node — whether it reads the base relation, a temp, or a
-/// pinned cached aggregate — computes the *complete* distinct-group set
-/// of its target columns over the logical table, so its output row count
-/// is the true cardinality the optimizer estimated. (Per-shard partials
-/// of a fanned-out intermediate are the one exception and are never
-/// observed; see [`execute_plan`].)
+/// GroupBy plan node — whether it reads the base relation, an
+/// intermediate, or a cached aggregate — computes the *complete*
+/// distinct-group set of its target columns over the logical table, so
+/// its output row count is the true cardinality the optimizer estimated.
+/// (Per-shard partials of a fanned-out intermediate are the one
+/// exception and are never observed; see [`execute_plan`].)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanObservation {
     /// The node's target column set.
     pub cols: ColSet,
-    /// Rows of the node's immediate input (base, temp, or pinned root).
+    /// Rows of the node's immediate input (base, intermediate, or
+    /// cached root).
     pub input_rows: u64,
     /// Rows of the node's result — the true distinct-group count.
     pub output_groups: u64,
@@ -158,8 +113,7 @@ pub(crate) struct PlanObservation {
 /// is a plain cache-less run.
 #[derive(Debug, Default)]
 pub(crate) struct CacheHooks {
-    /// Nodes served from pinned cached aggregates instead of the base
-    /// relation.
+    /// Nodes served from cached aggregates instead of the base relation.
     pub roots: RootSources,
     /// `Some` collects every materialized intermediate for admission.
     pub harvest: Option<Harvest>,
@@ -181,13 +135,12 @@ impl CacheHooks {
     }
 }
 
-/// Rows of catalog table `name`, 0 when it is not registered. Feeds
+/// Rows of `input`, 0 when it names no catalog table. Feeds
 /// [`PlanObservation::input_rows`]; an unregistered input only happens on
 /// error paths, where the observation is discarded with the execution.
-fn input_rows_of(engine: &Engine, name: &str) -> u64 {
-    engine
-        .catalog()
-        .table(name)
+fn input_rows_of(engine: &Engine, input: &Input) -> u64 {
+    input
+        .resolve(engine.catalog())
         .map_or(0, |t| t.num_rows() as u64)
 }
 
@@ -216,7 +169,7 @@ pub(crate) struct Schedule<'a> {
     /// Compute the Group Bys of a wave that read the same input in one
     /// shared scan (§5.1) instead of one query each.
     pub fuse: bool,
-    /// Cap on live temp-table bytes. When materializing a node would
+    /// Cap on live intermediate bytes. When materializing a node would
     /// exceed the cap, the node is left unmaterialized and its children
     /// re-read the node's own source — more work, bounded storage (the
     /// §4.4.2 trade, applied at run time).
@@ -224,38 +177,10 @@ pub(crate) struct Schedule<'a> {
     /// Optimizer distinct-group estimates forwarded to the engine's
     /// radix kernel (empty when no cost model planned the plan).
     pub estimates: &'a GroupEstimates,
-}
-
-/// Execute `plan` as `sched` orders: each wave's Group By edges run as
-/// one engine batch, ROLLUP/CUBE edges descend their lattice, and a temp
-/// table is offered to the aggregate cache and dropped the moment its
-/// last reader has run — where §4.4's schedule drops it, or earlier.
-///
-/// Over a radix-sharded base table an edge that reads the base relation
-/// fans out into one query per shard entry where that pays
-/// ([`Layout::fan_out_pays`]) and reads the logical table otherwise;
-/// below a fanned-out node intermediates stay per-shard partials all the
-/// way down, and required results merge at delivery
-/// ([`Sources::merge_shards`]). An unsharded table is the layout in
-/// which nothing fans out. Results and metric counters (other than
-/// elapsed time) are the same for every `sched` up to row order.
-pub(crate) fn execute_plan(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    engine: &mut Engine,
-    sched: &Schedule<'_>,
-    hooks: &mut CacheHooks,
-) -> Result<ExecutionReport> {
-    plan.validate(workload)?;
-    engine.reset_metrics();
-    let exec_id = next_exec_id();
-    let out = run_waves(plan, workload, engine, sched, exec_id, hooks);
-    if out.is_err() {
-        // A failed (or cancelled) execution must not leave its temps
-        // behind: the catalog may be shared with other executions.
-        cleanup_exec_temps(engine, exec_id);
-    }
-    out
+    /// The base relation handed in — the star pushdown's filtered fact —
+    /// instead of read from the catalog as `workload.table`. A handed
+    /// base is one unsharded input.
+    pub base: Option<Arc<Table>>,
 }
 
 /// Shard layout of a workload's base table as one execution sees it.
@@ -263,8 +188,8 @@ pub(crate) fn execute_plan(
 /// out.
 #[derive(Debug, Default)]
 struct Layout {
-    /// Catalog names of the base table's shard entries, in shard order.
-    shard_names: Vec<String>,
+    /// The base table's shard entries, in shard order.
+    shards: Vec<Input>,
     /// Rows of each shard entry.
     shard_rows: Vec<u64>,
     /// Shard-key columns as workload bits. `None` when a key column is
@@ -278,15 +203,12 @@ impl Layout {
         let Some(desc) = engine.catalog().shard_desc(&workload.table) else {
             return Layout::default();
         };
-        let shard_names: Vec<String> = (0..desc.shard_count)
-            .map(|s| shard_table_name(&workload.table, s))
+        let shards: Vec<Input> = (0..desc.shard_count)
+            .map(|s| Input::Catalog(shard_table_name(&workload.table, s)))
             .collect();
         Layout {
-            shard_rows: shard_names
-                .iter()
-                .map(|n| input_rows_of(engine, n))
-                .collect(),
-            shard_names,
+            shard_rows: shards.iter().map(|s| input_rows_of(engine, s)).collect(),
+            shards,
             key_set: desc.key_cols.iter().try_fold(ColSet::EMPTY, |bits, key| {
                 let i = workload.column_names.iter().position(|c| c == key)?;
                 Some(bits.union(ColSet::single(i)))
@@ -315,7 +237,7 @@ impl Layout {
     /// the edge fans out.
     fn fan_out_pays(&self, target: ColSet, groups: Option<u64>) -> bool {
         let rows: u64 = self.shard_rows.iter().sum();
-        let shards = self.shard_names.len() as u64;
+        let shards = self.shards.len() as u64;
         self.covers_key(target) || groups.is_none_or(|g| g.saturating_mul(shards) < rows)
     }
 }
@@ -325,48 +247,83 @@ impl Layout {
 struct LiveTemp {
     /// Edges that have yet to read it.
     readers: usize,
-    /// Whether it is held as per-shard partials (one temp per shard) or
-    /// as one whole-table temp.
+    /// Whether it is held as per-shard partials or as one whole table.
     fan_out: bool,
+    /// The node's result: one part per shard when fanned out, else one.
+    parts: Vec<Arc<Table>>,
+}
+
+impl LiveTemp {
+    /// The part a query instance in `slot` reads.
+    fn part(&self, slot: u32) -> &Arc<Table> {
+        &self.parts[if slot == WHOLE_TABLE_PIN {
+            0
+        } else {
+            slot as usize
+        }]
+    }
+}
+
+/// Bytes held by live intermediates and their high-water mark: the
+/// quantity §4.4's `Storage(u)` recursion minimizes.
+#[derive(Debug, Default)]
+struct TempBytes {
+    current: usize,
+    peak: usize,
+}
+
+impl TempBytes {
+    fn add(&mut self, bytes: usize) {
+        self.current += bytes;
+        self.peak = self.peak.max(self.current);
+    }
+
+    fn sub(&mut self, bytes: usize) {
+        self.current -= bytes;
+    }
 }
 
 /// Everything that decides which table a query instance reads.
 struct Sources<'a> {
     workload: &'a Workload,
     layout: &'a Layout,
-    exec_id: u64,
+    /// The whole base relation.
+    base: Input,
+    /// Cache-served roots of this execution.
+    roots: RootSources,
     /// The workload's aggregates re-aggregated (`SUM(cnt)`-style): what
     /// any input other than the base relation is read with.
     reagg: Vec<AggSpec>,
 }
 
 impl Sources<'_> {
-    /// Input table name and aggregate list of slot `slot` of the edge
+    /// Input and aggregate list of slot `slot` of the edge
     /// `source → target` (`None` = the base relation). A base-relation
-    /// read whose `(target, slot)` has a pinned cached root reads that
-    /// root instead — the cached table already holds the aggregate
-    /// outputs, so it re-aggregates exactly like a temp. Base rows read
+    /// read whose `(target, slot)` has a cached root reads that root
+    /// instead — the cached table already holds the aggregate outputs,
+    /// so it re-aggregates exactly like an intermediate. Base rows read
     /// through a shard entry are counted into `extra.shard_rows`.
     fn io(
         &self,
-        roots: &RootSources,
+        live: &FxHashMap<u128, LiveTemp>,
         source: Option<ColSet>,
         target: ColSet,
         slot: u32,
         extra: &mut ExecMetrics,
-    ) -> (String, Vec<AggSpec>) {
+    ) -> (Input, Vec<AggSpec>) {
         if let Some(s) = source {
-            return (exec_temp_name(self.exec_id, s, slot), self.reagg.clone());
+            let part = Arc::clone(live[&s.0].part(slot));
+            return (Input::Table(part), self.reagg.clone());
         }
-        if let Some(pinned) = roots.get(&(target.0, slot)) {
-            return (pinned.clone(), self.reagg.clone());
+        if let Some(root) = self.roots.get(&(target.0, slot)) {
+            return (Input::Table(Arc::clone(root)), self.reagg.clone());
         }
-        let base = match self.layout.shard_names.get(slot as usize) {
+        let base = match self.layout.shards.get(slot as usize) {
             Some(shard) => {
                 extra.shard_rows += self.layout.shard_rows[slot as usize];
                 shard.clone()
             }
-            None => self.workload.table.clone(),
+            None => self.base.clone(),
         };
         (base, self.workload.aggregates.clone())
     }
@@ -415,9 +372,9 @@ fn run_queries(
     if !fuse {
         return Ok(engine.run_group_bys_parallel(queries, threads)?);
     }
-    let mut by_input: Vec<(&str, Vec<usize>)> = Vec::new();
+    let mut by_input: Vec<(&Input, Vec<usize>)> = Vec::new();
     for (i, q) in queries.iter().enumerate() {
-        match by_input.iter_mut().find(|(input, _)| *input == q.input) {
+        match by_input.iter_mut().find(|(input, _)| **input == q.input) {
             Some((_, members)) => members.push(i),
             None => by_input.push((&q.input, vec![i])),
         }
@@ -449,26 +406,48 @@ fn run_queries(
         .collect())
 }
 
-fn run_waves(
+/// Execute `plan` as `sched` orders: each wave's Group By edges run as
+/// one engine batch, ROLLUP/CUBE edges descend their lattice, and an
+/// intermediate is offered to the aggregate cache and released the
+/// moment its last reader has run — where §4.4's schedule drops it, or
+/// earlier.
+///
+/// Over a radix-sharded base table an edge that reads the base relation
+/// fans out into one query per shard entry where that pays
+/// ([`Layout::fan_out_pays`]) and reads the logical table otherwise;
+/// below a fanned-out node intermediates stay per-shard partials all the
+/// way down, and required results merge at delivery
+/// ([`Sources::merge_shards`]). An unsharded table is the layout in
+/// which nothing fans out. Results and metric counters (other than
+/// elapsed time) are the same for every `sched` up to row order.
+pub(crate) fn execute_plan(
     plan: &LogicalPlan,
     workload: &Workload,
     engine: &mut Engine,
     sched: &Schedule<'_>,
-    exec_id: u64,
     hooks: &mut CacheHooks,
 ) -> Result<ExecutionReport> {
-    let layout = Layout::of(engine, workload);
+    plan.validate(workload)?;
+    engine.reset_metrics();
+    let (base, layout) = match &sched.base {
+        Some(table) => (Input::Table(Arc::clone(table)), Layout::default()),
+        None => (
+            Input::Catalog(workload.table.clone()),
+            Layout::of(engine, workload),
+        ),
+    };
     let sources = Sources {
         workload,
         layout: &layout,
-        exec_id,
+        base,
+        roots: std::mem::take(&mut hooks.roots),
         reagg: workload
             .aggregates
             .iter()
             .map(AggSpec::reaggregate)
             .collect(),
     };
-    let nshards = layout.shard_names.len() as u32;
+    let nshards = layout.shards.len() as u32;
     let all_shards: Vec<u32> = (0..nshards).collect();
     // The slots a node occupies: one per shard when fanned out, the
     // whole-table slot otherwise.
@@ -483,7 +462,8 @@ fn run_waves(
     // ROLLUP/CUBE nodes by column set: their single edge delivers all
     // child results via lattice descent.
     let special = collect_special(plan);
-    // Edges that read each node — the initial reader count of its temp.
+    // Edges that read each node — the initial reader count of its
+    // intermediate.
     let mut fan_in: FxHashMap<u128, usize> = FxHashMap::default();
     for source in sched.waves.iter().flatten().filter_map(|e| e.source) {
         *fan_in.entry(source.0).or_default() += 1;
@@ -495,6 +475,7 @@ fn run_waves(
     extra.shards = u64::from(nshards);
     extra.shard_skew = shard_skew(&layout.shard_rows);
     let mut live: FxHashMap<u128, LiveTemp> = FxHashMap::default();
+    let mut temp_bytes = TempBytes::default();
     // Nodes the budget left unmaterialized → the source their children
     // read instead.
     let mut evicted: FxHashMap<u128, Option<ColSet>> = FxHashMap::default();
@@ -515,25 +496,25 @@ fn run_waves(
 
         // Expand each Group By edge into its query instances: one per
         // shard when its source is per-shard, a single query otherwise
-        // (an unsharded table, or a node served whole from a pinned
+        // (an unsharded table, or a node served whole from a cached
         // aggregate). An edge that reads the sharded base relation fans
         // out where per-shard partials pay ([`Layout::fan_out_pays`]) or
-        // some shard's partial is already pinned from the cache;
-        // otherwise it is one query over the logical table, and the
-        // wave's thread budget goes to that query's kernel instead. All
-        // instances of a wave run as one batch.
+        // some shard's partial is a cached root; otherwise it is one
+        // query over the logical table, and the wave's thread budget
+        // goes to that query's kernel instead. All instances of a wave
+        // run as one batch.
         let mut queries: Vec<GroupByQuery> = Vec::new();
         let mut fan_outs: Vec<bool> = Vec::new();
         for (edge, src) in &batch {
             let mut est = sched.estimates.get(&edge.target.0).copied();
-            let pinned = |slot: u32| hooks.roots.contains_key(&(edge.target.0, slot));
+            let cached = |slot: u32| sources.roots.contains_key(&(edge.target.0, slot));
             let fan_out = match src {
                 Some(s) => live[&s.0].fan_out,
                 None => {
                     nshards > 0
-                        && !pinned(WHOLE_TABLE_PIN)
+                        && !cached(WHOLE_TABLE_PIN)
                         && (layout.fan_out_pays(edge.target, est)
-                            || all_shards.iter().any(|&s| pinned(s)))
+                            || all_shards.iter().any(|&s| cached(s)))
                 }
             };
             fan_outs.push(fan_out);
@@ -544,7 +525,7 @@ fn run_waves(
                 est = est.map(|e| (e / u64::from(nshards)).max(1));
             }
             for &slot in slots_of(fan_out) {
-                let (input, aggs) = sources.io(&hooks.roots, *src, edge.target, slot, &mut extra);
+                let (input, aggs) = sources.io(&live, *src, edge.target, slot, &mut extra);
                 queries.push(GroupByQuery {
                     input,
                     group_cols: workload
@@ -553,14 +534,10 @@ fn run_waves(
                         .map(|s| s.to_string())
                         .collect(),
                     aggs,
-                    // Materialization is decided below, under the budget.
-                    into: None,
                     estimated_groups: est,
                 });
             }
         }
-        // Input sizes must be read before the batch runs: a temp source
-        // may be retired at the end of this very wave.
         let input_rows: Vec<u64> = queries
             .iter()
             .map(|q| input_rows_of(engine, &q.input))
@@ -598,18 +575,25 @@ fn run_waves(
             }
             let readers = fan_in[&edge.target.0];
             let bytes: usize = parts.iter().map(Table::byte_size).sum();
-            let fits = sched
+            if sched
                 .memory_budget
-                .is_none_or(|b| engine.catalog().accounting().current_temp_bytes + bytes <= b);
-            if fits {
-                for (&slot, part) in slots.iter().zip(parts) {
-                    engine.materialize_temp(&exec_temp_name(exec_id, edge.target, slot), part)?;
-                }
-                live.insert(edge.target.0, LiveTemp { readers, fan_out });
+                .is_none_or(|b| temp_bytes.current + bytes <= b)
+            {
+                parts.iter().for_each(|part| engine.materialize(part));
+                temp_bytes.add(bytes);
+                let parts = parts.into_iter().map(Arc::new).collect();
+                live.insert(
+                    edge.target.0,
+                    LiveTemp {
+                        readers,
+                        fan_out,
+                        parts,
+                    },
+                );
             } else {
                 // The children re-read this edge's own source; if that
-                // source is a temp, it gains their reads and must stay
-                // live accordingly.
+                // source is an intermediate, it gains their reads and
+                // must stay live accordingly.
                 evicted.insert(edge.target.0, *src);
                 if let Some(s) = src {
                     live.get_mut(&s.0).expect("source temp is live").readers += readers;
@@ -619,35 +603,30 @@ fn run_waves(
 
         // ROLLUP/CUBE nodes descend a lattice over one combined input,
         // serially (the descent already re-aggregates level by level):
-        // a per-shard source concatenates into a scratch temp first (the
-        // descent's own re-aggregation absorbs overlapping groups); a
-        // base-relation source reads the logical table, which the
-        // dual-resident layout keeps registered alongside the shards.
+        // a per-shard source concatenates into a scratch intermediate
+        // first (the descent's own re-aggregation absorbs overlapping
+        // groups); a base-relation source reads the logical table, which
+        // the dual-resident layout keeps registered alongside the shards.
         for (edge, src) in &specials {
             let node = special
                 .get(&edge.target.0)
                 .ok_or_else(|| CoreError::InvalidPlan("unknown rollup/cube node".into()))?;
+            // `scratch`: bytes of the concatenated scratch, 0 when none.
             let (input, aggs, scratch) = match src {
                 Some(cols) if live[&cols.0].fan_out => {
-                    let shard_tables: Vec<Arc<Table>> = all_shards
-                        .iter()
-                        .map(|&s| {
-                            engine
-                                .catalog()
-                                .table_arc(&exec_temp_name(exec_id, *cols, s))
-                        })
-                        .collect::<gbmqo_storage::Result<_>>()?;
-                    let refs: Vec<&Table> = shard_tables.iter().map(Arc::as_ref).collect();
+                    let refs: Vec<&Table> = live[&cols.0].parts.iter().map(Arc::as_ref).collect();
                     let combined = Table::concat(&refs)?;
                     extra.merge_rows += combined.num_rows() as u64;
-                    let name = format!("{}_m", exec_temp_name(exec_id, *cols, WHOLE_TABLE_PIN));
-                    engine.materialize_temp(&name, combined)?;
-                    (name.clone(), sources.reagg.clone(), Some(name))
+                    engine.materialize(&combined);
+                    let bytes = combined.byte_size();
+                    temp_bytes.add(bytes);
+                    let input = Input::Table(Arc::new(combined));
+                    (input, sources.reagg.clone(), bytes)
                 }
                 _ => {
                     let (input, aggs) =
-                        sources.io(&hooks.roots, *src, edge.target, WHOLE_TABLE_PIN, &mut extra);
-                    (input, aggs, None)
+                        sources.io(&live, *src, edge.target, WHOLE_TABLE_PIN, &mut extra);
+                    (input, aggs, 0)
                 }
             };
             let in_rows = input_rows_of(engine, &input);
@@ -658,43 +637,39 @@ fn run_waves(
                 hooks.observe(*cols, in_rows, table.num_rows() as u64);
             }
             results.extend(delivered);
-            if let Some(name) = scratch {
-                engine.drop_temp(&name)?;
-            }
+            temp_bytes.sub(scratch);
         }
 
         // Every edge of this wave has read its source once: decrement
-        // reader counts and retire temps nobody will read again, each
-        // offered to the aggregate cache first (under its own shard
-        // ordinal) so a later workload asking for exactly this set, or a
-        // subset, is served instead of recomputed. This runs after the
-        // reparenting above so a temp that just inherited readers is not
-        // dropped in between.
+        // reader counts and release intermediates nobody will read
+        // again, each offered to the aggregate cache first (under its
+        // own shard ordinal) so a later workload asking for exactly this
+        // set, or a subset, is served instead of recomputed. This runs
+        // after the reparenting above so an intermediate that just
+        // inherited readers is not released in between.
         for source in batch.iter().chain(&specials).filter_map(|(_, src)| *src) {
             let temp = live.get_mut(&source.0).expect("source temp is live");
             temp.readers -= 1;
             if temp.readers > 0 {
                 continue;
             }
-            let fan_out = temp.fan_out;
-            live.remove(&source.0);
-            for &slot in slots_of(fan_out) {
-                let name = exec_temp_name(exec_id, source, slot);
+            let temp = live.remove(&source.0).expect("source temp is live");
+            for (&slot, part) in slots_of(temp.fan_out).iter().zip(temp.parts) {
+                temp_bytes.sub(part.byte_size());
                 if let Some(harvest) = hooks.harvest.as_mut() {
-                    harvest.push((source, slot, engine.catalog().table_arc(&name)?));
+                    harvest.push((source, slot, part));
                 }
-                engine.drop_temp(&name)?;
             }
         }
     }
-    debug_assert!(live.is_empty(), "temps leaked: {live:?}");
+    debug_assert!(live.is_empty(), "intermediates outlived their readers");
 
     let mut metrics = engine.metrics();
     metrics += extra;
     Ok(ExecutionReport {
         results,
         metrics,
-        peak_temp_bytes: engine.catalog().accounting().peak_temp_bytes,
+        peak_temp_bytes: temp_bytes.peak,
     })
 }
 
@@ -739,7 +714,7 @@ fn rollup_order(node: &SubNode) -> Vec<usize> {
 /// when required, then each child.
 fn run_lattice(
     node: &SubNode,
-    input: &str,
+    input: &Input,
     workload: &Workload,
     engine: &mut Engine,
     aggs: &[AggSpec],
@@ -749,8 +724,7 @@ fn run_lattice(
         NodeKind::Rollup => rollup_order(node),
         _ => node.cols.iter().collect(),
     };
-    // Arc clone, not a deep copy of the table's columns.
-    let table = engine.catalog().table_arc(input)?;
+    let table = input.resolve(engine.catalog())?;
     let cols: Vec<usize> = bits
         .iter()
         .map(|&b| table.schema().index_of(&workload.column_names[b]))
@@ -874,6 +848,7 @@ mod tests {
             fuse,
             memory_budget,
             estimates,
+            base: None,
         };
         execute_plan(plan, w, engine, &sched, hooks)
     }
@@ -965,9 +940,6 @@ mod tests {
         let nr = run_serial(&LogicalPlan::naive(&w), &w, &mut engine);
         let mr = run_serial(&merged_plan(), &w, &mut engine);
         assert!(mr.peak_temp_bytes > 0);
-        // temp table is gone afterwards
-        assert_eq!(engine.catalog().accounting().current_temp_bytes, 0);
-        assert!(engine.catalog().temp_names().is_empty());
         assert_same(&nr, &mr, "merged vs naive");
     }
 
@@ -1079,7 +1051,6 @@ mod tests {
             .map(|r| ta.value(r, ta.num_columns() - 1).as_int().unwrap())
             .sum();
         assert_eq!(total, 60, "counts must sum to the table size");
-        assert_eq!(engine.catalog().accounting().current_temp_bytes, 0);
     }
 
     #[test]
@@ -1108,7 +1079,6 @@ mod tests {
                 _ => assert_eq!(pr.metrics.rows_scanned, sr.metrics.rows_scanned),
             }
             assert!(pr.peak_temp_bytes > 0);
-            assert!(engine.catalog().temp_names().is_empty(), "temps leaked");
         }
     }
 
@@ -1126,7 +1096,6 @@ mod tests {
             // reparented children re-read the base relation: strictly more work
             assert!(bounded.metrics.rows_scanned > unbounded.metrics.rows_scanned);
             assert_same(&unbounded, &bounded, &format!("budgeted {order:?}"));
-            assert!(engine.catalog().temp_names().is_empty());
         }
     }
 
@@ -1144,47 +1113,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn temp_names_are_namespaced_per_execution() {
-        // Two runs of the same plan allocate distinct exec ids, so even
-        // a snapshot of their temp names mid-run could never collide.
-        let a = exec_temp_name(next_exec_id(), ColSet::single(0), WHOLE_TABLE_PIN);
-        let b = exec_temp_name(next_exec_id(), ColSet::single(0), WHOLE_TABLE_PIN);
-        assert_ne!(a, b, "same node in two executions must not collide");
-        assert!(a.starts_with("__gbmqo_tmp_e"));
-        // and both differ from the display name used in SQL scripts
-        assert_ne!(a, temp_name(ColSet::single(0)));
+    /// Every catalog entry as `(name, version, rows)`, sorted.
+    fn catalog_state(engine: &Engine) -> Vec<(String, u64, usize)> {
+        let mut state: Vec<_> = engine
+            .catalog()
+            .entries()
+            .map(|(name, e)| (name.to_string(), e.version, e.table.num_rows()))
+            .collect();
+        state.sort();
+        state
     }
 
     #[test]
-    fn cancelled_run_drops_its_temps() {
-        let (mut engine, w) = setup();
-        let plan = merged_plan();
-        // A pre-tripped token, plus a manually materialized orphan
-        // proving cleanup is prefix-scoped.
-        engine
-            .materialize_temp(
-                "__gbmqo_tmp_eff_1",
-                engine.catalog().table("r").unwrap().clone(),
-            )
-            .unwrap();
-        for order in ORDERS {
-            let token = gbmqo_exec::CancelToken::new();
-            token.cancel();
-            engine.set_cancel_token(Some(token));
-            let err = run(&plan, &w, &mut engine, order, None).unwrap_err();
-            assert!(matches!(
-                err,
-                CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
-            ));
-            engine.set_cancel_token(None);
-            // the foreign temp survives; no temps of the failed run linger
-            assert_eq!(engine.catalog().temp_names(), vec!["__gbmqo_tmp_eff_1"]);
+    fn cancelled_run_leaves_the_catalog_unchanged() {
+        for shards in [0, 2] {
+            let mut engine = sharded_engine(shards);
+            let w = Workload::single_columns("r", &base_table(), &["a", "b", "c"]).unwrap();
+            let plan = merged_plan();
+            let before = catalog_state(&engine);
+            for order in ORDERS {
+                let token = gbmqo_exec::CancelToken::new();
+                token.cancel();
+                engine.set_cancel_token(Some(token));
+                let err = run(&plan, &w, &mut engine, order, None).unwrap_err();
+                assert!(matches!(
+                    err,
+                    CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
+                ));
+                engine.set_cancel_token(None);
+                assert_eq!(catalog_state(&engine), before, "{shards} shards, {order:?}");
+            }
+            // With the token detached the same plan runs to completion,
+            // and a finished run leaves the catalog as it found it too.
+            assert_eq!(run_serial(&plan, &w, &mut engine).results.len(), 3);
+            assert_eq!(catalog_state(&engine), before);
         }
-        engine.drop_temp("__gbmqo_tmp_eff_1").unwrap();
-
-        // With the token detached the same plan runs to completion.
-        assert_eq!(run_serial(&plan, &w, &mut engine).results.len(), 3);
     }
 
     fn sharded_engine(shards: u32) -> Engine {
@@ -1209,7 +1172,6 @@ mod tests {
                 // Two base-reading edges ((a,b) and c), 60 rows each.
                 assert_eq!(report.metrics.shard_rows, 120);
                 assert!(report.metrics.shard_skew >= 100);
-                assert!(engine.catalog().temp_names().is_empty(), "temps leaked");
             }
         }
     }
@@ -1295,7 +1257,6 @@ mod tests {
                     &got,
                     &format!("{col} {groups:?} under {order:?}"),
                 );
-                assert!(sharded.catalog().temp_names().is_empty(), "temps leaked");
                 got.metrics
             };
 
@@ -1332,19 +1293,26 @@ mod tests {
         // would pin it (three key values leave a fourth shard empty).
         let (slot, shard, pinned_rows) = (0..4u32)
             .map(|s| (s, shard_table_name("r", s)))
-            .map(|(s, name)| (s, input_rows_of(&sharded, &name), name))
+            .map(|(s, name)| {
+                (
+                    s,
+                    input_rows_of(&sharded, &Input::Catalog(name.clone())),
+                    name,
+                )
+            })
             .find_map(|(s, rows, name)| (rows > 0).then_some((s, name, rows)))
             .unwrap();
-        let partial = sharded
-            .run_group_by(&GroupByQuery::count_star(&shard, &["u"]))
-            .unwrap();
-        sharded.catalog_mut().register("pinned_u", partial).unwrap();
+        let partial = Arc::new(
+            sharded
+                .run_group_by(&GroupByQuery::count_star(&shard, &["u"]))
+                .unwrap(),
+        );
         for order in ORDERS {
             let expected = run_leaf(&w, &mut plain, order, Some(60), &mut CacheHooks::default());
             let mut hooks = CacheHooks::default();
             hooks
                 .roots
-                .insert((w.requests[0].0, slot), "pinned_u".into());
+                .insert((w.requests[0].0, slot), Arc::clone(&partial));
             let got = run_leaf(&w, &mut sharded, order, Some(60), &mut hooks);
             assert_same(&expected, &got, &format!("pinned shard under {order:?}"));
             // Near-unique, so unpinned it would be one logical query; the

@@ -22,6 +22,7 @@ use gbmqo_cost::CardinalityCostModel;
 use gbmqo_exec::{filter, union_all_tagged, AggSpec, Engine, ExecMetrics, Predicate};
 use gbmqo_stats::ExactSource;
 use gbmqo_storage::{Table, Value};
+use std::sync::Arc;
 
 /// Result of a pushed-down GROUPING SETS over a join: one table per
 /// requested grouping set, tagged by the request's column list.
@@ -70,10 +71,6 @@ pub fn grouping_sets_over_join(
     grouping_sets_over_star(engine, left, &[dim], requests, None, &[AggSpec::count()])
 }
 
-/// Scratch temp holding the filtered fact table while a star pushdown
-/// with a fact-side selection executes.
-const FILTERED_BASE_TEMP: &str = "__gbmqo_sqlfe_filtered_base";
-
 /// The §5.1.1 rewrite generalized to a star: GROUPING SETS `requests`
 /// (columns of `fact`) over `fact ⋈ dims[0] ⋈ dims[1] ⋈ …`, each join an
 /// equi-join on a key of its dimension.
@@ -97,7 +94,7 @@ pub fn grouping_sets_over_star(
     fact_filter: Option<&Predicate>,
     aggregates: &[AggSpec],
 ) -> Result<JoinGroupingSets> {
-    // Resolve and validate every dimension before any temp is created.
+    // Resolve and validate every dimension before the fact is touched.
     // Arc clones, not deep copies of the tables' columns.
     let mut dim_tables: Vec<Table> = Vec::with_capacity(dims.len());
     for dim in dims {
@@ -122,44 +119,22 @@ pub fn grouping_sets_over_star(
         dim_tables.push(table);
     }
 
-    // Optionally push the fact-side selection below everything,
-    // materializing the filtered fact as a scratch temp the pushed-down
-    // workload runs over.
-    let (base_name, base_table) = match fact_filter {
+    // Optionally push the fact-side selection below everything: the
+    // filtered fact is materialized once and handed to the pushed-down
+    // workload as its base relation.
+    let filtered = match fact_filter {
         Some(pred) => {
-            let _ = engine.drop_temp(FILTERED_BASE_TEMP); // leaked by an earlier error?
-            let filtered = engine.run_filter(fact, pred, Some(FILTERED_BASE_TEMP))?;
-            (FILTERED_BASE_TEMP.to_string(), filtered)
+            let filtered = engine.run_filter(fact, pred)?;
+            engine.materialize(&filtered);
+            Some(Arc::new(filtered))
         }
-        None => (
-            fact.to_string(),
-            (*engine.catalog().table_arc(fact)?).clone(),
-        ),
+        None => None,
     };
-    let result = star_over_base(
-        engine,
-        &base_name,
-        &base_table,
-        dims,
-        &dim_tables,
-        requests,
-        aggregates,
-    );
-    if fact_filter.is_some() {
-        let _ = engine.drop_temp(FILTERED_BASE_TEMP);
-    }
-    result
-}
+    let base_table = match &filtered {
+        Some(table) => Arc::clone(table),
+        None => engine.catalog().table_arc(fact)?,
+    };
 
-fn star_over_base(
-    engine: &mut Engine,
-    base_name: &str,
-    base_table: &Table,
-    dims: &[StarDim],
-    dim_tables: &[Table],
-    requests: &[Vec<&str>],
-    aggregates: &[AggSpec],
-) -> Result<JoinGroupingSets> {
     // Push down: each request becomes s ∪ {fact keys} over the fact.
     let mut universe: Vec<&str> = Vec::new();
     for dim in dims {
@@ -186,11 +161,11 @@ fn star_over_base(
             v
         })
         .collect();
-    let workload = Workload::new(base_name, base_table, &universe, &pushed)?
-        .with_aggregates(aggregates.to_vec());
+    let workload =
+        Workload::new(fact, &base_table, &universe, &pushed)?.with_aggregates(aggregates.to_vec());
 
     // Optimize and execute the pushed-down Group Bys (work sharing!).
-    let mut model = CardinalityCostModel::new(ExactSource::new(base_table));
+    let mut model = CardinalityCostModel::new(ExactSource::new(&base_table));
     let (plan, _) = GbMqo::with_config(SearchConfig::pruned()).plan(&workload, &mut model)?;
     let sched = Schedule {
         waves: serial_waves(&plan, &mut |_| 1.0),
@@ -198,6 +173,7 @@ fn star_over_base(
         fuse: false,
         memory_budget: None,
         estimates: &Default::default(),
+        base: filtered,
     };
     let report = execute_plan(&plan, &workload, engine, &sched, &mut Default::default())?;
     let mut metrics = report.metrics;
@@ -241,7 +217,7 @@ fn star_over_base(
 
     // One join per dimension (each a key join, so row counts only drop).
     let mut joined = union;
-    for (dim, dim_table) in dims.iter().zip(dim_tables) {
+    for (dim, dim_table) in dims.iter().zip(&dim_tables) {
         let left_key = joined
             .schema()
             .index_of(&dim.fact_key)
@@ -476,8 +452,8 @@ mod tests {
         let joined = gbmqo_exec::hash_join(&j1, &d, &[bk], &[0], &mut m).unwrap();
         let direct = sort_group_by(&joined, &[bk], &[AggSpec::count()], &mut m).unwrap();
         assert_eq!(norm(&out.results[0].1), norm(&direct));
-        // The scratch temp is cleaned up.
-        assert!(engine.catalog().table(super::FILTERED_BASE_TEMP).is_err());
+        // The filtered fact was the execution's own: nothing was registered.
+        assert_eq!(engine.catalog().entries().count(), 3);
     }
 
     #[test]

@@ -41,15 +41,15 @@ use crate::cache::{CacheStats, PlanCache, WorkloadFingerprint};
 use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
 use crate::executor::{
-    execute_plan, next_exec_id, plan_group_estimates, shard_skew, CacheHooks, ExecutionReport,
-    GroupEstimates, PlanObservation, Schedule, WHOLE_TABLE_PIN,
+    execute_plan, plan_group_estimates, shard_skew, CacheHooks, ExecutionReport, GroupEstimates,
+    PlanObservation, Schedule, WHOLE_TABLE_PIN,
 };
 use crate::greedy::{GbMqo, SearchConfig, SearchStats};
 use crate::plan::{LogicalPlan, SubNode};
 use crate::schedule::{level_plan, serial_waves};
 use crate::workload::Workload;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
-use gbmqo_exec::{AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery};
+use gbmqo_exec::{AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery, Input};
 use gbmqo_feedback::{q_error, AdaptiveCardinalitySource, FeedbackStore, NodeObservation};
 use gbmqo_matcache::{
     agg_signature, CacheControl, CachedAggregate, MatCache, MatCacheStats, StaleAggregate,
@@ -231,6 +231,19 @@ fn plan_scan_cost(plan: &LogicalPlan, base: f64, d: &mut dyn FnMut(u128) -> f64)
     plan.subplans.iter().map(|sp| walk(sp, base, d)).sum()
 }
 
+/// A catalog entry as the aggregate cache keys its aggregates — name,
+/// contents version, rows: the logical table or one of its shard entries.
+type CacheEntry = (String, u64, usize);
+
+/// `workload`'s column names of `cols`, owned.
+fn col_strings(workload: &Workload, cols: ColSet) -> Vec<String> {
+    workload
+        .col_names(cols)
+        .iter()
+        .map(|s| s.to_string())
+        .collect()
+}
+
 fn available_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -301,7 +314,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Cap on live temp-table bytes during execution, in every mode.
+    /// Cap on live intermediate bytes during execution, in every mode.
     /// When materializing a node would exceed the cap, the node is left
     /// unmaterialized and its children re-read the node's own source —
     /// more work, bounded storage (the §4.4.2 trade, applied at run
@@ -572,26 +585,18 @@ impl Session {
     ) -> Result<WorkloadOutcome> {
         let use_cache = self.mat_cache.enabled();
         let before = self.mat_cache.stats();
-        let table_version = self.engine.catalog().table_version(&workload.table)?;
-        let base_rows = self.engine.catalog().table(&workload.table)?.num_rows();
-        let agg_sig = agg_signature(&workload.aggregates);
-
-        // Shard layout of the base table, if any. Per-shard cache
-        // entries are keyed by shard entry name and that shard's own
-        // monotonic version, so a single-shard append invalidates only
-        // the shard it touched and the other shards stay warm.
-        let shard_desc = self.engine.catalog().shard_desc(&workload.table).cloned();
-        let shard_meta: Vec<(String, u64, usize)> = match &shard_desc {
-            Some(desc) => (0..desc.shard_count)
-                .map(|s| {
-                    let sname = shard_table_name(&workload.table, s);
-                    let ver = self.engine.catalog().table_version(&sname)?;
-                    let rows = self.engine.catalog().table(&sname)?.num_rows();
-                    Ok((sname, ver, rows))
-                })
-                .collect::<Result<_>>()?,
-            None => Vec::new(),
+        // The base table as the aggregate cache keys it, and its shard
+        // entries, if any. Per-shard cache entries are keyed by shard
+        // entry name and that shard's own monotonic version, so a
+        // single-shard append invalidates only the shard it touched and
+        // the other shards stay warm.
+        let (logical, shards) = self.cache_entries(&workload.table)?;
+        let (table_version, base_rows) = (logical.1, logical.2);
+        let entry_of = |slot: u32| match slot {
+            WHOLE_TABLE_PIN => Some(&logical),
+            s => shards.get(s as usize),
         };
+        let agg_sig = agg_signature(&workload.aggregates);
 
         // Ingest-side counters: whatever appends accrued since the last
         // request (eager refreshes, reshard hints), plus any lazy delta
@@ -600,98 +605,39 @@ impl Session {
         let mut ingest = std::mem::take(&mut self.pending);
 
         // 1. Consult the cache: which requests does a cached (same
-        // table contents, same aggregates) superset aggregate cover?
-        // Under the lazy refresh policy a miss over a *stale* covering
-        // entry first tries to bring it current by aggregating only the
-        // appended row range and merging (§7's aggregate-union
-        // identity); only when that is impossible or uneconomic do
-        // stale entries get dropped.
-        let mut covered: Vec<(ColSet, CachedAggregate)> = Vec::new();
+        // table contents, same aggregates) superset aggregate cover —
+        // first at the logical level, then, for a request still
+        // uncovered, shard by shard: every warm shard serves its cached
+        // partial, cold shards scan their shard entry and the scheduler
+        // merges partials at delivery. Under the lazy refresh policy a
+        // miss over a *stale* covering entry first tries to bring it
+        // current by aggregating only the appended row range and merging
+        // (§7's aggregate-union identity); only when that is impossible
+        // or uneconomic do stale entries get dropped. `covers` holds
+        // `(request, slot, hit)`, logical hits first.
+        let mut covers: Vec<(ColSet, u32, CachedAggregate)> = Vec::new();
         if use_cache && cache.allows_lookup() {
             self.engine.reset_metrics();
-            for &req in &workload.requests {
-                let names: Vec<String> = workload
-                    .col_names(req)
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
-                let mut hit = self.mat_cache.lookup_covering(
-                    &workload.table,
-                    table_version,
-                    &names,
-                    agg_sig,
-                    base_rows,
-                );
-                if hit.is_none()
-                    && self.try_lazy_refresh(
-                        &workload.table,
-                        table_version,
-                        &names,
-                        agg_sig,
-                        base_rows,
-                        &mut ingest,
-                    )
-                {
-                    hit = self.mat_cache.lookup_covering(
-                        &workload.table,
-                        table_version,
-                        &names,
-                        agg_sig,
-                        base_rows,
-                    );
-                }
-                if let Some(hit) = hit {
-                    covered.push((req, hit));
+            let names: Vec<Vec<String>> = workload
+                .requests
+                .iter()
+                .map(|&req| col_strings(workload, req))
+                .collect();
+            for (&req, names) in workload.requests.iter().zip(&names) {
+                if let Some(hit) = self.cover(&logical, names, agg_sig, &mut ingest) {
+                    covers.push((req, WHOLE_TABLE_PIN, hit));
                 }
             }
-        }
-
-        // 1b. Per-shard serving: a request not covered at the logical
-        // level may still be covered shard by shard. Every warm shard
-        // pins its cached partial; cold shards scan their shard entry
-        // directly — the scheduler merges partials at delivery.
-        let mut shard_covered: Vec<(ColSet, u32, CachedAggregate)> = Vec::new();
-        let mut shard_served: Vec<ColSet> = Vec::new();
-        if use_cache && cache.allows_lookup() {
-            for &req in &workload.requests {
-                if covered.iter().any(|(c, _)| *c == req) {
+            for (&req, names) in workload.requests.iter().zip(&names) {
+                if covers.iter().any(|(c, _, _)| *c == req) {
                     continue;
                 }
-                let names: Vec<String> = workload
-                    .col_names(req)
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
-                let mut hits: Vec<(u32, CachedAggregate)> = Vec::new();
-                for (s, (sname, sver, srows)) in shard_meta.iter().enumerate() {
-                    let mut hit = self
-                        .mat_cache
-                        .lookup_covering(sname, *sver, &names, agg_sig, *srows);
-                    if hit.is_none() {
-                        // Each shard entry has its own version and delta
-                        // chain; a shard left stale by a routed append
-                        // refreshes from just its own delta.
-                        if self.try_lazy_refresh(sname, *sver, &names, agg_sig, *srows, &mut ingest)
-                        {
-                            hit = self
-                                .mat_cache
-                                .lookup_covering(sname, *sver, &names, agg_sig, *srows);
-                        }
-                    }
-                    if let Some(hit) = hit {
-                        hits.push((s as u32, hit));
-                    }
-                }
-                if !hits.is_empty() {
-                    shard_served.push(req);
-                    for (s, hit) in hits {
-                        shard_covered.push((req, s, hit));
+                for (s, entry) in shards.iter().enumerate() {
+                    if let Some(hit) = self.cover(entry, names, agg_sig, &mut ingest) {
+                        covers.push((req, s as u32, hit));
                     }
                 }
             }
-        }
-
-        if use_cache && cache.allows_lookup() {
             // Fold the delta scans' engine-side counters (delta_rows,
             // rows scanned, elapsed) into this request's metrics before
             // the scheduler resets the engine for the main execution.
@@ -706,7 +652,7 @@ impl Session {
             .requests
             .iter()
             .copied()
-            .filter(|r| !covered.iter().any(|(c, _)| c == r) && !shard_served.contains(r))
+            .filter(|r| !covers.iter().any(|(c, _, _)| c == r))
             .collect();
         let (mut plan, stats, estimates, planned_key) = if uncovered.is_empty() {
             (
@@ -728,27 +674,14 @@ impl Session {
         };
 
         // 3. Seed the plan with the covered requests as virtual roots:
-        // each becomes a leaf whose input is the cached aggregate,
-        // pinned in the catalog for the duration of the execution.
+        // each becomes a leaf whose input is the cached aggregate itself
+        // (per shard for a shard-served request).
         let mut hooks = CacheHooks::default();
-        let pin = next_exec_id();
-        for (cols, hit) in &covered {
-            let name = format!("__gbmqo_mc_e{pin:x}_{:x}", cols.0);
-            self.engine
-                .catalog_mut()
-                .register_arc(&name, Arc::clone(&hit.table))?;
-            hooks.roots.insert((cols.0, WHOLE_TABLE_PIN), name);
-            plan.subplans.push(SubNode::leaf(*cols));
-        }
-        for (cols, s, hit) in &shard_covered {
-            let name = format!("__gbmqo_mc_e{pin:x}_s{s}_{:x}", cols.0);
-            self.engine
-                .catalog_mut()
-                .register_arc(&name, Arc::clone(&hit.table))?;
-            hooks.roots.insert((cols.0, *s), name);
-        }
-        for cols in &shard_served {
-            plan.subplans.push(SubNode::leaf(*cols));
+        for (cols, slot, hit) in &covers {
+            if !hooks.roots.keys().any(|(c, _)| *c == cols.0) {
+                plan.subplans.push(SubNode::leaf(*cols));
+            }
+            hooks.roots.insert((cols.0, *slot), Arc::clone(&hit.table));
         }
         if use_cache && cache.allows_admit() {
             hooks.harvest = Some(Vec::new());
@@ -758,16 +691,12 @@ impl Session {
         // feeds them into the feedback store below.
         hooks.observations = Some(Vec::new());
 
-        // 4. Execute; unpin the cached roots afterwards even on error.
-        let run = self.execute(&plan, workload, &estimates, &mut hooks);
-        for name in hooks.roots.values() {
-            let _ = self.engine.catalog_mut().remove(name);
-        }
+        // 4. Execute.
         let ExecutionReport {
             results,
             mut metrics,
             peak_temp_bytes,
-        } = run?;
+        } = self.execute(&plan, workload, &estimates, &mut hooks)?;
 
         // 4b. Observe → correct → re-optimize: fold the execution's
         // per-node cardinality observations into the q-error report and
@@ -786,56 +715,28 @@ impl Session {
         );
 
         // 5. Admission: offer the scheduler's materialized
-        // intermediates and the request results themselves. Requests
-        // answered verbatim from the cache are not re-admitted.
-        if hooks.harvest.is_some() {
+        // intermediates — per-shard partials under their shard entry,
+        // the granularity that survives appends to sibling shards — and
+        // the request results themselves. Requests answered verbatim
+        // from the cache are not re-admitted.
+        if let Some(harvest) = hooks.harvest.take() {
             let mut admitted: Vec<ColSet> = Vec::new();
-            let offer = |mc: &mut MatCache, cols: ColSet, table: Arc<Table>| {
-                let names: Vec<String> = workload
-                    .col_names(cols)
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
-                mc.admit(
-                    &workload.table,
-                    table_version,
-                    &names,
-                    agg_sig,
-                    &workload.aggregates,
-                    table,
-                    base_rows,
-                );
-            };
-            for (cols, shard, table) in hooks.harvest.take().into_iter().flatten() {
-                if shard == WHOLE_TABLE_PIN {
+            for (cols, slot, table) in harvest {
+                if slot == WHOLE_TABLE_PIN {
                     admitted.push(cols);
-                    offer(&mut self.mat_cache, cols, table);
-                } else if let Some((sname, sver, srows)) = shard_meta.get(shard as usize) {
-                    // Per-shard partials are admitted under the shard
-                    // entry's own name and version — the granularity
-                    // that survives appends to sibling shards.
-                    let names: Vec<String> = workload
-                        .col_names(cols)
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect();
-                    self.mat_cache.admit(
-                        sname,
-                        *sver,
-                        &names,
-                        agg_sig,
-                        &workload.aggregates,
-                        table,
-                        *srows,
-                    );
+                }
+                if let Some(entry) = entry_of(slot) {
+                    self.admit(entry, workload, cols, agg_sig, table);
                 }
             }
             for (cols, table) in &results {
-                let served_exact = covered.iter().any(|(c, h)| c == cols && h.exact);
+                let served_exact = covers
+                    .iter()
+                    .any(|(c, slot, h)| c == cols && *slot == WHOLE_TABLE_PIN && h.exact);
                 if served_exact || admitted.contains(cols) {
                     continue;
                 }
-                offer(&mut self.mat_cache, *cols, Arc::new(table.clone()));
+                self.admit(&logical, workload, *cols, agg_sig, Arc::new(table.clone()));
             }
         }
 
@@ -859,6 +760,63 @@ impl Session {
                 peak_temp_bytes,
             },
         })
+    }
+
+    /// The aggregate-cache entries of table `name`: the logical entry,
+    /// then one per shard entry in shard order (none when unsharded).
+    fn cache_entries(&self, name: &str) -> Result<(CacheEntry, Vec<CacheEntry>)> {
+        let catalog = self.engine.catalog();
+        let entry = |name: String| -> Result<CacheEntry> {
+            let e = catalog.get(&name)?;
+            Ok((name, e.version, e.table.num_rows()))
+        };
+        let shards = match catalog.shard_desc(name) {
+            Some(desc) => (0..desc.shard_count)
+                .map(|s| entry(shard_table_name(name, s)))
+                .collect::<Result<_>>()?,
+            None => Vec::new(),
+        };
+        Ok((entry(name.to_string())?, shards))
+    }
+
+    /// A cached aggregate of `entry` covering the columns `names` — after
+    /// a lazy refresh of a stale one when nothing current covers them.
+    fn cover(
+        &mut self,
+        (entry, version, rows): &CacheEntry,
+        names: &[String],
+        agg_sig: u64,
+        ingest: &mut ExecMetrics,
+    ) -> Option<CachedAggregate> {
+        let hit = self
+            .mat_cache
+            .lookup_covering(entry, *version, names, agg_sig, *rows);
+        if hit.is_some() || !self.try_lazy_refresh(entry, *version, names, agg_sig, *rows, ingest) {
+            return hit;
+        }
+        self.mat_cache
+            .lookup_covering(entry, *version, names, agg_sig, *rows)
+    }
+
+    /// Offer `table`, the aggregate of `workload` over `cols`, to the
+    /// aggregate cache under `entry`.
+    fn admit(
+        &mut self,
+        (entry, version, rows): &CacheEntry,
+        workload: &Workload,
+        cols: ColSet,
+        agg_sig: u64,
+        table: Arc<Table>,
+    ) {
+        self.mat_cache.admit(
+            entry,
+            *version,
+            &col_strings(workload, cols),
+            agg_sig,
+            &workload.aggregates,
+            table,
+            *rows,
+        );
     }
 
     /// Optimize `workload` (or fetch the cached plan) without executing.
@@ -1016,11 +974,7 @@ impl Session {
             metrics.qerror_sum_x100 += x100;
             metrics.qerror_max_x100 = metrics.qerror_max_x100.max(x100);
             self.last_node_cards.push(NodeCardReport {
-                cols: workload
-                    .col_names(obs.cols)
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
+                cols: col_strings(workload, obs.cols),
                 estimated: est,
                 observed: obs.output_groups,
             });
@@ -1114,6 +1068,7 @@ impl Session {
             fuse,
             memory_budget: self.memory_budget,
             estimates,
+            base: None,
         };
         execute_plan(plan, workload, &mut self.engine, &sched, hooks)
     }
@@ -1135,6 +1090,7 @@ impl Session {
             fuse: false,
             memory_budget: self.memory_budget,
             estimates: &GroupEstimates::default(),
+            base: None,
         };
         execute_plan(
             plan,
@@ -1271,25 +1227,10 @@ impl Session {
     /// entry and shard entries alike) current. Counters accrue in
     /// `self.pending` and drain into the next request's metrics.
     fn refresh_all_stale(&mut self, name: &str) -> Result<()> {
-        let mut entries: Vec<(String, u64, usize)> = Vec::new();
-        let push = |cat: &Catalog, ename: String, out: &mut Vec<(String, u64, usize)>| {
-            if let (Ok(v), Ok(t)) = (cat.table_version(&ename), cat.table(&ename)) {
-                out.push((ename, v, t.num_rows()));
-            }
-        };
-        push(self.engine.catalog(), name.to_string(), &mut entries);
-        if let Some(desc) = self.engine.catalog().shard_desc(name).cloned() {
-            for s in 0..desc.shard_count {
-                push(
-                    self.engine.catalog(),
-                    shard_table_name(name, s),
-                    &mut entries,
-                );
-            }
-        }
+        let (logical, shards) = self.cache_entries(name)?;
         self.engine.reset_metrics();
         let mut ingest = ExecMetrics::default();
-        for (ename, version, rows) in entries {
+        for (ename, version, rows) in std::iter::once(logical).chain(shards) {
             for stale in self.mat_cache.stale_entries(&ename, version) {
                 self.refresh_stale_entry(&ename, version, rows, stale, &mut ingest);
             }
@@ -1366,10 +1307,9 @@ impl Session {
             .map(|f| f.name.clone())
             .collect();
         let q = GroupByQuery {
-            input: entry.to_string(),
+            input: Input::Catalog(entry.to_string()),
             group_cols,
             aggs: stale.specs.clone(),
-            into: None,
             estimated_groups: None,
         };
         let merged = self
@@ -1549,13 +1489,6 @@ mod tests {
         let p = parallel.grouping_sets(&w).unwrap();
         assert_eq!(tag_counts(&c.table), tag_counts(&s.table));
         assert_eq!(tag_counts(&c.table), tag_counts(&p.table));
-        for sess in [&client, &server, &parallel] {
-            assert!(
-                sess.engine().catalog().temp_names().is_empty(),
-                "temps leaked in {:?}",
-                sess.mode()
-            );
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! concurrently (the paper's §5.1 server-side integration leaves this
 //! to the host DBMS's scheduler — here we are the scheduler). The
 //! driver runs one wave of such edges: every worker owns a disjoint
-//! subset of the queries, reads its input tables through shared
-//! `&Catalog` borrows, and accumulates private [`ExecMetrics`] that the
+//! subset of the queries, reads its input tables through shared handles
+//! resolved up front, and accumulates private [`ExecMetrics`] that the
 //! coordinator merges after the join, so no locks are taken anywhere.
 //!
 //! When a wave has fewer queries than available threads, every query is
@@ -17,17 +17,18 @@
 
 use crate::agg::AggSpec;
 use crate::cancel::CancelToken;
-use crate::engine::GroupByQuery;
+use crate::engine::{GroupByQuery, Input};
 use crate::error::Result;
 use crate::group_by::stream_group_by;
 use crate::metrics::ExecMetrics;
 use crate::radix::radix_group_by;
 use gbmqo_storage::{Catalog, Table};
+use std::sync::Arc;
 
-/// A query with its catalog lookups done up front, so workers touch the
-/// catalog only through these shared borrows.
+/// A query with its input resolved up front, so workers never touch the
+/// catalog.
 struct Resolved<'a> {
-    table: &'a Table,
+    table: Arc<Table>,
     cols: Vec<usize>,
     aggs: &'a [AggSpec],
     /// Index order serving the grouping, if any.
@@ -48,20 +49,20 @@ impl Resolved<'_> {
         crate::cancel::check(cancel)?;
         if self.io_ns_per_byte > 0.0 {
             if self.order.is_none() {
-                std::hint::black_box(crate::rowstore::full_scan_tax(self.table));
+                std::hint::black_box(crate::rowstore::full_scan_tax(&self.table));
             }
             crate::rowstore::simulated_io_wait(self.io_bytes, self.io_ns_per_byte);
             metrics.bytes_scanned += self.io_bytes;
         }
         match self.order {
             // An index order serves the grouping: stream, no hash table.
-            Some(order) => stream_group_by(self.table, &self.cols, self.aggs, order, metrics),
+            Some(order) => stream_group_by(&self.table, &self.cols, self.aggs, order, metrics),
             // Intra-query partition parallelism uses `inner_threads` — the
             // share of the wave's thread budget this edge was handed — so
             // plan-level wave parallelism and in-kernel parallelism draw
             // from one pool instead of oversubscribing the machine.
             None => radix_group_by(
-                self.table,
+                &self.table,
                 &self.cols,
                 self.aggs,
                 self.inner_threads,
@@ -76,10 +77,9 @@ impl Resolved<'_> {
 /// Run `queries` concurrently on up to `threads` workers, returning the
 /// result tables in query order plus the merged worker metrics.
 ///
-/// The queries must be independent: none may read a table that another
-/// one in the same batch materializes. `into` targets are *not*
-/// materialized here (the catalog is shared read-only across workers);
-/// the caller materializes them after the batch returns.
+/// The queries must be independent: none may read another one's result.
+/// A catalog input whose index serves the grouping is streamed in index
+/// order; a handed table has no indexes.
 ///
 /// The merged metrics carry summed counters but `elapsed_nanos = 0`:
 /// summing per-worker wall time would double-count overlapping work, so
@@ -101,13 +101,16 @@ pub(crate) fn run_batch(
         (threads / queries.len()).max(1)
     };
     for q in queries {
-        let table = catalog.table(&q.input)?;
+        let table = q.input.resolve(catalog)?;
         let cols: Vec<usize> = q
             .group_cols
             .iter()
             .map(|n| table.schema().index_of(n))
             .collect::<gbmqo_storage::Result<_>>()?;
-        let index = catalog.index_serving(&q.input, &cols);
+        let index = match &q.input {
+            Input::Catalog(name) => catalog.index_serving(name, &cols),
+            Input::Table(_) => None,
+        };
         let io_bytes = if io_ns_per_byte > 0.0 {
             match index {
                 Some(idx) => idx

@@ -1,6 +1,8 @@
-//! The engine: runs named Group By queries against a catalog, the way the
-//! paper's client-side implementation (§5.2) issues
-//! `SELECT … INTO tmp FROM … GROUP BY …` statements against a DBMS.
+//! The engine: runs Group By queries over catalog tables or over tables
+//! handed to it, the way the paper's client-side implementation (§5.2)
+//! issues `SELECT … GROUP BY …` statements against a DBMS. Results go
+//! back to the caller; whoever keeps one as an intermediate (the paper's
+//! `SELECT … INTO tmp`) owns it and hands it to the queries that read it.
 
 use crate::agg::AggSpec;
 use crate::cancel::CancelToken;
@@ -8,20 +10,55 @@ use crate::error::Result;
 use crate::metrics::ExecMetrics;
 use crate::radix::radix_group_by;
 use gbmqo_storage::{Catalog, Table};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// A Group By query over a catalog table.
+/// What a query reads.
+#[derive(Debug, Clone)]
+pub enum Input {
+    /// A catalog table by name. An index whose order serves the grouping
+    /// is streamed instead of hashed, and row-store emulation charges the
+    /// index's key columns or else the table's full width.
+    Catalog(String),
+    /// A table handed over by whoever owns it — a plan intermediate, a
+    /// cached aggregate, a filtered fact. It has no indexes, so under
+    /// row-store emulation it pays a full-width scan.
+    Table(Arc<Table>),
+}
+
+impl Input {
+    /// The table read: a shared handle, not a copy.
+    pub fn resolve(&self, catalog: &Catalog) -> Result<Arc<Table>> {
+        match self {
+            Input::Catalog(name) => Ok(catalog.table_arc(name)?),
+            Input::Table(table) => Ok(Arc::clone(table)),
+        }
+    }
+}
+
+/// Two inputs are the same when they name the same catalog table or hand
+/// over the same allocation: what a fused wave shares one scan of.
+impl PartialEq for Input {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Input::Catalog(a), Input::Catalog(b)) => a == b,
+            (Input::Table(a), Input::Table(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Input {}
+
+/// A Group By query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupByQuery {
-    /// Input table name.
-    pub input: String,
+    /// The table read.
+    pub input: Input,
     /// Grouping column names.
     pub group_cols: Vec<String>,
     /// Aggregates to compute.
     pub aggs: Vec<AggSpec>,
-    /// `Some(name)`: materialize the result as temp table `name`
-    /// (`SELECT … INTO name`); `None`: return the rows to the client.
-    pub into: Option<String>,
     /// Optimizer cardinality estimate for this grouping (distinct
     /// groups), when the planner has one. Kernels use it to size radix
     /// partition fan-out; `None` falls back to rows-based heuristics.
@@ -29,27 +66,14 @@ pub struct GroupByQuery {
 }
 
 impl GroupByQuery {
-    /// `SELECT cols, COUNT(*) FROM input GROUP BY cols` returned to client.
+    /// `SELECT cols, COUNT(*) FROM input GROUP BY cols` over a catalog table.
     pub fn count_star(input: &str, group_cols: &[&str]) -> Self {
         GroupByQuery {
-            input: input.to_string(),
+            input: Input::Catalog(input.to_string()),
             group_cols: group_cols.iter().map(|s| s.to_string()).collect(),
             aggs: vec![AggSpec::count()],
-            into: None,
             estimated_groups: None,
         }
-    }
-
-    /// Materialize into `name`.
-    pub fn into_temp(mut self, name: &str) -> Self {
-        self.into = Some(name.to_string());
-        self
-    }
-
-    /// Attach the optimizer's distinct-group estimate for this grouping.
-    pub fn with_estimated_groups(mut self, groups: u64) -> Self {
-        self.estimated_groups = Some(groups);
-        self
     }
 }
 
@@ -83,11 +107,6 @@ impl Engine {
         self.cancel = cancel;
     }
 
-    /// The currently attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// Fail fast if the attached token (if any) has tripped. Plan
     /// executors call this between steps/waves so cancellation is
     /// observed even when individual queries are too small to poll.
@@ -112,7 +131,7 @@ impl Engine {
     /// when `ns_per_byte > 0`, un-indexed scans read the full width of
     /// their input table and pay a simulated transfer time of
     /// `bytes × ns_per_byte`; index-served scans pay I/O only for the key
-    /// columns; materializing a temp table pays write I/O. `0.0` (the
+    /// columns; materializing an intermediate pays write I/O. `0.0` (the
     /// default) disables the emulation.
     pub fn set_io_ns_per_byte(&mut self, ns_per_byte: f64) {
         self.io_ns_per_byte = ns_per_byte;
@@ -138,16 +157,14 @@ impl Engine {
         self.metrics
     }
 
-    /// Zero the metrics (and the peak-storage watermark).
+    /// Zero the metrics.
     pub fn reset_metrics(&mut self) {
         self.metrics = ExecMetrics::new();
-        self.catalog.reset_peak();
     }
 
     /// Run one Group By query — a one-query batch
     /// ([`Engine::run_group_bys_parallel`]) on the engine's kernel
-    /// threads. The result is returned either way; when `q.into` is set
-    /// it is also materialized as a temp table.
+    /// threads.
     ///
     /// If the input table has an index whose order serves the grouping,
     /// the engine streams over it instead of hashing — the executor-level
@@ -174,7 +191,7 @@ impl Engine {
         rows: usize,
     ) -> Result<Table> {
         let t0 = Instant::now();
-        let table = self.catalog.table(&q.input)?;
+        let table = q.input.resolve(&self.catalog)?;
         let cols: Vec<usize> = q
             .group_cols
             .iter()
@@ -189,9 +206,6 @@ impl Engine {
         let result = self.aggregate_table(&slice, &cols, &q.aggs, q.estimated_groups)?;
         self.metrics.queries_executed += 1;
         self.metrics.delta_rows += rows as u64;
-        if let Some(name) = &q.into {
-            self.materialize_temp(name, result.clone())?;
-        }
         self.metrics.add_elapsed(t0.elapsed());
         Ok(result)
     }
@@ -228,13 +242,11 @@ impl Engine {
     /// to `threads` scoped worker threads (one wave of the dependency-
     /// parallel plan executor). Results come back in query order.
     ///
-    /// Workers read tables through shared catalog borrows and keep
-    /// private metrics, merged race-free after the join; `elapsed_nanos`
-    /// advances by the batch's wall-clock time, not the summed worker
-    /// time. Queries with `into` set are materialized serially after the
-    /// parallel section, in query order. No query in the batch may read a
-    /// table another one materializes — that dependency belongs in the
-    /// next wave.
+    /// Workers read their inputs through shared borrows and keep private
+    /// metrics, merged race-free after the join; `elapsed_nanos` advances
+    /// by the batch's wall-clock time, not the summed worker time. No
+    /// query in the batch may read another one's result — that
+    /// dependency belongs in the next wave.
     ///
     /// When the batch is narrower than `threads`, the spare threads are
     /// each query's budget *inside* the kernel, which uses them once its
@@ -254,11 +266,6 @@ impl Engine {
         )?;
         self.metrics += batch_metrics;
         self.metrics.queries_executed += queries.len() as u64;
-        for (q, t) in queries.iter().zip(&tables) {
-            if let Some(name) = &q.into {
-                self.materialize_temp(name, t.clone())?;
-            }
-        }
         self.metrics.add_elapsed(start.elapsed());
         Ok(tables)
     }
@@ -267,18 +274,16 @@ impl Engine {
     /// (the server-side execution style of §5.1: PipeHash-like shared
     /// scans across the members of a GROUPING SETS). Under row-store
     /// emulation the input's scan I/O is paid once, not once per query.
-    /// Results are returned in order and are not materialized.
+    /// Results are returned in order.
     pub fn run_shared_group_bys(
         &mut self,
-        input: &str,
+        input: &Input,
         groupings: &[Vec<String>],
         aggs: &[crate::agg::AggSpec],
     ) -> Result<Vec<Table>> {
         self.check_cancelled()?;
         let start = Instant::now();
-        // Arc clone: a shared handle, not a copy of the rows. Owning the
-        // handle keeps borrows simple while `self.metrics` is mutated.
-        let table = self.catalog.table_arc(input)?;
+        let table = input.resolve(&self.catalog)?;
         let ords: Vec<Vec<usize>> = groupings
             .iter()
             .map(|cols| {
@@ -299,48 +304,35 @@ impl Engine {
         Ok(results)
     }
 
-    /// Materialize `table` as a temp table, charging simulated write I/O
-    /// when row-store emulation is active.
-    pub fn materialize_temp(&mut self, name: &str, table: Table) -> Result<()> {
+    /// Account for the caller keeping `table` as an intermediate (the
+    /// paper's `SELECT … INTO`): one more table materialized, plus
+    /// simulated write I/O when row-store emulation is active.
+    pub fn materialize(&mut self, table: &Table) {
         if self.io_ns_per_byte > 0.0 {
             crate::rowstore::simulated_io_wait(table.byte_size() as u64, self.io_ns_per_byte);
         }
-        self.catalog.create_temp(name.to_string(), table)?;
         self.metrics.tables_materialized += 1;
-        Ok(())
     }
 
-    /// Run a selection over a table (§5.1.1's pushed-down selection),
-    /// optionally materializing the result. Charges scan (and write) I/O
-    /// under row-store emulation.
+    /// Run a selection over catalog table `input` (§5.1.1's pushed-down
+    /// selection). Charges scan I/O under row-store emulation.
     pub fn run_filter(
         &mut self,
         input: &str,
         predicate: &crate::filter::Predicate,
-        into: Option<&str>,
     ) -> Result<Table> {
         let start = Instant::now();
-        // Arc clone, not a row-data copy (the input may be a large base
-        // table; see gbmqo_storage::Catalog::table_arc).
-        let table = self.catalog.table_arc(input)?;
+        let table = self.catalog.table(input)?;
         if self.io_ns_per_byte > 0.0 {
-            std::hint::black_box(crate::rowstore::full_scan_tax(&table));
+            std::hint::black_box(crate::rowstore::full_scan_tax(table));
             let bytes = table.byte_size() as u64;
             crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
             self.metrics.bytes_scanned += bytes;
         }
-        let result = crate::filter::filter(&table, predicate, &mut self.metrics)?;
+        let result = crate::filter::filter(table, predicate, &mut self.metrics)?;
         self.metrics.queries_executed += 1;
-        if let Some(name) = into {
-            self.materialize_temp(name, result.clone())?;
-        }
         self.metrics.add_elapsed(start.elapsed());
         Ok(result)
-    }
-
-    /// Drop a temp table produced by an earlier `INTO`.
-    pub fn drop_temp(&mut self, name: &str) -> Result<()> {
-        Ok(self.catalog.drop_temp(name)?)
     }
 }
 
@@ -391,19 +383,18 @@ mod tests {
     #[test]
     fn into_materializes_temp_table() {
         let mut e = Engine::new(catalog());
-        let q = GroupByQuery::count_star("r", &["a", "b"]).into_temp("t_ab");
-        e.run_group_by(&q).unwrap();
-        assert!(e.catalog().contains("t_ab"));
+        let t_ab = e
+            .run_group_by(&GroupByQuery::count_star("r", &["a", "b"]))
+            .unwrap();
+        e.materialize(&t_ab);
         assert_eq!(e.metrics().tables_materialized, 1);
-        assert!(e.catalog().accounting().current_temp_bytes > 0);
 
-        // re-aggregate from the temp
+        // re-aggregate from the intermediate its owner hands back
         let r = e
             .run_group_by(&GroupByQuery {
-                input: "t_ab".into(),
+                input: Input::Table(Arc::new(t_ab)),
                 group_cols: vec!["b".into()],
                 aggs: vec![AggSpec::sum_count()],
-                into: None,
                 estimated_groups: None,
             })
             .unwrap();
@@ -411,10 +402,7 @@ mod tests {
             .run_group_by(&GroupByQuery::count_star("r", &["b"]))
             .unwrap();
         assert_eq!(norm(&r), norm(&direct));
-
-        e.drop_temp("t_ab").unwrap();
-        assert!(!e.catalog().contains("t_ab"));
-        assert_eq!(e.catalog().accounting().current_temp_bytes, 0);
+        assert_eq!(e.catalog().entries().count(), 1, "the catalog holds only r");
     }
 
     #[test]
@@ -442,9 +430,13 @@ mod tests {
     fn parallel_batch_matches_serial_and_materializes() {
         let mut serial = Engine::new(catalog());
         let mut par = Engine::new(catalog());
+        let handed = Input::Table(serial.catalog().table_arc("r").unwrap());
         let queries = vec![
             GroupByQuery::count_star("r", &["a"]),
-            GroupByQuery::count_star("r", &["b"]).into_temp("t_b"),
+            GroupByQuery {
+                input: handed.clone(),
+                ..GroupByQuery::count_star("r", &["b"])
+            },
             GroupByQuery::count_star("r", &["a", "b"]),
         ];
         let par_tables = par.run_group_bys_parallel(&queries, 4).unwrap();
@@ -459,12 +451,13 @@ mod tests {
             let st = serial.run_group_by(q).unwrap();
             assert_eq!(norm(&st), norm(pt));
         }
-        assert!(par.catalog().contains("t_b"));
+        par.materialize(&par_tables[1]);
         assert_eq!(par.metrics().queries_executed, 3);
         assert_eq!(par.metrics().tables_materialized, 1);
         assert_eq!(par.metrics().rows_scanned, serial.metrics().rows_scanned);
-        par.drop_temp("t_b").unwrap();
-        serial.drop_temp("t_b").unwrap();
+        // Same allocation, same input; a catalog name is another input.
+        assert_eq!(queries[1].input, handed);
+        assert_ne!(queries[0].input, handed);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   lattice descent (each level re-aggregated from the previous),
 //! * [`filter`], [`join`], [`union_all`] — the relational plumbing for
 //!   §5.1.1's GROUPING SETS over selections and joins with `Grp-Tag`,
-//! * [`engine::Engine`] — runs named Group By queries against a
-//!   [`gbmqo_storage::Catalog`], materializing `SELECT … INTO` temp tables
-//!   and collecting [`metrics::ExecMetrics`];
+//! * [`engine::Engine`] — runs Group By queries over a
+//!   [`gbmqo_storage::Catalog`] table or a table handed to it (one
+//!   [`engine::Input`] type) and collects [`metrics::ExecMetrics`];
 //!   [`Engine::aggregate_table`] is the same kernel dispatch for an
 //!   in-memory table (shard merges, delta refreshes, lattice levels).
 
@@ -45,7 +45,7 @@ pub mod union_all;
 pub use agg::{AggFunc, AggSpec};
 pub use cancel::CancelToken;
 pub use cube::cube;
-pub use engine::{Engine, GroupByQuery};
+pub use engine::{Engine, GroupByQuery, Input};
 pub use error::{ExecError, Result};
 pub use filter::{filter, Predicate};
 pub use group_by::stream_group_by;

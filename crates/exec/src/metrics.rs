@@ -3,88 +3,134 @@
 use std::ops::AddAssign;
 use std::time::Duration;
 
-/// Counters describing the work one or more operators performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecMetrics {
+/// Declares [`ExecMetrics`] from one table of `name: Sum | Max` counters
+/// and their docs. The struct, [`ExecMetrics::fields`] (hence the JSON),
+/// [`ExecMetrics::from_json`] and `+=` all derive from that table, in its
+/// order: a `Sum` counter adds under `+=`, a `Max` counter is a gauge and
+/// keeps the larger side.
+macro_rules! exec_metrics {
+    (@merge Sum, $a:expr, $b:expr) => {
+        $a + $b
+    };
+    (@merge Max, $a:expr, $b:expr) => {
+        $a.max($b)
+    };
+    ($($(#[doc = $doc:literal])* $name:ident: $merge:ident,)*) => {
+        /// Counters describing the work one or more operators performed.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ExecMetrics {
+            $($(#[doc = $doc])* pub $name: u64,)*
+        }
+
+        impl ExecMetrics {
+            /// Number of counters.
+            pub const COUNTERS: usize = [$(stringify!($name)),*].len();
+
+            /// Every counter as `(name, value)` pairs, in declaration order.
+            /// The single source of truth for machine-readable output: both
+            /// [`ExecMetrics::to_json`] and the server's Stats response are
+            /// built from this list, so the two stay field-for-field identical.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name)),*]
+            }
+
+            /// Set the counter called `key`; unknown keys are ignored.
+            fn set(&mut self, key: &str, value: u64) {
+                match key {
+                    $(stringify!($name) => self.$name = value,)*
+                    _ => {}
+                }
+            }
+        }
+
+        impl AddAssign for ExecMetrics {
+            fn add_assign(&mut self, rhs: Self) {
+                $(self.$name = exec_metrics!(@merge $merge, self.$name, rhs.$name);)*
+            }
+        }
+    };
+}
+
+exec_metrics! {
     /// Input rows read by scans.
-    pub rows_scanned: u64,
+    rows_scanned: Sum,
     /// Rows produced.
-    pub rows_output: u64,
+    rows_output: Sum,
     /// Approximate bytes read. This aggregates heterogeneous layers
     /// (key-column bytes in operators, full-width bytes under row-store
     /// emulation), so treat it as an order-of-magnitude indicator rather
     /// than an exact byte count.
-    pub bytes_scanned: u64,
+    bytes_scanned: Sum,
     /// Queries (operator pipelines) executed.
-    pub queries_executed: u64,
-    /// Temp tables materialized.
-    pub tables_materialized: u64,
+    queries_executed: Sum,
+    /// Intermediate tables materialized.
+    tables_materialized: Sum,
     /// Wall time spent in operators, nanoseconds.
-    pub elapsed_nanos: u64,
+    elapsed_nanos: Sum,
     /// Radix partitions aggregated by the partitioned group-by kernel
     /// (cumulative across kernel invocations; 0 when only scalar paths ran).
-    pub radix_partitions: u64,
+    radix_partitions: Sum,
     /// Rows whose group key took the packed `u64`/`u128` fast path.
-    pub packed_key_rows: u64,
+    packed_key_rows: Sum,
     /// Rows whose group key fell back to the byte `RowKey` encoding
     /// (wide, too-many-distinct or `Float64` group columns).
-    pub fallback_key_rows: u64,
+    fallback_key_rows: Sum,
     /// Group hash-table growths (rehash + move) observed by kernels.
-    pub hash_resizes: u64,
+    hash_resizes: Sum,
     /// Workload requests answered from the materialized aggregate
     /// cache (a covering superset already held, no base-table scan).
-    pub matcache_hits: u64,
+    matcache_hits: Sum,
     /// Bytes currently resident in the materialized aggregate cache
     /// (a gauge snapshot, not cumulative — `+=` keeps the larger side).
-    pub matcache_bytes: u64,
+    matcache_bytes: Max,
     /// Cached aggregates evicted to stay under the cache byte budget.
-    pub matcache_evictions: u64,
+    matcache_evictions: Sum,
     /// Estimated base-table rows whose scan was avoided by cache hits.
-    pub matcache_rows_saved: u64,
+    matcache_rows_saved: Sum,
     /// Shards the executed plan fanned out across (a gauge: `+=` keeps
     /// the larger side; 0 when the base table is unsharded).
-    pub shards: u64,
+    shards: Max,
     /// Base rows read through per-shard scans (summed across shards).
-    pub shard_rows: u64,
+    shard_rows: Sum,
     /// Rows fed through final cross-shard re-aggregation merges. Stays 0
     /// for merge-elided deliveries (grouping covers the shard key) and
     /// for concatenation-only merges.
-    pub merge_rows: u64,
+    merge_rows: Sum,
     /// Shard skew: largest shard's row share as a percentage of the
     /// mean shard size (100 = perfectly even; a gauge, `+=` keeps max).
-    pub shard_skew: u64,
+    shard_skew: Max,
     /// Appended rows aggregated through delta scans (ingest pipeline).
-    pub delta_rows: u64,
+    delta_rows: Sum,
     /// Stale cached aggregates brought current by merging a delta
     /// aggregate instead of recomputing from the base table.
-    pub delta_refreshes: u64,
+    delta_refreshes: Sum,
     /// Stale cached aggregates dropped instead of refreshed (delta chain
     /// compacted away, chain too large a fraction of the base, or the
     /// refresh policy disabled).
-    pub delta_fallbacks: u64,
+    delta_fallbacks: Sum,
     /// Base rows a delta refresh did *not* rescan: the rows already
     /// summarized by the stale entry (base size minus delta size).
-    pub refresh_rows_saved: u64,
+    refresh_rows_saved: Sum,
     /// Appends whose delta pushed shard skew past the resharding
     /// threshold — the signal that `Session::reshard` is worth calling.
-    pub reshard_hints: u64,
+    reshard_hints: Sum,
     /// Plan nodes whose estimated and observed group counts were both
     /// available, i.e. nodes contributing to the q-error fields below.
-    pub qerror_nodes: u64,
+    qerror_nodes: Sum,
     /// Sum of per-node q-errors ×100 (q-error = max(est/obs, obs/est),
     /// so 100 per node means exact). Divide by `qerror_nodes` for the
     /// mean q-error of the run.
-    pub qerror_sum_x100: u64,
+    qerror_sum_x100: Sum,
     /// Worst per-node q-error ×100 seen (a gauge: `+=` keeps max).
-    pub qerror_max_x100: u64,
+    qerror_max_x100: Max,
     /// Per-plan-node cardinality observations fed to the feedback store.
-    pub feedback_observations: u64,
+    feedback_observations: Sum,
     /// Cached plans invalidated for re-optimization because corrected
     /// estimates shifted their cost past the adaptive threshold.
-    pub plan_reopts: u64,
+    plan_reopts: Sum,
     /// Delta refreshes absorbed by online distinct sketches (each one a
     /// full re-sample avoided).
-    pub sketch_refreshes: u64,
+    sketch_refreshes: Sum,
 }
 
 impl ExecMetrics {
@@ -113,44 +159,6 @@ impl ExecMetrics {
         }
     }
 
-    /// Every counter as `(name, value)` pairs, in declaration order.
-    /// The single source of truth for machine-readable output: both
-    /// [`ExecMetrics::to_json`] and the server's Stats response are
-    /// built from this list, so the two stay field-for-field identical.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("rows_scanned", self.rows_scanned),
-            ("rows_output", self.rows_output),
-            ("bytes_scanned", self.bytes_scanned),
-            ("queries_executed", self.queries_executed),
-            ("tables_materialized", self.tables_materialized),
-            ("elapsed_nanos", self.elapsed_nanos),
-            ("radix_partitions", self.radix_partitions),
-            ("packed_key_rows", self.packed_key_rows),
-            ("fallback_key_rows", self.fallback_key_rows),
-            ("hash_resizes", self.hash_resizes),
-            ("matcache_hits", self.matcache_hits),
-            ("matcache_bytes", self.matcache_bytes),
-            ("matcache_evictions", self.matcache_evictions),
-            ("matcache_rows_saved", self.matcache_rows_saved),
-            ("shards", self.shards),
-            ("shard_rows", self.shard_rows),
-            ("merge_rows", self.merge_rows),
-            ("shard_skew", self.shard_skew),
-            ("delta_rows", self.delta_rows),
-            ("delta_refreshes", self.delta_refreshes),
-            ("delta_fallbacks", self.delta_fallbacks),
-            ("refresh_rows_saved", self.refresh_rows_saved),
-            ("reshard_hints", self.reshard_hints),
-            ("qerror_nodes", self.qerror_nodes),
-            ("qerror_sum_x100", self.qerror_sum_x100),
-            ("qerror_max_x100", self.qerror_max_x100),
-            ("feedback_observations", self.feedback_observations),
-            ("plan_reopts", self.plan_reopts),
-            ("sketch_refreshes", self.sketch_refreshes),
-        ]
-    }
-
     /// One flat JSON object of all counters (no trailing newline).
     /// All values are unsigned integers, so no escaping is needed.
     pub fn to_json(&self) -> String {
@@ -175,79 +183,9 @@ impl ExecMetrics {
             }
             let (key, value) = pair.split_once(':')?;
             let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let value: u64 = value.trim().parse().ok()?;
-            match key {
-                "rows_scanned" => m.rows_scanned = value,
-                "rows_output" => m.rows_output = value,
-                "bytes_scanned" => m.bytes_scanned = value,
-                "queries_executed" => m.queries_executed = value,
-                "tables_materialized" => m.tables_materialized = value,
-                "elapsed_nanos" => m.elapsed_nanos = value,
-                "radix_partitions" => m.radix_partitions = value,
-                "packed_key_rows" => m.packed_key_rows = value,
-                "fallback_key_rows" => m.fallback_key_rows = value,
-                "hash_resizes" => m.hash_resizes = value,
-                "matcache_hits" => m.matcache_hits = value,
-                "matcache_bytes" => m.matcache_bytes = value,
-                "matcache_evictions" => m.matcache_evictions = value,
-                "matcache_rows_saved" => m.matcache_rows_saved = value,
-                "shards" => m.shards = value,
-                "shard_rows" => m.shard_rows = value,
-                "merge_rows" => m.merge_rows = value,
-                "shard_skew" => m.shard_skew = value,
-                "delta_rows" => m.delta_rows = value,
-                "delta_refreshes" => m.delta_refreshes = value,
-                "delta_fallbacks" => m.delta_fallbacks = value,
-                "refresh_rows_saved" => m.refresh_rows_saved = value,
-                "reshard_hints" => m.reshard_hints = value,
-                "qerror_nodes" => m.qerror_nodes = value,
-                "qerror_sum_x100" => m.qerror_sum_x100 = value,
-                "qerror_max_x100" => m.qerror_max_x100 = value,
-                "feedback_observations" => m.feedback_observations = value,
-                "plan_reopts" => m.plan_reopts = value,
-                "sketch_refreshes" => m.sketch_refreshes = value,
-                _ => {}
-            }
+            m.set(key, value.trim().parse().ok()?);
         }
         Some(m)
-    }
-}
-
-impl AddAssign for ExecMetrics {
-    fn add_assign(&mut self, rhs: Self) {
-        self.rows_scanned += rhs.rows_scanned;
-        self.rows_output += rhs.rows_output;
-        self.bytes_scanned += rhs.bytes_scanned;
-        self.queries_executed += rhs.queries_executed;
-        self.tables_materialized += rhs.tables_materialized;
-        self.elapsed_nanos += rhs.elapsed_nanos;
-        self.radix_partitions += rhs.radix_partitions;
-        self.packed_key_rows += rhs.packed_key_rows;
-        self.fallback_key_rows += rhs.fallback_key_rows;
-        self.hash_resizes += rhs.hash_resizes;
-        self.matcache_hits += rhs.matcache_hits;
-        // Resident-bytes is a gauge: accumulating totals keeps the
-        // most recent (larger-scope) snapshot rather than a sum.
-        self.matcache_bytes = self.matcache_bytes.max(rhs.matcache_bytes);
-        self.matcache_evictions += rhs.matcache_evictions;
-        self.matcache_rows_saved += rhs.matcache_rows_saved;
-        // Shard fan-out and skew are gauges like matcache_bytes.
-        self.shards = self.shards.max(rhs.shards);
-        self.shard_rows += rhs.shard_rows;
-        self.merge_rows += rhs.merge_rows;
-        self.shard_skew = self.shard_skew.max(rhs.shard_skew);
-        self.delta_rows += rhs.delta_rows;
-        self.delta_refreshes += rhs.delta_refreshes;
-        self.delta_fallbacks += rhs.delta_fallbacks;
-        self.refresh_rows_saved += rhs.refresh_rows_saved;
-        self.reshard_hints += rhs.reshard_hints;
-        self.qerror_nodes += rhs.qerror_nodes;
-        self.qerror_sum_x100 += rhs.qerror_sum_x100;
-        // Worst-case q-error is a gauge like shard_skew.
-        self.qerror_max_x100 = self.qerror_max_x100.max(rhs.qerror_max_x100);
-        self.feedback_observations += rhs.feedback_observations;
-        self.plan_reopts += rhs.plan_reopts;
-        self.sketch_refreshes += rhs.sketch_refreshes;
     }
 }
 
@@ -397,7 +335,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"radix_partitions\":7"));
         // fields() enumerates every counter exactly once
-        assert_eq!(m.fields().len(), 29);
+        assert_eq!(m.fields().len(), ExecMetrics::COUNTERS);
         assert!(json.contains("\"qerror_max_x100\":26"));
         assert!(json.contains("\"delta_refreshes\":20"));
         assert!(json.contains("\"shard_rows\":16"));

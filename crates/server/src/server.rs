@@ -42,8 +42,9 @@
 //! queued counts against it. Workers install a
 //! [`CancelToken`](gbmqo_core::CancelToken) with the deadline on the
 //! session before executing; the engine polls it at morsel boundaries,
-//! so an expired request aborts mid-kernel, its temp tables are
-//! dropped, and the client receives [`ErrorCode::Timeout`].
+//! so an expired request aborts mid-kernel, its intermediates are
+//! dropped with the execution, and the client receives
+//! [`ErrorCode::Timeout`].
 //!
 //! ## Shutdown
 //!
@@ -1436,16 +1437,16 @@ pub(crate) fn run_workload(
 
 /// Render the server-wide stats JSON: admission/batching/streaming
 /// counters, plan-cache statistics, materialized-aggregate-cache
-/// statistics, live temp-table and connection counts, and the
+/// statistics, catalog-entry and connection counts, and the
 /// accumulated [`ExecMetrics`] (same field names as
 /// `gbmqo profile --json`).
 fn stats_json(shared: &Shared) -> String {
-    let (cache, mat, temp_tables) = {
+    let (cache, mat, catalog_tables) = {
         let session = shared.session();
         (
             session.cache_stats(),
             session.mat_cache_stats(),
-            session.engine().catalog().temp_names().len(),
+            session.engine().catalog().entries().count(),
         )
     };
     // Integer percentage so `stats_field` (digits-only) can read it.
@@ -1474,7 +1475,7 @@ fn stats_json(shared: &Shared) -> String {
             "outbound_peak_bytes",
             shared.outbound_peak.load(Ordering::Relaxed),
         ),
-        ("temp_tables", temp_tables as u64),
+        ("catalog_tables", catalog_tables as u64),
         ("cache_hits", cache.hits),
         ("cache_misses", cache.misses),
         ("matcache_entries", mat.entries),

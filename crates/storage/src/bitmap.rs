@@ -55,29 +55,46 @@ impl Bitmap {
     /// byte: the inverse of [`Bitmap::from_le_bytes`], a word at a time.
     /// Panics if the range reaches past the bitmap.
     pub fn to_le_bytes(&self, range: Range<usize>) -> Vec<u8> {
+        let bits = range.len();
+        let mut out: Vec<u8> = self.range_words(range).flat_map(u64::to_le_bytes).collect();
+        out.truncate(bits.div_ceil(8));
+        if let (Some(last), tail @ 1..) = (out.last_mut(), bits % 8) {
+            *last &= (1u8 << tail) - 1;
+        }
+        out
+    }
+
+    /// Bits `range` as a bitmap of their own, a word at a time. Panics
+    /// if the range reaches past the bitmap.
+    pub fn slice(&self, range: Range<usize>) -> Bitmap {
+        let len = range.len();
+        let mut bm = Bitmap {
+            words: self.range_words(range).collect(),
+            len,
+        };
+        bm.mask_tail();
+        bm
+    }
+
+    /// Bits `range` realigned to start at bit 0, one `u64` per 64 bits
+    /// (the last word may carry bits past the range's end).
+    fn range_words(&self, range: Range<usize>) -> impl Iterator<Item = u64> + '_ {
         assert!(
             range.start <= range.end && range.end <= self.len,
             "bitmap range {range:?} out of range {}",
             self.len
         );
-        let bits = range.end - range.start;
         let first = range.start / 64;
         let shift = range.start % 64;
-        let mut out = Vec::with_capacity(bits.div_ceil(64) * 8);
-        for i in first..first + bits.div_ceil(64) {
+        (first..first + range.len().div_ceil(64)).map(move |i| {
             // The top of an output word comes from the next source word
             // unless the range starts on a word boundary.
             let high = match self.words.get(i + 1) {
                 Some(next) if shift > 0 => next << (64 - shift),
                 _ => 0,
             };
-            out.extend_from_slice(&((self.words[i] >> shift) | high).to_le_bytes());
-        }
-        out.truncate(bits.div_ceil(8));
-        if let (Some(last), tail @ 1..) = (out.last_mut(), bits % 8) {
-            *last &= (1u8 << tail) - 1;
-        }
-        out
+            (self.words[i] >> shift) | high
+        })
     }
 
     /// Number of bits.
@@ -293,6 +310,11 @@ mod tests {
                 got.extend_ones(tail);
                 assert_eq!(got, want, "extend_ones {head} + {tail}");
                 assert_eq!(got.count_ones(), base.count_ones() + tail);
+
+                // The same alignments read back: `tail` bits from `head`.
+                let whole: Bitmap = (0..head + tail + 70).map(bit).collect();
+                let want: Bitmap = (head..head + tail).map(bit).collect();
+                assert_eq!(whole.slice(head..head + tail), want, "slice {head}, {tail}");
             }
         }
     }

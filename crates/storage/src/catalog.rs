@@ -1,6 +1,7 @@
-//! The catalog: named base tables, temporary tables and their indexes,
-//! with byte-accurate storage accounting for the paper's §4.4
-//! intermediate-storage analysis.
+//! The catalog: named base tables, their shard entries and indexes,
+//! contents versions and append logs. It holds nothing a query computes —
+//! plan intermediates belong to the execution that scheduled them — so
+//! only registration, append and resharding write it.
 
 use crate::error::{Result, StorageError};
 use crate::index::{Index, IndexKind};
@@ -9,7 +10,7 @@ use crate::table::Table;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
-/// A catalog entry: a table plus its indexes and temp-ness.
+/// A catalog entry: a table plus its indexes.
 ///
 /// The table lives behind an [`Arc`] so operators that need an owned
 /// handle (e.g. to keep a table alive across a scoped-thread region or
@@ -20,8 +21,6 @@ pub struct TableEntry {
     /// changes, and [`Catalog::append`] grows the catalog's copy in place
     /// only while no such clone is alive (it copies once otherwise).
     pub table: Arc<Table>,
-    /// True for temporary (materialized intermediate) tables.
-    pub is_temp: bool,
     /// Indexes built over the table.
     pub indexes: Vec<Index>,
     /// Monotonic identity of this table's *contents*, unique across the
@@ -70,41 +69,15 @@ pub struct DeltaRange {
 /// recomputation — the chain no longer reaches its snapshot version.
 pub const MAX_DELTA_LOG: usize = 64;
 
-/// Running + peak bytes consumed by temporary tables.
-///
-/// This is the quantity the paper's `Storage(u)` recursion (§4.4.1)
-/// minimizes; the executor checks its scheduling predictions against it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StorageAccounting {
-    /// Bytes currently held by temp tables.
-    pub current_temp_bytes: usize,
-    /// Highest value `current_temp_bytes` ever reached.
-    pub peak_temp_bytes: usize,
-}
-
-impl StorageAccounting {
-    fn add(&mut self, bytes: usize) {
-        self.current_temp_bytes += bytes;
-        self.peak_temp_bytes = self.peak_temp_bytes.max(self.current_temp_bytes);
-    }
-
-    fn sub(&mut self, bytes: usize) {
-        self.current_temp_bytes = self.current_temp_bytes.saturating_sub(bytes);
-    }
-}
-
-/// A named collection of tables. Base tables persist; temp tables are
-/// created/dropped by plan execution and tracked by [`StorageAccounting`].
+/// A named collection of base tables.
 ///
 /// A catalog holds only plain owned data, so `&Catalog` is `Sync`: the
 /// parallel plan executor hands shared references to catalog tables out
-/// to scoped worker threads, while all mutation (temp creation, drops,
+/// to scoped worker threads, while all mutation (registration, appends,
 /// index management) stays on the coordinating thread.
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: FxHashMap<String, TableEntry>,
-    accounting: StorageAccounting,
-    temp_budget: Option<usize>,
     /// Source of [`TableEntry::version`] values; starts at 1 so version
     /// 0 can mean "no such table" in callers that want a sentinel.
     next_version: u64,
@@ -145,56 +118,40 @@ impl Catalog {
     }
 
     /// [`Catalog::register`] from an [`Arc`] handle — no row data is
-    /// copied. This is how shared immutable tables (e.g. cached
-    /// aggregates pinned for the duration of one plan execution) enter
-    /// the catalog.
+    /// copied.
     pub fn register_arc(&mut self, name: impl Into<String>, table: Arc<Table>) -> Result<()> {
         let name = name.into();
         if self.tables.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }
+        self.insert(name, table);
+        Ok(())
+    }
+
+    /// (Re)place the entry `name` with a fresh version of `table`, no
+    /// indexes and no append history; returns the version.
+    fn insert(&mut self, name: String, table: Arc<Table>) -> u64 {
         let version = self.bump_version();
         self.delta_logs.remove(&name);
         self.tables.insert(
             name,
             TableEntry {
                 table,
-                is_temp: false,
                 indexes: Vec::new(),
                 version,
             },
         );
-        Ok(())
+        version
     }
 
-    /// Register `table` under `name`, replacing any existing *base*
-    /// table of that name (replacing a temp table is an error — temps
-    /// are owned by plan executions). The old entry's indexes are
-    /// dropped: they describe the old data. A previously sharded entry
-    /// is unsharded — its shard entries and descriptor go away. Returns
-    /// the new version.
+    /// Register `table` under `name`, replacing any existing table of
+    /// that name. The old entry's indexes are dropped: they describe the
+    /// old data. A previously sharded entry is unsharded — its shard
+    /// entries and descriptor go away. Returns the new version.
     pub fn replace(&mut self, name: impl Into<String>, table: Table) -> Result<u64> {
         let name = name.into();
-        if let Some(existing) = self.tables.get(&name) {
-            if existing.is_temp {
-                return Err(StorageError::Malformed(format!(
-                    "cannot replace temp table {name}"
-                )));
-            }
-        }
         self.drop_shards(&name);
-        let version = self.bump_version();
-        self.delta_logs.remove(&name);
-        self.tables.insert(
-            name,
-            TableEntry {
-                table: Arc::new(table),
-                is_temp: false,
-                indexes: Vec::new(),
-                version,
-            },
-        );
-        Ok(version)
+        Ok(self.insert(name, Arc::new(table)))
     }
 
     /// Register a base table split into `shards` hash-disjoint parts
@@ -232,30 +189,12 @@ impl Catalog {
         shards: u32,
         key_cols: Option<Vec<String>>,
     ) -> Result<u64> {
-        if let Some(existing) = self.tables.get(name) {
-            if existing.is_temp {
-                return Err(StorageError::Malformed(format!(
-                    "cannot replace temp table {name}"
-                )));
-            }
-        }
         self.drop_shards(name);
         let table = Arc::new(table);
         if shards > 1 {
             self.attach_shards(name, &table, shards, key_cols)?;
         }
-        let version = self.bump_version();
-        self.delta_logs.remove(name);
-        self.tables.insert(
-            name.to_string(),
-            TableEntry {
-                table,
-                is_temp: false,
-                indexes: Vec::new(),
-                version,
-            },
-        );
-        Ok(version)
+        Ok(self.insert(name.to_string(), table))
     }
 
     /// Sharding metadata for `name`, if it was registered sharded.
@@ -342,16 +281,10 @@ impl Catalog {
         Ok(self.grow(name, &rows))
     }
 
-    /// The checks of [`Catalog::append`] for one entry: `name` is a base
-    /// table with `rows`' schema.
+    /// The checks of [`Catalog::append`] for one entry: `name` is a table
+    /// with `rows`' schema.
     fn check_append(&self, name: &str, rows: &Table) -> Result<()> {
-        let entry = self.get(name)?;
-        if entry.is_temp {
-            return Err(StorageError::Malformed(format!(
-                "cannot append to temp table {name}"
-            )));
-        }
-        if entry.table.schema() != rows.schema() {
+        if self.get(name)?.table.schema() != rows.schema() {
             return Err(StorageError::Malformed(format!(
                 "append to {name}: schema mismatch"
             )));
@@ -402,7 +335,7 @@ impl Catalog {
     /// not link up to the current version. A consumer already at the
     /// current version gets an empty range.
     pub fn delta_chain(&self, name: &str, since_version: u64) -> Option<DeltaRange> {
-        let current = self.tables.get(name).filter(|e| !e.is_temp)?.version;
+        let current = self.tables.get(name)?.version;
         if since_version == current {
             return Some(DeltaRange {
                 start_row: self.tables[name].table.num_rows(),
@@ -431,22 +364,14 @@ impl Catalog {
         })
     }
 
-    /// Remove a *base* table (e.g. a pinned shared table registered via
-    /// [`Catalog::register_arc`]). Temp tables must go through
-    /// [`Catalog::drop_temp`] so storage accounting stays correct.
+    /// Remove a table, with its shard entries and append history.
     pub fn remove(&mut self, name: &str) -> Result<()> {
-        match self.tables.get(name) {
-            None => Err(StorageError::TableNotFound(name.to_string())),
-            Some(e) if e.is_temp => Err(StorageError::Malformed(format!(
-                "use drop_temp to remove temp table {name}"
-            ))),
-            Some(_) => {
-                self.tables.remove(name);
-                self.delta_logs.remove(name);
-                self.drop_shards(name);
-                Ok(())
-            }
-        }
+        self.tables
+            .remove(name)
+            .ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
+        self.delta_logs.remove(name);
+        self.drop_shards(name);
+        Ok(())
     }
 
     /// The version of table `name` (see [`TableEntry::version`]).
@@ -454,54 +379,12 @@ impl Catalog {
         Ok(self.get(name)?.version)
     }
 
-    /// Materialize a temporary table under `name`, updating accounting.
-    ///
-    /// Fails with [`StorageError::TempBudgetExceeded`] if a temp-storage
-    /// budget is set (see [`Catalog::set_temp_budget`]) and the new table
-    /// would push the catalog past it.
-    pub fn create_temp(&mut self, name: impl Into<String>, table: Table) -> Result<()> {
-        let name = name.into();
-        if self.tables.contains_key(&name) {
-            return Err(StorageError::TableExists(name));
-        }
-        let bytes = table.byte_size();
-        if let Some(budget) = self.temp_budget {
-            if self.accounting.current_temp_bytes + bytes > budget {
-                return Err(StorageError::TempBudgetExceeded {
-                    requested: bytes,
-                    in_use: self.accounting.current_temp_bytes,
-                    budget,
-                });
-            }
-        }
-        self.accounting.add(bytes);
-        let version = self.bump_version();
-        self.tables.insert(
-            name,
-            TableEntry {
-                table: Arc::new(table),
-                is_temp: true,
-                indexes: Vec::new(),
-                version,
-            },
-        );
-        Ok(())
-    }
-
-    /// Drop a temporary table, releasing its bytes. Dropping a base table
-    /// is an error.
-    pub fn drop_temp(&mut self, name: &str) -> Result<()> {
-        match self.tables.get(name) {
-            None => Err(StorageError::TableNotFound(name.to_string())),
-            Some(e) if !e.is_temp => Err(StorageError::Malformed(format!(
-                "cannot drop base table {name}"
-            ))),
-            Some(_) => {
-                let e = self.tables.remove(name).expect("checked above");
-                self.accounting.sub(e.table.byte_size());
-                Ok(())
-            }
-        }
+    /// Every entry by name — base tables and the shard entries of
+    /// sharded ones — in no particular order.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &TableEntry)> {
+        self.tables
+            .iter()
+            .map(|(name, entry)| (name.as_str(), entry))
     }
 
     /// Look up a table.
@@ -580,44 +463,6 @@ impl Catalog {
         }
         best
     }
-
-    /// Cap the bytes temp tables may hold at once (`None` = unlimited).
-    /// [`Catalog::create_temp`] rejects materializations past the cap;
-    /// callers that can degrade gracefully should consult
-    /// [`Catalog::fits_in_temp_budget`] first.
-    pub fn set_temp_budget(&mut self, budget: Option<usize>) {
-        self.temp_budget = budget;
-    }
-
-    /// The configured temp-storage budget, if any.
-    pub fn temp_budget(&self) -> Option<usize> {
-        self.temp_budget
-    }
-
-    /// Would a temp table of `bytes` fit under the current budget?
-    pub fn fits_in_temp_budget(&self, bytes: usize) -> bool {
-        self.temp_budget
-            .is_none_or(|b| self.accounting.current_temp_bytes + bytes <= b)
-    }
-
-    /// Storage accounting snapshot.
-    pub fn accounting(&self) -> StorageAccounting {
-        self.accounting
-    }
-
-    /// Reset the peak-storage watermark to the current level.
-    pub fn reset_peak(&mut self) {
-        self.accounting.peak_temp_bytes = self.accounting.current_temp_bytes;
-    }
-
-    /// Names of all temp tables (for cleanup in tests).
-    pub fn temp_names(&self) -> Vec<String> {
-        self.tables
-            .iter()
-            .filter(|(_, e)| e.is_temp)
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -671,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn replace_drops_stale_indexes_and_rejects_temps() {
+    fn replace_drops_stale_indexes() {
         let mut c = Catalog::new();
         c.register("t", tiny(4)).unwrap();
         c.create_index("t", "ix", IndexKind::Clustered, vec![0])
@@ -684,10 +529,6 @@ mod tests {
         // replace also works as plain registration of a new name
         c.replace("fresh", tiny(1)).unwrap();
         assert!(c.contains("fresh"));
-
-        c.create_temp("tmp", tiny(1)).unwrap();
-        assert!(c.replace("tmp", tiny(2)).is_err());
-        assert!(c.append("tmp", tiny(2)).is_err());
     }
 
     #[test]
@@ -742,11 +583,11 @@ mod tests {
         let mut c = Catalog::new();
         c.register_sharded("t", mixed(0..40, 3), 4, Some(vec!["x".into()]))
             .unwrap();
-        c.create_temp("tmp", mixed(0..3, 3)).unwrap();
+        c.register("u", mixed(0..3, 3)).unwrap();
         c.append("t", mixed(40..48, 5)).unwrap();
         let mut names: Vec<String> = (0..4).map(|s| shard_table_name("t", s)).collect();
         names.push("t".into());
-        names.push("tmp".into());
+        names.push("u".into());
         let state =
             |c: &Catalog, names: &[String]| -> Vec<(u64, Vec<Vec<Value>>, Vec<DeltaDesc>)> {
                 names
@@ -759,9 +600,9 @@ mod tests {
             };
         let before = state(&c, &names);
 
-        // wrong schema, temp target, unknown target
+        // wrong schema, unknown target
         assert!(c.append("t", tiny(2)).is_err());
-        assert!(c.append("tmp", mixed(3..5, 3)).is_err());
+        assert!(c.append("u", tiny(2)).is_err());
         assert!(matches!(
             c.append("ghost", mixed(0..2, 3)),
             Err(StorageError::TableNotFound(_))
@@ -835,48 +676,11 @@ mod tests {
             c.register_arc("pin", shared),
             Err(StorageError::TableExists(_))
         ));
+        assert_eq!(c.entries().count(), 1);
         c.remove("pin").unwrap();
         assert!(!c.contains("pin"));
         assert!(c.remove("pin").is_err());
-        // temps must be dropped through drop_temp (accounting)
-        c.create_temp("tmp", tiny(1)).unwrap();
-        assert!(c.remove("tmp").is_err());
-        c.drop_temp("tmp").unwrap();
-    }
-
-    #[test]
-    fn temp_lifecycle_updates_accounting() {
-        let mut c = Catalog::new();
-        c.register("base", tiny(10)).unwrap();
-        assert_eq!(c.accounting().current_temp_bytes, 0);
-
-        let t1 = tiny(100);
-        let t1_bytes = t1.byte_size();
-        c.create_temp("tmp1", t1).unwrap();
-        assert_eq!(c.accounting().current_temp_bytes, t1_bytes);
-
-        let t2 = tiny(50);
-        let t2_bytes = t2.byte_size();
-        c.create_temp("tmp2", t2).unwrap();
-        assert_eq!(c.accounting().current_temp_bytes, t1_bytes + t2_bytes);
-        assert_eq!(c.accounting().peak_temp_bytes, t1_bytes + t2_bytes);
-
-        c.drop_temp("tmp1").unwrap();
-        assert_eq!(c.accounting().current_temp_bytes, t2_bytes);
-        // peak is sticky
-        assert_eq!(c.accounting().peak_temp_bytes, t1_bytes + t2_bytes);
-
-        c.drop_temp("tmp2").unwrap();
-        assert_eq!(c.accounting().current_temp_bytes, 0);
-        assert_eq!(c.temp_names().len(), 0);
-    }
-
-    #[test]
-    fn cannot_drop_base_table() {
-        let mut c = Catalog::new();
-        c.register("base", tiny(1)).unwrap();
-        assert!(c.drop_temp("base").is_err());
-        assert!(c.drop_temp("ghost").is_err());
+        assert_eq!(c.entries().count(), 0);
     }
 
     #[test]
@@ -906,32 +710,10 @@ mod tests {
     }
 
     #[test]
-    fn temp_budget_is_enforced() {
-        let mut c = Catalog::new();
-        let probe = tiny(10);
-        let bytes = probe.byte_size();
-        c.set_temp_budget(Some(bytes * 2));
-        assert_eq!(c.temp_budget(), Some(bytes * 2));
-
-        c.create_temp("t1", probe.clone()).unwrap();
-        assert!(c.fits_in_temp_budget(bytes));
-        c.create_temp("t2", probe.clone()).unwrap();
-        assert!(!c.fits_in_temp_budget(bytes));
-        let err = c.create_temp("t3", probe.clone()).unwrap_err();
-        assert!(matches!(err, StorageError::TempBudgetExceeded { .. }));
-        assert!(err.to_string().contains("budget"));
-
-        // dropping frees room again; clearing the budget lifts the cap
-        c.drop_temp("t1").unwrap();
-        c.create_temp("t3", probe.clone()).unwrap();
-        c.set_temp_budget(None);
-        c.create_temp("t4", probe).unwrap();
-    }
-
-    #[test]
     fn sharded_register_append_and_cleanup() {
         let mut c = Catalog::new();
         c.register_sharded("t", tiny(64), 4, None).unwrap();
+        assert_eq!(c.entries().count(), 5, "the logical entry and four shards");
         let desc = c.shard_desc("t").unwrap().clone();
         assert_eq!(desc.shard_count, 4);
         assert_eq!(desc.key_cols, vec!["x".to_string()]);
@@ -1125,15 +907,5 @@ mod tests {
             c.delta_log(&crate::shard::shard_table_name("t", 0)).len(),
             0
         );
-    }
-
-    #[test]
-    fn reset_peak() {
-        let mut c = Catalog::new();
-        c.create_temp("a", tiny(100)).unwrap();
-        c.drop_temp("a").unwrap();
-        assert!(c.accounting().peak_temp_bytes > 0);
-        c.reset_peak();
-        assert_eq!(c.accounting().peak_temp_bytes, 0);
     }
 }

@@ -309,10 +309,7 @@ impl Column {
             },
             ColumnData::Date32(v) => ColumnData::Date32(v[start..start + len].to_vec()),
         };
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|v| (start..start + len).map(|i| v.get(i)).collect());
+        let validity = self.validity.as_ref().map(|v| v.slice(start..start + len));
         Column::new(data, validity).expect("slice preserves lengths")
     }
 

@@ -20,16 +20,6 @@ pub enum StorageError {
         /// Description of what was provided instead.
         got: String,
     },
-    /// Materializing a temp table would push the catalog past its
-    /// configured temp-storage budget.
-    TempBudgetExceeded {
-        /// Bytes the new temp table needs.
-        requested: usize,
-        /// Bytes of temp storage currently in use.
-        in_use: usize,
-        /// The configured budget.
-        budget: usize,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -42,15 +32,6 @@ impl fmt::Display for StorageError {
             StorageError::TypeMismatch { expected, got } => {
                 write!(f, "type mismatch: expected {expected:?}, got {got}")
             }
-            StorageError::TempBudgetExceeded {
-                requested,
-                in_use,
-                budget,
-            } => write!(
-                f,
-                "temp-storage budget exceeded: {requested} bytes requested, \
-                 {in_use} in use, budget {budget}"
-            ),
         }
     }
 }

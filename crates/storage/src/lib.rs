@@ -9,9 +9,9 @@
 //! * typed [`Column`]s (`Int64`, `Float64`, dictionary-encoded `Utf8`,
 //!   `Date32`) with validity bitmaps,
 //! * [`Table`]s with [`Schema`]s and builders,
-//! * a [`Catalog`] holding base and temporary tables with byte-accurate
-//!   storage accounting (needed for the paper's §4.4 intermediate-storage
-//!   experiments),
+//! * a [`Catalog`] of named base tables, their shard entries, versions
+//!   and append logs (plan intermediates are owned by the execution that
+//!   computes them, never by the catalog),
 //! * clustered / non-clustered [`Index`]es, modeled as sort permutations
 //!   (needed for the paper's §6.9 physical-design experiment),
 //! * compact per-row [`RowKey`] encodings used by hash aggregation, plus
@@ -34,7 +34,7 @@ pub mod table;
 pub mod value;
 
 pub use bitmap::Bitmap;
-pub use catalog::{Catalog, DeltaDesc, DeltaRange, StorageAccounting, TableEntry, MAX_DELTA_LOG};
+pub use catalog::{Catalog, DeltaDesc, DeltaRange, TableEntry, MAX_DELTA_LOG};
 pub use column::{Column, ColumnBuilder};
 pub use dictionary::Dictionary;
 pub use error::{Result, StorageError};

@@ -87,9 +87,6 @@ proptest! {
         let cold_out = cold.run_workload(&query_w, CacheControl::Default).unwrap();
         let warm_out = warm.run_workload(&query_w, CacheControl::Default).unwrap();
         assert_same_results(&query_w, &cold_out.report, &warm_out.report, "warm vs cold");
-
-        // Cached roots are pinned only for the execution's duration.
-        prop_assert!(warm.engine().catalog().temp_names().is_empty());
         let mc = warm.mat_cache_stats();
         prop_assert!(mc.bytes <= BUDGET as u64, "cache over budget: {mc:?}");
     }
@@ -235,7 +232,6 @@ fn parallel_intermediates_are_admitted_before_recycling() {
         ],
     );
     session.run_workload(&warm, CacheControl::Default).unwrap();
-    assert!(session.engine().catalog().temp_names().is_empty());
     assert!(session.mat_cache_stats().insertions > 0);
 
     // Everything the warm run computed now answers without a scan.

@@ -57,6 +57,8 @@ fn sixteen_concurrent_clients_mixed_requests() {
         },
     );
     let addr = handle.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    let catalog_tables = stats_field(&client.stats().unwrap(), "catalog_tables").unwrap();
     let names = col_names(cards.len());
     let table = Arc::new(table);
     let names = Arc::new(names);
@@ -103,11 +105,15 @@ fn sixteen_concurrent_clients_mixed_requests() {
         j.join().unwrap();
     }
 
-    let mut client = Client::connect(addr).unwrap();
     let json = client.stats().unwrap();
-    // 16 queries + 16 workloads + 16 stats + this stats request
-    assert_eq!(stats_field(&json, "requests"), Some(49), "stats: {json}");
-    assert_eq!(stats_field(&json, "temp_tables"), Some(0), "stats: {json}");
+    // 16 queries + 16 workloads + 16 stats + the stats requests before
+    // and after them
+    assert_eq!(stats_field(&json, "requests"), Some(50), "stats: {json}");
+    assert_eq!(
+        stats_field(&json, "catalog_tables"),
+        Some(catalog_tables),
+        "stats: {json}"
+    );
     drop(client);
     handle.shutdown();
 }
@@ -195,6 +201,7 @@ fn expired_deadline_times_out_and_drops_temps() {
     );
     let addr = handle.local_addr();
     let mut client = Client::connect(addr).unwrap();
+    let catalog_tables = stats_field(&client.stats().unwrap(), "catalog_tables").unwrap();
 
     let err = client
         .submit_workload(
@@ -219,10 +226,14 @@ fn expired_deadline_times_out_and_drops_temps() {
         other => panic!("expected Timeout, got {other}"),
     }
 
-    // The cancelled execution must not leak its temp tables, and the
+    // The cancelled execution leaves the catalog as it found it, and the
     // server keeps serving normally afterwards.
     let json = client.stats().unwrap();
-    assert_eq!(stats_field(&json, "temp_tables"), Some(0), "stats: {json}");
+    assert_eq!(
+        stats_field(&json, "catalog_tables"),
+        Some(catalog_tables),
+        "stats: {json}"
+    );
     assert!(
         stats_field(&json, "timeouts").unwrap() >= 1,
         "stats: {json}"
@@ -236,8 +247,8 @@ fn expired_deadline_times_out_and_drops_temps() {
 /// A deadline reaches every operator of a sharded request — the
 /// per-shard queries, the one logical query a near-unique grouping is
 /// priced into, and the cross-shard merge all run under the request's
-/// token. A request it interrupts reports `Timeout`, leaves no temp
-/// table and no poisoned session lock behind, and the connection it
+/// token. A request it interrupts reports `Timeout`, leaves the catalog
+/// unchanged and no poisoned session lock behind, and the connection it
 /// came in on answers the next query.
 #[test]
 fn deadline_interrupts_a_sharded_near_unique_grouping() {
@@ -267,6 +278,7 @@ fn deadline_interrupts_a_sharded_near_unique_grouping() {
     )
     .unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
+    let catalog_tables = stats_field(&client.stats().unwrap(), "catalog_tables").unwrap();
 
     for cols in [&["c1", "c2"][..], &["c1"][..]] {
         // 2 ms: expires while the 400,000 rows are being grouped.
@@ -280,9 +292,13 @@ fn deadline_interrupts_a_sharded_near_unique_grouping() {
     }
 
     // Reading the stats takes the session lock: it is not poisoned, and
-    // the interrupted executions dropped what they had materialized.
+    // the interrupted executions left the catalog as they found it.
     let json = client.stats().unwrap();
-    assert_eq!(stats_field(&json, "temp_tables"), Some(0), "stats: {json}");
+    assert_eq!(
+        stats_field(&json, "catalog_tables"),
+        Some(catalog_tables),
+        "stats: {json}"
+    );
     assert_eq!(stats_field(&json, "timeouts"), Some(2), "stats: {json}");
     let result = client.query("r", &["c0"], 0).unwrap();
     assert_eq!(result.num_rows(), 3);

@@ -7,7 +7,7 @@ use gbmqo_core::prelude::*;
 use gbmqo_cost::{CardinalityCostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_integration::{assert_same_results, col_names, modular_table};
 use gbmqo_stats::{DistinctEstimator, ExactSource, SampledSource};
-use gbmqo_storage::Table;
+use gbmqo_storage::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 
 fn workload_of(table: &gbmqo_storage::Table, requests: &[Vec<usize>]) -> Workload {
@@ -40,6 +40,18 @@ fn workload_strategy() -> impl Strategy<Value = (Vec<usize>, Vec<Vec<usize>>)> {
                 prop::collection::vec(prop::collection::vec(0..n, 1..=n.min(3)), 1..=(n + 2));
             (Just(cards), requests)
         })
+}
+
+/// Every catalog entry of `s` as `(name, version, rows)`, sorted.
+fn catalog_state(s: &Session) -> Vec<(String, u64, usize)> {
+    let mut state: Vec<_> = s
+        .engine()
+        .catalog()
+        .entries()
+        .map(|(name, e)| (name.to_string(), e.version, e.table.num_rows()))
+        .collect();
+    state.sort();
+    state
 }
 
 /// One of each [`CostModelSpec`] variant.
@@ -130,10 +142,6 @@ proptest! {
         let rep_s = serial.run_plan(&plan_s, &w).unwrap();
         let rep_p = parallel.run_plan(&plan_p, &w).unwrap();
         assert_same_results(&w, &rep_s, &rep_p, "parallel vs serial");
-
-        // No temp tables may survive either execution.
-        prop_assert!(serial.engine().catalog().temp_names().is_empty());
-        prop_assert!(parallel.engine().catalog().temp_names().is_empty());
     }
 
     /// A memory budget degrades execution (skipping materializations)
@@ -173,7 +181,6 @@ proptest! {
         let rep_b = budgeted.run_plan(&plan, &w).unwrap();
         assert_same_results(&w, &rep_s, &rep_b, &format!("budgeted {mode:?} vs serial"));
         prop_assert!(rep_b.peak_temp_bytes <= budget_kb * 1024);
-        prop_assert!(budgeted.engine().catalog().temp_names().is_empty());
     }
 
     /// The session's statistics catalog changes when statistics are
@@ -242,6 +249,86 @@ proptest! {
             assert_same_results(w, &out_shared.report, &out_fresh.report, "shared vs fresh");
             let naive = fresh.run_plan(&LogicalPlan::naive(w), w).unwrap();
             assert_same_results(w, &out_shared.report, &naive, "shared vs naive");
+        }
+    }
+
+    /// A read writes nothing shared. Whatever a workload, a hand-built
+    /// plan or a SQL star query with a fact filter computes — in every
+    /// mode, over 1, 2 or 4 shards, with the aggregate cache cold, warm
+    /// or bypassed, under a memory budget that evicts intermediates, or
+    /// cancelled before it starts — the catalog holds the same entries
+    /// at the same versions and sizes afterwards.
+    #[test]
+    fn a_read_leaves_the_catalog_as_it_found_it(
+        (cards, raw_requests) in workload_strategy(),
+        budget in prop::sample::select(vec![None, Some(0usize), Some(2048)]),
+        cancelled in any::<bool>(),
+    ) {
+        let mut requests: Vec<Vec<usize>> = raw_requests
+            .into_iter()
+            .map(|mut r| { r.sort_unstable(); r.dedup(); r })
+            .collect();
+        requests.sort();
+        requests.dedup();
+        let table = modular_table(600, &cards);
+        let w = workload_of(&table, &requests);
+        // A dimension keyed by every value of the fact's c0.
+        let keys = cards[0] as i64;
+        let dim = Table::new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("label", DataType::Int64),
+            ])
+            .unwrap(),
+            vec![
+                Column::from_i64((0..keys).collect()),
+                Column::from_i64((0..keys).map(|k| k % 2).collect()),
+            ],
+        )
+        .unwrap();
+        let star = "SELECT COUNT(*) FROM t JOIN d ON t.c0 = d.k WHERE c1 >= 1 \
+                    GROUP BY GROUPING SETS ((c0), (c1), (c0, c1))";
+
+        for mode in [ExecutionMode::ClientSide, ExecutionMode::ServerSide, ExecutionMode::Parallel] {
+            for shards in [1u32, 2, 4] {
+                for cache in ["cold", "warm", "bypass"] {
+                    let mut builder = Session::builder()
+                        .table("t", table.clone())
+                        .table("d", dim.clone())
+                        .search(SearchConfig::pruned())
+                        .mode(mode)
+                        .parallelism(2)
+                        .shards(shards)
+                        .mat_cache_budget_bytes(1 << 20);
+                    if let Some(bytes) = budget {
+                        builder = builder.memory_budget(bytes);
+                    }
+                    let mut s = builder.build().unwrap();
+                    let context = format!("{mode:?}, {shards} shards, {cache}, cancelled {cancelled}");
+                    if cache == "warm" {
+                        s.run_workload(&w, CacheControl::Default).unwrap();
+                    }
+                    let control = match cache {
+                        "bypass" => CacheControl::Bypass,
+                        _ => CacheControl::Default,
+                    };
+                    let before = catalog_state(&s);
+                    if cancelled {
+                        let token = CancelToken::new();
+                        token.cancel();
+                        s.set_cancel_token(Some(token));
+                    }
+
+                    let out = s.run_workload(&w, control);
+                    prop_assert_eq!(out.is_err(), cancelled, "run_workload, {}", &context);
+                    let naive = s.run_plan(&LogicalPlan::naive(&w), &w);
+                    prop_assert_eq!(naive.is_err(), cancelled, "run_plan, {}", &context);
+                    let lowered = gbmqo_sqlfe::compile(star, s.engine().catalog()).unwrap();
+                    let sql = gbmqo_sqlfe::execute(&lowered, &mut s, control);
+                    prop_assert!(cancelled || sql.is_ok(), "star query, {}: {:?}", &context, sql.err());
+                    prop_assert_eq!(catalog_state(&s), before, "{}", &context);
+                }
+            }
         }
     }
 }
