@@ -296,27 +296,41 @@ struct Sources<'a> {
     reagg: Vec<AggSpec>,
 }
 
+/// Groups to size the re-aggregation of an aggregate `table` for: the
+/// plan's estimate `est` where it has one, else `table`'s rows —
+/// re-grouping `u` yields at most `|u|` groups (§3).
+fn reaggregation_groups(table: &Table, est: Option<u64>) -> Option<u64> {
+    est.or(Some(table.num_rows() as u64))
+}
+
 impl Sources<'_> {
-    /// Input and aggregate list of slot `slot` of the edge
-    /// `source → target` (`None` = the base relation). A base-relation
-    /// read whose `(target, slot)` has a cached root reads that root
-    /// instead — the cached table already holds the aggregate outputs,
-    /// so it re-aggregates exactly like an intermediate. Base rows read
-    /// through a shard entry are counted into `extra.shard_rows`.
+    /// Input, aggregate list and group estimate of slot `slot` of the
+    /// edge `source → target` (`None` = the base relation), whose target
+    /// the plan estimates at `est` groups. A base-relation read whose
+    /// `(target, slot)` has a cached root reads that root instead — the
+    /// cached table already holds the aggregate outputs, so it
+    /// re-aggregates exactly like an intermediate and is sized like one
+    /// ([`reaggregation_groups`]): without an estimate, from its rows —
+    /// an exact hit has exactly that many groups, a covering hit at
+    /// most. Base rows read through a shard entry are counted into
+    /// `extra.shard_rows`.
     fn io(
         &self,
         live: &FxHashMap<u128, LiveTemp>,
         source: Option<ColSet>,
         target: ColSet,
         slot: u32,
+        est: Option<u64>,
         extra: &mut ExecMetrics,
-    ) -> (Input, Vec<AggSpec>) {
+    ) -> (Input, Vec<AggSpec>, Option<u64>) {
         if let Some(s) = source {
-            let part = Arc::clone(live[&s.0].part(slot));
-            return (Input::Table(part), self.reagg.clone());
+            let part = live[&s.0].part(slot);
+            let groups = reaggregation_groups(part, est);
+            return (Input::Table(Arc::clone(part)), self.reagg.clone(), groups);
         }
         if let Some(root) = self.roots.get(&(target.0, slot)) {
-            return (Input::Table(Arc::clone(root)), self.reagg.clone());
+            let groups = reaggregation_groups(root, est);
+            return (Input::Table(Arc::clone(root)), self.reagg.clone(), groups);
         }
         let base = match self.layout.shards.get(slot as usize) {
             Some(shard) => {
@@ -325,7 +339,7 @@ impl Sources<'_> {
             }
             None => self.base.clone(),
         };
-        (base, self.workload.aggregates.clone())
+        (base, self.workload.aggregates.clone(), est)
     }
 
     /// Combine per-shard partial aggregates of `target` into the final
@@ -334,7 +348,8 @@ impl Sources<'_> {
     /// hold the same group in several shards and re-aggregates the
     /// concatenation (`SUM(cnt)`-style, per §7.2's lossless merge rules)
     /// as the engine runs any Group By: its kernel choice sized by the
-    /// plan's estimate `groups` of the target, under its cancel token.
+    /// plan's estimate `groups` of the target (the concatenation's rows
+    /// without one), under its cancel token.
     fn merge_shards(
         &self,
         engine: &mut Engine,
@@ -355,6 +370,7 @@ impl Sources<'_> {
             .iter()
             .map(|n| combined.schema().index_of(n))
             .collect::<gbmqo_storage::Result<_>>()?;
+        let groups = reaggregation_groups(&combined, groups);
         Ok(engine.aggregate_table(&combined, &group_cols, &self.reagg, groups)?)
     }
 }
@@ -390,7 +406,12 @@ fn run_queries(
             .iter()
             .map(|&i| queries[i].group_cols.clone())
             .collect();
-        let tables = engine.run_shared_group_bys(input, &groupings, &queries[members[0]].aggs)?;
+        let estimates: Vec<Option<u64>> = members
+            .iter()
+            .map(|&i| queries[i].estimated_groups)
+            .collect();
+        let aggs = &queries[members[0]].aggs;
+        let tables = engine.run_shared_group_bys(input, &groupings, aggs, &estimates)?;
         for (i, t) in members.into_iter().zip(tables) {
             out[i] = Some(t);
         }
@@ -525,7 +546,8 @@ pub(crate) fn execute_plan(
                 est = est.map(|e| (e / u64::from(nshards)).max(1));
             }
             for &slot in slots_of(fan_out) {
-                let (input, aggs) = sources.io(&live, *src, edge.target, slot, &mut extra);
+                let (input, aggs, estimated_groups) =
+                    sources.io(&live, *src, edge.target, slot, est, &mut extra);
                 queries.push(GroupByQuery {
                     input,
                     group_cols: workload
@@ -534,7 +556,7 @@ pub(crate) fn execute_plan(
                         .map(|s| s.to_string())
                         .collect(),
                     aggs,
-                    estimated_groups: est,
+                    estimated_groups,
                 });
             }
         }
@@ -624,8 +646,8 @@ pub(crate) fn execute_plan(
                     (input, sources.reagg.clone(), bytes)
                 }
                 _ => {
-                    let (input, aggs) =
-                        sources.io(&live, *src, edge.target, WHOLE_TABLE_PIN, &mut extra);
+                    let (input, aggs, _) =
+                        sources.io(&live, *src, edge.target, WHOLE_TABLE_PIN, None, &mut extra);
                     (input, aggs, 0)
                 }
             };
@@ -1080,6 +1102,39 @@ mod tests {
             }
             assert!(pr.peak_temp_bytes > 0);
         }
+    }
+
+    #[test]
+    fn fused_groupings_are_sized_from_their_estimates() {
+        let (mut engine, w) = setup();
+        let plan = merged_plan();
+        let client = run_serial(&plan, &w, &mut engine);
+        // Every node's true group count: (a, b) 6, a 3, b 6, c 4.
+        let estimates: GroupEstimates = [
+            (ColSet::from_cols([0, 1]), 6),
+            (ColSet::single(0), 3),
+            (ColSet::single(1), 6),
+            (ColSet::single(2), 4),
+        ]
+        .into_iter()
+        .map(|(cols, groups)| (cols.0, groups))
+        .collect();
+        let hooks = &mut CacheHooks::default();
+        let server = run_with(
+            &plan,
+            &w,
+            &mut engine,
+            Order::Fused,
+            None,
+            &estimates,
+            hooks,
+        )
+        .unwrap();
+        assert_same(&client, &server, "fused with estimates vs serial");
+        assert_eq!(server.metrics.hash_resizes, 0, "{:?}", server.metrics);
+        // Without estimates the base scan's tables start empty and grow.
+        let unsized_run = run(&plan, &w, &mut engine, Order::Fused, None).unwrap();
+        assert!(unsized_run.metrics.hash_resizes > 0);
     }
 
     #[test]

@@ -1306,11 +1306,14 @@ impl Session {
             .iter()
             .map(|f| f.name.clone())
             .collect();
+        // Both aggregations are sized from rows they already know: the
+        // delta has at most its rows as groups, the merge at most stale
+        // rows + delta rows.
         let q = GroupByQuery {
             input: Input::Catalog(entry.to_string()),
             group_cols,
             aggs: stale.specs.clone(),
-            estimated_groups: None,
+            estimated_groups: Some(chain.rows as u64),
         };
         let merged = self
             .engine
@@ -1319,7 +1322,8 @@ impl Session {
                 let combined = Table::concat(&[stale.table.as_ref(), &delta])?;
                 let reagg: Vec<AggSpec> = stale.specs.iter().map(AggSpec::reaggregate).collect();
                 let idx: Vec<usize> = (0..ngroup).collect();
-                self.engine.aggregate_table(&combined, &idx, &reagg, None)
+                let groups = Some(combined.num_rows() as u64);
+                self.engine.aggregate_table(&combined, &idx, &reagg, groups)
             });
         let Ok(merged) = merged else {
             return fallback(&mut self.mat_cache, metrics);

@@ -274,12 +274,15 @@ impl Engine {
     /// (the server-side execution style of §5.1: PipeHash-like shared
     /// scans across the members of a GROUPING SETS). Under row-store
     /// emulation the input's scan I/O is paid once, not once per query.
+    /// `estimated_groups[i]`, when given, is grouping `i`'s
+    /// [`GroupByQuery::estimated_groups`] and sizes its hash table.
     /// Results are returned in order.
     pub fn run_shared_group_bys(
         &mut self,
         input: &Input,
         groupings: &[Vec<String>],
         aggs: &[crate::agg::AggSpec],
+        estimated_groups: &[Option<u64>],
     ) -> Result<Vec<Table>> {
         self.check_cancelled()?;
         let start = Instant::now();
@@ -298,7 +301,14 @@ impl Engine {
             crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
             self.metrics.bytes_scanned += bytes;
         }
-        let results = crate::shared::shared_scan_group_by(&table, &ords, aggs, &mut self.metrics)?;
+        let results = crate::shared::shared_scan_group_by(
+            &table,
+            &ords,
+            aggs,
+            estimated_groups,
+            self.cancel.as_ref(),
+            &mut self.metrics,
+        )?;
         self.metrics.queries_executed += groupings.len() as u64;
         self.metrics.add_elapsed(start.elapsed());
         Ok(results)

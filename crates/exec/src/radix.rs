@@ -3,13 +3,14 @@
 //!
 //! The partitioned-aggregation design (Partitioned-Cube \[16\] and the
 //! modern radix-partitioning literature) applied to the hot loop of
-//! every GB-MQO plan edge. Two passes over the input:
+//! every GB-MQO plan edge. Two passes over an input of `2^k > 1`
+//! partitions:
 //!
 //! 1. **Partition** — the input is split into contiguous per-worker
 //!    chunks, processed in cache-sized morsels. Each morsel's group keys
 //!    are encoded by the grouping's `KeyRepr` (packed `u64`/`u128`
 //!    codes when [`PackedKeySpec`] applies, byte [`RowKey`]s otherwise)
-//!    and every `(key, row id)` pair is scattered into one of `2^k`
+//!    and every `(key, row id)` pair is scattered into one of the `2^k`
 //!    disjoint partitions by the top bits of the key's hash.
 //! 2. **Aggregate** — each partition is aggregated independently (worker
 //!    threads own disjoint partition sets): a private `GroupTable`
@@ -26,16 +27,29 @@
 //! `Fanout::plan` is the one place that decides how many workers and
 //! partitions an input gets, from its row count, the thread budget and
 //! the optimizer's cardinality estimate for the grouping (the same
-//! number `gbmqo-cost` prices plan edges with). A small input — a
-//! re-aggregation of a materialized intermediate, a delta, a cached
-//! aggregate — is this kernel at one partition on the calling thread: a
-//! packed-key hash table filled once and folded with `update_batch`.
+//! number `gbmqo-cost` prices plan edges with). An input of one
+//! partition has nothing to scatter, so it is pass 2 alone: the shared
+//! scan's fused morsel loop ([`crate::shared`]) over one grouping, each
+//! morsel encoded, probed and folded on the calling thread.
+//!
+//! Small inputs are mostly re-aggregations — of a materialized
+//! intermediate, a cached aggregate, a shard merge, a delta refresh —
+//! and their callers know a bound on the groups that the `rows / 16`
+//! guess does not: re-aggregating a table of `n` rows yields at most `n`
+//! groups. Handed inputs get that bound as `estimated_groups` where they
+//! are built: the plan executor (`Sources::io` and `Sources::merge_shards`
+//! in `gbmqo-core`) passes a cached root's, an intermediate's or a shard
+//! merge's rows where the plan has no estimate; the session's delta
+//! refresh (`Session::refresh_stale_entry`) passes the delta's rows for
+//! its scan and stale + delta rows for its merge. Their hash tables are
+//! sized once and do not grow.
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::cancel::CancelToken;
 use crate::error::Result;
 use crate::group_by::{output_table, record, stream_group_by};
 use crate::metrics::ExecMetrics;
+use crate::shared::fused_pass;
 use gbmqo_storage::packed::KeyCode;
 use gbmqo_storage::{Column, KeyEncoder, PackedKeySpec, RowKey, Table};
 use rustc_hash::{FxBuildHasher, FxHashMap};
@@ -51,8 +65,8 @@ pub enum GroupByStrategy {
     Auto,
 }
 
-/// Rows per morsel (key buffer reuse + cache locality); shared with the
-/// shared-scan operator's batched loop.
+/// Rows per morsel (key buffer reuse + cache locality), in pass 1 and in
+/// the fused loop ([`crate::shared`]).
 pub(crate) const MORSEL_ROWS: usize = 16 * 1024;
 
 /// Inputs below this many rows run on the calling thread: spawning
@@ -162,6 +176,10 @@ pub(crate) trait KeyRepr<K>: Sync {
 
     /// A 64-bit hash whose *top* bits pick the key's radix partition.
     fn partition_hash(key: &K) -> u64;
+
+    /// The gid `map` holds for `key`, registering `key` as group `next`
+    /// first if it is new.
+    fn gid(map: &mut FxHashMap<K, u32>, key: &K, next: u32) -> u32;
 }
 
 impl<K: KeyCode> KeyRepr<K> for PackedKeySpec {
@@ -173,6 +191,12 @@ impl<K: KeyCode> KeyRepr<K> for PackedKeySpec {
 
     fn partition_hash(key: &K) -> u64 {
         key.partition_hash()
+    }
+
+    /// One hash and one probe: a packed key is a copy, so the map's
+    /// entry can own it whether or not it is new.
+    fn gid(map: &mut FxHashMap<K, u32>, key: &K, next: u32) -> u32 {
+        *map.entry(*key).or_insert(next)
     }
 }
 
@@ -189,6 +213,15 @@ impl KeyRepr<RowKey> for ByteKeys {
 
     fn partition_hash(key: &RowKey) -> u64 {
         FxBuildHasher.hash_one(key)
+    }
+
+    /// Look up before inserting, so a hit never clones a heap key.
+    fn gid(map: &mut FxHashMap<RowKey, u32>, key: &RowKey, next: u32) -> u32 {
+        if let Some(&g) = map.get(key) {
+            return g;
+        }
+        map.insert(key.clone(), next);
+        next
     }
 }
 
@@ -218,7 +251,7 @@ pub(crate) struct GroupTable<K> {
     resizes: u64,
 }
 
-impl<K: Eq + Hash + Clone> GroupTable<K> {
+impl<K: Eq + Hash> GroupTable<K> {
     /// A table with room for `groups` groups before its first resize.
     pub(crate) fn with_capacity(groups: usize) -> Self {
         GroupTable {
@@ -234,8 +267,9 @@ impl<K: Eq + Hash + Clone> GroupTable<K> {
     }
 
     /// Append the gid of every `(key, row)` to `gids`. A key not seen
-    /// before becomes the next group, with `row` as its representative.
-    pub(crate) fn probe<'k>(
+    /// before becomes the next group, with `row` as its representative;
+    /// `R` decides how a key is looked up ([`KeyRepr::gid`]).
+    pub(crate) fn probe<'k, R: KeyRepr<K>>(
         &mut self,
         keys: impl Iterator<Item = (&'k K, u32)>,
         gids: &mut Vec<u32>,
@@ -244,19 +278,15 @@ impl<K: Eq + Hash + Clone> GroupTable<K> {
     {
         let mut capacity = self.map.capacity();
         for (key, row) in keys {
-            let gid = match self.map.get(key) {
-                Some(&g) => g,
-                None => {
-                    let g = self.representatives.len() as u32;
-                    self.map.insert(key.clone(), g);
-                    self.representatives.push(row);
-                    if self.map.capacity() != capacity {
-                        self.resizes += 1;
-                        capacity = self.map.capacity();
-                    }
-                    g
+            let next = self.representatives.len() as u32;
+            let gid = R::gid(&mut self.map, key, next);
+            if gid == next {
+                self.representatives.push(row);
+                if self.map.capacity() != capacity {
+                    self.resizes += 1;
+                    capacity = self.map.capacity();
                 }
-            };
+            }
             gids.push(gid);
         }
     }
@@ -276,7 +306,8 @@ type Scatter<K> = Vec<Vec<(K, u32)>>;
 /// indexed by gid) and the hash-table resize count.
 pub(crate) type Aggregated = (Vec<u32>, Vec<Accumulator>, u64);
 
-/// One invocation of the kernel: what both passes read.
+/// One invocation of the kernel over more than one partition: what both
+/// passes read.
 struct Job<'a> {
     input: &'a Table,
     key_cols: &'a [&'a Column],
@@ -310,14 +341,9 @@ impl Job<'_> {
                 }
                 let len = MORSEL_ROWS.min(hi - pos);
                 repr.encode(self.key_cols, pos, len, &mut keys);
-                let keyed = keys.drain(..).zip(pos as u32..);
-                if partitions == 1 {
-                    parts[0].extend(keyed);
-                } else {
-                    for (key, row) in keyed {
-                        let j = (R::partition_hash(&key) >> shift) as usize;
-                        parts[j].push((key, row));
-                    }
+                for (key, row) in keys.drain(..).zip(pos as u32..) {
+                    let j = (R::partition_hash(&key) >> shift) as usize;
+                    parts[j].push((key, row));
                 }
                 pos += len;
             }
@@ -329,7 +355,7 @@ impl Job<'_> {
     /// (row, gid) vectors, and fold every accumulator over them in one
     /// columnar sweep. `scatters[w][partition]` are replayed in worker
     /// order, keeping group numbering deterministic.
-    fn aggregate_partition<K: Eq + Hash + Clone>(
+    fn aggregate_partition<K: Eq + Hash, R: KeyRepr<K>>(
         &self,
         scatters: &[Scatter<K>],
         partition: usize,
@@ -341,7 +367,7 @@ impl Job<'_> {
         for scatter in scatters {
             let part = &scatter[partition];
             rows.extend(part.iter().map(|(_, row)| *row));
-            table.probe(part.iter().map(|(key, row)| (key, *row)), &mut gids);
+            table.probe::<R>(part.iter().map(|(key, row)| (key, *row)), &mut gids);
         }
         let mut accumulators: Vec<Accumulator> = self
             .aggs
@@ -358,7 +384,7 @@ impl Job<'_> {
     /// Pass 2 over all partitions (strided across the fan-out's
     /// workers), then concatenate the per-partition results in partition
     /// order.
-    fn aggregate_all<K: Eq + Hash + Clone + Send + Sync>(
+    fn aggregate_all<K: Eq + Hash + Sync, R: KeyRepr<K>>(
         &self,
         scatters: &[Scatter<K>],
     ) -> Result<Aggregated> {
@@ -374,7 +400,7 @@ impl Job<'_> {
                     out.push((j, Err(e)));
                     break;
                 }
-                out.push((j, self.aggregate_partition(scatters, j)));
+                out.push((j, self.aggregate_partition::<K, R>(scatters, j)));
                 j += workers;
             }
             out
@@ -422,13 +448,10 @@ impl Job<'_> {
     }
 
     /// Both passes under one key representation.
-    fn run<K: Eq + Hash + Clone + Send + Sync, R: KeyRepr<K>>(
-        &self,
-        repr: &R,
-    ) -> Result<Aggregated> {
+    fn run<K: Eq + Hash + Send + Sync, R: KeyRepr<K>>(&self, repr: &R) -> Result<Aggregated> {
         let scatters = self.scatter(repr);
         crate::cancel::check(self.cancel)?;
-        self.aggregate_all(&scatters)
+        self.aggregate_all::<K, R>(&scatters)
     }
 }
 
@@ -439,9 +462,9 @@ impl Job<'_> {
 /// `threads` bounds the workers used by *both* passes, so a plan
 /// executor running several edges at once can hand each edge a slice of
 /// one shared thread budget. `estimated_groups` (the optimizer's
-/// cardinality estimate for this grouping, if known) sizes the
-/// partition fan-out and the hash tables; `None` falls back to a
-/// rows-based guess (`Fanout::plan`).
+/// cardinality estimate for this grouping, or a caller's bound on it)
+/// sizes the partition fan-out and the hash tables; `None` falls back
+/// to a rows-based guess (`Fanout::plan`).
 pub fn radix_group_by(
     input: &Table,
     group_cols: &[usize],
@@ -454,20 +477,29 @@ pub fn radix_group_by(
     crate::cancel::check(cancel)?;
     let start = Instant::now();
     let rows = input.num_rows();
-    let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
-    let job = Job {
-        input,
-        key_cols: &key_cols,
-        aggs,
-        fanout: Fanout::plan(threads, rows, estimated_groups),
-        cancel,
+    let fanout = Fanout::plan(threads, rows, estimated_groups);
+    let partitions = fanout.partitions;
+    let (representatives, accumulators, resizes) = if partitions == 1 {
+        // Nothing to scatter: pass 2 alone, morsel by morsel.
+        let groups = Some(fanout.groups_per_partition as u64);
+        let mut one = fused_pass(input, &[group_cols], aggs, &[groups], cancel, metrics)?;
+        one.pop().expect("one grouping, one result")
+    } else {
+        let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
+        let job = Job {
+            input,
+            key_cols: &key_cols,
+            aggs,
+            fanout,
+            cancel,
+        };
+        match packed_spec(&key_cols, rows, metrics) {
+            Some(spec) if spec.fits_u64() => job.run::<u64, _>(&spec),
+            Some(spec) => job.run::<u128, _>(&spec),
+            None => job.run(&ByteKeys),
+        }?
     };
-    let (representatives, accumulators, resizes) = match packed_spec(&key_cols, rows, metrics) {
-        Some(spec) if spec.fits_u64() => job.run::<u64, _>(&spec),
-        Some(spec) => job.run::<u128, _>(&spec),
-        None => job.run(&ByteKeys),
-    }?;
-    metrics.radix_partitions += job.fanout.partitions as u64;
+    metrics.radix_partitions += partitions as u64;
     metrics.hash_resizes += resizes;
 
     let result = output_table(input, group_cols, aggs, representatives, accumulators)?;

@@ -1,4 +1,4 @@
-//! Shared-scan multi-aggregation.
+//! Shared-scan multi-aggregation, and the fused morsel loop under it.
 //!
 //! The partial-cube literature the paper builds on (PipeHash/PipeSort
 //! \[2\], and the shared scans of \[8, 15, 16, 21\]) executes *several*
@@ -8,8 +8,13 @@
 //! solution as well" — this module is that operator. The plan executor
 //! uses it when a breadth-first schedule computes all children of a node
 //! back-to-back from the same materialized parent.
+//!
+//! Its loop, `fused_pass`, is also the hash kernel at one partition:
+//! an input `Fanout::plan` gives one partition has nothing to scatter, so
+//! [`crate::radix_group_by`] runs it as a shared scan of one grouping.
 
 use crate::agg::{Accumulator, AggSpec};
+use crate::cancel::CancelToken;
 use crate::error::Result;
 use crate::group_by::output_table;
 use crate::metrics::ExecMetrics;
@@ -41,13 +46,13 @@ trait MorselSink {
     fn finish(self: Box<Self>) -> Aggregated;
 }
 
-impl<K: Eq + Hash + Clone, R: KeyRepr<K>> MorselSink for Grouping<'_, K, R> {
+impl<K: Eq + Hash, R: KeyRepr<K>> MorselSink for Grouping<'_, K, R> {
     fn consume(&mut self, input: &Table, start: usize, rows: &[u32]) {
         self.repr
             .encode(&self.key_cols, start, rows.len(), &mut self.keys);
         self.gids.clear();
         self.table
-            .probe(self.keys.iter().zip(rows.iter().copied()), &mut self.gids);
+            .probe::<R>(self.keys.iter().zip(rows.iter().copied()), &mut self.gids);
         for acc in &mut self.accumulators {
             acc.resize_groups(self.table.num_groups());
             acc.update_batch(input, rows, &self.gids);
@@ -59,53 +64,58 @@ impl<K: Eq + Hash + Clone, R: KeyRepr<K>> MorselSink for Grouping<'_, K, R> {
     }
 }
 
-/// Compute several Group Bys over `input` in one shared scan.
+/// Aggregate `input` by every grouping in `groupings` in one pass: each
+/// morsel's keys are encoded per grouping (packed codes where possible),
+/// resolved to a gid vector against that grouping's group table, and fed
+/// to its accumulators in one columnar [`Accumulator::update_batch`]
+/// call — the hash kernel's pass 2, amortized across all groupings.
 ///
-/// `groupings` lists the grouping-column ordinals of each output; all
-/// outputs compute the same `aggs`. Returns one table per grouping, in
-/// order — each identical to what [`crate::radix_group_by`] would
-/// produce.
-///
-/// The scan is morsel-batched: for each block of rows, every grouping
-/// encodes the block's keys (packed codes where possible), resolves the
-/// block's gid vector against its group table, and feeds its
-/// accumulators one columnar [`Accumulator::update_batch`] call — the
-/// hash kernel's pass 2, amortized across all groupings.
-pub fn shared_scan_group_by(
+/// `estimated_groups[i]`, when given, is the number of groups grouping
+/// `i`'s table reserves up front, never more than there are rows; a
+/// table without one (`None`, or a missing entry) starts empty.
+/// Cancellation is polled once per morsel.
+pub(crate) fn fused_pass<G: AsRef<[usize]>>(
     input: &Table,
-    groupings: &[Vec<usize>],
+    groupings: &[G],
     aggs: &[AggSpec],
+    estimated_groups: &[Option<u64>],
+    cancel: Option<&CancelToken>,
     metrics: &mut ExecMetrics,
-) -> Result<Vec<Table>> {
-    fn sink<'t, K: Eq + Hash + Clone + 't, R: KeyRepr<K> + 't>(
+) -> Result<Vec<Aggregated>> {
+    fn sink<'t, K: Eq + Hash + 't, R: KeyRepr<K> + 't>(
         repr: R,
         key_cols: Vec<&'t Column>,
         accumulators: Vec<Accumulator>,
+        groups: usize,
     ) -> Box<dyn MorselSink + 't> {
         Box::new(Grouping {
             repr,
             key_cols,
-            table: GroupTable::with_capacity(0),
+            table: GroupTable::with_capacity(groups),
             accumulators,
             keys: Vec::new(),
             gids: Vec::new(),
         })
     }
 
-    let start = Instant::now();
     let n = input.num_rows();
     let mut sinks: Vec<Box<dyn MorselSink + '_>> = groupings
         .iter()
-        .map(|cols| {
-            let key_cols: Vec<&Column> = cols.iter().map(|&c| input.column(c)).collect();
+        .enumerate()
+        .map(|(i, cols)| {
+            let key_cols: Vec<&Column> = cols.as_ref().iter().map(|&c| input.column(c)).collect();
             let accumulators = aggs
                 .iter()
                 .map(|a| Accumulator::build(a, input))
                 .collect::<Result<_>>()?;
+            let estimate = estimated_groups.get(i).copied().flatten();
+            let groups = estimate.map_or(0, |g| g.min(n as u64)) as usize;
             Ok(match packed_spec(&key_cols, n, metrics) {
-                Some(spec) if spec.fits_u64() => sink::<u64, _>(spec, key_cols, accumulators),
-                Some(spec) => sink::<u128, _>(spec, key_cols, accumulators),
-                None => sink::<RowKey, _>(ByteKeys, key_cols, accumulators),
+                Some(spec) if spec.fits_u64() => {
+                    sink::<u64, _>(spec, key_cols, accumulators, groups)
+                }
+                Some(spec) => sink::<u128, _>(spec, key_cols, accumulators, groups),
+                None => sink::<RowKey, _>(ByteKeys, key_cols, accumulators, groups),
             })
         })
         .collect::<Result<_>>()?;
@@ -113,6 +123,7 @@ pub fn shared_scan_group_by(
     let mut rows_buf: Vec<u32> = Vec::with_capacity(MORSEL_ROWS.min(n));
     let mut pos = 0;
     while pos < n {
+        crate::cancel::check(cancel)?;
         let len = MORSEL_ROWS.min(n - pos);
         rows_buf.clear();
         rows_buf.extend((pos..pos + len).map(|r| r as u32));
@@ -121,10 +132,29 @@ pub fn shared_scan_group_by(
         }
         pos += len;
     }
+    Ok(sinks.into_iter().map(|sink| sink.finish()).collect())
+}
 
+/// Compute several Group Bys over `input` in one shared scan.
+///
+/// `groupings` lists the grouping-column ordinals of each output; all
+/// outputs compute the same `aggs`. `estimated_groups[i]`, when given,
+/// is the number of groups grouping `i`'s hash table reserves up front;
+/// without one the table starts empty and grows. Returns one table per
+/// grouping, in order — each identical to what [`crate::radix_group_by`]
+/// would produce.
+pub fn shared_scan_group_by(
+    input: &Table,
+    groupings: &[Vec<usize>],
+    aggs: &[AggSpec],
+    estimated_groups: &[Option<u64>],
+    cancel: Option<&CancelToken>,
+    metrics: &mut ExecMetrics,
+) -> Result<Vec<Table>> {
+    let start = Instant::now();
+    let aggregated = fused_pass(input, groupings, aggs, estimated_groups, cancel, metrics)?;
     let mut outputs = Vec::with_capacity(groupings.len());
-    for (sink, cols) in sinks.into_iter().zip(groupings) {
-        let (representatives, accumulators, resizes) = sink.finish();
+    for ((representatives, accumulators, resizes), cols) in aggregated.into_iter().zip(groupings) {
         let out = output_table(input, cols, aggs, representatives, accumulators)?;
         metrics.hash_resizes += resizes;
         metrics.rows_output += out.num_rows() as u64;
@@ -175,12 +205,22 @@ mod tests {
         v
     }
 
+    /// The shared scan without estimates or a token.
+    fn scan(
+        t: &Table,
+        groupings: &[Vec<usize>],
+        aggs: &[AggSpec],
+        m: &mut ExecMetrics,
+    ) -> Vec<Table> {
+        shared_scan_group_by(t, groupings, aggs, &[], None, m).unwrap()
+    }
+
     #[test]
     fn shared_scan_matches_individual_group_bys() {
         let t = input();
         let mut m = ExecMetrics::new();
         let groupings = vec![vec![0], vec![1], vec![2], vec![0, 2]];
-        let shared = shared_scan_group_by(&t, &groupings, &[AggSpec::count()], &mut m).unwrap();
+        let shared = scan(&t, &groupings, &[AggSpec::count()], &mut m);
         assert_eq!(shared.len(), 4);
         for (cols, out) in groupings.iter().zip(&shared) {
             let direct = sort_group_by(&t, cols, &[AggSpec::count()], &mut m).unwrap();
@@ -192,18 +232,45 @@ mod tests {
     fn shared_scan_counts_one_scan() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let _ = shared_scan_group_by(&t, &[vec![0], vec![1]], &[AggSpec::count()], &mut m).unwrap();
+        let _ = scan(&t, &[vec![0], vec![1]], &[AggSpec::count()], &mut m);
         assert_eq!(m.rows_scanned, 200, "one shared scan, not two");
+    }
+
+    #[test]
+    fn estimates_size_each_grouping_and_a_token_stops_the_scan() {
+        let t = input();
+        let groupings = vec![vec![0], vec![1], vec![0, 1]];
+        let aggs = [AggSpec::count()];
+        // (a) has 4 groups, (b) 7, (a, b) 28: under-estimates grow.
+        let mut m = ExecMetrics::new();
+        let under = [Some(1), Some(1), Some(1)];
+        shared_scan_group_by(&t, &groupings, &aggs, &under, None, &mut m).unwrap();
+        assert!(m.hash_resizes > 0);
+        let mut m = ExecMetrics::new();
+        let exact = [Some(4), Some(7), Some(28)];
+        let sized = shared_scan_group_by(&t, &groupings, &aggs, &exact, None, &mut m).unwrap();
+        assert_eq!(m.hash_resizes, 0, "exact estimates never resize");
+        for (got, want) in sized.iter().zip(scan(&t, &groupings, &aggs, &mut m)) {
+            assert_eq!(norm(got), norm(&want));
+        }
+
+        let token = CancelToken::new();
+        token.cancel();
+        let err = shared_scan_group_by(&t, &groupings, &aggs, &[], Some(&token), &mut m);
+        assert_eq!(
+            err.unwrap_err(),
+            crate::error::ExecError::Cancelled { timed_out: false }
+        );
     }
 
     #[test]
     fn empty_groupings_and_inputs() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let none = shared_scan_group_by(&t, &[], &[AggSpec::count()], &mut m).unwrap();
+        let none = scan(&t, &[], &[AggSpec::count()], &mut m);
         assert!(none.is_empty());
         let empty = Table::empty(t.schema().clone());
-        let r = shared_scan_group_by(&empty, &[vec![0]], &[AggSpec::count()], &mut m).unwrap();
+        let r = scan(&empty, &[vec![0]], &[AggSpec::count()], &mut m);
         assert_eq!(r[0].num_rows(), 0);
     }
 
@@ -216,7 +283,7 @@ mod tests {
             AggSpec::min("b", "min_b"),
             AggSpec::max("b", "max_b"),
         ];
-        let shared = shared_scan_group_by(&t, &[vec![0]], &aggs, &mut m).unwrap();
+        let shared = scan(&t, &[vec![0]], &aggs, &mut m);
         let direct = sort_group_by(&t, &[0], &aggs, &mut m).unwrap();
         let all = |t: &Table| {
             let mut v: Vec<Vec<Value>> = (0..t.num_rows())

@@ -115,6 +115,7 @@ fn shared_scan_engine_api_matches_per_query_execution() {
             &Input::Catalog("sales".into()),
             &groupings,
             &[AggSpec::count()],
+            &[],
         )
         .unwrap();
     let mut m = ExecMetrics::new();

@@ -80,10 +80,12 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
 
 /// Input sizes on both sides of where the kernel's fan-out changes:
 /// 4,096 rows per partition, 8,192 (a second partition), 16,384 (more
-/// than one worker, more than one morsel).
+/// than one worker, more than one morsel), 32,768 (pass 1 on more than
+/// one worker; a second morsel of the one-partition pass on one).
 fn straddling_size() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![
-        4_095usize, 4_096, 4_097, 8_191, 8_192, 8_193, 16_383, 16_384, 16_385,
+        4_095usize, 4_096, 4_097, 8_191, 8_192, 8_193, 16_383, 16_384, 16_385, 32_767, 32_768,
+        32_769,
     ])
 }
 
@@ -109,18 +111,24 @@ fn norm(t: &Table) -> Vec<Vec<String>> {
     v
 }
 
+/// hash == sort at 1, 2 and 4 threads, without an estimate and with an
+/// exact, a minimal and a one-group-per-row one.
 fn assert_kernels_agree(table: &Table, group_cols: &[usize]) {
     let mut m = ExecMetrics::new();
-    let reference = norm(&sort_group_by(table, group_cols, &aggs(), &mut m).unwrap());
+    let sorted = sort_group_by(table, group_cols, &aggs(), &mut m).unwrap();
+    let (groups, rows) = (sorted.num_rows() as u64, table.num_rows() as u64);
+    let reference = norm(&sorted);
     for threads in [1usize, 2, 4] {
-        let hashed =
-            radix_group_by(table, group_cols, &aggs(), threads, None, None, &mut m).unwrap();
-        assert_eq!(
-            reference,
-            norm(&hashed),
-            "hash kernel diverged ({} rows, threads {threads}, cols {group_cols:?})",
-            table.num_rows()
-        );
+        for est in [None, Some(groups), Some(1), Some(rows)] {
+            let hashed =
+                radix_group_by(table, group_cols, &aggs(), threads, est, None, &mut m).unwrap();
+            assert_eq!(
+                reference,
+                norm(&hashed),
+                "hash kernel diverged ({rows} rows, threads {threads}, estimate {est:?}, \
+                 cols {group_cols:?})",
+            );
+        }
     }
 }
 

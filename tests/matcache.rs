@@ -139,6 +139,84 @@ fn subset_queries_reaggregate_from_a_cached_superset() {
     assert_same_results(&query, &reference.report, &out.report, "subset vs cold");
 }
 
+/// A cached aggregate is re-aggregated with hash tables sized from its
+/// rows, so serving it never grows one — whether the hit is exact,
+/// covering, or just brought current by a lazy delta refresh (whose delta
+/// scan and merge are sized from their rows too).
+#[test]
+fn cache_served_reaggregations_never_resize() {
+    let cards = [6, 40, 25];
+    let table = modular_table(3_000, &cards);
+    let mut session = session_with(&table, ExecutionMode::ClientSide, BUDGET);
+    let warm = workload_of(&table, &[vec![0, 1], vec![2]]);
+    session.run_workload(&warm, CacheControl::Default).unwrap();
+
+    let serve =
+        |session: &mut Session, table: &gbmqo_storage::Table, what: &str, req: Vec<usize>| {
+            let w = workload_of(table, &[req]);
+            let out = session.run_workload(&w, CacheControl::Default).unwrap();
+            let m = &out.report.metrics;
+            assert_eq!(m.matcache_hits, 1, "{what}: {m:?}");
+            assert_eq!(m.hash_resizes, 0, "{what}: {m:?}");
+            let mut cold = session_with(table, ExecutionMode::ClientSide, 0);
+            let reference = cold.run_workload(&w, CacheControl::Default).unwrap();
+            assert_same_results(&w, &reference.report, &out.report, what);
+            out.report.metrics
+        };
+    serve(&mut session, &table, "exact hit", vec![0, 1]);
+    serve(&mut session, &table, "covering hit", vec![1]);
+
+    let grown = modular_table(3_500, &cards);
+    let delta = grown.slice_rows(3_000, 500).unwrap();
+    session.append("t", delta).unwrap();
+    let m = serve(&mut session, &grown, "lazy delta refresh", vec![0, 1]);
+    assert_eq!(m.delta_refreshes, 1, "{m:?}");
+}
+
+/// A time-series append: the delta (over 8,192 rows, so its scan is
+/// partitioned) brings five times more new keys than the cached
+/// aggregate has rows. Its scan is sized from the delta's rows, not the
+/// cached aggregate's, so the refresh still grows no hash table.
+#[test]
+fn a_delta_of_new_keys_refreshes_without_resizing() {
+    use gbmqo_storage::{Column, DataType, Field, Schema, Table};
+    // `day` = row / `per_day` + `first_day`; `v` = row mod 7.
+    let series = |rows: usize, per_day: usize, first_day: usize| {
+        let schema = Schema::new(vec![
+            Field::new("day", DataType::Int64),
+            Field::new("v", DataType::Int64),
+        ])
+        .unwrap();
+        let day = (0..rows)
+            .map(|r| (first_day + r / per_day) as i64)
+            .collect();
+        let v = (0..rows).map(|r| (r % 7) as i64).collect();
+        Table::new(schema, vec![Column::from_i64(day), Column::from_i64(v)]).unwrap()
+    };
+    // 200 days of 100 rows, then 1,000 new days of 10 rows.
+    let base = series(20_000, 100, 0);
+    let delta = series(10_000, 10, 200);
+    let grown = Table::concat(&[&base, &delta]).unwrap();
+
+    let names = ["day", "v"];
+    let by_day = |t: &Table| Workload::new("t", t, &names, &[vec!["day"]]).unwrap();
+    let mut session = session_with(&base, ExecutionMode::ClientSide, BUDGET);
+    session
+        .run_workload(&by_day(&base), CacheControl::Default)
+        .unwrap();
+    session.append("t", delta).unwrap();
+
+    let w = by_day(&grown);
+    let out = session.run_workload(&w, CacheControl::Default).unwrap();
+    let m = &out.report.metrics;
+    assert_eq!((m.delta_refreshes, m.matcache_hits), (1, 1), "{m:?}");
+    assert_eq!(m.hash_resizes, 0, "{m:?}");
+    let mut cold = session_with(&grown, ExecutionMode::ClientSide, 0);
+    let reference = cold.run_workload(&w, CacheControl::Default).unwrap();
+    assert_same_results(&w, &reference.report, &out.report, "new-key delta vs cold");
+    assert_eq!(out.report.results[0].1.num_rows(), 1_200);
+}
+
 #[test]
 fn replacing_the_table_invalidates_cached_aggregates() {
     let old = modular_table(1_000, &[4, 10]);
