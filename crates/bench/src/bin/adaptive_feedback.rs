@@ -76,11 +76,11 @@ fn workload(table: &Table) -> Workload {
 fn session(table: Table, adaptive: bool) -> Session {
     Session::builder()
         .table("lineitem", table)
-        .cost_model(CostModelSpec::SampledCardinality {
+        .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
             sample_size: SAMPLE,
             estimator: DistinctEstimator::Hybrid,
             seed: 7,
-        })
+        }))
         .search(SearchConfig::pruned())
         .plan_cache(32)
         .adaptive(adaptive)

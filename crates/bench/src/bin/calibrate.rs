@@ -4,6 +4,10 @@
 //! ```sh
 //! cargo run --release -p gbmqo-bench --bin calibrate
 //! ```
+//!
+//! Each grouping runs the way the plan executor runs an edge: on one
+//! thread, with its exact group count as the estimate (the executor
+//! always passes the optimizer's).
 
 use gbmqo_datagen::lineitem;
 use gbmqo_exec::{radix_group_by, AggSpec, ExecMetrics};
@@ -14,11 +18,16 @@ fn main() {
     let t = lineitem(rows, 0.0, 1);
     let idx = |n: &str| t.schema().index_of(n).unwrap();
     let mut m = ExecMetrics::new();
-    // warmup
+    // Time one run with the exact group count as its estimate; an untimed
+    // run before it counts the groups and warms the caches.
     let serial = |cols: &[usize], m: &mut ExecMetrics| {
-        radix_group_by(&t, cols, &[AggSpec::count()], 1, None, None, m).unwrap()
+        let groups = radix_group_by(&t, cols, &[AggSpec::count()], 1, None, None, m)
+            .unwrap()
+            .num_rows() as u64;
+        let start = Instant::now();
+        let r = radix_group_by(&t, cols, &[AggSpec::count()], 1, Some(groups), None, m).unwrap();
+        (r, start.elapsed())
     };
-    let _ = serial(&[idx("l_returnflag")], &mut m);
     println!("hash Group By over {rows} rows:");
     for (label, cols) in [
         ("1 col low-card", vec![idx("l_returnflag")]),
@@ -39,9 +48,8 @@ fn main() {
             ],
         ),
     ] {
-        let start = Instant::now();
-        let r = serial(&cols, &mut m);
-        let ns = start.elapsed().as_nanos() as f64 / rows as f64;
+        let (r, elapsed) = serial(&cols, &mut m);
+        let ns = elapsed.as_nanos() as f64 / rows as f64;
         println!("  {label:<16} {:>8} groups  {ns:>6.1} ns/row", r.num_rows());
     }
     println!(

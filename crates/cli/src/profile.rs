@@ -232,11 +232,11 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
     let sample = (rows / 20).clamp(100, 20_000);
     let mut session = Session::builder()
         .table("data", table.clone())
-        .cost_model(CostModelSpec::Optimizer {
+        .cost_model(CostModelSpec::Optimizer(Stats::Sampled {
             sample_size: sample,
             estimator: DistinctEstimator::Hybrid,
             seed: 7,
-        })
+        }))
         .search(SearchConfig::pruned())
         .mat_cache_budget_bytes(opts.cache_budget_mb << 20)
         .shards(opts.shards)

@@ -1132,7 +1132,16 @@ mod tests {
         .unwrap();
         assert_same(&client, &server, "fused with estimates vs serial");
         assert_eq!(server.metrics.hash_resizes, 0, "{:?}", server.metrics);
-        // Without estimates the base scan's tables start empty and grow.
+        // Every grouping here has a domain of at most 32 codes, addressed
+        // directly: without estimates nothing grows either.
+        let unsized_run = run(&plan, &w, &mut engine, Order::Fused, None).unwrap();
+        assert_eq!(unsized_run.metrics.hash_resizes, 0);
+        // A `c` of 60 values spread over 2^16 codes is hashed: without an
+        // estimate its base-scan table starts empty and grows.
+        let mut wide = base_table().columns().to_vec();
+        wide[2] = Column::from_i64((0..60).map(|i| i * 1_000).collect());
+        let wide = Table::new(base_table().schema().clone(), wide).unwrap();
+        engine.catalog_mut().replace("r", wide).unwrap();
         let unsized_run = run(&plan, &w, &mut engine, Order::Fused, None).unwrap();
         assert!(unsized_run.metrics.hash_resizes > 0);
     }

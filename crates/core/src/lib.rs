@@ -120,7 +120,7 @@ pub use parse::parse_grouping_sets;
 pub use plan::{LogicalPlan, NodeKind, SubNode};
 pub use serialize::{plan_from_text, plan_to_text};
 pub use session::{
-    AppendOutcome, CostModelSpec, NodeCardReport, RefreshPolicy, Session, SessionBuilder,
+    AppendOutcome, CostModelSpec, NodeCardReport, RefreshPolicy, Session, SessionBuilder, Stats,
     WorkloadOutcome, DEFAULT_MAX_DELTA_FRACTION, DEFAULT_REOPT_THRESHOLD, RESHARD_SKEW_THRESHOLD,
 };
 pub use sql::{quote_sql_ident, render_sql};
@@ -137,7 +137,7 @@ pub mod prelude {
     pub use crate::plan::{LogicalPlan, SubNode};
     pub use crate::session::{
         AppendOutcome, CostModelSpec, NodeCardReport, RefreshPolicy, Session, SessionBuilder,
-        WorkloadOutcome, DEFAULT_MAX_DELTA_FRACTION, DEFAULT_REOPT_THRESHOLD,
+        Stats, WorkloadOutcome, DEFAULT_MAX_DELTA_FRACTION, DEFAULT_REOPT_THRESHOLD,
         RESHARD_SKEW_THRESHOLD,
     };
     pub use crate::workload::Workload;

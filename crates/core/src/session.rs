@@ -62,29 +62,40 @@ use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Which cost model a [`Session`] optimizes under. Plain data: each
-/// search assembles a model from it over the session's statistics
-/// catalog, which is what carries column-set statistics (and the
-/// reservoir sample) from one search to the next.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+/// Which cost model a [`Session`] optimizes under, over which
+/// statistics. Plain data: each search assembles a model from it over the
+/// session's statistics catalog, which is what carries column-set
+/// statistics (and the reservoir sample) from one search to the next.
+///
+/// The default is [`CostModelSpec::Optimizer`] over [`Stats::Exact`]:
+/// §3.2.2 prices the groups an edge produces, which the engine pays for
+/// and §3.2.1's `|u|` does not see.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CostModelSpec {
-    /// §3.2.1's cardinality model over exact statistics.
-    #[default]
-    Cardinality,
-    /// §3.2.1's cardinality model over a reservoir sample.
-    SampledCardinality {
-        /// Rows in the reservoir sample.
-        sample_size: usize,
-        /// Distinct-value estimator run over the sample.
-        estimator: DistinctEstimator,
-        /// Sampling seed (fixed for reproducible plans).
-        seed: u64,
-    },
-    /// §3.2.2's simulated query-optimizer model: sampled cardinalities
-    /// plus physical-design awareness (the session snapshots the base
-    /// table's indexes at search time).
-    Optimizer {
-        /// Rows in the reservoir sample.
+    /// §3.2.1's cardinality model: `cost(u → v) = |u|`.
+    Cardinality(Stats),
+    /// §3.2.2's simulated query-optimizer model with the default
+    /// `CostConstants`: scan, hash and per-group output costs, plus
+    /// physical-design awareness (the session snapshots the base table's
+    /// indexes at search time).
+    Optimizer(Stats),
+}
+
+impl Default for CostModelSpec {
+    fn default() -> Self {
+        CostModelSpec::Optimizer(Stats::Exact)
+    }
+}
+
+/// The statistics a [`CostModelSpec`]'s model reads its cardinalities
+/// from.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Stats {
+    /// Exact distinct counts, memoized per table contents version.
+    Exact,
+    /// Estimates from a reservoir sample.
+    Sampled {
+        /// Rows in the reservoir sample (at least 1).
         sample_size: usize,
         /// Distinct-value estimator run over the sample.
         estimator: DistinctEstimator,
@@ -94,6 +105,13 @@ pub enum CostModelSpec {
 }
 
 impl CostModelSpec {
+    /// The statistics the spec's model reads.
+    fn stats(&self) -> &Stats {
+        match self {
+            CostModelSpec::Cardinality(stats) | CostModelSpec::Optimizer(stats) => stats,
+        }
+    }
+
     /// A stable tag for plan-cache fingerprints: two specs with the same
     /// tag produce the same plans (given the same statistics version).
     fn tag(&self) -> u64 {
@@ -284,7 +302,7 @@ impl SessionBuilder {
     }
 
     /// Cost model to optimize under (default:
-    /// [`CostModelSpec::Cardinality`]).
+    /// [`CostModelSpec::Optimizer`] over [`Stats::Exact`]).
     pub fn cost_model(mut self, spec: CostModelSpec) -> Self {
         self.cost_model = spec;
         self
@@ -425,14 +443,10 @@ impl SessionBuilder {
             1
         };
         engine.set_kernel_threads(kernel_threads);
-        if let CostModelSpec::SampledCardinality { sample_size, .. }
-        | CostModelSpec::Optimizer { sample_size, .. } = self.cost_model
-        {
-            if sample_size == 0 {
-                return Err(CoreError::InvalidSession(
-                    "sampled cost models need a sample size of at least 1".into(),
-                ));
-            }
+        if let Stats::Sampled { sample_size: 0, .. } = self.cost_model.stats() {
+            return Err(CoreError::InvalidSession(
+                "sampled cost models need a sample size of at least 1".into(),
+            ));
         }
         let max_delta_fraction = self
             .max_delta_fraction
@@ -890,16 +904,9 @@ impl Session {
         let table_stats = self.stats.table(&workload.table, table_version);
         let (created_before, create_time_before) = table_stats.created();
         let (plan, mut stats, estimates) = {
-            let mut source: Box<dyn CardinalitySource + '_> = match self.cost_model {
-                CostModelSpec::Cardinality => {
-                    Box::new(ExactSource::with_store(table, table_stats.exact()))
-                }
-                CostModelSpec::SampledCardinality {
-                    sample_size,
-                    estimator,
-                    seed,
-                }
-                | CostModelSpec::Optimizer {
+            let mut source: Box<dyn CardinalitySource + '_> = match *self.cost_model.stats() {
+                Stats::Exact => Box::new(ExactSource::with_store(table, table_stats.exact())),
+                Stats::Sampled {
                     sample_size,
                     estimator,
                     seed,
@@ -922,7 +929,7 @@ impl Session {
             }
             let gbmqo = GbMqo::with_config(self.search.clone());
             match self.cost_model {
-                CostModelSpec::Optimizer { .. } => {
+                CostModelSpec::Optimizer(_) => {
                     let indexes = IndexSnapshot::capture(catalog, &workload.table);
                     search_and_estimate(
                         &gbmqo,
@@ -930,7 +937,9 @@ impl Session {
                         &mut OptimizerCostModel::new(source, indexes),
                     )?
                 }
-                _ => search_and_estimate(&gbmqo, workload, &mut CardinalityCostModel::new(source))?,
+                CostModelSpec::Cardinality(_) => {
+                    search_and_estimate(&gbmqo, workload, &mut CardinalityCostModel::new(source))?
+                }
             }
         };
         let (created, create_time) = table_stats.created();
@@ -1526,21 +1535,21 @@ mod tests {
         assert_eq!(s.cache_stats().misses, 2);
     }
 
+    fn sampled(sample_size: usize) -> Stats {
+        Stats::Sampled {
+            sample_size,
+            estimator: DistinctEstimator::Hybrid,
+            seed: 7,
+        }
+    }
+
     #[test]
     fn sampled_and_optimizer_cost_models_work() {
         let t = table();
         let w = Workload::single_columns("r", &t, &["a", "b", "c"]).unwrap();
         for spec in [
-            CostModelSpec::SampledCardinality {
-                sample_size: 64,
-                estimator: DistinctEstimator::Hybrid,
-                seed: 7,
-            },
-            CostModelSpec::Optimizer {
-                sample_size: 64,
-                estimator: DistinctEstimator::Hybrid,
-                seed: 7,
-            },
+            CostModelSpec::Cardinality(sampled(64)),
+            CostModelSpec::Optimizer(sampled(64)),
         ] {
             let mut s = Session::builder()
                 .table("r", t.clone())
@@ -1553,17 +1562,42 @@ mod tests {
     }
 
     #[test]
+    fn the_default_prices_groups_and_each_spec_keys_its_own_plans() {
+        let s = Session::builder().table("r", table()).build().unwrap();
+        assert_eq!(s.cost_model, CostModelSpec::Optimizer(Stats::Exact));
+        assert_eq!(s.cost_model, CostModelSpec::default());
+
+        let w = Workload::single_columns("r", &table(), &["a", "b", "c"]).unwrap();
+        let specs = [
+            CostModelSpec::Cardinality(Stats::Exact),
+            CostModelSpec::Cardinality(sampled(64)),
+            CostModelSpec::Optimizer(Stats::Exact),
+            CostModelSpec::Optimizer(sampled(64)),
+        ];
+        let keys: std::collections::HashSet<WorkloadFingerprint> = specs
+            .iter()
+            .map(|spec| WorkloadFingerprint::compute(&w, &SearchConfig::pruned(), 0, spec.tag(), 0))
+            .collect();
+        assert_eq!(
+            keys.len(),
+            specs.len(),
+            "the plan cache tells the specs apart"
+        );
+    }
+
+    #[test]
     fn zero_sample_size_is_rejected_at_build() {
-        let err = Session::builder()
-            .table("r", table())
-            .cost_model(CostModelSpec::SampledCardinality {
-                sample_size: 0,
-                estimator: DistinctEstimator::Hybrid,
-                seed: 7,
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidSession(_)));
+        for spec in [
+            CostModelSpec::Cardinality(sampled(0)),
+            CostModelSpec::Optimizer(sampled(0)),
+        ] {
+            let err = Session::builder()
+                .table("r", table())
+                .cost_model(spec)
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, CoreError::InvalidSession(_)));
+        }
     }
 
     /// Rows as order-independent `name=value` strings (the UNION ALL's
@@ -1815,11 +1849,7 @@ mod tests {
         let w = Workload::single_columns("u", &t, &["a", "b"]).unwrap();
         let mut s = Session::builder()
             .table("u", t)
-            .cost_model(CostModelSpec::SampledCardinality {
-                sample_size: 32,
-                estimator: DistinctEstimator::Hybrid,
-                seed: 7,
-            })
+            .cost_model(CostModelSpec::Cardinality(sampled(32)))
             .adaptive(true)
             .plan_cache(4)
             .build()

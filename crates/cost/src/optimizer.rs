@@ -68,12 +68,16 @@ impl CostConstants {
 }
 
 impl Default for CostConstants {
-    /// Defaults calibrated against the `gbmqo-exec` engine (see the
-    /// `calibrate` binary in `gbmqo-bench`): a hash Group By costs
-    /// ≈ 33 ns/row + 1.2 ns per key byte, and every produced group costs
-    /// ≈ 400 ns (hash-table growth, representative gathers, cache
-    /// misses) — which is what makes merging high-cardinality columns
-    /// unattractive, exactly as in the paper.
+    /// A Group By costs rows × (row_scan + hash_agg_row + key bytes ×
+    /// byte_scan) plus row_output per produced group; the per-group term
+    /// is what makes merging high-cardinality columns unattractive,
+    /// exactly as in the paper. The values were fitted to an earlier
+    /// `gbmqo-exec` kernel and are not refitted to the current one. What
+    /// that kernel pays is the `calibrate` binary's table in
+    /// EXPERIMENTS.md ("Plans that pay on their own kernel"): at 500k
+    /// rows on one thread, 2–6 ns/row for low-cardinality keys addressed
+    /// directly, about 12 ns/row for a hashed two-date key, and about
+    /// 20 ns/row at close to one group per row.
     fn default() -> Self {
         CostConstants {
             row_scan: 10.0,

@@ -32,6 +32,14 @@
 //! scan's fused morsel loop ([`crate::shared`]) over one grouping, each
 //! morsel encoded, probed and folded on the calling thread.
 //!
+//! A small key domain is not hashed at all. When a packed `u64` layout
+//! has at most `max(rows, 1024)` codes, and at most 2^16, its gids come
+//! from a slot array indexed by the code ([`SlotTable`]; [`dense_slots`]
+//! is the rule). Clearing the array then never costs more than the scan.
+//! Such an input runs as that one pass whenever `Fanout::plan` gives it
+//! one aggregate worker, however many partitions a hash table would
+//! have wanted; only a multi-worker fan-out partitions it.
+//!
 //! Small inputs are mostly re-aggregations — of a materialized
 //! intermediate, a cached aggregate, a shard merge, a delta refresh —
 //! and their callers know a bound on the groups that the `rows / 16`
@@ -49,7 +57,7 @@ use crate::cancel::CancelToken;
 use crate::error::Result;
 use crate::group_by::{output_table, record, stream_group_by};
 use crate::metrics::ExecMetrics;
-use crate::shared::fused_pass;
+use crate::shared::{fused_pass, grouping};
 use gbmqo_storage::packed::KeyCode;
 use gbmqo_storage::{Column, KeyEncoder, PackedKeySpec, RowKey, Table};
 use rustc_hash::{FxBuildHasher, FxHashMap};
@@ -79,6 +87,20 @@ const GROUPS_PER_PARTITION: u64 = 4 * 1024;
 
 /// Hard cap on partition count (scatter state is per-worker × per-partition).
 const MAX_PARTITIONS: usize = 512;
+
+/// Largest direct-address table: 2^16 `u32` slots, 256 KiB.
+const MAX_DENSE_SLOTS: usize = 1 << 16;
+
+/// Slots a direct-address table may hold whatever the input's rows.
+const MIN_DENSE_SLOTS: usize = 1024;
+
+/// The slots of a direct-address table for `spec` over `rows` rows — one
+/// per code of its domain — or `None` when the domain is too large to
+/// address directly and the keys are hashed.
+pub(crate) fn dense_slots(spec: &PackedKeySpec, rows: usize) -> Option<usize> {
+    let slots = 1usize.checked_shl(spec.total_bits())?;
+    (slots <= rows.clamp(MIN_DENSE_SLOTS, MAX_DENSE_SLOTS)).then_some(slots)
+}
 
 /// Distinct groups to plan for: the optimizer's estimate for this
 /// grouping when the plan executor threaded one through from
@@ -111,7 +133,8 @@ fn partition_count(threads: usize, rows: usize, estimated_groups: Option<u64>) -
 }
 
 /// How one input is spread over workers and partitions — every
-/// size-dependent decision the kernel makes.
+/// size-dependent decision the kernel makes but one: whether a packed
+/// domain is addressed directly ([`dense_slots`]).
 struct Fanout {
     /// Workers scattering in pass 1.
     scatter_workers: usize,
@@ -242,8 +265,8 @@ pub(crate) fn packed_spec(
 }
 
 /// Key → dense group id, the one hash table of hash aggregation. Pass 2
-/// probes one per partition; the shared scan probes one per grouping
-/// per morsel.
+/// probes one per partition; the shared scan probes one per hashed
+/// grouping per morsel.
 pub(crate) struct GroupTable<K> {
     map: FxHashMap<K, u32>,
     /// First row seen of each group, indexed by gid.
@@ -259,11 +282,6 @@ impl<K: Eq + Hash> GroupTable<K> {
             representatives: Vec::with_capacity(groups),
             resizes: 0,
         }
-    }
-
-    /// Groups registered so far.
-    pub(crate) fn num_groups(&self) -> usize {
-        self.representatives.len()
     }
 
     /// Append the gid of every `(key, row)` to `gids`. A key not seen
@@ -290,10 +308,76 @@ impl<K: Eq + Hash> GroupTable<K> {
             gids.push(gid);
         }
     }
+}
+
+/// Packed `u64` code → dense group id by direct address: one slot per
+/// code of a small domain ([`dense_slots`]), `u32::MAX` while no row has
+/// had that code. Gids are handed out in first-seen order, as
+/// [`GroupTable`] does, and the array is allocated whole, so it never
+/// resizes.
+pub(crate) struct SlotTable {
+    slots: Vec<u32>,
+    /// First row seen of each group, indexed by gid.
+    representatives: Vec<u32>,
+}
+
+impl SlotTable {
+    /// A table of `slots` empty slots, with room for `groups` groups.
+    pub(crate) fn new(slots: usize, groups: usize) -> Self {
+        SlotTable {
+            slots: vec![u32::MAX; slots],
+            representatives: Vec::with_capacity(groups.min(slots)),
+        }
+    }
+}
+
+/// Key → dense group id in first-seen order: what a fused-pass grouping
+/// asks of its table, hashed ([`GroupTable`]) or direct ([`SlotTable`]).
+pub(crate) trait GidMap<K> {
+    /// Append the gid of each of `keys` (row ids `rows`) to `gids`,
+    /// registering new keys as the next groups; `R` is how the keys were
+    /// encoded.
+    fn assign<R: KeyRepr<K>>(&mut self, keys: &[K], rows: &[u32], gids: &mut Vec<u32>);
+
+    /// Groups registered so far.
+    fn num_groups(&self) -> usize;
 
     /// Hand over the groups with the `accumulators` folded against them.
-    pub(crate) fn finish(self, accumulators: Vec<Accumulator>) -> Aggregated {
+    fn finish(self, accumulators: Vec<Accumulator>) -> Aggregated;
+}
+
+impl<K: Eq + Hash> GidMap<K> for GroupTable<K> {
+    fn assign<R: KeyRepr<K>>(&mut self, keys: &[K], rows: &[u32], gids: &mut Vec<u32>) {
+        self.probe::<R>(keys.iter().zip(rows.iter().copied()), gids);
+    }
+
+    fn num_groups(&self) -> usize {
+        self.representatives.len()
+    }
+
+    fn finish(self, accumulators: Vec<Accumulator>) -> Aggregated {
         (self.representatives, accumulators, self.resizes)
+    }
+}
+
+impl GidMap<u64> for SlotTable {
+    fn assign<R: KeyRepr<u64>>(&mut self, codes: &[u64], rows: &[u32], gids: &mut Vec<u32>) {
+        for (&code, &row) in codes.iter().zip(rows) {
+            let slot = &mut self.slots[code as usize];
+            if *slot == u32::MAX {
+                *slot = self.representatives.len() as u32;
+                self.representatives.push(row);
+            }
+            gids.push(*slot);
+        }
+    }
+
+    fn num_groups(&self) -> usize {
+        self.representatives.len()
+    }
+
+    fn finish(self, accumulators: Vec<Accumulator>) -> Aggregated {
+        (self.representatives, accumulators, 0)
     }
 }
 
@@ -478,14 +562,19 @@ pub fn radix_group_by(
     let start = Instant::now();
     let rows = input.num_rows();
     let fanout = Fanout::plan(threads, rows, estimated_groups);
-    let partitions = fanout.partitions;
-    let (representatives, accumulators, resizes) = if partitions == 1 {
-        // Nothing to scatter: pass 2 alone, morsel by morsel.
-        let groups = Some(fanout.groups_per_partition as u64);
-        let mut one = fused_pass(input, &[group_cols], aggs, &[groups], cancel, metrics)?;
-        one.pop().expect("one grouping, one result")
+    let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
+    let spec = packed_spec(&key_cols, rows, metrics);
+    let dense = spec.as_ref().and_then(|s| dense_slots(s, rows)).is_some();
+    // Nothing to scatter — one partition, or a directly addressed domain
+    // on one worker: pass 2 alone, morsel by morsel.
+    let one_pass = fanout.partitions == 1 || (dense && fanout.aggregate_workers == 1);
+    let partitions = if one_pass { 1 } else { fanout.partitions };
+    let (representatives, accumulators, resizes) = if one_pass {
+        let groups = planned_groups(rows, estimated_groups);
+        let one = grouping(input, key_cols, spec, aggs, groups)?;
+        let mut aggregated = fused_pass(input, vec![one], cancel)?;
+        aggregated.pop().expect("one grouping, one result")
     } else {
-        let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
         let job = Job {
             input,
             key_cols: &key_cols,
@@ -493,7 +582,7 @@ pub fn radix_group_by(
             fanout,
             cancel,
         };
-        match packed_spec(&key_cols, rows, metrics) {
+        match spec {
             Some(spec) if spec.fits_u64() => job.run::<u64, _>(&spec),
             Some(spec) => job.run::<u128, _>(&spec),
             None => job.run(&ByteKeys),
@@ -669,6 +758,18 @@ mod tests {
         let wide = Fanout::plan(1, 1 << 20, Some(1 << 16));
         assert_eq!(wide.partitions, 16);
         assert_eq!(wide.groups_per_partition, 1 << 12);
+
+        // Direct address: a domain of at most max(rows, 1,024) codes,
+        // and never more than 2^16.
+        let bits = |b: u32| {
+            let col = gbmqo_storage::Column::from_i64(vec![0, (1 << b) - 2]);
+            PackedKeySpec::build(&[&col]).unwrap()
+        };
+        assert_eq!(dense_slots(&bits(10), 0), Some(1_024));
+        assert_eq!(dense_slots(&bits(11), 2_047), None);
+        assert_eq!(dense_slots(&bits(11), 2_048), Some(2_048));
+        assert_eq!(dense_slots(&bits(16), usize::MAX), Some(1 << 16));
+        assert_eq!(dense_slots(&bits(17), usize::MAX), None);
     }
 
     #[test]
@@ -695,10 +796,15 @@ mod tests {
     fn reserved_tables_do_not_resize() {
         let t = table(5_000, 97);
         let mut m = ExecMetrics::new();
-        // 97 non-null keys + NULL, doubled by the second column at most.
-        radix_group_by(&t, &[0, 1], &aggs(), 1, Some(196), None, &mut m).unwrap();
+        // `v` is distinct per row, 5,000 keys in a domain of 8,192 codes:
+        // hashed, into a table reserved for them.
+        radix_group_by(&t, &[2], &aggs(), 1, Some(5_000), None, &mut m).unwrap();
         assert_eq!(m.hash_resizes, 0);
+        // 97 keys + NULL by two strings fill a domain of 512 codes, which
+        // is addressed directly: an under-estimate grows nothing.
         radix_group_by(&t, &[0, 1], &aggs(), 1, Some(2), None, &mut m).unwrap();
+        assert_eq!(m.hash_resizes, 0);
+        radix_group_by(&t, &[2], &aggs(), 1, Some(2), None, &mut m).unwrap();
         assert!(m.hash_resizes > 0, "an under-estimate grows and is counted");
     }
 

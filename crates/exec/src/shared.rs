@@ -9,28 +9,32 @@
 //! uses it when a breadth-first schedule computes all children of a node
 //! back-to-back from the same materialized parent.
 //!
-//! Its loop, `fused_pass`, is also the hash kernel at one partition:
-//! an input `Fanout::plan` gives one partition has nothing to scatter, so
-//! [`crate::radix_group_by`] runs it as a shared scan of one grouping.
+//! Its loop, `fused_pass`, is also the hash kernel's one-pass form: an
+//! input with nothing to scatter (one partition, or a key domain small
+//! enough to address directly on one worker) is a shared scan of one
+//! grouping to [`crate::radix_group_by`].
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::cancel::CancelToken;
 use crate::error::Result;
 use crate::group_by::output_table;
 use crate::metrics::ExecMetrics;
-use crate::radix::{packed_spec, Aggregated, ByteKeys, GroupTable, KeyRepr, MORSEL_ROWS};
-use gbmqo_storage::{Column, RowKey, Table};
-use std::hash::Hash;
+use crate::radix::{
+    dense_slots, packed_spec, Aggregated, ByteKeys, GidMap, GroupTable, KeyRepr, SlotTable,
+    MORSEL_ROWS,
+};
+use gbmqo_storage::{Column, PackedKeySpec, Table};
 use std::time::Instant;
 
 /// One grouping's state during the scan, generic over how its keys are
 /// represented (packed integer codes when every group column is
 /// fixed-width — the same fast path as the hash kernel — byte `RowKey`s
-/// otherwise).
-struct Grouping<'t, K, R> {
+/// otherwise) and how a key finds its gid (a hash table, or a slot
+/// array for a small packed domain).
+struct Grouping<'t, K, R, T> {
     repr: R,
     key_cols: Vec<&'t Column>,
-    table: GroupTable<K>,
+    table: T,
     accumulators: Vec<Accumulator>,
     /// Per-morsel key and gid buffers, reused across morsels.
     keys: Vec<K>,
@@ -38,7 +42,7 @@ struct Grouping<'t, K, R> {
 }
 
 /// What the scan loop asks of a grouping, whatever its key type.
-trait MorselSink {
+pub(crate) trait MorselSink {
     /// Fold one morsel of `input`: `rows` are the consecutive row ids
     /// from `start` on.
     fn consume(&mut self, input: &Table, start: usize, rows: &[u32]);
@@ -46,13 +50,12 @@ trait MorselSink {
     fn finish(self: Box<Self>) -> Aggregated;
 }
 
-impl<K: Eq + Hash, R: KeyRepr<K>> MorselSink for Grouping<'_, K, R> {
+impl<K, R: KeyRepr<K>, T: GidMap<K>> MorselSink for Grouping<'_, K, R, T> {
     fn consume(&mut self, input: &Table, start: usize, rows: &[u32]) {
         self.repr
             .encode(&self.key_cols, start, rows.len(), &mut self.keys);
         self.gids.clear();
-        self.table
-            .probe::<R>(self.keys.iter().zip(rows.iter().copied()), &mut self.gids);
+        self.table.assign::<R>(&self.keys, rows, &mut self.gids);
         for acc in &mut self.accumulators {
             acc.resize_groups(self.table.num_groups());
             acc.update_batch(input, rows, &self.gids);
@@ -64,34 +67,28 @@ impl<K: Eq + Hash, R: KeyRepr<K>> MorselSink for Grouping<'_, K, R> {
     }
 }
 
-/// Aggregate `input` by every grouping in `groupings` in one pass: each
-/// morsel's keys are encoded per grouping (packed codes where possible),
-/// resolved to a gid vector against that grouping's group table, and fed
-/// to its accumulators in one columnar [`Accumulator::update_batch`]
-/// call — the hash kernel's pass 2, amortized across all groupings.
-///
-/// `estimated_groups[i]`, when given, is the number of groups grouping
-/// `i`'s table reserves up front, never more than there are rows; a
-/// table without one (`None`, or a missing entry) starts empty.
-/// Cancellation is polled once per morsel.
-pub(crate) fn fused_pass<G: AsRef<[usize]>>(
-    input: &Table,
-    groupings: &[G],
+/// The scan state of one grouping of `input` by `key_cols`, keyed by the
+/// layout `spec` [`packed_spec`] built for them (`None`: byte keys). A
+/// packed domain [`dense_slots`] admits for `input`'s rows gets a
+/// direct-address table; any other grouping a hash table with room for
+/// `groups` groups, never more than there are rows.
+pub(crate) fn grouping<'t>(
+    input: &'t Table,
+    key_cols: Vec<&'t Column>,
+    spec: Option<PackedKeySpec>,
     aggs: &[AggSpec],
-    estimated_groups: &[Option<u64>],
-    cancel: Option<&CancelToken>,
-    metrics: &mut ExecMetrics,
-) -> Result<Vec<Aggregated>> {
-    fn sink<'t, K: Eq + Hash + 't, R: KeyRepr<K> + 't>(
+    groups: u64,
+) -> Result<Box<dyn MorselSink + 't>> {
+    fn sink<'t, K: 't, R: KeyRepr<K> + 't, T: GidMap<K> + 't>(
         repr: R,
         key_cols: Vec<&'t Column>,
+        table: T,
         accumulators: Vec<Accumulator>,
-        groups: usize,
     ) -> Box<dyn MorselSink + 't> {
         Box::new(Grouping {
             repr,
             key_cols,
-            table: GroupTable::with_capacity(groups),
+            table,
             accumulators,
             keys: Vec::new(),
             gids: Vec::new(),
@@ -99,27 +96,48 @@ pub(crate) fn fused_pass<G: AsRef<[usize]>>(
     }
 
     let n = input.num_rows();
-    let mut sinks: Vec<Box<dyn MorselSink + '_>> = groupings
+    let groups = groups.min(n as u64) as usize;
+    let accumulators = aggs
         .iter()
-        .enumerate()
-        .map(|(i, cols)| {
-            let key_cols: Vec<&Column> = cols.as_ref().iter().map(|&c| input.column(c)).collect();
-            let accumulators = aggs
-                .iter()
-                .map(|a| Accumulator::build(a, input))
-                .collect::<Result<_>>()?;
-            let estimate = estimated_groups.get(i).copied().flatten();
-            let groups = estimate.map_or(0, |g| g.min(n as u64)) as usize;
-            Ok(match packed_spec(&key_cols, n, metrics) {
-                Some(spec) if spec.fits_u64() => {
-                    sink::<u64, _>(spec, key_cols, accumulators, groups)
-                }
-                Some(spec) => sink::<u128, _>(spec, key_cols, accumulators, groups),
-                None => sink::<RowKey, _>(ByteKeys, key_cols, accumulators, groups),
-            })
-        })
+        .map(|a| Accumulator::build(a, input))
         .collect::<Result<_>>()?;
+    Ok(match spec {
+        Some(spec) => match dense_slots(&spec, n) {
+            Some(slots) => sink(spec, key_cols, SlotTable::new(slots, groups), accumulators),
+            None if spec.fits_u64() => sink::<u64, _, _>(
+                spec,
+                key_cols,
+                GroupTable::with_capacity(groups),
+                accumulators,
+            ),
+            None => sink::<u128, _, _>(
+                spec,
+                key_cols,
+                GroupTable::with_capacity(groups),
+                accumulators,
+            ),
+        },
+        None => sink(
+            ByteKeys,
+            key_cols,
+            GroupTable::with_capacity(groups),
+            accumulators,
+        ),
+    })
+}
 
+/// Aggregate `input` by every grouping in `groupings` in one pass: each
+/// morsel's keys are encoded per grouping (packed codes where possible),
+/// resolved to a gid vector against that grouping's table, and fed to
+/// its accumulators in one columnar [`Accumulator::update_batch`] call —
+/// the hash kernel's pass 2, amortized across all groupings.
+/// Cancellation is polled once per morsel.
+pub(crate) fn fused_pass(
+    input: &Table,
+    mut groupings: Vec<Box<dyn MorselSink + '_>>,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Aggregated>> {
+    let n = input.num_rows();
     let mut rows_buf: Vec<u32> = Vec::with_capacity(MORSEL_ROWS.min(n));
     let mut pos = 0;
     while pos < n {
@@ -127,12 +145,12 @@ pub(crate) fn fused_pass<G: AsRef<[usize]>>(
         let len = MORSEL_ROWS.min(n - pos);
         rows_buf.clear();
         rows_buf.extend((pos..pos + len).map(|r| r as u32));
-        for sink in &mut sinks {
-            sink.consume(input, pos, &rows_buf);
+        for grouping in &mut groupings {
+            grouping.consume(input, pos, &rows_buf);
         }
         pos += len;
     }
-    Ok(sinks.into_iter().map(|sink| sink.finish()).collect())
+    Ok(groupings.into_iter().map(|g| g.finish()).collect())
 }
 
 /// Compute several Group Bys over `input` in one shared scan.
@@ -140,9 +158,10 @@ pub(crate) fn fused_pass<G: AsRef<[usize]>>(
 /// `groupings` lists the grouping-column ordinals of each output; all
 /// outputs compute the same `aggs`. `estimated_groups[i]`, when given,
 /// is the number of groups grouping `i`'s hash table reserves up front;
-/// without one the table starts empty and grows. Returns one table per
-/// grouping, in order — each identical to what [`crate::radix_group_by`]
-/// would produce.
+/// without one (`None`, or a missing entry) the table starts empty and
+/// grows. A grouping whose packed domain is small enough is addressed
+/// directly and never grows. Returns one table per grouping, in order —
+/// each identical to what [`crate::radix_group_by`] would produce.
 pub fn shared_scan_group_by(
     input: &Table,
     groupings: &[Vec<usize>],
@@ -152,7 +171,18 @@ pub fn shared_scan_group_by(
     metrics: &mut ExecMetrics,
 ) -> Result<Vec<Table>> {
     let start = Instant::now();
-    let aggregated = fused_pass(input, groupings, aggs, estimated_groups, cancel, metrics)?;
+    let rows = input.num_rows();
+    let sinks = groupings
+        .iter()
+        .enumerate()
+        .map(|(i, cols)| {
+            let key_cols: Vec<&Column> = cols.iter().map(|&c| input.column(c)).collect();
+            let spec = packed_spec(&key_cols, rows, metrics);
+            let groups = estimated_groups.get(i).copied().flatten().unwrap_or(0);
+            grouping(input, key_cols, spec, aggs, groups)
+        })
+        .collect::<Result<_>>()?;
+    let aggregated = fused_pass(input, sinks, cancel)?;
     let mut outputs = Vec::with_capacity(groupings.len());
     for ((representatives, accumulators, resizes), cols) in aggregated.into_iter().zip(groupings) {
         let out = output_table(input, cols, aggs, representatives, accumulators)?;
@@ -177,6 +207,7 @@ mod tests {
             Field::new("a", DataType::Int64),
             Field::new("b", DataType::Int64),
             Field::new("c", DataType::Utf8),
+            Field::new("d", DataType::Int64),
         ])
         .unwrap();
         let mut tb = gbmqo_storage::TableBuilder::new(schema);
@@ -185,6 +216,7 @@ mod tests {
                 Value::Int(i % 4),
                 Value::Int(i % 7),
                 Value::str(if i % 2 == 0 { "x" } else { "y" }),
+                Value::Int(i * 1_000),
             ])
             .unwrap();
         }
@@ -239,15 +271,21 @@ mod tests {
     #[test]
     fn estimates_size_each_grouping_and_a_token_stops_the_scan() {
         let t = input();
-        let groupings = vec![vec![0], vec![1], vec![0, 1]];
         let aggs = [AggSpec::count()];
-        // (a) has 4 groups, (b) 7, (a, b) 28: under-estimates grow.
+        // (a) has 4 groups, (b) 7, (a, b) 28, in domains of 8 to 64 codes:
+        // addressed directly, so under-estimates grow nothing.
+        let dense = vec![vec![0], vec![1], vec![0, 1]];
         let mut m = ExecMetrics::new();
-        let under = [Some(1), Some(1), Some(1)];
-        shared_scan_group_by(&t, &groupings, &aggs, &under, None, &mut m).unwrap();
+        shared_scan_group_by(&t, &dense, &aggs, &[Some(1); 3], None, &mut m).unwrap();
+        assert_eq!(m.hash_resizes, 0);
+        // (d) has 200 groups in a domain of 2^18 codes: hashed, and an
+        // under-estimate grows.
+        let hashed = vec![vec![3]];
+        shared_scan_group_by(&t, &hashed, &aggs, &[Some(1)], None, &mut m).unwrap();
         assert!(m.hash_resizes > 0);
+        let groupings = [dense, hashed].concat();
         let mut m = ExecMetrics::new();
-        let exact = [Some(4), Some(7), Some(28)];
+        let exact = [Some(4), Some(7), Some(28), Some(200)];
         let sized = shared_scan_group_by(&t, &groupings, &aggs, &exact, None, &mut m).unwrap();
         assert_eq!(m.hash_resizes, 0, "exact estimates never resize");
         for (got, want) in sized.iter().zip(scan(&t, &groupings, &aggs, &mut m)) {

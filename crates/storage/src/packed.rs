@@ -31,9 +31,12 @@ pub trait KeyCode:
     /// Bits this code type can hold.
     const BITS: u32;
 
-    /// OR the column field `code` (already offset so 0 = NULL) into this
-    /// code at bit offset `shift`.
-    fn or_field(self, code: u128, shift: u32) -> Self;
+    /// OR the field of a non-null value into this code at bit offset
+    /// `shift`: `offset` is the value minus its column's minimum, and the
+    /// field holds `offset + 1` (0 being NULL). The `u64` code adds in
+    /// `u64`, exact because a layout that fits it has no 65-bit field;
+    /// the `u128` code widens first.
+    fn or_offset(self, offset: u64, shift: u32) -> Self;
 
     /// A well-mixed 64-bit hash of the code. Radix partitioning takes
     /// the *top* bits, so the mix must avalanche into the high half.
@@ -52,8 +55,8 @@ impl KeyCode for u64 {
     const BITS: u32 = 64;
 
     #[inline]
-    fn or_field(self, code: u128, shift: u32) -> Self {
-        self | ((code as u64) << shift)
+    fn or_offset(self, offset: u64, shift: u32) -> Self {
+        self | ((offset + 1) << shift)
     }
 
     #[inline]
@@ -66,8 +69,8 @@ impl KeyCode for u128 {
     const BITS: u32 = 128;
 
     #[inline]
-    fn or_field(self, code: u128, shift: u32) -> Self {
-        self | (code << shift)
+    fn or_offset(self, offset: u64, shift: u32) -> Self {
+        self | ((u128::from(offset) + 1) << shift)
     }
 
     #[inline]
@@ -148,61 +151,49 @@ impl PackedKeySpec {
         debug_assert_eq!(cols.len(), self.cols.len());
         debug_assert!(self.total_bits <= K::BITS);
         for (pc, col) in self.cols.iter().zip(cols) {
-            let shift = pc.shift;
-            let base = pc.base;
-            match (col.data(), col.validity()) {
-                (ColumnData::Int64(v), None) => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        let code = v[start + i].wrapping_sub(base) as u64 as u128 + 1;
-                        *slot = slot.or_field(code, shift);
-                    }
+            let (base, shift, valid) = (pc.base, pc.shift, col.validity());
+            match col.data() {
+                ColumnData::Int64(v) => {
+                    or_column(out, v, valid, start, shift, |x| x.wrapping_sub(base) as u64)
                 }
-                (ColumnData::Int64(v), Some(valid)) => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        let row = start + i;
-                        let code = if valid.get(row) {
-                            v[row].wrapping_sub(base) as u64 as u128 + 1
-                        } else {
-                            0
-                        };
-                        *slot = slot.or_field(code, shift);
-                    }
+                ColumnData::Date32(v) => or_column(out, v, valid, start, shift, |x| {
+                    i64::from(x).wrapping_sub(base) as u64
+                }),
+                ColumnData::Utf8 { codes, .. } => {
+                    or_column(out, codes, valid, start, shift, u64::from)
                 }
-                (ColumnData::Date32(v), None) => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        let code = i64::from(v[start + i]).wrapping_sub(base) as u64 as u128 + 1;
-                        *slot = slot.or_field(code, shift);
-                    }
-                }
-                (ColumnData::Date32(v), Some(valid)) => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        let row = start + i;
-                        let code = if valid.get(row) {
-                            i64::from(v[row]).wrapping_sub(base) as u64 as u128 + 1
-                        } else {
-                            0
-                        };
-                        *slot = slot.or_field(code, shift);
-                    }
-                }
-                (ColumnData::Utf8 { codes, .. }, None) => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        *slot = slot.or_field(codes[start + i] as u128 + 1, shift);
-                    }
-                }
-                (ColumnData::Utf8 { codes, .. }, Some(valid)) => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        let row = start + i;
-                        let code = if valid.get(row) {
-                            codes[row] as u128 + 1
-                        } else {
-                            0
-                        };
-                        *slot = slot.or_field(code, shift);
-                    }
-                }
-                (ColumnData::Float64(_), _) => {
+                ColumnData::Float64(_) => {
                     unreachable!("Float64 columns are rejected by PackedKeySpec::build")
+                }
+            }
+        }
+    }
+}
+
+/// OR one column's field into `out`, the codes of rows `start ..
+/// start + out.len()`: `offset` maps a stored value to its distance from
+/// the column's minimum, and a NULL row keeps field 0. The no-NULL loop
+/// runs over zipped slices with no index and no branch, so it
+/// vectorizes.
+fn or_column<K: KeyCode, T: Copy>(
+    out: &mut [K],
+    values: &[T],
+    validity: Option<&Bitmap>,
+    start: usize,
+    shift: u32,
+    offset: impl Fn(T) -> u64,
+) {
+    let values = &values[start..start + out.len()];
+    match validity {
+        None => {
+            for (slot, &v) in out.iter_mut().zip(values) {
+                *slot = slot.or_offset(offset(v), shift);
+            }
+        }
+        Some(valid) => {
+            for (row, (slot, &v)) in (start..).zip(out.iter_mut().zip(values)) {
+                if valid.get(row) {
+                    *slot = slot.or_offset(offset(v), shift);
                 }
             }
         }

@@ -53,11 +53,11 @@ fn main() {
     // simulated query-optimizer cost model, wired up once by the session.
     let mut session = Session::builder()
         .table("sales", table)
-        .cost_model(CostModelSpec::Optimizer {
+        .cost_model(CostModelSpec::Optimizer(Stats::Sampled {
             sample_size: 5_000,
             estimator: DistinctEstimator::Hybrid,
             seed: 1,
-        })
+        }))
         .search(SearchConfig::pruned())
         .build()
         .unwrap();

@@ -1,9 +1,11 @@
-//! Kernel-equivalence properties: the hash kernel must agree with
-//! sort-based aggregation — which shares no key → gid code with it — on
-//! every input: NULL keys, dictionary strings, float keys and keys too
-//! wide for packed codes (`RowKey` fallback, inline and heap), the empty
-//! input, the empty grouping, a single group, input sizes on both sides
-//! of every partition/worker threshold, and any thread count.
+//! Kernel-equivalence properties: the hash kernel, hashed or direct
+//! address, must agree with sort-based aggregation — which shares no
+//! key → gid code with it — on every input: NULL keys, dictionary
+//! strings, float keys, a full-range `i64` key (a 65-bit `u128` code) and
+//! keys too wide for packed codes (`RowKey` fallback, inline and heap),
+//! the empty input, the empty grouping, a single group, input sizes on
+//! both sides of every partition/worker threshold, key domains on both
+//! sides of the direct-address bound, and any thread count.
 
 use gbmqo_exec::{radix_group_by, sort_group_by, AggSpec, ExecMetrics};
 use gbmqo_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
@@ -13,9 +15,11 @@ use proptest::prelude::*;
 type Row = (Option<i64>, Option<&'static str>, Option<i64>, Option<i64>);
 
 /// Schema: g_small (packable), g_str (dict-coded, one word longer than
-/// 23 bytes so row-key fallbacks heap-allocate), g_wide (full i64 range:
-/// one column needs 65 bits, two overflow u128), v (aggregated), g_float
-/// (derived from v; a float key is never packable).
+/// 23 bytes so row-key fallbacks heap-allocate), g_wide (up to the full
+/// i64 range: one column needs 65 bits, two overflow u128), v
+/// (aggregated), g_float (derived from v; a float key is never
+/// packable), g_dom (the row's position modulo `rows - 1`: a domain of
+/// `2^k` codes at `2^k` rows, of `rows + 1` codes at `2^k - 1` rows).
 fn build(rows: &[Row]) -> Table {
     let schema = Schema::new(vec![
         Field::new("g_small", DataType::Int64),
@@ -23,11 +27,13 @@ fn build(rows: &[Row]) -> Table {
         Field::new("g_wide", DataType::Int64),
         Field::new("v", DataType::Int64),
         Field::new("g_float", DataType::Float64),
+        Field::new("g_dom", DataType::Int64),
     ])
     .unwrap();
     let mut tb = TableBuilder::new(schema);
     let val = |o: Option<i64>| o.map(Value::Int).unwrap_or(Value::Null);
-    for (a, s, w, v) in rows {
+    let span = rows.len().saturating_sub(1).max(1) as i64;
+    for ((a, s, w, v), i) in rows.iter().zip(0i64..) {
         tb.push_row(&[
             val(*a),
             s.map(Value::str).unwrap_or(Value::Null),
@@ -35,15 +41,17 @@ fn build(rows: &[Row]) -> Table {
             val(*v),
             v.map(|v| Value::Float((v % 7) as f64 * 0.5))
                 .unwrap_or(Value::Null),
+            Value::Int(i % span),
         ])
         .unwrap();
     }
     tb.finish().unwrap()
 }
 
-/// One grouping per key representation — packed u64 (g_small, g_str),
-/// 65-bit u128 (g_wide), byte row keys (g_float) — their mixes, the
-/// all-columns key and the empty grouping.
+/// One grouping per key representation — packed u64 (g_small, g_str,
+/// g_dom), 65-bit u128 (g_wide), byte row keys (g_float) — their mixes,
+/// the all-columns key and the empty grouping. At one thread, the packed
+/// u64 ones whose domain fits the rows are addressed directly.
 fn groupings() -> Vec<Vec<usize>> {
     vec![
         vec![],
@@ -51,9 +59,11 @@ fn groupings() -> Vec<Vec<usize>> {
         vec![1],
         vec![2],
         vec![4],
+        vec![5],
         vec![0, 1],
         vec![2, 0],
         vec![4, 1],
+        vec![5, 1],
         vec![0, 1, 2],
     ]
 }
@@ -73,6 +83,7 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
         1 => Just(None),
         4 => any::<i64>().prop_map(Some),
         3 => (0i64..3).prop_map(Some),
+        1 => prop::sample::select(vec![i64::MIN, i64::MAX]).prop_map(Some),
     ];
     let value = prop_oneof![1 => Just(None), 7 => (-100i64..100).prop_map(Some)];
     prop::collection::vec((small, word, wide, value), 0..300)
@@ -81,11 +92,14 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
 /// Input sizes on both sides of where the kernel's fan-out changes:
 /// 4,096 rows per partition, 8,192 (a second partition), 16,384 (more
 /// than one worker, more than one morsel), 32,768 (pass 1 on more than
-/// one worker; a second morsel of the one-partition pass on one).
+/// one worker; a second morsel of the one-partition pass on one). At
+/// `2^k - 1` rows g_dom's domain is `rows + 1` codes (hashed), at `2^k`
+/// exactly `rows` (direct address); 65,536 and 65,537 rows put it at 16
+/// bits (the largest direct-address table) and 17.
 fn straddling_size() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![
         4_095usize, 4_096, 4_097, 8_191, 8_192, 8_193, 16_383, 16_384, 16_385, 32_767, 32_768,
-        32_769,
+        32_769, 65_536, 65_537,
     ])
 }
 
@@ -111,8 +125,10 @@ fn norm(t: &Table) -> Vec<Vec<String>> {
     v
 }
 
-/// hash == sort at 1, 2 and 4 threads, without an estimate and with an
-/// exact, a minimal and a one-group-per-row one.
+/// hash == direct-address == sort at 1, 2 and 4 threads (a small domain
+/// is addressed directly wherever the kernel has one aggregate worker),
+/// without an estimate and with an exact, a minimal and a
+/// one-group-per-row one.
 fn assert_kernels_agree(table: &Table, group_cols: &[usize]) {
     let mut m = ExecMetrics::new();
     let sorted = sort_group_by(table, group_cols, &aggs(), &mut m).unwrap();

@@ -538,11 +538,11 @@ proptest! {
         let build = |adaptive: bool| {
             Session::builder()
                 .table("t", table.clone())
-                .cost_model(CostModelSpec::SampledCardinality {
+                .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
                     sample_size: 32,
                     estimator: DistinctEstimator::Hybrid,
                     seed: 3,
-                })
+                }))
                 .mode(mode)
                 .shards(shards)
                 .adaptive(adaptive)

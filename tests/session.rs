@@ -6,7 +6,7 @@ use gbmqo_core::plan_to_text;
 use gbmqo_core::prelude::*;
 use gbmqo_cost::{CardinalityCostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_integration::{assert_same_results, col_names, modular_table};
-use gbmqo_stats::{DistinctEstimator, ExactSource, SampledSource};
+use gbmqo_stats::{CardinalitySource, DistinctEstimator, ExactSource, SampledSource};
 use gbmqo_storage::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 
@@ -54,52 +54,42 @@ fn catalog_state(s: &Session) -> Vec<(String, u64, usize)> {
     state
 }
 
-/// One of each [`CostModelSpec`] variant.
+/// Every [`CostModelSpec`]: each model over each kind of statistics.
 fn cost_model_specs() -> Vec<CostModelSpec> {
-    let (sample_size, estimator, seed) = (200, DistinctEstimator::Hybrid, 5);
+    let sampled = Stats::Sampled {
+        sample_size: 200,
+        estimator: DistinctEstimator::Hybrid,
+        seed: 5,
+    };
     vec![
-        CostModelSpec::Cardinality,
-        CostModelSpec::SampledCardinality {
-            sample_size,
-            estimator,
-            seed,
-        },
-        CostModelSpec::Optimizer {
-            sample_size,
-            estimator,
-            seed,
-        },
+        CostModelSpec::Cardinality(Stats::Exact),
+        CostModelSpec::Cardinality(sampled.clone()),
+        CostModelSpec::Optimizer(Stats::Exact),
+        CostModelSpec::Optimizer(sampled),
     ]
 }
 
 /// What `Session::plan` chose before sessions kept statistics: a pruned
 /// search over a cardinality source built for this one search.
 fn plan_from_scratch(table: &Table, w: &Workload, spec: &CostModelSpec) -> LogicalPlan {
-    let gbmqo = GbMqo::with_config(SearchConfig::pruned());
-    let sampled =
-        |&sample_size, &estimator, &seed| SampledSource::new(table, sample_size, estimator, seed);
-    let (plan, _) = match spec {
-        CostModelSpec::Cardinality => {
-            gbmqo.plan(w, &mut CardinalityCostModel::new(ExactSource::new(table)))
+    let source = |stats: &Stats| -> Box<dyn CardinalitySource + '_> {
+        match *stats {
+            Stats::Exact => Box::new(ExactSource::new(table)),
+            Stats::Sampled {
+                sample_size,
+                estimator,
+                seed,
+            } => Box::new(SampledSource::new(table, sample_size, estimator, seed)),
         }
-        CostModelSpec::SampledCardinality {
-            sample_size,
-            estimator,
-            seed,
-        } => gbmqo.plan(
+    };
+    let gbmqo = GbMqo::with_config(SearchConfig::pruned());
+    let (plan, _) = match spec {
+        CostModelSpec::Cardinality(stats) => {
+            gbmqo.plan(w, &mut CardinalityCostModel::new(source(stats)))
+        }
+        CostModelSpec::Optimizer(stats) => gbmqo.plan(
             w,
-            &mut CardinalityCostModel::new(sampled(sample_size, estimator, seed)),
-        ),
-        CostModelSpec::Optimizer {
-            sample_size,
-            estimator,
-            seed,
-        } => gbmqo.plan(
-            w,
-            &mut OptimizerCostModel::new(
-                sampled(sample_size, estimator, seed),
-                IndexSnapshot::none(),
-            ),
+            &mut OptimizerCostModel::new(source(stats), IndexSnapshot::none()),
         ),
     }
     .unwrap();
@@ -192,7 +182,7 @@ proptest! {
     #[test]
     fn shared_statistics_plan_like_fresh_ones(
         (cards, raw_requests) in workload_strategy(),
-        spec in 0usize..3,
+        spec in 0usize..4,
         adaptive in any::<bool>(),
         sharded in any::<bool>(),
     ) {
@@ -389,11 +379,11 @@ fn unified_error_type_spans_subsystems() {
 
     let err = Session::builder()
         .table("t", table)
-        .cost_model(CostModelSpec::SampledCardinality {
+        .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
             sample_size: 0,
             estimator: gbmqo_stats::DistinctEstimator::Hybrid,
             seed: 1,
-        })
+        }))
         .build()
         .unwrap_err();
     assert!(matches!(err, CoreError::InvalidSession(_)), "got {err:?}");
