@@ -1,13 +1,13 @@
-//! **§7 ablation** — effect of the CUBE/ROLLUP post-pass on a
-//! containment-chain workload, and of multi-aggregate workloads (§7.2):
-//! not a paper figure, but exercises and quantifies the extensions the
-//! paper sketches.
+//! **§7 ablation** — effect of the §7.1 CUBE/ROLLUP merge alternatives
+//! on a containment-chain workload, and of multi-aggregate workloads
+//! (§7.2): not a paper figure, but exercises and quantifies the
+//! extensions the paper sketches.
 
 use crate::harness::{
     optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
 };
 use gbmqo_core::prelude::*;
-use gbmqo_core::{cube_rollup_pass, NodeKind};
+use gbmqo_core::NodeKind;
 use gbmqo_cost::{CostConstants, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::lineitem;
 use gbmqo_exec::AggSpec;
@@ -16,12 +16,17 @@ use gbmqo_stats::ExactSource;
 /// Measured outcome.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// Nodes converted to ROLLUP/CUBE by the §7.1 pass.
-    pub converted: usize,
+    /// Requested sets the ROLLUP node chosen by the search with
+    /// `cube_rollup_merges` on covers (0 = no ROLLUP node chosen).
+    pub rollup_sets: usize,
+    /// Estimated cost of the plain plan (merge alternatives off).
+    pub plain_cost: f64,
+    /// Estimated cost of the plan searched with CUBE/ROLLUP merges.
+    pub rollup_cost: f64,
     /// Plain-plan seconds on the chain workload.
     pub plain_secs: f64,
-    /// Rewritten-plan seconds.
-    pub rewritten_secs: f64,
+    /// Seconds of the plan searched with CUBE/ROLLUP merges.
+    pub rollup_secs: f64,
     /// Multi-aggregate workload (§7.2): GB-MQO vs naive seconds.
     pub agg_naive_secs: f64,
     /// Multi-aggregate workload: optimized seconds.
@@ -55,22 +60,26 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
         ],
     )
     .unwrap();
-    let mut model = sampled_optimizer_model(&table, scale, IndexSnapshot::none());
-    let (plain, _, _) = optimize_timed(&chain, &mut model, SearchConfig::pruned());
-    // Exaggerate materialization cost so the pass prefers pipelined
-    // rollups, as §7.1 suggests it can.
-    let mut rewrite_model =
-        OptimizerCostModel::new(ExactSource::new(&table), IndexSnapshot::none()).with_constants(
-            CostConstants {
+    // Exaggerate materialization cost so pipelined rollups can pay, as
+    // §7.1 suggests, and search with the merge alternatives off and on.
+    let search = |cube_rollup_merges: bool| {
+        let mut model = OptimizerCostModel::new(ExactSource::new(&table), IndexSnapshot::none())
+            .with_constants(CostConstants {
                 byte_write: 25.0,
                 ..Default::default()
-            },
-        );
-    let (rewritten, converted) = cube_rollup_pass(&plain, &chain, &mut rewrite_model);
+            });
+        let config = SearchConfig {
+            cube_rollup_merges,
+            ..SearchConfig::pruned()
+        };
+        optimize_timed(&chain, &mut model, config)
+    };
+    let (plain, plain_stats, _) = search(false);
+    let (rollup, rollup_stats, _) = search(true);
 
     let mut session = session_for(table.clone(), "lineitem");
-    let times = time_plans_interleaved(&[&plain, &rewritten], &chain, &mut session, 3);
-    let (plain_secs, rewritten_secs) = (times[0], times[1]);
+    let times = time_plans_interleaved(&[&plain, &rollup], &chain, &mut session, 3);
+    let (plain_secs, rollup_secs) = (times[0], times[1]);
 
     // --- §7.2: multiple aggregates ---
     let aggs = Workload::single_columns(
@@ -97,24 +106,37 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
     let agg_times = time_plans_interleaved(&[&agg_naive, &agg_plan], &aggs, &mut session, 3);
     let (agg_naive_secs, agg_gbmqo_secs) = (agg_times[0], agg_times[1]);
 
+    let rollup_sets = rollup
+        .subplans
+        .iter()
+        .filter(|sp| sp.kind == NodeKind::Rollup)
+        .map(|sp| {
+            let mut sets = Vec::new();
+            sp.collect_required(&mut sets);
+            sets.len()
+        })
+        .max()
+        .unwrap_or(0);
     let outcome = Outcome {
-        converted,
+        rollup_sets,
+        plain_cost: plain_stats.final_cost,
+        rollup_cost: rollup_stats.final_cost,
         plain_secs,
-        rewritten_secs,
+        rollup_secs,
         agg_naive_secs,
         agg_gbmqo_secs,
     };
-    let mut report = Report::new("§7 extensions — CUBE/ROLLUP pass and multi-aggregate workloads");
+    let mut report =
+        Report::new("§7 extensions — CUBE/ROLLUP merge alternatives and multi-aggregate workloads");
     report.line(format!(
-        "§7.1 chain workload: {} node(s) rewritten; plain {:.3}s vs rewritten {:.3}s",
-        outcome.converted, outcome.plain_secs, outcome.rewritten_secs
+        "§7.1 chain workload: with CUBE/ROLLUP merges the search chose a ROLLUP node \
+         covering {} of {} sets",
+        outcome.rollup_sets,
+        chain.len()
     ));
-    let has_rollup = rewritten
-        .subplans
-        .iter()
-        .any(|sp| sp.kind != NodeKind::GroupBy);
     report.line(format!(
-        "rewritten plan uses ROLLUP/CUBE nodes: {has_rollup}"
+        "estimated cost plain {:.0} vs with merges {:.0}; measured plain {:.3}s vs with merges {:.3}s",
+        outcome.plain_cost, outcome.rollup_cost, outcome.plain_secs, outcome.rollup_secs
     ));
     report.line(format!(
         "§7.2 COUNT+MIN+MAX+SUM workload: naive {:.3}s vs GB-MQO {:.3}s ({:.2}×)",
@@ -138,8 +160,13 @@ mod tests {
         let _guard = crate::harness::timing_lock();
         let scale = Scale::small();
         let (_, o) = run(&scale);
-        // timing parity: the rewritten plan must not be drastically worse
-        assert!(o.rewritten_secs <= o.plain_secs * 2.5 + 0.05);
+        assert_eq!(
+            o.rollup_sets, 4,
+            "the search should pick ROLLUP over the chain"
+        );
+        assert!(o.rollup_cost < o.plain_cost);
+        // timing parity: the ROLLUP plan must not be drastically worse
+        assert!(o.rollup_secs <= o.plain_secs * 2.5 + 0.05);
         assert!(
             o.agg_gbmqo_secs < o.agg_naive_secs,
             "multi-aggregate batch should still benefit from sharing"

@@ -43,7 +43,7 @@ impl Scale {
         }
     }
 
-    /// A small scale for Criterion benches and smoke tests.
+    /// A small scale for the release shape tests.
     pub fn small() -> Self {
         Scale {
             base_rows: 20_000,
@@ -116,8 +116,10 @@ pub fn paper_constants() -> gbmqo_cost::CostConstants {
     }
 }
 
-/// Wall-clock seconds to execute `plan` (minimum of `reps` runs — the
-/// standard noise-robust statistic for CPU-bound benchmarks).
+/// Wall-clock seconds to execute `plan` through the serial §5.2
+/// client-side driver (a [`session_for`] session is pinned to
+/// `ClientSide` mode): the minimum of `reps` runs — the standard
+/// noise-robust statistic for CPU-bound benchmarks.
 pub fn time_plan(
     plan: &LogicalPlan,
     workload: &Workload,
@@ -127,21 +129,11 @@ pub fn time_plan(
     (0..reps.max(1))
         .map(|_| {
             let start = Instant::now();
-            let report = run_plan_serial(plan, workload, session);
+            let report = session.run_plan(plan, workload).expect("plan executes");
             std::hint::black_box(&report);
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
-}
-
-/// Execute `plan` once through the serial §5.2 client-side driver
-/// (the session from [`session_for`] is pinned to `ClientSide` mode).
-pub fn run_plan_serial(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    session: &mut Session,
-) -> ExecutionReport {
-    session.run_plan(plan, workload).expect("plan executes")
 }
 
 /// Time several plans for the same workload with interleaved rounds
@@ -218,16 +210,6 @@ pub fn run_plan_scheduled(
         .expect("plan executes")
 }
 
-/// Result-bytes size estimator for scheduling, backed by a fresh exact
-/// cardinality model over `table`.
-pub fn size_estimator(table: &Table) -> impl FnMut(ColSet) -> f64 + '_ {
-    let mut model = exact_cardinality_model(table);
-    move |s: ColSet| {
-        let cols: Vec<usize> = s.iter().collect();
-        model.result_bytes(&cols)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,8 +242,6 @@ mod tests {
         let mut session = session_for(t.clone(), "lineitem");
         let secs = time_plan(&plan, &w, &mut session, 3);
         assert!(secs > 0.0);
-        let mut est = size_estimator(&t);
-        assert!(est(gbmqo_core::ColSet::single(0)) > 0.0);
     }
 
     /// An append costs its delta, not the table: 1,000-row appends onto

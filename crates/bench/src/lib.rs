@@ -15,12 +15,17 @@
 //! | Figure 13 | speedup vs Zipf skew | [`experiments::fig13`] |
 //! | Figure 14 | physical-design sweep | [`experiments::fig14`] |
 //! | §4.4 ablation | BF/DF scheduling vs fixed traversals | [`experiments::storage_ablation`] |
-//! | §7 extensions | CUBE/ROLLUP pass effect | [`experiments::extensions`] |
+//! | §7 extensions | CUBE/ROLLUP merge alternatives | [`experiments::extensions`] |
 //!
 //! Row counts are scaled down from the paper's 6M–78M (see `DESIGN.md`'s
 //! substitution notes); set `GBMQO_ROWS` to raise the base scale. The
-//! Criterion benches under `benches/` exercise the same code paths at a
-//! fixed small scale suitable for `cargo bench`.
+//! `experiments` binary prints every report; each module's release shape
+//! test (`cargo test --release -p gbmqo-bench`) reruns it at
+//! [`Scale::small`] and asserts its qualitative claim. The `calibrate`
+//! binary measures the per-row and per-group aggregation costs behind the
+//! cost model's default constants.
+//! Server-level performance is measured by the separate `gbmqo_benchmark`
+//! package.
 
 #![warn(missing_docs)]
 

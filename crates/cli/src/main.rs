@@ -33,8 +33,10 @@ USAGE:
                   [--deadline-ms <n>] [--limit <n>] [--compress] [--stream]
 
 OPTIONS:
-    --sets <spec>    GROUPING SETS to compute, e.g. \"((a),(b),(a,c))\" or
-                     \"a,b,c\"; default: every column as a single-column set
+    --sets <spec>    GROUP BY spec to compute, e.g. \"ROLLUP (a, b)\",
+                     \"GROUPING SETS ((a),(a,c))\", \"((a),(b),(a,c))\" or
+                     \"a,b,c\" (one set per column); default: every column
+                     as a single-column set
     --sql            print the optimized plan's SQL script and exit
     --json           print machine-readable execution metrics (JSON)
     --naive          execute the naive plan instead of optimizing

@@ -3,7 +3,7 @@
 
 use crate::csv::table_from_csv;
 use gbmqo_core::prelude::*;
-use gbmqo_core::{parse_grouping_sets, render_sql};
+use gbmqo_core::render_sql;
 use gbmqo_cost::{IndexSnapshot, OptimizerCostModel};
 use gbmqo_stats::{DistinctEstimator, SampledSource};
 use gbmqo_storage::Table;
@@ -156,6 +156,24 @@ impl Options {
     }
 }
 
+/// Parse a `--sets` value into grouping sets. It is a GROUP BY spec
+/// (`GROUPING SETS ((a), (b, c))`, `CUBE (a, b)`, `ROLLUP (a, b)`), or
+/// one of two shorthands: a bare set list `((a), (b, c))`, or bare names
+/// `a, b, c` for one single-column set each. Errors carry a caret
+/// diagnostic against the GROUP BY spec the value was read as.
+pub fn parse_sets(spec: &str) -> std::result::Result<Vec<Vec<String>>, String> {
+    let spec = spec.trim();
+    let spec = if spec.starts_with('(') {
+        format!("GROUPING SETS {spec}")
+    } else if !spec.contains('(') {
+        let sets: Vec<String> = spec.split(',').map(|name| format!("({name})")).collect();
+        format!("GROUPING SETS ({})", sets.join(", "))
+    } else {
+        spec.to_string()
+    };
+    gbmqo_sqlfe::parse_group_spec(&spec).map_err(|e| e.render(&spec))
+}
+
 /// Build the workload for a table from an optional `--sets` spec.
 pub fn build_workload(table: &Table, sets: Option<&str>) -> std::result::Result<Workload, String> {
     let all_names: Vec<String> = table
@@ -165,7 +183,7 @@ pub fn build_workload(table: &Table, sets: Option<&str>) -> std::result::Result<
         .map(|s| s.to_string())
         .collect();
     let requests: Vec<Vec<String>> = match sets {
-        Some(spec) => parse_grouping_sets(spec).map_err(|e| e.to_string())?,
+        Some(spec) => parse_sets(spec)?,
         None => all_names.iter().map(|n| vec![n.clone()]).collect(),
     };
     // universe = columns mentioned, in table order
@@ -446,6 +464,69 @@ mod tests {
         assert!(Options::parse(&[]).is_err());
         assert!(Options::parse(&["f.csv".into(), "--bogus".into()]).is_err());
         assert!(Options::parse(&["f.csv".into(), "--top".into()]).is_err());
+    }
+
+    fn owned(sets: &[&[&str]]) -> Vec<Vec<String>> {
+        sets.iter()
+            .map(|s| s.iter().map(|c| c.to_string()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn parses_full_grouping_sets_syntax() {
+        let got = parse_sets("GROUPING SETS ((a), (b), (c), (a, c))").unwrap();
+        assert_eq!(got, owned(&[&["a"], &["b"], &["c"], &["a", "c"]]));
+        let got = parse_sets("ROLLUP (a, b)").unwrap();
+        assert_eq!(got, owned(&[&["a", "b"], &["a"]]));
+        assert_eq!(parse_sets("cube (a, b)").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn parses_bare_set_list_and_keyword_case() {
+        let got = parse_sets("grouping sets ((x,y))").unwrap();
+        assert_eq!(got, owned(&[&["x", "y"]]));
+        let got = parse_sets("((a),(b))").unwrap();
+        assert_eq!(got, owned(&[&["a"], &["b"]]));
+    }
+
+    #[test]
+    fn parses_bare_column_shorthand() {
+        let got = parse_sets("a, b, l_shipdate").unwrap();
+        assert_eq!(got, owned(&[&["a"], &["b"], &["l_shipdate"]]));
+    }
+
+    #[test]
+    fn whitespace_is_irrelevant() {
+        let got = parse_sets("  (( a ,b ) , ( c ))  ").unwrap();
+        assert_eq!(got, owned(&[&["a", "b"], &["c"]]));
+    }
+
+    #[test]
+    fn rejects_malformed_input() {
+        for bad in [
+            "",
+            "GROUPING ((a))",
+            "((a)",
+            "((a)))",
+            "(())",
+            "((a,(b)))",
+            "((a)) extra",
+            "((1abc))",
+            "((a b))",
+            "a,,b",
+        ] {
+            let err = parse_sets(bad).expect_err(bad);
+            assert!(err.contains('^'), "{bad:?}: no caret diagnostic in {err}");
+        }
+    }
+
+    #[test]
+    fn identifier_rules() {
+        assert_eq!(parse_sets("l_shipdate").unwrap(), owned(&[&["l_shipdate"]]));
+        assert_eq!(parse_sets("t.col").unwrap(), owned(&[&["t.col"]]));
+        for bad in ["1col", "a b"] {
+            assert!(parse_sets(bad).is_err(), "{bad:?} should be rejected");
+        }
     }
 
     #[test]

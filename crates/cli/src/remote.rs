@@ -208,7 +208,7 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
             }
         }
         Command::Workload { table, sets } => {
-            let requests = gbmqo_core::parse_grouping_sets(sets).map_err(|e| e.to_string())?;
+            let requests = crate::profile::parse_sets(sets)?;
             // universe: columns mentioned, in first-mention order
             let mut universe: Vec<&str> = Vec::new();
             for r in &requests {

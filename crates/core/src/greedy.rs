@@ -5,13 +5,17 @@
 use crate::colset::ColSet;
 use crate::coster::EdgeCoster;
 use crate::error::Result;
-use crate::extensions::MAX_CUBE_WIDTH;
 use crate::merge::sub_plan_merge;
 use crate::plan::{LogicalPlan, NodeKind, SubNode};
 use crate::schedule::min_storage;
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
 use rustc_hash::FxHashMap;
+
+/// Maximum node width for which a CUBE merge alternative is proposed
+/// (costing a cube enumerates all 2^k subsets); see
+/// [`SearchConfig::cube_rollup_merges`].
+const MAX_CUBE_WIDTH: usize = 10;
 
 /// Knobs of the search (each maps to a paper section/experiment).
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +115,32 @@ struct Entry {
     cost: f64,
 }
 
+/// The best merge one hill-climbing round has found so far.
+struct Round {
+    best: Option<(usize, usize, SubNode, f64)>,
+    improvement: f64,
+}
+
+impl Round {
+    /// Keep `(node, cost)` as the merge of pair `(i, j)` if it improves
+    /// on the pair's cost by more than anything seen this round (step 5
+    /// of Figure 5 picks the lowest-cost plan in MP, which is the same
+    /// thing).
+    fn offer(
+        &mut self,
+        entries: &[Entry],
+        (i, j): (usize, usize),
+        cand: &(SubNode, f64),
+        epsilon: f64,
+    ) {
+        let improvement = (entries[i].cost + entries[j].cost) - cand.1;
+        if improvement > epsilon && improvement > self.improvement {
+            self.improvement = improvement;
+            self.best = Some((i, j, cand.0.clone(), cand.1));
+        }
+    }
+}
+
 /// The GB-MQO optimizer.
 #[derive(Debug, Clone, Default)]
 pub struct GbMqo {
@@ -189,81 +219,71 @@ impl GbMqo {
                 Vec::new()
             };
 
-            let mut best: Option<(usize, usize, SubNode, f64)> = None;
-            let mut best_improvement = f64::NEG_INFINITY;
+            let mut round = Round {
+                best: None,
+                improvement: f64::NEG_INFINITY,
+            };
             // Candidate pairs surviving the pruning checks but not yet
             // evaluated, with their benefit estimates (benefit-greedy only).
             let mut pending: Vec<(usize, usize, f64)> = Vec::new();
             for i in 0..entries.len() {
                 for j in i + 1..entries.len() {
                     let key = pair_key(entries[i].id, entries[j].id);
-                    if let std::collections::hash_map::Entry::Vacant(slot) = pair_cache.entry(key) {
-                        let union = entries[i].node.cols.union(entries[j].node.cols);
-                        // Both pruning techniques reason about *introduced*
-                        // union nodes; a subsumption pair (one root contains
-                        // the other) introduces no new node and is always
-                        // evaluated (its merge is the CONT-style rewrite the
-                        // paper's §6.1 relies on).
-                        let subsuming = entries[i].node.cols.is_subset_of(entries[j].node.cols)
-                            || entries[j].node.cols.is_subset_of(entries[i].node.cols);
-                        if !subsuming {
-                            if self.config.monotonicity_pruning
-                                && failed_unions.iter().any(|f| f.is_subset_of(union))
-                            {
-                                stats.pruned_monotonicity += 1;
-                                continue;
-                            }
-                            if self.config.subsumption_pruning
-                                && dominated(&unions, i, j, union, entries.len())
-                            {
-                                stats.pruned_subsumption += 1;
-                                continue;
-                            }
+                    if let Some(cached) = pair_cache.get(&key) {
+                        if let Some(cand) = cached {
+                            round.offer(&entries, (i, j), cand, self.config.epsilon);
                         }
-                        if self.config.benefit_greedy {
-                            // Defer the (expensive) pair evaluation; rank by
-                            // the benefit a merge through the union node
-                            // would yield under the cardinality model. The
-                            // probes are free in the optimizer-call metric.
-                            // Non-subsuming leaves: two base scans become one
-                            // base scan plus two scans of the union result,
-                            // saving base − 2·d(∪). Subsuming pairs skip one
-                            // base scan outright, saving base − d(∪).
-                            let d_union = coster.cardinality(union);
-                            let estimate = if subsuming {
-                                coster.base_rows() - d_union
-                            } else {
-                                coster.base_rows() - 2.0 * d_union
-                            };
-                            pending.push((i, j, estimate));
+                        continue;
+                    }
+                    let union = entries[i].node.cols.union(entries[j].node.cols);
+                    // Both pruning techniques reason about *introduced*
+                    // union nodes; a subsumption pair (one root contains
+                    // the other) introduces no new node and is always
+                    // evaluated (its merge is the CONT-style rewrite the
+                    // paper's §6.1 relies on).
+                    let subsuming = entries[i].node.cols.is_subset_of(entries[j].node.cols)
+                        || entries[j].node.cols.is_subset_of(entries[i].node.cols);
+                    if !subsuming {
+                        if self.config.monotonicity_pruning
+                            && failed_unions.iter().any(|f| f.is_subset_of(union))
+                        {
+                            stats.pruned_monotonicity += 1;
                             continue;
                         }
-                        let cand = self.evaluate_pair(
-                            &entries[i].node,
-                            &entries[j].node,
-                            &mut coster,
-                            &mut stats,
-                        );
-                        if self.config.monotonicity_pruning && !subsuming {
-                            let improves = cand.as_ref().is_some_and(|(_, cost)| {
-                                *cost < entries[i].cost + entries[j].cost - self.config.epsilon
-                            });
-                            if !improves {
-                                failed_unions.push(union);
-                            }
-                        }
-                        slot.insert(cand);
-                    }
-                    if let Some(Some((node, cost))) = pair_cache.get(&key) {
-                        // Accept the pair with the largest cost improvement
-                        // (step 5 of Figure 5 picks the lowest-cost plan in
-                        // MP, which is the same thing).
-                        let improvement = (entries[i].cost + entries[j].cost) - cost;
-                        if improvement > self.config.epsilon && improvement > best_improvement {
-                            best_improvement = improvement;
-                            best = Some((i, j, node.clone(), *cost));
+                        if self.config.subsumption_pruning
+                            && dominated(&unions, i, j, union, entries.len())
+                        {
+                            stats.pruned_subsumption += 1;
+                            continue;
                         }
                     }
+                    if self.config.benefit_greedy {
+                        // Defer the (expensive) pair evaluation; rank by
+                        // the benefit a merge through the union node
+                        // would yield under the cardinality model. The
+                        // probes are free in the optimizer-call metric.
+                        // Non-subsuming leaves: two base scans become one
+                        // base scan plus two scans of the union result,
+                        // saving base − 2·d(∪). Subsuming pairs skip one
+                        // base scan outright, saving base − d(∪).
+                        let d_union = coster.cardinality(union);
+                        let estimate = if subsuming {
+                            coster.base_rows() - d_union
+                        } else {
+                            coster.base_rows() - 2.0 * d_union
+                        };
+                        pending.push((i, j, estimate));
+                        continue;
+                    }
+                    let cand = self.evaluate_entries(
+                        &entries,
+                        (i, j),
+                        &mut coster,
+                        &mut stats,
+                        &mut failed_unions,
+                        &mut round,
+                    );
+                    pair_cache.insert(key, cand);
                 }
             }
 
@@ -272,35 +292,22 @@ impl GbMqo {
             // estimate can no longer beat the best improvement found.
             pending.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
             for (rank, &(i, j, estimate)) in pending.iter().enumerate() {
-                if estimate <= best_improvement.max(self.config.epsilon) {
+                if estimate <= round.improvement.max(self.config.epsilon) {
                     stats.pruned_benefit += (pending.len() - rank) as u64;
                     break;
                 }
-                let key = pair_key(entries[i].id, entries[j].id);
-                let union = entries[i].node.cols.union(entries[j].node.cols);
-                let subsuming = entries[i].node.cols.is_subset_of(entries[j].node.cols)
-                    || entries[j].node.cols.is_subset_of(entries[i].node.cols);
-                let cand =
-                    self.evaluate_pair(&entries[i].node, &entries[j].node, &mut coster, &mut stats);
-                if self.config.monotonicity_pruning && !subsuming {
-                    let improves = cand.as_ref().is_some_and(|(_, cost)| {
-                        *cost < entries[i].cost + entries[j].cost - self.config.epsilon
-                    });
-                    if !improves {
-                        failed_unions.push(union);
-                    }
-                }
-                if let Some((node, cost)) = &cand {
-                    let improvement = (entries[i].cost + entries[j].cost) - cost;
-                    if improvement > self.config.epsilon && improvement > best_improvement {
-                        best_improvement = improvement;
-                        best = Some((i, j, node.clone(), *cost));
-                    }
-                }
-                pair_cache.insert(key, cand);
+                let cand = self.evaluate_entries(
+                    &entries,
+                    (i, j),
+                    &mut coster,
+                    &mut stats,
+                    &mut failed_unions,
+                    &mut round,
+                );
+                pair_cache.insert(pair_key(entries[i].id, entries[j].id), cand);
             }
 
-            match best {
+            match round.best {
                 None => break,
                 Some((i, j, node, cost)) => {
                     // Replace entries i and j with the merged sub-plan.
@@ -325,6 +332,37 @@ impl GbMqo {
         stats.optimizer_calls = coster.model_calls();
         plan.validate(workload)?;
         Ok((plan, stats))
+    }
+
+    /// Evaluate the live pair `(i, j)`: price its merge candidates,
+    /// remember a union that failed to improve for monotonicity pruning
+    /// (§4.3.2), and offer the winner to this round's best. Returns the
+    /// winner for the pair memo.
+    fn evaluate_entries(
+        &self,
+        entries: &[Entry],
+        (i, j): (usize, usize),
+        coster: &mut EdgeCoster<'_>,
+        stats: &mut SearchStats,
+        failed_unions: &mut Vec<ColSet>,
+        round: &mut Round,
+    ) -> Option<(SubNode, f64)> {
+        let (a, b) = (&entries[i], &entries[j]);
+        let cand = self.evaluate_pair(&a.node, &b.node, coster, stats);
+        let subsuming =
+            a.node.cols.is_subset_of(b.node.cols) || b.node.cols.is_subset_of(a.node.cols);
+        if self.config.monotonicity_pruning && !subsuming {
+            let improves = cand
+                .as_ref()
+                .is_some_and(|(_, cost)| *cost < a.cost + b.cost - self.config.epsilon);
+            if !improves {
+                failed_unions.push(a.node.cols.union(b.node.cols));
+            }
+        }
+        if let Some(c) = &cand {
+            round.offer(entries, (i, j), c, self.config.epsilon);
+        }
+        cand
     }
 
     /// Evaluate all merge candidates for a pair, returning the cheapest

@@ -28,7 +28,7 @@
 //! * §5.1.1 GROUPING SETS over joins (Grp-Tag) → [`join_pushdown`]
 //! * §6.1 commercial GROUPING SETS baseline → [`grouping_sets`]
 //! * §6.3 exhaustive optimum → [`exhaustive`]
-//! * §7.1 CUBE/ROLLUP nodes → [`extensions`]
+//! * §7.1 CUBE/ROLLUP nodes → [`greedy::SearchConfig::cube_rollup_merges`]
 //! * §7.2 other aggregates → [`workload::Workload::with_aggregates`]
 //!
 //! ## Quickstart
@@ -89,12 +89,10 @@ pub mod error;
 pub mod executor;
 pub mod exhaustive;
 pub mod explain;
-pub mod extensions;
 pub mod greedy;
 pub mod grouping_sets;
 pub mod join_pushdown;
 pub mod merge;
-pub mod parse;
 pub mod plan;
 pub mod schedule;
 pub mod serialize;
@@ -110,13 +108,11 @@ pub use error::{CoreError, Result};
 pub use executor::{plan_group_estimates, ExecutionReport, GroupEstimates};
 pub use exhaustive::optimal_plan;
 pub use explain::{explain, render_explain, ExplainedEdge};
-pub use extensions::cube_rollup_pass;
 pub use gbmqo_exec::CancelToken;
 pub use gbmqo_matcache::{CacheControl, MatCacheStats};
 pub use greedy::{GbMqo, SearchConfig, SearchStats};
 pub use grouping_sets::{grouping_sets_plan, BaselineKind};
 pub use join_pushdown::{grouping_sets_over_join, grouping_sets_over_star, StarDim};
-pub use parse::parse_grouping_sets;
 pub use plan::{LogicalPlan, NodeKind, SubNode};
 pub use serialize::{plan_from_text, plan_to_text};
 pub use session::{

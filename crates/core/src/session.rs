@@ -835,24 +835,16 @@ impl Session {
 
     /// Optimize `workload` (or fetch the cached plan) without executing.
     pub fn plan(&mut self, workload: &Workload) -> Result<(LogicalPlan, SearchStats)> {
-        let (plan, stats, _) = self.plan_with_estimates(workload)?;
+        let (plan, stats, _, _) = self.plan_with_estimates_keyed(workload)?;
         Ok((plan, stats))
     }
 
     /// [`Session::plan`] plus the optimizer's distinct-group estimate per
-    /// plan node, which execution forwards to the engine's radix kernel.
-    /// Cached alongside the plan, so a hit costs zero model calls.
-    fn plan_with_estimates(
-        &mut self,
-        workload: &Workload,
-    ) -> Result<(LogicalPlan, SearchStats, GroupEstimates)> {
-        let (plan, stats, estimates, _) = self.plan_with_estimates_keyed(workload)?;
-        Ok((plan, stats, estimates))
-    }
-
-    /// [`Session::plan_with_estimates`] plus the plan-cache fingerprint
-    /// the result is cached under, so the adaptive loop can invalidate
-    /// exactly this entry when corrected estimates drift.
+    /// plan node, which execution forwards to the engine's radix kernel,
+    /// and the plan-cache fingerprint the result is cached under, so the
+    /// adaptive loop can invalidate exactly this entry when corrected
+    /// estimates drift. The estimates are cached alongside the plan, so a
+    /// hit costs zero model calls.
     fn plan_with_estimates_keyed(
         &mut self,
         workload: &Workload,
@@ -1115,15 +1107,16 @@ impl Session {
     /// invalidates everything derived from the old contents: cached
     /// plans (the statistics version and the table's catalog version
     /// are both part of the fingerprint) and every cached materialized
-    /// aggregate of the table.
-    pub fn register_table(&mut self, name: impl Into<String>, table: Table) -> Result<()> {
+    /// aggregate of the table. Returns the table's new contents version.
+    pub fn register_table(&mut self, name: impl Into<String>, table: Table) -> Result<u64> {
         let name = name.into();
         let old_shards = self
             .engine
             .catalog()
             .shard_desc(&name)
             .map_or(0, |d| d.shard_count);
-        self.engine
+        let version = self
+            .engine
             .catalog_mut()
             .replace_sharded(&name, table, self.shards, None)?;
         self.mat_cache.invalidate_table(&name);
@@ -1137,7 +1130,7 @@ impl Session {
             ad.feedback.forget_table(&name);
         }
         self.stats_version += 1;
-        Ok(())
+        Ok(version)
     }
 
     /// Append `rows` to base table `name` (schemas must match). The

@@ -188,12 +188,14 @@ impl Shared {
             .unwrap_or(0)
     }
 
-    /// Record `table`'s contents version after a mutation.
+    /// Record `table`'s contents version after a mutation. Workers report
+    /// after releasing the session lock, so two racing mutations can
+    /// report out of order; catalog versions are monotonic, so the hint
+    /// keeps the larger one.
     pub fn set_version_hint(&self, table: &str, version: u64) {
-        self.version_hints
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(table.to_string(), version);
+        let mut hints = self.version_hints.lock().unwrap_or_else(|e| e.into_inner());
+        let hint = hints.entry(table.to_string()).or_default();
+        *hint = (*hint).max(version);
     }
 }
 
@@ -1158,18 +1160,11 @@ fn process_job(job: Job, shared: &Shared) {
             match decoded {
                 Ok(Request::RegisterTable { name, table }) => {
                     let registered = name.clone();
-                    // Bind before matching: the scrutinee's session guard
-                    // would otherwise live across the arms and deadlock
-                    // the version lookup below.
+                    // Bind before matching, so the session lock is released
+                    // before the reply is sent.
                     let result = shared.session().register_table(name, table);
                     match result {
-                        Ok(()) => {
-                            let version = shared
-                                .session()
-                                .engine()
-                                .catalog()
-                                .table_version(&registered)
-                                .unwrap_or(0);
+                        Ok(version) => {
                             shared.set_version_hint(&registered, version);
                             job.reply.send_response(job.request_id, &Response::Ack);
                         }
@@ -1509,6 +1504,30 @@ mod tests {
         assert_eq!(stats_field(json, "timeouts"), Some(0));
         assert_eq!(stats_field(json, "rows_scanned"), Some(34567));
         assert_eq!(stats_field(json, "absent"), None);
+    }
+
+    #[test]
+    fn version_hints_never_go_backwards() {
+        let shared = Shared {
+            session: Mutex::new(Session::builder().build().unwrap()),
+            counters: Mutex::new(Counters::default()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            workers_done: AtomicBool::new(false),
+            chunk_rows: 1,
+            chunk_bytes: 1024,
+            streamed_chunks: AtomicU64::new(0),
+            outbound_peak: Arc::new(AtomicU64::new(0)),
+            open_conns: AtomicU64::new(0),
+            version_hints: Mutex::new(HashMap::new()),
+        };
+        assert_eq!(shared.version_hint("t"), 0);
+        // Two racing appends whose workers report out of order.
+        shared.set_version_hint("t", 7);
+        shared.set_version_hint("t", 5);
+        assert_eq!(shared.version_hint("t"), 7);
+        shared.set_version_hint("t", 9);
+        assert_eq!(shared.version_hint("t"), 9);
+        assert_eq!(shared.version_hint("u"), 0);
     }
 
     #[test]

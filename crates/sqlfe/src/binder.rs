@@ -76,7 +76,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<BoundQuery> {
         bound_dims.push(b.bind_join(join)?);
     }
 
-    let sets = b.expand_groups(&query.group)?;
+    let sets = expand_groups(&query.group, &|col| b.grouping_column(col))?;
     let aggregates = b.bind_select(&query.select, &sets, !query.joins.is_empty())?;
 
     // WHERE conjuncts, split by the table they constrain.
@@ -267,90 +267,6 @@ impl Binder<'_> {
         }
     }
 
-    fn column_list(&self, cols: &[ColumnRef], clause_span: Span) -> Result<Vec<String>> {
-        if cols.is_empty() {
-            return Err(SqlError::new(
-                SqlErrorKind::Unsupported,
-                "the grand-total (empty) grouping set is not supported",
-                clause_span,
-            ));
-        }
-        let mut out: Vec<String> = Vec::with_capacity(cols.len());
-        for c in cols {
-            let name = self.grouping_column(c)?;
-            if !out.contains(&name) {
-                out.push(name);
-            }
-        }
-        Ok(out)
-    }
-
-    fn expand_groups(&self, group: &GroupSpec) -> Result<Vec<Vec<String>>> {
-        let span_of = |cols: &[ColumnRef]| {
-            cols.iter()
-                .map(ColumnRef::span)
-                .reduce(Span::to)
-                .unwrap_or_default()
-        };
-        let sets = match group {
-            GroupSpec::Plain(cols) => vec![self.column_list(cols, span_of(cols))?],
-            GroupSpec::GroupingSets(sets) => {
-                let mut out = Vec::new();
-                for set in sets {
-                    out.push(self.column_list(set, span_of(set))?);
-                }
-                out
-            }
-            GroupSpec::Rollup(cols) => {
-                let names = self.column_list(cols, span_of(cols))?;
-                // Prefixes, longest first, excluding the empty set.
-                (1..=names.len())
-                    .rev()
-                    .map(|k| names[..k].to_vec())
-                    .collect()
-            }
-            GroupSpec::Cube(cols) => {
-                let names = self.column_list(cols, span_of(cols))?;
-                if names.len() > MAX_CUBE_COLUMNS {
-                    return Err(SqlError::new(
-                        SqlErrorKind::Unsupported,
-                        format!(
-                            "CUBE over {} columns expands to {} grouping sets; \
-                             the limit is {MAX_CUBE_COLUMNS} columns",
-                            names.len(),
-                            (1u64 << names.len()) - 1
-                        ),
-                        span_of(cols),
-                    ));
-                }
-                // All non-empty subsets, in subset-mask order.
-                let n = names.len();
-                (1u32..(1 << n))
-                    .map(|mask| {
-                        (0..n)
-                            .filter(|b| mask >> b & 1 == 1)
-                            .map(|b| names[b].clone())
-                            .collect()
-                    })
-                    .collect()
-            }
-        };
-        // Deduplicate whole sets (GROUPING SETS may repeat one).
-        let mut out: Vec<Vec<String>> = Vec::new();
-        for set in sets {
-            let mut sorted = set.clone();
-            sorted.sort();
-            if !out.iter().any(|s| {
-                let mut t = s.clone();
-                t.sort();
-                t == sorted
-            }) {
-                out.push(set);
-            }
-        }
-        Ok(out)
-    }
-
     fn bind_select(
         &self,
         select: &[SelectItem],
@@ -450,6 +366,101 @@ impl Binder<'_> {
         };
         Ok((resolved, p))
     }
+}
+
+fn column_list(
+    cols: &[ColumnRef],
+    clause_span: Span,
+    column: &dyn Fn(&ColumnRef) -> Result<String>,
+) -> Result<Vec<String>> {
+    if cols.is_empty() {
+        return Err(SqlError::new(
+            SqlErrorKind::Unsupported,
+            "the grand-total (empty) grouping set is not supported",
+            clause_span,
+        ));
+    }
+    let mut out: Vec<String> = Vec::with_capacity(cols.len());
+    for c in cols {
+        let name = column(c)?;
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    Ok(out)
+}
+
+/// Expand a GROUP BY spec into explicit, deduplicated column-name sets:
+/// CUBE into every non-empty subset, ROLLUP into its non-empty prefixes.
+/// `column` names one grouping column (the binder resolves it against
+/// the catalog; [`crate::parse_group_spec`] takes it as written).
+pub(crate) fn expand_groups(
+    group: &GroupSpec,
+    column: &dyn Fn(&ColumnRef) -> Result<String>,
+) -> Result<Vec<Vec<String>>> {
+    let span_of = |cols: &[ColumnRef]| {
+        cols.iter()
+            .map(ColumnRef::span)
+            .reduce(Span::to)
+            .unwrap_or_default()
+    };
+    let sets = match group {
+        GroupSpec::Plain(cols) => vec![column_list(cols, span_of(cols), column)?],
+        GroupSpec::GroupingSets(sets) => {
+            let mut out = Vec::new();
+            for set in sets {
+                out.push(column_list(set, span_of(set), column)?);
+            }
+            out
+        }
+        GroupSpec::Rollup(cols) => {
+            let names = column_list(cols, span_of(cols), column)?;
+            // Prefixes, longest first, excluding the empty set.
+            (1..=names.len())
+                .rev()
+                .map(|k| names[..k].to_vec())
+                .collect()
+        }
+        GroupSpec::Cube(cols) => {
+            let names = column_list(cols, span_of(cols), column)?;
+            if names.len() > MAX_CUBE_COLUMNS {
+                return Err(SqlError::new(
+                    SqlErrorKind::Unsupported,
+                    format!(
+                        "CUBE over {} columns expands to {} grouping sets; \
+                         the limit is {MAX_CUBE_COLUMNS} columns",
+                        names.len(),
+                        (1u64 << names.len()) - 1
+                    ),
+                    span_of(cols),
+                ));
+            }
+            // All non-empty subsets, in subset-mask order.
+            let n = names.len();
+            (1u32..(1 << n))
+                .map(|mask| {
+                    (0..n)
+                        .filter(|b| mask >> b & 1 == 1)
+                        .map(|b| names[b].clone())
+                        .collect()
+                })
+                .collect()
+        }
+    };
+    // Deduplicate whole sets (GROUPING SETS may repeat one).
+    let mut out: Vec<Vec<String>> = Vec::new();
+    for set in sets {
+        let mut sorted = set.clone();
+        sorted.sort();
+        if !out.iter().any(|s| {
+            let mut t = s.clone();
+            t.sort();
+            t == sorted
+        }) {
+            out.push(set);
+        }
+    }
+    Ok(out)
 }
 
 fn literal_value(lit: &Literal, dtype: DataType, span: Span) -> Result<Value> {

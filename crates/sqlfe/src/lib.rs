@@ -75,3 +75,23 @@ pub fn compile(sql: &str, catalog: &Catalog) -> Result<LoweredQuery> {
     let bound = bind(&query, catalog)?;
     lower(&bound, catalog)
 }
+
+/// Parse a lone GROUP BY spec — `GROUPING SETS ((a), (a, b))`,
+/// `CUBE (a, b)`, `ROLLUP (a, b)` or a plain column list — and expand it
+/// into its grouping sets, the way a statement's GROUP BY clause is
+/// expanded, but with no catalog: names are kept as written (`t.a`
+/// stays `t.a`).
+///
+/// ```
+/// let sets = gbmqo_sqlfe::parse_group_spec("ROLLUP (a, b)").unwrap();
+/// assert_eq!(sets, vec![vec!["a", "b"], vec!["a"]]);
+/// ```
+pub fn parse_group_spec(spec: &str) -> Result<Vec<Vec<String>>> {
+    let group = parser::parse_group_spec(spec)?;
+    binder::expand_groups(&group, &|col| {
+        Ok(match &col.table {
+            Some(t) => format!("{}.{}", t.name, col.column.name),
+            None => col.column.name.clone(),
+        })
+    })
+}

@@ -24,14 +24,18 @@ use crate::lexer::{lex, Tok, Token};
 
 /// Parse one statement.
 pub fn parse(sql: &str) -> Result<Query> {
-    let tokens = lex(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        end: sql.len(),
-    };
+    let mut p = Parser::new(sql)?;
     let q = p.query()?;
+    p.finish()?;
     Ok(q)
+}
+
+/// Parse a lone `group_spec`, e.g. `CUBE (a, b)`.
+pub(crate) fn parse_group_spec(spec: &str) -> Result<GroupSpec> {
+    let mut p = Parser::new(spec)?;
+    let group = p.group_spec()?;
+    p.finish()?;
+    Ok(group)
 }
 
 struct Parser {
@@ -41,6 +45,29 @@ struct Parser {
 }
 
 impl Parser {
+    fn new(text: &str) -> Result<Self> {
+        Ok(Parser {
+            tokens: lex(text)?,
+            pos: 0,
+            end: text.len(),
+        })
+    }
+
+    /// An optional `;`, then the end of the input.
+    fn finish(&mut self) -> Result<()> {
+        if self.peek().is_some_and(|t| t.tok == Tok::Semi) {
+            self.bump();
+        }
+        match self.peek() {
+            Some(t) => Err(SqlError::new(
+                SqlErrorKind::Parse,
+                "unexpected trailing input after the statement",
+                t.span,
+            )),
+            None => Ok(()),
+        }
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -174,17 +201,6 @@ impl Parser {
         self.expect_keyword("GROUP")?;
         self.expect_keyword("BY")?;
         let group = self.group_spec()?;
-
-        if self.peek().is_some_and(|t| t.tok == Tok::Semi) {
-            self.bump();
-        }
-        if let Some(t) = self.peek() {
-            return Err(SqlError::new(
-                SqlErrorKind::Parse,
-                "unexpected trailing input after the statement",
-                t.span,
-            ));
-        }
         Ok(Query {
             select,
             from,

@@ -174,14 +174,16 @@ impl Catalog {
         if self.tables.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }
-        let table = Arc::new(table);
-        self.attach_shards(&name, &table, shards, key_cols)?;
-        self.register_arc(name, table)
+        let (key_cols, parts) = self.shard_parts(&name, &table, shards, key_cols)?;
+        self.attach_shards(&name, key_cols, parts);
+        self.register(name, table)
     }
 
     /// [`Catalog::register_sharded`] with replace semantics: any
     /// existing base entry (sharded or not) of this name is superseded.
-    /// Returns the new version of the logical table.
+    /// Returns the new version of the logical table. The key is picked
+    /// and the table split before anything is removed, so an error
+    /// leaves every entry as it was.
     pub fn replace_sharded(
         &mut self,
         name: &str,
@@ -189,12 +191,16 @@ impl Catalog {
         shards: u32,
         key_cols: Option<Vec<String>>,
     ) -> Result<u64> {
+        let sharded = if shards > 1 {
+            Some(self.shard_parts(name, &table, shards, key_cols)?)
+        } else {
+            None
+        };
         self.drop_shards(name);
-        let table = Arc::new(table);
-        if shards > 1 {
-            self.attach_shards(name, &table, shards, key_cols)?;
+        if let Some((key_cols, parts)) = sharded {
+            self.attach_shards(name, key_cols, parts);
         }
-        Ok(self.insert(name.to_string(), table))
+        Ok(self.insert(name.to_string(), Arc::new(table)))
     }
 
     /// Sharding metadata for `name`, if it was registered sharded.
@@ -202,39 +208,49 @@ impl Catalog {
         self.shard_descs.get(name)
     }
 
-    /// Split `table` into shard entries and record the descriptor. The
-    /// logical entry itself is the caller's business.
-    fn attach_shards(
-        &mut self,
+    /// Pick `name`'s shard key and split `table` into its shard parts,
+    /// changing nothing. Fails on an unknown key column, a shard count
+    /// that is not a power of two, a zero-column table, or a shard name
+    /// held by an entry that is not one of `name`'s own shards.
+    fn shard_parts(
+        &self,
         name: &str,
         table: &Table,
         shards: u32,
         key_cols: Option<Vec<String>>,
-    ) -> Result<()> {
+    ) -> Result<(Vec<String>, Vec<Table>)> {
         let key_cols = match key_cols {
             Some(k) if !k.is_empty() => k,
             _ => vec![select_shard_key(table).ok_or_else(|| {
                 StorageError::Malformed(format!("cannot shard zero-column table {name}"))
             })?],
         };
-        for s in 0..shards {
+        let own = self.shard_descs.get(name).map_or(0, |d| d.shard_count);
+        for s in own..shards {
             let shard_name = shard_table_name(name, s);
             if self.tables.contains_key(&shard_name) {
                 return Err(StorageError::TableExists(shard_name));
             }
         }
         let parts = split_table(table, &key_cols, shards)?;
+        Ok((key_cols, parts))
+    }
+
+    /// Register the parts [`Catalog::shard_parts`] made as shard entries
+    /// and record the descriptor. The logical entry itself is the
+    /// caller's business.
+    fn attach_shards(&mut self, name: &str, key_cols: Vec<String>, parts: Vec<Table>) {
+        let shard_count = parts.len() as u32;
         for (s, part) in parts.into_iter().enumerate() {
-            self.register(shard_table_name(name, s as u32), part)?;
+            self.insert(shard_table_name(name, s as u32), Arc::new(part));
         }
         self.shard_descs.insert(
             name.to_string(),
             ShardDesc {
                 key_cols,
-                shard_count: shards,
+                shard_count,
             },
         );
-        Ok(())
     }
 
     /// Remove `name`'s shard entries and descriptor, if any.
@@ -619,6 +635,38 @@ mod tests {
             Err(StorageError::TableNotFound(_))
         ));
         assert_eq!(state(&c, &names), before);
+    }
+
+    #[test]
+    fn failed_replace_changes_nothing() {
+        let mut c = Catalog::new();
+        c.register_sharded("t", mixed(0..40, 3), 4, Some(vec!["x".into()]))
+            .unwrap();
+        c.append("t", mixed(40..48, 5)).unwrap();
+        let mut names: Vec<String> = (0..4).map(|s| shard_table_name("t", s)).collect();
+        names.push("t".into());
+        let state = |c: &Catalog| {
+            let entries: Vec<(u64, Vec<Vec<Value>>, Vec<DeltaDesc>)> = names
+                .iter()
+                .map(|n| {
+                    let e = c.get(n).unwrap();
+                    (e.version, cells(&e.table), c.delta_log(n).to_vec())
+                })
+                .collect();
+            (entries, c.shard_desc("t").cloned())
+        };
+        let before = state(&c);
+        assert!(before.1.is_some());
+
+        let no_columns = Table::new(Schema::new(vec![]).unwrap(), vec![]).unwrap();
+        for (table, shards, key) in [
+            (mixed(0..9, 3), 4, Some(vec!["nope".to_string()])),
+            (mixed(0..9, 3), 3, Some(vec!["x".to_string()])),
+            (no_columns, 4, None),
+        ] {
+            assert!(c.replace_sharded("t", table, shards, key).is_err());
+            assert_eq!(state(&c), before);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the spec parser, shared scans, and sort-based aggregation.
 
 use gbmqo_core::prelude::*;
-use gbmqo_core::{parse_grouping_sets, ExecutionMode};
+use gbmqo_core::ExecutionMode;
 use gbmqo_cost::CardinalityCostModel;
 use gbmqo_datagen::{lineitem, sales};
 use gbmqo_exec::{radix_group_by, sort_group_by, AggSpec, ExecMetrics, Input};
@@ -33,7 +33,7 @@ fn tagged_norm(t: &Table) -> Vec<(String, Vec<Value>, i64)> {
 #[test]
 fn parsed_spec_to_tagged_result_end_to_end() {
     let table = lineitem(8_000, 0.0, 51);
-    let sets = parse_grouping_sets(
+    let sets = gbmqo_sqlfe::parse_group_spec(
         "GROUPING SETS ((l_returnflag), (l_linestatus), (l_returnflag, l_linestatus))",
     )
     .unwrap();

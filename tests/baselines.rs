@@ -5,7 +5,7 @@
 use gbmqo_core::prelude::*;
 use gbmqo_core::{grouping_sets_plan, optimal_plan, BaselineKind};
 use gbmqo_cost::{CardinalityCostModel, CostModel};
-use gbmqo_datagen::lineitem;
+use gbmqo_datagen::{lineitem, widened_lineitem};
 use gbmqo_integration::{assert_same_results, session_with};
 use gbmqo_stats::ExactSource;
 
@@ -122,6 +122,31 @@ fn greedy_close_to_optimal_on_seven_columns() {
         let b = session.run_plan(&greedy_plan, &w).unwrap();
         assert_same_results(&w, &a, &b, &format!("optimal vs greedy seed {seed}"));
     }
+}
+
+#[test]
+fn benefit_greedy_close_to_optimal_on_disjoint_triples() {
+    // Twelve disjoint 3-column queries over a 36-column table: the
+    // benefit-ordered search stays within 10% of the exhaustive optimum.
+    let t = widened_lineitem(1_000, 36, 7);
+    let names: Vec<&str> = t.schema().names().to_vec();
+    let requests: Vec<Vec<&str>> = names.chunks(3).map(<[&str]>::to_vec).collect();
+    let w = Workload::new("wide", &t, &names, &requests).unwrap();
+
+    let mut m1 = CardinalityCostModel::new(ExactSource::new(&t));
+    let (_, opt_cost) = optimal_plan(&w, &mut m1).unwrap();
+    let mut m2 = CardinalityCostModel::new(ExactSource::new(&t));
+    let config = SearchConfig {
+        benefit_greedy: true,
+        ..SearchConfig::pruned()
+    };
+    let (plan, stats) = GbMqo::with_config(config).plan(&w, &mut m2).unwrap();
+    plan.validate(&w).unwrap();
+    assert!(
+        stats.final_cost <= opt_cost * 1.10,
+        "benefit-greedy {} is over 110% of the optimum {opt_cost}",
+        stats.final_cost
+    );
 }
 
 #[test]

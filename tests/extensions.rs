@@ -1,8 +1,8 @@
 //! Integration tests for the paper's §5.1.1 and §7 extensions.
 
 use gbmqo_core::prelude::*;
-use gbmqo_core::{cube_rollup_pass, grouping_sets_over_join, NodeKind};
-use gbmqo_cost::{CardinalityCostModel, CostConstants, IndexSnapshot, OptimizerCostModel};
+use gbmqo_core::{grouping_sets_over_join, NodeKind};
+use gbmqo_cost::{CostConstants, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::{lineitem, sales};
 use gbmqo_exec::{hash_join, sort_group_by, AggSpec, ExecMetrics};
 use gbmqo_integration::{assert_same_results, normalize, session_with};
@@ -10,7 +10,7 @@ use gbmqo_stats::ExactSource;
 use gbmqo_storage::{DataType, Field, Schema, TableBuilder, Value};
 
 #[test]
-fn cube_rollup_pass_keeps_semantics() {
+fn search_picks_rollup_and_keeps_semantics() {
     let t = lineitem(10_000, 0.0, 21);
     let w = Workload::new(
         "lineitem",
@@ -23,31 +23,36 @@ fn cube_rollup_pass_keeps_semantics() {
         ],
     )
     .unwrap();
-    let mut model = CardinalityCostModel::new(ExactSource::new(&t));
-    let (plan, _) = GbMqo::with_config(SearchConfig::pruned())
-        .plan(&w, &mut model)
-        .unwrap();
-
-    // force the rewrite to fire by making materialization expensive
-    let constants = CostConstants {
-        byte_write: 25.0,
-        ..Default::default()
-    };
-    let mut opt_model = OptimizerCostModel::new(ExactSource::new(&t), IndexSnapshot::none())
-        .with_constants(constants);
-    let (rewritten, converted) = cube_rollup_pass(&plan, &w, &mut opt_model);
-    rewritten.validate(&w).unwrap();
-
-    let mut session = session_with(t, "lineitem");
-    let a = session.run_plan(&plan, &w).unwrap();
-    let b = session.run_plan(&rewritten, &w).unwrap();
-    assert_same_results(&w, &a, &b, "cube/rollup pass");
-    // chain workload → if anything converted, it must be a rollup
     fn has_rollup(n: &gbmqo_core::SubNode) -> bool {
         n.kind == NodeKind::Rollup || n.children.iter().any(has_rollup)
     }
-    if converted > 0 {
-        assert!(rewritten.subplans.iter().any(has_rollup));
+    let mut session = session_with(t.clone(), "lineitem");
+    // §7.1 inside the search: once materialization is expensive, one
+    // ROLLUP node over the chain beats every Group By tree
+    for byte_write in [10.0, 25.0, 50.0] {
+        let plan = |cube_rollup_merges: bool| {
+            let mut model = OptimizerCostModel::new(ExactSource::new(&t), IndexSnapshot::none())
+                .with_constants(CostConstants {
+                    byte_write,
+                    ..Default::default()
+                });
+            let config = SearchConfig {
+                cube_rollup_merges,
+                ..SearchConfig::pruned()
+            };
+            GbMqo::with_config(config).plan(&w, &mut model).unwrap()
+        };
+        let (plain, plain_stats) = plan(false);
+        let (rollup, rollup_stats) = plan(true);
+        assert!(!plain.subplans.iter().any(has_rollup));
+        assert!(
+            rollup.subplans.iter().any(has_rollup),
+            "byte_write {byte_write}: no ROLLUP chosen"
+        );
+        assert!(rollup_stats.final_cost < plain_stats.final_cost);
+        let a = session.run_plan(&plain, &w).unwrap();
+        let b = session.run_plan(&rollup, &w).unwrap();
+        assert_same_results(&w, &a, &b, "search-chosen rollup");
     }
 }
 

@@ -59,6 +59,13 @@ fn sixteen_concurrent_clients_mixed_requests() {
     let addr = handle.local_addr();
     let mut client = Client::connect(addr).unwrap();
     let catalog_tables = stats_field(&client.stats().unwrap(), "catalog_tables").unwrap();
+    // Idle connections, each past Hello, stay parked in the event loop
+    // while the active clients run. Both socket ends live in this
+    // process, so the count stays well under a 1,024-descriptor limit.
+    let idle_conns = 300;
+    let mut idle: Vec<Client> = (0..idle_conns)
+        .map(|_| Client::connect(addr).unwrap())
+        .collect();
     let names = col_names(cards.len());
     let table = Arc::new(table);
     let names = Arc::new(names);
@@ -114,6 +121,15 @@ fn sixteen_concurrent_clients_mixed_requests() {
         Some(catalog_tables),
         "stats: {json}"
     );
+    assert!(
+        stats_field(&json, "open_connections").unwrap() > idle_conns,
+        "stats: {json}"
+    );
+    for (i, conn) in idle.iter_mut().enumerate() {
+        conn.ping()
+            .unwrap_or_else(|e| panic!("idle connection {i} died under load: {e}"));
+    }
+    drop(idle);
     drop(client);
     handle.shutdown();
 }
@@ -642,6 +658,7 @@ fn streaming_large_result_arrives_in_bounded_chunks() {
             queue_capacity: 16,
             chunk_rows: 512,
             chunk_bytes: 64 << 10,
+            outbound_budget: 64 << 10,
             ..ServerConfig::default()
         },
     );
@@ -673,6 +690,27 @@ fn streaming_large_result_arrives_in_bounded_chunks() {
     // The collect-style API sees the same data reassembled.
     let got = client.query("r", &["c0"], 0).unwrap();
     assert_result(&table, &["c0"], &got, "collected stream");
+
+    // A result many times the outbound budget never queues more than the
+    // budget plus one chunk on its connection.
+    let wide = modular_table(200_000, &[200_000, 199_999]);
+    client.register_table("wide", &wide).unwrap();
+    let mut stream = client.stream_query("wide", &["c0", "c1"], 0).unwrap();
+    let mut encoded = 0usize;
+    for batch in &mut stream {
+        let rows = batch.unwrap().rows;
+        let mut bytes = Vec::new();
+        gbmqo_server::codec::put_table(&mut bytes, &rows);
+        encoded += bytes.len();
+    }
+    assert_eq!(stream.summary().expect("summary").total_rows, 200_000);
+    drop(stream);
+    assert!(encoded > 8 * (64 << 10), "result of {encoded} bytes");
+    let peak = stats_field(&client.stats().unwrap(), "outbound_peak_bytes").unwrap() as usize;
+    assert!(
+        peak <= (64 << 10) + (64 << 10),
+        "outbound peak {peak} exceeded the budget plus one chunk"
+    );
     drop(client);
     handle.shutdown();
 }

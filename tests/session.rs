@@ -5,6 +5,7 @@
 use gbmqo_core::plan_to_text;
 use gbmqo_core::prelude::*;
 use gbmqo_cost::{CardinalityCostModel, IndexSnapshot, OptimizerCostModel};
+use gbmqo_datagen::lineitem;
 use gbmqo_integration::{assert_same_results, col_names, modular_table};
 use gbmqo_stats::{CardinalitySource, DistinctEstimator, ExactSource, SampledSource};
 use gbmqo_storage::{Column, DataType, Field, Schema, Table};
@@ -321,6 +322,58 @@ proptest! {
             }
         }
     }
+}
+
+/// A dashboard repeats its grouping sets over a skewed table while the
+/// optimizer plans from a 128-row sample. Fed each round's observed
+/// group counts, the adaptive loop stops re-optimizing, and the plan it
+/// settles on costs no more under exact statistics than its first plan.
+#[test]
+fn adaptive_loop_settles_on_a_plan_no_worse_than_its_first() {
+    let t = lineitem(20_000, 1.0, 42);
+    let requests = [
+        vec!["l_returnflag"],
+        vec!["l_linestatus"],
+        vec!["l_shipmode"],
+        vec!["l_linenumber"],
+        vec!["l_partkey", "l_linenumber"],
+        vec!["l_suppkey", "l_shipmode"],
+        vec!["l_partkey", "l_shipinstruct"],
+        vec!["l_returnflag", "l_linestatus"],
+    ];
+    let mut universe: Vec<&str> = requests.concat();
+    universe.sort_unstable();
+    universe.dedup();
+    let w = Workload::new("lineitem", &t, &universe, &requests).unwrap();
+    let mut s = Session::builder()
+        .table("lineitem", t.clone())
+        .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
+            sample_size: 128,
+            estimator: DistinctEstimator::Hybrid,
+            seed: 7,
+        }))
+        .search(SearchConfig::pruned())
+        .plan_cache(32)
+        .adaptive(true)
+        .build()
+        .unwrap();
+    let rounds: Vec<(f64, u64)> = (0..6)
+        .map(|_| {
+            let out = s.run_workload(&w, CacheControl::Default).unwrap();
+            let mut exact = CardinalityCostModel::new(ExactSource::new(&t));
+            let cost = gbmqo_core::explain(&out.plan, &w, &mut exact).1;
+            (cost, out.report.metrics.plan_reopts)
+        })
+        .collect();
+    let (first, last) = (rounds[0], rounds[rounds.len() - 1]);
+    assert_eq!(
+        last.1, 0,
+        "still re-optimizing in the last round: {rounds:?}"
+    );
+    assert!(
+        last.0 <= first.0,
+        "(exact cost, re-opts) per round: {rounds:?}"
+    );
 }
 
 #[test]

@@ -359,6 +359,56 @@ proptest! {
     }
 }
 
+/// One GROUPING SETS statement over a two-join star with a dimension
+/// filter computes, cell for cell, what one statement per grouping set
+/// computes: the §5 rewrite filters and joins once without changing any
+/// answer.
+#[test]
+fn star_grouping_sets_equal_per_set_statements() {
+    let schema = gbmqo_datagen::star(4_000, 42);
+    let region_col = schema.store.schema().index_of("region").unwrap();
+    let region = schema.store.value(0, region_col);
+    let region = region.as_str().expect("region is text");
+    let mut session = Session::builder()
+        .table("sales", schema.sales.clone())
+        .table("product", schema.product.clone())
+        .table("store", schema.store.clone())
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
+    let statement = |group_by: &str| {
+        format!(
+            "SELECT COUNT(*) AS n FROM sales \
+             JOIN product ON sales.prod_key = product.prod_key \
+             JOIN store ON sales.store_key = store.store_key \
+             WHERE region = '{region}' GROUP BY {group_by}"
+        )
+    };
+    let mut run = |sql: &str| {
+        let lowered = compile(sql, session.engine().catalog())
+            .unwrap_or_else(|e| panic!("{}", e.render(sql)));
+        execute(&lowered, &mut session, CacheControl::Bypass)
+            .unwrap()
+            .results
+    };
+    let combined = run(&statement(
+        "GROUPING SETS ((prod_key), (store_key), (prod_key, store_key))",
+    ));
+    assert_eq!(combined.len(), 3);
+    for (tag, table) in &combined {
+        let per_set = run(&statement(&tag.replace(',', ", ")));
+        assert_eq!(per_set.len(), 1);
+        assert_eq!(&per_set[0].0, tag);
+        let names: Vec<&str> = tag.split(',').collect();
+        assert!(table.num_rows() > 0, "set {tag} is empty");
+        assert_eq!(
+            normalize(table, &names),
+            normalize(&per_set[0].1, &names),
+            "set {tag}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Wire: SqlQuery over a live server — the happy path matches the
 // workload opcode, and hostile frames get structured errors without
