@@ -44,7 +44,8 @@ OPTIONS:
     --top <n>        show the n most frequent values per set (default 3)
     --save-plan <f>  write the chosen logical plan to a file
     --load-plan <f>  replay a previously saved plan instead of optimizing
-    --explain        print per-query cost estimates (EXPLAIN)
+    --explain        print the physical plan the first run executed, with
+                     per-query cost estimates (EXPLAIN)
     --adaptive       feed observed cardinalities back into the optimizer;
                      drifted cached plans re-optimize (profile always
                      prints the estimated-vs-observed q-error report)

@@ -3,7 +3,7 @@
 
 use crate::csv::table_from_csv;
 use gbmqo_core::prelude::*;
-use gbmqo_core::render_sql;
+use gbmqo_core::{render_explain, render_sql};
 use gbmqo_cost::{IndexSnapshot, OptimizerCostModel};
 use gbmqo_stats::{DistinctEstimator, SampledSource};
 use gbmqo_storage::Table;
@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Parsed command-line options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Options {
     /// CSV file path.
     pub file: String,
@@ -54,93 +54,29 @@ impl Options {
     /// Parse `profile` arguments.
     pub fn parse(args: &[String]) -> std::result::Result<Self, String> {
         let mut opts = Options {
-            file: String::new(),
-            sets: None,
-            sql: false,
-            naive: false,
-            plan: false,
             top: 3,
-            save_plan: None,
-            load_plan: None,
-            explain: false,
-            json: false,
             repeat: 1,
-            cache_budget_mb: 0,
-            shards: 0,
-            append_rows: 0,
-            refresh: RefreshPolicy::Lazy,
-            adaptive: false,
+            ..Options::default()
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--sets" => {
-                    opts.sets = Some(
-                        it.next()
-                            .ok_or_else(|| "--sets needs a value".to_string())?
-                            .clone(),
-                    )
-                }
+                "--sets" => opts.sets = Some(value(&mut it, a)?),
                 "--sql" => opts.sql = true,
                 "--adaptive" => opts.adaptive = true,
                 "--json" => opts.json = true,
                 "--explain" => opts.explain = true,
                 "--naive" => opts.naive = true,
                 "--plan" => opts.plan = true,
-                "--save-plan" => {
-                    opts.save_plan = Some(
-                        it.next()
-                            .ok_or_else(|| "--save-plan needs a path".to_string())?
-                            .clone(),
-                    )
-                }
-                "--load-plan" => {
-                    opts.load_plan = Some(
-                        it.next()
-                            .ok_or_else(|| "--load-plan needs a path".to_string())?
-                            .clone(),
-                    )
-                }
-                "--top" => {
-                    opts.top = it
-                        .next()
-                        .ok_or_else(|| "--top needs a value".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--top: {e}"))?
-                }
-                "--repeat" => {
-                    opts.repeat = it
-                        .next()
-                        .ok_or_else(|| "--repeat needs a value".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--repeat: {e}"))?
-                }
-                "--cache-budget-mb" => {
-                    opts.cache_budget_mb = it
-                        .next()
-                        .ok_or_else(|| "--cache-budget-mb needs a value".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--cache-budget-mb: {e}"))?
-                }
-                "--shards" => {
-                    opts.shards = it
-                        .next()
-                        .ok_or_else(|| "--shards needs a value".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?
-                }
-                "--append-rows" => {
-                    opts.append_rows = it
-                        .next()
-                        .ok_or_else(|| "--append-rows needs a value".to_string())?
-                        .parse()
-                        .map_err(|e| format!("--append-rows: {e}"))?
-                }
+                "--save-plan" => opts.save_plan = Some(value(&mut it, a)?),
+                "--load-plan" => opts.load_plan = Some(value(&mut it, a)?),
+                "--top" => opts.top = value(&mut it, a)?,
+                "--repeat" => opts.repeat = value(&mut it, a)?,
+                "--cache-budget-mb" => opts.cache_budget_mb = value(&mut it, a)?,
+                "--shards" => opts.shards = value(&mut it, a)?,
+                "--append-rows" => opts.append_rows = value(&mut it, a)?,
                 "--refresh" => {
-                    opts.refresh = crate::serve::parse_refresh(
-                        it.next()
-                            .ok_or_else(|| "--refresh needs a value".to_string())?,
-                    )?
+                    opts.refresh = crate::serve::parse_refresh(&value::<String>(&mut it, a)?)?
                 }
                 flag if flag.starts_with("--") => {
                     return Err(format!("unknown option {flag}"));
@@ -154,6 +90,16 @@ impl Options {
         }
         Ok(opts)
     }
+}
+
+/// The value following `flag`, parsed.
+fn value<T>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> std::result::Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Parse a `--sets` value into grouping sets. It is a GROUP BY spec
@@ -293,14 +239,6 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
     if opts.plan {
         println!("{}", plan.render(&workload.column_names));
     }
-    if opts.explain {
-        let source = SampledSource::new(&table, sample, DistinctEstimator::Hybrid, 7);
-        let mut model = OptimizerCostModel::new(source, IndexSnapshot::none());
-        println!(
-            "{}",
-            gbmqo_core::render_explain(&plan, &workload, &mut model)
-        );
-    }
     if opts.sql {
         for stmt in render_sql(&plan, &workload) {
             println!("{stmt}");
@@ -333,6 +271,14 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
                 .map(|o| o.report)
         }
         .map_err(|e| e.to_string())?;
+        // The physical plan the first run executed, next to the cost
+        // model's estimates.
+        if iter == 0 && opts.explain {
+            let source = SampledSource::new(&table, sample, DistinctEstimator::Hybrid, 7);
+            let mut model = OptimizerCostModel::new(source, IndexSnapshot::none());
+            let text = render_explain(&report.physical, &workload, &mut model);
+            println!("{text}");
+        }
         metrics += report.metrics;
         last = Some(report);
     }

@@ -4,9 +4,9 @@
 //! A `GROUPING SETS` query returns one result set — the UNION ALL of its
 //! member Group Bys, distinguishable by a `Grp-Tag` (§5.1.1). This module
 //! provides that semantics on top of the optimizer. Every mode runs the
-//! same scheduler ([`crate::executor`]); a mode only picks the order the
-//! plan's edges run in, how many threads a wave gets, and whether edges
-//! reading the same table share a scan:
+//! same interpreter ([`crate::executor`]); a mode only picks, in
+//! [`crate::physicalize`], the order the plan's edges run in, how many
+//! threads a wave gets, and whether edges reading one input share a scan:
 //!
 //! * [`ExecutionMode::ClientSide`] — §5.2: the plan runs as a sequence of
 //!   separate SQL-like queries (`SELECT … INTO`, `SUM(cnt)`), exactly

@@ -4,23 +4,24 @@
 //! intermediates replace `COUNT(*)` with `SUM(cnt)`, and an intermediate
 //! is released once its last child is computed (§4.4).
 //!
-//! There is one scheduler, `execute_plan`. It consumes an ordered list
-//! of waves of [`PlanEdge`]s and retires intermediates by reader count;
-//! serial, dependency-parallel, sharded and shared-scan execution are
-//! values of its `Schedule` and of the base table's shard layout, not
-//! code paths. The execution owns what it computes: live intermediates,
-//! the cached aggregates it was handed and the §4.4 byte count are
-//! locals of `execute_plan`, which only reads the catalog — a failed or
-//! cancelled execution drops them and leaves nothing behind.
+//! `execute_plan` is an interpreter of a [`PhysicalPlan`]: the wave
+//! order, the thread budget, every read, merge and shared scan were fixed
+//! by [`crate::physicalize`] before it starts, and it decides none of
+//! them. It retires intermediates by reader count, harvests them for the
+//! aggregate cache, records observed group counts and polls for
+//! cancellation. The execution owns what it computes: live
+//! intermediates and the §4.4 byte count are locals of `execute_plan`,
+//! which only reads the catalog — a failed or cancelled execution drops
+//! them and leaves nothing behind.
 
 use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
+use crate::physicalize::{Merge, PhysicalEdge, PhysicalPlan, Read};
 use crate::plan::{LogicalPlan, NodeKind, SubNode};
-use crate::schedule::PlanEdge;
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
 use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery, Input};
-use gbmqo_storage::{shard_table_name, Table};
+use gbmqo_storage::Table;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -60,6 +61,8 @@ pub struct ExecutionReport {
     pub metrics: ExecMetrics,
     /// Peak bytes held in materialized intermediates during execution.
     pub peak_temp_bytes: usize,
+    /// The physical plan that ran.
+    pub physical: PhysicalPlan,
 }
 
 /// Name of the temp table materializing a node in the paper's
@@ -76,12 +79,9 @@ pub fn temp_name(cols: ColSet) -> String {
 pub(crate) const WHOLE_TABLE_PIN: u32 = u32::MAX;
 
 /// Virtual-root sources for cache-served nodes: (node column-set bits,
-/// shard ordinal) → a cached covering aggregate. An edge that would read
-/// the base relation reads the cached table (with re-aggregation)
-/// instead when its target is listed here: under [`WHOLE_TABLE_PIN`] the
-/// whole edge does, under a shard ordinal that shard's instance of a
-/// fanned-out edge does — so a partially warm cache still serves the
-/// shards it covers.
+/// shard ordinal or [`WHOLE_TABLE_PIN`]) → the cached covering aggregate
+/// that node's base-relation read in that slot reads instead, so a
+/// partially warm cache still serves the shards it covers.
 pub(crate) type RootSources = FxHashMap<(u128, u32), Arc<Table>>;
 
 /// Intermediates harvested for cache admission: the column set, shard
@@ -108,13 +108,10 @@ pub(crate) struct PlanObservation {
     pub output_groups: u64,
 }
 
-/// Materialized-aggregate-cache integration handles threaded through
-/// plan execution. The default (no roots, no harvest, no observations)
-/// is a plain cache-less run.
+/// What an execution hands back besides its results. The default (no
+/// harvest, no observations) collects nothing.
 #[derive(Debug, Default)]
 pub(crate) struct CacheHooks {
-    /// Nodes served from cached aggregates instead of the base relation.
-    pub roots: RootSources,
     /// `Some` collects every materialized intermediate for admission.
     pub harvest: Option<Harvest>,
     /// `Some` collects per-node cardinality observations for the
@@ -153,255 +150,47 @@ pub(crate) fn shard_skew(shard_rows: &[u64]) -> u64 {
         .unwrap_or(0)
 }
 
-/// How [`execute_plan`] runs a plan. Every execution mode is a value of
-/// this struct (see `Session::execute`).
-#[derive(Debug)]
-pub(crate) struct Schedule<'a> {
-    /// The plan's edges in execution order. Edges of one wave are
-    /// independent — each source was materialized by an earlier wave —
-    /// and run as one batch: [`crate::schedule::serial_waves`] for the
-    /// §4.4 storage-minimizing order, [`crate::schedule::level_plan`]
-    /// for the widest batches.
-    pub waves: Vec<Vec<PlanEdge>>,
-    /// Worker threads per wave; a wave narrower than this hands the
-    /// spare threads to its queries' kernels.
-    pub threads: usize,
-    /// Compute the Group Bys of a wave that read the same input in one
-    /// shared scan (§5.1) instead of one query each.
-    pub fuse: bool,
-    /// Cap on live intermediate bytes. When materializing a node would
-    /// exceed the cap, the node is left unmaterialized and its children
-    /// re-read the node's own source — more work, bounded storage (the
-    /// §4.4.2 trade, applied at run time).
-    pub memory_budget: Option<usize>,
-    /// Optimizer distinct-group estimates forwarded to the engine's
-    /// radix kernel (empty when no cost model planned the plan).
-    pub estimates: &'a GroupEstimates,
-    /// The base relation handed in — the star pushdown's filtered fact —
-    /// instead of read from the catalog as `workload.table`. A handed
-    /// base is one unsharded input.
-    pub base: Option<Arc<Table>>,
-}
-
-/// Shard layout of a workload's base table as one execution sees it.
-/// The default is an unsharded table: no shard entries, so nothing fans
-/// out.
-#[derive(Debug, Default)]
-struct Layout {
-    /// The base table's shard entries, in shard order.
-    shards: Vec<Input>,
-    /// Rows of each shard entry.
-    shard_rows: Vec<u64>,
-    /// Shard-key columns as workload bits. `None` when a key column is
-    /// outside the workload universe — merge elision is then impossible
-    /// and every cross-shard merge re-aggregates.
-    key_set: Option<ColSet>,
-}
-
-impl Layout {
-    fn of(engine: &Engine, workload: &Workload) -> Self {
-        let Some(desc) = engine.catalog().shard_desc(&workload.table) else {
-            return Layout::default();
-        };
-        let shards: Vec<Input> = (0..desc.shard_count)
-            .map(|s| Input::Catalog(shard_table_name(&workload.table, s)))
-            .collect();
-        Layout {
-            shard_rows: shards.iter().map(|s| input_rows_of(engine, s)).collect(),
-            shards,
-            key_set: desc.key_cols.iter().try_fold(ColSet::EMPTY, |bits, key| {
-                let i = workload.column_names.iter().position(|c| c == key)?;
-                Some(bits.union(ColSet::single(i)))
-            }),
-        }
-    }
-
-    /// True when grouping by `target` keeps shards hash-disjoint: the
-    /// target contains every shard-key column, so no group can span two
-    /// shards and per-shard partials concatenate into the final result
-    /// without re-aggregation.
-    fn covers_key(&self, target: ColSet) -> bool {
-        self.key_set.is_some_and(|k| (target.0 & k.0) == k.0)
-    }
-
-    /// Whether computing `target` from the base relation as one query
-    /// per shard beats one query over the logical table. Per-shard
-    /// partials pay when nothing has to merge them (the target covers
-    /// the shard key) or when they are smaller than the rows they
-    /// summarise. A non-covering grouping can repeat each of its
-    /// `groups` in every shard, so at `groups × shards ≥ rows` the
-    /// partials together are as large as the table: the merge would
-    /// re-read every row the shards just read, and a cached partial
-    /// would save a later request nothing over its shard. Without an
-    /// estimate (a hand-built plan) there is nothing to price with and
-    /// the edge fans out.
-    fn fan_out_pays(&self, target: ColSet, groups: Option<u64>) -> bool {
-        let rows: u64 = self.shard_rows.iter().sum();
-        let shards = self.shards.len() as u64;
-        self.covers_key(target) || groups.is_none_or(|g| g.saturating_mul(shards) < rows)
-    }
-}
-
 /// A materialized node awaiting its readers.
 #[derive(Debug)]
 struct LiveTemp {
     /// Edges that have yet to read it.
     readers: usize,
-    /// Whether it is held as per-shard partials or as one whole table.
-    fan_out: bool,
-    /// The node's result: one part per shard when fanned out, else one.
+    /// The node's result: one part per shard when its edge fanned out,
+    /// else one.
     parts: Vec<Arc<Table>>,
 }
 
-impl LiveTemp {
-    /// The part a query instance in `slot` reads.
-    fn part(&self, slot: u32) -> &Arc<Table> {
-        &self.parts[if slot == WHOLE_TABLE_PIN {
-            0
-        } else {
-            slot as usize
-        }]
-    }
-}
-
-/// Bytes held by live intermediates and their high-water mark: the
-/// quantity §4.4's `Storage(u)` recursion minimizes.
-#[derive(Debug, Default)]
-struct TempBytes {
-    current: usize,
-    peak: usize,
-}
-
-impl TempBytes {
-    fn add(&mut self, bytes: usize) {
-        self.current += bytes;
-        self.peak = self.peak.max(self.current);
-    }
-
-    fn sub(&mut self, bytes: usize) {
-        self.current -= bytes;
-    }
-}
-
-/// Everything that decides which table a query instance reads.
-struct Sources<'a> {
-    workload: &'a Workload,
-    layout: &'a Layout,
-    /// The whole base relation.
-    base: Input,
-    /// Cache-served roots of this execution.
-    roots: RootSources,
-    /// The workload's aggregates re-aggregated (`SUM(cnt)`-style): what
-    /// any input other than the base relation is read with.
-    reagg: Vec<AggSpec>,
-}
-
-/// Groups to size the re-aggregation of an aggregate `table` for: the
-/// plan's estimate `est` where it has one, else `table`'s rows —
-/// re-grouping `u` yields at most `|u|` groups (§3).
-fn reaggregation_groups(table: &Table, est: Option<u64>) -> Option<u64> {
-    est.or(Some(table.num_rows() as u64))
-}
-
-impl Sources<'_> {
-    /// Input, aggregate list and group estimate of slot `slot` of the
-    /// edge `source → target` (`None` = the base relation), whose target
-    /// the plan estimates at `est` groups. A base-relation read whose
-    /// `(target, slot)` has a cached root reads that root instead — the
-    /// cached table already holds the aggregate outputs, so it
-    /// re-aggregates exactly like an intermediate and is sized like one
-    /// ([`reaggregation_groups`]): without an estimate, from its rows —
-    /// an exact hit has exactly that many groups, a covering hit at
-    /// most. Base rows read through a shard entry are counted into
-    /// `extra.shard_rows`.
-    fn io(
-        &self,
-        live: &FxHashMap<u128, LiveTemp>,
-        source: Option<ColSet>,
-        target: ColSet,
-        slot: u32,
-        est: Option<u64>,
-        extra: &mut ExecMetrics,
-    ) -> (Input, Vec<AggSpec>, Option<u64>) {
-        if let Some(s) = source {
-            let part = live[&s.0].part(slot);
-            let groups = reaggregation_groups(part, est);
-            return (Input::Table(Arc::clone(part)), self.reagg.clone(), groups);
+/// The table `read` names for an instance of an edge over `source`.
+fn input_of(read: &Read, source: Option<ColSet>, live: &FxHashMap<u128, LiveTemp>) -> Input {
+    match read {
+        Read::Base(input) | Read::Shard(input) => input.clone(),
+        Read::Cached(table) => Input::Table(Arc::clone(table)),
+        Read::Temp(part) => {
+            let source = source.expect("a temp read has a source");
+            Input::Table(Arc::clone(&live[&source.0].parts[*part]))
         }
-        if let Some(root) = self.roots.get(&(target.0, slot)) {
-            let groups = reaggregation_groups(root, est);
-            return (Input::Table(Arc::clone(root)), self.reagg.clone(), groups);
-        }
-        let base = match self.layout.shards.get(slot as usize) {
-            Some(shard) => {
-                extra.shard_rows += self.layout.shard_rows[slot as usize];
-                shard.clone()
-            }
-            None => self.base.clone(),
-        };
-        (base, self.workload.aggregates.clone(), est)
-    }
-
-    /// Combine per-shard partial aggregates of `target` into the final
-    /// result. Shards are hash-disjoint on the shard key, so a grouping
-    /// that covers the key concatenates directly; any other grouping may
-    /// hold the same group in several shards and re-aggregates the
-    /// concatenation (`SUM(cnt)`-style, per §7.2's lossless merge rules)
-    /// as the engine runs any Group By: its kernel choice sized by the
-    /// plan's estimate `groups` of the target (the concatenation's rows
-    /// without one), under its cancel token.
-    fn merge_shards(
-        &self,
-        engine: &mut Engine,
-        target: ColSet,
-        groups: Option<u64>,
-        parts: &[Table],
-        extra: &mut ExecMetrics,
-    ) -> Result<Table> {
-        let refs: Vec<&Table> = parts.iter().collect();
-        let combined = Table::concat(&refs)?;
-        if self.layout.covers_key(target) {
-            return Ok(combined);
-        }
-        extra.merge_rows += combined.num_rows() as u64;
-        let group_cols: Vec<usize> = self
-            .workload
-            .col_names(target)
-            .iter()
-            .map(|n| combined.schema().index_of(n))
-            .collect::<gbmqo_storage::Result<_>>()?;
-        let groups = reaggregation_groups(&combined, groups);
-        Ok(engine.aggregate_table(&combined, &group_cols, &self.reagg, groups)?)
     }
 }
 
-/// Run one wave's query instances. With `fuse`, instances that read the
-/// same input share one scan of it (they then also share their
-/// aggregate list, which the input determines); an instance that shares
-/// its input with nobody goes through the ordinary batch either way.
+/// Run one wave's query instances: those `scans` puts in one shared
+/// scan go through [`Engine::run_shared_group_bys`] (they read one input
+/// and so share its aggregate list), the rest as one batch on `threads`
+/// workers. Results come back in instance order.
 fn run_queries(
     engine: &mut Engine,
-    queries: &[GroupByQuery],
+    queries: Vec<GroupByQuery>,
+    scans: &[Option<usize>],
     threads: usize,
-    fuse: bool,
 ) -> Result<Vec<Table>> {
-    if !fuse {
-        return Ok(engine.run_group_bys_parallel(queries, threads)?);
+    let mut shared: Vec<usize> = scans.iter().flatten().copied().collect();
+    if shared.is_empty() {
+        return Ok(engine.run_group_bys_parallel(&queries, threads)?);
     }
-    let mut by_input: Vec<(&Input, Vec<usize>)> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        match by_input.iter_mut().find(|(input, _)| **input == q.input) {
-            Some((_, members)) => members.push(i),
-            None => by_input.push((&q.input, vec![i])),
-        }
-    }
+    shared.sort_unstable();
+    shared.dedup();
     let mut out: Vec<Option<Table>> = vec![None; queries.len()];
-    let mut solo: Vec<usize> = Vec::new();
-    for (input, members) in by_input {
-        if let [only] = members[..] {
-            solo.push(only);
-            continue;
-        }
+    for id in shared {
+        let members: Vec<usize> = (0..scans.len()).filter(|&i| scans[i] == Some(id)).collect();
         let groupings: Vec<Vec<String>> = members
             .iter()
             .map(|&i| queries[i].group_cols.clone())
@@ -410,12 +199,14 @@ fn run_queries(
             .iter()
             .map(|&i| queries[i].estimated_groups)
             .collect();
-        let aggs = &queries[members[0]].aggs;
-        let tables = engine.run_shared_group_bys(input, &groupings, aggs, &estimates)?;
+        let first = &queries[members[0]];
+        let tables =
+            engine.run_shared_group_bys(&first.input, &groupings, &first.aggs, &estimates)?;
         for (i, t) in members.into_iter().zip(tables) {
             out[i] = Some(t);
         }
     }
+    let solo: Vec<usize> = (0..scans.len()).filter(|&i| scans[i].is_none()).collect();
     let solo_queries: Vec<GroupByQuery> = solo.iter().map(|&i| queries[i].clone()).collect();
     let tables = engine.run_group_bys_parallel(&solo_queries, threads)?;
     for (i, t) in solo.into_iter().zip(tables) {
@@ -427,164 +218,115 @@ fn run_queries(
         .collect())
 }
 
-/// Execute `plan` as `sched` orders: each wave's Group By edges run as
-/// one engine batch, ROLLUP/CUBE edges descend their lattice, and an
-/// intermediate is offered to the aggregate cache and released the
-/// moment its last reader has run — where §4.4's schedule drops it, or
-/// earlier.
-///
-/// Over a radix-sharded base table an edge that reads the base relation
-/// fans out into one query per shard entry where that pays
-/// ([`Layout::fan_out_pays`]) and reads the logical table otherwise;
-/// below a fanned-out node intermediates stay per-shard partials all the
-/// way down, and required results merge at delivery
-/// ([`Sources::merge_shards`]). An unsharded table is the layout in
-/// which nothing fans out. Results and metric counters (other than
-/// elapsed time) are the same for every `sched` up to row order.
+/// Interpret `physical`: each wave's Group By instances run as one
+/// engine batch, ROLLUP/CUBE edges descend their lattice, per-shard
+/// results merge as each edge says, and an intermediate is offered to
+/// the aggregate cache and released the moment its last reader has run
+/// — where §4.4's schedule drops it, or earlier. What is left to run
+/// time is what only running shows: reader counts, the observed group
+/// counts, cancellation, and the size of a re-aggregation the plan has
+/// no estimate for, taken from its input's rows. Results and metric
+/// counters (other than elapsed time) are the same for every wave order
+/// and thread budget up to row order.
 pub(crate) fn execute_plan(
-    plan: &LogicalPlan,
+    physical: PhysicalPlan,
     workload: &Workload,
     engine: &mut Engine,
-    sched: &Schedule<'_>,
     hooks: &mut CacheHooks,
 ) -> Result<ExecutionReport> {
-    plan.validate(workload)?;
     engine.reset_metrics();
-    let (base, layout) = match &sched.base {
-        Some(table) => (Input::Table(Arc::clone(table)), Layout::default()),
-        None => (
-            Input::Catalog(workload.table.clone()),
-            Layout::of(engine, workload),
-        ),
-    };
-    let sources = Sources {
-        workload,
-        layout: &layout,
-        base,
-        roots: std::mem::take(&mut hooks.roots),
-        reagg: workload
-            .aggregates
-            .iter()
-            .map(AggSpec::reaggregate)
-            .collect(),
-    };
-    let nshards = layout.shards.len() as u32;
-    let all_shards: Vec<u32> = (0..nshards).collect();
-    // The slots a node occupies: one per shard when fanned out, the
-    // whole-table slot otherwise.
-    let slots_of = |fan_out: bool| -> &[u32] {
-        if fan_out {
-            &all_shards
-        } else {
-            &[WHOLE_TABLE_PIN]
-        }
-    };
-
+    // The workload's aggregates re-aggregated (`SUM(cnt)`-style): what
+    // any input other than the base relation is read with.
+    let reagg: Vec<AggSpec> = workload
+        .aggregates
+        .iter()
+        .map(AggSpec::reaggregate)
+        .collect();
     // ROLLUP/CUBE nodes by column set: their single edge delivers all
     // child results via lattice descent.
-    let special = collect_special(plan);
+    let special = collect_special(&physical.plan);
     // Edges that read each node — the initial reader count of its
     // intermediate.
     let mut fan_in: FxHashMap<u128, usize> = FxHashMap::default();
-    for source in sched.waves.iter().flatten().filter_map(|e| e.source) {
+    for source in physical.edges().filter_map(|e| e.edge.source) {
         *fan_in.entry(source.0).or_default() += 1;
     }
 
     let mut results: Vec<(ColSet, Table)> = Vec::new();
     let mut extra = ExecMetrics::new();
     // Shard fan-out and skew are plan-independent facts of the layout.
-    extra.shards = u64::from(nshards);
-    extra.shard_skew = shard_skew(&layout.shard_rows);
+    extra.shards = physical.shard_rows.len() as u64;
+    extra.shard_skew = shard_skew(&physical.shard_rows);
     let mut live: FxHashMap<u128, LiveTemp> = FxHashMap::default();
-    let mut temp_bytes = TempBytes::default();
-    // Nodes the budget left unmaterialized → the source their children
-    // read instead.
-    let mut evicted: FxHashMap<u128, Option<ColSet>> = FxHashMap::default();
+    // Bytes held by live intermediates and their high-water mark: the
+    // quantity §4.4's `Storage(u)` recursion minimizes.
+    let (mut temp_bytes, mut peak_temp_bytes) = (0usize, 0usize);
 
-    for wave in &sched.waves {
+    for wave in &physical.waves {
         // Cancellation boundary between waves: small queries never poll
-        // internally, so the scheduler polls for them.
+        // internally, so the interpreter polls for them.
         engine.check_cancelled()?;
-        let (batch, specials): (Vec<_>, Vec<_>) = wave
-            .iter()
-            .map(|e| {
-                let src = e
-                    .source
-                    .and_then(|s| evicted.get(&s.0).copied().unwrap_or(Some(s)));
-                (*e, src)
-            })
-            .partition(|(e, _)| e.kind == NodeKind::GroupBy);
+        let (batch, lattices): (Vec<&PhysicalEdge>, Vec<&PhysicalEdge>) =
+            wave.iter().partition(|e| e.edge.kind == NodeKind::GroupBy);
 
-        // Expand each Group By edge into its query instances: one per
-        // shard when its source is per-shard, a single query otherwise
-        // (an unsharded table, or a node served whole from a cached
-        // aggregate). An edge that reads the sharded base relation fans
-        // out where per-shard partials pay ([`Layout::fan_out_pays`]) or
-        // some shard's partial is a cached root; otherwise it is one
-        // query over the logical table, and the wave's thread budget
-        // goes to that query's kernel instead. All instances of a wave
-        // run as one batch.
+        // One query per read of each Group By edge; all instances of a
+        // wave run as one batch.
         let mut queries: Vec<GroupByQuery> = Vec::new();
-        let mut fan_outs: Vec<bool> = Vec::new();
-        for (edge, src) in &batch {
-            let mut est = sched.estimates.get(&edge.target.0).copied();
-            let cached = |slot: u32| sources.roots.contains_key(&(edge.target.0, slot));
-            let fan_out = match src {
-                Some(s) => live[&s.0].fan_out,
-                None => {
-                    nshards > 0
-                        && !cached(WHOLE_TABLE_PIN)
-                        && (layout.fan_out_pays(edge.target, est)
-                            || all_shards.iter().any(|&s| cached(s)))
+        let mut scans: Vec<Option<usize>> = Vec::new();
+        let mut input_rows: Vec<u64> = Vec::new();
+        for e in &batch {
+            for (read, scan) in e.reads.iter().zip(&e.scans) {
+                let input = input_of(read, e.edge.source, &live);
+                let rows = input_rows_of(engine, &input);
+                // Any input but the base relation holds aggregate
+                // outputs: it re-aggregates, and without an estimate it
+                // is sized from its rows — re-grouping `u` yields at
+                // most `|u|` groups (§3).
+                let (aggs, estimated_groups) = match read {
+                    Read::Base(_) | Read::Shard(_) => (workload.aggregates.clone(), e.groups),
+                    _ => (reagg.clone(), e.groups.or(Some(rows))),
+                };
+                if let Read::Shard(_) = read {
+                    extra.shard_rows += rows;
                 }
-            };
-            fan_outs.push(fan_out);
-            // A grouping that covers the shard key splits its groups
-            // across shards; any other grouping may repeat every group
-            // in every shard.
-            if fan_out && layout.covers_key(edge.target) {
-                est = est.map(|e| (e / u64::from(nshards)).max(1));
-            }
-            for &slot in slots_of(fan_out) {
-                let (input, aggs, estimated_groups) =
-                    sources.io(&live, *src, edge.target, slot, est, &mut extra);
                 queries.push(GroupByQuery {
                     input,
-                    group_cols: workload
-                        .col_names(edge.target)
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
+                    group_cols: workload.col_strings(e.edge.target),
                     aggs,
                     estimated_groups,
                 });
+                scans.push(*scan);
+                input_rows.push(rows);
             }
         }
-        let input_rows: Vec<u64> = queries
-            .iter()
-            .map(|q| input_rows_of(engine, &q.input))
-            .collect();
-        let tables = run_queries(engine, &queries, sched.threads, sched.fuse)?;
+        let tables = run_queries(engine, queries, &scans, physical.threads)?;
         let mut outputs = input_rows.into_iter().zip(tables);
 
-        for ((edge, src), fan_out) in batch.iter().zip(fan_outs) {
-            let slots = slots_of(fan_out);
+        for e in &batch {
+            let edge = e.edge;
             // Whole-logical-table input of this node: the sum over its
             // query instances.
             let (in_rows, parts): (Vec<u64>, Vec<Table>) =
-                outputs.by_ref().take(slots.len()).unzip();
+                outputs.by_ref().take(e.reads.len()).unzip();
             let in_rows: u64 = in_rows.iter().sum();
             // A whole-table result is a complete group count, hence an
-            // observation. Fanned-out intermediates stay per-shard
-            // partials — a group can repeat across shards, so their row
-            // counts are NOT whole-table observations and are skipped.
-            let whole = if !fan_out {
-                Some(parts[0].clone())
-            } else if edge.required {
-                let groups = sched.estimates.get(&edge.target.0).copied();
-                Some(sources.merge_shards(engine, edge.target, groups, &parts, &mut extra)?)
-            } else {
-                None
+            // observation. Per-shard partials kept as an intermediate
+            // can repeat a group across shards, so their row counts are
+            // NOT whole-table observations and are skipped.
+            let whole = match e.merge {
+                Merge::None => (parts.len() == 1).then(|| parts[0].clone()),
+                Merge::Concat => Some(Table::concat(&parts.iter().collect::<Vec<_>>())?),
+                Merge::Reaggregate => {
+                    let combined = Table::concat(&parts.iter().collect::<Vec<_>>())?;
+                    extra.merge_rows += combined.num_rows() as u64;
+                    let cols: Vec<usize> = workload
+                        .col_names(edge.target)
+                        .iter()
+                        .map(|n| combined.schema().index_of(n))
+                        .collect::<gbmqo_storage::Result<_>>()?;
+                    let groups = e.groups.or(Some(combined.num_rows() as u64));
+                    Some(engine.aggregate_table(&combined, &cols, &reagg, groups)?)
+                }
             };
             if let Some(table) = whole {
                 hooks.observe(edge.target, in_rows, table.num_rows() as u64);
@@ -592,63 +334,47 @@ pub(crate) fn execute_plan(
                     results.push((edge.target, table));
                 }
             }
-            if !edge.materialize {
-                continue;
-            }
-            let readers = fan_in[&edge.target.0];
-            let bytes: usize = parts.iter().map(Table::byte_size).sum();
-            if sched
-                .memory_budget
-                .is_none_or(|b| temp_bytes.current + bytes <= b)
-            {
+            if edge.materialize {
                 parts.iter().for_each(|part| engine.materialize(part));
-                temp_bytes.add(bytes);
-                let parts = parts.into_iter().map(Arc::new).collect();
+                temp_bytes += parts.iter().map(Table::byte_size).sum::<usize>();
+                peak_temp_bytes = peak_temp_bytes.max(temp_bytes);
                 live.insert(
                     edge.target.0,
                     LiveTemp {
-                        readers,
-                        fan_out,
-                        parts,
+                        readers: fan_in[&edge.target.0],
+                        parts: parts.into_iter().map(Arc::new).collect(),
                     },
                 );
-            } else {
-                // The children re-read this edge's own source; if that
-                // source is an intermediate, it gains their reads and
-                // must stay live accordingly.
-                evicted.insert(edge.target.0, *src);
-                if let Some(s) = src {
-                    live.get_mut(&s.0).expect("source temp is live").readers += readers;
-                }
             }
         }
 
-        // ROLLUP/CUBE nodes descend a lattice over one combined input,
-        // serially (the descent already re-aggregates level by level):
-        // a per-shard source concatenates into a scratch intermediate
-        // first (the descent's own re-aggregation absorbs overlapping
-        // groups); a base-relation source reads the logical table, which
-        // the dual-resident layout keeps registered alongside the shards.
-        for (edge, src) in &specials {
+        // ROLLUP/CUBE nodes descend a lattice over one input, serially
+        // (the descent already re-aggregates level by level): several
+        // reads — a per-shard source — concatenate into a scratch
+        // intermediate first, whose overlapping groups the descent's own
+        // re-aggregation absorbs.
+        for e in &lattices {
             let node = special
-                .get(&edge.target.0)
+                .get(&e.edge.target.0)
                 .ok_or_else(|| CoreError::InvalidPlan("unknown rollup/cube node".into()))?;
             // `scratch`: bytes of the concatenated scratch, 0 when none.
-            let (input, aggs, scratch) = match src {
-                Some(cols) if live[&cols.0].fan_out => {
-                    let refs: Vec<&Table> = live[&cols.0].parts.iter().map(Arc::as_ref).collect();
-                    let combined = Table::concat(&refs)?;
+            let (input, aggs, scratch) = match &e.reads[..] {
+                [read @ (Read::Base(_) | Read::Shard(_))] => {
+                    let input = input_of(read, e.edge.source, &live);
+                    (input, workload.aggregates.clone(), 0)
+                }
+                [read] => (input_of(read, e.edge.source, &live), reagg.clone(), 0),
+                _ => {
+                    let source = e.edge.source.expect("several reads are a source's parts");
+                    let parts = &live[&source.0].parts;
+                    let combined =
+                        Table::concat(&parts.iter().map(Arc::as_ref).collect::<Vec<_>>())?;
                     extra.merge_rows += combined.num_rows() as u64;
                     engine.materialize(&combined);
                     let bytes = combined.byte_size();
-                    temp_bytes.add(bytes);
-                    let input = Input::Table(Arc::new(combined));
-                    (input, sources.reagg.clone(), bytes)
-                }
-                _ => {
-                    let (input, aggs, _) =
-                        sources.io(&live, *src, edge.target, WHOLE_TABLE_PIN, None, &mut extra);
-                    (input, aggs, 0)
+                    temp_bytes += bytes;
+                    peak_temp_bytes = peak_temp_bytes.max(temp_bytes);
+                    (Input::Table(Arc::new(combined)), reagg.clone(), bytes)
                 }
             };
             let in_rows = input_rows_of(engine, &input);
@@ -659,26 +385,26 @@ pub(crate) fn execute_plan(
                 hooks.observe(*cols, in_rows, table.num_rows() as u64);
             }
             results.extend(delivered);
-            temp_bytes.sub(scratch);
+            temp_bytes -= scratch;
         }
 
         // Every edge of this wave has read its source once: decrement
         // reader counts and release intermediates nobody will read
         // again, each offered to the aggregate cache first (under its
         // own shard ordinal) so a later workload asking for exactly this
-        // set, or a subset, is served instead of recomputed. This runs
-        // after the reparenting above so an intermediate that just
-        // inherited readers is not released in between.
-        for source in batch.iter().chain(&specials).filter_map(|(_, src)| *src) {
+        // set, or a subset, is served instead of recomputed.
+        for source in batch.iter().chain(&lattices).filter_map(|e| e.edge.source) {
             let temp = live.get_mut(&source.0).expect("source temp is live");
             temp.readers -= 1;
             if temp.readers > 0 {
                 continue;
             }
             let temp = live.remove(&source.0).expect("source temp is live");
-            for (&slot, part) in slots_of(temp.fan_out).iter().zip(temp.parts) {
-                temp_bytes.sub(part.byte_size());
+            let fanned = temp.parts.len() > 1;
+            for (slot, part) in temp.parts.into_iter().enumerate() {
+                temp_bytes -= part.byte_size();
                 if let Some(harvest) = hooks.harvest.as_mut() {
+                    let slot = if fanned { slot as u32 } else { WHOLE_TABLE_PIN };
                     harvest.push((source, slot, part));
                 }
             }
@@ -691,7 +417,8 @@ pub(crate) fn execute_plan(
     Ok(ExecutionReport {
         results,
         metrics,
-        peak_temp_bytes: temp_bytes.peak,
+        peak_temp_bytes,
+        physical,
     })
 }
 
@@ -789,9 +516,10 @@ fn run_lattice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ExecutionMode;
+    use crate::physicalize::{physicalize, Layout, Run};
     use crate::plan::SubNode;
-    use crate::schedule::{level_plan, serial_waves};
-    use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Value};
+    use gbmqo_storage::{shard_table_name, Catalog, Column, DataType, Field, Schema, Value};
 
     fn base_table() -> Table {
         let schema = Schema::new(vec![
@@ -819,7 +547,7 @@ mod tests {
         (Engine::new(cat), w)
     }
 
-    /// The three mode-shaped parameterizations of the one scheduler.
+    /// The mode-shaped parameterizations of the one interpreter.
     #[derive(Debug, Clone, Copy)]
     enum Order {
         /// §4.4 order, one query at a time.
@@ -843,11 +571,9 @@ mod tests {
         w: &Workload,
         engine: &mut Engine,
         order: Order,
-        memory_budget: Option<usize>,
     ) -> Result<ExecutionReport> {
         let estimates = GroupEstimates::default();
-        let hooks = &mut CacheHooks::default();
-        run_with(plan, w, engine, order, memory_budget, &estimates, hooks)
+        run_with(plan, w, engine, order, &estimates, RootSources::default())
     }
 
     fn run_with(
@@ -855,24 +581,18 @@ mod tests {
         w: &Workload,
         engine: &mut Engine,
         order: Order,
-        memory_budget: Option<usize>,
         estimates: &GroupEstimates,
-        hooks: &mut CacheHooks,
+        roots: RootSources,
     ) -> Result<ExecutionReport> {
-        let (waves, threads, fuse) = match order {
-            Order::Serial => (serial_waves(plan, &mut |_| 1.0), 1, false),
-            Order::Leveled { threads } => (level_plan(plan), threads, false),
-            Order::Fused => (level_plan(plan), 1, true),
+        let (mode, threads) = match order {
+            Order::Serial => (ExecutionMode::ClientSide, 1),
+            Order::Leveled { threads } => (ExecutionMode::Parallel, threads),
+            Order::Fused => (ExecutionMode::ServerSide, 1),
         };
-        let sched = Schedule {
-            waves,
-            threads,
-            fuse,
-            memory_budget,
-            estimates,
-            base: None,
-        };
-        execute_plan(plan, w, engine, &sched, hooks)
+        let layout = Layout::of(engine.catalog(), w, roots);
+        let run = Run { mode, threads };
+        let physical = physicalize(plan, w, estimates, &layout, run, &mut |_| 1.0)?;
+        execute_plan(physical, w, engine, &mut CacheHooks::default())
     }
 
     /// Run the one-leaf plan for `w`'s single request with the
@@ -882,18 +602,18 @@ mod tests {
         engine: &mut Engine,
         order: Order,
         groups: Option<u64>,
-        hooks: &mut CacheHooks,
+        roots: RootSources,
     ) -> ExecutionReport {
         let cols = w.requests[0];
         let plan = LogicalPlan {
             subplans: vec![SubNode::leaf(cols)],
         };
         let estimates: GroupEstimates = groups.map(|g| (cols.0, g)).into_iter().collect();
-        run_with(&plan, w, engine, order, None, &estimates, hooks).unwrap()
+        run_with(&plan, w, engine, order, &estimates, roots).unwrap()
     }
 
     fn run_serial(plan: &LogicalPlan, w: &Workload, engine: &mut Engine) -> ExecutionReport {
-        run(plan, w, engine, Order::Serial, None).unwrap()
+        run(plan, w, engine, Order::Serial).unwrap()
     }
 
     fn norm(t: &Table) -> Vec<(Vec<Value>, i64)> {
@@ -1004,7 +724,7 @@ mod tests {
         let (w, plan) = rollup_case(&engine);
         let serial = run_serial(&plan, &w, &mut engine);
         for order in ORDERS {
-            let report = run(&plan, &w, &mut engine, order, None).unwrap();
+            let report = run(&plan, &w, &mut engine, order).unwrap();
             assert_same(&serial, &report, &format!("rollup under {order:?}"));
         }
     }
@@ -1082,7 +802,7 @@ mod tests {
             subplans: vec![SubNode::leaf(ColSet::single(0))],
         };
         for order in ORDERS {
-            assert!(run(&bad, &w, &mut engine, order, None).is_err());
+            assert!(run(&bad, &w, &mut engine, order).is_err());
         }
     }
 
@@ -1092,7 +812,7 @@ mod tests {
         let plan = merged_plan();
         let sr = run_serial(&plan, &w, &mut engine);
         for order in ORDERS {
-            let pr = run(&plan, &w, &mut engine, order, None).unwrap();
+            let pr = run(&plan, &w, &mut engine, order).unwrap();
             assert_same(&sr, &pr, &format!("{order:?} vs serial"));
             assert_eq!(pr.metrics.queries_executed, sr.metrics.queries_executed);
             match order {
@@ -1119,22 +839,13 @@ mod tests {
         .into_iter()
         .map(|(cols, groups)| (cols.0, groups))
         .collect();
-        let hooks = &mut CacheHooks::default();
-        let server = run_with(
-            &plan,
-            &w,
-            &mut engine,
-            Order::Fused,
-            None,
-            &estimates,
-            hooks,
-        )
-        .unwrap();
+        let roots = RootSources::default();
+        let server = run_with(&plan, &w, &mut engine, Order::Fused, &estimates, roots).unwrap();
         assert_same(&client, &server, "fused with estimates vs serial");
         assert_eq!(server.metrics.hash_resizes, 0, "{:?}", server.metrics);
         // Every grouping here has a domain of at most 32 codes, addressed
         // directly: without estimates nothing grows either.
-        let unsized_run = run(&plan, &w, &mut engine, Order::Fused, None).unwrap();
+        let unsized_run = run(&plan, &w, &mut engine, Order::Fused).unwrap();
         assert_eq!(unsized_run.metrics.hash_resizes, 0);
         // A `c` of 60 values spread over 2^16 codes is hashed: without an
         // estimate its base-scan table starts empty and grows.
@@ -1142,39 +853,8 @@ mod tests {
         wide[2] = Column::from_i64((0..60).map(|i| i * 1_000).collect());
         let wide = Table::new(base_table().schema().clone(), wide).unwrap();
         engine.catalog_mut().replace("r", wide).unwrap();
-        let unsized_run = run(&plan, &w, &mut engine, Order::Fused, None).unwrap();
+        let unsized_run = run(&plan, &w, &mut engine, Order::Fused).unwrap();
         assert!(unsized_run.metrics.hash_resizes > 0);
-    }
-
-    #[test]
-    fn budget_skips_materialization_and_reparents() {
-        let plan = merged_plan();
-        for order in ORDERS {
-            let (mut engine, w) = setup();
-            let unbounded = run(&plan, &w, &mut engine, order, None).unwrap();
-            let bounded = run(&plan, &w, &mut engine, order, Some(0)).unwrap();
-            assert_eq!(
-                bounded.peak_temp_bytes, 0,
-                "budget 0 must materialize nothing"
-            );
-            // reparented children re-read the base relation: strictly more work
-            assert!(bounded.metrics.rows_scanned > unbounded.metrics.rows_scanned);
-            assert_same(&unbounded, &bounded, &format!("budgeted {order:?}"));
-        }
-    }
-
-    #[test]
-    fn budget_reparents_across_deep_chains() {
-        // With budget 0 every node re-reads the base relation,
-        // exercising transitive reparenting.
-        let (mut engine, _) = setup();
-        let (w, plan) = deep_case(&engine);
-        let serial = run_serial(&plan, &w, &mut engine);
-        for order in ORDERS {
-            let bounded = run(&plan, &w, &mut engine, order, Some(0)).unwrap();
-            assert_eq!(bounded.peak_temp_bytes, 0);
-            assert_same(&serial, &bounded, &format!("deep budgeted {order:?}"));
-        }
     }
 
     /// Every catalog entry as `(name, version, rows)`, sorted.
@@ -1199,7 +879,7 @@ mod tests {
                 let token = gbmqo_exec::CancelToken::new();
                 token.cancel();
                 engine.set_cancel_token(Some(token));
-                let err = run(&plan, &w, &mut engine, order, None).unwrap_err();
+                let err = run(&plan, &w, &mut engine, order).unwrap_err();
                 assert!(matches!(
                     err,
                     CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
@@ -1230,7 +910,7 @@ mod tests {
         for shards in [2u32, 4] {
             let mut engine = sharded_engine(shards);
             for order in ORDERS {
-                let report = run(&plan, &w, &mut engine, order, None).unwrap();
+                let report = run(&plan, &w, &mut engine, order).unwrap();
                 assert_same(&sr, &report, &format!("{shards} shards, {order:?}"));
                 assert_eq!(report.metrics.shards, u64::from(shards));
                 // Two base-reading edges ((a,b) and c), 60 rows each.
@@ -1251,7 +931,7 @@ mod tests {
         let plan = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(0))],
         };
-        let report = run(&plan, &w, &mut engine, order, None).unwrap();
+        let report = run(&plan, &w, &mut engine, order).unwrap();
         assert_eq!(
             report.metrics.merge_rows, 0,
             "covered key must elide the merge"
@@ -1264,7 +944,7 @@ mod tests {
         let plan2 = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(1))],
         };
-        let report2 = run(&plan2, &w2, &mut engine, order, None).unwrap();
+        let report2 = run(&plan2, &w2, &mut engine, order).unwrap();
         assert!(
             report2.metrics.merge_rows > 0,
             "uncovered key must re-aggregate"
@@ -1313,9 +993,8 @@ mod tests {
         for order in ORDERS {
             let mut run = |col: &str, groups: Option<u64>| {
                 let w = leaf_workload(col);
-                let hooks = &mut CacheHooks::default();
-                let expected = run_leaf(&w, &mut plain, order, groups, hooks);
-                let got = run_leaf(&w, &mut sharded, order, groups, hooks);
+                let expected = run_leaf(&w, &mut plain, order, groups, RootSources::default());
+                let got = run_leaf(&w, &mut sharded, order, groups, RootSources::default());
                 assert_same(
                     &expected,
                     &got,
@@ -1372,12 +1051,11 @@ mod tests {
                 .unwrap(),
         );
         for order in ORDERS {
-            let expected = run_leaf(&w, &mut plain, order, Some(60), &mut CacheHooks::default());
-            let mut hooks = CacheHooks::default();
-            hooks
-                .roots
-                .insert((w.requests[0].0, slot), Arc::clone(&partial));
-            let got = run_leaf(&w, &mut sharded, order, Some(60), &mut hooks);
+            let expected = run_leaf(&w, &mut plain, order, Some(60), RootSources::default());
+            let roots: RootSources = [((w.requests[0].0, slot), Arc::clone(&partial))]
+                .into_iter()
+                .collect();
+            let got = run_leaf(&w, &mut sharded, order, Some(60), roots);
             assert_same(&expected, &got, &format!("pinned shard under {order:?}"));
             // Near-unique, so unpinned it would be one logical query; the
             // pin makes it four, and the pinned shard is not rescanned.

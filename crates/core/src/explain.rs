@@ -1,8 +1,10 @@
 //! EXPLAIN-style rendering: the plan annotated with per-edge cost-model
-//! estimates, the way a DBMS explains its query plans.
+//! estimates and the physical decisions it ran with, the way a DBMS
+//! explains its query plans.
 
 use crate::colset::ColSet;
 use crate::coster::EdgeCoster;
+use crate::physicalize::{Merge, PhysicalPlan, Read};
 use crate::plan::{LogicalPlan, NodeKind, SubNode};
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
@@ -62,44 +64,103 @@ pub fn explain(
     (edges, total)
 }
 
-/// Render an EXPLAIN table.
+/// Render an EXPLAIN table of the plan `physical` ran: per edge the
+/// wave it ran in, its reads (`R` the base relation, `cache` a cached
+/// aggregate, `temp` an intermediate, `×n` one per shard), how its
+/// per-shard results merged, the shared scan it took part in, and the
+/// cost model's estimates.
 pub fn render_explain(
-    plan: &LogicalPlan,
+    physical: &PhysicalPlan,
     workload: &Workload,
     model: &mut dyn CostModel,
 ) -> String {
-    let (edges, total) = explain(plan, workload, model);
+    let (edges, total) = explain(&physical.plan, workload, model);
     let names = &workload.column_names;
     let mut out = String::new();
+    let shards = match physical.shard_rows.len() {
+        0 => "none".to_string(),
+        n => n.to_string(),
+    };
+    let (waves, threads) = (physical.waves.len(), physical.threads);
     let _ = writeln!(
         out,
-        "{:<42} {:>12} {:>14}  notes",
-        "query", "est. rows", "est. cost"
+        "physical plan: waves {waves}, threads {threads}, shards {shards}"
+    );
+    let _ = writeln!(
+        out,
+        "{:<36} {:>4}  {:<10} {:<12} {:<8} {:>12} {:>14}  notes",
+        "query", "wave", "reads", "merge", "scan", "est. rows", "est. cost"
     );
     for e in &edges {
-        let src = match e.source {
-            None => "R".to_string(),
-            Some(s) => s.display(names).to_string(),
-        };
+        let (wave, ran) = (0..physical.waves.len())
+            .flat_map(|i| physical.waves[i].iter().map(move |p| (i, p)))
+            .find(|(_, p)| p.edge.source == e.source && p.edge.target == e.target)
+            .expect("the physical plan runs every edge of its plan");
+        let src = e
+            .source
+            .map_or("R".into(), |s| s.display(names).to_string());
+        let scans: Vec<String> = ran
+            .scans
+            .iter()
+            .flatten()
+            .map(|i| format!("#{i}"))
+            .collect();
         let _ = writeln!(
             out,
-            "{:<42} {:>12.0} {:>14.0}  {}",
+            "{:<36} {:>4}  {:<10} {:<12} {:<8} {:>12.0} {:>14.0}  {}",
             format!("{src} → {}", e.target.display(names)),
+            wave,
+            reads_label(&ran.reads),
+            match ran.merge {
+                Merge::None => "none",
+                Merge::Concat => "concat",
+                Merge::Reaggregate => "re-aggregate",
+            },
+            if scans.is_empty() {
+                "-".into()
+            } else {
+                scans.join(",")
+            },
             e.est_rows,
             e.est_cost,
             if e.materialize { "INTO temp" } else { "" }
         );
     }
-    let _ = writeln!(out, "{:<42} {:>12} {:>14.0}", "TOTAL", "", total);
+    let _ = writeln!(out, "{:<36} {:>52} {:>14.0}", "TOTAL", "", total);
     out
+}
+
+/// `R`, `R×4`, `cache`, `temp×4`, …: runs of one kind of read, joined
+/// by `+` (a partially cached fan-out reads `cache+R×3`).
+fn reads_label(reads: &[Read]) -> String {
+    let mut runs: Vec<(&str, usize)> = Vec::new();
+    for read in reads {
+        let kind = match read {
+            Read::Base(_) | Read::Shard(_) => "R",
+            Read::Cached(_) => "cache",
+            Read::Temp(_) => "temp",
+        };
+        match runs.last_mut() {
+            Some((k, n)) if *k == kind => *n += 1,
+            _ => runs.push((kind, 1)),
+        }
+    }
+    let label = |&(kind, n): &(&str, usize)| match n {
+        1 => kind.to_string(),
+        n => format!("{kind}×{n}"),
+    };
+    runs.iter().map(label).collect::<Vec<_>>().join("+")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ExecutionMode;
+    use crate::physicalize::{physicalize, Layout, Run};
     use gbmqo_cost::CardinalityCostModel;
+    use gbmqo_exec::Input;
     use gbmqo_stats::ExactSource;
-    use gbmqo_storage::{Column, DataType, Field, Schema, Table};
+    use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Table};
 
     fn setup() -> (Table, Workload) {
         let schema = Schema::new(vec![
@@ -140,7 +201,10 @@ mod tests {
         assert!(edges[0].materialize);
         assert_eq!(edges[0].est_rows, 4.0);
 
-        let text = render_explain(&plan, &w, &mut model);
+        let layout = Layout::handed(Input::Catalog("r".into()));
+        let est = Default::default();
+        let physical = physicalize(&plan, &w, &est, &layout, Run::SERIAL, &mut |_| 1.0).unwrap();
+        let text = render_explain(&physical, &w, &mut model);
         assert!(text.contains("R → (a, b)"));
         assert!(text.contains("INTO temp"));
         assert!(text.contains("TOTAL"));
@@ -155,5 +219,36 @@ mod tests {
         let mut m2 = CardinalityCostModel::new(ExactSource::new(&t));
         let mut coster = EdgeCoster::new(&mut m2, w.base_ordinals.clone());
         assert_eq!(total, plan.cost(&mut coster));
+    }
+
+    #[test]
+    fn explain_shows_the_physical_decisions() {
+        let (t, w) = setup();
+        let mut catalog = Catalog::new();
+        catalog
+            .register_sharded("r", t.clone(), 4, Some(vec!["a".into()]))
+            .unwrap();
+        let plan = LogicalPlan::naive(&w);
+        let run = Run {
+            mode: ExecutionMode::ServerSide,
+            threads: 2,
+        };
+        let layout = Layout::of(&catalog, &w, Default::default());
+        let est = Default::default();
+        let physical = physicalize(&plan, &w, &est, &layout, run, &mut |_| 1.0).unwrap();
+        let mut model = CardinalityCostModel::new(ExactSource::new(&t));
+        let text = render_explain(&physical, &w, &mut model);
+        assert!(text.contains("waves 1, threads 2, shards 4"), "{text}");
+        // (a) is the shard key: its partials concatenate; (b)'s re-aggregate.
+        let line = |q: &str| text.lines().find(|l| l.starts_with(q)).unwrap().to_string();
+        let a = line("R → (a)");
+        assert!(a.contains("R×4") && a.contains("concat"), "{a}");
+        let b = line("R → (b)");
+        assert!(b.contains("R×4") && b.contains("re-aggregate"), "{b}");
+        // Both read every shard in one shared scan per shard.
+        assert!(
+            a.contains("#0,#1,#2,#3") && b.contains("#0,#1,#2,#3"),
+            "{text}"
+        );
     }
 }

@@ -14,12 +14,12 @@
 //! (validated here).
 
 use crate::error::{CoreError, Result};
-use crate::executor::{execute_plan, Schedule};
+use crate::executor::execute_plan;
 use crate::greedy::{GbMqo, SearchConfig};
-use crate::schedule::serial_waves;
+use crate::physicalize::{physicalize, Layout, Run};
 use crate::workload::Workload;
 use gbmqo_cost::CardinalityCostModel;
-use gbmqo_exec::{filter, union_all_tagged, AggSpec, Engine, ExecMetrics, Predicate};
+use gbmqo_exec::{filter, union_all_tagged, AggSpec, Engine, ExecMetrics, Input, Predicate};
 use gbmqo_stats::ExactSource;
 use gbmqo_storage::{Table, Value};
 use std::sync::Arc;
@@ -50,6 +50,15 @@ pub struct StarDim {
     pub dim_key: String,
     /// ANDed WHERE conjuncts over this dimension's columns.
     pub filter: Option<Predicate>,
+}
+
+/// Where the pushed-down workload reads its fact: the `filtered` fact as
+/// one unsharded relation, or the catalog's fact in its shard layout.
+fn fact_layout(engine: &Engine, workload: &Workload, filtered: Option<Arc<Table>>) -> Layout {
+    match filtered {
+        Some(table) => Layout::handed(Input::Table(table)),
+        None => Layout::of(engine.catalog(), workload, Default::default()),
+    }
 }
 
 /// Execute GROUPING SETS `requests` (columns of `left`) over
@@ -167,15 +176,10 @@ pub fn grouping_sets_over_star(
     // Optimize and execute the pushed-down Group Bys (work sharing!).
     let mut model = CardinalityCostModel::new(ExactSource::new(&base_table));
     let (plan, _) = GbMqo::with_config(SearchConfig::pruned()).plan(&workload, &mut model)?;
-    let sched = Schedule {
-        waves: serial_waves(&plan, &mut |_| 1.0),
-        threads: 1,
-        fuse: false,
-        memory_budget: None,
-        estimates: &Default::default(),
-        base: filtered,
-    };
-    let report = execute_plan(&plan, &workload, engine, &sched, &mut Default::default())?;
+    let layout = fact_layout(engine, &workload, filtered);
+    let est = Default::default();
+    let physical = physicalize(&plan, &workload, &est, &layout, Run::SERIAL, &mut |_| 1.0)?;
+    let report = execute_plan(physical, &workload, engine, &mut Default::default())?;
     let mut metrics = report.metrics;
 
     let tag_of = |req: &Vec<&str>| req.join(",");
@@ -263,6 +267,7 @@ pub fn grouping_sets_over_star(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physicalize::Read;
     use gbmqo_exec::sort_group_by;
     use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, TableBuilder};
 
@@ -502,5 +507,40 @@ mod tests {
         let filtered = filter(&r, &pred, &mut m).unwrap();
         let direct = sort_group_by(&filtered, &[0], &[AggSpec::count()], &mut m).unwrap();
         assert_eq!(norm(&out.results[0].1), norm(&direct));
+    }
+
+    #[test]
+    fn a_filtered_fact_is_one_unsharded_read_of_a_sharded_fact() {
+        let r = setup().catalog().table_arc("r").unwrap();
+        let mut cat = Catalog::new();
+        cat.register_sharded("r", (*r).clone(), 4, Some(vec!["a".into()]))
+            .unwrap();
+        let engine = Engine::new(cat);
+        let w = Workload::single_columns("r", &r, &["a", "b"]).unwrap();
+        let plan = crate::plan::LogicalPlan::naive(&w);
+        let reads = |filtered: Option<Arc<Table>>| {
+            let layout = fact_layout(&engine, &w, filtered);
+            let est = Default::default();
+            let p = physicalize(&plan, &w, &est, &layout, Run::SERIAL, &mut |_| 1.0).unwrap();
+            p.edges().map(|e| e.reads.clone()).collect::<Vec<_>>()
+        };
+        let filtered = Arc::new(
+            filter(
+                &r,
+                &Predicate::Ge("c".into(), Value::Int(1)),
+                &mut ExecMetrics::new(),
+            )
+            .unwrap(),
+        );
+        for edge in reads(Some(Arc::clone(&filtered))) {
+            assert!(
+                matches!(&edge[..], [Read::Base(Input::Table(t))] if Arc::ptr_eq(t, &filtered))
+            );
+        }
+        // Unfiltered, the catalog's fact keeps its shards.
+        for edge in reads(None) {
+            assert_eq!(edge.len(), 4);
+            assert!(edge.iter().all(|read| matches!(read, Read::Shard(_))));
+        }
     }
 }

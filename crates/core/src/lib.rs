@@ -23,8 +23,9 @@
 //! * §4.3 pruning → [`greedy::SearchConfig`] flags
 //! * §4.4 storage-minimizing scheduling → [`schedule`]
 //! * §5.1 / §5.2 server-side (shared scans) and client-side execution →
-//!   one scheduler, [`executor`]; the mode switch and the GROUPING SETS
-//!   union-all facade → [`api`]; SQL rendering → [`sql`]
+//!   [`physicalize`], then one interpreter, [`executor`]; the mode switch
+//!   and the GROUPING SETS union-all facade → [`api`]; SQL rendering →
+//!   [`sql`]
 //! * §5.1.1 GROUPING SETS over joins (Grp-Tag) → [`join_pushdown`]
 //! * §6.1 commercial GROUPING SETS baseline → [`grouping_sets`]
 //! * §6.3 exhaustive optimum → [`exhaustive`]
@@ -73,10 +74,6 @@
 //! assert!(again.stats.cache_hit);
 //! assert_eq!(again.stats.optimizer_calls, 0);
 //! ```
-//!
-//! The pre-0.2 free functions (`execute_grouping_sets`,
-//! `execute_plan`, `GbMqo::optimize`) have been removed; [`Session`]
-//! covers every path they served, with plan caching on top.
 
 #![warn(missing_docs)]
 
@@ -93,6 +90,7 @@ pub mod greedy;
 pub mod grouping_sets;
 pub mod join_pushdown;
 pub mod merge;
+pub mod physicalize;
 pub mod plan;
 pub mod schedule;
 pub mod serialize;
@@ -113,6 +111,7 @@ pub use gbmqo_matcache::{CacheControl, MatCacheStats};
 pub use greedy::{GbMqo, SearchConfig, SearchStats};
 pub use grouping_sets::{grouping_sets_plan, BaselineKind};
 pub use join_pushdown::{grouping_sets_over_join, grouping_sets_over_star, StarDim};
+pub use physicalize::{Merge, PhysicalEdge, PhysicalPlan, Read};
 pub use plan::{LogicalPlan, NodeKind, SubNode};
 pub use serialize::{plan_from_text, plan_to_text};
 pub use session::{

@@ -1,12 +1,8 @@
 //! The serving-oriented entry point: a [`Session`] owns an engine, a
 //! search configuration, a cost-model specification, and a
 //! [`PlanCache`], and answers GROUPING SETS requests through one method.
-//!
-//! The free functions this replaces (`execute_grouping_sets`,
-//! `execute_plan`, `GbMqo::optimize`) forced every caller to wire the
-//! optimizer, cost model, engine and executor together by hand, and to
-//! re-run the O(n²)-per-round merge search on every request. A session
-//! does that wiring once:
+//! It wires the optimizer, cost model, engine and executor together once,
+//! and skips the merge search for a workload it has planned before:
 //!
 //! ```
 //! use gbmqo_core::prelude::*;
@@ -42,11 +38,11 @@ use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
 use crate::executor::{
     execute_plan, plan_group_estimates, shard_skew, CacheHooks, ExecutionReport, GroupEstimates,
-    PlanObservation, Schedule, WHOLE_TABLE_PIN,
+    PlanObservation, RootSources, WHOLE_TABLE_PIN,
 };
 use crate::greedy::{GbMqo, SearchConfig, SearchStats};
+use crate::physicalize::{physicalize, Layout, Run};
 use crate::plan::{LogicalPlan, SubNode};
-use crate::schedule::{level_plan, serial_waves};
 use crate::workload::Workload;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_exec::{AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery, Input};
@@ -253,19 +249,6 @@ fn plan_scan_cost(plan: &LogicalPlan, base: f64, d: &mut dyn FnMut(u128) -> f64)
 /// contents version, rows: the logical table or one of its shard entries.
 type CacheEntry = (String, u64, usize);
 
-/// `workload`'s column names of `cols`, owned.
-fn col_strings(workload: &Workload, cols: ColSet) -> Vec<String> {
-    workload
-        .col_names(cols)
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
-}
-
-fn available_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Builder for [`Session`]; see the module docs for a walkthrough.
 #[derive(Debug, Default)]
 pub struct SessionBuilder {
@@ -275,7 +258,6 @@ pub struct SessionBuilder {
     search: SearchConfig,
     mode: ExecutionMode,
     parallelism: usize,
-    memory_budget: Option<usize>,
     plan_cache: usize,
     io_ns_per_byte: f64,
     mat_cache_budget_bytes: usize,
@@ -329,16 +311,6 @@ impl SessionBuilder {
     /// single thread under the other modes.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads;
-        self
-    }
-
-    /// Cap on live intermediate bytes during execution, in every mode.
-    /// When materializing a node would exceed the cap, the node is left
-    /// unmaterialized and its children re-read the node's own source —
-    /// more work, bounded storage (the §4.4.2 trade, applied at run
-    /// time).
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
         self
     }
 
@@ -431,18 +403,7 @@ impl SessionBuilder {
         if self.io_ns_per_byte > 0.0 {
             engine.set_io_ns_per_byte(self.io_ns_per_byte);
         }
-        // One thread budget for both wave parallelism and in-kernel
-        // partition parallelism: explicit `parallelism` wins; Parallel
-        // mode defaults to the machine; serial modes stay single-threaded
-        // inside each query unless asked otherwise.
-        let kernel_threads = if self.parallelism > 0 {
-            self.parallelism
-        } else if self.mode == ExecutionMode::Parallel {
-            available_cpus()
-        } else {
-            1
-        };
-        engine.set_kernel_threads(kernel_threads);
+        let run = Run::new(&mut engine, self.mode, self.parallelism);
         if let Stats::Sampled { sample_size: 0, .. } = self.cost_model.stats() {
             return Err(CoreError::InvalidSession(
                 "sampled cost models need a sample size of at least 1".into(),
@@ -466,9 +427,8 @@ impl SessionBuilder {
             engine,
             cost_model: self.cost_model,
             search: self.search,
-            mode: self.mode,
+            run,
             parallelism: self.parallelism,
-            memory_budget: self.memory_budget,
             cache: PlanCache::new(self.plan_cache),
             mat_cache: MatCache::new(self.mat_cache_budget_bytes),
             stats_version: 0,
@@ -508,9 +468,10 @@ pub struct Session {
     engine: Engine,
     cost_model: CostModelSpec,
     search: SearchConfig,
-    mode: ExecutionMode,
+    /// The execution mode and the one thread budget it implies.
+    run: Run,
+    /// The builder's thread budget (`0` = the mode's default).
     parallelism: usize,
-    memory_budget: Option<usize>,
     cache: PlanCache,
     /// Cross-request materialized aggregate cache (disabled at budget 0).
     mat_cache: MatCache,
@@ -622,7 +583,7 @@ impl Session {
         // table contents, same aggregates) superset aggregate cover —
         // first at the logical level, then, for a request still
         // uncovered, shard by shard: every warm shard serves its cached
-        // partial, cold shards scan their shard entry and the scheduler
+        // partial, cold shards scan their shard entry and the plan
         // merges partials at delivery. Under the lazy refresh policy a
         // miss over a *stale* covering entry first tries to bring it
         // current by aggregating only the appended row range and merging
@@ -635,7 +596,7 @@ impl Session {
             let names: Vec<Vec<String>> = workload
                 .requests
                 .iter()
-                .map(|&req| col_strings(workload, req))
+                .map(|&req| workload.col_strings(req))
                 .collect();
             for (&req, names) in workload.requests.iter().zip(&names) {
                 if let Some(hit) = self.cover(&logical, names, agg_sig, &mut ingest) {
@@ -654,7 +615,7 @@ impl Session {
             }
             // Fold the delta scans' engine-side counters (delta_rows,
             // rows scanned, elapsed) into this request's metrics before
-            // the scheduler resets the engine for the main execution.
+            // the execution resets the engine for its own.
             ingest += self.engine.metrics();
         }
 
@@ -690,13 +651,14 @@ impl Session {
         // 3. Seed the plan with the covered requests as virtual roots:
         // each becomes a leaf whose input is the cached aggregate itself
         // (per shard for a shard-served request).
-        let mut hooks = CacheHooks::default();
+        let mut roots = RootSources::default();
         for (cols, slot, hit) in &covers {
-            if !hooks.roots.keys().any(|(c, _)| *c == cols.0) {
+            if !roots.keys().any(|(c, _)| *c == cols.0) {
                 plan.subplans.push(SubNode::leaf(*cols));
             }
-            hooks.roots.insert((cols.0, *slot), Arc::clone(&hit.table));
+            roots.insert((cols.0, *slot), Arc::clone(&hit.table));
         }
+        let mut hooks = CacheHooks::default();
         if use_cache && cache.allows_admit() {
             hooks.harvest = Some(Vec::new());
         }
@@ -706,11 +668,8 @@ impl Session {
         hooks.observations = Some(Vec::new());
 
         // 4. Execute.
-        let ExecutionReport {
-            results,
-            mut metrics,
-            peak_temp_bytes,
-        } = self.execute(&plan, workload, &estimates, &mut hooks)?;
+        let mut report = self.execute(&plan, workload, &estimates, roots, &mut hooks)?;
+        let metrics = &mut report.metrics;
 
         // 4b. Observe → correct → re-optimize: fold the execution's
         // per-node cardinality observations into the q-error report and
@@ -725,10 +684,10 @@ impl Session {
             base_rows,
             &estimates,
             &observations,
-            &mut metrics,
+            metrics,
         );
 
-        // 5. Admission: offer the scheduler's materialized
+        // 5. Admission: offer the execution's materialized
         // intermediates — per-shard partials under their shard entry,
         // the granularity that survives appends to sibling shards — and
         // the request results themselves. Requests answered verbatim
@@ -743,7 +702,7 @@ impl Session {
                     self.admit(entry, workload, cols, agg_sig, table);
                 }
             }
-            for (cols, table) in &results {
+            for (cols, table) in &report.results {
                 let served_exact = covers
                     .iter()
                     .any(|(c, slot, h)| c == cols && *slot == WHOLE_TABLE_PIN && h.exact);
@@ -756,7 +715,7 @@ impl Session {
 
         // 6. Surface this request's cache and ingest activity in the
         // metrics (delta counters sum; gauges take the max).
-        metrics += ingest;
+        *metrics += ingest;
         if use_cache {
             let after = self.mat_cache.stats();
             metrics.matcache_hits = after.hits - before.hits;
@@ -768,11 +727,7 @@ impl Session {
         Ok(WorkloadOutcome {
             plan,
             stats,
-            report: ExecutionReport {
-                results,
-                metrics,
-                peak_temp_bytes,
-            },
+            report,
         })
     }
 
@@ -825,7 +780,7 @@ impl Session {
         self.mat_cache.admit(
             entry,
             *version,
-            &col_strings(workload, cols),
+            &workload.col_strings(cols),
             agg_sig,
             &workload.aggregates,
             table,
@@ -975,7 +930,7 @@ impl Session {
             metrics.qerror_sum_x100 += x100;
             metrics.qerror_max_x100 = metrics.qerror_max_x100.max(x100);
             self.last_node_cards.push(NodeCardReport {
-                cols: col_strings(workload, obs.cols),
+                cols: workload.col_strings(obs.cols),
                 estimated: est,
                 observed: obs.output_groups,
             });
@@ -1036,70 +991,45 @@ impl Session {
     /// ALL). For pre-built or deserialized plans; `Session::grouping_sets`
     /// is the usual path.
     pub fn run_plan(&mut self, plan: &LogicalPlan, workload: &Workload) -> Result<ExecutionReport> {
-        self.execute(
-            plan,
-            workload,
-            &GroupEstimates::default(),
-            &mut CacheHooks::default(),
-        )
+        let (estimates, hooks) = (GroupEstimates::default(), &mut CacheHooks::default());
+        self.execute(plan, workload, &estimates, RootSources::default(), hooks)
     }
 
-    /// Run `plan` as the session's mode prescribes. Every mode is the one
-    /// scheduler ([`execute_plan`]) with a different (wave order, thread
-    /// default, fuse rule).
+    /// Physicalize `plan` under the session's mode and thread budget,
+    /// with `roots` served from the aggregate cache, and interpret it.
     fn execute(
         &mut self,
         plan: &LogicalPlan,
         workload: &Workload,
         estimates: &GroupEstimates,
+        roots: RootSources,
         hooks: &mut CacheHooks,
     ) -> Result<ExecutionReport> {
-        let (waves, threads, fuse) = match self.mode {
-            ExecutionMode::ClientSide => (serial_waves(plan, &mut |_| 1.0), 1, false),
-            ExecutionMode::ServerSide => (level_plan(plan), 1, true),
-            ExecutionMode::Parallel => (level_plan(plan), available_cpus(), false),
-        };
-        let sched = Schedule {
-            waves,
-            threads: if self.parallelism > 0 {
-                self.parallelism
-            } else {
-                threads
-            },
-            fuse,
-            memory_budget: self.memory_budget,
-            estimates,
-            base: None,
-        };
-        execute_plan(plan, workload, &mut self.engine, &sched, hooks)
+        let layout = Layout::of(self.engine.catalog(), workload, roots);
+        let physical = physicalize(plan, workload, estimates, &layout, self.run, &mut |_| 1.0)?;
+        execute_plan(physical, workload, &mut self.engine, hooks)
     }
 
     /// Execute an explicit plan one query at a time in the §4.4
     /// storage-minimizing order, with `size_estimate` guiding the
     /// breadth-first/depth-first choice (pass a cost model's
     /// `result_bytes` for faithful behaviour). Ignores the session's
-    /// execution mode: the storage schedule is inherently sequential.
+    /// execution mode, not its thread budget: the storage schedule is
+    /// inherently sequential.
     pub fn run_plan_scheduled(
         &mut self,
         plan: &LogicalPlan,
         workload: &Workload,
-        size_estimate: &mut dyn FnMut(crate::colset::ColSet) -> f64,
+        size_estimate: &mut dyn FnMut(ColSet) -> f64,
     ) -> Result<ExecutionReport> {
-        let sched = Schedule {
-            waves: serial_waves(plan, size_estimate),
-            threads: self.parallelism.max(1),
-            fuse: false,
-            memory_budget: self.memory_budget,
-            estimates: &GroupEstimates::default(),
-            base: None,
+        let layout = Layout::of(self.engine.catalog(), workload, RootSources::default());
+        let run = Run {
+            mode: ExecutionMode::ClientSide,
+            ..self.run
         };
-        execute_plan(
-            plan,
-            workload,
-            &mut self.engine,
-            &sched,
-            &mut CacheHooks::default(),
-        )
+        let (est, hooks) = (GroupEstimates::default(), &mut CacheHooks::default());
+        let physical = physicalize(plan, workload, &est, &layout, run, size_estimate)?;
+        execute_plan(physical, workload, &mut self.engine, hooks)
     }
 
     /// Register a base table, replacing any same-named table (upsert
@@ -1218,11 +1148,6 @@ impl Session {
         }
         self.stats_version += 1;
         Ok(())
-    }
-
-    /// The session's refresh policy.
-    pub fn refresh_policy(&self) -> RefreshPolicy {
-        self.refresh_policy
     }
 
     /// Eagerly bring every stale cached aggregate of `name` (logical
@@ -1385,21 +1310,10 @@ impl Session {
         &self.last_node_cards
     }
 
-    /// Whether the adaptive feedback loop is on (see
-    /// [`SessionBuilder::adaptive`]).
-    pub fn adaptive_enabled(&self) -> bool {
-        self.adaptive.is_some()
-    }
-
     /// Number of distinct (table, column-set) cardinality observations
     /// held by the feedback store. Zero when adaptive mode is off.
     pub fn feedback_len(&self) -> usize {
         self.adaptive.as_ref().map_or(0, |ad| ad.feedback.len())
-    }
-
-    /// Drop every cached materialized aggregate (counters survive).
-    pub fn clear_mat_cache(&mut self) {
-        self.mat_cache.clear();
     }
 
     /// Drop all cached plans.
@@ -1407,15 +1321,11 @@ impl Session {
         self.cache.clear();
     }
 
-    /// The session's execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// Switch execution mode (plans are mode-independent, so the cache
-    /// survives).
+    /// Switch execution mode, and with it the thread budget of waves,
+    /// merges and refreshes alike (plans are mode-independent, so the
+    /// cache survives).
     pub fn set_mode(&mut self, mode: ExecutionMode) {
-        self.mode = mode;
+        self.run = Run::new(&mut self.engine, mode, self.parallelism);
     }
 
     /// Attach a [`CancelToken`] polled by every subsequent execution at
@@ -1495,6 +1405,26 @@ mod tests {
         let p = parallel.grouping_sets(&w).unwrap();
         assert_eq!(tag_counts(&c.table), tag_counts(&s.table));
         assert_eq!(tag_counts(&c.table), tag_counts(&p.table));
+    }
+
+    #[test]
+    fn set_mode_moves_the_one_thread_budget() {
+        use ExecutionMode::{ClientSide, Parallel};
+        for (built, switched) in [(Parallel, ClientSide), (ClientSide, Parallel)] {
+            let (mut moved, w) = session(built);
+            moved.set_mode(switched);
+            let (mut direct, _) = session(switched);
+            let a = moved.run_workload(&w, CacheControl::Default).unwrap();
+            let b = direct.run_workload(&w, CacheControl::Default).unwrap();
+            assert_eq!(a.report.physical.threads, b.report.physical.threads);
+            assert_eq!(
+                moved.engine().kernel_threads(),
+                direct.engine().kernel_threads()
+            );
+            assert_eq!(moved.engine().kernel_threads(), a.report.physical.threads);
+        }
+        let (client, _) = session(ClientSide);
+        assert_eq!(client.engine().kernel_threads(), 1);
     }
 
     #[test]
@@ -1758,7 +1688,6 @@ mod tests {
         // No feedback loop without adaptive mode.
         assert_eq!(out.metrics.feedback_observations, 0);
         assert_eq!(s.feedback_len(), 0);
-        assert!(!s.adaptive_enabled());
     }
 
     #[test]

@@ -154,6 +154,11 @@ impl Workload {
         set.iter().map(|b| self.column_names[b].as_str()).collect()
     }
 
+    /// [`Workload::col_names`], owned.
+    pub(crate) fn col_strings(&self, set: ColSet) -> Vec<String> {
+        set.iter().map(|b| self.column_names[b].clone()).collect()
+    }
+
     /// True if all requests are pairwise disjoint (the common
     /// data-analysis case the paper highlights, e.g. SC workloads).
     pub fn is_non_overlapping(&self) -> bool {

@@ -45,9 +45,9 @@
 //! and their callers know a bound on the groups that the `rows / 16`
 //! guess does not: re-aggregating a table of `n` rows yields at most `n`
 //! groups. Handed inputs get that bound as `estimated_groups` where they
-//! are built: the plan executor (`Sources::io` and `Sources::merge_shards`
-//! in `gbmqo-core`) passes a cached root's, an intermediate's or a shard
-//! merge's rows where the plan has no estimate; the session's delta
+//! are built: the plan interpreter (`execute_plan` in `gbmqo-core`)
+//! passes a cached root's, an intermediate's or a shard merge's rows
+//! where the plan has no estimate; the session's delta
 //! refresh (`Session::refresh_stale_entry`) passes the delta's rows for
 //! its scan and stale + delta rows for its merge. Their hash tables are
 //! sized once and do not grow.

@@ -135,45 +135,6 @@ proptest! {
         assert_same_results(&w, &rep_s, &rep_p, "parallel vs serial");
     }
 
-    /// A memory budget degrades execution (skipping materializations)
-    /// in every mode, is honoured, and never changes results.
-    #[test]
-    fn budgeted_session_matches_serial(
-        (cards, raw_requests) in workload_strategy(),
-        budget_kb in 0usize..=64,
-        mode in prop::sample::select(vec![
-            ExecutionMode::ClientSide,
-            ExecutionMode::ServerSide,
-            ExecutionMode::Parallel,
-        ]),
-    ) {
-        let mut requests: Vec<Vec<usize>> = raw_requests
-            .into_iter()
-            .map(|mut r| { r.sort_unstable(); r.dedup(); r })
-            .collect();
-        requests.sort();
-        requests.dedup();
-
-        let table = modular_table(600, &cards);
-        let w = workload_of(&table, &requests);
-
-        let mut serial = session_with(&table, ExecutionMode::ClientSide, 1);
-        let mut budgeted = Session::builder()
-            .table("t", table.clone())
-            .search(SearchConfig::pruned())
-            .mode(mode)
-            .parallelism(2)
-            .memory_budget(budget_kb * 1024)
-            .build()
-            .unwrap();
-
-        let (plan, _) = serial.plan(&w).unwrap();
-        let rep_s = serial.run_plan(&plan, &w).unwrap();
-        let rep_b = budgeted.run_plan(&plan, &w).unwrap();
-        assert_same_results(&w, &rep_s, &rep_b, &format!("budgeted {mode:?} vs serial"));
-        prop_assert!(rep_b.peak_temp_bytes <= budget_kb * 1024);
-    }
-
     /// The session's statistics catalog changes when statistics are
     /// built, never what they say: a long-lived session plans and answers
     /// exactly like one whose statistics are thrown away before every
@@ -246,13 +207,11 @@ proptest! {
     /// A read writes nothing shared. Whatever a workload, a hand-built
     /// plan or a SQL star query with a fact filter computes — in every
     /// mode, over 1, 2 or 4 shards, with the aggregate cache cold, warm
-    /// or bypassed, under a memory budget that evicts intermediates, or
-    /// cancelled before it starts — the catalog holds the same entries
-    /// at the same versions and sizes afterwards.
+    /// or bypassed, or cancelled before it starts — the catalog holds the
+    /// same entries at the same versions and sizes afterwards.
     #[test]
     fn a_read_leaves_the_catalog_as_it_found_it(
         (cards, raw_requests) in workload_strategy(),
-        budget in prop::sample::select(vec![None, Some(0usize), Some(2048)]),
         cancelled in any::<bool>(),
     ) {
         let mut requests: Vec<Vec<usize>> = raw_requests
@@ -283,18 +242,16 @@ proptest! {
         for mode in [ExecutionMode::ClientSide, ExecutionMode::ServerSide, ExecutionMode::Parallel] {
             for shards in [1u32, 2, 4] {
                 for cache in ["cold", "warm", "bypass"] {
-                    let mut builder = Session::builder()
+                    let mut s = Session::builder()
                         .table("t", table.clone())
                         .table("d", dim.clone())
                         .search(SearchConfig::pruned())
                         .mode(mode)
                         .parallelism(2)
                         .shards(shards)
-                        .mat_cache_budget_bytes(1 << 20);
-                    if let Some(bytes) = budget {
-                        builder = builder.memory_budget(bytes);
-                    }
-                    let mut s = builder.build().unwrap();
+                        .mat_cache_budget_bytes(1 << 20)
+                        .build()
+                        .unwrap();
                     let context = format!("{mode:?}, {shards} shards, {cache}, cancelled {cancelled}");
                     if cache == "warm" {
                         s.run_workload(&w, CacheControl::Default).unwrap();

@@ -3,6 +3,7 @@
 //! cache's per-shard entries must survive appends to sibling shards.
 
 use gbmqo_core::prelude::*;
+use gbmqo_core::{Merge, NodeKind};
 use gbmqo_exec::Engine;
 use gbmqo_integration::{assert_same_results, col_names, modular_table, session_with};
 use gbmqo_storage::{route_rows, shard_table_name, Catalog, Column, Schema, Table};
@@ -39,8 +40,11 @@ fn workload_of(table: &Table, n: usize) -> Workload {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any shard count, in every execution mode, computes exactly what
-    /// the unsharded session computes.
+    /// Any shard count, in every execution mode, with the aggregate
+    /// cache cold or warm, computes exactly what the unsharded session
+    /// computes — and runs the physical plan it reports: one query per
+    /// read of a Group By edge (a ROLLUP/CUBE edge is one), and merge
+    /// rows exactly when some edge re-aggregates its partials.
     #[test]
     fn sharded_matches_unsharded(cards in cards_strategy()) {
         let table = modular_table(400, &cards);
@@ -58,19 +62,30 @@ proptest! {
                     .table("t", table.clone())
                     .shards(shards)
                     .mode(mode)
+                    .mat_cache_budget_bytes(1 << 22)
                     .build()
                     .unwrap();
-                let out = s.run_workload(&w, CacheControl::Default).unwrap();
-                assert_same_results(
-                    &w,
-                    &baseline.report,
-                    &out.report,
-                    &format!("{shards} shards, {mode:?}"),
-                );
-                // `shards(1)` registers an unsharded table; real shard
-                // layouts surface in the metrics.
-                let expected = if shards > 1 { u64::from(shards) } else { 0 };
-                prop_assert_eq!(out.report.metrics.shards, expected);
+                for cache in ["cold", "warm"] {
+                    let out = s.run_workload(&w, CacheControl::Default).unwrap();
+                    let context = format!("{shards} shards, {mode:?}, {cache}");
+                    assert_same_results(&w, &baseline.report, &out.report, &context);
+                    // `shards(1)` registers an unsharded table; real shard
+                    // layouts surface in the metrics.
+                    let expected = if shards > 1 { u64::from(shards) } else { 0 };
+                    prop_assert_eq!(out.report.metrics.shards, expected);
+                    prop_assert_eq!(out.report.metrics.matcache_hits > 0, cache == "warm");
+
+                    let physical = &out.report.physical;
+                    let instances: usize = physical
+                        .edges()
+                        .map(|e| if e.edge.kind == NodeKind::GroupBy { e.reads.len() } else { 1 })
+                        .sum();
+                    prop_assert_eq!(out.report.metrics.queries_executed, instances as u64, "{}", &context);
+                    let reaggregates = physical
+                        .edges()
+                        .any(|e| matches!(e.merge, Merge::Reaggregate));
+                    prop_assert_eq!(out.report.metrics.merge_rows > 0, reaggregates, "{}", &context);
+                }
             }
         }
     }
