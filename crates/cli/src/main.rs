@@ -23,9 +23,11 @@ gbmqo — optimized multi-Group-By data profiling
 USAGE:
     gbmqo profile <file.csv> [OPTIONS]
     gbmqo advise  <file.csv> [--sets <spec>] [--max <n>]
-    gbmqo serve   [file.csv] [--addr <host:port>] [--workers <n>]
-                  [--queue <n>] [--batch-window-ms <n>] [--deadline-ms <n>]
+    gbmqo serve   [file.csv] [--table <name>] [--addr <host:port>]
+                  [--workers <n>] [--queue <n>] [--deadline-ms <n>]
                   [--chunk-rows <n>] [--chunk-kb <n>] [--outbound-kb <n>]
+                  [--cache-budget-mb <n>] [--shards <n>]
+                  [--refresh <lazy|eager|off>] [--max-delta-fraction <f>]
     gbmqo client  <addr> <ping|stats|register <name> <file.csv>|
                   query <table> <cols>|workload <table> <sets>>
                   [--deadline-ms <n>] [--limit <n>] [--compress] [--stream]
@@ -49,14 +51,29 @@ OPTIONS:
     --adaptive       feed observed cardinalities back into the optimizer;
                      drifted cached plans re-optimize (profile always
                      prints the estimated-vs-observed q-error report)
+    --repeat <n>     run the workload n times (default 1); with a cache
+                     budget, later runs are answered from cached aggregates
+    --cache-budget-mb <n>
+                     aggregate-cache budget in MiB (default 0: off)
+    --shards <n>     radix-partition the table into n shards (power of
+                     two; 0/1 = unsharded)
+    --append-rows <n>
+                     append n rows resampled from the file between
+                     repeats, exercising the delta-refresh path
+    --refresh <lazy|eager|off>
+                     how cached aggregates react to those appends
+                     (default lazy)
 
 `advise` recommends single-column indexes for the workload via what-if
 re-optimization (--max: number of indexes, default 3).
 
-`serve` exposes the session over a binary TCP protocol; concurrent
-single-query clients are micro-batched into merged workloads. Results
-stream back as bounded chunk frames (--chunk-rows/--chunk-kb caps each
-chunk, --outbound-kb caps per-connection send credit).
+`serve` exposes the session over a binary TCP protocol, preloading
+file.csv as table --table (default \"data\"); clients share its
+aggregate cache (--cache-budget-mb, default 64). --shards, --refresh
+and --max-delta-fraction (default 0.5) set sharding and how cached
+aggregates react to appends. Results stream back as bounded chunk
+frames (--chunk-rows/--chunk-kb caps each chunk, --outbound-kb caps
+per-connection send credit).
 `client` issues one request against a running server; --stream prints
 chunks as they arrive and --compress negotiates LZ4-style frames.
 `query` runs one SQL statement (aggregates over a fact table with

@@ -18,8 +18,6 @@ pub struct Options {
     pub workers: usize,
     /// Admission queue depth.
     pub queue: usize,
-    /// Micro-batching window in milliseconds (0 disables batching).
-    pub batch_window_ms: u64,
     /// Default per-request deadline in milliseconds (0 = none).
     pub deadline_ms: u64,
     /// Materialized-aggregate-cache budget in MiB (0 disables it).
@@ -62,7 +60,6 @@ impl Options {
             addr: "127.0.0.1:4816".to_string(),
             workers: 2,
             queue: 64,
-            batch_window_ms: 2,
             deadline_ms: 0,
             cache_budget_mb: 64,
             chunk_rows: ServerConfig::default().chunk_rows,
@@ -91,11 +88,6 @@ impl Options {
                     opts.queue = value("--queue")?
                         .parse()
                         .map_err(|e| format!("--queue: {e}"))?
-                }
-                "--batch-window-ms" => {
-                    opts.batch_window_ms = value("--batch-window-ms")?
-                        .parse()
-                        .map_err(|e| format!("--batch-window-ms: {e}"))?
                 }
                 "--deadline-ms" => {
                     opts.deadline_ms = value("--deadline-ms")?
@@ -140,6 +132,19 @@ impl Options {
         }
         Ok(opts)
     }
+
+    /// The server configuration these options ask for.
+    pub fn server_config(&self) -> ServerConfig {
+        ServerConfig {
+            workers: self.workers.max(1),
+            queue_capacity: self.queue.max(1),
+            default_deadline: (self.deadline_ms > 0)
+                .then(|| Duration::from_millis(self.deadline_ms)),
+            chunk_rows: self.chunk_rows.max(1),
+            chunk_bytes: (self.chunk_kb << 10).max(1 << 10),
+            outbound_budget: (self.outbound_kb << 10).max(64 << 10),
+        }
+    }
 }
 
 /// Run the subcommand: bind, print the address, serve until killed.
@@ -164,27 +169,14 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
     }
     let session = builder.build().map_err(|e| e.to_string())?;
 
-    let config = ServerConfig {
-        workers: opts.workers.max(1),
-        queue_capacity: opts.queue.max(1),
-        batch_window: (opts.batch_window_ms > 0)
-            .then(|| Duration::from_millis(opts.batch_window_ms)),
-        default_deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
-        chunk_rows: opts.chunk_rows.max(1),
-        chunk_bytes: (opts.chunk_kb << 10).max(1 << 10),
-        outbound_budget: (opts.outbound_kb << 10).max(64 << 10),
-    };
+    let config = opts.server_config();
     let handle = Server::bind(opts.addr.as_str(), session, config.clone())
         .map_err(|e| format!("binding {}: {e}", opts.addr))?;
     println!(
-        "listening on {} ({} workers, queue {}, batching {}, aggregate cache {})",
+        "listening on {} ({} workers, queue {}, aggregate cache {})",
         handle.local_addr(),
         config.workers,
         config.queue_capacity,
-        match config.batch_window {
-            Some(w) => format!("{}ms window", w.as_millis()),
-            None => "off".to_string(),
-        },
         if opts.cache_budget_mb > 0 {
             format!("{} MiB", opts.cache_budget_mb)
         } else {
@@ -231,8 +223,6 @@ mod tests {
             "0.0.0.0:9000",
             "--workers",
             "4",
-            "--batch-window-ms",
-            "0",
             "--cache-budget-mb",
             "16",
         ]
@@ -243,7 +233,6 @@ mod tests {
         assert_eq!(o.file.as_deref(), Some("data.csv"));
         assert_eq!(o.addr, "0.0.0.0:9000");
         assert_eq!(o.workers, 4);
-        assert_eq!(o.batch_window_ms, 0);
         assert_eq!(o.cache_budget_mb, 16);
         assert!(Options::parse(&["--workers".into()]).is_err());
         assert!(Options::parse(&["--bogus".into()]).is_err());
@@ -273,6 +262,14 @@ mod tests {
         assert!((o.max_delta_fraction - 0.25).abs() < 1e-9);
         // no file is fine: clients register tables over the wire
         assert!(Options::parse(&[]).is_ok());
+    }
+
+    #[test]
+    fn serve_without_flags_serves_the_default_config() {
+        // The benchmark measures `ServerConfig::default()`; a bare
+        // `gbmqo serve` must ship exactly that.
+        let opts = Options::parse(&[]).unwrap();
+        assert_eq!(opts.server_config(), ServerConfig::default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! §6.9 shows the optimizer's plans adapt to whatever physical design
 //! exists; this module closes the loop the authors' AutoAdmin line of
-//! work ([5], [25] in the paper) is about: *given* a workload, which
+//! work (\[5\], \[25\] in the paper) is about: *given* a workload, which
 //! single-column indexes would help it most? The advisor greedily picks
 //! indexes by re-optimizing the workload under hypothetical designs —
 //! what-if analysis built from the same cost model the optimizer uses.

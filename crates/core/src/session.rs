@@ -165,20 +165,18 @@ pub const RESHARD_SKEW_THRESHOLD: u64 = 200;
 /// fraction of the base table.
 pub const DEFAULT_MAX_DELTA_FRACTION: f64 = 0.5;
 
-/// Default [`SessionBuilder::reopt_threshold`]: a cached plan is
-/// invalidated for re-optimization when feedback-corrected cardinalities
-/// shift its estimated cost by more than this relative fraction.
-pub const DEFAULT_REOPT_THRESHOLD: f64 = 0.3;
+/// The adaptive loop invalidates a cached plan for re-optimization when
+/// feedback-corrected cardinalities shift its estimated cost by more than
+/// this relative fraction, or a planned node's q-error exceeds one plus it.
+const REOPT_THRESHOLD: f64 = 0.3;
 
 /// The adaptive feedback loop's session state (see `gbmqo-feedback`):
-/// observed cardinalities from executed plans, per-table distinct
-/// sketches maintained incrementally from append deltas, and the
-/// re-optimization threshold.
+/// observed cardinalities from executed plans and per-table distinct
+/// sketches maintained incrementally from append deltas.
 #[derive(Debug)]
 struct AdaptiveState {
     feedback: FeedbackStore,
     sketches: FxHashMap<String, TableSketches>,
-    reopt_threshold: f64,
 }
 
 /// Estimated vs. observed distinct-group count of one executed plan
@@ -265,7 +263,6 @@ pub struct SessionBuilder {
     refresh_policy: RefreshPolicy,
     max_delta_fraction: Option<f64>,
     adaptive: bool,
-    reopt_threshold: Option<f64>,
 }
 
 impl SessionBuilder {
@@ -375,20 +372,11 @@ impl SessionBuilder {
     /// cardinality source overlays those observations (and online
     /// distinct sketches kept fresh across appends) on the configured
     /// statistics, and cached plans whose feedback-corrected cost shifts
-    /// past [`SessionBuilder::reopt_threshold`] are invalidated for
-    /// re-optimization. Both cost models benefit — the overlay sits
-    /// below them, behind the same `CardinalitySource` trait.
+    /// by more than 30% are invalidated for re-optimization. Both cost
+    /// models benefit — the overlay sits below them, behind the same
+    /// `CardinalitySource` trait.
     pub fn adaptive(mut self, enabled: bool) -> Self {
         self.adaptive = enabled;
-        self
-    }
-
-    /// Relative estimated-cost shift beyond which the adaptive loop
-    /// marks a cached plan for re-optimization (default
-    /// [`DEFAULT_REOPT_THRESHOLD`]). Only meaningful with
-    /// [`SessionBuilder::adaptive`].
-    pub fn reopt_threshold(mut self, threshold: f64) -> Self {
-        self.reopt_threshold = Some(threshold);
         self
     }
 
@@ -417,12 +405,6 @@ impl SessionBuilder {
                 "max_delta_fraction must be within [0, 1], got {max_delta_fraction}"
             )));
         }
-        let reopt_threshold = self.reopt_threshold.unwrap_or(DEFAULT_REOPT_THRESHOLD);
-        if !reopt_threshold.is_finite() || reopt_threshold <= 0.0 {
-            return Err(CoreError::InvalidSession(format!(
-                "reopt_threshold must be a positive finite fraction, got {reopt_threshold}"
-            )));
-        }
         Ok(Session {
             engine,
             cost_model: self.cost_model,
@@ -440,7 +422,6 @@ impl SessionBuilder {
             adaptive: self.adaptive.then(|| AdaptiveState {
                 feedback: FeedbackStore::new(),
                 sketches: FxHashMap::default(),
-                reopt_threshold,
             }),
             last_node_cards: Vec::new(),
         })
@@ -979,8 +960,8 @@ impl Session {
         // runs with strictly more observed column sets and the loop
         // terminates once the search picks a fully-observed plan
         // (q-error 1.0).
-        let drifted = (corrected - old).abs() > ad.reopt_threshold * old.max(1.0);
-        let misestimated = max_qe > 1.0 + ad.reopt_threshold;
+        let drifted = (corrected - old).abs() > REOPT_THRESHOLD * old.max(1.0);
+        let misestimated = max_qe > 1.0 + REOPT_THRESHOLD;
         if (drifted || misestimated) && self.cache.invalidate(key) {
             metrics.plan_reopts += 1;
         }
@@ -1037,16 +1018,15 @@ impl Session {
     /// invalidates everything derived from the old contents: cached
     /// plans (the statistics version and the table's catalog version
     /// are both part of the fingerprint) and every cached materialized
-    /// aggregate of the table. Returns the table's new contents version.
-    pub fn register_table(&mut self, name: impl Into<String>, table: Table) -> Result<u64> {
+    /// aggregate of the table.
+    pub fn register_table(&mut self, name: impl Into<String>, table: Table) -> Result<()> {
         let name = name.into();
         let old_shards = self
             .engine
             .catalog()
             .shard_desc(&name)
             .map_or(0, |d| d.shard_count);
-        let version = self
-            .engine
+        self.engine
             .catalog_mut()
             .replace_sharded(&name, table, self.shards, None)?;
         self.mat_cache.invalidate_table(&name);
@@ -1060,7 +1040,7 @@ impl Session {
             ad.feedback.forget_table(&name);
         }
         self.stats_version += 1;
-        Ok(version)
+        Ok(())
     }
 
     /// Append `rows` to base table `name` (schemas must match). The
@@ -1802,18 +1782,5 @@ mod tests {
         assert!(third.stats.cache_hit, "the loop converges to a cache hit");
         assert_eq!(rows_sorted(&second.table), rows_sorted(&first.table));
         assert_eq!(rows_sorted(&third.table), rows_sorted(&first.table));
-    }
-
-    #[test]
-    fn invalid_reopt_threshold_is_rejected_at_build() {
-        for bad in [0.0, -1.0, f64::NAN] {
-            let err = Session::builder()
-                .table("r", table())
-                .adaptive(true)
-                .reopt_threshold(bad)
-                .build()
-                .unwrap_err();
-            assert!(matches!(err, CoreError::InvalidSession(_)), "{bad}");
-        }
     }
 }

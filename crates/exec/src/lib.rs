@@ -13,9 +13,9 @@
 //! * [`stream_group_by`] — sort-order streaming aggregation, taken when
 //!   an index order serves the grouping; [`sort_group_by`] sorts first
 //!   and is the independent reference the tests compare the kernel with,
-//! * [`rollup`] and [`cube`] — §7.1's alternative plan nodes, computed by
+//! * [`rollup()`] and [`cube()`] — §7.1's alternative plan nodes, computed by
 //!   lattice descent (each level re-aggregated from the previous),
-//! * [`filter`], [`join`], [`union_all`] — the relational plumbing for
+//! * [`filter()`], [`join`], [`union_all`] — the relational plumbing for
 //!   §5.1.1's GROUPING SETS over selections and joins with `Grp-Tag`,
 //! * [`engine::Engine`] — runs Group By queries over a
 //!   [`gbmqo_storage::Catalog`] table or a table handed to it (one

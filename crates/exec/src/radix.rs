@@ -16,11 +16,11 @@
 //!    threads own disjoint partition sets): a private `GroupTable`
 //!    maps key → dense gid, producing the partition's gid vector, and
 //!    every accumulator then folds the whole partition in one tight
-//!    columnar loop ([`Accumulator::update_batch`]) — no per-row dispatch.
+//!    columnar loop (`Accumulator::update_batch`) — no per-row dispatch.
 //!
 //! Because rows are routed by key hash, partitions hold disjoint group
 //! sets; the final result is pure concatenation in partition order
-//! ([`Accumulator::merge_disjoint`]) — there is no merge/re-aggregation
+//! (`Accumulator::merge_disjoint`) — there is no merge/re-aggregation
 //! phase.
 //!
 //! Input size is not a second implementation but a value of `k`:
@@ -34,7 +34,7 @@
 //!
 //! A small key domain is not hashed at all. When a packed `u64` layout
 //! has at most `max(rows, 1024)` codes, and at most 2^16, its gids come
-//! from a slot array indexed by the code ([`SlotTable`]; [`dense_slots`]
+//! from a slot array indexed by the code (`SlotTable`; `dense_slots`
 //! is the rule). Clearing the array then never costs more than the scan.
 //! Such an input runs as that one pass whenever `Fanout::plan` gives it
 //! one aggregate worker, however many partitions a hash table would

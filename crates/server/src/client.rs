@@ -183,8 +183,8 @@ impl Client {
         })
     }
 
-    /// Pipelined send: one Group By (eligible for server-side
-    /// micro-batching). `deadline_ms` of `0` means no deadline.
+    /// Pipelined send: one Group By. `deadline_ms` of `0` means no
+    /// deadline.
     pub fn send_query(
         &mut self,
         table: &str,

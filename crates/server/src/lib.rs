@@ -1,14 +1,14 @@
 //! # gbmqo-server
 //!
-//! A concurrent query service over the GB-MQO [`Session`] engine,
+//! A concurrent query service over the GB-MQO [`Session`](gbmqo_core::Session) engine,
 //! speaking a length-prefixed binary protocol (v3) over TCP.
 //!
 //! The paper this repository reproduces ("Efficient Computation of
 //! Multiple Group By Queries", SIGMOD 2005) optimizes *sets* of Group
-//! By queries together. A server is where such sets naturally arise:
-//! independent clients concurrently asking for different grouping sets
-//! of the same relation are, within a small time window, exactly one
-//! multi-query workload. This crate serves three purposes:
+//! By queries together. A server is where such sets arrive: one
+//! `SubmitWorkload` request or SQL `GROUPING SETS` statement is one
+//! multi-query workload, and every client shares the session's
+//! aggregate cache. This crate serves three purposes:
 //!
 //! * **Protocol** ([`protocol`], [`codec`], [`compress`]): versioned,
 //!   framed request/response messages with pipelining (client-chosen
@@ -17,13 +17,12 @@
 //!   a zero-copy decode path ([`codec::TableView`]), and results
 //!   streamed as bounded [`Response::Chunk`] frames terminated by a
 //!   summary carrying execution metrics.
-//! * **Server** ([`server`], [`reactor`], [`batcher`]): a single
-//!   readiness-driven connection core (epoll on Linux) multiplexing
-//!   every socket nonblockingly, a shared-session worker pool, bounded
-//!   admission with load shedding, credit-based per-connection
+//! * **Server** ([`server`], [`reactor`]): a single readiness-driven
+//!   connection core (epoll on Linux) multiplexing every socket
+//!   nonblockingly, a shared-session worker pool fed by one bounded
+//!   admission queue with load shedding, credit-based per-connection
 //!   outbound backpressure, per-request deadlines enforced by
-//!   cooperative cancellation inside the engine, micro-batching of
-//!   concurrent queries into merged workloads, graceful drain on
+//!   cooperative cancellation inside the engine, graceful drain on
 //!   shutdown.
 //! * **Client** ([`client`]): a blocking, pipelining-capable client
 //!   whose [`ResultStream`] yields chunks incrementally, used by the
@@ -48,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod client;
 pub mod codec;
 pub mod compress;

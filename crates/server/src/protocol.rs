@@ -93,9 +93,7 @@ pub enum Request {
         /// The table payload.
         table: Table,
     },
-    /// One Group By over a registered table. Queries are eligible for
-    /// micro-batching: concurrent `Query` requests arriving within the
-    /// batch window are merged into a single optimized workload.
+    /// One Group By over a registered table, run as a one-set workload.
     Query {
         /// Source table name.
         table: String,

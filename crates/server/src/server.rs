@@ -12,14 +12,13 @@
 //! a few hundred bytes of state, not two OS threads, so one process
 //! holds tens of thousands of open connections. A fixed pool of
 //! **worker** threads drains the admission queue and executes requests
-//! against the shared [`Session`]; when micro-batching is enabled,
-//! `Query` requests are routed to a dedicated **batcher** thread
-//! instead (see [`crate::batcher`]).
+//! against the shared [`Session`]. Every operational request is one job
+//! on that queue; a single-set `Query` runs as a one-set workload.
 //!
 //! ## Streaming and backpressure
 //!
 //! Workers never touch sockets. They hand encoded frames to the loop
-//! through a [`ReplyHandle`], which enforces a per-connection credit
+//! through a `ReplyHandle`, which enforces a per-connection credit
 //! budget ([`ServerConfig::outbound_budget`]): a worker streaming a
 //! huge result blocks once the connection has that many bytes queued
 //! and unwritten, and resumes as the loop drains them to the socket.
@@ -39,22 +38,20 @@
 //! ## Deadlines and cancellation
 //!
 //! A request's deadline clock starts at admission, so time spent
-//! queued counts against it. Workers install a
-//! [`CancelToken`](gbmqo_core::CancelToken) with the deadline on the
-//! session before executing; the engine polls it at morsel boundaries,
-//! so an expired request aborts mid-kernel, its intermediates are
-//! dropped with the execution, and the client receives
-//! [`ErrorCode::Timeout`].
+//! queued counts against it. Workers install a [`CancelToken`] with the
+//! deadline on the session before executing; the engine polls it at
+//! morsel boundaries, so an expired request aborts mid-kernel, its
+//! intermediates are dropped with the execution, and the client
+//! receives [`ErrorCode::Timeout`].
 //!
 //! ## Shutdown
 //!
 //! [`ServerHandle::shutdown`] sets the flag and wakes the loop, which
 //! closes the listener and drops its queue senders (new requests get
-//! [`ErrorCode::ShuttingDown`], in-flight ones drain). Once workers
-//! and batcher are joined, the loop flushes every outstanding write
-//! queue under a deadline, closes all connections, and exits.
+//! [`ErrorCode::ShuttingDown`], in-flight ones drain). Once the workers
+//! are joined, the loop flushes every outstanding write queue under a
+//! deadline, closes all connections, and exits.
 
-use crate::batcher::{run_batcher, BatchJob};
 use crate::codec::{FrameStatus, RecvBuf};
 use crate::error::ErrorCode;
 use crate::protocol::{self, FrameError, Request, Response};
@@ -74,17 +71,13 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`Server`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Worker threads executing admitted requests.
     pub workers: usize,
     /// Depth of the bounded admission queue; a full queue sheds load
     /// with [`ErrorCode::ServerBusy`].
     pub queue_capacity: usize,
-    /// When set, concurrent `Query` requests arriving within this
-    /// window are coalesced into one multi-query workload so the
-    /// optimizer can share scans and sub-plans across clients.
-    pub batch_window: Option<Duration>,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
     /// Row cap per `ResultChunk` frame.
@@ -103,7 +96,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 2,
             queue_capacity: 64,
-            batch_window: None,
             default_deadline: None,
             chunk_rows: 8192,
             chunk_bytes: 1 << 20,
@@ -124,10 +116,6 @@ pub(crate) struct Counters {
     pub busy_rejections: u64,
     /// Requests that hit their deadline.
     pub timeouts: u64,
-    /// Merged workloads executed by the batcher.
-    pub batches: u64,
-    /// Individual `Query` requests absorbed into those batches.
-    pub batched_queries: u64,
     /// `Append` requests applied.
     pub appends: u64,
     /// Rows ingested across all appends.
@@ -143,8 +131,8 @@ pub(crate) struct Shared {
     /// Set once by [`ServerHandle::shutdown`]; never cleared. `Arc`d
     /// separately so [`ReplyHandle`]s can hold it without the session.
     pub shutdown: Arc<AtomicBool>,
-    /// Set by the handle after workers and batcher are joined; tells
-    /// the loop no more outbound frames can appear.
+    /// Set by the handle after the workers are joined; tells the loop
+    /// no more outbound frames can appear.
     pub workers_done: AtomicBool,
     /// Row cap per streamed chunk (from [`ServerConfig::chunk_rows`]).
     pub chunk_rows: usize,
@@ -158,12 +146,6 @@ pub(crate) struct Shared {
     pub outbound_peak: Arc<AtomicU64>,
     /// Currently open client connections.
     pub open_conns: AtomicU64,
-    /// Last-known contents version per table, maintained by workers on
-    /// register/append. The event loop reads it when stamping batch
-    /// jobs so the batcher never merges requests from both sides of an
-    /// append into one mixed-version plan — it must not lock the
-    /// session itself (a long-running plan would stall every socket).
-    pub version_hints: Mutex<HashMap<String, u64>>,
 }
 
 impl Shared {
@@ -176,26 +158,6 @@ impl Shared {
     /// Lock the counters (same poisoning policy).
     pub fn counters(&self) -> MutexGuard<'_, Counters> {
         self.counters.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The last version a worker reported for `table` (0 = never seen).
-    pub fn version_hint(&self, table: &str) -> u64 {
-        self.version_hints
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(table)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Record `table`'s contents version after a mutation. Workers report
-    /// after releasing the session lock, so two racing mutations can
-    /// report out of order; catalog versions are monotonic, so the hint
-    /// keeps the larger one.
-    pub fn set_version_hint(&self, table: &str, version: u64) {
-        let mut hints = self.version_hints.lock().unwrap_or_else(|e| e.into_inner());
-        let hint = hints.entry(table.to_string()).or_default();
-        *hint = (*hint).max(version);
     }
 }
 
@@ -397,7 +359,6 @@ impl Server {
             streamed_chunks: AtomicU64::new(0),
             outbound_peak: Arc::new(AtomicU64::new(0)),
             open_conns: AtomicU64::new(0),
-            version_hints: Mutex::new(HashMap::new()),
         });
 
         let workers = config.workers.max(1);
@@ -414,19 +375,6 @@ impl Server {
             })
             .collect();
 
-        let (batch_tx, batcher_join) = match config.batch_window {
-            Some(window) => {
-                let (tx, rx) = mpsc::sync_channel::<BatchJob>(config.queue_capacity.max(1));
-                let shared = Arc::clone(&shared);
-                let join = thread::Builder::new()
-                    .name("gbmqo-batcher".into())
-                    .spawn(move || run_batcher(rx, shared, window))
-                    .expect("spawn batcher");
-                (Some(tx), Some(join))
-            }
-            None => (None, None),
-        };
-
         let poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
         let waker = Arc::new(poller.add_waker(TOKEN_WAKER)?);
@@ -437,12 +385,11 @@ impl Server {
             let waker = Arc::clone(&waker);
             let config = config.clone();
             let job_tx = job_tx.clone();
-            let batch_tx = batch_tx.clone();
             thread::Builder::new()
                 .name("gbmqo-event-loop".into())
                 .spawn(move || {
                     event_loop(
-                        poller, waker, listener, shared, config, out_tx, out_rx, job_tx, batch_tx,
+                        poller, waker, listener, shared, config, out_tx, out_rx, job_tx,
                     )
                 })
                 .expect("spawn event loop")
@@ -453,10 +400,8 @@ impl Server {
             shared,
             waker,
             job_tx: Some(job_tx),
-            batch_tx,
             loop_join: Some(loop_join),
             worker_joins,
-            batcher_join,
         })
     }
 }
@@ -467,10 +412,8 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     waker: Arc<Waker>,
     job_tx: Option<SyncSender<Job>>,
-    batch_tx: Option<SyncSender<BatchJob>>,
     loop_join: Option<JoinHandle<()>>,
     worker_joins: Vec<JoinHandle<()>>,
-    batcher_join: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -494,11 +437,7 @@ impl ServerHandle {
         // The loop drops its queue senders on seeing the flag; once we
         // drop ours the workers drain what remains and exit.
         self.job_tx = None;
-        self.batch_tx = None;
         for j in self.worker_joins.drain(..) {
-            let _ = j.join();
-        }
-        if let Some(j) = self.batcher_join.take() {
             let _ = j.join();
         }
         // No producer remains: tell the loop to flush and exit.
@@ -622,7 +561,6 @@ struct LoopCtx<'a> {
     out_tx: &'a Sender<(u64, Vec<u8>)>,
     waker: &'a Arc<Waker>,
     job_tx: Option<&'a SyncSender<Job>>,
-    batch_tx: Option<&'a SyncSender<BatchJob>>,
 }
 
 #[derive(PartialEq)]
@@ -638,8 +576,8 @@ fn error_frame(request_id: u64, code: ErrorCode, message: String) -> Vec<u8> {
 
 /// Interpret one complete payload on the loop thread. Scalar replies
 /// (Pong, HelloAck, typed errors) are pushed onto `replies` for the
-/// caller to queue; operational requests are admitted to the worker or
-/// batcher queue.
+/// caller to queue; operational requests are admitted to the worker
+/// queue.
 fn handle_payload(
     payload: &[u8],
     cshared: &Arc<ConnShared>,
@@ -715,7 +653,7 @@ fn handle_payload(
     }
 }
 
-/// Route one operational request onto the right queue, shedding load
+/// Admit one operational request onto the worker queue, shedding load
 /// when the queue is full.
 fn admit(
     request_id: u64,
@@ -740,97 +678,57 @@ fn admit(
             ctx.config.default_deadline.map(|d| Instant::now() + d)
         }
     };
-    enum Routed {
-        Worker(Job),
-        Batcher(BatchJob),
-    }
-    let routed = match opcode {
-        protocol::OP_REGISTER => Routed::Worker(Job {
-            request_id,
-            deadline: None,
-            reply,
-            // Decoding a large table is worker business; copy the raw
-            // body out of the receive buffer and move on.
-            kind: JobKind::RegisterRaw {
+    let (deadline, kind) = match opcode {
+        // Decoding a large table is worker business; copy the raw body
+        // out of the receive buffer and move on.
+        protocol::OP_REGISTER => (
+            None,
+            JobKind::RegisterRaw {
                 body: body.into_owned(),
             },
-        }),
-        protocol::OP_APPEND => Routed::Worker(Job {
-            request_id,
-            deadline: None,
-            reply,
-            kind: JobKind::AppendRaw {
+        ),
+        protocol::OP_APPEND => (
+            None,
+            JobKind::AppendRaw {
                 body: body.into_owned(),
             },
-        }),
+        ),
         _ => match protocol::decode_request_body(opcode, &body) {
             Ok(Request::Query {
                 table,
                 group_cols,
                 deadline_ms,
                 cache,
-            }) => match ctx.batch_tx {
-                Some(_) => {
-                    // Stamp the table version the event loop believes is
-                    // current (worker-maintained hint — never locks the
-                    // session here) so the batcher cannot merge requests
-                    // that straddle an append into one mixed-version plan.
-                    let version = ctx.shared.version_hint(&table);
-                    Routed::Batcher(BatchJob {
-                        request_id,
-                        deadline: deadline_of(deadline_ms),
-                        reply,
-                        table,
-                        group_cols,
-                        cache,
-                        version,
-                    })
-                }
-                None => Routed::Worker(Job {
-                    request_id,
-                    deadline: deadline_of(deadline_ms),
-                    reply,
-                    kind: JobKind::Workload {
-                        table,
-                        universe: group_cols.clone(),
-                        requests: vec![group_cols],
-                        cache,
-                    },
-                }),
-            },
+            }) => (
+                deadline_of(deadline_ms),
+                JobKind::Workload {
+                    table,
+                    universe: group_cols.clone(),
+                    requests: vec![group_cols],
+                    cache,
+                },
+            ),
             Ok(Request::SubmitWorkload {
                 table,
                 universe,
                 requests,
                 deadline_ms,
                 cache,
-            }) => Routed::Worker(Job {
-                request_id,
-                deadline: deadline_of(deadline_ms),
-                reply,
-                kind: JobKind::Workload {
+            }) => (
+                deadline_of(deadline_ms),
+                JobKind::Workload {
                     table,
                     universe,
                     requests,
                     cache,
                 },
-            }),
+            ),
             Ok(Request::SqlQuery {
                 sql,
                 deadline_ms,
                 cache,
-            }) => Routed::Worker(Job {
-                request_id,
-                deadline: deadline_of(deadline_ms),
-                reply,
-                kind: JobKind::Sql { sql, cache },
-            }),
-            Ok(Request::Stats) => Routed::Worker(Job {
-                request_id,
-                deadline: None,
-                reply,
-                kind: JobKind::Stats,
-            }),
+            }) => (deadline_of(deadline_ms), JobKind::Sql { sql, cache }),
+            Ok(Request::Stats) => (None, JobKind::Stats),
             Err(e) => {
                 // A body that does not parse: the framing itself is
                 // intact, so reply with the decode diagnostic and
@@ -854,32 +752,16 @@ fn admit(
             }
         },
     };
-    enum AdmitFailure {
-        Full,
-        Disconnected,
-    }
-    fn failure<T>(e: TrySendError<T>) -> AdmitFailure {
-        match e {
-            TrySendError::Full(_) => AdmitFailure::Full,
-            TrySendError::Disconnected(_) => AdmitFailure::Disconnected,
-        }
-    }
-    let outcome = match routed {
-        Routed::Worker(job) => ctx
-            .job_tx
-            .expect("checked by caller")
-            .try_send(job)
-            .map_err(failure),
-        Routed::Batcher(job) => ctx
-            .batch_tx
-            .expect("routed to batcher")
-            .try_send(job)
-            .map_err(failure),
+    let job = Job {
+        request_id,
+        deadline,
+        reply,
+        kind,
     };
-    match outcome {
+    match ctx.job_tx.expect("checked by caller").try_send(job) {
         Ok(()) => {}
         // Queue full: shed load, the client decides whether to retry.
-        Err(AdmitFailure::Full) => {
+        Err(TrySendError::Full(_)) => {
             ctx.shared.counters().busy_rejections += 1;
             replies.push(error_frame(
                 request_id,
@@ -887,10 +769,10 @@ fn admit(
                 "admission queue full; retry later".into(),
             ));
         }
-        // Receiver gone: every worker (or the batcher) has exited.
-        // Dropping the request silently would hang the client's wait,
-        // so reply with a terminal error instead.
-        Err(AdmitFailure::Disconnected) => {
+        // Receiver gone: every worker has exited. Dropping the request
+        // silently would hang the client's wait, so reply with a
+        // terminal error instead.
+        Err(TrySendError::Disconnected(_)) => {
             let (code, message) = if ctx.shared.shutdown.load(Ordering::SeqCst) {
                 (
                     ErrorCode::ShuttingDown,
@@ -982,13 +864,11 @@ fn event_loop(
     out_tx: Sender<(u64, Vec<u8>)>,
     out_rx: Receiver<(u64, Vec<u8>)>,
     job_tx: SyncSender<Job>,
-    batch_tx: Option<SyncSender<BatchJob>>,
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = FIRST_CONN_TOKEN;
     let mut listener = Some(listener);
     let mut job_tx = Some(job_tx);
-    let mut batch_tx = batch_tx;
     let mut events: Vec<Event> = Vec::new();
     let mut to_close: Vec<u64> = Vec::new();
 
@@ -1006,7 +886,6 @@ fn event_loop(
             // Dropping our senders lets workers drain and exit once
             // the handle drops its clones too.
             job_tx = None;
-            batch_tx = None;
         }
 
         let ctx = LoopCtx {
@@ -1015,7 +894,6 @@ fn event_loop(
             out_tx: &out_tx,
             waker: &waker,
             job_tx: job_tx.as_ref(),
-            batch_tx: batch_tx.as_ref(),
         };
 
         for ev in &events {
@@ -1141,7 +1019,7 @@ fn worker_loop(rx: Arc<Mutex<Receiver<Job>>>, shared: Arc<Shared>) {
 }
 
 /// Map an engine error to a wire error code.
-pub(crate) fn error_code_for(e: &CoreError) -> ErrorCode {
+fn error_code_for(e: &CoreError) -> ErrorCode {
     match e {
         CoreError::Exec(ExecError::Cancelled { .. }) => ErrorCode::Timeout,
         CoreError::Storage(StorageError::TableNotFound(_)) => ErrorCode::NotFound,
@@ -1159,13 +1037,11 @@ fn process_job(job: Job, shared: &Shared) {
             let decoded = protocol::decode_request_body(protocol::OP_REGISTER, &body);
             match decoded {
                 Ok(Request::RegisterTable { name, table }) => {
-                    let registered = name.clone();
                     // Bind before matching, so the session lock is released
                     // before the reply is sent.
                     let result = shared.session().register_table(name, table);
                     match result {
-                        Ok(version) => {
-                            shared.set_version_hint(&registered, version);
+                        Ok(()) => {
                             job.reply.send_response(job.request_id, &Response::Ack);
                         }
                         Err(e) => {
@@ -1197,8 +1073,7 @@ fn process_job(job: Job, shared: &Shared) {
                     let appended = rows.num_rows() as u64;
                     let result = shared.session().append(&name, rows);
                     match result {
-                        Ok(out) => {
-                            shared.set_version_hint(&name, out.version);
+                        Ok(_) => {
                             let mut counters = shared.counters();
                             counters.appends += 1;
                             counters.appended_rows += appended;
@@ -1333,7 +1208,7 @@ fn run_sql(
 /// Stream one request's result tables as bounded chunks terminated by
 /// a `Finish` frame. Returns `false` if the connection died mid-stream
 /// (the rest of the result is abandoned).
-pub(crate) fn stream_results(
+fn stream_results(
     shared: &Shared,
     reply: &ReplyHandle,
     request_id: u64,
@@ -1394,7 +1269,7 @@ pub(crate) fn stream_results(
 /// session — and with it the materialized aggregate cache — is shared
 /// by every connection, one client's workload can be answered from
 /// supersets another client materialized moments earlier.
-pub(crate) fn run_workload(
+fn run_workload(
     shared: &Shared,
     table: &str,
     universe: &[String],
@@ -1430,7 +1305,7 @@ pub(crate) fn run_workload(
     ))
 }
 
-/// Render the server-wide stats JSON: admission/batching/streaming
+/// Render the server-wide stats JSON: admission/streaming
 /// counters, plan-cache statistics, materialized-aggregate-cache
 /// statistics, catalog-entry and connection counts, and the
 /// accumulated [`ExecMetrics`] (same field names as
@@ -1453,8 +1328,6 @@ fn stats_json(shared: &Shared) -> String {
         ("requests", counters.requests),
         ("busy_rejections", counters.busy_rejections),
         ("timeouts", counters.timeouts),
-        ("batches", counters.batches),
-        ("batched_queries", counters.batched_queries),
         ("appends", counters.appends),
         ("appended_rows", counters.appended_rows),
         ("sql_queries", counters.sql_queries),
@@ -1504,30 +1377,6 @@ mod tests {
         assert_eq!(stats_field(json, "timeouts"), Some(0));
         assert_eq!(stats_field(json, "rows_scanned"), Some(34567));
         assert_eq!(stats_field(json, "absent"), None);
-    }
-
-    #[test]
-    fn version_hints_never_go_backwards() {
-        let shared = Shared {
-            session: Mutex::new(Session::builder().build().unwrap()),
-            counters: Mutex::new(Counters::default()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            workers_done: AtomicBool::new(false),
-            chunk_rows: 1,
-            chunk_bytes: 1024,
-            streamed_chunks: AtomicU64::new(0),
-            outbound_peak: Arc::new(AtomicU64::new(0)),
-            open_conns: AtomicU64::new(0),
-            version_hints: Mutex::new(HashMap::new()),
-        };
-        assert_eq!(shared.version_hint("t"), 0);
-        // Two racing appends whose workers report out of order.
-        shared.set_version_hint("t", 7);
-        shared.set_version_hint("t", 5);
-        assert_eq!(shared.version_hint("t"), 7);
-        shared.set_version_hint("t", 9);
-        assert_eq!(shared.version_hint("t"), 9);
-        assert_eq!(shared.version_hint("u"), 0);
     }
 
     #[test]

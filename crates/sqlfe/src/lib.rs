@@ -12,7 +12,7 @@
 //! ```
 //!
 //! a binder that resolves names against the engine's
-//! [`Catalog`](gbmqo_storage::Catalog) with byte-accurate error spans,
+//! [`gbmqo_storage::Catalog`] with byte-accurate error spans,
 //! and a lowering pass that emits GB-MQO workloads — applying the
 //! paper's §5 join-pushdown rewrite when grouping columns live on the
 //! fact side of a star join, and expanding CUBE/ROLLUP/GROUPING SETS

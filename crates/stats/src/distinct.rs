@@ -1,6 +1,6 @@
 //! Distinct-value estimation.
 //!
-//! The paper's cardinality cost model (§3.2.1) "assume[s] that known
+//! The paper's cardinality cost model (§3.2.1) "assume\[s\] that known
 //! techniques for estimating number of distinct values such as \[3\] may be
 //! used" — \[3\] being Haas, Naughton, Seshadri & Stokes, *Sampling-based
 //! estimation of the number of distinct values of an attribute*, VLDB 1995.

@@ -12,8 +12,6 @@
 //! * [`distinct`] — sampling-based distinct-value estimators (GEE,
 //!   Shlosser, first-order jackknife, and the Haas et al. hybrid the paper
 //!   cites as \[3\]), plus exact counting,
-//! * [`histogram`] — equi-depth histograms,
-//! * [`column_stats`] — per-column summaries,
 //! * [`store`] — a [`store::StatsStore`] caching per-column-set cardinality
 //!   estimates with creation-cost accounting (experiment §6.7 / Figure 12),
 //! * [`sketch`] — HyperLogLog distinct sketches maintained incrementally
@@ -27,22 +25,18 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod column_stats;
 pub mod distinct;
 pub mod error;
 pub mod freq;
-pub mod histogram;
 pub mod sample;
 pub mod sketch;
 pub mod source;
 pub mod store;
 
 pub use catalog::{SampleStats, StatsCatalog, TableStats};
-pub use column_stats::ColumnStats;
 pub use distinct::{exact_distinct, DistinctEstimator};
 pub use error::{Result, StatsError};
 pub use freq::FrequencyProfile;
-pub use histogram::EquiDepthHistogram;
 pub use sample::reservoir_sample;
 pub use sketch::{DistinctSketch, TableSketches};
 pub use source::{CardinalitySource, ExactSource, SampledSource};

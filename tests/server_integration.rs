@@ -1,5 +1,5 @@
 //! End-to-end tests of the TCP server: concurrent clients, admission
-//! control, deadlines, micro-batching, and graceful shutdown.
+//! control, deadlines, and graceful shutdown.
 
 use gbmqo_core::prelude::*;
 use gbmqo_exec::{sort_group_by, AggSpec, ExecMetrics};
@@ -51,7 +51,6 @@ fn sixteen_concurrent_clients_mixed_requests() {
         ServerConfig {
             workers: 4,
             queue_capacity: 256,
-            batch_window: Some(Duration::from_millis(2)),
             default_deadline: None,
             ..ServerConfig::default()
         },
@@ -82,7 +81,7 @@ fn sixteen_concurrent_clients_mixed_requests() {
                 barrier.wait();
                 client.ping().unwrap();
 
-                // a single query (goes through the batcher)
+                // a single query (a one-set workload on the worker queue)
                 let col = names[i % names.len()].as_str();
                 let result = client.query("r", &[col], 0).unwrap();
                 assert_result(&table, &[col], &result, "client query");
@@ -145,7 +144,6 @@ fn full_admission_queue_sheds_load_with_server_busy() {
         ServerConfig {
             workers: 1,
             queue_capacity: 2,
-            batch_window: None,
             default_deadline: None,
             ..ServerConfig::default()
         },
@@ -210,7 +208,6 @@ fn expired_deadline_times_out_and_drops_temps() {
         ServerConfig {
             workers: 1,
             queue_capacity: 16,
-            batch_window: None,
             default_deadline: None,
             ..ServerConfig::default()
         },
@@ -287,7 +284,6 @@ fn deadline_interrupts_a_sharded_near_unique_grouping() {
         ServerConfig {
             workers: 1,
             queue_capacity: 16,
-            batch_window: None,
             default_deadline: None,
             ..ServerConfig::default()
         },
@@ -322,133 +318,22 @@ fn deadline_interrupts_a_sharded_near_unique_grouping() {
     handle.shutdown();
 }
 
+/// Two pipelined queries ask for the same column *set* in different
+/// orders; each must get its columns back in the order it asked for.
 #[test]
-fn micro_batching_merges_concurrent_queries_into_one_plan() {
-    let cards = [6usize, 10, 15];
-    let table = modular_table(20_000, &cards);
-    let sets: [&str; 3] = ["c0", "c1", "c2"];
-
-    // Baseline: batching disabled, two clients issue three queries each.
-    let unbatched = {
-        let handle = serve(
-            table.clone(),
-            ServerConfig {
-                workers: 2,
-                queue_capacity: 64,
-                batch_window: None,
-                default_deadline: None,
-                ..ServerConfig::default()
-            },
-        );
-        let addr = handle.local_addr();
-        let barrier = Arc::new(Barrier::new(2));
-        let joins: Vec<_> = (0..2)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                thread::spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    barrier.wait();
-                    for set in sets {
-                        client.query("r", &[set], 0).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for j in joins {
-            j.join().unwrap();
-        }
-        let mut client = Client::connect(addr).unwrap();
-        let json = client.stats().unwrap();
-        let q = stats_field(&json, "queries_executed").unwrap();
-        drop(client);
-        handle.shutdown();
-        q
-    };
-
-    // Batched: same six queries inside one 300 ms window.
-    let (batched, batches, batched_queries) = {
-        let handle = serve(
-            table.clone(),
-            ServerConfig {
-                workers: 2,
-                queue_capacity: 64,
-                batch_window: Some(Duration::from_millis(300)),
-                default_deadline: None,
-                ..ServerConfig::default()
-            },
-        );
-        let addr = handle.local_addr();
-        let barrier = Arc::new(Barrier::new(2));
-        let table = Arc::new(table);
-        let joins: Vec<_> = (0..2)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let table = Arc::clone(&table);
-                thread::spawn(move || {
-                    let mut client = Client::connect(addr).unwrap();
-                    barrier.wait();
-                    // pipelined so all six queries land in one window
-                    let ids: Vec<u64> = sets
-                        .iter()
-                        .map(|s| client.send_query("r", &[s], 0).unwrap())
-                        .collect();
-                    for (set, id) in sets.iter().zip(ids) {
-                        match client.wait(id).unwrap() {
-                            gbmqo_server::Reply::Results(mut r) => {
-                                assert_eq!(r.len(), 1);
-                                let (_, got) = r.pop().unwrap();
-                                assert_result(&table, &[set], &got, "batched query");
-                            }
-                            other => panic!("unexpected reply: {other:?}"),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for j in joins {
-            j.join().unwrap();
-        }
-        let mut client = Client::connect(addr).unwrap();
-        let json = client.stats().unwrap();
-        let out = (
-            stats_field(&json, "queries_executed").unwrap(),
-            stats_field(&json, "batches").unwrap(),
-            stats_field(&json, "batched_queries").unwrap(),
-        );
-        drop(client);
-        handle.shutdown();
-        out
-    };
-
-    assert!(batches >= 1, "the batcher must have merged a window");
-    assert_eq!(batched_queries, 6, "all six queries went through batching");
-    assert!(
-        batched < unbatched,
-        "micro-batching must execute fewer queries: batched {batched} vs unbatched {unbatched}"
-    );
-    // Numbers land in EXPERIMENTS.md; print for easy refresh.
-    println!("micro-batching: unbatched={unbatched} batched={batched} batches={batches}");
-}
-
-/// Two constituents of one merged batch request the same column *set*
-/// in different orders; each must get its columns back in the order it
-/// asked for (the merged plan computes the set once, in one order).
-#[test]
-fn batched_results_preserve_each_clients_column_order() {
+fn query_results_keep_the_requested_column_order() {
     let table = modular_table(5_000, &[6, 10]);
     let handle = serve(
         table,
         ServerConfig {
             workers: 2,
             queue_capacity: 64,
-            batch_window: Some(Duration::from_millis(200)),
             default_deadline: None,
             ..ServerConfig::default()
         },
     );
     let addr = handle.local_addr();
     let mut client = Client::connect(addr).unwrap();
-    // Pipelined so both land in one batch window.
     let id_ab = client.send_query("r", &["c0", "c1"], 0).unwrap();
     let id_ba = client.send_query("r", &["c1", "c0"], 0).unwrap();
     for (id, want) in [(id_ab, ["c0", "c1"]), (id_ba, ["c1", "c0"])] {
@@ -502,7 +387,6 @@ fn graceful_shutdown_drains_and_rejects_new_requests() {
         ServerConfig {
             workers: 2,
             queue_capacity: 16,
-            batch_window: None,
             default_deadline: None,
             ..ServerConfig::default()
         },
