@@ -210,8 +210,12 @@ mod tests {
         // §5.1.1: push the selection below GROUPING SETS by materializing
         // the filtered relation once.
         let filtered = session
-            .engine_mut()
-            .run_filter("r", &Predicate::Ge("c".into(), Value::Int(2)))
+            .engine()
+            .run_filter(
+                "r",
+                &Predicate::Ge("c".into(), Value::Int(2)),
+                &mut gbmqo_exec::QueryCtx::default(),
+            )
             .unwrap();
         assert!(filtered.num_rows() < 120);
         session

@@ -73,11 +73,6 @@ impl WorkloadFingerprint {
         table_version.hash(&mut h);
         WorkloadFingerprint(h.finish())
     }
-
-    /// The raw 64-bit key.
-    pub fn as_u64(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Hit/miss/eviction counters of a [`PlanCache`].

@@ -20,7 +20,7 @@ use crate::physicalize::{Merge, PhysicalEdge, PhysicalPlan, Read};
 use crate::plan::{LogicalPlan, NodeKind, SubNode};
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
-use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery, Input};
+use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery, Input, QueryCtx};
 use gbmqo_storage::Table;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
@@ -57,7 +57,8 @@ pub fn plan_group_estimates(
 pub struct ExecutionReport {
     /// One result table per requested query.
     pub results: Vec<(ColSet, Table)>,
-    /// Work performed.
+    /// Work performed: the request's counters as the execution left
+    /// them ([`QueryCtx::metrics`]).
     pub metrics: ExecMetrics,
     /// Peak bytes held in materialized intermediates during execution.
     pub peak_temp_bytes: usize,
@@ -177,14 +178,15 @@ fn input_of(read: &Read, source: Option<ColSet>, live: &FxHashMap<u128, LiveTemp
 /// and so share its aggregate list), the rest as one batch on `threads`
 /// workers. Results come back in instance order.
 fn run_queries(
-    engine: &mut Engine,
+    engine: &Engine,
+    ctx: &mut QueryCtx,
     queries: Vec<GroupByQuery>,
     scans: &[Option<usize>],
     threads: usize,
 ) -> Result<Vec<Table>> {
     let mut shared: Vec<usize> = scans.iter().flatten().copied().collect();
     if shared.is_empty() {
-        return Ok(engine.run_group_bys_parallel(&queries, threads)?);
+        return Ok(engine.run_group_bys_parallel(&queries, threads, ctx)?);
     }
     shared.sort_unstable();
     shared.dedup();
@@ -201,14 +203,14 @@ fn run_queries(
             .collect();
         let first = &queries[members[0]];
         let tables =
-            engine.run_shared_group_bys(&first.input, &groupings, &first.aggs, &estimates)?;
+            engine.run_shared_group_bys(&first.input, &groupings, &first.aggs, &estimates, ctx)?;
         for (i, t) in members.into_iter().zip(tables) {
             out[i] = Some(t);
         }
     }
     let solo: Vec<usize> = (0..scans.len()).filter(|&i| scans[i].is_none()).collect();
     let solo_queries: Vec<GroupByQuery> = solo.iter().map(|&i| queries[i].clone()).collect();
-    let tables = engine.run_group_bys_parallel(&solo_queries, threads)?;
+    let tables = engine.run_group_bys_parallel(&solo_queries, threads, ctx)?;
     for (i, t) in solo.into_iter().zip(tables) {
         out[i] = Some(t);
     }
@@ -225,16 +227,17 @@ fn run_queries(
 /// — where §4.4's schedule drops it, or earlier. What is left to run
 /// time is what only running shows: reader counts, the observed group
 /// counts, cancellation, and the size of a re-aggregation the plan has
-/// no estimate for, taken from its input's rows. Results and metric
+/// no estimate for, taken from its input's rows. Work is charged to
+/// `ctx`, whose token is polled between waves. Results and metric
 /// counters (other than elapsed time) are the same for every wave order
 /// and thread budget up to row order.
 pub(crate) fn execute_plan(
     physical: PhysicalPlan,
     workload: &Workload,
-    engine: &mut Engine,
+    engine: &Engine,
+    ctx: &mut QueryCtx,
     hooks: &mut CacheHooks,
 ) -> Result<ExecutionReport> {
-    engine.reset_metrics();
     // The workload's aggregates re-aggregated (`SUM(cnt)`-style): what
     // any input other than the base relation is read with.
     let reagg: Vec<AggSpec> = workload
@@ -253,10 +256,12 @@ pub(crate) fn execute_plan(
     }
 
     let mut results: Vec<(ColSet, Table)> = Vec::new();
-    let mut extra = ExecMetrics::new();
     // Shard fan-out and skew are plan-independent facts of the layout.
-    extra.shards = physical.shard_rows.len() as u64;
-    extra.shard_skew = shard_skew(&physical.shard_rows);
+    ctx.metrics += ExecMetrics {
+        shards: physical.shard_rows.len() as u64,
+        shard_skew: shard_skew(&physical.shard_rows),
+        ..ExecMetrics::new()
+    };
     let mut live: FxHashMap<u128, LiveTemp> = FxHashMap::default();
     // Bytes held by live intermediates and their high-water mark: the
     // quantity §4.4's `Storage(u)` recursion minimizes.
@@ -265,7 +270,7 @@ pub(crate) fn execute_plan(
     for wave in &physical.waves {
         // Cancellation boundary between waves: small queries never poll
         // internally, so the interpreter polls for them.
-        engine.check_cancelled()?;
+        ctx.check_cancelled()?;
         let (batch, lattices): (Vec<&PhysicalEdge>, Vec<&PhysicalEdge>) =
             wave.iter().partition(|e| e.edge.kind == NodeKind::GroupBy);
 
@@ -287,7 +292,7 @@ pub(crate) fn execute_plan(
                     _ => (reagg.clone(), e.groups.or(Some(rows))),
                 };
                 if let Read::Shard(_) = read {
-                    extra.shard_rows += rows;
+                    ctx.metrics.shard_rows += rows;
                 }
                 queries.push(GroupByQuery {
                     input,
@@ -299,7 +304,7 @@ pub(crate) fn execute_plan(
                 input_rows.push(rows);
             }
         }
-        let tables = run_queries(engine, queries, &scans, physical.threads)?;
+        let tables = run_queries(engine, ctx, queries, &scans, physical.threads)?;
         let mut outputs = input_rows.into_iter().zip(tables);
 
         for e in &batch {
@@ -318,14 +323,14 @@ pub(crate) fn execute_plan(
                 Merge::Concat => Some(Table::concat(&parts.iter().collect::<Vec<_>>())?),
                 Merge::Reaggregate => {
                     let combined = Table::concat(&parts.iter().collect::<Vec<_>>())?;
-                    extra.merge_rows += combined.num_rows() as u64;
+                    ctx.metrics.merge_rows += combined.num_rows() as u64;
                     let cols: Vec<usize> = workload
                         .col_names(edge.target)
                         .iter()
                         .map(|n| combined.schema().index_of(n))
                         .collect::<gbmqo_storage::Result<_>>()?;
                     let groups = e.groups.or(Some(combined.num_rows() as u64));
-                    Some(engine.aggregate_table(&combined, &cols, &reagg, groups)?)
+                    Some(engine.aggregate_table(&combined, &cols, &reagg, groups, ctx)?)
                 }
             };
             if let Some(table) = whole {
@@ -335,7 +340,7 @@ pub(crate) fn execute_plan(
                 }
             }
             if edge.materialize {
-                parts.iter().for_each(|part| engine.materialize(part));
+                parts.iter().for_each(|part| engine.materialize(part, ctx));
                 temp_bytes += parts.iter().map(Table::byte_size).sum::<usize>();
                 peak_temp_bytes = peak_temp_bytes.max(temp_bytes);
                 live.insert(
@@ -369,8 +374,8 @@ pub(crate) fn execute_plan(
                     let parts = &live[&source.0].parts;
                     let combined =
                         Table::concat(&parts.iter().map(Arc::as_ref).collect::<Vec<_>>())?;
-                    extra.merge_rows += combined.num_rows() as u64;
-                    engine.materialize(&combined);
+                    ctx.metrics.merge_rows += combined.num_rows() as u64;
+                    engine.materialize(&combined, ctx);
                     let bytes = combined.byte_size();
                     temp_bytes += bytes;
                     peak_temp_bytes = peak_temp_bytes.max(temp_bytes);
@@ -378,7 +383,7 @@ pub(crate) fn execute_plan(
                 }
             };
             let in_rows = input_rows_of(engine, &input);
-            let delivered = run_lattice(node, &input, workload, engine, &aggs, &mut extra)?;
+            let delivered = run_lattice(node, &input, workload, engine, ctx, &aggs)?;
             // The descent materializes each delivered level as a complete
             // whole-table aggregate, so every one is an observation.
             for (cols, table) in &delivered {
@@ -412,11 +417,9 @@ pub(crate) fn execute_plan(
     }
     debug_assert!(live.is_empty(), "intermediates outlived their readers");
 
-    let mut metrics = engine.metrics();
-    metrics += extra;
     Ok(ExecutionReport {
         results,
-        metrics,
+        metrics: ctx.metrics,
         peak_temp_bytes,
         physical,
     })
@@ -465,9 +468,9 @@ fn run_lattice(
     node: &SubNode,
     input: &Input,
     workload: &Workload,
-    engine: &mut Engine,
+    engine: &Engine,
+    ctx: &mut QueryCtx,
     aggs: &[AggSpec],
-    extra: &mut ExecMetrics,
 ) -> Result<Vec<(ColSet, Table)>> {
     let bits: Vec<usize> = match node.kind {
         NodeKind::Rollup => rollup_order(node),
@@ -486,7 +489,7 @@ fn run_lattice(
     let delivered = if node.kind == NodeKind::Rollup {
         // Level i groups by bits[.. len - i], and every child is such a
         // prefix.
-        let levels = rollup(engine, &table, &cols, aggs)?;
+        let levels = rollup(engine, &table, &cols, aggs, ctx)?;
         wanted
             .map(|set| {
                 debug_assert_eq!(ColSet::from_cols(bits[..set.len()].iter().copied()), set);
@@ -495,7 +498,7 @@ fn run_lattice(
             .collect()
     } else {
         // Bit i of a subset's mask selects bits[i].
-        let subsets = cube(engine, &table, &cols, aggs)?;
+        let subsets = cube(engine, &table, &cols, aggs, ctx)?;
         wanted
             .map(|set| {
                 let mask = (0..bits.len())
@@ -509,7 +512,7 @@ fn run_lattice(
             })
             .collect()
     };
-    extra.queries_executed += 1;
+    ctx.metrics.queries_executed += 1;
     Ok(delivered)
 }
 
@@ -569,20 +572,30 @@ mod tests {
     fn run(
         plan: &LogicalPlan,
         w: &Workload,
-        engine: &mut Engine,
+        engine: &Engine,
         order: Order,
     ) -> Result<ExecutionReport> {
         let estimates = GroupEstimates::default();
-        run_with(plan, w, engine, order, &estimates, RootSources::default())
+        let mut ctx = QueryCtx::default();
+        run_with(
+            plan,
+            w,
+            engine,
+            order,
+            &estimates,
+            RootSources::default(),
+            &mut ctx,
+        )
     }
 
     fn run_with(
         plan: &LogicalPlan,
         w: &Workload,
-        engine: &mut Engine,
+        engine: &Engine,
         order: Order,
         estimates: &GroupEstimates,
         roots: RootSources,
+        ctx: &mut QueryCtx,
     ) -> Result<ExecutionReport> {
         let (mode, threads) = match order {
             Order::Serial => (ExecutionMode::ClientSide, 1),
@@ -592,14 +605,14 @@ mod tests {
         let layout = Layout::of(engine.catalog(), w, roots);
         let run = Run { mode, threads };
         let physical = physicalize(plan, w, estimates, &layout, run, &mut |_| 1.0)?;
-        execute_plan(physical, w, engine, &mut CacheHooks::default())
+        execute_plan(physical, w, engine, ctx, &mut CacheHooks::default())
     }
 
     /// Run the one-leaf plan for `w`'s single request with the
     /// optimizer's estimate `groups` for it, if any.
     fn run_leaf(
         w: &Workload,
-        engine: &mut Engine,
+        engine: &Engine,
         order: Order,
         groups: Option<u64>,
         roots: RootSources,
@@ -609,10 +622,11 @@ mod tests {
             subplans: vec![SubNode::leaf(cols)],
         };
         let estimates: GroupEstimates = groups.map(|g| (cols.0, g)).into_iter().collect();
-        run_with(&plan, w, engine, order, &estimates, roots).unwrap()
+        let mut ctx = QueryCtx::default();
+        run_with(&plan, w, engine, order, &estimates, roots, &mut ctx).unwrap()
     }
 
-    fn run_serial(plan: &LogicalPlan, w: &Workload, engine: &mut Engine) -> ExecutionReport {
+    fn run_serial(plan: &LogicalPlan, w: &Workload, engine: &Engine) -> ExecutionReport {
         run(plan, w, engine, Order::Serial).unwrap()
     }
 
@@ -645,9 +659,9 @@ mod tests {
 
     #[test]
     fn naive_plan_produces_all_results() {
-        let (mut engine, w) = setup();
+        let (engine, w) = setup();
         let plan = LogicalPlan::naive(&w);
-        let report = run_serial(&plan, &w, &mut engine);
+        let report = run_serial(&plan, &w, &engine);
         assert_eq!(report.results.len(), 3);
         assert_eq!(report.peak_temp_bytes, 0);
         // counts of (a): 3 groups of 20
@@ -678,9 +692,9 @@ mod tests {
 
     #[test]
     fn merged_plan_matches_naive_results() {
-        let (mut engine, w) = setup();
-        let nr = run_serial(&LogicalPlan::naive(&w), &w, &mut engine);
-        let mr = run_serial(&merged_plan(), &w, &mut engine);
+        let (engine, w) = setup();
+        let nr = run_serial(&LogicalPlan::naive(&w), &w, &engine);
+        let mr = run_serial(&merged_plan(), &w, &engine);
         assert!(mr.peak_temp_bytes > 0);
         assert_same(&nr, &mr, "merged vs naive");
     }
@@ -710,28 +724,28 @@ mod tests {
 
     #[test]
     fn rollup_node_delivers_chain_results() {
-        let (mut engine, _) = setup();
+        let (engine, _) = setup();
         let (w, plan) = rollup_case(&engine);
-        let report = run_serial(&plan, &w, &mut engine);
+        let report = run_serial(&plan, &w, &engine);
         assert_eq!(report.results.len(), 3);
-        let naive = run_serial(&LogicalPlan::naive(&w), &w, &mut engine);
+        let naive = run_serial(&LogicalPlan::naive(&w), &w, &engine);
         assert_same(&naive, &report, "rollup vs naive");
     }
 
     #[test]
     fn every_order_handles_rollup_nodes() {
-        let (mut engine, _) = setup();
+        let (engine, _) = setup();
         let (w, plan) = rollup_case(&engine);
-        let serial = run_serial(&plan, &w, &mut engine);
+        let serial = run_serial(&plan, &w, &engine);
         for order in ORDERS {
-            let report = run(&plan, &w, &mut engine, order).unwrap();
+            let report = run(&plan, &w, &engine, order).unwrap();
             assert_same(&serial, &report, &format!("rollup under {order:?}"));
         }
     }
 
     #[test]
     fn cube_node_delivers_subset_results() {
-        let (mut engine, _) = setup();
+        let (engine, _) = setup();
         let w = Workload::new(
             "r",
             engine.catalog().table("r").unwrap(),
@@ -750,8 +764,8 @@ mod tests {
                 ],
             }],
         };
-        let report = run_serial(&plan, &w, &mut engine);
-        let naive = run_serial(&LogicalPlan::naive(&w), &w, &mut engine);
+        let report = run_serial(&plan, &w, &engine);
+        let naive = run_serial(&LogicalPlan::naive(&w), &w, &engine);
         assert_same(&naive, &report, "cube vs naive");
     }
 
@@ -781,9 +795,9 @@ mod tests {
     #[test]
     fn deep_plans_reaggregate_transitively() {
         // checks SUM(cnt) chains
-        let (mut engine, _) = setup();
+        let (engine, _) = setup();
         let (w, plan) = deep_case(&engine);
-        let report = run_serial(&plan, &w, &mut engine);
+        let report = run_serial(&plan, &w, &engine);
         let (_, ta) = report
             .results
             .iter()
@@ -797,22 +811,22 @@ mod tests {
 
     #[test]
     fn invalid_plan_is_rejected_before_execution() {
-        let (mut engine, w) = setup();
+        let (engine, w) = setup();
         let bad = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(0))],
         };
         for order in ORDERS {
-            assert!(run(&bad, &w, &mut engine, order).is_err());
+            assert!(run(&bad, &w, &engine, order).is_err());
         }
     }
 
     #[test]
     fn every_order_matches_serial() {
-        let (mut engine, w) = setup();
+        let (engine, w) = setup();
         let plan = merged_plan();
-        let sr = run_serial(&plan, &w, &mut engine);
+        let sr = run_serial(&plan, &w, &engine);
         for order in ORDERS {
-            let pr = run(&plan, &w, &mut engine, order).unwrap();
+            let pr = run(&plan, &w, &engine, order).unwrap();
             assert_same(&sr, &pr, &format!("{order:?} vs serial"));
             assert_eq!(pr.metrics.queries_executed, sr.metrics.queries_executed);
             match order {
@@ -828,7 +842,7 @@ mod tests {
     fn fused_groupings_are_sized_from_their_estimates() {
         let (mut engine, w) = setup();
         let plan = merged_plan();
-        let client = run_serial(&plan, &w, &mut engine);
+        let client = run_serial(&plan, &w, &engine);
         // Every node's true group count: (a, b) 6, a 3, b 6, c 4.
         let estimates: GroupEstimates = [
             (ColSet::from_cols([0, 1]), 6),
@@ -840,12 +854,22 @@ mod tests {
         .map(|(cols, groups)| (cols.0, groups))
         .collect();
         let roots = RootSources::default();
-        let server = run_with(&plan, &w, &mut engine, Order::Fused, &estimates, roots).unwrap();
+        let mut ctx = QueryCtx::default();
+        let server = run_with(
+            &plan,
+            &w,
+            &engine,
+            Order::Fused,
+            &estimates,
+            roots,
+            &mut ctx,
+        )
+        .unwrap();
         assert_same(&client, &server, "fused with estimates vs serial");
         assert_eq!(server.metrics.hash_resizes, 0, "{:?}", server.metrics);
         // Every grouping here has a domain of at most 32 codes, addressed
         // directly: without estimates nothing grows either.
-        let unsized_run = run(&plan, &w, &mut engine, Order::Fused).unwrap();
+        let unsized_run = run(&plan, &w, &engine, Order::Fused).unwrap();
         assert_eq!(unsized_run.metrics.hash_resizes, 0);
         // A `c` of 60 values spread over 2^16 codes is hashed: without an
         // estimate its base-scan table starts empty and grows.
@@ -853,7 +877,7 @@ mod tests {
         wide[2] = Column::from_i64((0..60).map(|i| i * 1_000).collect());
         let wide = Table::new(base_table().schema().clone(), wide).unwrap();
         engine.catalog_mut().replace("r", wide).unwrap();
-        let unsized_run = run(&plan, &w, &mut engine, Order::Fused).unwrap();
+        let unsized_run = run(&plan, &w, &engine, Order::Fused).unwrap();
         assert!(unsized_run.metrics.hash_resizes > 0);
     }
 
@@ -871,25 +895,28 @@ mod tests {
     #[test]
     fn cancelled_run_leaves_the_catalog_unchanged() {
         for shards in [0, 2] {
-            let mut engine = sharded_engine(shards);
+            let engine = sharded_engine(shards);
             let w = Workload::single_columns("r", &base_table(), &["a", "b", "c"]).unwrap();
             let plan = merged_plan();
             let before = catalog_state(&engine);
             for order in ORDERS {
                 let token = gbmqo_exec::CancelToken::new();
                 token.cancel();
-                engine.set_cancel_token(Some(token));
-                let err = run(&plan, &w, &mut engine, order).unwrap_err();
+                let mut ctx = QueryCtx {
+                    cancel: Some(token),
+                    ..QueryCtx::default()
+                };
+                let (est, roots) = (GroupEstimates::default(), RootSources::default());
+                let err = run_with(&plan, &w, &engine, order, &est, roots, &mut ctx).unwrap_err();
                 assert!(matches!(
                     err,
                     CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
                 ));
-                engine.set_cancel_token(None);
                 assert_eq!(catalog_state(&engine), before, "{shards} shards, {order:?}");
             }
-            // With the token detached the same plan runs to completion,
-            // and a finished run leaves the catalog as it found it too.
-            assert_eq!(run_serial(&plan, &w, &mut engine).results.len(), 3);
+            // Without a token the same plan runs to completion, and a
+            // finished run leaves the catalog as it found it too.
+            assert_eq!(run_serial(&plan, &w, &engine).results.len(), 3);
             assert_eq!(catalog_state(&engine), before);
         }
     }
@@ -903,14 +930,14 @@ mod tests {
 
     #[test]
     fn sharded_execution_matches_unsharded() {
-        let (mut plain, w) = setup();
+        let (plain, w) = setup();
         let plan = merged_plan();
-        let sr = run_serial(&plan, &w, &mut plain);
+        let sr = run_serial(&plan, &w, &plain);
         assert_eq!(sr.metrics.shards, 0, "an unsharded table reports no shards");
         for shards in [2u32, 4] {
-            let mut engine = sharded_engine(shards);
+            let engine = sharded_engine(shards);
             for order in ORDERS {
-                let report = run(&plan, &w, &mut engine, order).unwrap();
+                let report = run(&plan, &w, &engine, order).unwrap();
                 assert_same(&sr, &report, &format!("{shards} shards, {order:?}"));
                 assert_eq!(report.metrics.shards, u64::from(shards));
                 // Two base-reading edges ((a,b) and c), 60 rows each.
@@ -922,7 +949,7 @@ mod tests {
 
     #[test]
     fn sharded_merge_elides_reaggregation_when_key_is_covered() {
-        let mut engine = sharded_engine(4);
+        let engine = sharded_engine(4);
         let t = base_table();
         let order = Order::Leveled { threads: 2 };
 
@@ -931,7 +958,7 @@ mod tests {
         let plan = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(0))],
         };
-        let report = run(&plan, &w, &mut engine, order).unwrap();
+        let report = run(&plan, &w, &engine, order).unwrap();
         assert_eq!(
             report.metrics.merge_rows, 0,
             "covered key must elide the merge"
@@ -944,7 +971,7 @@ mod tests {
         let plan2 = LogicalPlan {
             subplans: vec![SubNode::leaf(ColSet::single(1))],
         };
-        let report2 = run(&plan2, &w2, &mut engine, order).unwrap();
+        let report2 = run(&plan2, &w2, &engine, order).unwrap();
         assert!(
             report2.metrics.merge_rows > 0,
             "uncovered key must re-aggregate"
@@ -989,12 +1016,12 @@ mod tests {
 
     #[test]
     fn base_edges_fan_out_only_where_partials_reduce() {
-        let (mut plain, mut sharded) = priced_engines();
+        let (plain, sharded) = priced_engines();
         for order in ORDERS {
-            let mut run = |col: &str, groups: Option<u64>| {
+            let run = |col: &str, groups: Option<u64>| {
                 let w = leaf_workload(col);
-                let expected = run_leaf(&w, &mut plain, order, groups, RootSources::default());
-                let got = run_leaf(&w, &mut sharded, order, groups, RootSources::default());
+                let expected = run_leaf(&w, &plain, order, groups, RootSources::default());
+                let got = run_leaf(&w, &sharded, order, groups, RootSources::default());
                 assert_same(
                     &expected,
                     &got,
@@ -1030,7 +1057,7 @@ mod tests {
 
     #[test]
     fn pinned_shard_partial_keeps_its_edge_fanned_out() {
-        let (mut plain, mut sharded) = priced_engines();
+        let (plain, sharded) = priced_engines();
         let w = leaf_workload("u");
         // One non-empty shard's partial of (u), as the aggregate cache
         // would pin it (three key values leave a fourth shard empty).
@@ -1047,15 +1074,18 @@ mod tests {
             .unwrap();
         let partial = Arc::new(
             sharded
-                .run_group_by(&GroupByQuery::count_star(&shard, &["u"]))
+                .run_group_by(
+                    &GroupByQuery::count_star(&shard, &["u"]),
+                    &mut QueryCtx::default(),
+                )
                 .unwrap(),
         );
         for order in ORDERS {
-            let expected = run_leaf(&w, &mut plain, order, Some(60), RootSources::default());
+            let expected = run_leaf(&w, &plain, order, Some(60), RootSources::default());
             let roots: RootSources = [((w.requests[0].0, slot), Arc::clone(&partial))]
                 .into_iter()
                 .collect();
-            let got = run_leaf(&w, &mut sharded, order, Some(60), roots);
+            let got = run_leaf(&w, &sharded, order, Some(60), roots);
             assert_same(&expected, &got, &format!("pinned shard under {order:?}"));
             // Near-unique, so unpinned it would be one logical query; the
             // pin makes it four, and the pinned shard is not rescanned.

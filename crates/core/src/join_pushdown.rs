@@ -19,21 +19,20 @@ use crate::greedy::{GbMqo, SearchConfig};
 use crate::physicalize::{physicalize, Layout, Run};
 use crate::workload::Workload;
 use gbmqo_cost::CardinalityCostModel;
-use gbmqo_exec::{filter, union_all_tagged, AggSpec, Engine, ExecMetrics, Input, Predicate};
+use gbmqo_exec::{filter, union_all_tagged, AggSpec, Engine, Input, Predicate, QueryCtx};
 use gbmqo_stats::ExactSource;
 use gbmqo_storage::{Table, Value};
 use std::sync::Arc;
 
 /// Result of a pushed-down GROUPING SETS over a join: one table per
-/// requested grouping set, tagged by the request's column list.
+/// requested grouping set, tagged by the request's column list. The
+/// work performed is in the caller's [`QueryCtx`].
 #[derive(Debug)]
 pub struct JoinGroupingSets {
     /// `(tag, result)` pairs, tag = comma-joined column names.
     pub results: Vec<(String, Table)>,
     /// The tagged union-all below the join (diagnostics; §5.1.1 Figure 8).
     pub tagged_union_rows: usize,
-    /// Work performed.
-    pub metrics: ExecMetrics,
 }
 
 /// One dimension of a star join: `fact.fact_key = table.dim_key`, with
@@ -65,11 +64,12 @@ fn fact_layout(engine: &Engine, workload: &Workload, filtered: Option<Arc<Table>
 /// `Join(left, right)` on `left.join_col = right.join_col`, using the
 /// GB-MQO optimizer for the pushed-down Group Bys.
 pub fn grouping_sets_over_join(
-    engine: &mut Engine,
+    engine: &Engine,
     left: &str,
     right: &str,
     join_col: &str,
     requests: &[Vec<&str>],
+    ctx: &mut QueryCtx,
 ) -> Result<JoinGroupingSets> {
     let dim = StarDim {
         table: right.to_string(),
@@ -77,7 +77,8 @@ pub fn grouping_sets_over_join(
         dim_key: join_col.to_string(),
         filter: None,
     };
-    grouping_sets_over_star(engine, left, &[dim], requests, None, &[AggSpec::count()])
+    let count = [AggSpec::count()];
+    grouping_sets_over_star(engine, left, &[dim], requests, None, &count, ctx)
 }
 
 /// The §5.1.1 rewrite generalized to a star: GROUPING SETS `requests`
@@ -94,23 +95,24 @@ pub fn grouping_sets_over_join(
 /// `aggregates` are the per-set aggregates; over a non-empty `dims` list
 /// they must all re-aggregate losslessly through the join (COUNT/SUM —
 /// the callers' binder enforces COUNT-only), and the final aggregation
-/// applies [`AggSpec::reaggregate`] to each.
+/// applies [`AggSpec::reaggregate`] to each. Every step's work is
+/// charged to `ctx`.
 pub fn grouping_sets_over_star(
-    engine: &mut Engine,
+    engine: &Engine,
     fact: &str,
     dims: &[StarDim],
     requests: &[Vec<&str>],
     fact_filter: Option<&Predicate>,
     aggregates: &[AggSpec],
+    ctx: &mut QueryCtx,
 ) -> Result<JoinGroupingSets> {
     // Resolve and validate every dimension before the fact is touched.
     // Arc clones, not deep copies of the tables' columns.
     let mut dim_tables: Vec<Table> = Vec::with_capacity(dims.len());
     for dim in dims {
         let table = engine.catalog().table_arc(&dim.table)?;
-        let mut m = ExecMetrics::new();
         let table = match &dim.filter {
-            Some(pred) => filter(&table, pred, &mut m)?,
+            Some(pred) => filter(&table, pred, &mut ctx.metrics)?,
             None => (*table).clone(),
         };
         let dim_key = table
@@ -118,7 +120,7 @@ pub fn grouping_sets_over_star(
             .index_of(&dim.dim_key)
             .map_err(CoreError::Storage)?;
         // Key requirement on every dimension (see module docs).
-        let keys = engine.aggregate_table(&table, &[dim_key], &[AggSpec::count()], None)?;
+        let keys = engine.aggregate_table(&table, &[dim_key], &[AggSpec::count()], None, ctx)?;
         if keys.num_rows() != table.num_rows() {
             return Err(CoreError::InvalidWorkload(format!(
                 "join column {} is not a key of {}",
@@ -133,8 +135,8 @@ pub fn grouping_sets_over_star(
     // workload as its base relation.
     let filtered = match fact_filter {
         Some(pred) => {
-            let filtered = engine.run_filter(fact, pred)?;
-            engine.materialize(&filtered);
+            let filtered = engine.run_filter(fact, pred, ctx)?;
+            engine.materialize(&filtered, ctx);
             Some(Arc::new(filtered))
         }
         None => None,
@@ -179,8 +181,7 @@ pub fn grouping_sets_over_star(
     let layout = fact_layout(engine, &workload, filtered);
     let est = Default::default();
     let physical = physicalize(&plan, &workload, &est, &layout, Run::SERIAL, &mut |_| 1.0)?;
-    let report = execute_plan(physical, &workload, engine, &mut Default::default())?;
-    let mut metrics = report.metrics;
+    let report = execute_plan(physical, &workload, engine, ctx, &mut Default::default())?;
 
     let tag_of = |req: &Vec<&str>| req.join(",");
     let find_result = |pushed_req: &Vec<&str>| {
@@ -206,7 +207,6 @@ pub fn grouping_sets_over_star(
         return Ok(JoinGroupingSets {
             results,
             tagged_union_rows: 0,
-            metrics,
         });
     }
 
@@ -216,7 +216,7 @@ pub fn grouping_sets_over_star(
         tagged.push((tag_of(req), find_result(pushed_req)));
     }
     let tagged_refs: Vec<(&str, &Table)> = tagged.iter().map(|(t, tb)| (t.as_str(), *tb)).collect();
-    let union = union_all_tagged(&tagged_refs, "grp_tag", &mut metrics)?;
+    let union = union_all_tagged(&tagged_refs, "grp_tag", &mut ctx.metrics)?;
     let tagged_union_rows = union.num_rows();
 
     // One join per dimension (each a key join, so row counts only drop).
@@ -230,37 +230,37 @@ pub fn grouping_sets_over_star(
             .schema()
             .index_of(&dim.dim_key)
             .map_err(CoreError::Storage)?;
-        joined =
-            gbmqo_exec::hash_join(&joined, dim_table, &[left_key], &[right_key], &mut metrics)?;
+        joined = gbmqo_exec::hash_join(
+            &joined,
+            dim_table,
+            &[left_key],
+            &[right_key],
+            &mut ctx.metrics,
+        )?;
     }
 
     // Final per-set aggregation above the joins, filtered by Grp-Tag.
     // Each aggregate re-aggregates from its pushed-down partial.
-    // They run in the engine, whose counters `report.metrics` already
-    // holds up to here: count from zero and add the difference.
     let final_aggs: Vec<AggSpec> = aggregates.iter().map(AggSpec::reaggregate).collect();
     let mut results = Vec::with_capacity(requests.len());
-    engine.reset_metrics();
     for req in requests {
         let tag = tag_of(req);
         let relevant = filter(
             &joined,
             &Predicate::Eq("grp_tag".into(), Value::str(&tag)),
-            &mut metrics,
+            &mut ctx.metrics,
         )?;
         let cols: Vec<usize> = req
             .iter()
             .map(|c| relevant.schema().index_of(c))
             .collect::<gbmqo_storage::Result<_>>()?;
-        let out = engine.aggregate_table(&relevant, &cols, &final_aggs, None)?;
+        let out = engine.aggregate_table(&relevant, &cols, &final_aggs, None, ctx)?;
         results.push((tag, out));
     }
-    metrics += engine.metrics();
 
     Ok(JoinGroupingSets {
         results,
         tagged_union_rows,
-        metrics,
     })
 }
 
@@ -268,7 +268,7 @@ pub fn grouping_sets_over_star(
 mod tests {
     use super::*;
     use crate::physicalize::Read;
-    use gbmqo_exec::sort_group_by;
+    use gbmqo_exec::{sort_group_by, ExecMetrics};
     use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, TableBuilder};
 
     fn setup() -> Engine {
@@ -321,13 +321,14 @@ mod tests {
 
     #[test]
     fn pushdown_matches_join_then_group() {
-        let mut engine = setup();
+        let engine = setup();
         let out = grouping_sets_over_join(
-            &mut engine,
+            &engine,
             "r",
             "s",
             "a",
             &[vec!["b"], vec!["c"], vec!["b", "c"]],
+            &mut QueryCtx::default(),
         )
         .unwrap();
         assert_eq!(out.results.len(), 3);
@@ -351,16 +352,31 @@ mod tests {
 
     #[test]
     fn non_key_join_column_rejected() {
-        let mut engine = setup();
+        let engine = setup();
         // use r as both sides: r.a is not unique
-        let err = grouping_sets_over_join(&mut engine, "r", "r", "a", &[vec!["b"]]);
+        let err = grouping_sets_over_join(
+            &engine,
+            "r",
+            "r",
+            "a",
+            &[vec!["b"]],
+            &mut QueryCtx::default(),
+        );
         assert!(matches!(err, Err(CoreError::InvalidWorkload(_))));
     }
 
     #[test]
     fn missing_tables_error() {
-        let mut engine = setup();
-        assert!(grouping_sets_over_join(&mut engine, "ghost", "s", "a", &[vec!["b"]]).is_err());
+        let engine = setup();
+        assert!(grouping_sets_over_join(
+            &engine,
+            "ghost",
+            "s",
+            "a",
+            &[vec!["b"]],
+            &mut QueryCtx::default()
+        )
+        .is_err());
     }
 
     /// R(a, b, c) fact plus two keyed dimensions S(a, s) and D(b, d).
@@ -402,14 +418,15 @@ mod tests {
 
     #[test]
     fn two_dim_star_matches_join_then_group() {
-        let mut engine = star_setup();
+        let engine = star_setup();
         let out = grouping_sets_over_star(
-            &mut engine,
+            &engine,
             "r",
             &star_dims(),
             &[vec!["c"], vec!["a", "c"]],
             None,
             &[AggSpec::count()],
+            &mut QueryCtx::default(),
         )
         .unwrap();
         assert_eq!(out.results.len(), 2);
@@ -434,15 +451,16 @@ mod tests {
 
     #[test]
     fn fact_filter_pushes_below_the_joins() {
-        let mut engine = star_setup();
+        let engine = star_setup();
         let pred = Predicate::Eq("c".into(), Value::Int(1));
         let out = grouping_sets_over_star(
-            &mut engine,
+            &engine,
             "r",
             &star_dims(),
             &[vec!["b"]],
             Some(&pred),
             &[AggSpec::count()],
+            &mut QueryCtx::default(),
         )
         .unwrap();
 
@@ -463,7 +481,7 @@ mod tests {
 
     #[test]
     fn dim_filter_applies_before_the_join() {
-        let mut engine = star_setup();
+        let engine = star_setup();
         let dims = vec![StarDim {
             table: "s".into(),
             fact_key: "a".into(),
@@ -471,12 +489,13 @@ mod tests {
             filter: Some(Predicate::Eq("s".into(), Value::str("dim1"))),
         }];
         let out = grouping_sets_over_star(
-            &mut engine,
+            &engine,
             "r",
             &dims,
             &[vec!["b"]],
             None,
             &[AggSpec::count()],
+            &mut QueryCtx::default(),
         )
         .unwrap();
         // Only fact rows with a = 1 survive the keyed inner join: 30 of
@@ -489,15 +508,16 @@ mod tests {
 
     #[test]
     fn zero_dims_is_plain_grouping_sets_with_filter() {
-        let mut engine = star_setup();
+        let engine = star_setup();
         let pred = Predicate::Ge("c".into(), Value::Int(1));
         let out = grouping_sets_over_star(
-            &mut engine,
+            &engine,
             "r",
             &[],
             &[vec!["a"], vec!["a", "b"]],
             Some(&pred),
             &[AggSpec::count()],
+            &mut QueryCtx::default(),
         )
         .unwrap();
         assert_eq!(out.results.len(), 2);

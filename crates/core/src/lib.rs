@@ -106,7 +106,7 @@ pub use error::{CoreError, Result};
 pub use executor::{plan_group_estimates, ExecutionReport, GroupEstimates};
 pub use exhaustive::optimal_plan;
 pub use explain::{explain, render_explain, ExplainedEdge};
-pub use gbmqo_exec::CancelToken;
+pub use gbmqo_exec::{CancelToken, QueryCtx};
 pub use gbmqo_matcache::{CacheControl, MatCacheStats};
 pub use greedy::{GbMqo, SearchConfig, SearchStats};
 pub use grouping_sets::{grouping_sets_plan, BaselineKind};
@@ -135,6 +135,6 @@ pub mod prelude {
         Stats, WorkloadOutcome, DEFAULT_MAX_DELTA_FRACTION, RESHARD_SKEW_THRESHOLD,
     };
     pub use crate::workload::Workload;
-    pub use gbmqo_exec::CancelToken;
+    pub use gbmqo_exec::{CancelToken, QueryCtx};
     pub use gbmqo_matcache::{CacheControl, MatCacheStats};
 }

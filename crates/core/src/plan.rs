@@ -196,7 +196,7 @@ impl SubNode {
 }
 
 /// A logical plan: a forest of sub-plans hanging off the base relation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogicalPlan {
     /// The sub-plan roots (children of `R`).
     pub subplans: Vec<SubNode>,

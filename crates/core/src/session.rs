@@ -38,14 +38,14 @@ use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
 use crate::executor::{
     execute_plan, plan_group_estimates, shard_skew, CacheHooks, ExecutionReport, GroupEstimates,
-    PlanObservation, RootSources, WHOLE_TABLE_PIN,
+    Harvest, PlanObservation, RootSources, WHOLE_TABLE_PIN,
 };
 use crate::greedy::{GbMqo, SearchConfig, SearchStats};
 use crate::physicalize::{physicalize, Layout, Run};
 use crate::plan::{LogicalPlan, SubNode};
 use crate::workload::Workload;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
-use gbmqo_exec::{AggFunc, AggSpec, CancelToken, Engine, ExecMetrics, GroupByQuery, Input};
+use gbmqo_exec::{AggFunc, AggSpec, Engine, ExecError, ExecMetrics, GroupByQuery, Input, QueryCtx};
 use gbmqo_feedback::{q_error, AdaptiveCardinalitySource, FeedbackStore, NodeObservation};
 use gbmqo_matcache::{
     agg_signature, CacheControl, CachedAggregate, MatCache, MatCacheStats, StaleAggregate,
@@ -246,6 +246,31 @@ fn plan_scan_cost(plan: &LogicalPlan, base: f64, d: &mut dyn FnMut(u128) -> f64)
 /// A catalog entry as the aggregate cache keys its aggregates — name,
 /// contents version, rows: the logical table or one of its shard entries.
 type CacheEntry = (String, u64, usize);
+
+/// A request a cached aggregate covers: `(request, slot, hit)`, the slot
+/// a shard ordinal or [`WHOLE_TABLE_PIN`].
+type Cover = (ColSet, u32, CachedAggregate);
+
+/// The plan of a workload's uncovered requests, its search statistics,
+/// its per-node estimates and its plan-cache key (`None`: no search ran).
+type Planned = (
+    LogicalPlan,
+    SearchStats,
+    GroupEstimates,
+    Option<WorkloadFingerprint>,
+);
+
+/// One [`Session::run_workload_in`] request as its stages read it: the
+/// base table's aggregate-cache entries — the logical one and, per
+/// shard, one keyed by that shard's own version, so an append to one
+/// shard leaves the others warm — and the aggregates' cache signature.
+struct Request<'w> {
+    workload: &'w Workload,
+    cache: CacheControl,
+    logical: CacheEntry,
+    shards: Vec<CacheEntry>,
+    agg_sig: u64,
+}
 
 /// Builder for [`Session`]; see the module docs for a walkthrough.
 #[derive(Debug, Default)]
@@ -509,18 +534,7 @@ impl Session {
     /// aggregate cache enabled, requests covered by cached supersets
     /// skip the base-table scan too.
     pub fn grouping_sets(&mut self, workload: &Workload) -> Result<GroupingSetsResult> {
-        self.grouping_sets_with(workload, CacheControl::Default)
-    }
-
-    /// [`Session::grouping_sets`] with an explicit per-request cache
-    /// policy (`Bypass` forces cold execution, `Refresh` recomputes and
-    /// re-admits).
-    pub fn grouping_sets_with(
-        &mut self,
-        workload: &Workload,
-        cache: CacheControl,
-    ) -> Result<GroupingSetsResult> {
-        let out = self.run_workload(workload, cache)?;
+        let out = self.run_workload(workload, CacheControl::Default)?;
         assemble_union(
             workload,
             out.plan,
@@ -530,186 +544,220 @@ impl Session {
         )
     }
 
-    /// Optimize (consulting the materialized aggregate cache) and
-    /// execute `workload`, returning the per-set result tables plus the
-    /// executed plan and search stats. This is the server's entry
-    /// point; [`Session::grouping_sets`] adds the UNION ALL on top.
+    /// [`Session::run_workload_in`] with no deadline.
     pub fn run_workload(
         &mut self,
         workload: &Workload,
         cache: CacheControl,
     ) -> Result<WorkloadOutcome> {
-        let use_cache = self.mat_cache.enabled();
+        self.run_workload_in(workload, cache, &mut QueryCtx::default())
+    }
+
+    /// Optimize (consulting the materialized aggregate cache) and
+    /// execute `workload` for the request `ctx` describes, returning the
+    /// per-set result tables plus the executed plan and search stats.
+    /// This is the server's entry point; [`Session::grouping_sets`] adds
+    /// the UNION ALL on top. Six stages run — cover, plan, execute,
+    /// observe, admit, account — and `ctx` is polled before each: a
+    /// request whose token trips fails at the next stage boundary, and
+    /// one tripped before it starts leaves the caches untouched. Work is
+    /// charged to `ctx.metrics`, which the report's metrics copy.
+    pub fn run_workload_in(
+        &mut self,
+        workload: &Workload,
+        cache: CacheControl,
+        ctx: &mut QueryCtx,
+    ) -> Result<WorkloadOutcome> {
+        ctx.check_cancelled()?;
+        let req = self.request(workload, cache)?;
         let before = self.mat_cache.stats();
-        // The base table as the aggregate cache keys it, and its shard
-        // entries, if any. Per-shard cache entries are keyed by shard
-        // entry name and that shard's own monotonic version, so a
-        // single-shard append invalidates only the shard it touched and
-        // the other shards stay warm.
+        let covers = self.cover(&req, ctx)?;
+        ctx.check_cancelled()?;
+        let (mut plan, stats, estimates, planned_key) = self.plan_uncovered(&req, &covers)?;
+        ctx.check_cancelled()?;
+        let (mut report, mut hooks) =
+            self.execute_covered(&req, &mut plan, &estimates, &covers, ctx)?;
+        ctx.check_cancelled()?;
+        let observations = hooks.observations.as_deref().unwrap_or_default();
+        self.observe(&req, planned_key, &plan, &estimates, observations, ctx);
+        ctx.check_cancelled()?;
+        self.admit(&req, &covers, hooks.harvest.take(), &report.results);
+        ctx.check_cancelled()?;
+        self.account(before, ctx);
+        report.metrics = ctx.metrics;
+        Ok(WorkloadOutcome {
+            plan,
+            stats,
+            report,
+        })
+    }
+
+    /// `workload` under `cache` as the stages read it.
+    fn request<'w>(&self, workload: &'w Workload, cache: CacheControl) -> Result<Request<'w>> {
         let (logical, shards) = self.cache_entries(&workload.table)?;
-        let (table_version, base_rows) = (logical.1, logical.2);
-        let entry_of = |slot: u32| match slot {
-            WHOLE_TABLE_PIN => Some(&logical),
-            s => shards.get(s as usize),
-        };
-        let agg_sig = agg_signature(&workload.aggregates);
+        Ok(Request {
+            workload,
+            cache,
+            logical,
+            shards,
+            agg_sig: agg_signature(&workload.aggregates),
+        })
+    }
 
-        // Ingest-side counters: whatever appends accrued since the last
-        // request (eager refreshes, reshard hints), plus any lazy delta
-        // refreshes this request performs below. Folded into the
-        // report's metrics at step 6.
-        let mut ingest = std::mem::take(&mut self.pending);
-
-        // 1. Consult the cache: which requests does a cached (same
-        // table contents, same aggregates) superset aggregate cover —
-        // first at the logical level, then, for a request still
-        // uncovered, shard by shard: every warm shard serves its cached
-        // partial, cold shards scan their shard entry and the plan
-        // merges partials at delivery. Under the lazy refresh policy a
-        // miss over a *stale* covering entry first tries to bring it
-        // current by aggregating only the appended row range and merging
-        // (§7's aggregate-union identity); only when that is impossible
-        // or uneconomic do stale entries get dropped. `covers` holds
-        // `(request, slot, hit)`, logical hits first.
-        let mut covers: Vec<(ColSet, u32, CachedAggregate)> = Vec::new();
-        if use_cache && cache.allows_lookup() {
-            self.engine.reset_metrics();
-            let names: Vec<Vec<String>> = workload
-                .requests
-                .iter()
-                .map(|&req| workload.col_strings(req))
-                .collect();
-            for (&req, names) in workload.requests.iter().zip(&names) {
-                if let Some(hit) = self.cover(&logical, names, agg_sig, &mut ingest) {
-                    covers.push((req, WHOLE_TABLE_PIN, hit));
-                }
-            }
-            for (&req, names) in workload.requests.iter().zip(&names) {
-                if covers.iter().any(|(c, _, _)| *c == req) {
-                    continue;
-                }
-                for (s, entry) in shards.iter().enumerate() {
-                    if let Some(hit) = self.cover(entry, names, agg_sig, &mut ingest) {
-                        covers.push((req, s as u32, hit));
-                    }
-                }
-            }
-            // Fold the delta scans' engine-side counters (delta_rows,
-            // rows scanned, elapsed) into this request's metrics before
-            // the execution resets the engine for its own.
-            ingest += self.engine.metrics();
+    /// Cover stage: consult the cache — which requests does a cached
+    /// (same table contents, same aggregates) superset aggregate cover —
+    /// first at the logical level, then, for a request still uncovered,
+    /// shard by shard: every warm shard serves its cached partial, cold
+    /// shards scan their shard entry and the plan merges partials at
+    /// delivery. Under the lazy refresh policy a miss over a *stale*
+    /// covering entry first tries to bring it current by aggregating
+    /// only the appended row range and merging (§7's aggregate-union
+    /// identity); only when that is impossible or uneconomic do stale
+    /// entries get dropped — never because the request was cancelled,
+    /// which propagates instead. Returns `(request, slot, hit)`,
+    /// logical hits first.
+    fn cover(&mut self, req: &Request, ctx: &mut QueryCtx) -> Result<Vec<Cover>> {
+        let mut covers: Vec<Cover> = Vec::new();
+        if !(self.mat_cache.enabled() && req.cache.allows_lookup()) {
+            return Ok(covers);
         }
+        let workload = req.workload;
+        let names: Vec<Vec<String>> = workload
+            .requests
+            .iter()
+            .map(|&r| workload.col_strings(r))
+            .collect();
+        for (&r, names) in workload.requests.iter().zip(&names) {
+            if let Some(hit) = self.covering(&req.logical, names, req.agg_sig, ctx)? {
+                covers.push((r, WHOLE_TABLE_PIN, hit));
+            }
+        }
+        for (&r, names) in workload.requests.iter().zip(&names) {
+            if covers.iter().any(|(c, _, _)| *c == r) {
+                continue;
+            }
+            for (s, entry) in req.shards.iter().enumerate() {
+                if let Some(hit) = self.covering(entry, names, req.agg_sig, ctx)? {
+                    covers.push((r, s as u32, hit));
+                }
+            }
+        }
+        Ok(covers)
+    }
 
-        // 2. Run the merge search only over the uncovered remainder
-        // (the plan cache applies to it; cache-dependent parts of the
-        // plan are never memoized, so a later request with a colder
-        // cache cannot reuse a plan that assumes warm state).
+    /// Plan stage: run the merge search only over the requests `covers`
+    /// leaves uncovered (the plan cache applies to it; cache-dependent
+    /// parts of the plan are never memoized, so a later request with a
+    /// colder cache cannot reuse a plan that assumes warm state).
+    fn plan_uncovered(&mut self, req: &Request, covers: &[Cover]) -> Result<Planned> {
+        let workload = req.workload;
         let uncovered: Vec<ColSet> = workload
             .requests
             .iter()
             .copied()
             .filter(|r| !covers.iter().any(|(c, _, _)| c == r))
             .collect();
-        let (mut plan, stats, estimates, planned_key) = if uncovered.is_empty() {
-            (
-                LogicalPlan { subplans: vec![] },
-                SearchStats::default(),
-                GroupEstimates::default(),
-                None,
-            )
-        } else if uncovered.len() == workload.requests.len() {
-            let (p, s, e, k) = self.plan_with_estimates_keyed(workload)?;
-            (p, s, e, Some(k))
+        if uncovered.is_empty() {
+            return Ok(Default::default());
+        }
+        let (p, s, e, k) = if uncovered.len() == workload.requests.len() {
+            self.plan_with_estimates_keyed(workload)?
         } else {
-            let sub = Workload {
+            self.plan_with_estimates_keyed(&Workload {
                 requests: uncovered,
                 ..workload.clone()
-            };
-            let (p, s, e, k) = self.plan_with_estimates_keyed(&sub)?;
-            (p, s, e, Some(k))
+            })?
         };
+        Ok((p, s, e, Some(k)))
+    }
 
-        // 3. Seed the plan with the covered requests as virtual roots:
-        // each becomes a leaf whose input is the cached aggregate itself
-        // (per shard for a shard-served request).
+    /// Execute stage: seed `plan` with the covered requests as virtual
+    /// roots — each a leaf whose input is the cached aggregate itself
+    /// (per shard for a shard-served request) — and execute it,
+    /// harvesting intermediates for admission when the request may
+    /// admit, and always collecting per-node observations: the q-error
+    /// report is produced regardless of adaptive mode.
+    fn execute_covered(
+        &self,
+        req: &Request,
+        plan: &mut LogicalPlan,
+        estimates: &GroupEstimates,
+        covers: &[Cover],
+        ctx: &mut QueryCtx,
+    ) -> Result<(ExecutionReport, CacheHooks)> {
         let mut roots = RootSources::default();
-        for (cols, slot, hit) in &covers {
+        for (cols, slot, hit) in covers {
             if !roots.keys().any(|(c, _)| *c == cols.0) {
                 plan.subplans.push(SubNode::leaf(*cols));
             }
             roots.insert((cols.0, *slot), Arc::clone(&hit.table));
         }
-        let mut hooks = CacheHooks::default();
-        if use_cache && cache.allows_admit() {
-            hooks.harvest = Some(Vec::new());
-        }
-        // Always collect per-node observations: the q-error report is
-        // produced regardless of adaptive mode; adaptive mode further
-        // feeds them into the feedback store below.
-        hooks.observations = Some(Vec::new());
+        let mut hooks = CacheHooks {
+            harvest: (self.mat_cache.enabled() && req.cache.allows_admit()).then(Vec::new),
+            observations: Some(Vec::new()),
+        };
+        let report = self.interpret(plan, req.workload, estimates, roots, &mut hooks, ctx)?;
+        Ok((report, hooks))
+    }
 
-        // 4. Execute.
-        let mut report = self.execute(&plan, workload, &estimates, roots, &mut hooks)?;
-        let metrics = &mut report.metrics;
-
-        // 4b. Observe → correct → re-optimize: fold the execution's
-        // per-node cardinality observations into the q-error report and
-        // (when adaptive) the feedback store; invalidate the cached plan
-        // when corrected estimates shift its cost past the threshold.
-        let observations = hooks.observations.take().unwrap_or_default();
-        self.digest_observations(
-            workload,
-            table_version,
-            planned_key,
-            &plan,
-            base_rows,
-            &estimates,
-            &observations,
-            metrics,
-        );
-
-        // 5. Admission: offer the execution's materialized
-        // intermediates — per-shard partials under their shard entry,
-        // the granularity that survives appends to sibling shards — and
-        // the request results themselves. Requests answered verbatim
-        // from the cache are not re-admitted.
-        if let Some(harvest) = hooks.harvest.take() {
-            let mut admitted: Vec<ColSet> = Vec::new();
-            for (cols, slot, table) in harvest {
-                if slot == WHOLE_TABLE_PIN {
+    /// Admit stage: offer the execution's materialized intermediates —
+    /// per-shard partials under their shard entry, the granularity that
+    /// survives appends to sibling shards — and the request results
+    /// themselves. Requests answered verbatim from the cache are not
+    /// re-admitted.
+    fn admit(
+        &mut self,
+        req: &Request,
+        covers: &[Cover],
+        harvest: Option<Harvest>,
+        results: &[(ColSet, Table)],
+    ) {
+        let Some(harvest) = harvest else {
+            return;
+        };
+        let (workload, cache) = (req.workload, &mut self.mat_cache);
+        let mut offer = |(entry, version, rows): &CacheEntry, cols, table| {
+            let names = workload.col_strings(cols);
+            let aggs = &workload.aggregates;
+            cache.admit(entry, *version, &names, req.agg_sig, aggs, table, *rows);
+        };
+        let mut admitted: Vec<ColSet> = Vec::new();
+        for (cols, slot, table) in harvest {
+            let entry = match slot {
+                WHOLE_TABLE_PIN => {
                     admitted.push(cols);
+                    Some(&req.logical)
                 }
-                if let Some(entry) = entry_of(slot) {
-                    self.admit(entry, workload, cols, agg_sig, table);
-                }
-            }
-            for (cols, table) in &report.results {
-                let served_exact = covers
-                    .iter()
-                    .any(|(c, slot, h)| c == cols && *slot == WHOLE_TABLE_PIN && h.exact);
-                if served_exact || admitted.contains(cols) {
-                    continue;
-                }
-                self.admit(&logical, workload, *cols, agg_sig, Arc::new(table.clone()));
+                s => req.shards.get(s as usize),
+            };
+            if let Some(entry) = entry {
+                offer(entry, cols, table);
             }
         }
+        for (cols, table) in results {
+            let served_exact = covers
+                .iter()
+                .any(|(c, slot, h)| c == cols && *slot == WHOLE_TABLE_PIN && h.exact);
+            if !served_exact && !admitted.contains(cols) {
+                offer(&req.logical, *cols, Arc::new(table.clone()));
+            }
+        }
+    }
 
-        // 6. Surface this request's cache and ingest activity in the
-        // metrics (delta counters sum; gauges take the max).
-        *metrics += ingest;
-        if use_cache {
+    /// Account stage: surface this request's cache and ingest activity
+    /// in its metrics (delta counters sum; gauges take the max) —
+    /// whatever appends accrued since the last request (eager
+    /// refreshes, reshard hints) drains into this one.
+    fn account(&mut self, before: MatCacheStats, ctx: &mut QueryCtx) {
+        ctx.metrics += std::mem::take(&mut self.pending);
+        if self.mat_cache.enabled() {
             let after = self.mat_cache.stats();
+            let metrics = &mut ctx.metrics;
             metrics.matcache_hits = after.hits - before.hits;
             metrics.matcache_evictions = after.evictions - before.evictions;
             metrics.matcache_rows_saved = after.rows_saved - before.rows_saved;
             metrics.matcache_bytes = after.bytes;
         }
-
-        Ok(WorkloadOutcome {
-            plan,
-            stats,
-            report,
-        })
     }
 
     /// The aggregate-cache entries of table `name`: the logical entry,
@@ -729,44 +777,35 @@ impl Session {
         Ok((entry(name.to_string())?, shards))
     }
 
-    /// A cached aggregate of `entry` covering the columns `names` — after
-    /// a lazy refresh of a stale one when nothing current covers them.
-    fn cover(
+    /// A cached aggregate of `entry` covering the columns `names`. On a
+    /// miss the lazy refresh policy first brings the best stale covering
+    /// entry current (the next lookup then hits it); the disabled policy
+    /// drops the entry's stale aggregates.
+    fn covering(
         &mut self,
         (entry, version, rows): &CacheEntry,
         names: &[String],
         agg_sig: u64,
-        ingest: &mut ExecMetrics,
-    ) -> Option<CachedAggregate> {
-        let hit = self
-            .mat_cache
-            .lookup_covering(entry, *version, names, agg_sig, *rows);
-        if hit.is_some() || !self.try_lazy_refresh(entry, *version, names, agg_sig, *rows, ingest) {
-            return hit;
+        ctx: &mut QueryCtx,
+    ) -> Result<Option<CachedAggregate>> {
+        let lookup = |mc: &mut MatCache| mc.lookup_covering(entry, *version, names, agg_sig, *rows);
+        let hit = lookup(&mut self.mat_cache);
+        if hit.is_some() {
+            return Ok(hit);
         }
-        self.mat_cache
-            .lookup_covering(entry, *version, names, agg_sig, *rows)
-    }
-
-    /// Offer `table`, the aggregate of `workload` over `cols`, to the
-    /// aggregate cache under `entry`.
-    fn admit(
-        &mut self,
-        (entry, version, rows): &CacheEntry,
-        workload: &Workload,
-        cols: ColSet,
-        agg_sig: u64,
-        table: Arc<Table>,
-    ) {
-        self.mat_cache.admit(
-            entry,
-            *version,
-            &workload.col_strings(cols),
-            agg_sig,
-            &workload.aggregates,
-            table,
-            *rows,
-        );
+        match self.refresh_policy {
+            RefreshPolicy::Lazy => {}
+            RefreshPolicy::Eager => return Ok(None), // nothing stale survives an append
+            RefreshPolicy::Disabled => {
+                self.mat_cache.drop_stale(entry, *version);
+                return Ok(None);
+            }
+        }
+        let Some(stale) = self.mat_cache.lookup_stale(entry, *version, names, agg_sig) else {
+            return Ok(None);
+        };
+        let refreshed = self.refresh_stale_entry(entry, *version, *rows, stale, ctx)?;
+        Ok(refreshed.then(|| lookup(&mut self.mat_cache)).flatten())
     }
 
     /// Optimize `workload` (or fetch the cached plan) without executing.
@@ -795,7 +834,7 @@ impl Session {
         // The feedback generation is deliberately NOT hashed in — that
         // would turn every repeat of a workload into a miss and defeat
         // the cache; instead the post-execution recost invalidates
-        // entries whose corrected cost drifts (see digest_observations).
+        // entries whose corrected cost drifts (see `Session::observe`).
         let table_version = self
             .engine
             .catalog()
@@ -878,24 +917,24 @@ impl Session {
         Ok((plan, stats, estimates, key))
     }
 
-    /// Step 4b of [`Session::run_workload`]: turn the execution's raw
-    /// per-node observations into (a) the always-on estimated-vs-observed
-    /// q-error report, (b) feedback-store corrections (adaptive mode),
-    /// and (c) a plan-cache invalidation when the corrected cost of the
-    /// planned subtree drifts past the re-optimization threshold or a
-    /// planned node's q-error exceeds `1 + threshold`.
-    #[allow(clippy::too_many_arguments)]
-    fn digest_observations(
+    /// Observe stage — observe → correct → re-optimize: turn the
+    /// execution's raw per-node observations into (a) the always-on
+    /// estimated-vs-observed q-error report, (b) feedback-store
+    /// corrections (adaptive mode), and (c) a plan-cache invalidation
+    /// when the corrected cost of the planned subtree drifts past the
+    /// re-optimization threshold or a planned node's q-error exceeds
+    /// `1 + threshold`.
+    fn observe(
         &mut self,
-        workload: &Workload,
-        table_version: u64,
+        req: &Request,
         planned_key: Option<WorkloadFingerprint>,
         plan: &LogicalPlan,
-        base_rows: usize,
         estimates: &GroupEstimates,
         observations: &[PlanObservation],
-        metrics: &mut ExecMetrics,
+        ctx: &mut QueryCtx,
     ) {
+        let (workload, table_version, base_rows) = (req.workload, req.logical.1, req.logical.2);
+        let metrics = &mut ctx.metrics;
         self.last_node_cards.clear();
         let mut max_qe = 1.0f64;
         for obs in observations {
@@ -973,22 +1012,32 @@ impl Session {
     /// is the usual path.
     pub fn run_plan(&mut self, plan: &LogicalPlan, workload: &Workload) -> Result<ExecutionReport> {
         let (estimates, hooks) = (GroupEstimates::default(), &mut CacheHooks::default());
-        self.execute(plan, workload, &estimates, RootSources::default(), hooks)
+        let ctx = &mut QueryCtx::default();
+        self.interpret(
+            plan,
+            workload,
+            &estimates,
+            RootSources::default(),
+            hooks,
+            ctx,
+        )
     }
 
     /// Physicalize `plan` under the session's mode and thread budget,
-    /// with `roots` served from the aggregate cache, and interpret it.
-    fn execute(
-        &mut self,
+    /// with `roots` served from the aggregate cache, and interpret it on
+    /// behalf of `ctx`.
+    fn interpret(
+        &self,
         plan: &LogicalPlan,
         workload: &Workload,
         estimates: &GroupEstimates,
         roots: RootSources,
         hooks: &mut CacheHooks,
+        ctx: &mut QueryCtx,
     ) -> Result<ExecutionReport> {
         let layout = Layout::of(self.engine.catalog(), workload, roots);
         let physical = physicalize(plan, workload, estimates, &layout, self.run, &mut |_| 1.0)?;
-        execute_plan(physical, workload, &mut self.engine, hooks)
+        execute_plan(physical, workload, &self.engine, ctx, hooks)
     }
 
     /// Execute an explicit plan one query at a time in the §4.4
@@ -1010,7 +1059,13 @@ impl Session {
         };
         let (est, hooks) = (GroupEstimates::default(), &mut CacheHooks::default());
         let physical = physicalize(plan, workload, &est, &layout, run, size_estimate)?;
-        execute_plan(physical, workload, &mut self.engine, hooks)
+        execute_plan(
+            physical,
+            workload,
+            &self.engine,
+            &mut QueryCtx::default(),
+            hooks,
+        )
     }
 
     /// Register a base table, replacing any same-named table (upsert
@@ -1131,50 +1186,19 @@ impl Session {
     }
 
     /// Eagerly bring every stale cached aggregate of `name` (logical
-    /// entry and shard entries alike) current. Counters accrue in
-    /// `self.pending` and drain into the next request's metrics.
+    /// entry and shard entries alike) current, with no deadline.
+    /// Counters accrue in `self.pending` and drain into the next
+    /// request's metrics.
     fn refresh_all_stale(&mut self, name: &str) -> Result<()> {
         let (logical, shards) = self.cache_entries(name)?;
-        self.engine.reset_metrics();
-        let mut ingest = ExecMetrics::default();
+        let mut ctx = QueryCtx::default();
         for (ename, version, rows) in std::iter::once(logical).chain(shards) {
             for stale in self.mat_cache.stale_entries(&ename, version) {
-                self.refresh_stale_entry(&ename, version, rows, stale, &mut ingest);
+                self.refresh_stale_entry(&ename, version, rows, stale, &mut ctx)?;
             }
         }
-        ingest += self.engine.metrics();
-        self.engine.reset_metrics();
-        self.pending += ingest;
+        self.pending += ctx.metrics;
         Ok(())
-    }
-
-    /// Lazy-refresh hook for a cache miss at lookup time: find the best
-    /// stale covering entry and try to bring it current. Returns true
-    /// when a refresh landed (the caller's next lookup will hit).
-    fn try_lazy_refresh(
-        &mut self,
-        entry: &str,
-        version: u64,
-        want_cols: &[String],
-        agg_sig: u64,
-        base_rows: usize,
-        metrics: &mut ExecMetrics,
-    ) -> bool {
-        match self.refresh_policy {
-            RefreshPolicy::Lazy => {}
-            RefreshPolicy::Eager => return false, // nothing stale survives an append
-            RefreshPolicy::Disabled => {
-                self.mat_cache.drop_stale(entry, version);
-                return false;
-            }
-        }
-        let Some(stale) = self
-            .mat_cache
-            .lookup_stale(entry, version, want_cols, agg_sig)
-        else {
-            return false;
-        };
-        self.refresh_stale_entry(entry, version, base_rows, stale, metrics)
     }
 
     /// Bring one stale cached aggregate of catalog entry `entry`
@@ -1184,26 +1208,28 @@ impl Session {
     /// ([`AggSpec::reaggregate`] — `SUM(cnt)`-style). Falls back to
     /// dropping the table's stale entries when the delta chain is
     /// broken (compacted or replaced), an aggregate is not mergeable,
-    /// or the delta exceeds `max_delta_fraction` of the base.
+    /// the delta exceeds `max_delta_fraction` of the base, or its
+    /// aggregation fails — unless it failed because `ctx` was
+    /// cancelled: that error propagates and the stale entries stay.
     fn refresh_stale_entry(
         &mut self,
         entry: &str,
         version: u64,
         base_rows: usize,
         stale: StaleAggregate,
-        metrics: &mut ExecMetrics,
-    ) -> bool {
+        ctx: &mut QueryCtx,
+    ) -> Result<bool> {
         let fallback = |mc: &mut MatCache, metrics: &mut ExecMetrics| {
             mc.drop_stale(entry, version);
             metrics.delta_fallbacks += 1;
-            false
+            Ok(false)
         };
         let chain = match self.engine.catalog().delta_chain(entry, stale.version) {
             Some(c) if c.to_version == version && specs_mergeable(&stale.specs) => c,
-            _ => return fallback(&mut self.mat_cache, metrics),
+            _ => return fallback(&mut self.mat_cache, &mut ctx.metrics),
         };
         if (chain.rows as f64) > self.max_delta_fraction * base_rows as f64 {
-            return fallback(&mut self.mat_cache, metrics);
+            return fallback(&mut self.mat_cache, &mut ctx.metrics);
         }
         // The cached payload's schema is its group columns followed by
         // one output per spec; aggregating the delta with the same
@@ -1224,16 +1250,19 @@ impl Session {
         };
         let merged = self
             .engine
-            .run_group_by_range(&q, chain.start_row, chain.rows)
+            .run_group_by_range(&q, chain.start_row, chain.rows, ctx)
             .and_then(|delta| {
                 let combined = Table::concat(&[stale.table.as_ref(), &delta])?;
                 let reagg: Vec<AggSpec> = stale.specs.iter().map(AggSpec::reaggregate).collect();
                 let idx: Vec<usize> = (0..ngroup).collect();
                 let groups = Some(combined.num_rows() as u64);
-                self.engine.aggregate_table(&combined, &idx, &reagg, groups)
+                self.engine
+                    .aggregate_table(&combined, &idx, &reagg, groups, ctx)
             });
-        let Ok(merged) = merged else {
-            return fallback(&mut self.mat_cache, metrics);
+        let merged = match merged {
+            Ok(merged) => merged,
+            Err(e @ ExecError::Cancelled { .. }) => return Err(e.into()),
+            Err(_) => return fallback(&mut self.mat_cache, &mut ctx.metrics),
         };
         if self.mat_cache.refresh(
             entry,
@@ -1244,12 +1273,12 @@ impl Session {
             Arc::new(merged),
             base_rows,
         ) {
-            metrics.delta_refreshes += 1;
+            ctx.metrics.delta_refreshes += 1;
             // Rows *not* rescanned: everything before the delta range.
-            metrics.refresh_rows_saved += chain.start_row as u64;
-            true
+            ctx.metrics.refresh_rows_saved += chain.start_row as u64;
+            Ok(true)
         } else {
-            false
+            Ok(false)
         }
     }
 
@@ -1306,13 +1335,6 @@ impl Session {
     /// cache survives).
     pub fn set_mode(&mut self, mode: ExecutionMode) {
         self.run = Run::new(&mut self.engine, mode, self.parallelism);
-    }
-
-    /// Attach a [`CancelToken`] polled by every subsequent execution at
-    /// its morsel/step boundaries; `None` detaches. The server attaches
-    /// a fresh deadline token per request and detaches it afterwards.
-    pub fn set_cancel_token(&mut self, cancel: Option<CancelToken>) {
-        self.engine.set_cancel_token(cancel);
     }
 
     /// Borrow the engine (metrics, catalog inspection).
@@ -1575,6 +1597,31 @@ mod tests {
         // Pending append-side counters drain into the next request.
         assert!(warm.metrics.delta_refreshes >= 1);
         assert!(warm.metrics.matcache_hits >= 1, "cache is warm post-append");
+    }
+
+    #[test]
+    fn a_cancelled_cover_stage_keeps_the_stale_entries() {
+        let (mut s, w) = cached_session(0, RefreshPolicy::Lazy);
+        s.grouping_sets(&w).unwrap();
+        s.append("r", table()).unwrap();
+        let req = s.request(&w, CacheControl::Default).unwrap();
+        let token = gbmqo_exec::CancelToken::new();
+        token.cancel();
+        let mut cancelled = QueryCtx {
+            cancel: Some(token),
+            ..QueryCtx::default()
+        };
+        // The lazy refresh's delta scan is cancelled: the error
+        // propagates instead of taking the fallback that drops.
+        let err = s.cover(&req, &mut cancelled).unwrap_err();
+        assert!(matches!(err, CoreError::Exec(ExecError::Cancelled { .. })));
+        assert_eq!(cancelled.metrics.delta_fallbacks, 0);
+        assert_eq!(s.mat_cache_stats().stale_drops, 0);
+        // So an uncancelled cover still refreshes what it needs.
+        let mut ctx = QueryCtx::default();
+        let covers = s.cover(&req, &mut ctx).unwrap();
+        assert_eq!(covers.len(), w.requests.len());
+        assert!(ctx.metrics.delta_refreshes >= 1, "{:?}", ctx.metrics);
     }
 
     #[test]

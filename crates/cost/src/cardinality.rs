@@ -19,11 +19,6 @@ impl<S: CardinalitySource> CardinalityCostModel<S> {
         CardinalityCostModel { source, calls: 0 }
     }
 
-    /// Unwrap the source (e.g. to inspect the statistics-creation log).
-    pub fn into_source(self) -> S {
-        self.source
-    }
-
     /// Borrow the source.
     pub fn source(&self) -> &S {
         &self.source

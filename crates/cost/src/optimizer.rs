@@ -130,11 +130,6 @@ impl<S: CardinalitySource> OptimizerCostModel<S> {
         &self.source
     }
 
-    /// Unwrap the source (e.g. to read the statistics-creation log).
-    pub fn into_source(self) -> S {
-        self.source
-    }
-
     fn key_width(&mut self, cols: &[usize]) -> f64 {
         // `row_width` includes the 8-byte count column.
         (self.source.row_width(cols) - 8.0).max(1.0)

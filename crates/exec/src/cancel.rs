@@ -2,7 +2,8 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle that a coordinator
 //! (the server's deadline enforcement, or any caller that wants to
-//! abort a query) shares with the execution engine. Kernels poll it at
+//! abort a query) keeps while the request carries a clone in its
+//! [`crate::QueryCtx`] down to the kernels. Kernels poll it at
 //! morsel boundaries — the radix scatter loop, per-partition
 //! aggregation, and the batch driver's per-query starts — so a stuck or
 //! over-deadline request stops within one morsel's worth of work

@@ -7,7 +7,7 @@
 //! smallest already-computed parent one column larger.
 
 use crate::agg::AggSpec;
-use crate::engine::Engine;
+use crate::engine::{Engine, QueryCtx};
 use crate::error::{ExecError, Result};
 use gbmqo_storage::Table;
 use rustc_hash::FxHashMap;
@@ -22,12 +22,13 @@ pub const MAX_CUBE_COLS: usize = 16;
 /// mask. The full-set table is computed from `input`; every other subset is
 /// re-aggregated from a minimum-cardinality parent. Every Group By of
 /// the descent goes through [`Engine::aggregate_table`]: the engine's
-/// kernel threads, cancel token and metrics.
+/// kernel threads and the request's token and counters.
 pub fn cube(
-    engine: &mut Engine,
+    engine: &Engine,
     input: &Table,
     cols: &[usize],
     aggs: &[AggSpec],
+    ctx: &mut QueryCtx,
 ) -> Result<Vec<(u32, Table)>> {
     let k = cols.len();
     if k > MAX_CUBE_COLS {
@@ -38,7 +39,7 @@ pub fn cube(
     let full: u32 = if k == 32 { u32::MAX } else { (1u32 << k) - 1 };
     let mut results: FxHashMap<u32, Table> = FxHashMap::default();
 
-    let finest = engine.aggregate_table(input, cols, aggs, None)?;
+    let finest = engine.aggregate_table(input, cols, aggs, None, ctx)?;
     results.insert(full, finest);
 
     let reaggs: Vec<AggSpec> = aggs.iter().map(AggSpec::reaggregate).collect();
@@ -75,7 +76,7 @@ pub fn cube(
             .filter(|(_, &b)| mask >> b & 1 == 1)
             .map(|(i, _)| i)
             .collect();
-        let table = engine.aggregate_table(parent, &keep, &reaggs, None)?;
+        let table = engine.aggregate_table(parent, &keep, &reaggs, None, ctx)?;
         results.insert(mask, table);
     }
 
@@ -127,7 +128,14 @@ mod tests {
     #[test]
     fn cube_has_all_subsets() {
         let t = input();
-        let c = cube(&mut engine(), &t, &[0, 1, 2], &[AggSpec::count()]).unwrap();
+        let c = cube(
+            &engine(),
+            &t,
+            &[0, 1, 2],
+            &[AggSpec::count()],
+            &mut QueryCtx::default(),
+        )
+        .unwrap();
         assert_eq!(c.len(), 8);
         let masks: Vec<u32> = c.iter().map(|(m, _)| *m).collect();
         let mut sorted = masks.clone();
@@ -142,7 +150,14 @@ mod tests {
     fn cube_subsets_match_direct_group_bys() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let c = cube(&mut engine(), &t, &[0, 1, 2], &[AggSpec::count()]).unwrap();
+        let c = cube(
+            &engine(),
+            &t,
+            &[0, 1, 2],
+            &[AggSpec::count()],
+            &mut QueryCtx::default(),
+        )
+        .unwrap();
         for (mask, table) in &c {
             let cols: Vec<usize> = (0..3).filter(|b| mask >> b & 1 == 1).collect();
             let direct = sort_group_by(&t, &cols, &[AggSpec::count()], &mut m).unwrap();
@@ -153,7 +168,14 @@ mod tests {
     #[test]
     fn cube_apex_is_grand_total() {
         let t = input();
-        let c = cube(&mut engine(), &t, &[0, 1], &[AggSpec::count()]).unwrap();
+        let c = cube(
+            &engine(),
+            &t,
+            &[0, 1],
+            &[AggSpec::count()],
+            &mut QueryCtx::default(),
+        )
+        .unwrap();
         let apex = &c.iter().find(|(m, _)| *m == 0).unwrap().1;
         assert_eq!(apex.num_rows(), 1);
         assert_eq!(apex.value(0, 0), Value::Int(5));
@@ -163,6 +185,13 @@ mod tests {
     fn oversized_cube_rejected() {
         let t = input();
         let cols: Vec<usize> = (0..MAX_CUBE_COLS + 1).map(|i| i % 3).collect();
-        assert!(cube(&mut engine(), &t, &cols, &[AggSpec::count()]).is_err());
+        assert!(cube(
+            &engine(),
+            &t,
+            &cols,
+            &[AggSpec::count()],
+            &mut QueryCtx::default()
+        )
+        .is_err());
     }
 }

@@ -77,14 +77,37 @@ impl GroupByQuery {
     }
 }
 
-/// Executes queries against a [`Catalog`], accumulating [`ExecMetrics`].
+/// One request's execution state: the token its deadline trips and the
+/// counters its work accrues. Whoever runs a request builds one and
+/// passes it by `&mut` down to every engine call and kernel; no
+/// long-lived object holds one, so requests sharing an [`Engine`] never
+/// see each other's deadline or counters.
+#[derive(Debug, Default)]
+pub struct QueryCtx {
+    /// Polled at morsel boundaries by the kernels and between stages and
+    /// waves by the plan executors; `None` never trips.
+    pub cancel: Option<CancelToken>,
+    /// Work performed so far on the request's behalf.
+    pub metrics: ExecMetrics,
+}
+
+impl QueryCtx {
+    /// Fail fast if the request's token has tripped. Plan executors call
+    /// this between stages and waves, so cancellation is observed even
+    /// when individual queries are too small to poll.
+    pub fn check_cancelled(&self) -> Result<()> {
+        crate::cancel::check(self.cancel.as_ref())
+    }
+}
+
+/// Executes queries against a [`Catalog`]. It holds only the catalog
+/// and its configuration: every query takes `&self` and charges its
+/// work to the caller's [`QueryCtx`].
 #[derive(Debug)]
 pub struct Engine {
     catalog: Catalog,
-    metrics: ExecMetrics,
     io_ns_per_byte: f64,
     kernel_threads: usize,
-    cancel: Option<CancelToken>,
 }
 
 impl Engine {
@@ -92,26 +115,9 @@ impl Engine {
     pub fn new(catalog: Catalog) -> Self {
         Engine {
             catalog,
-            metrics: ExecMetrics::new(),
             io_ns_per_byte: 0.0,
             kernel_threads: 1,
-            cancel: None,
         }
-    }
-
-    /// Attach a [`CancelToken`] that every subsequent query polls at its
-    /// morsel boundaries (and the plan executors poll between steps).
-    /// `None` detaches — queries run to completion again. Callers running
-    /// per-request deadlines attach a fresh token per request.
-    pub fn set_cancel_token(&mut self, cancel: Option<CancelToken>) {
-        self.cancel = cancel;
-    }
-
-    /// Fail fast if the attached token (if any) has tripped. Plan
-    /// executors call this between steps/waves so cancellation is
-    /// observed even when individual queries are too small to poll.
-    pub fn check_cancelled(&self) -> Result<()> {
-        crate::cancel::check(self.cancel.as_ref())
     }
 
     /// Threads a *single* query run through [`Engine::run_group_by`] may
@@ -152,16 +158,6 @@ impl Engine {
         &mut self.catalog
     }
 
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> ExecMetrics {
-        self.metrics
-    }
-
-    /// Zero the metrics.
-    pub fn reset_metrics(&mut self) {
-        self.metrics = ExecMetrics::new();
-    }
-
     /// Run one Group By query — a one-query batch
     /// ([`Engine::run_group_bys_parallel`]) on the engine's kernel
     /// threads.
@@ -170,9 +166,9 @@ impl Engine {
     /// the engine streams over it instead of hashing — the executor-level
     /// counterpart of the paper's observation that its plans "automatically
     /// benefit from the addition of indices" (§6.9).
-    pub fn run_group_by(&mut self, q: &GroupByQuery) -> Result<Table> {
+    pub fn run_group_by(&self, q: &GroupByQuery, ctx: &mut QueryCtx) -> Result<Table> {
         let mut tables =
-            self.run_group_bys_parallel(std::slice::from_ref(q), self.kernel_threads)?;
+            self.run_group_bys_parallel(std::slice::from_ref(q), self.kernel_threads, ctx)?;
         Ok(tables.pop().expect("one query, one result"))
     }
 
@@ -185,10 +181,11 @@ impl Engine {
     /// pre-append ordering) and under row-store emulation only the
     /// slice's bytes are charged.
     pub fn run_group_by_range(
-        &mut self,
+        &self,
         q: &GroupByQuery,
         start: usize,
         rows: usize,
+        ctx: &mut QueryCtx,
     ) -> Result<Table> {
         let t0 = Instant::now();
         let table = q.input.resolve(&self.catalog)?;
@@ -201,12 +198,12 @@ impl Engine {
         if self.io_ns_per_byte > 0.0 {
             let bytes = slice.byte_size() as u64;
             crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
-            self.metrics.bytes_scanned += bytes;
+            ctx.metrics.bytes_scanned += bytes;
         }
-        let result = self.aggregate_table(&slice, &cols, &q.aggs, q.estimated_groups)?;
-        self.metrics.queries_executed += 1;
-        self.metrics.delta_rows += rows as u64;
-        self.metrics.add_elapsed(t0.elapsed());
+        let result = self.aggregate_table(&slice, &cols, &q.aggs, q.estimated_groups, ctx)?;
+        ctx.metrics.queries_executed += 1;
+        ctx.metrics.delta_rows += rows as u64;
+        ctx.metrics.add_elapsed(t0.elapsed());
         Ok(result)
     }
 
@@ -214,18 +211,19 @@ impl Engine {
     /// concatenated per-shard partials of a cross-shard merge, a cached
     /// aggregate plus its delta, one level of a ROLLUP/CUBE descent —
     /// through the same hash kernel as a catalog query
-    /// ([`radix_group_by`]), with the engine's kernel threads,
-    /// cancel token and metrics. `estimated_groups` sizes the radix
+    /// ([`radix_group_by`]), with the engine's kernel threads and the
+    /// request's token and counters. `estimated_groups` sizes the radix
     /// fan-out as [`GroupByQuery::estimated_groups`] does. Rows and
     /// kernel time are counted; a query is not (the caller's operator
     /// decides what one query is), and no simulated I/O is charged — the
     /// input is already in memory.
     pub fn aggregate_table(
-        &mut self,
+        &self,
         table: &Table,
         group_cols: &[usize],
         aggs: &[AggSpec],
         estimated_groups: Option<u64>,
+        ctx: &mut QueryCtx,
     ) -> Result<Table> {
         radix_group_by(
             table,
@@ -233,8 +231,8 @@ impl Engine {
             aggs,
             self.kernel_threads,
             estimated_groups,
-            self.cancel.as_ref(),
-            &mut self.metrics,
+            ctx.cancel.as_ref(),
+            &mut ctx.metrics,
         )
     }
 
@@ -252,9 +250,10 @@ impl Engine {
     /// each query's budget *inside* the kernel, which uses them once its
     /// input is large enough.
     pub fn run_group_bys_parallel(
-        &mut self,
+        &self,
         queries: &[GroupByQuery],
         threads: usize,
+        ctx: &mut QueryCtx,
     ) -> Result<Vec<Table>> {
         let start = Instant::now();
         let (tables, batch_metrics) = crate::driver::run_batch(
@@ -262,11 +261,11 @@ impl Engine {
             self.io_ns_per_byte,
             queries,
             threads,
-            self.cancel.as_ref(),
+            ctx.cancel.as_ref(),
         )?;
-        self.metrics += batch_metrics;
-        self.metrics.queries_executed += queries.len() as u64;
-        self.metrics.add_elapsed(start.elapsed());
+        ctx.metrics += batch_metrics;
+        ctx.metrics.queries_executed += queries.len() as u64;
+        ctx.metrics.add_elapsed(start.elapsed());
         Ok(tables)
     }
 
@@ -278,13 +277,14 @@ impl Engine {
     /// [`GroupByQuery::estimated_groups`] and sizes its hash table.
     /// Results are returned in order.
     pub fn run_shared_group_bys(
-        &mut self,
+        &self,
         input: &Input,
         groupings: &[Vec<String>],
         aggs: &[crate::agg::AggSpec],
         estimated_groups: &[Option<u64>],
+        ctx: &mut QueryCtx,
     ) -> Result<Vec<Table>> {
-        self.check_cancelled()?;
+        ctx.check_cancelled()?;
         let start = Instant::now();
         let table = input.resolve(&self.catalog)?;
         let ords: Vec<Vec<usize>> = groupings
@@ -299,37 +299,38 @@ impl Engine {
             std::hint::black_box(crate::rowstore::full_scan_tax(&table));
             let bytes = table.byte_size() as u64;
             crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
-            self.metrics.bytes_scanned += bytes;
+            ctx.metrics.bytes_scanned += bytes;
         }
         let results = crate::shared::shared_scan_group_by(
             &table,
             &ords,
             aggs,
             estimated_groups,
-            self.cancel.as_ref(),
-            &mut self.metrics,
+            ctx.cancel.as_ref(),
+            &mut ctx.metrics,
         )?;
-        self.metrics.queries_executed += groupings.len() as u64;
-        self.metrics.add_elapsed(start.elapsed());
+        ctx.metrics.queries_executed += groupings.len() as u64;
+        ctx.metrics.add_elapsed(start.elapsed());
         Ok(results)
     }
 
     /// Account for the caller keeping `table` as an intermediate (the
     /// paper's `SELECT … INTO`): one more table materialized, plus
     /// simulated write I/O when row-store emulation is active.
-    pub fn materialize(&mut self, table: &Table) {
+    pub fn materialize(&self, table: &Table, ctx: &mut QueryCtx) {
         if self.io_ns_per_byte > 0.0 {
             crate::rowstore::simulated_io_wait(table.byte_size() as u64, self.io_ns_per_byte);
         }
-        self.metrics.tables_materialized += 1;
+        ctx.metrics.tables_materialized += 1;
     }
 
     /// Run a selection over catalog table `input` (§5.1.1's pushed-down
     /// selection). Charges scan I/O under row-store emulation.
     pub fn run_filter(
-        &mut self,
+        &self,
         input: &str,
         predicate: &crate::filter::Predicate,
+        ctx: &mut QueryCtx,
     ) -> Result<Table> {
         let start = Instant::now();
         let table = self.catalog.table(input)?;
@@ -337,11 +338,11 @@ impl Engine {
             std::hint::black_box(crate::rowstore::full_scan_tax(table));
             let bytes = table.byte_size() as u64;
             crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
-            self.metrics.bytes_scanned += bytes;
+            ctx.metrics.bytes_scanned += bytes;
         }
-        let result = crate::filter::filter(table, predicate, &mut self.metrics)?;
-        self.metrics.queries_executed += 1;
-        self.metrics.add_elapsed(start.elapsed());
+        let result = crate::filter::filter(table, predicate, &mut ctx.metrics)?;
+        ctx.metrics.queries_executed += 1;
+        ctx.metrics.add_elapsed(start.elapsed());
         Ok(result)
     }
 }
@@ -381,35 +382,40 @@ mod tests {
 
     #[test]
     fn run_returns_results() {
-        let mut e = Engine::new(catalog());
+        let e = Engine::new(catalog());
+        let mut ctx = QueryCtx::default();
         let r = e
-            .run_group_by(&GroupByQuery::count_star("r", &["a"]))
+            .run_group_by(&GroupByQuery::count_star("r", &["a"]), &mut ctx)
             .unwrap();
         assert_eq!(r.num_rows(), 2);
-        assert_eq!(e.metrics().queries_executed, 1);
-        assert_eq!(e.metrics().tables_materialized, 0);
+        assert_eq!(ctx.metrics.queries_executed, 1);
+        assert_eq!(ctx.metrics.tables_materialized, 0);
     }
 
     #[test]
     fn into_materializes_temp_table() {
-        let mut e = Engine::new(catalog());
+        let e = Engine::new(catalog());
+        let mut ctx = QueryCtx::default();
         let t_ab = e
-            .run_group_by(&GroupByQuery::count_star("r", &["a", "b"]))
+            .run_group_by(&GroupByQuery::count_star("r", &["a", "b"]), &mut ctx)
             .unwrap();
-        e.materialize(&t_ab);
-        assert_eq!(e.metrics().tables_materialized, 1);
+        e.materialize(&t_ab, &mut ctx);
+        assert_eq!(ctx.metrics.tables_materialized, 1);
 
         // re-aggregate from the intermediate its owner hands back
         let r = e
-            .run_group_by(&GroupByQuery {
-                input: Input::Table(Arc::new(t_ab)),
-                group_cols: vec!["b".into()],
-                aggs: vec![AggSpec::sum_count()],
-                estimated_groups: None,
-            })
+            .run_group_by(
+                &GroupByQuery {
+                    input: Input::Table(Arc::new(t_ab)),
+                    group_cols: vec!["b".into()],
+                    aggs: vec![AggSpec::sum_count()],
+                    estimated_groups: None,
+                },
+                &mut ctx,
+            )
             .unwrap();
         let direct = e
-            .run_group_by(&GroupByQuery::count_star("r", &["b"]))
+            .run_group_by(&GroupByQuery::count_star("r", &["b"]), &mut ctx)
             .unwrap();
         assert_eq!(norm(&r), norm(&direct));
         assert_eq!(e.catalog().entries().count(), 1, "the catalog holds only r");
@@ -422,7 +428,10 @@ mod tests {
             .create_index("r", "ix_a", IndexKind::NonClustered, vec![0])
             .unwrap();
         let with_index = e
-            .run_group_by(&GroupByQuery::count_star("r", &["a"]))
+            .run_group_by(
+                &GroupByQuery::count_star("r", &["a"]),
+                &mut QueryCtx::default(),
+            )
             .unwrap();
         let mut v: Vec<(i64, i64)> = (0..with_index.num_rows())
             .map(|i| {
@@ -438,9 +447,9 @@ mod tests {
 
     #[test]
     fn parallel_batch_matches_serial_and_materializes() {
-        let mut serial = Engine::new(catalog());
-        let mut par = Engine::new(catalog());
-        let handed = Input::Table(serial.catalog().table_arc("r").unwrap());
+        let e = Engine::new(catalog());
+        let (mut serial, mut par) = (QueryCtx::default(), QueryCtx::default());
+        let handed = Input::Table(e.catalog().table_arc("r").unwrap());
         let queries = vec![
             GroupByQuery::count_star("r", &["a"]),
             GroupByQuery {
@@ -449,7 +458,7 @@ mod tests {
             },
             GroupByQuery::count_star("r", &["a", "b"]),
         ];
-        let par_tables = par.run_group_bys_parallel(&queries, 4).unwrap();
+        let par_tables = e.run_group_bys_parallel(&queries, 4, &mut par).unwrap();
         let norm = |t: &Table| {
             let mut v: Vec<Vec<Value>> = (0..t.num_rows())
                 .map(|r| (0..t.num_columns()).map(|c| t.value(r, c)).collect())
@@ -458,13 +467,13 @@ mod tests {
             v
         };
         for (q, pt) in queries.iter().zip(&par_tables) {
-            let st = serial.run_group_by(q).unwrap();
+            let st = e.run_group_by(q, &mut serial).unwrap();
             assert_eq!(norm(&st), norm(pt));
         }
-        par.materialize(&par_tables[1]);
-        assert_eq!(par.metrics().queries_executed, 3);
-        assert_eq!(par.metrics().tables_materialized, 1);
-        assert_eq!(par.metrics().rows_scanned, serial.metrics().rows_scanned);
+        e.materialize(&par_tables[1], &mut par);
+        assert_eq!(par.metrics.queries_executed, 3);
+        assert_eq!(par.metrics.tables_materialized, 1);
+        assert_eq!(par.metrics.rows_scanned, serial.metrics.rows_scanned);
         // Same allocation, same input; a catalog name is another input.
         assert_eq!(queries[1].input, handed);
         assert_ne!(queries[0].input, handed);
@@ -472,92 +481,111 @@ mod tests {
 
     #[test]
     fn range_scan_aggregates_only_the_slice() {
-        let mut e = Engine::new(catalog());
+        let e = Engine::new(catalog());
+        let mut ctx = QueryCtx::default();
+        let q = GroupByQuery::count_star("r", &["a"]);
         // full table: a=1 ×2, a=2 ×3. Tail slice [2,5): a=2 ×3.
-        let r = e
-            .run_group_by_range(&GroupByQuery::count_star("r", &["a"]), 2, 3)
-            .unwrap();
+        let r = e.run_group_by_range(&q, 2, 3, &mut ctx).unwrap();
         assert_eq!(r.num_rows(), 1);
         assert_eq!(r.value(0, 0), Value::Int(2));
         assert_eq!(r.value(0, 1), Value::Int(3));
-        assert_eq!(e.metrics().delta_rows, 3);
-        assert_eq!(e.metrics().queries_executed, 1);
+        assert_eq!(ctx.metrics.delta_rows, 3);
+        assert_eq!(ctx.metrics.queries_executed, 1);
         // empty range: zero groups, still counted as a query
-        let empty = e
-            .run_group_by_range(&GroupByQuery::count_star("r", &["a"]), 5, 0)
-            .unwrap();
+        let empty = e.run_group_by_range(&q, 5, 0, &mut ctx).unwrap();
         assert_eq!(empty.num_rows(), 0);
         // out-of-range rejected
-        assert!(e
-            .run_group_by_range(&GroupByQuery::count_star("r", &["a"]), 4, 5)
-            .is_err());
+        assert!(e.run_group_by_range(&q, 4, 5, &mut ctx).is_err());
     }
 
     #[test]
     fn aggregate_table_is_the_query_kernel_without_the_catalog() {
-        let mut e = Engine::new(catalog());
+        let e = Engine::new(catalog());
+        let mut ctx = QueryCtx::default();
         let by_name = e
-            .run_group_by(&GroupByQuery::count_star("r", &["b"]))
+            .run_group_by(&GroupByQuery::count_star("r", &["b"]), &mut ctx)
             .unwrap();
-        let before = e.metrics();
+        let before = ctx.metrics;
         let table = e.catalog().table_arc("r").unwrap();
         let direct = e
-            .aggregate_table(&table, &[1], &[AggSpec::count()], Some(3))
+            .aggregate_table(&table, &[1], &[AggSpec::count()], Some(3), &mut ctx)
             .unwrap();
         assert_eq!(norm(&direct), norm(&by_name));
         // Rows are counted, a query is not.
-        assert_eq!(e.metrics().rows_scanned, before.rows_scanned + 5);
-        assert_eq!(e.metrics().queries_executed, before.queries_executed);
+        assert_eq!(ctx.metrics.rows_scanned, before.rows_scanned + 5);
+        assert_eq!(ctx.metrics.queries_executed, before.queries_executed);
 
-        // It runs under the engine's token like any query.
+        // It runs under the request's token like any query.
         let token = CancelToken::new();
         token.cancel();
-        e.set_cancel_token(Some(token));
+        ctx.cancel = Some(token);
         let err = e
-            .aggregate_table(&table, &[1], &[AggSpec::count()], None)
+            .aggregate_table(&table, &[1], &[AggSpec::count()], None, &mut ctx)
             .unwrap_err();
         assert_eq!(err, crate::ExecError::Cancelled { timed_out: false });
     }
 
     #[test]
     fn missing_table_and_column_error() {
-        let mut e = Engine::new(catalog());
+        let e = Engine::new(catalog());
+        let mut ctx = QueryCtx::default();
         assert!(e
-            .run_group_by(&GroupByQuery::count_star("ghost", &["a"]))
+            .run_group_by(&GroupByQuery::count_star("ghost", &["a"]), &mut ctx)
             .is_err());
         assert!(e
-            .run_group_by(&GroupByQuery::count_star("r", &["ghost"]))
+            .run_group_by(&GroupByQuery::count_star("r", &["ghost"]), &mut ctx)
             .is_err());
     }
 
     #[test]
     fn attached_token_cancels_queries() {
-        let mut e = Engine::new(catalog());
+        let e = Engine::new(catalog());
         let token = CancelToken::new();
-        e.set_cancel_token(Some(token.clone()));
-        assert!(e.check_cancelled().is_ok());
+        let mut ctx = QueryCtx {
+            cancel: Some(token.clone()),
+            ..QueryCtx::default()
+        };
+        let q = GroupByQuery::count_star("r", &["a"]);
+        assert!(ctx.check_cancelled().is_ok());
         // not tripped yet: queries run normally
-        e.run_group_by(&GroupByQuery::count_star("r", &["a"]))
-            .unwrap();
+        e.run_group_by(&q, &mut ctx).unwrap();
         token.cancel();
-        assert!(e.check_cancelled().is_err());
-        let err = e
-            .run_group_by(&GroupByQuery::count_star("r", &["a"]))
-            .unwrap_err();
+        assert!(ctx.check_cancelled().is_err());
+        let err = e.run_group_by(&q, &mut ctx).unwrap_err();
         assert_eq!(err, crate::ExecError::Cancelled { timed_out: false });
-        // detach: back to normal
-        e.set_cancel_token(None);
-        e.run_group_by(&GroupByQuery::count_star("r", &["a"]))
-            .unwrap();
+        // a request without a token runs to completion
+        e.run_group_by(&q, &mut QueryCtx::default()).unwrap();
     }
 
     #[test]
-    fn reset_metrics_clears_counters() {
-        let mut e = Engine::new(catalog());
-        e.run_group_by(&GroupByQuery::count_star("r", &["a"]))
-            .unwrap();
-        assert!(e.metrics().queries_executed > 0);
-        e.reset_metrics();
-        assert_eq!(e.metrics(), ExecMetrics::new());
+    fn requests_sharing_an_engine_keep_their_own_deadline_and_counters() {
+        let e = Engine::new(catalog());
+        let q = GroupByQuery::count_star("r", &["b"]);
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        let (cancelled, (result, ctx)) = std::thread::scope(|s| {
+            let cancelled = s.spawn(|| {
+                let mut ctx = QueryCtx {
+                    cancel: Some(tripped),
+                    ..QueryCtx::default()
+                };
+                e.run_group_by(&q, &mut ctx)
+            });
+            let running = s.spawn(|| {
+                let mut ctx = QueryCtx::default();
+                (e.run_group_by(&q, &mut ctx), ctx)
+            });
+            (cancelled.join().unwrap(), running.join().unwrap())
+        });
+        assert_eq!(
+            cancelled.unwrap_err(),
+            crate::ExecError::Cancelled { timed_out: false }
+        );
+        let r = e.catalog().table("r").unwrap();
+        let mut m = ExecMetrics::new();
+        let expected = crate::sort_group_by(r, &[1], &[AggSpec::count()], &mut m).unwrap();
+        assert_eq!(norm(&result.unwrap()), norm(&expected));
+        assert_eq!(ctx.metrics.rows_scanned, r.num_rows() as u64);
+        assert_eq!(ctx.metrics.queries_executed, 1);
     }
 }

@@ -102,7 +102,7 @@ pub(crate) fn record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, GroupByQuery};
+    use crate::engine::{Engine, GroupByQuery, QueryCtx};
     use crate::radix::{group_by_with_strategy, radix_group_by};
     use gbmqo_storage::DataType;
     use gbmqo_storage::{sort_permutation, TableBuilder, Value};
@@ -238,16 +238,17 @@ mod tests {
             catalog.register("r", input()).unwrap();
             Engine::new(catalog)
         };
-        let (mut hashing, mut streaming) = (engine(), engine());
+        let (hashing, mut streaming) = (engine(), engine());
         streaming
             .catalog_mut()
             .create_index("r", "ix_b", gbmqo_storage::IndexKind::NonClustered, vec![1])
             .unwrap();
         let q = GroupByQuery::count_star("r", &["b"]);
-        let a = streaming.run_group_by(&q).unwrap();
-        assert_eq!(streaming.metrics().radix_partitions, 0, "an order streams");
-        let b = hashing.run_group_by(&q).unwrap();
-        assert_eq!(hashing.metrics().radix_partitions, 1, "no order hashes");
+        let (mut streamed, mut hashed) = (QueryCtx::default(), QueryCtx::default());
+        let a = streaming.run_group_by(&q, &mut streamed).unwrap();
+        assert_eq!(streamed.metrics.radix_partitions, 0, "an order streams");
+        let b = hashing.run_group_by(&q, &mut hashed).unwrap();
+        assert_eq!(hashed.metrics.radix_partitions, 1, "no order hashes");
         assert_eq!(counts_by_key(&a), counts_by_key(&b));
 
         // The same dispatch under the signature kept for external callers.

@@ -19,9 +19,12 @@
 //!   §5.1.1's GROUPING SETS over selections and joins with `Grp-Tag`,
 //! * [`engine::Engine`] — runs Group By queries over a
 //!   [`gbmqo_storage::Catalog`] table or a table handed to it (one
-//!   [`engine::Input`] type) and collects [`metrics::ExecMetrics`];
-//!   [`Engine::aggregate_table`] is the same kernel dispatch for an
-//!   in-memory table (shard merges, delta refreshes, lattice levels).
+//!   [`engine::Input`] type); [`Engine::aggregate_table`] is the same
+//!   kernel dispatch for an in-memory table (shard merges, delta
+//!   refreshes, lattice levels). The engine holds only its catalog and
+//!   configuration, so every query takes `&self`: a request's
+//!   [`CancelToken`] and [`metrics::ExecMetrics`] travel in the
+//!   [`QueryCtx`] its caller builds and passes down to the kernels.
 
 #![warn(missing_docs)]
 
@@ -45,7 +48,7 @@ pub mod union_all;
 pub use agg::{AggFunc, AggSpec};
 pub use cancel::CancelToken;
 pub use cube::cube;
-pub use engine::{Engine, GroupByQuery, Input};
+pub use engine::{Engine, GroupByQuery, Input, QueryCtx};
 pub use error::{ExecError, Result};
 pub use filter::{filter, Predicate};
 pub use group_by::stream_group_by;

@@ -5,7 +5,7 @@
 //! the whole hierarchy costs little more than the finest Group By.
 
 use crate::agg::AggSpec;
-use crate::engine::Engine;
+use crate::engine::{Engine, QueryCtx};
 use crate::error::Result;
 use gbmqo_storage::Table;
 
@@ -16,19 +16,20 @@ use gbmqo_storage::Table;
 /// grand total (empty grouping). Aggregates in levels below the finest are
 /// the re-aggregations of `aggs`. Every level, the finest one over the
 /// whole input included, goes through [`Engine::aggregate_table`]: the
-/// engine's kernel threads, cancel token and metrics.
+/// engine's kernel threads and the request's token and counters.
 ///
 /// Follows this engine's GROUP BY convention that an empty input produces
 /// empty results at every level — including the grand total, where SQL's
 /// `ROLLUP` would emit a single `COUNT(*) = 0` row.
 pub fn rollup(
-    engine: &mut Engine,
+    engine: &Engine,
     input: &Table,
     cols: &[usize],
     aggs: &[AggSpec],
+    ctx: &mut QueryCtx,
 ) -> Result<Vec<Table>> {
     let mut levels = Vec::with_capacity(cols.len() + 1);
-    let finest = engine.aggregate_table(input, cols, aggs, None)?;
+    let finest = engine.aggregate_table(input, cols, aggs, None, ctx)?;
     levels.push(finest);
 
     let reaggs: Vec<AggSpec> = aggs.iter().map(AggSpec::reaggregate).collect();
@@ -37,7 +38,7 @@ pub fn rollup(
         // The previous level's schema lays out group columns first, in the
         // order of `cols`; the next level keeps the first `level` of them.
         let keep: Vec<usize> = (0..level).collect();
-        let next = engine.aggregate_table(prev, &keep, &reaggs, None)?;
+        let next = engine.aggregate_table(prev, &keep, &reaggs, None, ctx)?;
         levels.push(next);
     }
     Ok(levels)
@@ -70,7 +71,14 @@ mod tests {
     #[test]
     fn rollup_levels_have_expected_shapes() {
         let t = input();
-        let levels = rollup(&mut engine(), &t, &[0, 1], &[AggSpec::count()]).unwrap();
+        let levels = rollup(
+            &engine(),
+            &t,
+            &[0, 1],
+            &[AggSpec::count()],
+            &mut QueryCtx::default(),
+        )
+        .unwrap();
         assert_eq!(levels.len(), 3);
         assert_eq!(levels[0].num_rows(), 3); // (1,1),(1,2),(2,1)
         assert_eq!(levels[1].num_rows(), 2); // a=1, a=2
@@ -82,7 +90,14 @@ mod tests {
     fn rollup_counts_match_direct_group_bys() {
         let t = input();
         let mut m = ExecMetrics::new();
-        let levels = rollup(&mut engine(), &t, &[0, 1], &[AggSpec::count()]).unwrap();
+        let levels = rollup(
+            &engine(),
+            &t,
+            &[0, 1],
+            &[AggSpec::count()],
+            &mut QueryCtx::default(),
+        )
+        .unwrap();
         let direct_a = sort_group_by(&t, &[0], &[AggSpec::count()], &mut m).unwrap();
         let norm = |t: &Table| {
             let mut v: Vec<(Value, i64)> = (0..t.num_rows())
@@ -102,7 +117,14 @@ mod tests {
     #[test]
     fn rollup_single_column() {
         let t = input();
-        let levels = rollup(&mut engine(), &t, &[1], &[AggSpec::count()]).unwrap();
+        let levels = rollup(
+            &engine(),
+            &t,
+            &[1],
+            &[AggSpec::count()],
+            &mut QueryCtx::default(),
+        )
+        .unwrap();
         assert_eq!(levels.len(), 2);
         assert_eq!(levels[0].num_rows(), 2);
         assert_eq!(levels[1].num_rows(), 1);

@@ -159,19 +159,6 @@ impl Client {
         Ok(id)
     }
 
-    /// Pipelined send: a liveness probe.
-    pub fn send_ping(&mut self) -> ServerResult<u64> {
-        self.send(&Request::Ping)
-    }
-
-    /// Pipelined send: register `table` under `name`.
-    pub fn send_register_table(&mut self, name: &str, table: &Table) -> ServerResult<u64> {
-        self.send(&Request::RegisterTable {
-            name: name.to_string(),
-            table: table.clone(),
-        })
-    }
-
     /// Pipelined send: append `rows` to the table registered under
     /// `name`. The rows must match the registered schema; the server
     /// refreshes or invalidates cached aggregates per its refresh
@@ -254,27 +241,11 @@ impl Client {
     /// subset — GROUPING SETS/CUBE/ROLLUP over a star join).
     /// `deadline_ms` of `0` means no deadline.
     pub fn send_sql(&mut self, sql: &str, deadline_ms: u32) -> ServerResult<u64> {
-        self.send_sql_with(sql, deadline_ms, CacheControl::Default)
-    }
-
-    /// Like [`Client::send_sql`] with explicit control over the
-    /// server's materialized aggregate cache for this request.
-    pub fn send_sql_with(
-        &mut self,
-        sql: &str,
-        deadline_ms: u32,
-        cache: CacheControl,
-    ) -> ServerResult<u64> {
         self.send(&Request::SqlQuery {
             sql: sql.to_string(),
             deadline_ms,
-            cache,
+            cache: CacheControl::Default,
         })
-    }
-
-    /// Pipelined send: fetch server stats.
-    pub fn send_stats(&mut self) -> ServerResult<u64> {
-        self.send(&Request::Stats)
     }
 
     /// Read exactly one response frame off the socket, reusing the
@@ -457,18 +428,6 @@ impl Client {
         Ok(self.stream_wait(id))
     }
 
-    /// Like [`Client::stream_query`] with explicit cache control.
-    pub fn stream_query_with(
-        &mut self,
-        table: &str,
-        group_cols: &[&str],
-        deadline_ms: u32,
-        cache: CacheControl,
-    ) -> ServerResult<ResultStream<'_>> {
-        let id = self.send_query_with(table, group_cols, deadline_ms, cache)?;
-        Ok(self.stream_wait(id))
-    }
-
     /// Run one SQL statement, streaming all grouping sets' chunks in
     /// arrival order (each chunk's tag is its set's comma-joined
     /// grouping columns).
@@ -492,7 +451,7 @@ impl Client {
 
     /// Ping the server.
     pub fn ping(&mut self) -> ServerResult<()> {
-        let id = self.send_ping()?;
+        let id = self.send(&Request::Ping)?;
         match self.wait(id)? {
             Reply::Pong => Ok(()),
             other => Err(unexpected(&other)),
@@ -501,7 +460,10 @@ impl Client {
 
     /// Register a table.
     pub fn register_table(&mut self, name: &str, table: &Table) -> ServerResult<()> {
-        let id = self.send_register_table(name, table)?;
+        let id = self.send(&Request::RegisterTable {
+            name: name.to_string(),
+            table: table.clone(),
+        })?;
         match self.wait(id)? {
             Reply::Ack => Ok(()),
             other => Err(unexpected(&other)),
@@ -566,17 +528,7 @@ impl Client {
     /// Run one SQL statement; returns `(set_tag, table)` pairs, one
     /// per grouping set the statement expands to.
     pub fn sql(&mut self, sql: &str, deadline_ms: u32) -> ServerResult<Vec<(String, Table)>> {
-        self.sql_with(sql, deadline_ms, CacheControl::Default)
-    }
-
-    /// Like [`Client::sql`] with explicit cache control.
-    pub fn sql_with(
-        &mut self,
-        sql: &str,
-        deadline_ms: u32,
-        cache: CacheControl,
-    ) -> ServerResult<Vec<(String, Table)>> {
-        let id = self.send_sql_with(sql, deadline_ms, cache)?;
+        let id = self.send_sql(sql, deadline_ms)?;
         match self.wait(id)? {
             Reply::Results(r) => Ok(r),
             other => Err(unexpected(&other)),
@@ -585,7 +537,7 @@ impl Client {
 
     /// Fetch the server's stats JSON.
     pub fn stats(&mut self) -> ServerResult<String> {
-        let id = self.send_stats()?;
+        let id = self.send(&Request::Stats)?;
         match self.wait(id)? {
             Reply::Stats(json) => Ok(json),
             other => Err(unexpected(&other)),
@@ -616,27 +568,6 @@ impl ResultStream<'_> {
     /// `None` without an error.
     pub fn summary(&self) -> Option<&StreamSummary> {
         self.summary.as_ref()
-    }
-
-    /// Drain the stream, collecting chunks back into whole tables.
-    pub fn collect_tables(mut self) -> ServerResult<(Vec<(String, Table)>, StreamSummary)> {
-        let mut sets: Vec<(String, Vec<Table>)> = Vec::new();
-        for batch in &mut self {
-            let batch = batch?;
-            match sets.iter_mut().find(|(tag, _)| *tag == batch.set_tag) {
-                Some((_, chunks)) => chunks.push(batch.rows),
-                None => sets.push((batch.set_tag, vec![batch.rows])),
-            }
-        }
-        let summary = self
-            .summary
-            .clone()
-            .ok_or_else(|| ServerError::Protocol("stream ended without a summary".into()))?;
-        let mut results = Vec::with_capacity(sets.len());
-        for (tag, chunks) in sets {
-            results.push((tag, concat_chunks(&chunks)?));
-        }
-        Ok((results, summary))
     }
 }
 

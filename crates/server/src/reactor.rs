@@ -15,8 +15,6 @@
 
 #![allow(unsafe_code)]
 
-use std::os::fd::RawFd;
-
 /// One readiness event delivered by [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
@@ -218,23 +216,6 @@ mod linux {
             let mut buf: u64 = 0;
             unsafe { read(self.fd, (&mut buf as *mut u64).cast::<c_void>(), 8) };
         }
-
-        /// Duplicate the handle for another thread.
-        pub fn try_clone(&self) -> io::Result<Waker> {
-            // eventfds are just fds; dup(2) via fcntl is overkill —
-            // sharing the raw fd is fine because Waker never closes
-            // clones, only the Poller-owned original on drop... but a
-            // plain copy would double-close. Use dup(2).
-            extern "C" {
-                fn dup(fd: super::RawFd) -> super::RawFd;
-            }
-            let fd = unsafe { dup(self.fd) };
-            if fd < 0 {
-                Err(io::Error::last_os_error())
-            } else {
-                Ok(Waker { fd })
-            }
-        }
     }
 
     impl Drop for Waker {
@@ -412,20 +393,6 @@ mod fallback {
             let mut buf = [0u8; 64];
             while unsafe { read(self.read_fd, buf.as_mut_ptr().cast::<c_void>(), buf.len()) } > 0 {}
         }
-
-        /// Duplicate the handle for another thread.
-        pub fn try_clone(&self) -> io::Result<Waker> {
-            extern "C" {
-                fn dup(fd: super::RawFd) -> super::RawFd;
-            }
-            let read_fd = unsafe { dup(self.read_fd) };
-            let write_fd = unsafe { dup(self.write_fd) };
-            if read_fd < 0 || write_fd < 0 {
-                Err(io::Error::last_os_error())
-            } else {
-                Ok(Waker { read_fd, write_fd })
-            }
-        }
     }
 
     impl Drop for Waker {
@@ -472,8 +439,8 @@ mod tests {
     #[test]
     fn waker_crosses_threads() {
         let poller = Poller::new().unwrap();
-        let waker = poller.add_waker(1).unwrap();
-        let remote = waker.try_clone().unwrap();
+        let waker = std::sync::Arc::new(poller.add_waker(1).unwrap());
+        let remote = std::sync::Arc::clone(&waker);
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
             remote.wake();

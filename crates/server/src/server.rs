@@ -38,11 +38,15 @@
 //! ## Deadlines and cancellation
 //!
 //! A request's deadline clock starts at admission, so time spent
-//! queued counts against it. Workers install a [`CancelToken`] with the
-//! deadline on the session before executing; the engine polls it at
-//! morsel boundaries, so an expired request aborts mid-kernel, its
-//! intermediates are dropped with the execution, and the client
-//! receives [`ErrorCode::Timeout`].
+//! queued counts against it. A worker builds the request its own
+//! [`QueryCtx`] — a [`CancelToken`] tripping at the deadline, and fresh
+//! counters — and passes it down the call chain; nothing is installed
+//! on the shared session. The session polls it between the stages of
+//! a request and the engine at morsel boundaries, so an expired request
+//! aborts at the next stage boundary or mid-kernel, its intermediates
+//! are dropped with the execution, and the client receives
+//! [`ErrorCode::Timeout`]. A request whose deadline passed while it
+//! was queued fails before it touches the caches.
 //!
 //! ## Shutdown
 //!
@@ -56,7 +60,7 @@ use crate::codec::{FrameStatus, RecvBuf};
 use crate::error::ErrorCode;
 use crate::protocol::{self, FrameError, Request, Response};
 use crate::reactor::{Event, Poller, Waker};
-use gbmqo_core::{CacheControl, CancelToken, CoreError, Session, Workload};
+use gbmqo_core::{CacheControl, CancelToken, CoreError, QueryCtx, Session, Workload};
 use gbmqo_exec::{ExecError, ExecMetrics};
 use gbmqo_storage::{StorageError, Table};
 use std::collections::HashMap;
@@ -1030,12 +1034,20 @@ fn error_code_for(e: &CoreError) -> ErrorCode {
     }
 }
 
+/// Reply to `job` with a typed error, counting a timeout as one.
+fn reply_error(job: &Job, shared: &Shared, code: ErrorCode, message: String) {
+    if code == ErrorCode::Timeout {
+        shared.counters().timeouts += 1;
+    }
+    job.reply
+        .send_response(job.request_id, &Response::Error { code, message });
+}
+
 fn process_job(job: Job, shared: &Shared) {
     shared.counters().requests += 1;
-    match job.kind {
+    match &job.kind {
         JobKind::RegisterRaw { body } => {
-            let decoded = protocol::decode_request_body(protocol::OP_REGISTER, &body);
-            match decoded {
+            match protocol::decode_request_body(protocol::OP_REGISTER, body) {
                 Ok(Request::RegisterTable { name, table }) => {
                     // Bind before matching, so the session lock is released
                     // before the reply is sent.
@@ -1044,31 +1056,17 @@ fn process_job(job: Job, shared: &Shared) {
                         Ok(()) => {
                             job.reply.send_response(job.request_id, &Response::Ack);
                         }
-                        Err(e) => {
-                            job.reply.send_response(
-                                job.request_id,
-                                &Response::Error {
-                                    code: error_code_for(&e),
-                                    message: e.to_string(),
-                                },
-                            );
-                        }
+                        Err(e) => reply_error(&job, shared, error_code_for(&e), e.to_string()),
                     }
                 }
                 _ => {
-                    job.reply.send_response(
-                        job.request_id,
-                        &Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: "malformed register payload".into(),
-                        },
-                    );
+                    let message = "malformed register payload".into();
+                    reply_error(&job, shared, ErrorCode::BadRequest, message);
                 }
             }
         }
         JobKind::AppendRaw { body } => {
-            let decoded = protocol::decode_request_body(protocol::OP_APPEND, &body);
-            match decoded {
+            match protocol::decode_request_body(protocol::OP_APPEND, body) {
                 Ok(Request::Append { name, rows }) => {
                     let appended = rows.num_rows() as u64;
                     let result = shared.session().append(&name, rows);
@@ -1080,25 +1078,12 @@ fn process_job(job: Job, shared: &Shared) {
                             drop(counters);
                             job.reply.send_response(job.request_id, &Response::Ack);
                         }
-                        Err(e) => {
-                            job.reply.send_response(
-                                job.request_id,
-                                &Response::Error {
-                                    code: error_code_for(&e),
-                                    message: e.to_string(),
-                                },
-                            );
-                        }
+                        Err(e) => reply_error(&job, shared, error_code_for(&e), e.to_string()),
                     }
                 }
                 _ => {
-                    job.reply.send_response(
-                        job.request_id,
-                        &Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: "malformed append payload".into(),
-                        },
-                    );
+                    let message = "malformed append payload".into();
+                    reply_error(&job, shared, ErrorCode::BadRequest, message);
                 }
             }
         }
@@ -1108,31 +1093,20 @@ fn process_job(job: Job, shared: &Shared) {
             requests,
             cache,
         } => {
-            let outcome = run_workload(shared, &table, &universe, &requests, job.deadline, cache);
-            match outcome {
-                Ok((results, metrics)) => {
-                    stream_results(shared, &job.reply, job.request_id, &results, &metrics);
+            let mut ctx = request_ctx(job.deadline);
+            match run_workload(shared, table, universe, requests, *cache, &mut ctx) {
+                Ok(results) => {
+                    stream_results(shared, &job.reply, job.request_id, &results, &ctx.metrics);
                 }
-                Err(e) => {
-                    let code = error_code_for(&e);
-                    if code == ErrorCode::Timeout {
-                        shared.counters().timeouts += 1;
-                    }
-                    job.reply.send_response(
-                        job.request_id,
-                        &Response::Error {
-                            code,
-                            message: e.to_string(),
-                        },
-                    );
-                }
+                Err(e) => reply_error(&job, shared, error_code_for(&e), e.to_string()),
             }
         }
         JobKind::Sql { sql, cache } => {
             shared.counters().sql_queries += 1;
-            match run_sql(shared, &sql, job.deadline, cache) {
-                Ok((results, metrics)) => {
-                    stream_results(shared, &job.reply, job.request_id, &results, &metrics);
+            let mut ctx = request_ctx(job.deadline);
+            match run_sql(shared, sql, *cache, &mut ctx) {
+                Ok(results) => {
+                    stream_results(shared, &job.reply, job.request_id, &results, &ctx.metrics);
                 }
                 Err(SqlJobError::Sql(e)) => {
                     // A compile-time failure: the statement never ran.
@@ -1143,26 +1117,10 @@ fn process_job(job: Job, shared: &Shared) {
                         gbmqo_sqlfe::SqlErrorKind::Unresolved => ErrorCode::NotFound,
                         _ => ErrorCode::BadRequest,
                     };
-                    job.reply.send_response(
-                        job.request_id,
-                        &Response::Error {
-                            code,
-                            message: e.render(&sql),
-                        },
-                    );
+                    reply_error(&job, shared, code, e.render(sql));
                 }
                 Err(SqlJobError::Core(e)) => {
-                    let code = error_code_for(&e);
-                    if code == ErrorCode::Timeout {
-                        shared.counters().timeouts += 1;
-                    }
-                    job.reply.send_response(
-                        job.request_id,
-                        &Response::Error {
-                            code,
-                            message: e.to_string(),
-                        },
-                    );
+                    reply_error(&job, shared, error_code_for(&e), e.to_string());
                 }
             }
         }
@@ -1174,6 +1132,15 @@ fn process_job(job: Job, shared: &Shared) {
     }
 }
 
+/// A request's own execution state: a token tripping at its deadline
+/// (which started at admission) and fresh counters.
+fn request_ctx(deadline: Option<Instant>) -> QueryCtx {
+    QueryCtx {
+        cancel: deadline.map(CancelToken::with_deadline_at),
+        ..QueryCtx::default()
+    }
+}
+
 /// Why a SQL job failed: at compile time (parse/bind/lower — mapped to
 /// `BadRequest`/`NotFound` with a caret diagnostic) or at run time
 /// (mapped like any workload error).
@@ -1182,27 +1149,24 @@ enum SqlJobError {
     Core(CoreError),
 }
 
-/// Compile and execute one SQL statement under the shared session,
-/// installing (and always removing) the deadline token — the SQL
-/// sibling of [`run_workload`]. Single-table statements go through
-/// `Session::run_workload`, so they share the plan cache and
-/// materialized aggregates with every other client.
+/// Compile and execute one SQL statement under the shared session on
+/// behalf of `ctx` — the SQL sibling of [`run_workload`]. Single-table
+/// statements go through `Session::run_workload_in`, so they share the
+/// plan cache and materialized aggregates with every other client.
 fn run_sql(
     shared: &Shared,
     sql: &str,
-    deadline: Option<Instant>,
     cache: CacheControl,
-) -> Result<(Vec<(String, Table)>, ExecMetrics), SqlJobError> {
+    ctx: &mut QueryCtx,
+) -> Result<Vec<(String, Table)>, SqlJobError> {
     let mut session = shared.session();
     let lowered =
         gbmqo_sqlfe::compile(sql, session.engine().catalog()).map_err(SqlJobError::Sql)?;
-    session.set_cancel_token(deadline.map(CancelToken::with_deadline_at));
-    let out = gbmqo_sqlfe::execute(&lowered, &mut session, cache);
-    session.set_cancel_token(None);
+    let out = gbmqo_sqlfe::execute(&lowered, &mut session, cache, ctx);
     drop(session);
-    let out = out.map_err(SqlJobError::Core)?;
-    shared.counters().total += out.metrics;
-    Ok((out.results, out.metrics))
+    let results = out.map_err(SqlJobError::Core)?;
+    shared.counters().total += ctx.metrics;
+    Ok(results)
 }
 
 /// Stream one request's result tables as bounded chunks terminated by
@@ -1264,19 +1228,19 @@ fn stream_results(
     )
 }
 
-/// Optimize and execute one workload under the shared session,
-/// installing (and always removing) the deadline token. Because the
-/// session — and with it the materialized aggregate cache — is shared
-/// by every connection, one client's workload can be answered from
-/// supersets another client materialized moments earlier.
+/// Optimize and execute one workload under the shared session on
+/// behalf of `ctx`. Because the session — and with it the materialized
+/// aggregate cache — is shared by every connection, one client's
+/// workload can be answered from supersets another client materialized
+/// moments earlier.
 fn run_workload(
     shared: &Shared,
     table: &str,
     universe: &[String],
     requests: &[Vec<String>],
-    deadline: Option<Instant>,
     cache: CacheControl,
-) -> gbmqo_core::Result<(Vec<(String, Table)>, ExecMetrics)> {
+    ctx: &mut QueryCtx,
+) -> gbmqo_core::Result<Vec<(String, Table)>> {
     let mut session = shared.session();
     let workload = {
         let base = session.engine().catalog().table(table)?.clone();
@@ -1287,22 +1251,16 @@ fn run_workload(
             .collect();
         Workload::new(table, &base, &universe_refs, &request_refs)?
     };
-    session.set_cancel_token(deadline.map(CancelToken::with_deadline_at));
-    let outcome = session.run_workload(&workload, cache);
-    session.set_cancel_token(None);
+    let outcome = session.run_workload_in(&workload, cache, ctx);
     drop(session);
     let outcome = outcome?;
-    let metrics = outcome.report.metrics;
-    shared.counters().total += metrics;
-    Ok((
-        outcome
-            .report
-            .results
-            .into_iter()
-            .map(|(set, t)| (workload.col_names(set).join(","), t))
-            .collect(),
-        metrics,
-    ))
+    shared.counters().total += ctx.metrics;
+    Ok(outcome
+        .report
+        .results
+        .into_iter()
+        .map(|(set, t)| (workload.col_names(set).join(","), t))
+        .collect())
 }
 
 /// Render the server-wide stats JSON: admission/streaming

@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use gbmqo_sqlfe::compile;
-//! use gbmqo_core::{CacheControl, Session};
+//! use gbmqo_core::{CacheControl, QueryCtx, Session};
 //! use gbmqo_storage::{Column, DataType, Field, Schema, Table};
 //!
 //! let table = Table::new(
@@ -41,8 +41,9 @@
 //!     "SELECT a, b, COUNT(*) AS cnt FROM t GROUP BY CUBE (a, b)",
 //!     session.engine().catalog(),
 //! ).unwrap();
-//! let out = gbmqo_sqlfe::execute(&lowered, &mut session, CacheControl::Default).unwrap();
-//! assert_eq!(out.results.len(), 3); // (a), (b), (a,b)
+//! let mut ctx = QueryCtx::default();
+//! let out = gbmqo_sqlfe::execute(&lowered, &mut session, CacheControl::Default, &mut ctx).unwrap();
+//! assert_eq!(out.len(), 3); // (a), (b), (a,b)
 //! ```
 //!
 //! Scope notes (each rejected with a spanned
@@ -64,7 +65,7 @@ pub mod parser;
 pub use ast::Query;
 pub use binder::{bind, BoundDim, BoundQuery, MAX_CUBE_COLUMNS};
 pub use error::{Result, Span, SqlError, SqlErrorKind};
-pub use lower::{execute, lower, LoweredQuery, SqlOutput};
+pub use lower::{execute, lower, LoweredQuery};
 pub use parser::parse;
 
 use gbmqo_storage::Catalog;

@@ -15,7 +15,7 @@
 use crate::binder::BoundQuery;
 use crate::error::{Result, SqlError, SqlErrorKind};
 use gbmqo_core::{grouping_sets_over_star, CacheControl, Session, StarDim, Workload};
-use gbmqo_exec::{AggSpec, ExecMetrics, Predicate};
+use gbmqo_exec::{AggSpec, Predicate, QueryCtx};
 use gbmqo_storage::{Catalog, Table};
 
 /// An executable lowering of one SQL statement.
@@ -57,16 +57,6 @@ impl LoweredQuery {
     pub fn tag(&self, i: usize) -> String {
         self.sets()[i].join(",")
     }
-}
-
-/// One executed statement: `(tag, table)` per grouping set, in statement
-/// order, plus the work performed.
-#[derive(Debug)]
-pub struct SqlOutput {
-    /// `(tag, result)` pairs; tag = comma-joined grouping columns.
-    pub results: Vec<(String, Table)>,
-    /// Execution metrics.
-    pub metrics: ExecMetrics,
 }
 
 /// Lower a bound query. `catalog` is only read (schema lookups).
@@ -119,15 +109,19 @@ fn internal(e: impl std::fmt::Display) -> SqlError {
     SqlError::spanless(SqlErrorKind::Bind, e.to_string())
 }
 
-/// Execute a lowered query against a session.
+/// Execute a lowered query against a session for the request `ctx`
+/// describes (its token bounds the run, its counters collect the work),
+/// returning `(tag, table)` per grouping set in statement order; a tag
+/// is the set's comma-joined grouping columns.
 pub fn execute(
     lowered: &LoweredQuery,
     session: &mut Session,
     cache: CacheControl,
-) -> gbmqo_core::Result<SqlOutput> {
+    ctx: &mut QueryCtx,
+) -> gbmqo_core::Result<Vec<(String, Table)>> {
     match lowered {
         LoweredQuery::Workload { workload, sets } => {
-            let out = session.run_workload(workload, cache)?;
+            let out = session.run_workload_in(workload, cache, ctx)?;
             let mut results = Vec::with_capacity(sets.len());
             for set in sets {
                 let names: Vec<&str> = set.iter().map(String::as_str).collect();
@@ -148,10 +142,7 @@ pub fn execute(
                     })?;
                 results.push((set.join(","), table));
             }
-            Ok(SqlOutput {
-                results,
-                metrics: out.report.metrics,
-            })
+            Ok(results)
         }
         LoweredQuery::Star {
             fact,
@@ -165,17 +156,15 @@ pub fn execute(
                 .map(|s| s.iter().map(String::as_str).collect())
                 .collect();
             let out = grouping_sets_over_star(
-                session.engine_mut(),
+                session.engine(),
                 fact,
                 dims,
                 &requests,
                 fact_filter.as_ref(),
                 aggregates,
+                ctx,
             )?;
-            Ok(SqlOutput {
-                results: out.results,
-                metrics: out.metrics,
-            })
+            Ok(out.results)
         }
     }
 }
@@ -245,10 +234,16 @@ mod tests {
             .build()
             .unwrap();
         let q = lower_sql("SELECT a, COUNT(*) FROM t GROUP BY CUBE (a, b)");
-        let out = execute(&q, &mut session, CacheControl::Default).unwrap();
-        assert_eq!(out.results.len(), 3);
+        let out = execute(
+            &q,
+            &mut session,
+            CacheControl::Default,
+            &mut QueryCtx::default(),
+        )
+        .unwrap();
+        assert_eq!(out.len(), 3);
         // the (a) set has 3 groups of 20 rows each
-        let (tag, t) = &out.results.iter().find(|(t, _)| t == "a").unwrap();
+        let (tag, t) = &out.iter().find(|(t, _)| t == "a").unwrap();
         assert_eq!(*tag, "a");
         assert_eq!(t.num_rows(), 3);
     }

@@ -13,7 +13,7 @@
 
 use gbmqo_core::grouping_sets_over_join;
 use gbmqo_datagen::{ColumnGen, TableSpec};
-use gbmqo_exec::{hash_join, radix_group_by, AggSpec, Engine, ExecMetrics};
+use gbmqo_exec::{hash_join, radix_group_by, AggSpec, Engine, ExecMetrics, QueryCtx};
 use gbmqo_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 use std::time::Instant;
 
@@ -67,7 +67,7 @@ fn main() {
     let mut catalog = Catalog::new();
     catalog.register("fact", fact(rows)).unwrap();
     catalog.register("supplier", dimension()).unwrap();
-    let mut engine = Engine::new(catalog);
+    let engine = Engine::new(catalog);
     println!("fact: {rows} rows; supplier: 100 rows (keyed by suppkey)\n");
 
     let requests = [
@@ -78,8 +78,10 @@ fn main() {
     ];
 
     let start = Instant::now();
+    let mut ctx = QueryCtx::default();
     let pushed =
-        grouping_sets_over_join(&mut engine, "fact", "supplier", "suppkey", &requests).unwrap();
+        grouping_sets_over_join(&engine, "fact", "supplier", "suppkey", &requests, &mut ctx)
+            .unwrap();
     let t_pushed = start.elapsed().as_secs_f64();
 
     println!("pushed-down plan (§5.1.1):");

@@ -47,11 +47,17 @@ fn run(sql: &str, session: &mut Session, preview: usize) {
         "  lowered to a {shape}, {} grouping set(s)",
         lowered.sets().len()
     );
-    let out = execute(&lowered, session, CacheControl::Default).expect("execute");
-    for (tag, table) in &out.results {
+    let out = execute(
+        &lowered,
+        session,
+        CacheControl::Default,
+        &mut QueryCtx::default(),
+    )
+    .expect("execute");
+    for (tag, table) in &out {
         println!("  GROUP BY ({tag}): {} rows", table.num_rows());
     }
-    let (tag, first) = &out.results[0];
+    let (tag, first) = &out[0];
     println!("  first set ({tag}):");
     for line in first.display(preview).lines() {
         println!("    {line}");

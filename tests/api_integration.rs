@@ -5,7 +5,7 @@ use gbmqo_core::prelude::*;
 use gbmqo_core::ExecutionMode;
 use gbmqo_cost::CardinalityCostModel;
 use gbmqo_datagen::{lineitem, sales};
-use gbmqo_exec::{radix_group_by, sort_group_by, AggSpec, ExecMetrics, Input};
+use gbmqo_exec::{radix_group_by, sort_group_by, AggSpec, ExecMetrics, Input, QueryCtx};
 use gbmqo_integration::engine_with;
 use gbmqo_stats::ExactSource;
 use gbmqo_storage::{Table, Value};
@@ -104,7 +104,7 @@ fn client_and_server_modes_agree_on_lineitem() {
 #[test]
 fn shared_scan_engine_api_matches_per_query_execution() {
     let table = sales(6_000, 53);
-    let mut engine = engine_with(table.clone(), "sales");
+    let engine = engine_with(table.clone(), "sales");
     let groupings: Vec<Vec<String>> = vec![
         vec!["region".into()],
         vec!["gender".into()],
@@ -116,6 +116,7 @@ fn shared_scan_engine_api_matches_per_query_execution() {
             &groupings,
             &[AggSpec::count()],
             &[],
+            &mut QueryCtx::default(),
         )
         .unwrap();
     let mut m = ExecMetrics::new();

@@ -149,11 +149,12 @@ fn join_pushdown_on_generated_data() {
 
     let requests = [vec!["region"], vec!["channel"], vec!["region", "channel"]];
     let out = grouping_sets_over_join(
-        session.engine_mut(),
+        session.engine(),
         "sales",
         "stores",
         "store_id",
         &requests,
+        &mut QueryCtx::default(),
     )
     .unwrap();
     assert_eq!(out.results.len(), 3);

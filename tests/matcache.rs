@@ -217,6 +217,50 @@ fn a_delta_of_new_keys_refreshes_without_resizing() {
     assert_eq!(out.report.results[0].1.num_rows(), 1_200);
 }
 
+/// A request whose token tripped before it started fails without side
+/// effects: after an append it neither drops the stale aggregates nor
+/// runs the search, so the next request still refreshes every one of
+/// them from the delta instead of rescanning the base table.
+#[test]
+fn a_cancelled_request_leaves_both_caches_as_it_found_them() {
+    let cards = [5, 12, 60];
+    let base = modular_table(20_000, &cards);
+    let delta = modular_table(200, &cards);
+    let grown = gbmqo_storage::Table::concat(&[&base, &delta]).unwrap();
+    let requests = [vec![0], vec![1], vec![0, 2]];
+    let mut session = session_with(&base, ExecutionMode::ClientSide, BUDGET);
+    session
+        .run_workload(&workload_of(&base, &requests), CacheControl::Default)
+        .unwrap();
+    session.append("t", delta).unwrap();
+
+    let w = workload_of(&grown, &requests);
+    let (aggregates, plans) = (session.mat_cache_stats(), session.cache_stats());
+    let token = CancelToken::new();
+    token.cancel();
+    let mut cancelled = QueryCtx {
+        cancel: Some(token),
+        ..QueryCtx::default()
+    };
+    let err = session
+        .run_workload_in(&w, CacheControl::Default, &mut cancelled)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoreError::Exec(gbmqo_exec::ExecError::Cancelled { .. })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(session.mat_cache_stats(), aggregates);
+    assert_eq!(session.cache_stats(), plans);
+
+    let out = session.run_workload(&w, CacheControl::Default).unwrap();
+    let m = &out.report.metrics;
+    assert_eq!(m.matcache_hits, w.requests.len() as u64, "{m:?}");
+    assert!(m.rows_scanned < base.num_rows() as u64, "{m:?}");
+}
+
 #[test]
 fn replacing_the_table_invalidates_cached_aggregates() {
     let old = modular_table(1_000, &[4, 10]);

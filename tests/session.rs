@@ -261,18 +261,19 @@ proptest! {
                         _ => CacheControl::Default,
                     };
                     let before = catalog_state(&s);
+                    let mut ctx = QueryCtx::default();
                     if cancelled {
                         let token = CancelToken::new();
                         token.cancel();
-                        s.set_cancel_token(Some(token));
+                        ctx.cancel = Some(token);
                     }
 
-                    let out = s.run_workload(&w, control);
+                    let out = s.run_workload_in(&w, control, &mut ctx);
                     prop_assert_eq!(out.is_err(), cancelled, "run_workload, {}", &context);
                     let naive = s.run_plan(&LogicalPlan::naive(&w), &w);
-                    prop_assert_eq!(naive.is_err(), cancelled, "run_plan, {}", &context);
+                    prop_assert!(naive.is_ok(), "run_plan, {}", &context);
                     let lowered = gbmqo_sqlfe::compile(star, s.engine().catalog()).unwrap();
-                    let sql = gbmqo_sqlfe::execute(&lowered, &mut s, control);
+                    let sql = gbmqo_sqlfe::execute(&lowered, &mut s, control, &mut ctx);
                     prop_assert!(cancelled || sql.is_ok(), "star query, {}: {:?}", &context, sql.err());
                     prop_assert_eq!(catalog_state(&s), before, "{}", &context);
                 }

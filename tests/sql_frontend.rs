@@ -325,15 +325,15 @@ proptest! {
             let lowered = compile(&sql, sql_session.engine().catalog())
                 .unwrap_or_else(|e| panic!("{}", e.render(&sql)));
             prop_assert!(matches!(lowered, LoweredQuery::Workload { .. }));
-            let sql_out = execute(&lowered, &mut sql_session, CacheControl::Default).unwrap();
+            let sql_out = execute(&lowered, &mut sql_session, CacheControl::Default, &mut QueryCtx::default()).unwrap();
 
             let mut raw_session = session_in(&table, mode, shards);
             let raw_out = raw_session
                 .run_workload(&workload, CacheControl::Default)
                 .unwrap();
 
-            prop_assert_eq!(sql_out.results.len(), sets.len());
-            for (set, (tag, sql_table)) in sets.iter().zip(&sql_out.results) {
+            prop_assert_eq!(sql_out.len(), sets.len());
+            for (set, (tag, sql_table)) in sets.iter().zip(&sql_out) {
                 prop_assert_eq!(tag.clone(), set.join(","));
                 let names: Vec<&str> = set.iter().map(String::as_str).collect();
                 let raw_table = raw_out
@@ -387,9 +387,13 @@ fn star_grouping_sets_equal_per_set_statements() {
     let mut run = |sql: &str| {
         let lowered = compile(sql, session.engine().catalog())
             .unwrap_or_else(|e| panic!("{}", e.render(sql)));
-        execute(&lowered, &mut session, CacheControl::Bypass)
-            .unwrap()
-            .results
+        execute(
+            &lowered,
+            &mut session,
+            CacheControl::Bypass,
+            &mut QueryCtx::default(),
+        )
+        .unwrap()
     };
     let combined = run(&statement(
         "GROUPING SETS ((prod_key), (store_key), (prod_key, store_key))",
