@@ -48,9 +48,6 @@ OPTIONS:
     --load-plan <f>  replay a previously saved plan instead of optimizing
     --explain        print the physical plan the first run executed, with
                      per-query cost estimates (EXPLAIN)
-    --adaptive       feed observed cardinalities back into the optimizer;
-                     drifted cached plans re-optimize (profile always
-                     prints the estimated-vs-observed q-error report)
     --repeat <n>     run the workload n times (default 1); with a cache
                      budget, later runs are answered from cached aggregates
     --cache-budget-mb <n>
@@ -63,6 +60,10 @@ OPTIONS:
     --refresh <lazy|eager|off>
                      how cached aggregates react to those appends
                      (default lazy)
+
+`profile` plans from a sample and prints each plan node's estimated vs.
+observed group count; observed counts correct the sample on later
+repeats, and a drifted cached plan re-optimizes.
 
 `advise` recommends single-column indexes for the workload via what-if
 re-optimization (--max: number of indexes, default 3).

@@ -45,9 +45,6 @@ pub struct Options {
     pub append_rows: usize,
     /// How cached aggregates react to those appends.
     pub refresh: RefreshPolicy,
-    /// Run the adaptive feedback loop: observed cardinalities correct
-    /// the optimizer's estimates and drifted cached plans re-optimize.
-    pub adaptive: bool,
 }
 
 impl Options {
@@ -63,7 +60,6 @@ impl Options {
             match a.as_str() {
                 "--sets" => opts.sets = Some(value(&mut it, a)?),
                 "--sql" => opts.sql = true,
-                "--adaptive" => opts.adaptive = true,
                 "--json" => opts.json = true,
                 "--explain" => opts.explain = true,
                 "--naive" => opts.naive = true,
@@ -205,7 +201,6 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
         .mat_cache_budget_bytes(opts.cache_budget_mb << 20)
         .shards(opts.shards)
         .refresh_policy(opts.refresh)
-        .adaptive(opts.adaptive)
         .build()
         .map_err(|e| e.to_string())?;
 
@@ -349,8 +344,7 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
         );
     }
     // The q-error report: estimated vs. observed distinct groups for
-    // every plan node of the last iteration. Printed with or without
-    // --adaptive — the observations are always collected.
+    // every plan node of the last iteration.
     let cards = session.last_node_cards();
     if !cards.is_empty() {
         println!("\ncardinality estimates (last iteration):");
@@ -364,14 +358,14 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
             );
         }
     }
-    if opts.adaptive {
+    // The session plans from a sample, so observed group counts
+    // correct it and drifted cached plans re-optimize.
+    if m.feedback_observations > 0 {
         println!(
-            "adaptive: {} observations over {} column sets, \
-             {} plan re-optimizations, {} sketch refreshes",
+            "feedback: {} observations over {} column sets, {} plan re-optimizations",
             m.feedback_observations,
             session.feedback_len(),
-            m.plan_reopts,
-            m.sketch_refreshes
+            m.plan_reopts
         );
     }
     Ok(())
@@ -404,8 +398,6 @@ mod tests {
         .unwrap();
         assert_eq!(churn.append_rows, 500);
         assert_eq!(churn.refresh, RefreshPolicy::Disabled);
-        let adaptive = Options::parse(&["f.csv".into(), "--adaptive".into()]).unwrap();
-        assert!(adaptive.adaptive);
         assert!(Options::parse(&["f.csv".into(), "--shards".into(), "x".into()]).is_err());
         assert!(Options::parse(&[]).is_err());
         assert!(Options::parse(&["f.csv".into(), "--bogus".into()]).is_err());
@@ -526,7 +518,6 @@ mod tests {
             shards: 0,
             append_rows: 0,
             refresh: RefreshPolicy::Lazy,
-            adaptive: false,
         };
         run(&opts).unwrap();
         // machine-readable metrics parse back into ExecMetrics
@@ -575,15 +566,14 @@ mod tests {
             ..opts.clone()
         })
         .unwrap();
-        // the adaptive loop under churn: observations correct estimates
-        // between the warm repeats
+        // the feedback loop under churn without a cache: observations
+        // correct the sampled estimates between the repeats
         run(&Options {
             save_plan: None,
             explain: false,
             plan: false,
             repeat: 3,
             append_rows: 20,
-            adaptive: true,
             ..opts.clone()
         })
         .unwrap();

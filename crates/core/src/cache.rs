@@ -207,11 +207,11 @@ impl PlanCache {
     }
 
     /// Drop the entry cached under `key`, if any, so the next lookup
-    /// misses and re-runs the search. This is the adaptive feedback
-    /// loop's re-optimization hook: when execution-corrected estimates
-    /// shift a cached plan's cost past the session's threshold, the
-    /// entry is invalidated rather than served stale. Returns true when
-    /// an entry was removed.
+    /// misses and re-runs the search. This is the feedback loop's
+    /// re-optimization hook: when group counts observed under sampled
+    /// statistics shift a cached plan's cost past the session's
+    /// threshold, the entry is invalidated rather than served stale.
+    /// Returns true when an entry was removed.
     pub fn invalidate(&mut self, key: WorkloadFingerprint) -> bool {
         if self.map.remove(&key.0).is_some() {
             if let Some(pos) = self.order.iter().position(|&k| k == key.0) {

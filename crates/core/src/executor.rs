@@ -102,9 +102,6 @@ pub(crate) type Harvest = Vec<(ColSet, u32, Arc<Table>)>;
 pub(crate) struct PlanObservation {
     /// The node's target column set.
     pub cols: ColSet,
-    /// Rows of the node's immediate input (base, intermediate, or
-    /// cached root).
-    pub input_rows: u64,
     /// Rows of the node's result — the true distinct-group count.
     pub output_groups: u64,
 }
@@ -116,26 +113,25 @@ pub(crate) struct CacheHooks {
     /// `Some` collects every materialized intermediate for admission.
     pub harvest: Option<Harvest>,
     /// `Some` collects per-node cardinality observations for the
-    /// adaptive feedback loop (and the q-error report).
+    /// q-error report (and, under sampled statistics, the feedback loop).
     pub observations: Option<Vec<PlanObservation>>,
 }
 
 impl CacheHooks {
     /// Record one whole-table Group By outcome (no-op without a sink).
-    fn observe(&mut self, cols: ColSet, input_rows: u64, output_groups: u64) {
+    fn observe(&mut self, cols: ColSet, output_groups: u64) {
         if let Some(o) = self.observations.as_mut() {
             o.push(PlanObservation {
                 cols,
-                input_rows,
                 output_groups,
             });
         }
     }
 }
 
-/// Rows of `input`, 0 when it names no catalog table. Feeds
-/// [`PlanObservation::input_rows`]; an unregistered input only happens on
-/// error paths, where the observation is discarded with the execution.
+/// Rows of `input`, 0 when it names no catalog table. Sizes a
+/// re-aggregation's estimate and counts per-shard reads; an unregistered
+/// input only happens on error paths, which fail the execution anyway.
 fn input_rows_of(engine: &Engine, input: &Input) -> u64 {
     input
         .resolve(engine.catalog())
@@ -278,7 +274,6 @@ pub(crate) fn execute_plan(
         // wave run as one batch.
         let mut queries: Vec<GroupByQuery> = Vec::new();
         let mut scans: Vec<Option<usize>> = Vec::new();
-        let mut input_rows: Vec<u64> = Vec::new();
         for e in &batch {
             for (read, scan) in e.reads.iter().zip(&e.scans) {
                 let input = input_of(read, e.edge.source, &live);
@@ -301,19 +296,14 @@ pub(crate) fn execute_plan(
                     estimated_groups,
                 });
                 scans.push(*scan);
-                input_rows.push(rows);
             }
         }
         let tables = run_queries(engine, ctx, queries, &scans, physical.threads)?;
-        let mut outputs = input_rows.into_iter().zip(tables);
+        let mut outputs = tables.into_iter();
 
         for e in &batch {
             let edge = e.edge;
-            // Whole-logical-table input of this node: the sum over its
-            // query instances.
-            let (in_rows, parts): (Vec<u64>, Vec<Table>) =
-                outputs.by_ref().take(e.reads.len()).unzip();
-            let in_rows: u64 = in_rows.iter().sum();
+            let parts: Vec<Table> = outputs.by_ref().take(e.reads.len()).collect();
             // A whole-table result is a complete group count, hence an
             // observation. Per-shard partials kept as an intermediate
             // can repeat a group across shards, so their row counts are
@@ -334,7 +324,7 @@ pub(crate) fn execute_plan(
                 }
             };
             if let Some(table) = whole {
-                hooks.observe(edge.target, in_rows, table.num_rows() as u64);
+                hooks.observe(edge.target, table.num_rows() as u64);
                 if edge.required {
                     results.push((edge.target, table));
                 }
@@ -382,12 +372,11 @@ pub(crate) fn execute_plan(
                     (Input::Table(Arc::new(combined)), reagg.clone(), bytes)
                 }
             };
-            let in_rows = input_rows_of(engine, &input);
             let delivered = run_lattice(node, &input, workload, engine, ctx, &aggs)?;
             // The descent materializes each delivered level as a complete
             // whole-table aggregate, so every one is an observation.
             for (cols, table) in &delivered {
-                hooks.observe(*cols, in_rows, table.num_rows() as u64);
+                hooks.observe(*cols, table.num_rows() as u64);
             }
             results.extend(delivered);
             temp_bytes -= scratch;

@@ -46,12 +46,13 @@ use crate::plan::{LogicalPlan, SubNode};
 use crate::workload::Workload;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_exec::{AggFunc, AggSpec, Engine, ExecError, ExecMetrics, GroupByQuery, Input, QueryCtx};
-use gbmqo_feedback::{q_error, AdaptiveCardinalitySource, FeedbackStore, NodeObservation};
 use gbmqo_matcache::{
     agg_signature, CacheControl, CachedAggregate, MatCache, MatCacheStats, StaleAggregate,
 };
+use gbmqo_stats::catalog::MAX_COLUMN_SETS;
 use gbmqo_stats::{
-    CardinalitySource, DistinctEstimator, ExactSource, SampledSource, StatsCatalog, TableSketches,
+    CardinalitySource, DistinctEstimator, ExactSource, SampledSource, StatsCatalog,
+    StatsCreationLog, StatsStore,
 };
 use gbmqo_storage::{shard_table_name, Catalog, Table};
 use rustc_hash::FxHashMap;
@@ -165,24 +166,60 @@ pub const RESHARD_SKEW_THRESHOLD: u64 = 200;
 /// fraction of the base table.
 pub const DEFAULT_MAX_DELTA_FRACTION: f64 = 0.5;
 
-/// The adaptive loop invalidates a cached plan for re-optimization when
-/// feedback-corrected cardinalities shift its estimated cost by more than
-/// this relative fraction, or a planned node's q-error exceeds one plus it.
+/// Under sampled statistics the session invalidates a cached plan for
+/// re-optimization when observed group counts shift its estimated cost
+/// by more than this relative fraction, or a planned node's q-error
+/// exceeds one plus it.
 const REOPT_THRESHOLD: f64 = 0.3;
 
-/// The adaptive feedback loop's session state (see `gbmqo-feedback`):
-/// observed cardinalities from executed plans and per-table distinct
-/// sketches maintained incrementally from append deltas.
-#[derive(Debug)]
-struct AdaptiveState {
-    feedback: FeedbackStore,
-    sketches: FxHashMap<String, TableSketches>,
+/// The q-error of an estimate against an observation:
+/// `max(est/obs, obs/est)`, with both clamped to ≥ 1 so empty results
+/// do not divide by zero. Always ≥ 1; 1 means exact.
+fn q_error(estimated: f64, observed: f64) -> f64 {
+    let est = estimated.max(1.0);
+    let obs = observed.max(1.0);
+    (est / obs).max(obs / est)
+}
+
+/// A sampled source corrected by execution: `distinct` answers from the
+/// group count a plan node observed for the same column set, clamped to
+/// `[1, rows]`, before asking the sample. Only sampled statistics are
+/// wrapped — exact ones have nothing to correct.
+struct Observed<'a, S> {
+    sample: S,
+    counts: Option<&'a StatsStore>,
+}
+
+impl<S: CardinalitySource> CardinalitySource for Observed<'_, S> {
+    fn base_rows(&self) -> usize {
+        self.sample.base_rows()
+    }
+
+    fn distinct(&mut self, cols: &[usize]) -> f64 {
+        let rows = self.sample.base_rows().max(1) as f64;
+        match self.counts.and_then(|c| c.get(cols)) {
+            Some(groups) => groups.clamp(1.0, rows),
+            None => self.sample.distinct(cols),
+        }
+    }
+
+    fn row_width(&self, cols: &[usize]) -> f64 {
+        self.sample.row_width(cols)
+    }
+
+    fn full_row_width(&self) -> f64 {
+        self.sample.full_row_width()
+    }
+
+    fn creation_log(&self) -> Option<&StatsCreationLog> {
+        self.sample.creation_log()
+    }
 }
 
 /// Estimated vs. observed distinct-group count of one executed plan
 /// node; see [`Session::last_node_cards`]. Produced for every node the
-/// optimizer estimated, adaptive mode or not — this is the q-error
-/// report `gbmqo profile` prints.
+/// optimizer estimated, under every statistics spec — this is the
+/// q-error report `gbmqo profile` prints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeCardReport {
     /// Group-by column names of the node.
@@ -287,7 +324,6 @@ pub struct SessionBuilder {
     shards: u32,
     refresh_policy: RefreshPolicy,
     max_delta_fraction: Option<f64>,
-    adaptive: bool,
 }
 
 impl SessionBuilder {
@@ -392,19 +428,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enable the adaptive feedback loop (default off): every execution
-    /// records its per-node observed group counts, the optimizer's
-    /// cardinality source overlays those observations (and online
-    /// distinct sketches kept fresh across appends) on the configured
-    /// statistics, and cached plans whose feedback-corrected cost shifts
-    /// by more than 30% are invalidated for re-optimization. Both cost
-    /// models benefit — the overlay sits below them, behind the same
-    /// `CardinalitySource` trait.
-    pub fn adaptive(mut self, enabled: bool) -> Self {
-        self.adaptive = enabled;
-        self
-    }
-
     /// Build the session.
     pub fn build(self) -> Result<Session> {
         let mut engine = self.engine.unwrap_or_else(|| Engine::new(Catalog::new()));
@@ -444,10 +467,7 @@ impl SessionBuilder {
             refresh_policy: self.refresh_policy,
             max_delta_fraction,
             pending: ExecMetrics::default(),
-            adaptive: self.adaptive.then(|| AdaptiveState {
-                feedback: FeedbackStore::new(),
-                sketches: FxHashMap::default(),
-            }),
+            observed: FxHashMap::default(),
             last_node_cards: Vec::new(),
         })
     }
@@ -499,11 +519,14 @@ pub struct Session {
     /// Ingest-side counters (eager refreshes, reshard hints) accrued
     /// outside any request; drained into the next workload's metrics.
     pending: ExecMetrics,
-    /// `Some` when the adaptive feedback loop is on (see
-    /// [`SessionBuilder::adaptive`]).
-    adaptive: Option<AdaptiveState>,
+    /// Group counts execution observed, per base table and column set,
+    /// the newest winning. Recorded and read only under sampled
+    /// statistics, which they correct; they survive appends, reshards
+    /// and [`Session::bump_stats_version`], and a replacing
+    /// [`Session::register_table`] drops them.
+    observed: FxHashMap<String, StatsStore>,
     /// Estimated-vs-observed group counts of the last executed workload
-    /// (populated adaptive or not; see [`Session::last_node_cards`]).
+    /// (see [`Session::last_node_cards`]).
     last_node_cards: Vec<NodeCardReport>,
 }
 
@@ -676,7 +699,7 @@ impl Session {
     /// (per shard for a shard-served request) — and execute it,
     /// harvesting intermediates for admission when the request may
     /// admit, and always collecting per-node observations: the q-error
-    /// report is produced regardless of adaptive mode.
+    /// report is produced under every statistics spec.
     fn execute_covered(
         &self,
         req: &Request,
@@ -817,9 +840,9 @@ impl Session {
     /// [`Session::plan`] plus the optimizer's distinct-group estimate per
     /// plan node, which execution forwards to the engine's radix kernel,
     /// and the plan-cache fingerprint the result is cached under, so the
-    /// adaptive loop can invalidate exactly this entry when corrected
-    /// estimates drift. The estimates are cached alongside the plan, so a
-    /// hit costs zero model calls.
+    /// feedback loop can invalidate exactly this entry when observed
+    /// group counts drift. The estimates are cached alongside the plan,
+    /// so a hit costs zero model calls.
     fn plan_with_estimates_keyed(
         &mut self,
         workload: &Workload,
@@ -831,7 +854,7 @@ impl Session {
     )> {
         // The base table's contents version is part of the key: a
         // replaced or appended-to table can never reuse a stale plan.
-        // The feedback generation is deliberately NOT hashed in — that
+        // Observed group counts are deliberately NOT hashed in — that
         // would turn every repeat of a workload into a miss and defeat
         // the cache; instead the post-execution recost invalidates
         // entries whose corrected cost drifts (see `Session::observe`).
@@ -850,17 +873,6 @@ impl Session {
         if let Some((plan, stats, estimates)) = self.cache.get(key) {
             return Ok((plan, stats, estimates, key));
         }
-        // First contact with this table in adaptive mode builds its
-        // distinct sketches with one full scan; appends keep them fresh
-        // incrementally afterwards ([`Session::append`]).
-        if let Some(ad) = self.adaptive.as_mut() {
-            if !ad.sketches.contains_key(&workload.table) {
-                if let Ok(t) = self.engine.catalog().table(&workload.table) {
-                    ad.sketches
-                        .insert(workload.table.clone(), TableSketches::build(t));
-                }
-            }
-        }
         let catalog = self.engine.catalog();
         let table = catalog.table(&workload.table)?;
         // Statistics outlive the search: whatever an earlier search over
@@ -871,29 +883,21 @@ impl Session {
         let table_stats = self.stats.table(&workload.table, table_version);
         let (created_before, create_time_before) = table_stats.created();
         let (plan, mut stats, estimates) = {
-            let mut source: Box<dyn CardinalitySource + '_> = match *self.cost_model.stats() {
+            let source: Box<dyn CardinalitySource + '_> = match *self.cost_model.stats() {
                 Stats::Exact => Box::new(ExactSource::with_store(table, table_stats.exact())),
                 Stats::Sampled {
                     sample_size,
                     estimator,
                     seed,
-                } => Box::new(SampledSource::with_sample(
-                    table,
-                    table_stats.sample(table.num_rows(), sample_size, seed),
-                    estimator,
-                )),
+                } => Box::new(Observed {
+                    sample: SampledSource::with_sample(
+                        table,
+                        table_stats.sample(table.num_rows(), sample_size, seed),
+                        estimator,
+                    ),
+                    counts: self.observed.get(&workload.table),
+                }),
             };
-            // The adaptive overlay wraps whichever source the spec
-            // produces — the cost models are generic over
-            // `CardinalitySource`, so both benefit without API changes.
-            if let Some(ad) = self.adaptive.as_ref() {
-                source = Box::new(AdaptiveCardinalitySource::new(
-                    source,
-                    &workload.table,
-                    &ad.feedback,
-                    ad.sketches.get(&workload.table),
-                ));
-            }
             let gbmqo = GbMqo::with_config(self.search.clone());
             match self.cost_model {
                 CostModelSpec::Optimizer(_) => {
@@ -919,9 +923,10 @@ impl Session {
 
     /// Observe stage — observe → correct → re-optimize: turn the
     /// execution's raw per-node observations into (a) the always-on
-    /// estimated-vs-observed q-error report, (b) feedback-store
-    /// corrections (adaptive mode), and (c) a plan-cache invalidation
-    /// when the corrected cost of the planned subtree drifts past the
+    /// estimated-vs-observed q-error report and, under sampled
+    /// statistics only, (b) observed group counts that correct the
+    /// sample in later searches and (c) a plan-cache invalidation when
+    /// the corrected cost of the planned subtree drifts past the
     /// re-optimization threshold or a planned node's q-error exceeds
     /// `1 + threshold`.
     fn observe(
@@ -933,7 +938,7 @@ impl Session {
         observations: &[PlanObservation],
         ctx: &mut QueryCtx,
     ) {
-        let (workload, table_version, base_rows) = (req.workload, req.logical.1, req.logical.2);
+        let (workload, base_rows) = (req.workload, req.logical.2);
         let metrics = &mut ctx.metrics;
         self.last_node_cards.clear();
         let mut max_qe = 1.0f64;
@@ -956,17 +961,17 @@ impl Session {
             });
         }
 
-        let Some(ad) = self.adaptive.as_mut() else {
+        if !matches!(self.cost_model.stats(), Stats::Sampled { .. }) {
             return;
-        };
-        for obs in observations {
-            ad.feedback.record(&NodeObservation {
-                table: workload.table.clone(),
-                cols: workload.base_cols(obs.cols),
-                input_rows: obs.input_rows,
-                output_groups: obs.output_groups,
-                table_version,
-            });
+        }
+        let counts = self
+            .observed
+            .entry(workload.table.clone())
+            .or_insert_with(|| StatsStore::with_capacity(MAX_COLUMN_SETS));
+        // A node that read at least one row produced at least one group:
+        // an empty result means nothing ran.
+        for obs in observations.iter().filter(|o| o.output_groups > 0) {
+            counts.put(&workload.base_cols(obs.cols), obs.output_groups as f64);
         }
         metrics.feedback_observations += observations.len() as u64;
 
@@ -984,10 +989,9 @@ impl Session {
         let old = plan_scan_cost(plan, base, &mut |bits| {
             estimates.get(&bits).map_or(base, |&e| e as f64)
         });
-        let feedback = &ad.feedback;
         let corrected = plan_scan_cost(plan, base, &mut |bits| {
-            feedback
-                .observed_groups(&workload.table, &workload.base_cols(ColSet(bits)))
+            counts
+                .get(&workload.base_cols(ColSet(bits)))
                 .unwrap_or_else(|| estimates.get(&bits).map_or(base, |&e| e as f64))
         });
         // Two re-plan triggers. Scan-cost drift catches estimates whose
@@ -995,7 +999,7 @@ impl Session {
         // nodes that are badly estimated but cheap in absolute scan
         // terms — without it the loop can settle on a suboptimal plan
         // whose mispriced nodes are too small to move the total. Every
-        // executed node lands in the feedback store, so each re-plan
+        // executed node's count is recorded, so each re-plan
         // runs with strictly more observed column sets and the loop
         // terminates once the search picks a fully-observed plan
         // (q-error 1.0).
@@ -1088,12 +1092,9 @@ impl Session {
         for s in 0..old_shards.max(self.shards) {
             self.mat_cache.invalidate_table(&shard_table_name(&name, s));
         }
-        if let Some(ad) = self.adaptive.as_mut() {
-            // The contents were replaced wholesale: sketches and
-            // observed cardinalities describe the old rows.
-            ad.sketches.remove(&name);
-            ad.feedback.forget_table(&name);
-        }
+        // The contents were replaced wholesale: observed group counts
+        // describe the old rows.
+        self.observed.remove(&name);
         self.stats_version += 1;
         Ok(())
     }
@@ -1134,18 +1135,6 @@ impl Session {
                 self.pending.reshard_hints += 1;
             }
         }
-        // Fold just the appended range into the table's distinct
-        // sketches — corrected estimates stay fresh under churn without
-        // a full re-sample (the sketch tracks rows already seen).
-        if let Some(ad) = self.adaptive.as_mut() {
-            if let Some(sketches) = ad.sketches.get_mut(name) {
-                if let Ok(t) = self.engine.catalog().table(name) {
-                    if sketches.update(t) > 0 {
-                        self.pending.sketch_refreshes += 1;
-                    }
-                }
-            }
-        }
         if self.refresh_policy == RefreshPolicy::Eager && self.mat_cache.enabled() {
             self.refresh_all_stale(name)?;
         }
@@ -1174,12 +1163,6 @@ impl Session {
         self.mat_cache.invalidate_table(name);
         for s in 0..old_shards.max(self.shards) {
             self.mat_cache.invalidate_table(&shard_table_name(name, s));
-        }
-        if let Some(ad) = self.adaptive.as_mut() {
-            // Same logical rows, new physical layout: observed
-            // cardinalities stay valid, but the sketches track a scan
-            // cursor into the old layout and must rebuild.
-            ad.sketches.remove(name);
         }
         self.stats_version += 1;
         Ok(())
@@ -1313,16 +1296,16 @@ impl Session {
 
     /// Per-node estimated vs. observed group counts from the most
     /// recent [`Session::run_workload`], in execution order — the
-    /// q-error report `gbmqo profile` prints. Populated whether or not
-    /// adaptive mode is on; empty before the first request.
+    /// q-error report `gbmqo profile` prints. Populated under every
+    /// statistics spec; empty before the first request.
     pub fn last_node_cards(&self) -> &[NodeCardReport] {
         &self.last_node_cards
     }
 
-    /// Number of distinct (table, column-set) cardinality observations
-    /// held by the feedback store. Zero when adaptive mode is off.
+    /// Number of distinct (table, column-set) group counts held to
+    /// correct sampled statistics. Zero under exact statistics.
     pub fn feedback_len(&self) -> usize {
-        self.adaptive.as_ref().map_or(0, |ad| ad.feedback.len())
+        self.observed.values().map(StatsStore::len).sum()
     }
 
     /// Drop all cached plans.
@@ -1696,25 +1679,43 @@ mod tests {
         assert_eq!(s.stats_version(), 1);
     }
 
+    /// Exact statistics have nothing to correct: the q-error report is
+    /// produced, but no group count is recorded or overlaid — also after
+    /// an append of values the table does not hold yet, which changes
+    /// every group count the first run observed.
     #[test]
-    fn qerror_report_is_produced_without_adaptive_mode() {
+    fn exact_statistics_are_never_overlaid() {
         let (mut s, w) = session(ExecutionMode::ClientSide);
         assert!(s.last_node_cards().is_empty(), "empty before first run");
-        let out = s.grouping_sets(&w).unwrap();
-        let cards = s.last_node_cards();
-        assert!(cards.len() >= 3, "every executed plan node is reported");
-        for card in cards {
-            // The exact cardinality model estimates perfectly, so every
-            // node's q-error is exactly 1.
-            assert_eq!(card.estimated, card.observed, "node {:?}", card.cols);
-            assert_eq!(card.q_error(), 1.0);
+        let fresh_values = Table::new(
+            table().schema().clone(),
+            vec![
+                Column::from_i64((0..60).map(|i| 3 + i % 4).collect()),
+                Column::from_i64((0..60).map(|i| 1 + (i % 4) * 10).collect()),
+                Column::from_i64((0..60).map(|i| 5 + i % 6).collect()),
+            ],
+        )
+        .unwrap();
+        for run in 0..2 {
+            if run == 1 {
+                s.append("r", fresh_values.clone()).unwrap();
+            }
+            let out = s.grouping_sets(&w).unwrap();
+            let cards = s.last_node_cards();
+            assert!(cards.len() >= 3, "every executed plan node is reported");
+            for card in cards {
+                // The exact statistics estimate perfectly, so every
+                // node's q-error is exactly 1.
+                assert_eq!(card.estimated, card.observed, "run {run}: {:?}", card.cols);
+                assert_eq!(card.q_error(), 1.0);
+            }
+            assert_eq!(out.metrics.qerror_nodes, cards.len() as u64);
+            assert_eq!(out.metrics.qerror_sum_x100, 100 * cards.len() as u64);
+            assert_eq!(out.metrics.qerror_max_x100, 100);
+            // No feedback loop under exact statistics.
+            assert_eq!(out.metrics.feedback_observations, 0);
+            assert_eq!(s.feedback_len(), 0);
         }
-        assert_eq!(out.metrics.qerror_nodes, cards.len() as u64);
-        assert_eq!(out.metrics.qerror_sum_x100, 100 * cards.len() as u64);
-        assert_eq!(out.metrics.qerror_max_x100, 100);
-        // No feedback loop without adaptive mode.
-        assert_eq!(out.metrics.feedback_observations, 0);
-        assert_eq!(s.feedback_len(), 0);
     }
 
     #[test]
@@ -1727,17 +1728,17 @@ mod tests {
             for shards in [0u32, 4] {
                 let t = table();
                 let w = Workload::single_columns("r", &t, &["a", "b", "c"]).unwrap();
-                let build = |adaptive: bool| {
+                let build = |stats: Stats| {
                     Session::builder()
                         .table("r", t.clone())
+                        .cost_model(CostModelSpec::Optimizer(stats))
                         .search(SearchConfig::pruned())
                         .mode(mode)
                         .shards(shards)
-                        .adaptive(adaptive)
                         .build()
                         .unwrap()
                 };
-                let (mut plain, mut adaptive) = (build(false), build(true));
+                let (mut plain, mut adaptive) = (build(Stats::Exact), build(sampled(64)));
                 let expect = plain.grouping_sets(&w).unwrap();
                 let got = adaptive.grouping_sets(&w).unwrap();
                 assert_eq!(
@@ -1752,32 +1753,130 @@ mod tests {
     }
 
     #[test]
-    fn append_refreshes_sketches_incrementally() {
+    fn q_error_basics() {
+        assert_eq!(q_error(100.0, 100.0), 1.0);
+        assert_eq!(q_error(200.0, 100.0), 2.0);
+        assert_eq!(q_error(50.0, 100.0), 2.0);
+        assert_eq!(q_error(0.0, 0.0), 1.0); // clamped, no NaN
+    }
+
+    /// A 16-row sample of `t`.
+    fn sample_of(t: &Table) -> SampledSource<'_> {
+        SampledSource::new(t, 16, DistinctEstimator::Hybrid, 7)
+    }
+
+    #[test]
+    fn overlay_prefers_observation_then_sample() {
+        let t = table();
+        let mut counts = StatsStore::new();
+        counts.put(&[0], 7.0); // lie on purpose: the truth is 3
+        let mut overlay = Observed {
+            sample: sample_of(&t),
+            counts: Some(&counts),
+        };
+        assert_eq!(overlay.distinct(&[0]), 7.0);
+        // No observation for [1]: the sample answers.
+        assert_eq!(overlay.distinct(&[1]), sample_of(&t).distinct(&[1]));
+        assert_eq!(overlay.distinct(&[]), 1.0);
+        // Widths and base rows delegate.
+        assert_eq!(overlay.base_rows(), 240);
+        assert_eq!(overlay.row_width(&[0]), sample_of(&t).row_width(&[0]));
+    }
+
+    #[test]
+    fn overlay_without_observations_falls_back_to_sample() {
+        let t = table();
+        let mut bare = Observed {
+            sample: sample_of(&t),
+            counts: None,
+        };
+        assert_eq!(bare.distinct(&[0]), sample_of(&t).distinct(&[0]));
+        assert_eq!(bare.distinct(&[1]), sample_of(&t).distinct(&[1]));
+    }
+
+    #[test]
+    fn observation_clamped_to_base_rows() {
+        let t = table();
+        let mut counts = StatsStore::new();
+        counts.put(&[2], 5_000_000.0); // bogus: more groups than rows
+        let mut overlay = Observed {
+            sample: sample_of(&t),
+            counts: Some(&counts),
+        };
+        assert_eq!(overlay.distinct(&[2]), 240.0);
+    }
+
+    /// One count per (table, column set): a later run's count replaces
+    /// an earlier one.
+    #[test]
+    fn newest_observation_wins() {
         let t = table();
         let w = Workload::single_columns("r", &t, &["a", "b", "c"]).unwrap();
         let mut s = Session::builder()
             .table("r", t)
-            .adaptive(true)
+            .cost_model(CostModelSpec::Cardinality(sampled(16)))
             .build()
             .unwrap();
-        s.grouping_sets(&w).unwrap(); // builds the table's sketches
-        s.append("r", table()).unwrap();
-        let after = s.grouping_sets(&w).unwrap();
-        assert!(
-            after.metrics.sketch_refreshes >= 1,
-            "append must fold the delta into the sketches: {:?}",
-            after.metrics
+        s.grouping_sets(&w).unwrap();
+        let a = w.base_cols(w.requests[0]);
+        assert_eq!(s.observed["r"].get(&a), Some(3.0));
+        let held = s.feedback_len();
+        // Four new values of `a`: its count moves from 3 to 7.
+        let delta = Table::new(
+            table().schema().clone(),
+            vec![
+                Column::from_i64((0..240).map(|i| 3 + i % 4).collect()),
+                Column::from_i64(vec![0; 240]),
+                Column::from_i64(vec![0; 240]),
+            ],
+        )
+        .unwrap();
+        s.append("r", delta).unwrap();
+        s.grouping_sets(&w).unwrap();
+        assert_eq!(s.observed["r"].get(&a), Some(7.0));
+        assert!(s.feedback_len() >= held);
+    }
+
+    /// Replacing a table drops its counts, and a run over an empty
+    /// table observes its nodes but records nothing.
+    #[test]
+    fn empty_results_are_not_recorded() {
+        let t = table();
+        let w = Workload::single_columns("r", &t, &["a", "b", "c"]).unwrap();
+        let mut s = Session::builder()
+            .table("r", t)
+            .cost_model(CostModelSpec::Cardinality(sampled(16)))
+            .build()
+            .unwrap();
+        s.grouping_sets(&w).unwrap();
+        assert!(s.feedback_len() > 0);
+
+        let empty = Table::new(
+            table().schema().clone(),
+            vec![
+                Column::from_i64(vec![]),
+                Column::from_i64(vec![]),
+                Column::from_i64(vec![]),
+            ],
+        )
+        .unwrap();
+        s.register_table("r", empty).unwrap();
+        let out = s.grouping_sets(&w).unwrap();
+        assert!(out.metrics.feedback_observations > 0);
+        assert_eq!(
+            s.feedback_len(),
+            0,
+            "replacing drops, empty nodes add nothing"
         );
     }
 
     /// The full observe → correct → re-optimize loop. Half the rows
     /// share one (a, b) pair and the rest are distinct pairs — the
     /// classic skew that makes a sample-based joint estimate collapse
-    /// (the reservoir is full of the heavy pair), while the per-column
-    /// HLL sketches keep the single-column estimates honest. The
-    /// optimizer merges on the bogus cheap union, execution observes the
-    /// true cardinality, the corrected cost drifts past the threshold,
-    /// the cached plan is invalidated, and the re-planned workload stops
+    /// (the reservoir is full of the heavy pair). The optimizer merges
+    /// on the bogus cheap union, execution observes the true
+    /// cardinality, the corrected cost drifts past the threshold, the
+    /// cached plan is invalidated, and the re-planned workload stops
     /// drifting.
     #[test]
     fn observed_drift_invalidates_and_replans() {
@@ -1799,7 +1898,6 @@ mod tests {
         let mut s = Session::builder()
             .table("u", t)
             .cost_model(CostModelSpec::Cardinality(sampled(32)))
-            .adaptive(true)
             .plan_cache(4)
             .build()
             .unwrap();

@@ -123,14 +123,12 @@ exec_metrics! {
     qerror_sum_x100: Sum,
     /// Worst per-node q-error ×100 seen (a gauge: `+=` keeps max).
     qerror_max_x100: Max,
-    /// Per-plan-node cardinality observations fed to the feedback store.
+    /// Per-plan-node group counts recorded to correct sampled
+    /// statistics (0 under exact statistics, which need no correcting).
     feedback_observations: Sum,
-    /// Cached plans invalidated for re-optimization because corrected
-    /// estimates shifted their cost past the adaptive threshold.
+    /// Cached plans invalidated for re-optimization because observed
+    /// group counts shifted their cost past the re-plan threshold.
     plan_reopts: Sum,
-    /// Delta refreshes absorbed by online distinct sketches (each one a
-    /// full re-sample avoided).
-    sketch_refreshes: Sum,
 }
 
 impl ExecMetrics {
@@ -224,7 +222,6 @@ mod tests {
             qerror_max_x100: 220,
             feedback_observations: 3,
             plan_reopts: 1,
-            sketch_refreshes: 2,
         };
         let b = ExecMetrics {
             rows_scanned: 5,
@@ -255,7 +252,6 @@ mod tests {
             qerror_max_x100: 110,
             feedback_observations: 2,
             plan_reopts: 0,
-            sketch_refreshes: 1,
         };
         a += b;
         assert_eq!(a.rows_scanned, 15);
@@ -286,7 +282,6 @@ mod tests {
         assert_eq!(a.qerror_max_x100, 220, "worst q-error is a gauge: max");
         assert_eq!(a.feedback_observations, 5);
         assert_eq!(a.plan_reopts, 1);
-        assert_eq!(a.sketch_refreshes, 3);
     }
 
     #[test]
@@ -329,7 +324,6 @@ mod tests {
             qerror_max_x100: 26,
             feedback_observations: 27,
             plan_reopts: 28,
-            sketch_refreshes: 29,
         };
         let json = m.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

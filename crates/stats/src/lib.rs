@@ -14,8 +14,6 @@
 //!   cites as \[3\]), plus exact counting,
 //! * [`store`] — a [`store::StatsStore`] caching per-column-set cardinality
 //!   estimates with creation-cost accounting (experiment §6.7 / Figure 12),
-//! * [`sketch`] — HyperLogLog distinct sketches maintained incrementally
-//!   from appended delta rows (online sketch maintenance),
 //! * [`source`] — the [`source::CardinalitySource`] trait (the what-if API
 //!   analog) with sampled and exact implementations,
 //! * [`catalog`] — a [`catalog::StatsCatalog`] keeping all of the above per
@@ -29,7 +27,6 @@ pub mod distinct;
 pub mod error;
 pub mod freq;
 pub mod sample;
-pub mod sketch;
 pub mod source;
 pub mod store;
 
@@ -38,6 +35,5 @@ pub use distinct::{exact_distinct, DistinctEstimator};
 pub use error::{Result, StatsError};
 pub use freq::FrequencyProfile;
 pub use sample::reservoir_sample;
-pub use sketch::{DistinctSketch, TableSketches};
 pub use source::{CardinalitySource, ExactSource, SampledSource};
 pub use store::{StatsCreationLog, StatsStore};

@@ -518,11 +518,11 @@ fn rows_by_name(t: &Table) -> Vec<Vec<String>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Adaptive feedback only changes *estimates* — execution over an
-    /// [`AdaptiveCardinalitySource`]-planned session produces results
-    /// identical to static-stats execution in every mode, including the
-    /// second round where feedback-corrected estimates (and possibly a
-    /// re-optimized plan) are in effect.
+    /// Feedback only changes *estimates* — a session planning from a
+    /// sample corrected by observed group counts produces results
+    /// identical to the same session under exact statistics in every
+    /// mode, including the second round where corrected estimates (and
+    /// possibly a re-optimized plan) are in effect.
     #[test]
     fn adaptive_execution_matches_static(
         cards in cards_strategy(),
@@ -535,21 +535,23 @@ proptest! {
     ) {
         let table = modular_table(400, &cards);
         let w = workload_of(&table, cards.len());
-        let build = |adaptive: bool| {
+        let build = |stats: Stats| {
             Session::builder()
                 .table("t", table.clone())
-                .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
-                    sample_size: 32,
-                    estimator: DistinctEstimator::Hybrid,
-                    seed: 3,
-                }))
+                .cost_model(CostModelSpec::Cardinality(stats))
                 .mode(mode)
                 .shards(shards)
-                .adaptive(adaptive)
                 .build()
                 .unwrap()
         };
-        let (mut stat, mut adap) = (build(false), build(true));
+        let (mut stat, mut adap) = (
+            build(Stats::Exact),
+            build(Stats::Sampled {
+                sample_size: 32,
+                estimator: DistinctEstimator::Hybrid,
+                seed: 3,
+            }),
+        );
         for round in 0..2 {
             let expect = stat.run_workload(&w, CacheControl::Default).unwrap();
             let got = adap.run_workload(&w, CacheControl::Default).unwrap();

@@ -138,14 +138,15 @@ proptest! {
     /// The session's statistics catalog changes when statistics are
     /// built, never what they say: a long-lived session plans and answers
     /// exactly like one whose statistics are thrown away before every
-    /// search — and, with the feedback overlay off, exactly like a search
-    /// over a source built from scratch — for every cost-model spec,
-    /// adaptive or not, sharded or not, across an append.
+    /// search — and exactly like a search over a source built from
+    /// scratch whenever no observed group count corrects the statistics
+    /// (under exact statistics always, under sampled ones before the
+    /// first execution) — for every cost-model spec, sharded or not,
+    /// across an append.
     #[test]
     fn shared_statistics_plan_like_fresh_ones(
         (cards, raw_requests) in workload_strategy(),
         spec in 0usize..4,
-        adaptive in any::<bool>(),
         sharded in any::<bool>(),
     ) {
         let mut requests: Vec<Vec<usize>> = raw_requests
@@ -161,7 +162,6 @@ proptest! {
                 .table("t", table.clone())
                 .search(SearchConfig::pruned())
                 .cost_model(spec.clone())
-                .adaptive(adaptive)
                 .shards(if sharded { 2 } else { 0 })
                 .build()
                 .unwrap()
@@ -182,7 +182,7 @@ proptest! {
             }
             let w = if step % 2 == 0 { &all } else { &head };
             // Both sessions search anew; only `fresh` also forgets its
-            // statistics (feedback and sketches survive on both sides).
+            // statistics (observed group counts survive on both sides).
             shared.clear_plan_cache();
             fresh.bump_stats_version();
 
@@ -191,7 +191,11 @@ proptest! {
             prop_assert_eq!(plan_to_text(&plan_shared), plan_to_text(&plan_fresh), "step {}", step);
             prop_assert_eq!(stats_shared.optimizer_calls, stats_fresh.optimizer_calls);
             prop_assert_eq!(stats_shared.final_cost, stats_fresh.final_cost);
-            if !adaptive {
+            let exact = matches!(
+                spec,
+                CostModelSpec::Cardinality(Stats::Exact) | CostModelSpec::Optimizer(Stats::Exact)
+            );
+            if exact || step == 0 {
                 let scratch = plan_from_scratch(&contents, w, &spec);
                 prop_assert_eq!(plan_to_text(&plan_shared), plan_to_text(&scratch), "step {}", step);
             }
@@ -282,13 +286,9 @@ proptest! {
     }
 }
 
-/// A dashboard repeats its grouping sets over a skewed table while the
-/// optimizer plans from a 128-row sample. Fed each round's observed
-/// group counts, the adaptive loop stops re-optimizing, and the plan it
-/// settles on costs no more under exact statistics than its first plan.
-#[test]
-fn adaptive_loop_settles_on_a_plan_no_worse_than_its_first() {
-    let t = lineitem(20_000, 1.0, 42);
+/// The dashboard's eight grouping sets over `lineitem`: four single
+/// columns and four pairs.
+fn dashboard(t: &Table) -> Workload {
     let requests = [
         vec!["l_returnflag"],
         vec!["l_linestatus"],
@@ -302,7 +302,17 @@ fn adaptive_loop_settles_on_a_plan_no_worse_than_its_first() {
     let mut universe: Vec<&str> = requests.concat();
     universe.sort_unstable();
     universe.dedup();
-    let w = Workload::new("lineitem", &t, &universe, &requests).unwrap();
+    Workload::new("lineitem", t, &universe, &requests).unwrap()
+}
+
+/// A dashboard repeats its grouping sets over a skewed table while the
+/// optimizer plans from a 128-row sample. Fed each round's observed
+/// group counts, the adaptive loop stops re-optimizing, and the plan it
+/// settles on costs no more under exact statistics than its first plan.
+#[test]
+fn adaptive_loop_settles_on_a_plan_no_worse_than_its_first() {
+    let t = lineitem(20_000, 1.0, 42);
+    let w = dashboard(&t);
     let mut s = Session::builder()
         .table("lineitem", t.clone())
         .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
@@ -312,7 +322,6 @@ fn adaptive_loop_settles_on_a_plan_no_worse_than_its_first() {
         }))
         .search(SearchConfig::pruned())
         .plan_cache(32)
-        .adaptive(true)
         .build()
         .unwrap();
     let rounds: Vec<(f64, u64)> = (0..6)
@@ -331,6 +340,56 @@ fn adaptive_loop_settles_on_a_plan_no_worse_than_its_first() {
     assert!(
         last.0 <= first.0,
         "(exact cost, re-opts) per round: {rounds:?}"
+    );
+}
+
+/// The same dashboard while four 2,000-row slices of the same generator
+/// are appended before rounds 1–4: every append changes the group
+/// counts observed before it, yet once appends stop the loop stops
+/// re-optimizing and its estimates are close to the truth — and no
+/// round's answer differs from an exact-statistics session's.
+#[test]
+fn the_feedback_loop_quiesces_under_churn() {
+    let all = lineitem(28_000, 1.0, 42);
+    let t = all.slice_rows(0, 20_000).unwrap();
+    let w = dashboard(&t);
+    let build = |stats: Stats| {
+        Session::builder()
+            .table("lineitem", t.clone())
+            .cost_model(CostModelSpec::Cardinality(stats))
+            .search(SearchConfig::pruned())
+            .plan_cache(32)
+            .build()
+            .unwrap()
+    };
+    let mut sampled = build(Stats::Sampled {
+        sample_size: 128,
+        estimator: DistinctEstimator::Hybrid,
+        seed: 7,
+    });
+    let mut exact = build(Stats::Exact);
+    let rounds: Vec<(u64, u64)> = (0..6)
+        .map(|round| {
+            if (1..=4).contains(&round) {
+                let delta = all.slice_rows(20_000 + (round - 1) * 2_000, 2_000).unwrap();
+                sampled.append("lineitem", delta.clone()).unwrap();
+                exact.append("lineitem", delta).unwrap();
+            }
+            let got = sampled.run_workload(&w, CacheControl::Default).unwrap();
+            let expect = exact.run_workload(&w, CacheControl::Default).unwrap();
+            assert_same_results(&w, &got.report, &expect.report, &format!("round {round}"));
+            let m = got.report.metrics;
+            (m.plan_reopts, m.qerror_max_x100)
+        })
+        .collect();
+    let last = rounds[rounds.len() - 1];
+    assert_eq!(
+        last.0, 0,
+        "(re-opts, worst q-error ×100) per round: {rounds:?}"
+    );
+    assert!(
+        last.1 <= 130,
+        "(re-opts, worst q-error ×100) per round: {rounds:?}"
     );
 }
 
