@@ -10,6 +10,7 @@
 //! or figure; `EXPERIMENTS.md` records a full run.
 
 use gbmqo_bench::{experiments, Report, Scale};
+use gbmqo_core::prelude::Stats;
 use std::time::Instant;
 
 type Runner = fn(&Scale) -> Report;
@@ -21,8 +22,10 @@ fn main() {
     let scale = Scale::from_env();
 
     println!(
-        "# GB-MQO experiment suite (base {} rows, '10g' {} rows, sample {})\n",
-        scale.base_rows, scale.big_rows, scale.sample_rows
+        "# GB-MQO experiment suite (base {} rows, '10g' {} rows, statistics {:?})\n",
+        scale.base_rows,
+        scale.big_rows,
+        Stats::default()
     );
 
     let runners: Vec<(&str, Runner)> = vec![
@@ -33,6 +36,7 @@ fn main() {
         ("sec65", |s| experiments::sec65::run(s).0),
         ("fig11", |s| experiments::fig11::run(s).0),
         ("fig12", |s| experiments::fig12::run(s).0),
+        ("first_contact", |s| experiments::first_contact::run(s).0),
         ("fig13", |s| experiments::fig13::run(s).0),
         ("fig14", |s| experiments::fig14::run(s).0),
         ("storage", |s| experiments::storage_ablation::run(s).0),
@@ -53,7 +57,7 @@ fn main() {
     }
     if ran == 0 {
         eprintln!(
-            "unknown experiment(s) {args:?}; choose from: table2 table3 fig9 fig10 sec65 fig11 fig12 fig13 fig14 storage extensions"
+            "unknown experiment(s) {args:?}; choose from: table2 table3 fig9 fig10 sec65 fig11 fig12 first_contact fig13 fig14 storage extensions"
         );
         std::process::exit(2);
     }

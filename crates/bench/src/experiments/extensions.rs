@@ -100,7 +100,7 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
         AggSpec::max("l_quantity", "max_qty"),
         AggSpec::sum("l_extendedprice", "sum_price"),
     ]);
-    let mut model2 = sampled_optimizer_model(&table, scale, IndexSnapshot::none());
+    let mut model2 = sampled_optimizer_model(&table, IndexSnapshot::none());
     let (agg_plan, _, _) = optimize_timed(&aggs, &mut model2, SearchConfig::pruned());
     let agg_naive = LogicalPlan::naive(&aggs);
     let agg_times = time_plans_interleaved(&[&agg_naive, &agg_plan], &aggs, &mut session, 3);

@@ -46,7 +46,7 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
         let w = Workload::single_columns("wide", &table, &refs).unwrap();
 
-        let mut model = sampled_optimizer_model(&table, scale, IndexSnapshot::none());
+        let mut model = sampled_optimizer_model(&table, IndexSnapshot::none());
         let (plan, stats, optimize_secs) = optimize_timed(&w, &mut model, SearchConfig::pruned());
 
         let mut session = session_for(table.clone(), "wide");

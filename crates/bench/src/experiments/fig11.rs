@@ -34,12 +34,12 @@ pub struct Cell {
     pub reduction_vs_naive: f64,
 }
 
-fn measure(label: &str, table: &Table, workload: &Workload, scale: &Scale, out: &mut Vec<Cell>) {
+fn measure(label: &str, table: &Table, workload: &Workload, out: &mut Vec<Cell>) {
     let mut session = session_for(table.clone(), &workload.table);
     let mut plans = Vec::new();
     let mut calls = Vec::new();
     for (_, subsumption, monotonicity) in CONFIGS {
-        let mut model = sampled_optimizer_model(table, scale, IndexSnapshot::none());
+        let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
         let (plan, stats, _) = optimize_timed(
             workload,
             &mut model,
@@ -74,13 +74,13 @@ pub fn run(scale: &Scale) -> (Report, Vec<Cell>) {
     let mut cells = Vec::new();
 
     let li_sc = Workload::single_columns("lineitem", &li, &LINEITEM_SC_COLUMNS).unwrap();
-    measure("tpch 1g (sc)", &li, &li_sc, scale, &mut cells);
+    measure("tpch 1g (sc)", &li, &li_sc, &mut cells);
     let li_tc = Workload::two_columns("lineitem", &li, &LINEITEM_SC_COLUMNS).unwrap();
-    measure("tpch 1g (tc)", &li, &li_tc, scale, &mut cells);
+    measure("tpch 1g (tc)", &li, &li_tc, &mut cells);
     let sa_sc = Workload::single_columns("sales", &sa, &SALES_COLUMNS).unwrap();
-    measure("sales (sc)", &sa, &sa_sc, scale, &mut cells);
+    measure("sales (sc)", &sa, &sa_sc, &mut cells);
     let sa_tc = Workload::two_columns("sales", &sa, &SALES_COLUMNS[..10]).unwrap();
-    measure("sales (tc)", &sa, &sa_tc, scale, &mut cells);
+    measure("sales (tc)", &sa, &sa_tc, &mut cells);
 
     let mut report = Report::new(format!(
         "Figure 11 — Pruning techniques ({} rows)",

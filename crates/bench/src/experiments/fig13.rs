@@ -35,7 +35,7 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
     for &z in &[0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0] {
         let table = lineitem(scale.base_rows, z, 130);
         let w = Workload::single_columns("lineitem", &table, &LINEITEM_SC_COLUMNS).unwrap();
-        let mut model = sampled_optimizer_model(&table, scale, IndexSnapshot::none());
+        let mut model = sampled_optimizer_model(&table, IndexSnapshot::none());
         let (plan, _, _) = optimize_timed(&w, &mut model, SearchConfig::pruned());
         let mut session = session_for(table.clone(), "lineitem");
         let naive = LogicalPlan::naive(&w);

@@ -82,7 +82,7 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
         }
 
         let snapshot = IndexSnapshot::capture(session.engine().catalog(), "lineitem");
-        let mut model = sampled_optimizer_model(&table, scale, snapshot);
+        let mut model = sampled_optimizer_model(&table, snapshot);
         let (plan, _, _) = optimize_timed(&w, &mut model, SearchConfig::pruned());
         let gbmqo_secs = time_plan(&plan, &w, &mut session, 3);
         let receiptdate_singleton = plan

@@ -27,11 +27,11 @@ pub struct Row {
     pub secs_binary: f64,
 }
 
-fn measure(dataset: &'static str, table: &Table, cols: &[&str], scale: &Scale) -> Row {
+fn measure(dataset: &'static str, table: &Table, cols: &[&str]) -> Row {
     let w = Workload::single_columns(dataset, table, cols).unwrap();
 
     let optimize = |binary_only: bool| {
-        let mut model = sampled_optimizer_model(table, scale, IndexSnapshot::none());
+        let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
         optimize_timed(
             &w,
             &mut model,
@@ -61,8 +61,8 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
     let li = lineitem(scale.base_rows, 0.0, 65);
     let sa = sales(scale.base_rows, 66);
     let rows = vec![
-        measure("tpch", &li, &LINEITEM_SC_COLUMNS, scale),
-        measure("sales", &sa, &SALES_COLUMNS, scale),
+        measure("tpch", &li, &LINEITEM_SC_COLUMNS),
+        measure("sales", &sa, &SALES_COLUMNS),
     ];
 
     let mut report = Report::new(format!(

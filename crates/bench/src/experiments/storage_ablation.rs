@@ -70,7 +70,7 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
     let table = lineitem(scale.base_rows, 0.0, 44);
     // A TC workload produces deeper trees with real storage tension.
     let w = Workload::two_columns("lineitem", &table, &LINEITEM_SC_COLUMNS[3..11]).unwrap();
-    let mut model = sampled_optimizer_model(&table, scale, IndexSnapshot::none());
+    let mut model = sampled_optimizer_model(&table, IndexSnapshot::none());
     let (plan, _, _) = optimize_timed(&w, &mut model, SearchConfig::pruned());
 
     let mut d = {

@@ -38,7 +38,7 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
 
     // --- SC: 12 single-column Group Bys (Example 1) ---
     let sc = Workload::single_columns("lineitem", &table, &LINEITEM_SC_COLUMNS).unwrap();
-    rows.push(measure("SC", &table, &sc, BaselineKind::UnionTop, scale));
+    rows.push(measure("SC", &table, &sc, BaselineKind::UnionTop));
 
     // --- CONT: containment-heavy date workload ---
     let cont = Workload::new(
@@ -55,13 +55,7 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
         ],
     )
     .unwrap();
-    rows.push(measure(
-        "CONT",
-        &table,
-        &cont,
-        BaselineKind::SharedSort,
-        scale,
-    ));
+    rows.push(measure("CONT", &table, &cont, BaselineKind::SharedSort));
 
     let mut report = Report::new(format!(
         "Table 2 — Speedup over GROUPING SETS (lineitem, {} rows)",
@@ -88,12 +82,11 @@ fn measure(
     table: &gbmqo_storage::Table,
     workload: &Workload,
     expected_kind: BaselineKind,
-    scale: &Scale,
 ) -> Row {
     let (gs_plan, kind) = grouping_sets_plan(workload);
     assert_eq!(kind, expected_kind, "{label}: unexpected baseline strategy");
 
-    let mut model = sampled_optimizer_model(table, scale, IndexSnapshot::none());
+    let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
     let (our_plan, _, _) = optimize_timed(workload, &mut model, SearchConfig::pruned());
 
     let mut session = session_for(table.clone(), "lineitem");

@@ -35,8 +35,8 @@ impl Row {
     }
 }
 
-fn measure(label: &str, table: &Table, workload: &Workload, scale: &Scale, reps: usize) -> Row {
-    let mut model = sampled_optimizer_model(table, scale, IndexSnapshot::none());
+fn measure(label: &str, table: &Table, workload: &Workload, reps: usize) -> Row {
+    let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
     let (plan, _, _) = optimize_timed(workload, &mut model, SearchConfig::pruned());
     let mut session = session_for(table.clone(), &workload.table);
     let naive = LogicalPlan::naive(workload);
@@ -67,7 +67,7 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
         ("1g (SC)", &li_1g, &LINEITEM_SC_COLUMNS[..]),
     ] {
         let w = Workload::single_columns(label, table, cols).unwrap();
-        rows.push(measure(label, table, &w, scale, 3));
+        rows.push(measure(label, table, &w, 3));
     }
 
     // TC workloads (two-column over the same universes)
@@ -78,7 +78,7 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
         ("1g (TC)", &li_1g, &LINEITEM_SC_COLUMNS[..]),
     ] {
         let w = Workload::two_columns(label, table, cols).unwrap();
-        rows.push(measure(label, table, &w, scale, 1));
+        rows.push(measure(label, table, &w, 1));
     }
 
     let mut report = Report::new(format!(

@@ -3,7 +3,7 @@
 use gbmqo_core::prelude::*;
 use gbmqo_core::ColSet;
 use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
-use gbmqo_stats::{DistinctEstimator, ExactSource, SampledSource};
+use gbmqo_stats::{CardinalitySource, ExactSource};
 use gbmqo_storage::Table;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -25,8 +25,6 @@ pub struct Scale {
     /// Rows standing in for the paper's "10 GB" dataset
     /// (a fixed multiple of `base_rows`).
     pub big_rows: usize,
-    /// Statistics sample size.
-    pub sample_rows: usize,
 }
 
 impl Scale {
@@ -39,7 +37,6 @@ impl Scale {
         Scale {
             base_rows,
             big_rows: base_rows * 4,
-            sample_rows: (base_rows / 20).clamp(1_000, 20_000),
         }
     }
 
@@ -48,7 +45,6 @@ impl Scale {
         Scale {
             base_rows: 20_000,
             big_rows: 60_000,
-            sample_rows: 2_000,
         }
     }
 }
@@ -158,15 +154,15 @@ pub fn time_plans_interleaved(
     best
 }
 
-/// Build the paper's default optimizer setup over `table`: sampled
-/// statistics + the simulated query-optimizer cost model.
+/// Build the paper's default optimizer setup over `table`: the served
+/// statistics ([`Stats::default`], a sample) + the simulated
+/// query-optimizer cost model.
 pub fn sampled_optimizer_model<'t>(
     table: &'t Table,
-    scale: &Scale,
     indexes: IndexSnapshot,
-) -> OptimizerCostModel<SampledSource<'t>> {
-    let source = SampledSource::new(table, scale.sample_rows, DistinctEstimator::Hybrid, 0xBEEF);
-    OptimizerCostModel::new(source, indexes).with_constants(paper_constants())
+) -> OptimizerCostModel<Box<dyn CardinalitySource + 't>> {
+    OptimizerCostModel::new(Stats::default().source(table), indexes)
+        .with_constants(paper_constants())
 }
 
 /// Exact-statistics optimizer model (oracle; used where the paper isolates
@@ -228,7 +224,6 @@ mod tests {
     fn scale_from_env_defaults() {
         let s = Scale::small();
         assert!(s.big_rows > s.base_rows);
-        assert!(s.sample_rows > 0);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! | §6.5 | binary-tree restriction | [`experiments::sec65`] |
 //! | Figure 11 a/b | pruning techniques | [`experiments::fig11`] |
 //! | Figure 12 | statistics-creation overhead | [`experiments::fig12`] |
+//! | §3.2.2 / §6.7, served | statistics at a fresh session's first plan | [`experiments::first_contact`] |
 //! | Figure 13 | speedup vs Zipf skew | [`experiments::fig13`] |
 //! | Figure 14 | physical-design sweep | [`experiments::fig14`] |
 //! | §4.4 ablation | BF/DF scheduling vs fixed traversals | [`experiments::storage_ablation`] |

@@ -3,9 +3,9 @@
 
 use crate::csv::table_from_csv;
 use crate::profile::build_workload;
+use gbmqo_core::prelude::Stats;
 use gbmqo_core::recommend_indexes;
 use gbmqo_cost::CostConstants;
-use gbmqo_stats::{DistinctEstimator, SampledSource};
 
 /// Parsed `advise` options.
 #[derive(Debug, Clone)]
@@ -68,10 +68,9 @@ pub fn run(opts: &Options) -> Result<(), String> {
         workload.len()
     );
 
-    let sample = (table.num_rows() / 20).clamp(100, 20_000);
     let recs = recommend_indexes(
         &workload,
-        || SampledSource::new(&table, sample, DistinctEstimator::Hybrid, 7),
+        || Stats::default().source(&table),
         CostConstants::default(),
         opts.max_indexes,
         0.01,

@@ -61,9 +61,10 @@ OPTIONS:
                      how cached aggregates react to those appends
                      (default lazy)
 
-`profile` plans from a sample and prints each plan node's estimated vs.
-observed group count; observed counts correct the sample on later
-repeats, and a drifted cached plan re-optimizes.
+`profile` plans from a sample (one row in twenty, 1,000 to 20,000 rows,
+as `serve` does) and prints each plan node's estimated vs. observed
+group count; observed counts correct the sample on later repeats, and a
+drifted cached plan re-optimizes.
 
 `advise` recommends single-column indexes for the workload via what-if
 re-optimization (--max: number of indexes, default 3).

@@ -5,7 +5,6 @@ use crate::csv::table_from_csv;
 use gbmqo_core::prelude::*;
 use gbmqo_core::{render_explain, render_sql};
 use gbmqo_cost::{IndexSnapshot, OptimizerCostModel};
-use gbmqo_stats::{DistinctEstimator, SampledSource};
 use gbmqo_storage::Table;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -189,14 +188,8 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
         println!("{} Group By queries requested\n", workload.len());
     }
 
-    let sample = (rows / 20).clamp(100, 20_000);
     let mut session = Session::builder()
         .table("data", table.clone())
-        .cost_model(CostModelSpec::Optimizer(Stats::Sampled {
-            sample_size: sample,
-            estimator: DistinctEstimator::Hybrid,
-            seed: 7,
-        }))
         .search(SearchConfig::pruned())
         .mat_cache_budget_bytes(opts.cache_budget_mb << 20)
         .shards(opts.shards)
@@ -269,7 +262,7 @@ pub fn run(opts: &Options) -> std::result::Result<(), String> {
         // The physical plan the first run executed, next to the cost
         // model's estimates.
         if iter == 0 && opts.explain {
-            let source = SampledSource::new(&table, sample, DistinctEstimator::Hybrid, 7);
+            let source = Stats::default().source(&table);
             let mut model = OptimizerCostModel::new(source, IndexSnapshot::none());
             let text = render_explain(&report.physical, &workload, &mut model);
             println!("{text}");

@@ -137,4 +137,5 @@ pub mod prelude {
     pub use crate::workload::Workload;
     pub use gbmqo_exec::{CancelToken, QueryCtx};
     pub use gbmqo_matcache::{CacheControl, MatCacheStats};
+    pub use gbmqo_stats::{DistinctEstimator, SampleRule};
 }

@@ -11,7 +11,7 @@ use gbmqo_storage::column::ColumnData;
 use gbmqo_storage::{Column, ColumnBuilder, DataType, Field, Table};
 
 /// An aggregate function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)` — counts rows, no input column.
     Count,
@@ -25,7 +25,7 @@ pub enum AggFunc {
 
 /// An aggregate specification: function, input column (by name), output
 /// column name.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// The function.
     pub func: AggFunc,

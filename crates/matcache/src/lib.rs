@@ -523,9 +523,7 @@ fn covers(sup: &[String], sub: &[String]) -> bool {
 /// results are only reused by workloads computing the same aggregates.
 pub fn agg_signature(aggs: &[AggSpec]) -> u64 {
     let mut h = FxHasher::default();
-    for a in aggs {
-        format!("{a:?}").hash(&mut h);
-    }
+    aggs.hash(&mut h);
     h.finish()
 }
 

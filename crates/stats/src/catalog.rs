@@ -4,8 +4,8 @@
 //! (§3.2.2), and reports their creation as a separate, amortised cost
 //! (§6.7 / Figure 12). A [`StatsCatalog`] holds, per base table, one
 //! [`TableStats`] tied to a single *contents version* of that table: the
-//! exact-distinct memo, the reservoir sample for the `(sample_size, seed)` in use, and
-//! the sampled-estimate memo per estimator. [`crate::ExactSource`] and
+//! exact-distinct memo, the reservoir sample for the `(sample_size, seed)`
+//! in use, and the sampled-estimate memo per estimator. [`crate::ExactSource`] and
 //! [`crate::SampledSource`] borrow these instead of building their own, so
 //! a column set is scanned once per table version, not once per search.
 //!
@@ -15,8 +15,10 @@
 //! on a mismatch.
 
 use crate::distinct::DistinctEstimator;
+use crate::freq::FrequencyProfile;
 use crate::sample::reservoir_sample;
 use crate::store::{StatsCreationEvent, StatsCreationLog, StatsStore};
+use gbmqo_storage::{Column, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rustc_hash::FxHashMap;
@@ -32,6 +34,10 @@ pub struct SampleStats {
     sample_size: usize,
     seed: u64,
     rows: Vec<u32>,
+    /// The sampled values of each column an estimate has read, gathered
+    /// once: "the optimizer can create multiple statistics from one
+    /// sample" (§3.2.2).
+    columns: FxHashMap<usize, Column>,
     /// Estimate memo per estimator, made on the estimator's first use.
     estimates: FxHashMap<DistinctEstimator, StatsStore>,
 }
@@ -45,6 +51,7 @@ impl SampleStats {
             sample_size,
             seed,
             rows: reservoir_sample(num_rows, sample_size, &mut rng),
+            columns: FxHashMap::default(),
             estimates: FxHashMap::default(),
         }
     }
@@ -54,13 +61,33 @@ impl SampleStats {
         &self.rows
     }
 
-    /// The sampled row ids and the estimate memo of `estimator`.
-    pub(crate) fn parts(&mut self, estimator: DistinctEstimator) -> (&[u32], &mut StatsStore) {
-        let memo = self
-            .estimates
+    /// `estimator`'s distinct count of `cols` in `table`, which this
+    /// sample was drawn from: memoized, or made from the sample's
+    /// frequency profile, which reads the sampled rows of `cols` only.
+    pub(crate) fn estimate(
+        &mut self,
+        table: &Table,
+        cols: &[usize],
+        estimator: DistinctEstimator,
+    ) -> f64 {
+        let SampleStats {
+            rows,
+            columns,
+            estimates,
+            ..
+        } = self;
+        let memo = estimates
             .entry(estimator)
             .or_insert_with(|| StatsStore::with_capacity(MAX_COLUMN_SETS));
-        (&self.rows, memo)
+        memo.get_or_create(cols, rows.len(), || {
+            for &c in cols {
+                columns
+                    .entry(c)
+                    .or_insert_with(|| table.column(c).gather(rows));
+            }
+            let key_cols: Vec<&Column> = cols.iter().map(|c| &columns[c]).collect();
+            estimator.estimate(&FrequencyProfile::of_columns(&key_cols), table.num_rows())
+        })
     }
 
     /// The estimate memo of `estimator`, if it has estimated anything.
@@ -97,9 +124,10 @@ impl TableStats {
     }
 
     /// The sample drawn with `(sample_size, seed)` from a table of
-    /// `num_rows` rows. It is drawn (one O(`num_rows`) pass, charged to the
-    /// creation log) on first use, and again — dropping the estimates made
-    /// from the previous one — whenever `(sample_size, seed)` differs.
+    /// `num_rows` rows. It is drawn (one O(`num_rows`) pass over row ids,
+    /// charged to the creation log as reading no rows) on first use, and
+    /// again — dropping the estimates made from the previous one —
+    /// whenever `(sample_size, seed)` differs.
     pub fn sample(&mut self, num_rows: usize, sample_size: usize, seed: u64) -> &mut SampleStats {
         let current = self
             .sample
@@ -111,6 +139,7 @@ impl TableStats {
             self.draws.events.push(StatsCreationEvent {
                 cols: Vec::new(),
                 elapsed: start.elapsed(),
+                rows: 0,
             });
             drawn
         }))
@@ -120,14 +149,23 @@ impl TableStats {
     /// exact counts, sample draws and the current sample's estimates
     /// together — and the time that took.
     pub fn created(&self) -> (usize, Duration) {
-        let mut logs = vec![self.exact.creation_log(), &self.draws];
-        if let Some(sample) = &self.sample {
-            logs.extend(sample.estimates.values().map(StatsStore::creation_log));
-        }
         (
-            logs.iter().map(|log| log.count()).sum(),
-            logs.iter().map(|log| log.total()).sum(),
+            self.logs().map(StatsCreationLog::count).sum(),
+            self.logs().map(StatsCreationLog::total).sum(),
         )
+    }
+
+    /// Rows this table version's statistics have read so far: the table's
+    /// rows for each exact count, the sample's rows for each estimate.
+    pub fn rows_read(&self) -> u64 {
+        self.logs().map(StatsCreationLog::rows).sum()
+    }
+
+    fn logs(&self) -> impl Iterator<Item = &StatsCreationLog> {
+        let estimates = self.sample.iter().flat_map(|s| s.estimates.values());
+        [self.exact.creation_log(), &self.draws]
+            .into_iter()
+            .chain(estimates.map(StatsStore::creation_log))
     }
 }
 
@@ -200,13 +238,28 @@ mod tests {
 
     #[test]
     fn the_sample_is_drawn_once_per_size_and_seed() {
+        let table = Table::new(
+            gbmqo_storage::Schema::new(vec![gbmqo_storage::Field::new(
+                "x",
+                gbmqo_storage::DataType::Int64,
+            )])
+            .unwrap(),
+            vec![Column::from_i64((0..1000).map(|i| i % 7).collect())],
+        )
+        .unwrap();
         let mut stats = TableStats::default();
         let first = stats.sample(1000, 100, 7).rows().to_vec();
         assert_eq!(stats.created().0, 1);
-        let (_, memo) = stats.sample(1000, 100, 7).parts(DistinctEstimator::Gee);
-        memo.get_or_create(&[0], || 1.0);
+        assert_eq!(stats.rows_read(), 0, "a draw reads row ids, not rows");
+        let estimate = stats
+            .sample(1000, 100, 7)
+            .estimate(&table, &[0], DistinctEstimator::Gee);
+        assert_eq!(estimate, 7.0);
         assert_eq!(stats.sample(1000, 100, 7).rows(), &first[..]);
         assert_eq!(stats.created().0, 2, "second use draws nothing");
+        assert_eq!(stats.rows_read(), 100, "an estimate reads the sample");
+        stats.exact().get_or_create(&[0], 1000, || 7.0);
+        assert_eq!(stats.rows_read(), 1100, "an exact count reads the table");
 
         // Another seed is another sample, with no estimates yet.
         assert_ne!(stats.sample(1000, 100, 8).rows(), &first[..]);

@@ -6,7 +6,8 @@
 //!
 //! * [`sample`] — reservoir sampling of row ids (one shared sample per
 //!   table; the paper notes "the optimizer can create multiple statistics
-//!   from one sample"),
+//!   from one sample"), sized by the one [`SampleRule`] every sampled
+//!   statistic uses,
 //! * [`freq`] — sample frequency profiles (`f_i` = number of values seen
 //!   exactly `i` times),
 //! * [`distinct`] — sampling-based distinct-value estimators (GEE,
@@ -34,6 +35,6 @@ pub use catalog::{SampleStats, StatsCatalog, TableStats};
 pub use distinct::{exact_distinct, DistinctEstimator};
 pub use error::{Result, StatsError};
 pub use freq::FrequencyProfile;
-pub use sample::reservoir_sample;
+pub use sample::{reservoir_sample, SampleRule};
 pub use source::{CardinalitySource, ExactSource, SampledSource};
 pub use store::{StatsCreationLog, StatsStore};

@@ -17,7 +17,6 @@
 
 use crate::catalog::SampleStats;
 use crate::distinct::{exact_distinct, DistinctEstimator};
-use crate::freq::FrequencyProfile;
 use crate::store::{StatsCreationLog, StatsStore};
 use gbmqo_storage::Table;
 use std::borrow::BorrowMut;
@@ -112,7 +111,9 @@ impl<S: BorrowMut<StatsStore>> CardinalitySource for ExactSource<'_, S> {
         }
         let table = self.table;
         let store: &mut StatsStore = self.store.borrow_mut();
-        store.get_or_create(cols, || exact_distinct(table, cols) as f64)
+        store.get_or_create(cols, table.num_rows(), || {
+            exact_distinct(table, cols) as f64
+        })
     }
 
     fn row_width(&self, cols: &[usize]) -> f64 {
@@ -158,23 +159,6 @@ impl<'a> SampledSource<'a> {
             estimator,
         }
     }
-
-    /// Like [`SampledSource::new`], but rejects unusable sample
-    /// specifications instead of silently producing a source whose every
-    /// estimate is degenerate.
-    pub fn try_new(
-        table: &'a Table,
-        sample_size: usize,
-        estimator: DistinctEstimator,
-        seed: u64,
-    ) -> crate::error::Result<Self> {
-        if sample_size == 0 {
-            return Err(crate::error::StatsError::InvalidSample(
-                "sample size must be at least 1".into(),
-            ));
-        }
-        Ok(Self::new(table, sample_size, estimator, seed))
-    }
 }
 
 impl<'a> SampledSource<'a, &'a mut SampleStats> {
@@ -200,14 +184,8 @@ impl<S: BorrowMut<SampleStats>> SampledSource<'_, S> {
     }
 
     fn estimate(&mut self, cols: &[usize]) -> f64 {
-        let table = self.table;
-        let estimator = self.estimator;
         let sample: &mut SampleStats = self.sample.borrow_mut();
-        let (rows, store) = sample.parts(estimator);
-        store.get_or_create(cols, || {
-            let p = FrequencyProfile::build(table, cols, rows);
-            estimator.estimate(&p, table.num_rows())
-        })
+        sample.estimate(self.table, cols, self.estimator)
     }
 }
 

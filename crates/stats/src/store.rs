@@ -12,6 +12,8 @@ pub struct StatsCreationEvent {
     pub cols: Vec<usize>,
     /// Wall time spent building it.
     pub elapsed: Duration,
+    /// Rows of the table, or of its sample, that building it read.
+    pub rows: usize,
 }
 
 /// Log of statistics created so far. It lives and dies with its store: in
@@ -32,6 +34,11 @@ impl StatsCreationLog {
     /// Number of statistics created.
     pub fn count(&self) -> usize {
         self.events.len()
+    }
+
+    /// Rows read to create them.
+    pub fn rows(&self) -> u64 {
+        self.events.iter().map(|e| e.rows as u64).sum()
     }
 }
 
@@ -108,8 +115,14 @@ impl StatsStore {
     }
 
     /// Fetch the cached estimate for `cols` (order and duplicates are
-    /// ignored), or build it with `build` and record the creation cost.
-    pub fn get_or_create(&mut self, cols: &[usize], build: impl FnOnce() -> f64) -> f64 {
+    /// ignored), or build it with `build`, which reads `rows` rows, and
+    /// record the creation cost.
+    pub fn get_or_create(
+        &mut self,
+        cols: &[usize],
+        rows: usize,
+        build: impl FnOnce() -> f64,
+    ) -> f64 {
         let key = ColKey::new(cols);
         self.clock += 1;
         if let Some(e) = self.cache.get_mut(&key) {
@@ -121,6 +134,7 @@ impl StatsStore {
         self.log.events.push(StatsCreationEvent {
             cols: sorted(cols),
             elapsed: start.elapsed(),
+            rows,
         });
         self.insert(key, v);
         v
@@ -148,6 +162,14 @@ impl StatsStore {
                 self.cache.remove(&victim);
                 self.evictions += 1;
             }
+        }
+    }
+
+    /// Multiply every held value by `factor`, capping it at `max`; logs
+    /// nothing.
+    pub fn scale(&mut self, factor: f64, max: f64) {
+        for e in self.cache.values_mut() {
+            e.value = (e.value * factor).min(max);
         }
     }
 
@@ -181,7 +203,7 @@ mod tests {
         let mut s = StatsStore::new();
         let mut builds = 0;
         for _ in 0..3 {
-            let v = s.get_or_create(&[2, 1], || {
+            let v = s.get_or_create(&[2, 1], 0, || {
                 builds += 1;
                 42.0
             });
@@ -195,10 +217,20 @@ mod tests {
     #[test]
     fn key_is_order_insensitive() {
         let mut s = StatsStore::new();
-        s.get_or_create(&[3, 1], || 7.0);
+        s.get_or_create(&[3, 1], 0, || 7.0);
         assert_eq!(s.get(&[1, 3]), Some(7.0));
         assert_eq!(s.get(&[3, 1, 1]), Some(7.0)); // dedup
         assert_eq!(s.get(&[1]), None);
+    }
+
+    #[test]
+    fn scale_multiplies_within_the_cap() {
+        let mut s = StatsStore::new();
+        s.put(&[0], 3.0);
+        s.put(&[1], 90.0);
+        s.scale(1.5, 100.0);
+        assert_eq!((s.get(&[0]), s.get(&[1])), (Some(4.5), Some(100.0)));
+        assert_eq!(s.creation_log().count(), 0);
     }
 
     #[test]
@@ -213,11 +245,11 @@ mod tests {
     #[test]
     fn bounded_store_evicts_lru() {
         let mut s = StatsStore::with_capacity(2);
-        s.get_or_create(&[0], || 1.0);
-        s.get_or_create(&[1], || 2.0);
+        s.get_or_create(&[0], 0, || 1.0);
+        s.get_or_create(&[1], 0, || 2.0);
         // Touch [0] so [1] becomes the LRU victim.
-        assert_eq!(s.get_or_create(&[0], || panic!("cached")), 1.0);
-        s.get_or_create(&[2], || 3.0);
+        assert_eq!(s.get_or_create(&[0], 0, || panic!("cached")), 1.0);
+        s.get_or_create(&[2], 0, || 3.0);
         assert_eq!(s.len(), 2);
         assert_eq!(s.evictions(), 1);
         assert_eq!(s.get(&[0]), Some(1.0));
@@ -230,7 +262,7 @@ mod tests {
         let mut s = StatsStore::with_capacity(1);
         let mut builds = 0;
         let mut build = |store: &mut StatsStore, cols: &[usize]| {
-            store.get_or_create(cols, || {
+            store.get_or_create(cols, 0, || {
                 builds += 1;
                 builds as f64
             })
@@ -255,7 +287,7 @@ mod tests {
     fn zero_capacity_means_unbounded() {
         let mut s = StatsStore::with_capacity(0);
         for i in 0..100 {
-            s.get_or_create(&[i], || i as f64);
+            s.get_or_create(&[i], 0, || i as f64);
         }
         assert_eq!(s.len(), 100);
         assert_eq!(s.evictions(), 0);
@@ -264,8 +296,8 @@ mod tests {
     #[test]
     fn creation_log_totals() {
         let mut s = StatsStore::new();
-        s.get_or_create(&[0], || 1.0);
-        s.get_or_create(&[1], || 2.0);
+        s.get_or_create(&[0], 0, || 1.0);
+        s.get_or_create(&[1], 0, || 2.0);
         let log = s.creation_log();
         assert_eq!(log.count(), 2);
         assert!(log.total() >= Duration::ZERO);
@@ -278,13 +310,13 @@ mod tests {
         // that was never touched again.
         let mut s = StatsStore::with_capacity(3);
         for c in 0..3 {
-            s.get_or_create(&[c], || c as f64);
+            s.get_or_create(&[c], 0, || c as f64);
         }
         for _ in 0..100 {
-            s.get_or_create(&[0], || unreachable!("cached"));
-            s.get_or_create(&[2], || unreachable!("cached"));
+            s.get_or_create(&[0], 0, || unreachable!("cached"));
+            s.get_or_create(&[2], 0, || unreachable!("cached"));
         }
-        s.get_or_create(&[3], || 3.0);
+        s.get_or_create(&[3], 0, || 3.0);
         assert_eq!(s.get(&[1]), None);
         assert_eq!(s.len(), 3);
     }
@@ -292,7 +324,7 @@ mod tests {
     #[test]
     fn wide_ordinals_share_the_lookup_path() {
         let mut s = StatsStore::new();
-        s.get_or_create(&[300, 2], || 9.0);
+        s.get_or_create(&[300, 2], 0, || 9.0);
         assert_eq!(s.get(&[2, 300, 300]), Some(9.0));
         assert_eq!(s.get(&[2]), None);
     }

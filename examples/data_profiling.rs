@@ -13,7 +13,6 @@
 use gbmqo_core::prelude::*;
 use gbmqo_core::{grouping_sets_plan, BaselineKind};
 use gbmqo_datagen::{sales, SALES_COLUMNS};
-use gbmqo_stats::DistinctEstimator;
 use gbmqo_storage::{Table, Value};
 use std::time::Instant;
 
@@ -54,7 +53,7 @@ fn main() {
     let mut session = Session::builder()
         .table("sales", table)
         .cost_model(CostModelSpec::Optimizer(Stats::Sampled {
-            sample_size: 5_000,
+            rule: SampleRule::fixed(5_000),
             estimator: DistinctEstimator::Hybrid,
             seed: 1,
         }))

@@ -31,7 +31,7 @@ fn main() {
         workload.len()
     );
 
-    // 3. A session: exact statistics + cardinality cost model (the
+    // 3. A session: the optimizer cost model over a sample (the
     //    default), §4.3 pruning, dependency-parallel execution, and a
     //    plan cache for repeated workloads.
     let mut session = Session::builder()

@@ -547,7 +547,7 @@ proptest! {
         let (mut stat, mut adap) = (
             build(Stats::Exact),
             build(Stats::Sampled {
-                sample_size: 32,
+                rule: SampleRule::fixed(32),
                 estimator: DistinctEstimator::Hybrid,
                 seed: 3,
             }),

@@ -7,7 +7,7 @@ use gbmqo_core::prelude::*;
 use gbmqo_cost::{CardinalityCostModel, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::lineitem;
 use gbmqo_integration::{assert_same_results, col_names, modular_table};
-use gbmqo_stats::{CardinalitySource, DistinctEstimator, ExactSource, SampledSource};
+use gbmqo_stats::ExactSource;
 use gbmqo_storage::{Column, DataType, Field, Schema, Table};
 use proptest::prelude::*;
 
@@ -58,7 +58,7 @@ fn catalog_state(s: &Session) -> Vec<(String, u64, usize)> {
 /// Every [`CostModelSpec`]: each model over each kind of statistics.
 fn cost_model_specs() -> Vec<CostModelSpec> {
     let sampled = Stats::Sampled {
-        sample_size: 200,
+        rule: SampleRule::fixed(200),
         estimator: DistinctEstimator::Hybrid,
         seed: 5,
     };
@@ -73,24 +73,14 @@ fn cost_model_specs() -> Vec<CostModelSpec> {
 /// What `Session::plan` chose before sessions kept statistics: a pruned
 /// search over a cardinality source built for this one search.
 fn plan_from_scratch(table: &Table, w: &Workload, spec: &CostModelSpec) -> LogicalPlan {
-    let source = |stats: &Stats| -> Box<dyn CardinalitySource + '_> {
-        match *stats {
-            Stats::Exact => Box::new(ExactSource::new(table)),
-            Stats::Sampled {
-                sample_size,
-                estimator,
-                seed,
-            } => Box::new(SampledSource::new(table, sample_size, estimator, seed)),
-        }
-    };
     let gbmqo = GbMqo::with_config(SearchConfig::pruned());
     let (plan, _) = match spec {
         CostModelSpec::Cardinality(stats) => {
-            gbmqo.plan(w, &mut CardinalityCostModel::new(source(stats)))
+            gbmqo.plan(w, &mut CardinalityCostModel::new(stats.source(table)))
         }
         CostModelSpec::Optimizer(stats) => gbmqo.plan(
             w,
-            &mut OptimizerCostModel::new(source(stats), IndexSnapshot::none()),
+            &mut OptimizerCostModel::new(stats.source(table), IndexSnapshot::none()),
         ),
     }
     .unwrap();
@@ -316,7 +306,7 @@ fn adaptive_loop_settles_on_a_plan_no_worse_than_its_first() {
     let mut s = Session::builder()
         .table("lineitem", t.clone())
         .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
-            sample_size: 128,
+            rule: SampleRule::fixed(128),
             estimator: DistinctEstimator::Hybrid,
             seed: 7,
         }))
@@ -363,7 +353,7 @@ fn the_feedback_loop_quiesces_under_churn() {
             .unwrap()
     };
     let mut sampled = build(Stats::Sampled {
-        sample_size: 128,
+        rule: SampleRule::fixed(128),
         estimator: DistinctEstimator::Hybrid,
         seed: 7,
     });
@@ -450,7 +440,7 @@ fn unified_error_type_spans_subsystems() {
     let err = Session::builder()
         .table("t", table)
         .cost_model(CostModelSpec::Cardinality(Stats::Sampled {
-            sample_size: 0,
+            rule: SampleRule::fixed(0),
             estimator: gbmqo_stats::DistinctEstimator::Hybrid,
             seed: 1,
         }))
@@ -516,6 +506,7 @@ fn every_table_mutation_invalidates_statistics() {
         let w = workload_of(&table, &[vec![0], vec![1], vec![2], vec![0, 1]]);
         let mut s = Session::builder()
             .table("t", table.clone())
+            .cost_model(CostModelSpec::Optimizer(Stats::Exact))
             .shards(shards)
             .build()
             .unwrap();
