@@ -192,7 +192,7 @@ mod tests {
     }
 
     fn profile(vals: &[i64], sample: &[u32]) -> FrequencyProfile {
-        FrequencyProfile::build(&table(vals.to_vec()), &[0], sample)
+        FrequencyProfile::of_columns(&[&table(vals.to_vec()).column(0).gather(sample)])
     }
 
     #[test]
@@ -266,7 +266,7 @@ mod tests {
         let vals: Vec<i64> = (0..10_000).map(|_| rng.gen_range(0..100)).collect();
         let t = table(vals);
         let sample: Vec<u32> = crate::sample::reservoir_sample(10_000, 1_000, &mut rng);
-        let p = FrequencyProfile::build(&t, &[0], &sample);
+        let p = FrequencyProfile::of_columns(&[&t.column(0).gather(&sample)]);
         for est in [
             DistinctEstimator::Jackknife,
             DistinctEstimator::Hybrid,
@@ -288,7 +288,7 @@ mod tests {
         let t = table(vals);
         let mut rng = StdRng::seed_from_u64(8);
         let sample = crate::sample::reservoir_sample(10_000, 1_000, &mut rng);
-        let p = FrequencyProfile::build(&t, &[0], &sample);
+        let p = FrequencyProfile::of_columns(&[&t.column(0).gather(&sample)]);
         let e = DistinctEstimator::Hybrid.estimate(&p, 10_000);
         // True 101. Anything within an order of magnitude is fine for a
         // cost model; mainly assert it does not explode toward n.

@@ -131,7 +131,9 @@ proptest! {
             prop_assert_eq!(owned.sample_rows(), &expected_rows[..]);
             for cols in [vec![0], vec![1], vec![2], vec![0, 1], vec![2, 3], vec![1, 4]] {
                 let reference = reference_occurrences(&table, &cols, &expected_rows);
-                let profile = FrequencyProfile::build(&table, &cols, &expected_rows);
+                let gathered: Vec<Column> =
+                    cols.iter().map(|&c| table.column(c).gather(&expected_rows)).collect();
+                let profile = FrequencyProfile::of_columns(&gathered.iter().collect::<Vec<_>>());
                 prop_assert_eq!(profile.distinct_in_sample(), reference.len());
                 for i in 1..=sample_size {
                     let f_i = reference.values().filter(|&&c| c == i).count();
@@ -159,7 +161,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let k = ((n as f64 * sample_frac) as usize).max(1);
         let sample = reservoir_sample(n, k, &mut rng);
-        let profile = FrequencyProfile::build(&table, &[0], &sample);
+        let profile = FrequencyProfile::of_columns(&[&table.column(0).gather(&sample)]);
         let d_sample = profile.distinct_in_sample() as f64;
         for est in [
             DistinctEstimator::Gee,
@@ -184,7 +186,7 @@ proptest! {
         let table = int_table(vals);
         let mut rng = StdRng::seed_from_u64(1);
         let sample = reservoir_sample(n, k.min(n), &mut rng);
-        let p = FrequencyProfile::build(&table, &[0], &sample);
+        let p = FrequencyProfile::of_columns(&[&table.column(0).gather(&sample)]);
         let total: usize = (1..=p.max_frequency()).map(|i| i * p.f(i)).sum();
         prop_assert_eq!(total, p.sample_size());
         let distinct: usize = (1..=p.max_frequency()).map(|i| p.f(i)).sum();
