@@ -252,20 +252,23 @@ mod tests {
         // generated apart from the fact table, as a wire `Append`
         // arrives: same strings, dictionaries of its own
         let delta = gbmqo_datagen::star(1_000, 8).sales;
-        let median_append_secs = |fact_rows: usize| {
-            let mut session = session_for(gbmqo_datagen::star(fact_rows, 7).sales, "sales");
-            let mut secs: Vec<f64> = (0..50)
-                .map(|_| {
-                    let rows = delta.clone();
-                    let start = Instant::now();
-                    session.append("sales", rows).unwrap();
-                    start.elapsed().as_secs_f64()
-                })
-                .collect();
+        let mut sessions =
+            [50_000, 800_000].map(|rows| session_for(gbmqo_datagen::star(rows, 7).sales, "sales"));
+        // One append on each table per round, so load that comes and goes
+        // during the run lands on both sides alike.
+        let mut secs = [vec![], vec![]];
+        for _ in 0..50 {
+            for (session, secs) in sessions.iter_mut().zip(&mut secs) {
+                let rows = delta.clone();
+                let start = Instant::now();
+                session.append("sales", rows).unwrap();
+                secs.push(start.elapsed().as_secs_f64());
+            }
+        }
+        let [small, big] = secs.map(|mut secs| {
             secs.sort_by(f64::total_cmp);
             secs[secs.len() / 2]
-        };
-        let (small, big) = (median_append_secs(50_000), median_append_secs(800_000));
+        });
         assert!(
             big < small * 4.0,
             "append onto 800k rows {big:.6}s vs onto 50k rows {small:.6}s"

@@ -137,17 +137,19 @@ mod tests {
 
     #[test]
     fn client_and_server_side_agree() {
-        let (engine, t) = setup();
+        let (_, t) = setup();
         let w = Workload::single_columns("r", &t, &["a", "b", "c"]).unwrap();
-        let mut session = Session::builder()
-            .engine(engine)
-            .search(SearchConfig::pruned())
-            .mode(ExecutionMode::ClientSide)
-            .build()
-            .unwrap();
-        let client = session.grouping_sets(&w).unwrap();
-        session.set_mode(ExecutionMode::ServerSide);
-        let server = session.grouping_sets(&w).unwrap();
+        let run = |mode| {
+            let mut session = Session::builder()
+                .engine(setup().0)
+                .search(SearchConfig::pruned())
+                .mode(mode)
+                .build()
+                .unwrap();
+            session.grouping_sets(&w).unwrap()
+        };
+        let client = run(ExecutionMode::ClientSide);
+        let server = run(ExecutionMode::ServerSide);
         assert_eq!(tag_counts(&client.table), tag_counts(&server.table));
         // a and b are perfectly correlated (3 groups each), c has 5
         assert_eq!(

@@ -17,36 +17,38 @@
 //!   which plans are valid, so it must not change the key),
 //! * the aggregate list,
 //! * the [`SearchConfig`] (pruning flags change the search trajectory),
-//! * a caller-supplied *statistics version* and *cost-model tag*, so
-//!   plans are invalidated when the stats or the model they were
-//!   optimized under change,
-//! * the base table's catalog *contents version*, so replacing or
-//!   appending to a table can never reuse a plan optimized for (and
-//!   estimated against) the old data.
+//! * a caller-supplied *cost-model tag*, so plans are invalidated when
+//!   the model they were optimized under changes,
+//! * what the catalog holds for the base table: its *contents version*,
+//!   so replacing or appending to a table can never reuse a plan
+//!   optimized for (and estimated against) the old data, and its
+//!   *indexes*, which the optimizer model prices.
+//!
+//! Statistics need no key of their own: they are a function of the
+//! contents version and the cost-model spec.
 
 use crate::executor::GroupEstimates;
 use crate::greedy::{SearchConfig, SearchStats};
 use crate::plan::LogicalPlan;
 use crate::workload::Workload;
+use gbmqo_storage::{Catalog, IndexKind};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
-/// Canonical identity of a (workload, configuration, statistics) triple.
+/// Canonical identity of a (workload, configuration, base table) triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadFingerprint(u64);
 
 impl WorkloadFingerprint {
     /// Compute the fingerprint of `workload` optimized under `config`
-    /// with statistics at `stats_version`, the cost model identified
-    /// by `cost_model_tag`, and the base table's contents at catalog
-    /// version `table_version`.
+    /// and the cost model identified by `cost_model_tag`, over its base
+    /// table as `catalog` holds it now.
     pub fn compute(
         workload: &Workload,
         config: &SearchConfig,
-        stats_version: u64,
         cost_model_tag: u64,
-        table_version: u64,
+        catalog: &Catalog,
     ) -> Self {
         let mut h = rustc_hash::FxHasher::default();
         workload.table.hash(&mut h);
@@ -58,9 +60,7 @@ impl WorkloadFingerprint {
         let mut requests: Vec<u128> = workload.requests.iter().map(|s| s.0).collect();
         requests.sort_unstable();
         requests.hash(&mut h);
-        for agg in &workload.aggregates {
-            format!("{agg:?}").hash(&mut h);
-        }
+        workload.aggregates.hash(&mut h);
         config.binary_only.hash(&mut h);
         config.subsumption_pruning.hash(&mut h);
         config.monotonicity_pruning.hash(&mut h);
@@ -68,14 +68,19 @@ impl WorkloadFingerprint {
         config.benefit_greedy.hash(&mut h);
         config.max_intermediate_bytes.map(f64::to_bits).hash(&mut h);
         config.epsilon.to_bits().hash(&mut h);
-        stats_version.hash(&mut h);
         cost_model_tag.hash(&mut h);
-        table_version.hash(&mut h);
+        if let Ok(entry) = catalog.get(&workload.table) {
+            entry.version.hash(&mut h);
+            for index in &entry.indexes {
+                index.key_cols.hash(&mut h);
+                (index.kind == IndexKind::Clustered).hash(&mut h);
+            }
+        }
         WorkloadFingerprint(h.finish())
     }
 }
 
-/// Hit/miss/eviction counters of a [`PlanCache`].
+/// Hit/miss/eviction counters of a session's plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a plan.
@@ -130,11 +135,6 @@ impl PlanCache {
             misses: 0,
             evictions: 0,
         }
-    }
-
-    /// Maximum number of cached plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Look up a plan. A hit refreshes the entry's recency and returns
@@ -223,12 +223,6 @@ impl PlanCache {
         }
     }
 
-    /// Drop all entries (the counters survive; `entries` resets).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -279,8 +273,14 @@ mod tests {
         }
     }
 
+    fn catalog() -> Catalog {
+        let mut catalog = Catalog::new();
+        catalog.register("r", table()).unwrap();
+        catalog
+    }
+
     fn key_of(w: &Workload) -> WorkloadFingerprint {
-        WorkloadFingerprint::compute(w, &SearchConfig::default(), 0, 0, 0)
+        WorkloadFingerprint::compute(w, &SearchConfig::default(), 0, &catalog())
     }
 
     #[test]
@@ -301,25 +301,29 @@ mod tests {
         let base = key_of(&w);
         let other = workload(&[vec!["a"], vec!["a", "b"]]);
         assert_ne!(base, key_of(&other), "different requests");
+        let key = |config: &SearchConfig, tag: u64, catalog: &Catalog| {
+            WorkloadFingerprint::compute(&w, config, tag, catalog)
+        };
+        let (default, mut catalog) = (SearchConfig::default(), catalog());
         assert_ne!(
             base,
-            WorkloadFingerprint::compute(&w, &SearchConfig::pruned(), 0, 0, 0),
+            key(&SearchConfig::pruned(), 0, &catalog),
             "different search config"
         );
+        assert_ne!(base, key(&default, 1, &catalog), "different cost model");
+        catalog.replace("r", table()).unwrap();
+        let replaced = key(&default, 0, &catalog);
         assert_ne!(
-            base,
-            WorkloadFingerprint::compute(&w, &SearchConfig::default(), 1, 0, 0),
-            "different stats version"
-        );
-        assert_ne!(
-            base,
-            WorkloadFingerprint::compute(&w, &SearchConfig::default(), 0, 1, 0),
-            "different cost model"
-        );
-        assert_ne!(
-            base,
-            WorkloadFingerprint::compute(&w, &SearchConfig::default(), 0, 0, 1),
+            base, replaced,
             "different table version: a replaced table must miss"
+        );
+        catalog
+            .create_index("r", "nc_a", IndexKind::NonClustered, vec![0])
+            .unwrap();
+        assert_ne!(
+            replaced,
+            key(&default, 0, &catalog),
+            "different indexes: a new index must miss"
         );
     }
 
@@ -410,8 +414,7 @@ mod tests {
                     ..Default::default()
                 },
                 0,
-                0,
-                0
+                &catalog()
             ),
             "cube/rollup merge alternatives change the search trajectory"
         );
@@ -424,8 +427,7 @@ mod tests {
                     ..Default::default()
                 },
                 0,
-                0,
-                0
+                &catalog()
             ),
             "benefit-greedy ordering changes the search trajectory"
         );
@@ -455,20 +457,5 @@ mod tests {
         );
         assert!(cache.get(key_of(&w)).is_none());
         assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn clear_empties_the_cache() {
-        let w = workload(&[vec!["a"]]);
-        let mut cache = PlanCache::new(2);
-        cache.insert(
-            key_of(&w),
-            plan_of(&w),
-            SearchStats::default(),
-            Default::default(),
-        );
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert!(cache.get(key_of(&w)).is_none());
     }
 }

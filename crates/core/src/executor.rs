@@ -33,7 +33,7 @@ pub type GroupEstimates = FxHashMap<u128, u64>;
 
 /// Estimate the distinct-group count of every node in `plan` with
 /// `model` (one [`CostModel::cardinality`] call per distinct node).
-pub fn plan_group_estimates(
+pub(crate) fn plan_group_estimates(
     plan: &LogicalPlan,
     workload: &Workload,
     model: &mut dyn CostModel,

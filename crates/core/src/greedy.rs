@@ -103,8 +103,8 @@ pub struct SearchStats {
     pub naive_cost: f64,
     /// Cost of the returned plan.
     pub final_cost: f64,
-    /// True when the plan came out of a [`crate::cache::PlanCache`] and
-    /// the search (and all its optimizer calls) was skipped entirely. A
+    /// True when the plan came out of a session's plan cache and the
+    /// search (and all its optimizer calls) was skipped entirely. A
     /// fresh search always reports `false`.
     pub cache_hit: bool,
 }

@@ -79,7 +79,7 @@
 
 pub mod advisor;
 pub mod api;
-pub mod cache;
+mod cache;
 pub mod colset;
 pub mod coster;
 pub mod error;
@@ -92,6 +92,7 @@ pub mod join_pushdown;
 pub mod merge;
 pub mod physicalize;
 pub mod plan;
+mod planner;
 pub mod schedule;
 pub mod serialize;
 pub mod session;
@@ -100,23 +101,23 @@ pub mod workload;
 
 pub use advisor::{recommend_indexes, IndexRecommendation};
 pub use api::{ExecutionMode, GroupingSetsResult};
-pub use cache::{CacheStats, PlanCache, WorkloadFingerprint};
+pub use cache::CacheStats;
 pub use colset::ColSet;
 pub use error::{CoreError, Result};
-pub use executor::{plan_group_estimates, ExecutionReport, GroupEstimates};
+pub use executor::{ExecutionReport, GroupEstimates};
 pub use exhaustive::optimal_plan;
 pub use explain::{explain, render_explain, ExplainedEdge};
 pub use gbmqo_exec::{CancelToken, QueryCtx};
-pub use gbmqo_matcache::{CacheControl, MatCacheStats};
+pub use gbmqo_matcache::{CacheControl, MatCacheStats, RefreshPolicy, DEFAULT_MAX_DELTA_FRACTION};
 pub use greedy::{GbMqo, SearchConfig, SearchStats};
 pub use grouping_sets::{grouping_sets_plan, BaselineKind};
 pub use join_pushdown::{grouping_sets_over_join, grouping_sets_over_star, StarDim};
 pub use physicalize::{Merge, PhysicalEdge, PhysicalPlan, Read};
 pub use plan::{LogicalPlan, NodeKind, SubNode};
+pub use planner::{CostModelSpec, NodeCardReport, Stats};
 pub use serialize::{plan_from_text, plan_to_text};
 pub use session::{
-    AppendOutcome, CostModelSpec, NodeCardReport, RefreshPolicy, Session, SessionBuilder, Stats,
-    WorkloadOutcome, DEFAULT_MAX_DELTA_FRACTION, RESHARD_SKEW_THRESHOLD,
+    AppendOutcome, Session, SessionBuilder, WorkloadOutcome, RESHARD_SKEW_THRESHOLD,
 };
 pub use sql::{quote_sql_ident, render_sql};
 pub use workload::Workload;
@@ -130,12 +131,14 @@ pub mod prelude {
     pub use crate::executor::ExecutionReport;
     pub use crate::greedy::{GbMqo, SearchConfig, SearchStats};
     pub use crate::plan::{LogicalPlan, SubNode};
+    pub use crate::planner::{CostModelSpec, NodeCardReport, Stats};
     pub use crate::session::{
-        AppendOutcome, CostModelSpec, NodeCardReport, RefreshPolicy, Session, SessionBuilder,
-        Stats, WorkloadOutcome, DEFAULT_MAX_DELTA_FRACTION, RESHARD_SKEW_THRESHOLD,
+        AppendOutcome, Session, SessionBuilder, WorkloadOutcome, RESHARD_SKEW_THRESHOLD,
     };
     pub use crate::workload::Workload;
     pub use gbmqo_exec::{CancelToken, QueryCtx};
-    pub use gbmqo_matcache::{CacheControl, MatCacheStats};
+    pub use gbmqo_matcache::{
+        CacheControl, MatCacheStats, RefreshPolicy, DEFAULT_MAX_DELTA_FRACTION,
+    };
     pub use gbmqo_stats::{DistinctEstimator, SampleRule};
 }

@@ -15,25 +15,31 @@
 //! saves, refreshed on every hit and decayed as the cache churns, and
 //! eviction removes the lowest benefit-per-byte entry first.
 //!
-//! Keying is `(table name, column set, aggregate signature)`, and every
-//! entry records the table *version* (the [`gbmqo_storage::Catalog`]'s
-//! monotonic contents counter) it was computed at, together with the
-//! aggregate specs needed to merge more rows into it. Entries are
-//! **version-interval-valid**, not snapshot-valid: a lookup at the
+//! Keying is `(catalog entry name, column set, aggregate signature)`,
+//! and every entry records the entry's *version* (the
+//! [`gbmqo_storage::Catalog`]'s monotonic contents counter) it was
+//! computed at, together with the aggregate specs needed to merge more
+//! rows into it. A sharded table's partials are keyed by their shard
+//! entry, so an append to one shard leaves its siblings warm. Entries
+//! are **version-interval-valid**, not snapshot-valid: a lookup at the
 //! current version serves only entries computed at that version, but an
-//! entry left behind by an append is *not* purged — it is surfaced
-//! through [`MatCache::lookup_stale`] so the session can aggregate just
-//! the appended row range and [`MatCache::refresh`] the entry forward
+//! entry left behind by an append is *not* purged — the cache
+//! aggregates just the appended row range and merges it into the entry
 //! (the paper's §7 aggregate-union identity: a group-by over a union of
 //! disjoint partitions is the merge of per-partition aggregates). Only
-//! when a delta chain is unavailable or uneconomic does the caller fall
-//! back to [`MatCache::drop_stale`] — the old invalidate-everything
-//! behaviour, now the exception instead of the rule.
+//! when a delta chain is unavailable or uneconomic does it fall back to
+//! dropping the stale entries. [`RefreshPolicy`] says when that happens.
+//!
+//! Callers drive the cache by stages, in column names, catalog entries
+//! and shard ordinals — [`MatCache::request`], [`MatCache::cover`],
+//! [`MatCache::admit`], [`MatCache::appended`], [`MatCache::replaced`] —
+//! so which entry serves, and when a stale one is refreshed or dropped,
+//! is decided here alone.
 
 #![warn(missing_docs)]
 
-use gbmqo_exec::AggSpec;
-use gbmqo_storage::Table;
+use gbmqo_exec::{AggFunc, AggSpec, Engine, ExecError, ExecMetrics, GroupByQuery, Input, QueryCtx};
+use gbmqo_storage::{shard_table_name, Catalog, StorageError, Table};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -65,6 +71,32 @@ impl CacheControl {
     }
 }
 
+/// When stale cached aggregates are brought current after an append.
+/// Refreshing aggregates only the appended row range (the delta) and
+/// merges it into the cached result under the paper's §7
+/// aggregate-union identity, instead of discarding the cache and
+/// rescanning the whole base table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RefreshPolicy {
+    /// Refresh a stale covering entry when a lookup first wants it (the
+    /// default): appends stay cheap, the first post-append request pays
+    /// the (delta-sized) merge.
+    #[default]
+    Lazy,
+    /// Refresh every stale entry synchronously inside the append
+    /// ([`MatCache::appended`]): appends pay the merges, requests always
+    /// see a warm cache.
+    Eager,
+    /// Never refresh: a stale entry is dropped the first time a lookup
+    /// misses over it — the old invalidate-everything behaviour.
+    Disabled,
+}
+
+/// Default largest refreshable delta: refresh is abandoned (stale
+/// entries dropped) when the unmerged delta exceeds this fraction of the
+/// base table.
+pub const DEFAULT_MAX_DELTA_FRACTION: f64 = 0.5;
+
 /// A cache hit: a materialized aggregate whose column set covers the
 /// requested one.
 #[derive(Debug, Clone)]
@@ -78,6 +110,17 @@ pub struct CachedAggregate {
     /// True when the cached column set equals the requested set (the
     /// answer verbatim, modulo column order), not a strict superset.
     pub exact: bool,
+}
+
+/// A request a cached aggregate covers (see [`MatCache::cover`]).
+#[derive(Debug, Clone)]
+pub struct Cover {
+    /// Position of the request in the list handed to the cover stage.
+    pub request: usize,
+    /// The shard whose partial the hit is; `None` for the logical table.
+    pub shard: Option<u32>,
+    /// The covering aggregate.
+    pub hit: CachedAggregate,
 }
 
 /// Counters exposed through `ExecMetrics` / the server `Stats` frame.
@@ -106,29 +149,33 @@ pub struct MatCacheStats {
     pub stale_drops: u64,
 }
 
-/// A stale cache entry eligible for delta refresh: the aggregate as of
-/// an older table version, plus everything needed to merge the appended
-/// rows into it.
-#[derive(Debug, Clone)]
-pub struct StaleAggregate {
-    /// Base-table column names of the cached aggregate, sorted.
-    pub cols: Vec<String>,
-    /// The materialized result at `version`.
-    pub table: Arc<Table>,
-    /// Row count of the cached aggregate.
-    pub rows: usize,
-    /// Table version the aggregate was computed at.
-    pub version: u64,
-    /// Aggregate signature the entry was cached under.
-    pub agg_sig: u64,
-    /// The workload's original aggregate specs (the merge specs: their
-    /// [`AggSpec::reaggregate`] forms combine partial aggregates
-    /// losslessly for COUNT/SUM/MIN/MAX under append-only ingest).
-    pub specs: Vec<AggSpec>,
+/// A catalog entry as the cache keys its aggregates — name, contents
+/// version, rows: a logical table or one of its shard entries.
+type CatalogEntry = (String, u64, usize);
+
+/// One request as the cache's stages read it: the base table's logical
+/// and per-shard catalog entries, the aggregates' signature, and what the
+/// request lets the cache do.
+#[derive(Debug)]
+pub struct CacheRequest {
+    logical: CatalogEntry,
+    shards: Vec<CatalogEntry>,
+    agg_sig: u64,
+    lookup: bool,
+    admit: bool,
 }
 
-/// One cached aggregate for a table.
-#[derive(Debug)]
+impl CacheRequest {
+    /// Whether the execution should hand its intermediates to
+    /// [`MatCache::admit`].
+    pub fn admits(&self) -> bool {
+        self.admit
+    }
+}
+
+/// One cached aggregate for a table; a stale one is cloned out to be
+/// refreshed.
+#[derive(Debug, Clone)]
 struct Entry {
     /// Sorted base column names.
     cols: Vec<String>,
@@ -164,6 +211,10 @@ pub struct MatCache {
     total_bytes: usize,
     slots: FxHashMap<String, Vec<Entry>>,
     stats: MatCacheStats,
+    /// When stale entries are delta-refreshed.
+    refresh: RefreshPolicy,
+    /// Largest refreshable delta, as a fraction of base-table rows.
+    max_delta_fraction: f64,
 }
 
 /// Fraction of an entry's benefit that survives each admission round.
@@ -171,24 +222,33 @@ const DECAY: f64 = 0.95;
 
 impl MatCache {
     /// Create a cache holding at most `budget_bytes` of materialized
-    /// aggregates. Zero disables the cache.
-    pub fn new(budget_bytes: usize) -> Self {
-        MatCache {
+    /// aggregates (zero disables it), refreshing stale entries under
+    /// `refresh` as long as the delta is at most `max_delta_fraction`
+    /// of the base table's rows. A fraction outside `[0, 1]` is
+    /// rejected.
+    pub fn new(
+        budget_bytes: usize,
+        refresh: RefreshPolicy,
+        max_delta_fraction: f64,
+    ) -> Result<Self, String> {
+        if !(0.0..=1.0).contains(&max_delta_fraction) {
+            return Err(format!(
+                "max_delta_fraction must be within [0, 1], got {max_delta_fraction}"
+            ));
+        }
+        Ok(MatCache {
             budget_bytes,
             total_bytes: 0,
             slots: FxHashMap::default(),
             stats: MatCacheStats::default(),
-        }
+            refresh,
+            max_delta_fraction,
+        })
     }
 
     /// Whether the cache can ever hold anything.
     pub fn enabled(&self) -> bool {
         self.budget_bytes > 0
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
     }
 
     /// Current counters.
@@ -199,14 +259,268 @@ impl MatCache {
         s
     }
 
+    /// A request over base table `table` computing `aggs`, under
+    /// `control`, as the later stages read it.
+    pub fn request(
+        &self,
+        catalog: &Catalog,
+        table: &str,
+        aggs: &[AggSpec],
+        control: CacheControl,
+    ) -> Result<CacheRequest, StorageError> {
+        let (logical, shards) = catalog_entries(catalog, table)?;
+        Ok(CacheRequest {
+            logical,
+            shards,
+            agg_sig: agg_signature(aggs),
+            lookup: self.enabled() && control.allows_lookup(),
+            admit: self.enabled() && control.allows_admit(),
+        })
+    }
+
+    /// Cover stage: which of `requests` (each a list of base column
+    /// names) does a cached (same table contents, same aggregates)
+    /// superset aggregate cover — first at the logical level, then, for
+    /// a request still uncovered, shard by shard: every warm shard serves
+    /// its cached partial, cold shards scan their shard entry and the
+    /// plan merges partials at delivery. Under the lazy refresh policy a
+    /// miss over a *stale* covering entry first tries to bring it current
+    /// by aggregating only the appended row range and merging; only when
+    /// that is impossible or uneconomic do stale entries get dropped —
+    /// never because `ctx` was cancelled, which propagates instead.
+    /// Logical hits come first. `requests` is read only when the request
+    /// may consult the cache.
+    pub fn cover(
+        &mut self,
+        engine: &Engine,
+        req: &CacheRequest,
+        requests: impl IntoIterator<Item = Vec<String>>,
+        ctx: &mut QueryCtx,
+    ) -> Result<Vec<Cover>, ExecError> {
+        let mut covers: Vec<Cover> = Vec::new();
+        if !req.lookup {
+            return Ok(covers);
+        }
+        let names: Vec<Vec<String>> = requests.into_iter().collect();
+        for (request, names) in names.iter().enumerate() {
+            if let Some(hit) = self.covering(engine, &req.logical, names, req.agg_sig, ctx)? {
+                covers.push(Cover {
+                    request,
+                    shard: None,
+                    hit,
+                });
+            }
+        }
+        for (request, names) in names.iter().enumerate() {
+            if covers.iter().any(|c| c.request == request) {
+                continue;
+            }
+            for (s, entry) in req.shards.iter().enumerate() {
+                if let Some(hit) = self.covering(engine, entry, names, req.agg_sig, ctx)? {
+                    covers.push(Cover {
+                        request,
+                        shard: Some(s as u32),
+                        hit,
+                    });
+                }
+            }
+        }
+        Ok(covers)
+    }
+
+    /// Admit stage: offer an execution's materialized intermediates —
+    /// `(base column names, shard or None, result)`, per-shard partials
+    /// under their shard entry, the granularity that survives appends to
+    /// sibling shards — and the request `results` themselves, all
+    /// computing `aggs`. Results answered verbatim by one of `covers`
+    /// are not re-admitted.
+    pub fn admit<'t>(
+        &mut self,
+        req: &CacheRequest,
+        covers: &[Cover],
+        aggs: &[AggSpec],
+        harvest: impl IntoIterator<Item = (Vec<String>, Option<u32>, Arc<Table>)>,
+        results: impl IntoIterator<Item = (Vec<String>, &'t Table)>,
+    ) {
+        if !req.admit {
+            return;
+        }
+        let mut offer = |(entry, version, rows): &CatalogEntry, cols: &[String], table| {
+            self.offer(entry, *version, cols, req.agg_sig, aggs, table, *rows);
+        };
+        let mut admitted: Vec<Vec<String>> = Vec::new();
+        for (cols, shard, table) in harvest {
+            match shard {
+                None => {
+                    offer(&req.logical, &cols, table);
+                    admitted.push(cols);
+                }
+                Some(s) => {
+                    if let Some(entry) = req.shards.get(s as usize) {
+                        offer(entry, &cols, table);
+                    }
+                }
+            }
+        }
+        for (cols, table) in results {
+            let mut sorted = cols.clone();
+            sorted.sort_unstable();
+            let served_exact = covers
+                .iter()
+                .any(|c| c.shard.is_none() && c.hit.exact && c.hit.cols == sorted);
+            if !served_exact && !admitted.contains(&cols) {
+                offer(&req.logical, &cols, Arc::new(table.clone()));
+            }
+        }
+    }
+
+    /// Follow an append to base table `table`: under the eager policy,
+    /// bring every stale aggregate of it (logical entry and shard
+    /// entries alike) current, with no deadline. Returns the work done.
+    pub fn appended(&mut self, engine: &Engine, table: &str) -> Result<ExecMetrics, ExecError> {
+        let mut ctx = QueryCtx::default();
+        if self.refresh == RefreshPolicy::Eager && self.enabled() {
+            let (logical, shards) = catalog_entries(engine.catalog(), table)?;
+            for (entry, version, rows) in std::iter::once(logical).chain(shards) {
+                let stale: Vec<Entry> = self.stale(&entry, version).cloned().collect();
+                for stale in stale {
+                    self.refresh_stale_entry(engine, &entry, version, rows, stale, &mut ctx)?;
+                }
+            }
+        }
+        Ok(ctx.metrics)
+    }
+
+    /// Follow a replacement or re-split of base table `name`: drop every
+    /// aggregate of it and of its first `shards` shard entries. Nothing
+    /// cached over the old contents can be refreshed.
+    pub fn replaced(&mut self, name: &str, shards: u32) {
+        self.invalidate_table(name);
+        for s in 0..shards {
+            self.invalidate_table(&shard_table_name(name, s));
+        }
+    }
+
+    /// A cached aggregate of `entry` covering the columns `names`. On a
+    /// miss the lazy refresh policy first brings the best stale covering
+    /// entry current (the next lookup then hits it); the disabled policy
+    /// drops the entry's stale aggregates.
+    fn covering(
+        &mut self,
+        engine: &Engine,
+        (entry, version, rows): &CatalogEntry,
+        names: &[String],
+        agg_sig: u64,
+        ctx: &mut QueryCtx,
+    ) -> Result<Option<CachedAggregate>, ExecError> {
+        let hit = self.lookup_covering(entry, *version, names, agg_sig, *rows);
+        if hit.is_some() {
+            return Ok(hit);
+        }
+        match self.refresh {
+            RefreshPolicy::Lazy => {}
+            RefreshPolicy::Eager => return Ok(None), // nothing stale survives an append
+            RefreshPolicy::Disabled => {
+                self.drop_stale(entry, *version);
+                return Ok(None);
+            }
+        }
+        let Some(stale) = self.lookup_stale(entry, *version, names, agg_sig) else {
+            return Ok(None);
+        };
+        let refreshed = self.refresh_stale_entry(engine, entry, *version, *rows, stale, ctx)?;
+        Ok(refreshed
+            .then(|| self.lookup_covering(entry, *version, names, agg_sig, *rows))
+            .flatten())
+    }
+
+    /// Bring one stale cached aggregate of catalog entry `entry`
+    /// current at `version`: aggregate only the delta row range with
+    /// the entry's original specs, concatenate with the cached partial,
+    /// and re-aggregate under the §7.2 lossless merge rules
+    /// ([`AggSpec::reaggregate`] — `SUM(cnt)`-style). Falls back to
+    /// dropping the table's stale entries when the delta chain is
+    /// broken (compacted or replaced), an aggregate is not mergeable,
+    /// the delta exceeds `max_delta_fraction` of the base, or its
+    /// aggregation fails — unless it failed because `ctx` was
+    /// cancelled: that error propagates and the stale entries stay.
+    fn refresh_stale_entry(
+        &mut self,
+        engine: &Engine,
+        entry: &str,
+        version: u64,
+        base_rows: usize,
+        stale: Entry,
+        ctx: &mut QueryCtx,
+    ) -> Result<bool, ExecError> {
+        let fallback = |mc: &mut MatCache, metrics: &mut ExecMetrics| {
+            mc.drop_stale(entry, version);
+            metrics.delta_fallbacks += 1;
+            Ok(false)
+        };
+        let chain = match engine.catalog().delta_chain(entry, stale.version) {
+            Some(c) if c.to_version == version && specs_mergeable(&stale.specs) => c,
+            _ => return fallback(self, &mut ctx.metrics),
+        };
+        if (chain.rows as f64) > self.max_delta_fraction * base_rows as f64 {
+            return fallback(self, &mut ctx.metrics);
+        }
+        // The cached payload's schema is its group columns followed by
+        // one output per spec; aggregating the delta with the same
+        // specs in that column order makes the two concat-compatible.
+        let ngroup = stale.table.schema().fields().len() - stale.specs.len();
+        let group_cols: Vec<String> = stale.table.schema().fields()[..ngroup]
+            .iter()
+            .map(|f| f.name.clone())
+            .collect();
+        // Both aggregations are sized from rows they already know: the
+        // delta has at most its rows as groups, the merge at most stale
+        // rows + delta rows.
+        let q = GroupByQuery {
+            input: Input::Catalog(entry.to_string()),
+            group_cols,
+            aggs: stale.specs.clone(),
+            estimated_groups: Some(chain.rows as u64),
+        };
+        let merged = engine
+            .run_group_by_range(&q, chain.start_row, chain.rows, ctx)
+            .and_then(|delta| {
+                let combined = Table::concat(&[stale.table.as_ref(), &delta])?;
+                let reagg: Vec<AggSpec> = stale.specs.iter().map(AggSpec::reaggregate).collect();
+                let idx: Vec<usize> = (0..ngroup).collect();
+                let groups = Some(combined.num_rows() as u64);
+                engine.aggregate_table(&combined, &idx, &reagg, groups, ctx)
+            });
+        let merged = match merged {
+            Ok(merged) => merged,
+            Err(e @ ExecError::Cancelled { .. }) => return Err(e),
+            Err(_) => return fallback(self, &mut ctx.metrics),
+        };
+        if self.refresh(
+            entry,
+            &stale.cols,
+            stale.agg_sig,
+            stale.version,
+            version,
+            Arc::new(merged),
+            base_rows,
+        ) {
+            ctx.metrics.delta_refreshes += 1;
+            // Rows *not* rescanned: everything before the delta range.
+            ctx.metrics.refresh_rows_saved += chain.start_row as u64;
+            Ok(true)
+        } else {
+            Ok(false)
+        }
+    }
+
     /// Find the cheapest cached aggregate of `table` (at contents
     /// `version`, under aggregate signature `agg_sig`) whose column set
     /// covers `want_cols`. "Cheapest" is fewest rows — the paper's cost
     /// model charges re-aggregation by input cardinality. Entries
     /// cached under an older version are skipped, never served — but
-    /// they stay resident as refresh candidates (see
-    /// [`MatCache::lookup_stale`]).
-    pub fn lookup_covering(
+    /// they stay resident as refresh candidates.
+    fn lookup_covering(
         &mut self,
         table: &str,
         version: u64,
@@ -243,59 +557,31 @@ impl MatCache {
         })
     }
 
-    /// Find the best *stale* covering aggregate of `table`: one cached
-    /// at a version older than `version` (the table's current one)
-    /// whose column set covers `want_cols`. The caller decides whether
-    /// to bring it current via a delta merge ([`MatCache::refresh`]) or
-    /// drop it ([`MatCache::drop_stale`]). The most recent qualifying
-    /// version wins (shortest delta chain), fewest rows breaking ties.
-    /// Does not touch hit/miss counters — the fresh lookup already
-    /// recorded the miss.
-    pub fn lookup_stale(
-        &mut self,
+    /// The entries of `table` cached at a version older than `version`
+    /// (the table's current one), whatever their columns or aggregates.
+    fn stale(&self, table: &str, version: u64) -> impl Iterator<Item = &Entry> {
+        let slot = self.slots.get(table).into_iter().flatten();
+        slot.filter(move |e| e.version < version)
+    }
+
+    /// Find the best *stale* covering aggregate of `table`, whose column
+    /// set covers `want_cols`, for a delta merge to bring current. The
+    /// most recent qualifying version wins (shortest delta chain), fewest
+    /// rows breaking ties. Does not touch hit/miss counters — the fresh
+    /// lookup already recorded the miss.
+    fn lookup_stale(
+        &self,
         table: &str,
         version: u64,
         want_cols: &[String],
         agg_sig: u64,
-    ) -> Option<StaleAggregate> {
-        if !self.enabled() {
-            return None;
-        }
-        let slot = self.slots.get(table)?;
+    ) -> Option<Entry> {
         let mut want = want_cols.to_vec();
         want.sort_unstable();
-        let hit = slot
-            .iter()
-            .filter(|e| e.version < version && e.agg_sig == agg_sig && covers(&e.cols, &want))
-            .max_by(|a, b| a.version.cmp(&b.version).then(b.rows.cmp(&a.rows)))?;
-        Some(StaleAggregate {
-            cols: hit.cols.clone(),
-            table: Arc::clone(&hit.table),
-            rows: hit.rows,
-            version: hit.version,
-            agg_sig: hit.agg_sig,
-            specs: hit.specs.clone(),
-        })
-    }
-
-    /// Every stale entry of `table` (cached at a version older than
-    /// `version`), regardless of column set or aggregate signature.
-    /// The eager refresh policy walks this list right after an append.
-    pub fn stale_entries(&self, table: &str, version: u64) -> Vec<StaleAggregate> {
-        let Some(slot) = self.slots.get(table) else {
-            return Vec::new();
-        };
-        slot.iter()
-            .filter(|e| e.version < version)
-            .map(|e| StaleAggregate {
-                cols: e.cols.clone(),
-                table: Arc::clone(&e.table),
-                rows: e.rows,
-                version: e.version,
-                agg_sig: e.agg_sig,
-                specs: e.specs.clone(),
-            })
-            .collect()
+        self.stale(table, version)
+            .filter(|e| e.agg_sig == agg_sig && covers(&e.cols, &want))
+            .max_by(|a, b| a.version.cmp(&b.version).then(b.rows.cmp(&a.rows)))
+            .cloned()
     }
 
     /// Replace the payload of the stale entry `(cols, agg_sig)` cached
@@ -304,9 +590,9 @@ impl MatCache {
     /// keeps its earned standing; it answered this request too). If the
     /// refreshed payload grew past the budget, lower-density *other*
     /// entries are evicted. Returns false if no such entry exists (it
-    /// was evicted in the meantime) or the cache is disabled.
+    /// was evicted in the meantime).
     #[allow(clippy::too_many_arguments)]
-    pub fn refresh(
+    fn refresh(
         &mut self,
         table: &str,
         cols: &[String],
@@ -316,9 +602,6 @@ impl MatCache {
         result: Arc<Table>,
         base_rows: usize,
     ) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         let mut cols = cols.to_vec();
         cols.sort_unstable();
         let Some(slot) = self.slots.get_mut(table) else {
@@ -349,7 +632,7 @@ impl MatCache {
     /// Drop every entry of `table` cached at a version other than
     /// `version` — the invalidation fallback for deltas that cannot (or
     /// should not) be merged. Returns how many entries were dropped.
-    pub fn drop_stale(&mut self, table: &str, version: u64) -> usize {
+    fn drop_stale(&mut self, table: &str, version: u64) -> usize {
         let Some(slot) = self.slots.get_mut(table) else {
             return 0;
         };
@@ -405,7 +688,7 @@ impl MatCache {
     /// cannot fit the budget without evicting entries of higher benefit
     /// density.
     #[allow(clippy::too_many_arguments)]
-    pub fn admit(
+    fn offer(
         &mut self,
         table: &str,
         version: u64,
@@ -497,20 +780,32 @@ impl MatCache {
         true
     }
 
-    /// Drop every cached aggregate of `table` (any version). Called
-    /// when the table is replaced or mutated out of band.
-    pub fn invalidate_table(&mut self, table: &str) {
+    /// Drop every cached aggregate of `table` (any version).
+    fn invalidate_table(&mut self, table: &str) {
         if let Some(slot) = self.slots.remove(table) {
             let freed: usize = slot.iter().map(|e| e.bytes).sum();
             self.total_bytes -= freed;
         }
     }
+}
 
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.total_bytes = 0;
-    }
+/// The catalog entries of base table `name`: the logical entry, then one
+/// per shard entry in shard order (none when unsharded).
+fn catalog_entries(
+    catalog: &Catalog,
+    name: &str,
+) -> Result<(CatalogEntry, Vec<CatalogEntry>), StorageError> {
+    let entry = |name: String| -> Result<CatalogEntry, StorageError> {
+        let e = catalog.get(&name)?;
+        Ok((name, e.version, e.table.num_rows()))
+    };
+    let shards = match catalog.shard_desc(name) {
+        Some(desc) => (0..desc.shard_count)
+            .map(|s| entry(shard_table_name(name, s)))
+            .collect::<Result<_, _>>()?,
+        None => Vec::new(),
+    };
+    Ok((entry(name.to_string())?, shards))
 }
 
 /// `sup` ⊇ `sub`, both sorted.
@@ -521,10 +816,23 @@ fn covers(sup: &[String], sub: &[String]) -> bool {
 
 /// A stable signature of a workload's aggregate list, used so cached
 /// results are only reused by workloads computing the same aggregates.
-pub fn agg_signature(aggs: &[AggSpec]) -> u64 {
+fn agg_signature(aggs: &[AggSpec]) -> u64 {
     let mut h = FxHasher::default();
     aggs.hash(&mut h);
     h.finish()
+}
+
+/// Whether every aggregate merges losslessly under append-only ingest
+/// (§7.2's merge rules): COUNT, SUM, MIN and MAX all do. The exhaustive
+/// match forces a decision here if a non-mergeable function (AVG,
+/// DISTINCT, …) ever lands.
+fn specs_mergeable(specs: &[AggSpec]) -> bool {
+    specs.iter().all(|s| {
+        matches!(
+            s.func,
+            AggFunc::Count | AggFunc::Sum | AggFunc::Min | AggFunc::Max
+        )
+    })
 }
 
 #[cfg(test)]
@@ -555,10 +863,19 @@ mod tests {
     const SIG: u64 = 7;
     const BASE: usize = 1_000_000;
 
+    fn cache(budget_bytes: usize) -> MatCache {
+        MatCache::new(
+            budget_bytes,
+            RefreshPolicy::Lazy,
+            DEFAULT_MAX_DELTA_FRACTION,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn lookup_prefers_the_smallest_covering_superset() {
-        let mut mc = MatCache::new(1 << 20);
-        assert!(mc.admit(
+        let mut mc = cache(1 << 20);
+        assert!(mc.offer(
             "r",
             1,
             &cols(&["a", "b", "c"]),
@@ -567,7 +884,7 @@ mod tests {
             agg_table(&["a", "b", "c"], 500),
             BASE
         ));
-        assert!(mc.admit(
+        assert!(mc.offer(
             "r",
             1,
             &cols(&["a", "b"]),
@@ -602,8 +919,8 @@ mod tests {
 
     #[test]
     fn stale_entries_survive_misses_and_refresh_forward() {
-        let mut mc = MatCache::new(1 << 20);
-        mc.admit(
+        let mut mc = cache(1 << 20);
+        mc.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -640,8 +957,8 @@ mod tests {
 
     #[test]
     fn lookup_stale_prefers_the_most_recent_version() {
-        let mut mc = MatCache::new(1 << 20);
-        mc.admit(
+        let mut mc = cache(1 << 20);
+        mc.offer(
             "r",
             1,
             &cols(&["a", "b"]),
@@ -650,7 +967,7 @@ mod tests {
             agg_table(&["a", "b"], 50),
             BASE,
         );
-        mc.admit(
+        mc.offer(
             "r",
             3,
             &cols(&["a", "c"]),
@@ -668,8 +985,8 @@ mod tests {
 
     #[test]
     fn drop_stale_removes_only_old_versions() {
-        let mut mc = MatCache::new(1 << 20);
-        mc.admit(
+        let mut mc = cache(1 << 20);
+        mc.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -678,7 +995,7 @@ mod tests {
             agg_table(&["a"], 10),
             BASE,
         );
-        mc.admit(
+        mc.offer(
             "r",
             4,
             &cols(&["b"]),
@@ -698,8 +1015,8 @@ mod tests {
 
     #[test]
     fn same_key_admission_is_version_guarded() {
-        let mut mc = MatCache::new(1 << 20);
-        assert!(mc.admit(
+        let mut mc = cache(1 << 20);
+        assert!(mc.offer(
             "r",
             3,
             &cols(&["a"]),
@@ -710,7 +1027,7 @@ mod tests {
         ));
         // A same-key admit from an older snapshot must not roll the
         // payload backwards.
-        assert!(!mc.admit(
+        assert!(!mc.offer(
             "r",
             2,
             &cols(&["a"]),
@@ -720,7 +1037,7 @@ mod tests {
             BASE
         ));
         // A newer-version admit overwrites in place.
-        assert!(mc.admit(
+        assert!(mc.offer(
             "r",
             5,
             &cols(&["a"]),
@@ -738,8 +1055,8 @@ mod tests {
 
     #[test]
     fn invalidate_table_frees_bytes() {
-        let mut mc = MatCache::new(1 << 20);
-        mc.admit(
+        let mut mc = cache(1 << 20);
+        mc.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -748,7 +1065,7 @@ mod tests {
             agg_table(&["a"], 10),
             BASE,
         );
-        mc.admit(
+        mc.offer(
             "s",
             1,
             &cols(&["x"]),
@@ -773,8 +1090,8 @@ mod tests {
         let small = agg_table(&["a"], 64);
         let unit = small.byte_size();
         // Room for exactly two entries.
-        let mut mc = MatCache::new(2 * unit);
-        assert!(mc.admit(
+        let mut mc = cache(2 * unit);
+        assert!(mc.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -783,7 +1100,7 @@ mod tests {
             Arc::clone(&small),
             BASE
         ));
-        assert!(mc.admit(
+        assert!(mc.offer(
             "r",
             1,
             &cols(&["b"]),
@@ -800,7 +1117,7 @@ mod tests {
                 .unwrap();
         }
         // A third entry must evict the colder {b}, not {a}.
-        assert!(mc.admit(
+        assert!(mc.offer(
             "r",
             1,
             &cols(&["c"]),
@@ -821,9 +1138,9 @@ mod tests {
 
     #[test]
     fn admission_rejects_no_benefit_oversized_and_outscored() {
-        let mut mc = MatCache::new(1 << 20);
+        let mut mc = cache(1 << 20);
         // As many rows as the base table: re-aggregation saves nothing.
-        assert!(!mc.admit(
+        assert!(!mc.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -833,8 +1150,8 @@ mod tests {
             100
         ));
         // Larger than the whole budget.
-        let mut tiny = MatCache::new(8);
-        assert!(!tiny.admit(
+        let mut tiny = cache(8);
+        assert!(!tiny.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -844,9 +1161,9 @@ mod tests {
             BASE
         ));
         // Disabled cache: no lookups, no admissions, no counters.
-        let mut off = MatCache::new(0);
+        let mut off = cache(0);
         assert!(!off.enabled());
-        assert!(!off.admit(
+        assert!(!off.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -863,14 +1180,14 @@ mod tests {
         // An incumbent with far higher benefit density is not evicted
         // for a low-benefit candidate.
         let small = agg_table(&["a"], 64);
-        let mut mc = MatCache::new(small.byte_size());
-        assert!(mc.admit("r", 1, &cols(&["a"]), SIG, &specs(), small, BASE));
+        let mut mc = cache(small.byte_size());
+        assert!(mc.offer("r", 1, &cols(&["a"]), SIG, &specs(), small, BASE));
         for _ in 0..10 {
             mc.lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
                 .unwrap();
         }
         // Nearly as many rows as base: minuscule benefit.
-        assert!(!mc.admit(
+        assert!(!mc.offer(
             "r",
             1,
             &cols(&["b"]),
@@ -886,8 +1203,8 @@ mod tests {
 
     #[test]
     fn same_key_admission_refreshes_in_place() {
-        let mut mc = MatCache::new(1 << 20);
-        assert!(mc.admit(
+        let mut mc = cache(1 << 20);
+        assert!(mc.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -896,7 +1213,7 @@ mod tests {
             agg_table(&["a"], 50),
             BASE
         ));
-        assert!(mc.admit(
+        assert!(mc.offer(
             "r",
             1,
             &cols(&["a"]),
@@ -910,6 +1227,61 @@ mod tests {
             .lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
             .unwrap();
         assert_eq!(hit.rows, 40);
+    }
+
+    /// The stages over a real catalog: a miss, an admission, a hit, an
+    /// append the lazy cover stage merges, and a replacement that leaves
+    /// nothing to serve.
+    #[test]
+    fn stages_cover_admit_refresh_and_forget() {
+        let table = |rows: i64| {
+            let fields = vec![Field::new("a", DataType::Int64)];
+            let a = Column::from_i64((0..rows).map(|i| i % 3).collect());
+            Table::new(Schema::new(fields).unwrap(), vec![a]).unwrap()
+        };
+        let mut catalog = Catalog::new();
+        catalog.register("r", table(60)).unwrap();
+        let mut engine = Engine::new(catalog);
+        let (aggs, mut mc, ctx) = (specs(), cache(1 << 20), &mut QueryCtx::default());
+        let a = || [cols(&["a"])];
+        let request = |mc: &MatCache, engine: &Engine| {
+            mc.request(engine.catalog(), "r", &aggs, CacheControl::Default)
+                .unwrap()
+        };
+        let req = request(&mc, &engine);
+        assert!(req.admits());
+        assert!(mc.cover(&engine, &req, a(), ctx).unwrap().is_empty());
+        let base = engine.catalog().table("r").unwrap();
+        let result = engine
+            .aggregate_table(base, &[0], &aggs, None, ctx)
+            .unwrap();
+        mc.admit(
+            &req,
+            &[],
+            &aggs,
+            std::iter::empty(),
+            [(cols(&["a"]), &result)],
+        );
+        let covers = mc.cover(&engine, &req, a(), ctx).unwrap();
+        assert_eq!(
+            (covers.len(), covers[0].request, covers[0].shard),
+            (1, 0, None)
+        );
+        assert!(covers[0].hit.exact);
+
+        engine.catalog_mut().append("r", table(30)).unwrap();
+        assert_eq!(mc.appended(&engine, "r").unwrap().delta_refreshes, 0);
+        let req = request(&mc, &engine);
+        let covers = mc.cover(&engine, &req, a(), ctx).unwrap();
+        assert_eq!(ctx.metrics.delta_refreshes, 1);
+        let hit = &covers[0].hit.table;
+        let counted: i64 = (0..hit.num_rows())
+            .map(|r| hit.value(r, 1).as_int().unwrap())
+            .sum();
+        assert_eq!(counted, 90, "the refreshed counts cover the appended rows");
+
+        mc.replaced("r", 0);
+        assert!(mc.cover(&engine, &req, a(), ctx).unwrap().is_empty());
     }
 
     #[test]

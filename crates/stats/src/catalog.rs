@@ -12,7 +12,9 @@
 //! Nothing is computed until a source asks for it, and nothing here needs
 //! to be told about a mutation: [`StatsCatalog::table`] compares the version
 //! it is handed with the one the statistics were built at and starts over
-//! on a mismatch.
+//! on a mismatch. Beside each table's statistics the catalog keeps the
+//! group counts execution observed over it, which correct sampled
+//! estimates, so a table's statistics and observations leave together.
 
 use crate::distinct::DistinctEstimator;
 use crate::freq::FrequencyProfile;
@@ -169,10 +171,22 @@ impl TableStats {
     }
 }
 
-/// Per-table statistics, each valid for one contents version.
+/// Per-table statistics, each valid for one contents version, and the
+/// group counts execution observed over each table. Both leave together
+/// ([`StatsCatalog::retain`]).
 #[derive(Debug, Default)]
 pub struct StatsCatalog {
-    tables: FxHashMap<String, (u64, TableStats)>,
+    tables: FxHashMap<String, Held>,
+}
+
+/// What the catalog holds about one table.
+#[derive(Debug, Default)]
+struct Held {
+    /// The contents version `stats` describe.
+    built_at: u64,
+    stats: TableStats,
+    /// Observed group counts and the contents version they describe.
+    observed: (u64, StatsStore),
 }
 
 impl StatsCatalog {
@@ -181,31 +195,39 @@ impl StatsCatalog {
         Self::default()
     }
 
-    /// The statistics of table `name` at contents version `version`.
-    /// Statistics built at any other version are discarded here, so a
-    /// caller that passes the table's current version can never read a
-    /// statistic computed over older contents.
-    pub fn table(&mut self, name: &str, version: u64) -> &mut TableStats {
+    /// The statistics of table `name` at contents version `version`,
+    /// and the group counts observed over it with the version they
+    /// describe (`0`: none), which their owner keeps current. Statistics
+    /// built at any other version are discarded here, so a caller that
+    /// passes the table's current version never reads stale ones.
+    pub fn table(&mut self, name: &str, version: u64) -> (&mut TableStats, &mut (u64, StatsStore)) {
         if !self.tables.contains_key(name) {
-            self.tables.insert(name.to_string(), Default::default());
+            self.tables.insert(name.to_string(), Held::default());
         }
-        let (built_at, stats) = self.tables.get_mut(name).expect("just ensured");
-        if *built_at != version {
-            *built_at = version;
-            *stats = TableStats::default();
+        let held = self.tables.get_mut(name).expect("just ensured");
+        if held.built_at != version {
+            held.built_at = version;
+            held.stats = TableStats::default();
         }
-        stats
+        (&mut held.stats, &mut held.observed)
     }
 
-    /// Drop the statistics of every table `keep` rejects (tables that no
-    /// longer exist).
+    /// Observed group counts held, over every table.
+    pub fn observed_len(&self) -> usize {
+        self.tables.values().map(|h| h.observed.1.len()).sum()
+    }
+
+    /// Drop the statistics and observed counts of every table `keep`
+    /// rejects (tables that no longer exist).
     pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
         self.tables.retain(|name, _| keep(name));
     }
 
-    /// Drop every statistic.
+    /// Drop every statistic; observed counts stay.
     pub fn clear(&mut self) {
-        self.tables.clear();
+        for held in self.tables.values_mut() {
+            held.stats = TableStats::default();
+        }
     }
 }
 
@@ -216,24 +238,24 @@ mod tests {
     #[test]
     fn version_change_discards_statistics() {
         let mut cat = StatsCatalog::new();
-        cat.table("r", 1).exact().put(&[0], 7.0);
-        assert_eq!(cat.table("r", 1).exact().get(&[0]), Some(7.0));
-        assert_eq!(cat.table("s", 1).exact().get(&[0]), None, "per table");
-        assert_eq!(cat.table("r", 2).exact().get(&[0]), None);
+        cat.table("r", 1).0.exact().put(&[0], 7.0);
+        assert_eq!(cat.table("r", 1).0.exact().get(&[0]), Some(7.0));
+        assert_eq!(cat.table("s", 1).0.exact().get(&[0]), None, "per table");
+        assert_eq!(cat.table("r", 2).0.exact().get(&[0]), None);
         // Going back does not resurrect anything either.
-        assert_eq!(cat.table("r", 1).exact().get(&[0]), None);
+        assert_eq!(cat.table("r", 1).0.exact().get(&[0]), None);
     }
 
     #[test]
     fn retain_and_clear() {
         let mut cat = StatsCatalog::new();
-        cat.table("r", 1).exact().put(&[0], 7.0);
-        cat.table("s", 1).exact().put(&[0], 8.0);
+        cat.table("r", 1).0.exact().put(&[0], 7.0);
+        cat.table("s", 1).0.exact().put(&[0], 8.0);
         cat.retain(|name| name == "s");
-        assert_eq!(cat.table("r", 1).exact().get(&[0]), None);
-        assert_eq!(cat.table("s", 1).exact().get(&[0]), Some(8.0));
+        assert_eq!(cat.table("r", 1).0.exact().get(&[0]), None);
+        assert_eq!(cat.table("s", 1).0.exact().get(&[0]), Some(8.0));
         cat.clear();
-        assert_eq!(cat.table("s", 1).exact().get(&[0]), None);
+        assert_eq!(cat.table("s", 1).0.exact().get(&[0]), None);
     }
 
     #[test]

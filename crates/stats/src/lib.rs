@@ -19,7 +19,8 @@
 //!   analog) with sampled and exact implementations,
 //! * [`catalog`] — a [`catalog::StatsCatalog`] keeping all of the above per
 //!   table *contents version*, so statistics are built once and reused
-//!   across optimizations until the table changes.
+//!   across optimizations until the table changes, beside the group counts
+//!   execution observed over each table.
 
 #![warn(missing_docs)]
 

@@ -86,15 +86,17 @@ fn client_and_server_modes_agree_on_lineitem() {
         ],
     )
     .unwrap();
-    let mut session = Session::builder()
-        .table("lineitem", table.clone())
-        .search(SearchConfig::pruned())
-        .mode(ExecutionMode::ClientSide)
-        .build()
-        .unwrap();
-    let client = session.grouping_sets(&w).unwrap();
-    session.set_mode(ExecutionMode::ServerSide);
-    let server = session.grouping_sets(&w).unwrap();
+    let run = |mode| {
+        let mut session = Session::builder()
+            .table("lineitem", table.clone())
+            .search(SearchConfig::pruned())
+            .mode(mode)
+            .build()
+            .unwrap();
+        session.grouping_sets(&w).unwrap()
+    };
+    let client = run(ExecutionMode::ClientSide);
+    let server = run(ExecutionMode::ServerSide);
     assert_eq!(tagged_norm(&client.table), tagged_norm(&server.table));
     // the server side shares scans: it must not scan more rows than the
     // client side (which re-scans per query)

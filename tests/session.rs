@@ -4,11 +4,11 @@
 
 use gbmqo_core::plan_to_text;
 use gbmqo_core::prelude::*;
-use gbmqo_cost::{CardinalityCostModel, IndexSnapshot, OptimizerCostModel};
-use gbmqo_datagen::lineitem;
+use gbmqo_cost::CardinalityCostModel;
+use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
 use gbmqo_integration::{assert_same_results, col_names, modular_table};
 use gbmqo_stats::ExactSource;
-use gbmqo_storage::{Column, DataType, Field, Schema, Table};
+use gbmqo_storage::{Column, DataType, Field, IndexKind, Schema, Table};
 use proptest::prelude::*;
 
 fn workload_of(table: &gbmqo_storage::Table, requests: &[Vec<usize>]) -> Workload {
@@ -55,38 +55,6 @@ fn catalog_state(s: &Session) -> Vec<(String, u64, usize)> {
     state
 }
 
-/// Every [`CostModelSpec`]: each model over each kind of statistics.
-fn cost_model_specs() -> Vec<CostModelSpec> {
-    let sampled = Stats::Sampled {
-        rule: SampleRule::fixed(200),
-        estimator: DistinctEstimator::Hybrid,
-        seed: 5,
-    };
-    vec![
-        CostModelSpec::Cardinality(Stats::Exact),
-        CostModelSpec::Cardinality(sampled.clone()),
-        CostModelSpec::Optimizer(Stats::Exact),
-        CostModelSpec::Optimizer(sampled),
-    ]
-}
-
-/// What `Session::plan` chose before sessions kept statistics: a pruned
-/// search over a cardinality source built for this one search.
-fn plan_from_scratch(table: &Table, w: &Workload, spec: &CostModelSpec) -> LogicalPlan {
-    let gbmqo = GbMqo::with_config(SearchConfig::pruned());
-    let (plan, _) = match spec {
-        CostModelSpec::Cardinality(stats) => {
-            gbmqo.plan(w, &mut CardinalityCostModel::new(stats.source(table)))
-        }
-        CostModelSpec::Optimizer(stats) => gbmqo.plan(
-            w,
-            &mut OptimizerCostModel::new(stats.source(table), IndexSnapshot::none()),
-        ),
-    }
-    .unwrap();
-    plan
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -123,79 +91,6 @@ proptest! {
         let rep_s = serial.run_plan(&plan_s, &w).unwrap();
         let rep_p = parallel.run_plan(&plan_p, &w).unwrap();
         assert_same_results(&w, &rep_s, &rep_p, "parallel vs serial");
-    }
-
-    /// The session's statistics catalog changes when statistics are
-    /// built, never what they say: a long-lived session plans and answers
-    /// exactly like one whose statistics are thrown away before every
-    /// search — and exactly like a search over a source built from
-    /// scratch whenever no observed group count corrects the statistics
-    /// (under exact statistics always, under sampled ones before the
-    /// first execution) — for every cost-model spec, sharded or not,
-    /// across an append.
-    #[test]
-    fn shared_statistics_plan_like_fresh_ones(
-        (cards, raw_requests) in workload_strategy(),
-        spec in 0usize..4,
-        sharded in any::<bool>(),
-    ) {
-        let mut requests: Vec<Vec<usize>> = raw_requests
-            .into_iter()
-            .map(|mut r| { r.sort_unstable(); r.dedup(); r })
-            .collect();
-        requests.sort();
-        requests.dedup();
-        let table = modular_table(600, &cards);
-        let spec = cost_model_specs().swap_remove(spec);
-        let build = || {
-            Session::builder()
-                .table("t", table.clone())
-                .search(SearchConfig::pruned())
-                .cost_model(spec.clone())
-                .shards(if sharded { 2 } else { 0 })
-                .build()
-                .unwrap()
-        };
-        let (mut shared, mut fresh) = (build(), build());
-
-        // Two overlapping workloads, before and after an append that
-        // changes every cardinality the statistics describe.
-        let all = workload_of(&table, &requests);
-        let head = workload_of(&table, &requests[..requests.len().div_ceil(2)]);
-        let mut contents = table.clone();
-        for step in 0..6 {
-            if step == 3 {
-                let delta = modular_table(150, &cards.iter().map(|c| c + 3).collect::<Vec<_>>());
-                shared.append("t", delta.clone()).unwrap();
-                fresh.append("t", delta.clone()).unwrap();
-                contents = Table::concat(&[&contents, &delta]).unwrap();
-            }
-            let w = if step % 2 == 0 { &all } else { &head };
-            // Both sessions search anew; only `fresh` also forgets its
-            // statistics (observed group counts survive on both sides).
-            shared.clear_plan_cache();
-            fresh.bump_stats_version();
-
-            let (plan_shared, stats_shared) = shared.plan(w).unwrap();
-            let (plan_fresh, stats_fresh) = fresh.plan(w).unwrap();
-            prop_assert_eq!(plan_to_text(&plan_shared), plan_to_text(&plan_fresh), "step {}", step);
-            prop_assert_eq!(stats_shared.optimizer_calls, stats_fresh.optimizer_calls);
-            prop_assert_eq!(stats_shared.final_cost, stats_fresh.final_cost);
-            let exact = matches!(
-                spec,
-                CostModelSpec::Cardinality(Stats::Exact) | CostModelSpec::Optimizer(Stats::Exact)
-            );
-            if exact || step == 0 {
-                let scratch = plan_from_scratch(&contents, w, &spec);
-                prop_assert_eq!(plan_to_text(&plan_shared), plan_to_text(&scratch), "step {}", step);
-            }
-
-            let out_shared = shared.run_workload(w, CacheControl::Default).unwrap();
-            let out_fresh = fresh.run_workload(w, CacheControl::Default).unwrap();
-            assert_same_results(w, &out_shared.report, &out_fresh.report, "shared vs fresh");
-            let naive = fresh.run_plan(&LogicalPlan::naive(w), w).unwrap();
-            assert_same_results(w, &out_shared.report, &naive, "shared vs naive");
-        }
     }
 
     /// A read writes nothing shared. Whatever a workload, a hand-built
@@ -530,15 +425,85 @@ fn every_table_mutation_invalidates_statistics() {
         s.reshard("t").unwrap();
         assert_statistics_current(&mut s, &w, "append + reshard");
 
-        // Behind the session's back, and without bump_stats_version.
+        // Behind the session's back.
         s.engine_mut().catalog_mut().replace("t", grown(8)).unwrap();
         assert_statistics_current(&mut s, &w, "Catalog::replace");
         s.engine_mut().catalog_mut().append("t", grown(10)).unwrap();
         assert_statistics_current(&mut s, &w, "Catalog::append");
-
-        // Same contents, declared changed: everything is rebuilt.
-        s.bump_stats_version();
-        let declared = assert_statistics_current(&mut s, &w, "bump_stats_version");
-        assert!(declared.stats_created > 0);
     }
+}
+
+/// An index changes what the optimizer model prices, so a plan cached
+/// before it is stale: after Figure 14's ten non-clustered indexes are
+/// created through the engine, the session plans exactly like a fresh
+/// session over the indexed table.
+#[test]
+fn a_new_index_makes_a_cached_plan_stale() {
+    let table = lineitem(20_000, 0.0, 140);
+    let w = Workload::single_columns("lineitem", &table, &LINEITEM_SC_COLUMNS).unwrap();
+    let build = || {
+        Session::builder()
+            .table("lineitem", table.clone())
+            .search(SearchConfig::pruned())
+            .build()
+            .unwrap()
+    };
+    let index = |s: &mut Session| {
+        for col in [
+            "l_receiptdate",
+            "l_shipdate",
+            "l_commitdate",
+            "l_partkey",
+            "l_suppkey",
+            "l_returnflag",
+            "l_linestatus",
+            "l_shipinstruct",
+            "l_shipmode",
+            "l_comment",
+        ] {
+            let key = vec![table.schema().index_of(col).unwrap()];
+            let catalog = s.engine_mut().catalog_mut();
+            let name = format!("nc_{col}");
+            catalog
+                .create_index("lineitem", name, IndexKind::NonClustered, key)
+                .unwrap();
+        }
+    };
+    let mut s = build();
+    s.plan(&w).unwrap();
+    index(&mut s);
+    let (plan, stats) = s.plan(&w).unwrap();
+    let mut fresh = build();
+    index(&mut fresh);
+    let (fresh_plan, fresh_stats) = fresh.plan(&w).unwrap();
+    assert!(!stats.cache_hit, "the pre-index plan must not be served");
+    assert_eq!(plan_to_text(&plan), plan_to_text(&fresh_plan));
+    assert_eq!(stats.final_cost, fresh_stats.final_cost);
+}
+
+/// The group counts observed over a table leave with it: once the next
+/// plan runs, a session that dropped table `a` holds only what a session
+/// that never had it holds.
+#[test]
+fn observed_counts_leave_with_their_table() {
+    let table = modular_table(500, &[3, 7, 40]);
+    let on = |name: &str| Workload::single_columns(name, &table, &["c0", "c1", "c2"]).unwrap();
+    let mut s = Session::builder()
+        .table("a", table.clone())
+        .table("b", table.clone())
+        .build()
+        .unwrap();
+    s.run_workload(&on("a"), CacheControl::Default).unwrap();
+    assert!(s.feedback_len() > 0);
+    s.engine_mut().catalog_mut().remove("a").unwrap();
+    s.run_workload(&on("b"), CacheControl::Default).unwrap();
+
+    let mut only_b = Session::builder()
+        .table("b", table.clone())
+        .build()
+        .unwrap();
+    only_b
+        .run_workload(&on("b"), CacheControl::Default)
+        .unwrap();
+    assert_eq!(s.feedback_len(), only_b.feedback_len());
 }
