@@ -77,7 +77,8 @@ pub struct AppendOutcome {
 pub const RESHARD_SKEW_THRESHOLD: u64 = 200;
 
 /// Builder for [`Session`]; see the module docs for a walkthrough.
-#[derive(Debug, Default)]
+/// `SessionBuilder::default()` is [`Session::builder`].
+#[derive(Debug)]
 pub struct SessionBuilder {
     tables: Vec<(String, Table)>,
     engine: Option<Engine>,
@@ -91,6 +92,25 @@ pub struct SessionBuilder {
     shards: u32,
     refresh_policy: RefreshPolicy,
     max_delta_fraction: Option<f64>,
+}
+
+impl Default for SessionBuilder {
+    fn default() -> Self {
+        SessionBuilder {
+            tables: Vec::new(),
+            engine: None,
+            cost_model: CostModelSpec::default(),
+            search: SearchConfig::default(),
+            mode: ExecutionMode::default(),
+            parallelism: 0,
+            plan_cache: 16,
+            io_ns_per_byte: 0.0,
+            mat_cache_budget_bytes: 0,
+            shards: 0,
+            refresh_policy: RefreshPolicy::default(),
+            max_delta_fraction: None,
+        }
+    }
 }
 
 impl SessionBuilder {
@@ -271,10 +291,7 @@ const _: () = {
 impl Session {
     /// Start configuring a session.
     pub fn builder() -> SessionBuilder {
-        SessionBuilder {
-            plan_cache: 16,
-            ..Default::default()
-        }
+        SessionBuilder::default()
     }
 
     /// Optimize and execute `workload` as one GROUPING SETS query,

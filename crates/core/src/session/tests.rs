@@ -696,3 +696,34 @@ fn observed_drift_invalidates_and_replans() {
     assert_eq!(rows_sorted(&second.table), rows_sorted(&first.table));
     assert_eq!(rows_sorted(&third.table), rows_sorted(&first.table));
 }
+
+#[test]
+fn the_default_builder_is_the_documented_builder() {
+    // 17 distinct workloads through a 16-plan cache: one eviction.
+    let sets: [&[&str]; 7] = [
+        &["a"],
+        &["b"],
+        &["c"],
+        &["a", "b"],
+        &["a", "c"],
+        &["b", "c"],
+        &["a", "b", "c"],
+    ];
+    let t = table();
+    let mut stats = Vec::new();
+    for builder in [SessionBuilder::default(), Session::builder()] {
+        let mut s = builder.table("r", t.clone()).build().unwrap();
+        for mask in 1..=17usize {
+            let requests: Vec<Vec<&str>> = (0..sets.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| sets[i].to_vec())
+                .collect();
+            let w = Workload::new("r", &t, &["a", "b", "c"], &requests).unwrap();
+            s.grouping_sets(&w).unwrap();
+        }
+        let cache = s.cache_stats();
+        stats.push((cache.entries, cache.evictions, cache.misses));
+    }
+    assert_eq!(stats[0], (16, 1, 17));
+    assert_eq!(stats[0], stats[1]);
+}

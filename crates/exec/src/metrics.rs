@@ -1,5 +1,6 @@
 //! Execution metrics collected by operators and the engine.
 
+use std::fmt::Write;
 use std::ops::AddAssign;
 use std::time::Duration;
 
@@ -160,12 +161,16 @@ impl ExecMetrics {
     /// One flat JSON object of all counters (no trailing newline).
     /// All values are unsigned integers, so no escaping is needed.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
+        let mut json = String::with_capacity(32 * Self::COUNTERS);
+        json.push('{');
+        for (i, (k, v)) in self.fields().into_iter().enumerate() {
+            if i > 0 {
+                json.push(',');
+            }
+            write!(json, "\"{k}\":{v}").expect("writing to a String cannot fail");
+        }
+        json.push('}');
+        json
     }
 
     /// Parse a JSON object produced by [`ExecMetrics::to_json`] (or any
@@ -326,6 +331,12 @@ mod tests {
             plan_reopts: 28,
         };
         let json = m.to_json();
+        let joined: Vec<String> = m
+            .fields()
+            .iter()
+            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .collect();
+        assert_eq!(json, format!("{{{}}}", joined.join(",")));
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"radix_partitions\":7"));
         // fields() enumerates every counter exactly once

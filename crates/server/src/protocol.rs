@@ -256,27 +256,46 @@ fn cache_from_code(code: u8) -> ServerResult<CacheControl> {
 /// verbatim. The body is compressed when `features` allows it and
 /// compression actually pays.
 pub fn encode_frame(request_id: u64, opcode: u8, body: &[u8], features: u32) -> Vec<u8> {
-    let mut flags = 0u8;
-    let mut wire_body: Cow<'_, [u8]> = Cow::Borrowed(body);
-    if features & FEATURE_LZ4 != 0 && body.len() >= COMPRESS_MIN {
-        let packed = compress::compress(body);
-        if packed.len() + 4 < body.len() {
-            let mut framed = Vec::with_capacity(packed.len() + 4);
-            codec::put_u32(&mut framed, body.len() as u32);
-            framed.extend_from_slice(&packed);
-            flags |= FLAG_COMPRESSED;
-            wire_body = Cow::Owned(framed);
+    let mut out = Vec::with_capacity(4 + HEADER_LEN + body.len());
+    put_frame(&mut out, request_id, features, |buf| {
+        buf.extend_from_slice(body);
+        opcode
+    });
+    out
+}
+
+/// Append one complete wire frame to `out` in place: reserve the length
+/// prefix and header, let `body` write the body after them (it returns
+/// the opcode), compress that region when `features` allows it and
+/// compression actually pays, then back-patch the header. The bytes
+/// equal [`encode_frame`]'s for the same body.
+fn put_frame(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    features: u32,
+    body: impl FnOnce(&mut Vec<u8>) -> u8,
+) {
+    let start = out.len();
+    codec::put_u32(out, 0); // payload length, patched below
+    out.push(PROTOCOL_VERSION);
+    out.push(0); // flags
+    codec::put_u64(out, request_id);
+    out.push(0); // opcode
+    let body_start = out.len();
+    let opcode = body(out);
+    let body_len = out.len() - body_start;
+    if features & FEATURE_LZ4 != 0 && body_len >= COMPRESS_MIN {
+        let packed = compress::compress(&out[body_start..]);
+        if packed.len() + 4 < body_len {
+            out.truncate(body_start);
+            codec::put_u32(out, body_len as u32);
+            out.extend_from_slice(&packed);
+            out[start + 5] = FLAG_COMPRESSED;
         }
     }
-    let payload_len = HEADER_LEN + wire_body.len();
-    let mut buf = Vec::with_capacity(4 + payload_len);
-    codec::put_u32(&mut buf, payload_len as u32);
-    buf.push(PROTOCOL_VERSION);
-    buf.push(flags);
-    codec::put_u64(&mut buf, request_id);
-    buf.push(opcode);
-    buf.extend_from_slice(&wire_body);
-    buf
+    let payload_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+    out[start + 4 + HEADER_LEN - 1] = opcode;
 }
 
 /// Strip a full frame's length prefix, validating that the declared
@@ -404,17 +423,17 @@ pub fn parse_frame(payload: &[u8], features: u32) -> Result<FrameIn<'_>, FrameEr
     })
 }
 
-fn encode_request_body(req: &Request) -> (u8, Vec<u8>) {
-    let mut buf = Vec::new();
-    let opcode = match req {
+/// Write a request's body into `buf`, returning its opcode.
+fn put_request_body(buf: &mut Vec<u8>, req: &Request) -> u8 {
+    match req {
         Request::Hello { features } => {
-            codec::put_u32(&mut buf, *features);
+            codec::put_u32(buf, *features);
             OP_HELLO
         }
         Request::Ping => OP_PING,
         Request::RegisterTable { name, table } => {
-            codec::put_str(&mut buf, name);
-            codec::put_table(&mut buf, table);
+            codec::put_str(buf, name);
+            codec::put_table(buf, table);
             OP_REGISTER
         }
         Request::Query {
@@ -423,9 +442,9 @@ fn encode_request_body(req: &Request) -> (u8, Vec<u8>) {
             deadline_ms,
             cache,
         } => {
-            codec::put_str(&mut buf, table);
-            codec::put_str_list(&mut buf, group_cols);
-            codec::put_u32(&mut buf, *deadline_ms);
+            codec::put_str(buf, table);
+            codec::put_str_list(buf, group_cols);
+            codec::put_u32(buf, *deadline_ms);
             buf.push(cache_code(*cache));
             OP_QUERY
         }
@@ -436,20 +455,20 @@ fn encode_request_body(req: &Request) -> (u8, Vec<u8>) {
             deadline_ms,
             cache,
         } => {
-            codec::put_str(&mut buf, table);
-            codec::put_str_list(&mut buf, universe);
-            codec::put_u32(&mut buf, requests.len() as u32);
+            codec::put_str(buf, table);
+            codec::put_str_list(buf, universe);
+            codec::put_u32(buf, requests.len() as u32);
             for r in requests {
-                codec::put_str_list(&mut buf, r);
+                codec::put_str_list(buf, r);
             }
-            codec::put_u32(&mut buf, *deadline_ms);
+            codec::put_u32(buf, *deadline_ms);
             buf.push(cache_code(*cache));
             OP_WORKLOAD
         }
         Request::Stats => OP_STATS,
         Request::Append { name, rows } => {
-            codec::put_str(&mut buf, name);
-            codec::put_table(&mut buf, rows);
+            codec::put_str(buf, name);
+            codec::put_table(buf, rows);
             OP_APPEND
         }
         Request::SqlQuery {
@@ -457,20 +476,22 @@ fn encode_request_body(req: &Request) -> (u8, Vec<u8>) {
             deadline_ms,
             cache,
         } => {
-            codec::put_str(&mut buf, sql);
-            codec::put_u32(&mut buf, *deadline_ms);
+            codec::put_str(buf, sql);
+            codec::put_u32(buf, *deadline_ms);
             buf.push(cache_code(*cache));
             OP_SQL
         }
-    };
-    (opcode, buf)
+    }
 }
 
 /// Serialize a request payload (without the frame length prefix).
 /// `features` is the negotiated set; pass `0` before `HelloAck`.
 pub fn encode_request(request_id: u64, req: &Request, features: u32) -> Vec<u8> {
-    let (opcode, body) = encode_request_body(req);
-    encode_frame(request_id, opcode, &body, features)
+    let mut out = Vec::new();
+    put_frame(&mut out, request_id, features, |buf| {
+        put_request_body(buf, req)
+    });
+    out
 }
 
 /// Interpret a request body for a known opcode.
@@ -550,13 +571,13 @@ pub fn decode_request(frame: &[u8], features: u32) -> ServerResult<(u64, Request
     Ok((frame.request_id, req))
 }
 
-fn encode_response_body(resp: &Response) -> (u8, Vec<u8>) {
-    let mut buf = Vec::new();
-    let opcode = match resp {
+/// Write a response's body into `buf`, returning its opcode.
+fn put_response_body(buf: &mut Vec<u8>, resp: &Response) -> u8 {
+    match resp {
         Response::Pong => OP_PONG,
         Response::Ack => OP_ACK,
         Response::HelloAck { features } => {
-            codec::put_u32(&mut buf, *features);
+            codec::put_u32(buf, *features);
             OP_HELLO_ACK
         }
         Response::Chunk {
@@ -565,10 +586,10 @@ fn encode_response_body(resp: &Response) -> (u8, Vec<u8>) {
             last_in_set,
             table,
         } => {
-            codec::put_str(&mut buf, set_tag);
-            codec::put_u32(&mut buf, *chunk_index);
+            codec::put_str(buf, set_tag);
+            codec::put_u32(buf, *chunk_index);
             buf.push(*last_in_set as u8);
-            codec::put_table(&mut buf, table);
+            codec::put_table(buf, table);
             OP_RESULT_CHUNK
         }
         Response::Finish {
@@ -576,28 +597,36 @@ fn encode_response_body(resp: &Response) -> (u8, Vec<u8>) {
             total_rows,
             metrics_json,
         } => {
-            codec::put_u32(&mut buf, *total_chunks);
-            codec::put_u64(&mut buf, *total_rows);
-            codec::put_str(&mut buf, metrics_json);
+            codec::put_u32(buf, *total_chunks);
+            codec::put_u64(buf, *total_rows);
+            codec::put_str(buf, metrics_json);
             OP_FINISH
         }
         Response::StatsReply { json } => {
-            codec::put_str(&mut buf, json);
+            codec::put_str(buf, json);
             OP_STATS_REPLY
         }
         Response::Error { code, message } => {
             buf.push(*code as u8);
-            codec::put_str(&mut buf, message);
+            codec::put_str(buf, message);
             OP_ERROR
         }
-    };
-    (opcode, buf)
+    }
 }
 
 /// Serialize a response into a complete wire frame.
 pub fn encode_response(request_id: u64, resp: &Response, features: u32) -> Vec<u8> {
-    let (opcode, body) = encode_response_body(resp);
-    encode_frame(request_id, opcode, &body, features)
+    let mut out = Vec::new();
+    encode_response_into(&mut out, request_id, resp, features);
+    out
+}
+
+/// Append a response's complete wire frame to `out`, encoded in place:
+/// the bytes [`encode_response`] returns, without its buffer.
+pub fn encode_response_into(out: &mut Vec<u8>, request_id: u64, resp: &Response, features: u32) {
+    put_frame(out, request_id, features, |buf| {
+        put_response_body(buf, resp)
+    });
 }
 
 /// Serialize one `Chunk` response directly from a row range of a
@@ -614,12 +643,44 @@ pub fn encode_chunk_frame(
     end: usize,
     features: u32,
 ) -> Vec<u8> {
-    let mut body = Vec::new();
-    codec::put_str(&mut body, set_tag);
-    codec::put_u32(&mut body, chunk_index);
-    body.push(last_in_set as u8);
-    codec::put_table_slice(&mut body, table, start, end);
-    encode_frame(request_id, OP_RESULT_CHUNK, &body, features)
+    let mut out = Vec::new();
+    encode_chunk_frame_into(
+        &mut out,
+        request_id,
+        set_tag,
+        chunk_index,
+        last_in_set,
+        table,
+        start,
+        end,
+        features,
+    );
+    out
+}
+
+/// Append the frame [`encode_chunk_frame`] returns to `out`, encoded in
+/// place: header reserved, rows written after it, length back-patched.
+/// A caller batching frames into one send appends them one after
+/// another and truncates `out` back to drop the last one.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_chunk_frame_into(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    set_tag: &str,
+    chunk_index: u32,
+    last_in_set: bool,
+    table: &Table,
+    start: usize,
+    end: usize,
+    features: u32,
+) {
+    put_frame(out, request_id, features, |buf| {
+        codec::put_str(buf, set_tag);
+        codec::put_u32(buf, chunk_index);
+        buf.push(last_in_set as u8);
+        codec::put_table_slice(buf, table, start, end);
+        OP_RESULT_CHUNK
+    });
 }
 
 /// Interpret a response body for a known opcode.
@@ -987,5 +1048,157 @@ mod tests {
         buf.pop();
         buf[14] = 0x55; // unknown opcode
         assert!(decode_request(&buf, 0).is_err());
+    }
+
+    /// The frame encoder before frames were built in place: body and
+    /// frame in separate buffers. The reference for the bytes on the wire.
+    fn two_buffer_frame(request_id: u64, opcode: u8, body: &[u8], features: u32) -> Vec<u8> {
+        let mut flags = 0u8;
+        let mut wire_body = body.to_vec();
+        if features & FEATURE_LZ4 != 0 && body.len() >= COMPRESS_MIN {
+            let packed = compress::compress(body);
+            if packed.len() + 4 < body.len() {
+                wire_body = Vec::with_capacity(packed.len() + 4);
+                codec::put_u32(&mut wire_body, body.len() as u32);
+                wire_body.extend_from_slice(&packed);
+                flags |= FLAG_COMPRESSED;
+            }
+        }
+        let mut buf = Vec::new();
+        codec::put_u32(&mut buf, (HEADER_LEN + wire_body.len()) as u32);
+        buf.push(PROTOCOL_VERSION);
+        buf.push(flags);
+        codec::put_u64(&mut buf, request_id);
+        buf.push(opcode);
+        buf.extend_from_slice(&wire_body);
+        buf
+    }
+
+    /// `rows` rows from `seed`, in one of three shapes: a repetitive
+    /// integer and string column (LZ4 shrinks them), a random float
+    /// column alone (LZ4 cannot), or integers, floats and random
+    /// strings together.
+    fn seeded_table(rows: usize, seed: u64, shape: usize) -> Table {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut fields = Vec::new();
+        let mut columns = Vec::new();
+        if shape != 1 {
+            fields.push(Field::new("i", DataType::Int64));
+            columns.push(Column::from_i64((0..rows as i64).map(|i| i % 7).collect()));
+        }
+        if shape != 0 {
+            fields.push(Field::new("f", DataType::Float64));
+            columns.push(Column::from_f64(
+                (0..rows).map(|_| f64::from_bits(next() >> 2)).collect(),
+            ));
+        }
+        if shape != 1 {
+            let strs: Vec<String> = (0..rows)
+                .map(|i| match shape {
+                    0 => format!("s{}", i % 3),
+                    _ => format!("{:x}", next()),
+                })
+                .collect();
+            fields.push(Field::new("s", DataType::Utf8));
+            columns.push(Column::from_strs(&strs));
+        }
+        Table::new(Schema::new(fields).unwrap(), columns).unwrap()
+    }
+
+    /// Run `append` on a buffer already holding `prefix`; check that it
+    /// left the prefix alone and appended exactly `expected`.
+    fn assert_appends(prefix: &[u8], expected: &[u8], append: impl FnOnce(&mut Vec<u8>)) {
+        let mut out = prefix.to_vec();
+        append(&mut out);
+        assert_eq!(&out[..prefix.len()], prefix);
+        assert_eq!(&out[prefix.len()..], expected);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Frames encoded in place into a shared buffer carry exactly
+        /// the bytes the two-buffer encoder produced, compressed or not.
+        #[test]
+        fn in_place_frames_match_the_two_buffer_encoder(
+            rows in 0usize..1500,
+            seed in proptest::prelude::any::<u64>(),
+            shape in 0usize..3,
+            lz4 in proptest::prelude::any::<bool>(),
+        ) {
+            let features = if lz4 { FEATURE_LZ4 } else { 0 };
+            let table = seeded_table(rows, seed, shape);
+            let prefix = encode_response(1, &Response::Ack, 0);
+            let (start, end) = (rows / 3, rows);
+            let mut body = Vec::new();
+            codec::put_str(&mut body, "i,s");
+            codec::put_u32(&mut body, 2);
+            body.push(1);
+            codec::put_table_slice(&mut body, &table, start, end);
+            let expected = two_buffer_frame(seed, OP_RESULT_CHUNK, &body, features);
+            assert_appends(&prefix, &expected, |out| {
+                encode_chunk_frame_into(out, seed, "i,s", 2, true, &table, start, end, features)
+            });
+            proptest::prop_assert_eq!(
+                encode_chunk_frame(seed, "i,s", 2, true, &table, start, end, features),
+                expected
+            );
+            let resp = Response::Chunk {
+                set_tag: "x".into(),
+                chunk_index: 0,
+                last_in_set: false,
+                table,
+            };
+            let finish = Response::Finish {
+                total_chunks: rows as u32,
+                total_rows: seed,
+                metrics_json: "{\"a\":1}".repeat(rows / 8),
+            };
+            for resp in [resp, finish] {
+                let mut body = Vec::new();
+                let opcode = put_response_body(&mut body, &resp);
+                let expected = two_buffer_frame(seed, opcode, &body, features);
+                assert_appends(&prefix, &expected, |out| {
+                    encode_response_into(out, seed, &resp, features)
+                });
+                proptest::prop_assert_eq!(encode_response(seed, &resp, features), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_lz4_cannot_shrink_goes_out_plain() {
+        let table = seeded_table(200, 99, 1);
+        let mut out = Vec::new();
+        encode_chunk_frame_into(&mut out, 4, "f", 0, true, &table, 0, 200, FEATURE_LZ4);
+        assert!(out.len() > 4 + HEADER_LEN + COMPRESS_MIN);
+        assert_eq!(out[5] & FLAG_COMPRESSED, 0, "random floats do not compress");
+        let mut body = Vec::new();
+        codec::put_str(&mut body, "f");
+        codec::put_u32(&mut body, 0);
+        body.push(1);
+        codec::put_table_slice(&mut body, &table, 0, 200);
+        assert_eq!(
+            out,
+            two_buffer_frame(4, OP_RESULT_CHUNK, &body, FEATURE_LZ4)
+        );
+        // The repetitive shape does compress, so both branches are hit.
+        let packed = encode_chunk_frame(
+            4,
+            "i",
+            0,
+            true,
+            &seeded_table(2000, 1, 0),
+            0,
+            2000,
+            FEATURE_LZ4,
+        );
+        assert_ne!(packed[5] & FLAG_COMPRESSED, 0);
     }
 }

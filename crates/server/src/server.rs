@@ -22,10 +22,21 @@
 //! budget ([`ServerConfig::outbound_budget`]): a worker streaming a
 //! huge result blocks once the connection has that many bytes queued
 //! and unwritten, and resumes as the loop drains them to the socket.
-//! Server memory per connection is therefore bounded by the budget
-//! plus one chunk, no matter how many rows a result has. A client that
-//! stops reading for too long is declared dead and its stream is
-//! abandoned rather than pinning a worker forever.
+//!
+//! Each hand-off is one *send* — one channel push, one loop wake-up,
+//! one socket `write` — so a reply's frames are encoded in place into
+//! one outgoing buffer that is sent right after a chunk that filled its
+//! row cap ([`ServerConfig::chunk_rows`]) and before a frame that would
+//! push it past [`ServerConfig::chunk_bytes`]. Set tails, small sets and
+//! the `Finish` frame ride in the next full chunk's send or in the
+//! final one: a reply smaller than a chunk is a single send, and a
+//! large result still leaves one full chunk at a time. The bytes a
+//! client receives do not depend on where one send ends. A send is at
+//! most `chunk_bytes` unless it is a single frame, so server memory per
+//! connection is bounded by the budget plus one send, no matter how
+//! many rows a result has. A client that stops reading for too long is
+//! declared dead and its stream is abandoned rather than pinning a
+//! worker forever.
 //!
 //! ## Admission and load shedding
 //!
@@ -84,14 +95,19 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Row cap per `ResultChunk` frame.
+    /// Row cap per `ResultChunk` frame. A chunk that fills its row cap
+    /// is sent as soon as it is encoded, together with whatever smaller
+    /// frames of the reply preceded it.
     pub chunk_rows: usize,
-    /// Approximate encoded-byte cap per `ResultChunk` frame; a chunk
-    /// exceeding it is re-sliced with fewer rows.
+    /// Encoded-byte cap per `ResultChunk` frame and per send: a chunk
+    /// exceeding it is re-sliced with fewer rows, and a reply's frames
+    /// share one send until the next would take it past this cap. Only
+    /// a single frame (one giant row) may exceed it.
     pub chunk_bytes: usize,
     /// Per-connection credit budget: the most response bytes that may
     /// sit queued (encoded but unwritten) for one connection before
-    /// the producing worker blocks.
+    /// the producing worker blocks. A connection's queued bytes stay
+    /// within the budget plus one send.
     pub outbound_budget: usize,
 }
 
@@ -146,7 +162,7 @@ pub(crate) struct Shared {
     pub streamed_chunks: AtomicU64,
     /// High-water mark of any single connection's queued-but-unwritten
     /// response bytes — the observable for "streaming stays within the
-    /// chunk budget".
+    /// budget plus one send".
     pub outbound_peak: Arc<AtomicU64>,
     /// Currently open client connections.
     pub open_conns: AtomicU64,
@@ -194,10 +210,10 @@ pub(crate) struct ConnShared {
     cv: Condvar,
 }
 
-/// A worker's way to reply to a connection: encoded frames go through
-/// the outbound channel to the event loop, gated by the connection's
-/// credit budget so a slow client applies backpressure instead of
-/// growing an unbounded queue.
+/// A worker's way to reply to a connection: encoded frames — one or
+/// several back to back per send — go through the outbound channel to
+/// the event loop, gated by the connection's credit budget so a slow
+/// client applies backpressure instead of growing an unbounded queue.
 pub(crate) struct ReplyHandle {
     conn: Arc<ConnShared>,
     out_tx: Sender<(u64, Vec<u8>)>,
@@ -226,10 +242,10 @@ impl ReplyHandle {
         self.conn.features.load(Ordering::Acquire)
     }
 
-    /// Queue one encoded frame, blocking while the connection's credit
-    /// budget is exhausted. Returns `false` when the connection is
-    /// gone (or declared dead after a write stall) — the caller should
-    /// abandon the rest of its stream.
+    /// Queue one send — one or more complete encoded frames — blocking
+    /// while the connection's credit budget is exhausted. Returns
+    /// `false` when the connection is gone (or declared dead after a
+    /// write stall) — the caller should abandon the rest of its stream.
     pub(crate) fn send_frame(&self, frame: Vec<u8>) -> bool {
         if self.conn.dead.load(Ordering::Acquire) {
             return false;
@@ -238,7 +254,7 @@ impl ReplyHandle {
         {
             let mut pending = self.conn.pending.lock().unwrap_or_else(|e| e.into_inner());
             let started = Instant::now();
-            // A single frame larger than the whole budget may still go
+            // A single send larger than the whole budget may still go
             // out alone (`*pending == 0`); otherwise wait for credit.
             while *pending > 0 && *pending + len > self.budget {
                 if self.conn.dead.load(Ordering::Acquire) {
@@ -1172,6 +1188,11 @@ fn run_sql(
 /// Stream one request's result tables as bounded chunks terminated by
 /// a `Finish` frame. Returns `false` if the connection died mid-stream
 /// (the rest of the result is abandoned).
+///
+/// Frames are encoded in place into one outgoing buffer, sent right
+/// after a chunk that filled its row cap (every chunk but its set's
+/// last) and before a frame that would push it past `chunk_bytes` (see
+/// the module docs, "Streaming and backpressure").
 fn stream_results(
     shared: &Shared,
     reply: &ReplyHandle,
@@ -1179,6 +1200,8 @@ fn stream_results(
     results: &[(String, Table)],
     metrics: &ExecMetrics,
 ) -> bool {
+    let features = reply.features();
+    let mut out = Vec::new();
     let mut total_chunks: u32 = 0;
     let mut total_rows: u64 = 0;
     for (set_tag, table) in results {
@@ -1189,23 +1212,19 @@ fn stream_results(
         loop {
             let end = (start + cap).min(rows);
             let last = end == rows;
-            let frame = protocol::encode_chunk_frame(
-                request_id,
-                set_tag,
-                index,
-                last,
-                table,
-                start,
-                end,
-                reply.features(),
+            let mark = out.len();
+            protocol::encode_chunk_frame_into(
+                &mut out, request_id, set_tag, index, last, table, start, end, features,
             );
-            // Over the byte cap with more than one row: re-slice
-            // smaller. (A single giant row must go out regardless.)
-            if frame.len() > shared.chunk_bytes && end - start > 1 {
+            // Over the byte cap with more than one row: take the frame
+            // back and re-slice smaller. (A single giant row must go
+            // out regardless.)
+            if out.len() - mark > shared.chunk_bytes && end - start > 1 {
+                out.truncate(mark);
                 cap = ((end - start) / 2).max(1);
                 continue;
             }
-            if !reply.send_frame(frame) {
+            if !send_before(shared, reply, &mut out, mark) {
                 return false;
             }
             shared.streamed_chunks.fetch_add(1, Ordering::Relaxed);
@@ -1216,16 +1235,30 @@ fn stream_results(
             if last {
                 break;
             }
+            if !reply.send_frame(std::mem::take(&mut out)) {
+                return false;
+            }
         }
     }
-    reply.send_response(
-        request_id,
-        &Response::Finish {
-            total_chunks,
-            total_rows,
-            metrics_json: metrics.to_json(),
-        },
-    )
+    let mark = out.len();
+    let finish = Response::Finish {
+        total_chunks,
+        total_rows,
+        metrics_json: metrics.to_json(),
+    };
+    protocol::encode_response_into(&mut out, request_id, &finish, features);
+    send_before(shared, reply, &mut out, mark) && reply.send_frame(out)
+}
+
+/// If the frame appended to `out` at `mark` took it past `chunk_bytes`,
+/// send what preceded the frame on its own and keep the frame. Returns
+/// `false` if the connection is gone.
+fn send_before(shared: &Shared, reply: &ReplyHandle, out: &mut Vec<u8>, mark: usize) -> bool {
+    if mark == 0 || out.len() <= shared.chunk_bytes {
+        return true;
+    }
+    let frame = out.split_off(mark);
+    reply.send_frame(std::mem::replace(out, frame))
 }
 
 /// Optimize and execute one workload under the shared session on
@@ -1327,6 +1360,7 @@ pub fn stats_field(json: &str, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gbmqo_storage::{Column, DataType, Field, Schema};
 
     #[test]
     fn stats_field_parses_flat_json() {
@@ -1384,5 +1418,228 @@ mod tests {
         let (handle, _rx) = test_reply_handle(1000);
         handle.conn.dead.store(true, Ordering::Release);
         assert!(!handle.send_frame(vec![0u8; 10]));
+    }
+
+    /// Server state for driving `stream_results` without a running loop.
+    fn test_shared(chunk_rows: usize, chunk_bytes: usize) -> Shared {
+        Shared {
+            session: Mutex::new(Session::builder().build().expect("empty session")),
+            counters: Mutex::new(Counters::default()),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            workers_done: AtomicBool::new(false),
+            chunk_rows,
+            chunk_bytes,
+            streamed_chunks: AtomicU64::new(0),
+            outbound_peak: Arc::new(AtomicU64::new(0)),
+            open_conns: AtomicU64::new(0),
+        }
+    }
+
+    /// A result set of `rows` rows whose string column is `width` bytes
+    /// a row, distinct per row.
+    fn result_set(tag: &str, rows: usize, width: usize) -> (String, Table) {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("s", DataType::Utf8),
+        ])
+        .unwrap();
+        let strs: Vec<String> = (0..rows).map(|i| format!("{i:0width$}")).collect();
+        let table = Table::new(
+            schema,
+            vec![
+                Column::from_i64((0..rows as i64).collect()),
+                Column::from_strs(&strs),
+            ],
+        )
+        .unwrap();
+        (tag.to_string(), table)
+    }
+
+    /// Split one send into its complete frames.
+    fn frames_of(send: &[u8]) -> Vec<&[u8]> {
+        let mut frames = Vec::new();
+        let mut rest = send;
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            frames.push(&rest[..4 + len]);
+            rest = &rest[4 + len..];
+        }
+        frames
+    }
+
+    /// The frames a reply is made of, one `encode_*` call each: the
+    /// bytes a client must receive, however the sends cut them.
+    fn reference_frames(shared: &Shared, results: &[(String, Table)]) -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        let mut total_rows = 0u64;
+        for (tag, table) in results {
+            let (mut start, mut index, mut cap) = (0usize, 0u32, shared.chunk_rows);
+            loop {
+                let end = (start + cap).min(table.num_rows());
+                let last = end == table.num_rows();
+                let frame = protocol::encode_chunk_frame(7, tag, index, last, table, start, end, 0);
+                if frame.len() > shared.chunk_bytes && end - start > 1 {
+                    cap = ((end - start) / 2).max(1);
+                    continue;
+                }
+                frames.push(frame);
+                total_rows += (end - start) as u64;
+                index += 1;
+                start = end;
+                if last {
+                    break;
+                }
+            }
+        }
+        let finish = Response::Finish {
+            total_chunks: frames.len() as u32,
+            total_rows,
+            metrics_json: ExecMetrics::new().to_json(),
+        };
+        frames.push(protocol::encode_response(7, &finish, 0));
+        frames
+    }
+
+    /// Stream `results` through a detached handle; return the sends.
+    fn sends_of(shared: &Shared, results: &[(String, Table)]) -> Vec<Vec<u8>> {
+        let (handle, rx) = test_reply_handle(usize::MAX);
+        assert!(stream_results(
+            shared,
+            &handle,
+            7,
+            results,
+            &ExecMetrics::new()
+        ));
+        let sends: Vec<Vec<u8>> = rx.try_iter().map(|(_, bytes)| bytes).collect();
+        let wire: Vec<u8> = sends.concat();
+        assert_eq!(
+            wire,
+            reference_frames(shared, results).concat(),
+            "the sends must carry the reply's frames byte for byte"
+        );
+        sends
+    }
+
+    fn chunk_rows_of(frame: &[u8]) -> (String, usize) {
+        match protocol::decode_response(frame, 0).unwrap().1 {
+            Response::Chunk { set_tag, table, .. } => (set_tag, table.num_rows()),
+            other => panic!("expected a chunk, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_reply_under_one_chunk_is_one_send() {
+        let shared = test_shared(100, 1 << 20);
+        let results = vec![
+            result_set("a", 3, 4),
+            result_set("b", 0, 4),
+            result_set("a,b", 7, 4),
+        ];
+        let sends = sends_of(&shared, &results);
+        assert_eq!(sends.len(), 1, "one reply, one send");
+        let frames = frames_of(&sends[0]);
+        assert_eq!(frames.len(), 4);
+        let chunks: Vec<(String, usize)> = frames[..3].iter().map(|f| chunk_rows_of(f)).collect();
+        assert_eq!(
+            chunks,
+            [("a".into(), 3), ("b".into(), 0), ("a,b".into(), 7)]
+        );
+        match protocol::decode_response(frames[3], 0).unwrap() {
+            (
+                7,
+                Response::Finish {
+                    total_chunks: 3,
+                    total_rows: 10,
+                    ..
+                },
+            ) => {}
+            other => panic!("expected the Finish totals, got {other:?}"),
+        }
+        assert_eq!(shared.streamed_chunks.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn full_chunks_go_out_as_they_are_made() {
+        // A small set, then k = 3 full chunks of 10 rows and a 4-row
+        // tail: the small set rides in the first full chunk's send, and
+        // the tail and the `Finish` share the last of k + 1 sends.
+        let shared = test_shared(10, 1 << 20);
+        let results = vec![result_set("s", 2, 4), result_set("b", 34, 4)];
+        let sends = sends_of(&shared, &results);
+        assert_eq!(sends.len(), 4);
+        let first = frames_of(&sends[0]);
+        assert_eq!(first.len(), 2);
+        assert_eq!(chunk_rows_of(first[0]), ("s".into(), 2));
+        assert_eq!(chunk_rows_of(first[1]), ("b".into(), 10));
+        for send in &sends[1..3] {
+            let frames = frames_of(send);
+            assert_eq!(frames.len(), 1);
+            assert_eq!(chunk_rows_of(frames[0]), ("b".into(), 10));
+        }
+        let last = frames_of(&sends[3]);
+        assert_eq!(last.len(), 2);
+        assert_eq!(chunk_rows_of(last[0]), ("b".into(), 4));
+        assert!(matches!(
+            protocol::decode_response(last[1], 0).unwrap().1,
+            Response::Finish {
+                total_chunks: 5,
+                total_rows: 36,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn re_sliced_sends_stay_within_chunk_bytes() {
+        // Rows of ~200 bytes against a 2 KiB cap: 100-row chunks are
+        // re-sliced, small sets pile up until the next frame would
+        // overflow the cap, and a single 5 KB row goes out alone.
+        let shared = test_shared(100, 2048);
+        let mut results = vec![result_set("wide", 60, 200)];
+        results.extend((0..12).map(|i| result_set(&format!("small{i}"), 2, 150)));
+        results.push(result_set("giant", 1, 5000));
+        results.push(result_set("after", 3, 150));
+        let sends = sends_of(&shared, &results);
+        assert!(sends.len() > 3);
+        for send in &sends {
+            assert!(
+                send.len() <= shared.chunk_bytes || frames_of(send).len() == 1,
+                "a send of {} bytes and {} frames",
+                send.len(),
+                frames_of(send).len()
+            );
+        }
+        assert!(sends.iter().any(|s| s.len() > shared.chunk_bytes));
+        assert!(sends.iter().any(|s| frames_of(s).len() > 1));
+    }
+
+    #[test]
+    fn a_dead_connection_stops_the_stream() {
+        // One byte of budget: the first send goes out, the second waits
+        // for credit; the connection dies while it waits.
+        let shared = test_shared(10, 1 << 20);
+        let results = vec![result_set("b", 45, 4)];
+        let (handle, rx) = test_reply_handle(1);
+        let conn = Arc::clone(&handle.conn);
+        let reader = thread::spawn(move || {
+            let first = rx.recv().expect("the first send arrives");
+            conn.dead.store(true, Ordering::Release);
+            conn.cv.notify_all();
+            (first, rx)
+        });
+        assert!(!stream_results(
+            &shared,
+            &handle,
+            7,
+            &results,
+            &ExecMetrics::new()
+        ));
+        let (first, rx) = reader.join().unwrap();
+        assert_eq!(frames_of(&first.1).len(), 1);
+        assert_eq!(
+            rx.try_iter().count(),
+            0,
+            "nothing follows a dead connection"
+        );
     }
 }
