@@ -3,9 +3,7 @@
 //! (§7.2): not a paper figure, but exercises and quantifies the
 //! extensions the paper sketches.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
 use gbmqo_core::NodeKind;
 use gbmqo_cost::{CostConstants, IndexSnapshot, OptimizerCostModel};
@@ -61,7 +59,8 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
     )
     .unwrap();
     // Exaggerate materialization cost so pipelined rollups can pay, as
-    // §7.1 suggests, and search with the merge alternatives off and on.
+    // §7.1 suggests, and search with the merge alternatives off and on:
+    // a model no session serves, so it is built here.
     let search = |cube_rollup_merges: bool| {
         let mut model = OptimizerCostModel::new(ExactSource::new(&table), IndexSnapshot::none())
             .with_constants(CostConstants {
@@ -72,12 +71,15 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
             cube_rollup_merges,
             ..SearchConfig::pruned()
         };
-        optimize_timed(&chain, &mut model, config)
+        GbMqo::with_config(config).plan(&chain, &mut model).unwrap()
     };
-    let (plain, plain_stats, _) = search(false);
-    let (rollup, rollup_stats, _) = search(true);
+    let (plain, plain_stats) = search(false);
+    let (rollup, rollup_stats) = search(true);
 
-    let mut session = session_for(table.clone(), "lineitem");
+    let mut session = session_for(&table, "lineitem")
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
     let times = time_plans_interleaved(&[&plain, &rollup], &chain, &mut session, 3);
     let (plain_secs, rollup_secs) = (times[0], times[1]);
 
@@ -100,8 +102,7 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
         AggSpec::max("l_quantity", "max_qty"),
         AggSpec::sum("l_extendedprice", "sum_price"),
     ]);
-    let mut model2 = sampled_optimizer_model(&table, IndexSnapshot::none());
-    let (agg_plan, _, _) = optimize_timed(&aggs, &mut model2, SearchConfig::pruned());
+    let (agg_plan, _) = session.plan(&aggs).unwrap();
     let agg_naive = LogicalPlan::naive(&aggs);
     let agg_times = time_plans_interleaved(&[&agg_naive, &agg_plan], &aggs, &mut session, 3);
     let (agg_naive_secs, agg_gbmqo_secs) = (agg_times[0], agg_times[1]);

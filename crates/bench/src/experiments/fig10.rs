@@ -6,12 +6,10 @@
 //! (b) optimization time stays feasible, (c) the optimized plan keeps a
 //! large margin over naive at every width.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
-use gbmqo_cost::IndexSnapshot;
 use gbmqo_datagen::widened_lineitem;
+use std::time::Instant;
 
 /// Measured row per table width.
 #[derive(Debug, Clone)]
@@ -20,7 +18,8 @@ pub struct Row {
     pub columns: usize,
     /// Optimizer (cost model) calls during the search.
     pub optimizer_calls: u64,
-    /// Optimization wall time, seconds.
+    /// Wall time of the session's first plan, seconds: the search and
+    /// the statistics it builds, sample draw included.
     pub optimize_secs: f64,
     /// Naive execution seconds.
     pub naive_secs: f64,
@@ -46,10 +45,14 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
         let w = Workload::single_columns("wide", &table, &refs).unwrap();
 
-        let mut model = sampled_optimizer_model(&table, IndexSnapshot::none());
-        let (plan, stats, optimize_secs) = optimize_timed(&w, &mut model, SearchConfig::pruned());
+        let mut session = session_for(&table, "wide")
+            .search(SearchConfig::pruned())
+            .build()
+            .unwrap();
+        let start = Instant::now();
+        let (plan, stats) = session.plan(&w).unwrap();
+        let optimize_secs = start.elapsed().as_secs_f64();
 
-        let mut session = session_for(table.clone(), "wide");
         let naive = LogicalPlan::naive(&w);
         let times = time_plans_interleaved(&[&naive, &plan], &w, &mut session, 3);
         let (naive_secs, gbmqo_secs) = (times[0], times[1]);

@@ -5,11 +5,8 @@
 //! Paper: S+M cuts optimizer calls by up to ~80% on the TC workloads
 //! while the plan still reduces naive run time by ≥65%.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
-use gbmqo_cost::IndexSnapshot;
 use gbmqo_datagen::{lineitem, sales, LINEITEM_SC_COLUMNS, SALES_COLUMNS};
 use gbmqo_storage::Table;
 
@@ -35,27 +32,28 @@ pub struct Cell {
 }
 
 fn measure(label: &str, table: &Table, workload: &Workload, out: &mut Vec<Cell>) {
-    let mut session = session_for(table.clone(), &workload.table);
-    let mut plans = Vec::new();
-    let mut calls = Vec::new();
-    for (_, subsumption, monotonicity) in CONFIGS {
-        let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
-        let (plan, stats, _) = optimize_timed(
-            workload,
-            &mut model,
-            SearchConfig {
-                subsumption_pruning: subsumption,
-                monotonicity_pruning: monotonicity,
-                ..Default::default()
-            },
-        );
-        plans.push(plan);
-        calls.push(stats.optimizer_calls);
-    }
+    let mut sessions = CONFIGS.map(|(_, subsumption_pruning, monotonicity_pruning)| {
+        let search = SearchConfig {
+            subsumption_pruning,
+            monotonicity_pruning,
+            ..Default::default()
+        };
+        session_for(table, &workload.table)
+            .search(search)
+            .build()
+            .unwrap()
+    });
+    let (plans, calls): (Vec<_>, Vec<_>) = sessions
+        .iter_mut()
+        .map(|s| {
+            let (plan, stats) = s.plan(workload).unwrap();
+            (plan, stats.optimizer_calls)
+        })
+        .unzip();
     let naive = LogicalPlan::naive(workload);
     let mut refs: Vec<&LogicalPlan> = vec![&naive];
     refs.extend(plans.iter());
-    let times = time_plans_interleaved(&refs, workload, &mut session, 2);
+    let times = time_plans_interleaved(&refs, workload, &mut sessions[0], 2);
     let naive_secs = times[0];
     for (i, (name, _, _)) in CONFIGS.iter().enumerate() {
         out.push(Cell {

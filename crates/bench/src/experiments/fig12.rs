@@ -4,20 +4,17 @@
 //!
 //! Paper: 1–9%, shrinking as the dataset grows.
 
-use crate::harness::{
-    optimize_timed, paper_constants, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
-use gbmqo_cost::{IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
-use gbmqo_stats::CardinalitySource;
 
 /// Measured row per (dataset, workload).
 #[derive(Debug, Clone)]
 pub struct Row {
     /// e.g. "tpch 1g (sc)".
     pub label: String,
-    /// Seconds spent creating statistics during optimization.
+    /// Seconds the search spent creating statistics, sample draw
+    /// included ([`SearchStats::stats_create_us`]).
     pub stats_secs: f64,
     /// Run-time savings (naive − optimized) in seconds.
     pub savings_secs: f64,
@@ -45,17 +42,14 @@ fn measure(label: &str, rows: usize, tc: bool, sample_rows: usize) -> Row {
         estimator: DistinctEstimator::Hybrid,
         seed: 7,
     };
-    let mut model = OptimizerCostModel::new(stats.source(&table), IndexSnapshot::none())
-        .with_constants(paper_constants());
-    let (plan, _, _) = optimize_timed(&w, &mut model, SearchConfig::pruned());
-    let stats_secs = model
-        .source()
-        .creation_log()
-        .expect("sampled source logs creations")
-        .total()
-        .as_secs_f64();
+    let mut session = session_for(&table, "lineitem")
+        .cost_model(CostModelSpec::Optimizer(stats))
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
+    let (plan, search) = session.plan(&w).unwrap();
+    let stats_secs = search.stats_create_us as f64 / 1e6;
 
-    let mut session = session_for(table.clone(), "lineitem");
     let reps = if tc { 2 } else { 3 };
     let naive = LogicalPlan::naive(&w);
     let times = time_plans_interleaved(&[&naive, &plan], &w, &mut session, reps);

@@ -4,11 +4,8 @@
 //! Paper: speedup grows with skew (≈2.5× at z=0 to ≈4× at z=3), because
 //! skewed columns become sparser and merging gets more attractive.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
-use gbmqo_cost::IndexSnapshot;
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
 
 /// Measured row per skew value.
@@ -35,9 +32,11 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
     for &z in &[0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0] {
         let table = lineitem(scale.base_rows, z, 130);
         let w = Workload::single_columns("lineitem", &table, &LINEITEM_SC_COLUMNS).unwrap();
-        let mut model = sampled_optimizer_model(&table, IndexSnapshot::none());
-        let (plan, _, _) = optimize_timed(&w, &mut model, SearchConfig::pruned());
-        let mut session = session_for(table.clone(), "lineitem");
+        let mut session = session_for(&table, "lineitem")
+            .search(SearchConfig::pruned())
+            .build()
+            .unwrap();
+        let (plan, _) = session.plan(&w).unwrap();
         let naive = LogicalPlan::naive(&w);
         let times = time_plans_interleaved(&[&naive, &plan], &w, &mut session, 3);
         let (naive_secs, gbmqo_secs) = (times[0], times[1]);

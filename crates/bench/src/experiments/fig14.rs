@@ -7,11 +7,8 @@
 //! dense `l_comment` column), and the plans adapt: once `l_receiptdate`
 //! is indexed it stays a singleton instead of being merged.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plan, Report, Scale,
-};
+use crate::harness::{session_for, time_plan, Report, Scale};
 use gbmqo_core::prelude::*;
-use gbmqo_cost::IndexSnapshot;
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
 use gbmqo_storage::IndexKind;
 
@@ -50,7 +47,10 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
         .position(|c| *c == "l_receiptdate")
         .unwrap();
 
-    let mut session = session_for(table.clone(), "lineitem");
+    let mut session = session_for(&table, "lineitem")
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
     // clustered index on the combined primary key
     let pk: Vec<usize> = ["l_orderkey", "l_linenumber"]
         .iter()
@@ -81,9 +81,8 @@ pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
             step_label = format!("NC {added}");
         }
 
-        let snapshot = IndexSnapshot::capture(session.engine().catalog(), "lineitem");
-        let mut model = sampled_optimizer_model(&table, snapshot);
-        let (plan, _, _) = optimize_timed(&w, &mut model, SearchConfig::pruned());
+        // A new index makes the cached plan stale: the session re-plans.
+        let (plan, _) = session.plan(&w).unwrap();
         let gbmqo_secs = time_plan(&plan, &w, &mut session, 3);
         let receiptdate_singleton = plan
             .subplans

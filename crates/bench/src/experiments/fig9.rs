@@ -5,13 +5,13 @@
 //! Paper: the GB-MQO reduction tracks the optimal reduction closely
 //! (both between ~10% and ~55%).
 
-use crate::harness::{
-    exact_optimizer_model, optimize_timed, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale, IO_NS_PER_BYTE};
 use gbmqo_core::optimal_plan;
 use gbmqo_core::prelude::*;
-use gbmqo_cost::IndexSnapshot;
+use gbmqo_cost::{CostConstants, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
+use gbmqo_stats::ExactSource;
+use gbmqo_storage::Table;
 
 /// Measured row for one random query set.
 #[derive(Debug, Clone)]
@@ -40,22 +40,39 @@ fn columns_for(q: usize) -> Vec<&'static str> {
     idx[..7].iter().map(|&i| LINEITEM_SC_COLUMNS[i]).collect()
 }
 
+/// Seed of the experiment's lineitem table.
+const SEED: u64 = 9;
+
+/// Query `q`'s workload over `table`, a session over it, and the two
+/// plans compared, each with its estimated cost: GB-MQO's, from the
+/// session under exact statistics, and the exhaustive optimum under a
+/// reference model priced as the session prices (exact statistics, the
+/// harness's emulated I/O). The exhaustive search is no session's, so
+/// its model is built here.
+fn plans(table: &Table, q: usize) -> (Workload, Session, [(LogicalPlan, f64); 2]) {
+    let w = Workload::single_columns("lineitem", table, &columns_for(q)).unwrap();
+    let mut session = session_for(table, "lineitem")
+        .cost_model(CostModelSpec::Optimizer(Stats::Exact))
+        .build()
+        .unwrap();
+    let (greedy, stats) = session.plan(&w).unwrap();
+    let constants = CostConstants {
+        io_ns_per_byte: IO_NS_PER_BYTE,
+        ..Default::default()
+    };
+    let mut reference = OptimizerCostModel::new(ExactSource::new(table), IndexSnapshot::none())
+        .with_constants(constants);
+    let optimal = optimal_plan(&w, &mut reference).unwrap();
+    (w, session, [(greedy, stats.final_cost), optimal])
+}
+
 /// Run the experiment; returns (report, rows).
 pub fn run(scale: &Scale) -> (Report, Vec<Row>) {
-    let table = lineitem(scale.base_rows, 0.0, 9);
+    let table = lineitem(scale.base_rows, 0.0, SEED);
     let mut rows = Vec::new();
 
     for q in 0..10 {
-        let cols = columns_for(q);
-        let w = Workload::single_columns("lineitem", &table, &cols).unwrap();
-
-        let mut m1 = exact_optimizer_model(&table, IndexSnapshot::none());
-        let (greedy_plan, _, _) = optimize_timed(&w, &mut m1, SearchConfig::default());
-
-        let mut m2 = exact_optimizer_model(&table, IndexSnapshot::none());
-        let (opt_plan, _) = optimal_plan(&w, &mut m2).unwrap();
-
-        let mut session = session_for(table.clone(), "lineitem");
+        let (w, mut session, [(greedy_plan, _), (opt_plan, _)]) = plans(&table, q);
         let naive_plan = LogicalPlan::naive(&w);
         let times =
             time_plans_interleaved(&[&naive_plan, &greedy_plan, &opt_plan], &w, &mut session, 4);
@@ -114,6 +131,20 @@ mod tests {
         // at least half the queries should see a real improvement
         let improved = rows.iter().filter(|r| r.gbmqo_reduction > 0.05).count();
         assert!(improved >= 5, "only {improved}/10 queries improved");
+    }
+
+    /// The session and the reference model price alike: no GB-MQO plan
+    /// costs less than the exhaustive optimum.
+    #[test]
+    fn greedy_never_undercuts_the_exhaustive_optimum() {
+        let table = lineitem(Scale::small().base_rows, 0.0, SEED);
+        for q in 0..10 {
+            let (_, _, [(_, greedy), (_, optimal)]) = plans(&table, q);
+            assert!(
+                greedy >= optimal * (1.0 - 1e-9),
+                "Q{q}: GB-MQO cost {greedy} below the optimum's {optimal}"
+            );
+        }
     }
 
     #[test]

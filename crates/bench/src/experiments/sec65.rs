@@ -4,11 +4,8 @@
 //!
 //! Paper: ~30% fewer optimizer calls, execution-time difference < 10%.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
-use gbmqo_cost::IndexSnapshot;
 use gbmqo_datagen::{lineitem, sales, LINEITEM_SC_COLUMNS, SALES_COLUMNS};
 use gbmqo_storage::Table;
 
@@ -30,20 +27,15 @@ pub struct Row {
 fn measure(dataset: &'static str, table: &Table, cols: &[&str]) -> Row {
     let w = Workload::single_columns(dataset, table, cols).unwrap();
 
-    let optimize = |binary_only: bool| {
-        let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
-        optimize_timed(
-            &w,
-            &mut model,
-            SearchConfig {
-                binary_only,
-                ..Default::default()
-            },
-        )
-    };
-    let (plan_all, stats_all, _) = optimize(false);
-    let (plan_binary, stats_binary, _) = optimize(true);
-    let mut session = session_for(table.clone(), dataset);
+    let [mut session, mut binary] = [false, true].map(|binary_only| {
+        let search = SearchConfig {
+            binary_only,
+            ..Default::default()
+        };
+        session_for(table, dataset).search(search).build().unwrap()
+    });
+    let (plan_all, stats_all) = session.plan(&w).unwrap();
+    let (plan_binary, stats_binary) = binary.plan(&w).unwrap();
     let times = time_plans_interleaved(&[&plan_all, &plan_binary], &w, &mut session, 4);
     let (calls_all, secs_all) = (stats_all.optimizer_calls, times[0]);
     let (calls_binary, secs_binary) = (stats_binary.optimizer_calls, times[1]);

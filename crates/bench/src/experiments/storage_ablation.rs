@@ -3,13 +3,11 @@
 //! temp-table bytes during actual execution. Not a paper figure; it
 //! quantifies the design choice §4.4.1 argues for.
 
-use crate::harness::{
-    optimize_timed, run_plan_scheduled, sampled_optimizer_model, session_for, Report, Scale,
-};
+use crate::harness::{session_for, Report, Scale};
 use gbmqo_core::prelude::*;
 use gbmqo_core::schedule::{plan_min_storage, schedule_plan, simulate_peak, PlanEdge, Step};
-use gbmqo_cost::{CostModel, IndexSnapshot};
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
+use gbmqo_stats::{CardinalitySource, ExactSource};
 
 /// Measured outcome.
 #[derive(Debug, Clone)]
@@ -70,15 +68,17 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
     let table = lineitem(scale.base_rows, 0.0, 44);
     // A TC workload produces deeper trees with real storage tension.
     let w = Workload::two_columns("lineitem", &table, &LINEITEM_SC_COLUMNS[3..11]).unwrap();
-    let mut model = sampled_optimizer_model(&table, IndexSnapshot::none());
-    let (plan, _, _) = optimize_timed(&w, &mut model, SearchConfig::pruned());
+    let mut session = session_for(&table, "lineitem")
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
+    let (plan, _) = session.plan(&w).unwrap();
 
-    let mut d = {
-        let mut m = crate::harness::exact_cardinality_model(&table);
-        move |s: ColSet| {
-            let cols: Vec<usize> = s.iter().collect();
-            m.result_bytes(&cols)
-        }
+    // §4.4's d(u): a node's result size from exact counts.
+    let mut exact = ExactSource::new(&table);
+    let mut d = |s: ColSet| {
+        let cols: Vec<usize> = s.iter().collect();
+        exact.distinct(&cols) * exact.row_width(&cols)
     };
     let marked_peak = plan_min_storage(&plan, &mut d);
     let marked_sim = simulate_peak(&schedule_plan(&plan, &mut d), &mut d);
@@ -86,15 +86,7 @@ pub fn run(scale: &Scale) -> (Report, Outcome) {
     let all_df_peak = forced_peak(&plan, false, &mut d);
     assert!(marked_sim <= marked_peak + 1e-6);
 
-    let mut session = session_for(table.clone(), "lineitem");
-    let mut d2 = {
-        let mut m = crate::harness::exact_cardinality_model(&table);
-        move |s: ColSet| {
-            let cols: Vec<usize> = s.iter().collect();
-            m.result_bytes(&cols)
-        }
-    };
-    let exec = run_plan_scheduled(&plan, &w, &mut session, &mut d2);
+    let exec = session.run_plan_scheduled(&plan, &w, &mut d).unwrap();
 
     let outcome = Outcome {
         marked_peak,

@@ -5,12 +5,9 @@
 //! Paper: CONT 142s vs 132s (1.07×); SC 537s vs 120s (4.5×). The shape to
 //! reproduce: CONT comparable (≈1×), SC a multiple.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
 use gbmqo_core::{grouping_sets_plan, BaselineKind};
-use gbmqo_cost::IndexSnapshot;
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
 
 /// Measured row of the table.
@@ -86,10 +83,11 @@ fn measure(
     let (gs_plan, kind) = grouping_sets_plan(workload);
     assert_eq!(kind, expected_kind, "{label}: unexpected baseline strategy");
 
-    let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
-    let (our_plan, _, _) = optimize_timed(workload, &mut model, SearchConfig::pruned());
-
-    let mut session = session_for(table.clone(), "lineitem");
+    let mut session = session_for(table, "lineitem")
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
+    let (our_plan, _) = session.plan(workload).unwrap();
     let times = time_plans_interleaved(&[&gs_plan, &our_plan], workload, &mut session, 4);
     let (grpset_secs, gbmqo_secs) = (times[0], times[1]);
     Row {

@@ -5,11 +5,8 @@
 //! Sales TC 1.9, NREF TC 2.1, 10g TC 4.5, 1g TC 4.0. The shape: every
 //! dataset shows >1× and the TPC-H datasets show the largest TC wins.
 
-use crate::harness::{
-    optimize_timed, sampled_optimizer_model, session_for, time_plans_interleaved, Report, Scale,
-};
+use crate::harness::{session_for, time_plans_interleaved, Report, Scale};
 use gbmqo_core::prelude::*;
-use gbmqo_cost::IndexSnapshot;
 use gbmqo_datagen::{
     lineitem, neighboring_seq, sales, LINEITEM_SC_COLUMNS, NREF_COLUMNS, SALES_COLUMNS,
 };
@@ -36,9 +33,11 @@ impl Row {
 }
 
 fn measure(label: &str, table: &Table, workload: &Workload, reps: usize) -> Row {
-    let mut model = sampled_optimizer_model(table, IndexSnapshot::none());
-    let (plan, _, _) = optimize_timed(workload, &mut model, SearchConfig::pruned());
-    let mut session = session_for(table.clone(), &workload.table);
+    let mut session = session_for(table, &workload.table)
+        .search(SearchConfig::pruned())
+        .build()
+        .unwrap();
+    let (plan, _) = session.plan(workload).unwrap();
     let naive = LogicalPlan::naive(workload);
     let times = time_plans_interleaved(&[&naive, &plan], workload, &mut session, reps);
     let (naive_secs, gbmqo_secs) = (times[0], times[1]);

@@ -1,9 +1,6 @@
 //! Shared infrastructure for the experiment suite.
 
 use gbmqo_core::prelude::*;
-use gbmqo_core::ColSet;
-use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
-use gbmqo_stats::{CardinalitySource, ExactSource};
 use gbmqo_storage::Table;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -85,32 +82,25 @@ impl Report {
     }
 }
 
-/// Wrap a table in a serial [`Session`], with row-store scan emulation
-/// enabled — the experiment suite reproduces the paper's disk-based
-/// row-store environment (see `gbmqo_exec::rowstore`). The session is
-/// pinned to `ClientSide` mode: the paper's numbers are for sequential
-/// execution, so the timing helpers below must stay serial.
-pub fn session_for(table: Table, name: &str) -> Session {
+/// A serial [`Session`] over `table`, registered as `name`, with
+/// row-store scan emulation enabled — the experiment suite reproduces the
+/// paper's disk-based row-store environment (see `gbmqo_exec::rowstore`),
+/// and the session's cost model prices the I/O it emulates. The session
+/// is pinned to `ClientSide` mode: the paper's numbers are for sequential
+/// execution, so the timing helpers below must stay serial. Each
+/// experiment sets its search configuration, and its cost model where it
+/// is not the served one, then builds.
+pub fn session_for(table: &Table, name: &str) -> SessionBuilder {
     Session::builder()
-        .table(name, table)
+        .table(name, table.clone())
         .mode(ExecutionMode::ClientSide)
         .io_ns_per_byte(IO_NS_PER_BYTE)
-        .build()
-        .expect("fresh session")
 }
 
-/// Simulated disk transfer cost: 2 ns/byte ≈ a 500 MB/s scan — a mild
+/// Simulated disk transfer cost: 4 ns/byte ≈ a 250 MB/s scan — a mild
 /// stand-in for the paper's 2005 disk subsystem that still makes scans,
 /// not hashing, the dominant per-query cost (as in the paper).
 pub const IO_NS_PER_BYTE: f64 = 4.0;
-
-/// Cost constants matching [`session_for`]'s row-store emulation.
-pub fn paper_constants() -> gbmqo_cost::CostConstants {
-    gbmqo_cost::CostConstants {
-        io_ns_per_byte: IO_NS_PER_BYTE,
-        ..Default::default()
-    }
-}
 
 /// Wall-clock seconds to execute `plan` through the serial §5.2
 /// client-side driver (a [`session_for`] session is pinned to
@@ -154,58 +144,6 @@ pub fn time_plans_interleaved(
     best
 }
 
-/// Build the paper's default optimizer setup over `table`: the served
-/// statistics ([`Stats::default`], a sample) + the simulated
-/// query-optimizer cost model.
-pub fn sampled_optimizer_model<'t>(
-    table: &'t Table,
-    indexes: IndexSnapshot,
-) -> OptimizerCostModel<Box<dyn CardinalitySource + 't>> {
-    OptimizerCostModel::new(Stats::default().source(table), indexes)
-        .with_constants(paper_constants())
-}
-
-/// Exact-statistics optimizer model (oracle; used where the paper isolates
-/// search quality from estimation error).
-pub fn exact_optimizer_model<'t>(
-    table: &'t Table,
-    indexes: IndexSnapshot,
-) -> OptimizerCostModel<ExactSource<'t>> {
-    OptimizerCostModel::new(ExactSource::new(table), indexes).with_constants(paper_constants())
-}
-
-/// Exact cardinality-model (the analytic model of §3.2.1).
-pub fn exact_cardinality_model(table: &Table) -> CardinalityCostModel<ExactSource<'_>> {
-    CardinalityCostModel::new(ExactSource::new(table))
-}
-
-/// Optimize with the given config and model; returns plan + stats +
-/// optimization wall time.
-pub fn optimize_timed(
-    workload: &Workload,
-    model: &mut dyn CostModel,
-    config: SearchConfig,
-) -> (LogicalPlan, SearchStats, f64) {
-    let start = Instant::now();
-    let (plan, stats) = GbMqo::with_config(config)
-        .plan(workload, model)
-        .expect("optimization succeeds");
-    (plan, stats, start.elapsed().as_secs_f64())
-}
-
-/// Execute `plan` once through the serial driver with a §4.4 storage
-/// schedule guided by `size_estimate`.
-pub fn run_plan_scheduled(
-    plan: &LogicalPlan,
-    workload: &Workload,
-    session: &mut Session,
-    size_estimate: &mut dyn FnMut(ColSet) -> f64,
-) -> ExecutionReport {
-    session
-        .run_plan_scheduled(plan, workload, size_estimate)
-        .expect("plan executes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,11 +168,12 @@ mod tests {
     fn timing_and_models_work_end_to_end() {
         let t = lineitem(2_000, 0.0, 1);
         let w = Workload::single_columns("lineitem", &t, &["l_returnflag", "l_shipmode"]).unwrap();
-        let mut model = exact_cardinality_model(&t);
-        let (plan, stats, opt_secs) = optimize_timed(&w, &mut model, SearchConfig::pruned());
-        assert!(opt_secs >= 0.0);
+        let mut session = session_for(&t, "lineitem")
+            .search(SearchConfig::pruned())
+            .build()
+            .unwrap();
+        let (plan, stats) = session.plan(&w).unwrap();
         assert!(stats.naive_cost > 0.0);
-        let mut session = session_for(t.clone(), "lineitem");
         let secs = time_plan(&plan, &w, &mut session, 3);
         assert!(secs > 0.0);
     }
@@ -252,8 +191,10 @@ mod tests {
         // generated apart from the fact table, as a wire `Append`
         // arrives: same strings, dictionaries of its own
         let delta = gbmqo_datagen::star(1_000, 8).sales;
-        let mut sessions =
-            [50_000, 800_000].map(|rows| session_for(gbmqo_datagen::star(rows, 7).sales, "sales"));
+        let mut sessions = [50_000, 800_000].map(|rows| {
+            let sales = gbmqo_datagen::star(rows, 7).sales;
+            session_for(&sales, "sales").build().unwrap()
+        });
         // One append on each table per round, so load that comes and goes
         // during the run lands on both sides alike.
         let mut secs = [vec![], vec![]];

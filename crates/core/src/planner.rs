@@ -5,10 +5,10 @@
 //! [`PlanCache`] and the [`StatsCatalog`]: per base table, statistics of
 //! its current contents version beside the group counts execution
 //! observed over it. A cached plan is served while the catalog holds the
-//! same base table — contents version and indexes
-//! ([`WorkloadFingerprint`]). Under sampled statistics,
-//! [`Planner::observe`] closes the observe → correct → re-plan loop
-//! ("Online Sketch-based Query Optimization", PAPERS.md).
+//! same base table — contents version and indexes — and the engine
+//! emulates the same I/O ([`WorkloadFingerprint`]). Under sampled
+//! statistics, [`Planner::observe`] closes the observe → correct →
+//! re-plan loop ("Online Sketch-based Query Optimization", PAPERS.md).
 
 use crate::cache::{CacheStats, PlanCache, WorkloadFingerprint};
 use crate::colset::ColSet;
@@ -17,8 +17,10 @@ use crate::executor::{plan_group_estimates, GroupEstimates, PlanObservation};
 use crate::greedy::{GbMqo, SearchConfig, SearchStats};
 use crate::plan::{LogicalPlan, SubNode};
 use crate::workload::Workload;
-use gbmqo_cost::{CardinalityCostModel, CostModel, IndexSnapshot, OptimizerCostModel};
-use gbmqo_exec::ExecMetrics;
+use gbmqo_cost::{
+    CardinalityCostModel, CostConstants, CostModel, IndexSnapshot, OptimizerCostModel,
+};
+use gbmqo_exec::{Engine, ExecMetrics};
 use gbmqo_stats::catalog::MAX_COLUMN_SETS;
 use gbmqo_stats::{
     CardinalitySource, DistinctEstimator, ExactSource, SampleRule, SampledSource, StatsCatalog,
@@ -41,9 +43,10 @@ pub enum CostModelSpec {
     /// §3.2.1's cardinality model: `cost(u → v) = |u|`.
     Cardinality(Stats),
     /// §3.2.2's simulated query-optimizer model with the default
-    /// `CostConstants`: scan, hash and per-group output costs, plus
-    /// physical-design awareness (the planner snapshots the base table's
-    /// indexes at search time).
+    /// `CostConstants` but the engine's `io_ns_per_byte`: scan, hash and
+    /// per-group output costs, plus physical-design awareness (the
+    /// planner snapshots the base table's indexes and reads the engine's
+    /// emulated I/O at search time).
     Optimizer(Stats),
 }
 
@@ -112,11 +115,13 @@ impl CostModelSpec {
         }
     }
 
-    /// A stable tag for plan-cache fingerprints: two specs with the same
-    /// tag produce the same plans over the same base table.
-    pub(crate) fn tag(&self) -> u64 {
+    /// A stable tag for plan-cache fingerprints of the spec pricing
+    /// `io_ns_per_byte`: two specs with the same tag produce the same
+    /// plans over the same base table.
+    pub(crate) fn tag(&self, io_ns_per_byte: f64) -> u64 {
         let mut h = rustc_hash::FxHasher::default();
         self.hash(&mut h);
+        io_ns_per_byte.to_bits().hash(&mut h);
         h.finish()
     }
 }
@@ -255,17 +260,19 @@ impl Planner {
         })
     }
 
-    /// Optimize `workload` over its base table as `catalog` holds it, or
-    /// fetch the cached plan, with the optimizer's group estimate per
-    /// node (cached alongside, so a hit costs no model call) and the key
+    /// Optimize `workload` over its base table as `engine`'s catalog
+    /// holds it, pricing the I/O the engine emulates, or fetch the cached
+    /// plan, with the optimizer's group estimate per node (cached
+    /// alongside, so a hit costs no model call) and the key
     /// [`Planner::observe`] invalidates when observed counts drift.
-    pub(crate) fn plan(&mut self, catalog: &Catalog, workload: &Workload) -> Result<Keyed> {
+    pub(crate) fn plan(&mut self, engine: &Engine, workload: &Workload) -> Result<Keyed> {
+        let (catalog, io_ns_per_byte) = (engine.catalog(), engine.io_ns_per_byte());
         // Observed group counts are deliberately NOT hashed into the key —
         // that would turn every repeat of a workload into a miss and
         // defeat the cache; instead the post-execution recost invalidates
         // entries whose corrected cost drifts (see `Planner::observe`).
-        let key =
-            WorkloadFingerprint::compute(workload, &self.search, self.cost_model.tag(), catalog);
+        let tag = self.cost_model.tag(io_ns_per_byte);
+        let key = WorkloadFingerprint::compute(workload, &self.search, tag, catalog);
         if let Some((plan, stats, estimates)) = self.plans.get(key) {
             return Ok((plan, stats, estimates, key));
         }
@@ -298,7 +305,11 @@ impl Planner {
             let mut model: Box<dyn CostModel + '_> = match self.cost_model {
                 CostModelSpec::Optimizer(_) => {
                     let indexes = IndexSnapshot::capture(catalog, &workload.table);
-                    Box::new(OptimizerCostModel::new(source, indexes))
+                    let constants = CostConstants {
+                        io_ns_per_byte,
+                        ..Default::default()
+                    };
+                    Box::new(OptimizerCostModel::new(source, indexes).with_constants(constants))
                 }
                 CostModelSpec::Cardinality(_) => Box::new(CardinalityCostModel::new(source)),
             };

@@ -166,8 +166,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Enable the engine's disk row-store emulation
-    /// (see [`Engine::set_io_ns_per_byte`]).
+    /// Emulate a disk row store at `ns_per_byte`: the engine waits out
+    /// the transfer time of what it scans and writes
+    /// (see [`Engine::set_io_ns_per_byte`]), and the optimizer cost model
+    /// prices that I/O, reading the engine's value at every search.
     pub fn io_ns_per_byte(mut self, ns_per_byte: f64) -> Self {
         self.io_ns_per_byte = ns_per_byte;
         self
@@ -393,15 +395,14 @@ impl Session {
         if uncovered.is_empty() {
             return Ok(None);
         }
-        let catalog = self.engine.catalog();
         let planned = if uncovered.len() == workload.requests.len() {
-            self.planner.plan(catalog, workload)?
+            self.planner.plan(&self.engine, workload)?
         } else {
             let rest = Workload {
                 requests: uncovered,
                 ..workload.clone()
             };
-            self.planner.plan(catalog, &rest)?
+            self.planner.plan(&self.engine, &rest)?
         };
         Ok(Some(planned))
     }
@@ -458,7 +459,7 @@ impl Session {
 
     /// Optimize `workload` (or fetch the cached plan) without executing.
     pub fn plan(&mut self, workload: &Workload) -> Result<(LogicalPlan, SearchStats)> {
-        let (plan, stats, _, _) = self.planner.plan(self.engine.catalog(), workload)?;
+        let (plan, stats, _, _) = self.planner.plan(&self.engine, workload)?;
         Ok((plan, stats))
     }
 
@@ -611,11 +612,11 @@ impl Session {
     }
 
     /// Mutably borrow the engine, e.g. to create or drop indexes. Plans
-    /// and statistics follow what the catalog then holds: a cached plan
-    /// is keyed by the base table's contents version and indexes, and
-    /// statistics by its contents version. Cached aggregates of a table
-    /// replaced here are dropped the first time a lookup finds them
-    /// stale and their delta chain broken.
+    /// and statistics follow what the engine then holds: a cached plan
+    /// is keyed by the base table's contents version and indexes and by
+    /// the engine's emulated I/O, and statistics by the contents version.
+    /// Cached aggregates of a table replaced here are dropped the first
+    /// time a lookup finds them stale and their delta chain broken.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }

@@ -143,7 +143,7 @@ fn the_default_prices_groups_and_each_spec_keys_its_own_plans() {
         .iter()
         .map(|spec| {
             let catalog = s.engine().catalog();
-            WorkloadFingerprint::compute(&w, &SearchConfig::pruned(), spec.tag(), catalog)
+            WorkloadFingerprint::compute(&w, &SearchConfig::pruned(), spec.tag(0.0), catalog)
         })
         .collect();
     assert_eq!(

@@ -4,7 +4,7 @@
 
 use gbmqo_core::plan_to_text;
 use gbmqo_core::prelude::*;
-use gbmqo_cost::CardinalityCostModel;
+use gbmqo_cost::{CardinalityCostModel, CostConstants, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
 use gbmqo_integration::{assert_same_results, col_names, modular_table};
 use gbmqo_stats::ExactSource;
@@ -479,6 +479,71 @@ fn a_new_index_makes_a_cached_plan_stale() {
     assert!(!stats.cache_hit, "the pre-index plan must not be served");
     assert_eq!(plan_to_text(&plan), plan_to_text(&fresh_plan));
     assert_eq!(stats.final_cost, fresh_stats.final_cost);
+}
+
+/// A session prices the I/O its engine emulates: at the paper harness's
+/// 4 ns/byte it plans lineitem's SC and TC workloads exactly like a
+/// pruned search over the served statistics under an optimizer model
+/// built with that constant.
+#[test]
+fn a_session_prices_the_io_its_engine_emulates() {
+    let table = lineitem(20_000, 0.0, 120);
+    let constants = CostConstants {
+        io_ns_per_byte: 4.0,
+        ..Default::default()
+    };
+    for w in [
+        Workload::single_columns("lineitem", &table, &LINEITEM_SC_COLUMNS).unwrap(),
+        Workload::two_columns("lineitem", &table, &LINEITEM_SC_COLUMNS).unwrap(),
+    ] {
+        let mut s = Session::builder()
+            .table("lineitem", table.clone())
+            .search(SearchConfig::pruned())
+            .io_ns_per_byte(4.0)
+            .build()
+            .unwrap();
+        let (plan, stats) = s.plan(&w).unwrap();
+        let source = Stats::default().source(&table);
+        let mut model =
+            OptimizerCostModel::new(source, IndexSnapshot::none()).with_constants(constants);
+        let (expected, expected_stats) = GbMqo::with_config(SearchConfig::pruned())
+            .plan(&w, &mut model)
+            .unwrap();
+        assert_eq!(plan, expected, "{} requests", w.len());
+        let (cost, expected_cost) = (stats.final_cost, expected_stats.final_cost);
+        assert!(
+            (cost - expected_cost).abs() <= 1e-9 * expected_cost.abs(),
+            "{} requests: session cost {cost} vs model cost {expected_cost}",
+            w.len()
+        );
+    }
+}
+
+/// The engine's emulated I/O is part of the plan key: a value changed
+/// through `engine_mut` misses the plan cache, and the next search
+/// prices it like a session built with it.
+#[test]
+fn a_new_io_value_makes_a_cached_plan_stale() {
+    let table = lineitem(5_000, 0.0, 120);
+    let w = Workload::single_columns("lineitem", &table, &LINEITEM_SC_COLUMNS).unwrap();
+    let build = |io_ns_per_byte: f64| {
+        Session::builder()
+            .table("lineitem", table.clone())
+            .search(SearchConfig::pruned())
+            .io_ns_per_byte(io_ns_per_byte)
+            .build()
+            .unwrap()
+    };
+    let mut s = build(0.0);
+    let (_, in_memory) = s.plan(&w).unwrap();
+    s.engine_mut().set_io_ns_per_byte(4.0);
+    let misses = s.cache_stats().misses;
+    let (_, priced) = s.plan(&w).unwrap();
+    assert!(!priced.cache_hit, "the in-memory plan must not be served");
+    assert_eq!(s.cache_stats().misses, misses + 1);
+    let (_, fresh) = build(4.0).plan(&w).unwrap();
+    assert_eq!(priced.final_cost, fresh.final_cost);
+    assert!(priced.final_cost > in_memory.final_cost);
 }
 
 /// The group counts observed over a table leave with it: once the next
