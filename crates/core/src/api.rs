@@ -211,10 +211,10 @@ mod tests {
         let mut session = Session::builder().engine(engine).build().unwrap();
         // §5.1.1: push the selection below GROUPING SETS by materializing
         // the filtered relation once.
-        let filtered = session
-            .engine()
+        let engine = session.engine();
+        let filtered = engine
             .run_filter(
-                "r",
+                engine.catalog().table("r").unwrap(),
                 &Predicate::Ge("c".into(), Value::Int(2)),
                 &mut gbmqo_exec::QueryCtx::default(),
             )

@@ -19,9 +19,10 @@
 //! * the [`SearchConfig`] (pruning flags change the search trajectory),
 //! * a caller-supplied *cost-model tag*, so plans are invalidated when
 //!   the model they were optimized under changes,
-//! * what the catalog holds for the base table: its *contents version*,
-//!   so replacing or appending to a table can never reuse a plan
-//!   optimized for (and estimated against) the old data, and its
+//! * the request's base relation as resolved for it (a catalog table, or
+//!   a filtered one keyed by its source and predicate): its *contents
+//!   version*, so replacing or appending to a table can never reuse a
+//!   plan optimized for (and estimated against) the old data, and its
 //!   *indexes*, which the optimizer model prices.
 //!
 //! Statistics need no key of their own: they are a function of the
@@ -31,7 +32,7 @@ use crate::executor::GroupEstimates;
 use crate::greedy::{SearchConfig, SearchStats};
 use crate::plan::LogicalPlan;
 use crate::workload::Workload;
-use gbmqo_storage::{Catalog, IndexKind};
+use gbmqo_storage::{IndexKind, Snapshot};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -43,15 +44,15 @@ pub struct WorkloadFingerprint(u64);
 impl WorkloadFingerprint {
     /// Compute the fingerprint of `workload` optimized under `config`
     /// and the cost model identified by `cost_model_tag`, over its base
-    /// table as `catalog` holds it now.
+    /// relation `base`.
     pub fn compute(
         workload: &Workload,
         config: &SearchConfig,
         cost_model_tag: u64,
-        catalog: &Catalog,
+        base: &Snapshot,
     ) -> Self {
         let mut h = rustc_hash::FxHasher::default();
-        workload.table.hash(&mut h);
+        base.name.hash(&mut h);
         // The column universe in order: ColSet bits index into it.
         workload.column_names.hash(&mut h);
         workload.base_ordinals.hash(&mut h);
@@ -69,12 +70,10 @@ impl WorkloadFingerprint {
         config.max_intermediate_bytes.map(f64::to_bits).hash(&mut h);
         config.epsilon.to_bits().hash(&mut h);
         cost_model_tag.hash(&mut h);
-        if let Ok(entry) = catalog.get(&workload.table) {
-            entry.version.hash(&mut h);
-            for index in &entry.indexes {
-                index.key_cols.hash(&mut h);
-                (index.kind == IndexKind::Clustered).hash(&mut h);
-            }
+        base.version.hash(&mut h);
+        for (key_cols, kind) in &base.indexes {
+            key_cols.hash(&mut h);
+            (*kind == IndexKind::Clustered).hash(&mut h);
         }
         WorkloadFingerprint(h.finish())
     }
@@ -245,7 +244,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::plan::SubNode;
-    use gbmqo_storage::{Column, DataType, Field, Schema, Table};
+    use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Table};
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -279,8 +278,12 @@ mod tests {
         catalog
     }
 
+    fn snapshot() -> Snapshot {
+        catalog().snapshot("r").unwrap()
+    }
+
     fn key_of(w: &Workload) -> WorkloadFingerprint {
-        WorkloadFingerprint::compute(w, &SearchConfig::default(), 0, &catalog())
+        WorkloadFingerprint::compute(w, &SearchConfig::default(), 0, &snapshot())
     }
 
     #[test]
@@ -302,7 +305,7 @@ mod tests {
         let other = workload(&[vec!["a"], vec!["a", "b"]]);
         assert_ne!(base, key_of(&other), "different requests");
         let key = |config: &SearchConfig, tag: u64, catalog: &Catalog| {
-            WorkloadFingerprint::compute(&w, config, tag, catalog)
+            WorkloadFingerprint::compute(&w, config, tag, &catalog.snapshot("r").unwrap())
         };
         let (default, mut catalog) = (SearchConfig::default(), catalog());
         assert_ne!(
@@ -414,7 +417,7 @@ mod tests {
                     ..Default::default()
                 },
                 0,
-                &catalog()
+                &snapshot()
             ),
             "cube/rollup merge alternatives change the search trajectory"
         );
@@ -427,7 +430,7 @@ mod tests {
                     ..Default::default()
                 },
                 0,
-                &catalog()
+                &snapshot()
             ),
             "benefit-greedy ordering changes the search trajectory"
         );

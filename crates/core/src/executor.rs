@@ -66,6 +66,24 @@ pub struct ExecutionReport {
     pub physical: PhysicalPlan,
 }
 
+impl ExecutionReport {
+    /// The result of the requested set that groups exactly the columns
+    /// `names` (in any order) of `workload`.
+    pub fn result_of<S: AsRef<str>>(&self, workload: &Workload, names: &[S]) -> Result<&Table> {
+        self.results
+            .iter()
+            .find(|(cols, _)| {
+                let got = workload.col_names(*cols);
+                got.len() == names.len() && names.iter().all(|n| got.contains(&n.as_ref()))
+            })
+            .map(|(_, table)| table)
+            .ok_or_else(|| {
+                let names: Vec<&str> = names.iter().map(AsRef::as_ref).collect();
+                CoreError::InvalidPlan(format!("no result for grouping set ({})", names.join(", ")))
+            })
+    }
+}
+
 /// Name of the temp table materializing a node in the paper's
 /// `SELECT … INTO` script (see [`crate::render_sql`]). Executions hold
 /// their intermediates by value and name none.
@@ -591,7 +609,7 @@ mod tests {
             Order::Leveled { threads } => (ExecutionMode::Parallel, threads),
             Order::Fused => (ExecutionMode::ServerSide, 1),
         };
-        let layout = Layout::of(engine.catalog(), w, roots);
+        let layout = Layout::of(&engine.catalog().snapshot(&w.table)?, w, roots);
         let run = Run { mode, threads };
         let physical = physicalize(plan, w, estimates, &layout, run, &mut |_| 1.0)?;
         execute_plan(physical, w, engine, ctx, &mut CacheHooks::default())

@@ -158,7 +158,6 @@ mod tests {
     use crate::api::ExecutionMode;
     use crate::physicalize::{physicalize, Layout, Run};
     use gbmqo_cost::CardinalityCostModel;
-    use gbmqo_exec::Input;
     use gbmqo_stats::ExactSource;
     use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Table};
 
@@ -201,9 +200,12 @@ mod tests {
         assert!(edges[0].materialize);
         assert_eq!(edges[0].est_rows, 4.0);
 
-        let layout = Layout::handed(Input::Catalog("r".into()));
-        let est = Default::default();
-        let physical = physicalize(&plan, &w, &est, &layout, Run::SERIAL, &mut |_| 1.0).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register("r", t.clone()).unwrap();
+        let layout = Layout::of(&catalog.snapshot("r").unwrap(), &w, Default::default());
+        let (est, mode) = (Default::default(), ExecutionMode::ClientSide);
+        let run = Run { mode, threads: 1 };
+        let physical = physicalize(&plan, &w, &est, &layout, run, &mut |_| 1.0).unwrap();
         let text = render_explain(&physical, &w, &mut model);
         assert!(text.contains("R → (a, b)"));
         assert!(text.contains("INTO temp"));
@@ -233,7 +235,7 @@ mod tests {
             mode: ExecutionMode::ServerSide,
             threads: 2,
         };
-        let layout = Layout::of(&catalog, &w, Default::default());
+        let layout = Layout::of(&catalog.snapshot("r").unwrap(), &w, Default::default());
         let est = Default::default();
         let physical = physicalize(&plan, &w, &est, &layout, run, &mut |_| 1.0).unwrap();
         let mut model = CardinalityCostModel::new(ExactSource::new(&t));

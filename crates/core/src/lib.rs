@@ -111,7 +111,7 @@ pub use gbmqo_exec::{CancelToken, QueryCtx};
 pub use gbmqo_matcache::{CacheControl, MatCacheStats, RefreshPolicy, DEFAULT_MAX_DELTA_FRACTION};
 pub use greedy::{GbMqo, SearchConfig, SearchStats};
 pub use grouping_sets::{grouping_sets_plan, BaselineKind};
-pub use join_pushdown::{grouping_sets_over_join, grouping_sets_over_star, StarDim};
+pub use join_pushdown::{grouping_sets_over_star, StarDim};
 pub use physicalize::{Merge, PhysicalEdge, PhysicalPlan, Read};
 pub use plan::{LogicalPlan, NodeKind, SubNode};
 pub use planner::{CostModelSpec, NodeCardReport, Stats};

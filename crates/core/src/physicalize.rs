@@ -13,15 +13,15 @@ use crate::plan::{LogicalPlan, NodeKind};
 use crate::schedule::{level_plan, serial_waves, PlanEdge};
 use crate::workload::Workload;
 use gbmqo_exec::{Engine, Input};
-use gbmqo_storage::{shard_table_name, Catalog, Table};
+use gbmqo_storage::{Snapshot, Table};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// What one query instance of an edge reads.
 #[derive(Debug, Clone)]
 pub enum Read {
-    /// The whole base relation: the catalog table, or the relation a
-    /// caller handed in (the star pushdown's filtered fact).
+    /// The whole base relation: the catalog table, or the table a
+    /// filtered workload selected from it for this request.
     Base(Input),
     /// One shard entry of the base table.
     Shard(Input),
@@ -96,12 +96,6 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    /// One query at a time on one thread.
-    pub const SERIAL: Run = Run {
-        mode: ExecutionMode::ClientSide,
-        threads: 1,
-    };
-
     /// Decide the thread budget under `mode` and hand it to `engine`'s
     /// kernels: `parallelism` when set, else one thread per CPU under
     /// [`ExecutionMode::Parallel`] and one otherwise.
@@ -133,42 +127,32 @@ pub(crate) struct Layout {
 }
 
 impl Layout {
-    /// The catalog's layout of `workload`'s base table, with `roots`
-    /// served from the aggregate cache.
-    pub fn of(catalog: &Catalog, workload: &Workload, roots: RootSources) -> Self {
-        let base = Input::Catalog(workload.table.clone());
-        let Some(desc) = catalog.shard_desc(&workload.table) else {
-            return Layout {
-                roots,
-                ..Layout::handed(base)
-            };
-        };
-        let shards: Vec<String> = (0..desc.shard_count)
-            .map(|s| shard_table_name(&workload.table, s))
-            .collect();
+    /// The layout of `workload`'s base relation `base`, with `roots`
+    /// served from the aggregate cache. A derived relation is read as
+    /// the one table handed over.
+    pub fn of(base: &Snapshot, workload: &Workload, roots: RootSources) -> Self {
+        let key_set = base.shard_key.iter().try_fold(ColSet::EMPTY, |bits, key| {
+            let i = workload.column_names.iter().position(|c| c == key)?;
+            Some(bits.union(ColSet::single(i)))
+        });
         Layout {
-            base,
+            base: if base.derived {
+                Input::Table(Arc::clone(&base.table))
+            } else {
+                Input::Catalog(base.name.clone())
+            },
             roots,
-            shard_rows: shards
+            shards: base
+                .shards
                 .iter()
-                .map(|s| catalog.table(s).map_or(0, |t| t.num_rows() as u64))
+                .map(|(name, _, _)| Input::Catalog(name.clone()))
                 .collect(),
-            shards: shards.into_iter().map(Input::Catalog).collect(),
-            key_set: desc.key_cols.iter().try_fold(ColSet::EMPTY, |bits, key| {
-                let i = workload.column_names.iter().position(|c| c == key)?;
-                Some(bits.union(ColSet::single(i)))
-            }),
-        }
-    }
-
-    /// `base` read as one unsharded relation.
-    pub fn handed(base: Input) -> Self {
-        Layout {
-            base,
-            roots: RootSources::default(),
-            shards: Vec::new(),
-            shard_rows: Vec::new(),
-            key_set: None,
+            shard_rows: base
+                .shards
+                .iter()
+                .map(|&(_, _, rows)| rows as u64)
+                .collect(),
+            key_set,
         }
     }
 
@@ -333,7 +317,7 @@ fn share_scans(wave: &mut [PhysicalEdge], next: &mut usize) {
 mod tests {
     use super::*;
     use crate::plan::SubNode;
-    use gbmqo_storage::{Column, DataType, Field, Schema};
+    use gbmqo_storage::{Catalog, Column, DataType, Field, Schema};
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -372,7 +356,7 @@ mod tests {
             .collect()
         };
         let scans = |roots: &RootSources, mode| -> Vec<Vec<Option<usize>>> {
-            let layout = Layout::of(&catalog, &w, roots.clone());
+            let layout = Layout::of(&catalog.snapshot("r").unwrap(), &w, roots.clone());
             let est = GroupEstimates::default();
             let p = physicalize(&plan, &w, &est, &layout, run(mode), &mut |_| 1.0).unwrap();
             assert!(p.edges().all(|e| matches!(e.reads[..], [Read::Cached(_)])));
@@ -407,7 +391,7 @@ mod tests {
                 ],
             )],
         };
-        let layout = Layout::of(&catalog, &w, RootSources::default());
+        let layout = Layout::of(&catalog.snapshot("r").unwrap(), &w, RootSources::default());
         let (est, mode) = (GroupEstimates::default(), run(ExecutionMode::Parallel));
         let p = physicalize(&plan, &w, &est, &layout, mode, &mut |_| 1.0).unwrap();
         assert_eq!(p.shard_rows.iter().sum::<u64>(), 40);

@@ -2,13 +2,17 @@
 //! is stale, and how execution corrects the statistics.
 //!
 //! A [`Planner`] owns the cost-model spec, the search configuration, the
-//! [`PlanCache`] and the [`StatsCatalog`]: per base table, statistics of
-//! its current contents version beside the group counts execution
-//! observed over it. A cached plan is served while the catalog holds the
-//! same base table — contents version and indexes — and the engine
-//! emulates the same I/O ([`WorkloadFingerprint`]). Under sampled
-//! statistics, [`Planner::observe`] closes the observe → correct →
-//! re-plan loop ("Online Sketch-based Query Optimization", PAPERS.md).
+//! [`PlanCache`] and the [`StatsCatalog`]: per base relation, statistics
+//! of its current contents version beside the group counts execution
+//! observed over it. It reads the base relation from the request's
+//! [`Snapshot`]: a catalog table, or a filtered one keyed by its source
+//! and predicate at the source's version, whose statistics are held for
+//! at most [`MAX_DERIVED_STATS`] such relations at once. A cached plan is
+//! served while the base relation is the same — contents version and
+//! indexes — and the engine emulates the same I/O
+//! ([`WorkloadFingerprint`]). Under sampled statistics,
+//! [`Planner::observe`] closes the observe → correct → re-plan loop
+//! ("Online Sketch-based Query Optimization", PAPERS.md).
 
 use crate::cache::{CacheStats, PlanCache, WorkloadFingerprint};
 use crate::colset::ColSet;
@@ -26,7 +30,8 @@ use gbmqo_stats::{
     CardinalitySource, DistinctEstimator, ExactSource, SampleRule, SampledSource, StatsCatalog,
     StatsCreationLog, StatsStore, TableStats,
 };
-use gbmqo_storage::{Catalog, Table};
+use gbmqo_storage::{Catalog, Snapshot, Table};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
 /// Which cost model a session optimizes under, over which statistics.
@@ -125,6 +130,11 @@ impl CostModelSpec {
         h.finish()
     }
 }
+
+/// Relations derived from a table for one request (a filtered table)
+/// whose statistics the planner holds at once: each distinct predicate is
+/// one, so beyond this many the least recently used one's are dropped.
+pub(crate) const MAX_DERIVED_STATS: usize = 16;
 
 /// Under sampled statistics the planner invalidates a cached plan for
 /// re-optimization when observed group counts shift its estimated cost
@@ -231,9 +241,13 @@ pub(crate) struct Planner {
     pub(crate) cost_model: CostModelSpec,
     search: SearchConfig,
     plans: PlanCache,
-    /// Statistics and observed group counts per base table, built by
-    /// searches and executions, dropped when the table leaves the catalog.
+    /// Statistics and observed group counts per base relation, built by
+    /// searches and executions, dropped when the table leaves the catalog
+    /// or the derived relation falls out of `derived`.
     pub(crate) stats: StatsCatalog,
+    /// The derived relations whose statistics are held, least recently
+    /// used first; at most [`MAX_DERIVED_STATS`].
+    derived: VecDeque<String>,
     /// Estimated-vs-observed group counts of the last observed execution.
     last_node_cards: Vec<NodeCardReport>,
 }
@@ -256,35 +270,39 @@ impl Planner {
             search,
             plans: PlanCache::new(plan_cache),
             stats: StatsCatalog::new(),
+            derived: VecDeque::new(),
             last_node_cards: Vec::new(),
         })
     }
 
-    /// Optimize `workload` over its base table as `engine`'s catalog
-    /// holds it, pricing the I/O the engine emulates, or fetch the cached
-    /// plan, with the optimizer's group estimate per node (cached
-    /// alongside, so a hit costs no model call) and the key
-    /// [`Planner::observe`] invalidates when observed counts drift.
-    pub(crate) fn plan(&mut self, engine: &Engine, workload: &Workload) -> Result<Keyed> {
+    /// Optimize `workload` over its base relation `base`, pricing the
+    /// I/O `engine` emulates, or fetch the cached plan, with the
+    /// optimizer's group estimate per node (cached alongside, so a hit
+    /// costs no model call) and the key [`Planner::observe`] invalidates
+    /// when observed counts drift.
+    pub(crate) fn plan(
+        &mut self,
+        engine: &Engine,
+        workload: &Workload,
+        base: &Snapshot,
+    ) -> Result<Keyed> {
         let (catalog, io_ns_per_byte) = (engine.catalog(), engine.io_ns_per_byte());
         // Observed group counts are deliberately NOT hashed into the key —
         // that would turn every repeat of a workload into a miss and
         // defeat the cache; instead the post-execution recost invalidates
         // entries whose corrected cost drifts (see `Planner::observe`).
         let tag = self.cost_model.tag(io_ns_per_byte);
-        let key = WorkloadFingerprint::compute(workload, &self.search, tag, catalog);
+        let key = WorkloadFingerprint::compute(workload, &self.search, tag, base);
         if let Some((plan, stats, estimates)) = self.plans.get(key) {
             return Ok((plan, stats, estimates, key));
         }
-        let table = catalog.table(&workload.table)?;
-        let table_version = catalog.table_version(&workload.table)?;
+        let table = base.table.as_ref();
         // Statistics outlive the search: whatever an earlier search over
-        // these table contents counted or estimated is reused, and only
-        // column sets never seen at this version are built (and charged
-        // to this search's `stats_created`).
-        self.stats.retain(|name| catalog.contains(name));
-        let (table_stats, counts) =
-            current(&mut self.stats, catalog, &workload.table, table_version);
+        // these contents counted or estimated is reused, and only column
+        // sets never seen at this version are built (and charged to this
+        // search's `stats_created`).
+        self.hold(catalog, base);
+        let (table_stats, counts) = current(&mut self.stats, catalog, &base.name, base.version);
         let (created_before, create_time_before) = table_stats.created();
         let (plan, mut stats, estimates) = {
             let source: Box<dyn CardinalitySource + '_> = match *self.cost_model.stats() {
@@ -304,7 +322,7 @@ impl Planner {
             };
             let mut model: Box<dyn CostModel + '_> = match self.cost_model {
                 CostModelSpec::Optimizer(_) => {
-                    let indexes = IndexSnapshot::capture(catalog, &workload.table);
+                    let indexes = IndexSnapshot::capture(base);
                     let constants = CostConstants {
                         io_ns_per_byte,
                         ..Default::default()
@@ -338,6 +356,7 @@ impl Planner {
     pub(crate) fn observe(
         &mut self,
         catalog: &Catalog,
+        base: &Snapshot,
         workload: &Workload,
         planned: Option<WorkloadFingerprint>,
         plan: &LogicalPlan,
@@ -369,8 +388,8 @@ impl Planner {
         if !matches!(self.cost_model.stats(), Stats::Sampled { .. }) {
             return Ok(());
         }
-        let entry = catalog.get(&workload.table)?;
-        let (_, counts) = current(&mut self.stats, catalog, &workload.table, entry.version);
+        self.hold(catalog, base);
+        let (_, counts) = current(&mut self.stats, catalog, &base.name, base.version);
         // A node that read at least one row produced at least one group:
         // an empty result means nothing ran.
         for obs in observations.iter().filter(|o| o.output_groups > 0) {
@@ -388,14 +407,14 @@ impl Planner {
         let Some(key) = planned else {
             return Ok(());
         };
-        let base = entry.table.num_rows() as f64;
-        let old = plan_scan_cost(plan, base, &mut |bits| {
-            estimates.get(&bits).map_or(base, |&e| e as f64)
+        let rows = base.rows() as f64;
+        let old = plan_scan_cost(plan, rows, &mut |bits| {
+            estimates.get(&bits).map_or(rows, |&e| e as f64)
         });
-        let corrected = plan_scan_cost(plan, base, &mut |bits| {
+        let corrected = plan_scan_cost(plan, rows, &mut |bits| {
             counts
                 .get(&workload.base_cols(ColSet(bits)))
-                .unwrap_or_else(|| estimates.get(&bits).map_or(base, |&e| e as f64))
+                .unwrap_or_else(|| estimates.get(&bits).map_or(rows, |&e| e as f64))
         });
         // Two re-plan triggers. Scan-cost drift catches estimates whose
         // error changes what the plan *costs*; the q-error gate catches
@@ -412,6 +431,23 @@ impl Planner {
             metrics.plan_reopts += 1;
         }
         Ok(())
+    }
+
+    /// Make room for the statistics of `base`: drop those of tables
+    /// that left the catalog and, when `base` is derived, mark it most
+    /// recently used and drop the derived relations beyond
+    /// [`MAX_DERIVED_STATS`].
+    fn hold(&mut self, catalog: &Catalog, base: &Snapshot) {
+        if base.derived {
+            self.derived.retain(|name| *name != base.name);
+            self.derived.push_back(base.name.clone());
+            if self.derived.len() > MAX_DERIVED_STATS {
+                self.derived.pop_front();
+            }
+        }
+        let derived = &self.derived;
+        self.stats
+            .retain(|name| catalog.contains(name) || derived.iter().any(|d| d == name));
     }
 
     /// Plan-cache counters.

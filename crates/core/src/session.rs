@@ -51,7 +51,7 @@ use gbmqo_matcache::{
     CacheControl, CacheRequest, Cover, MatCache, MatCacheStats, RefreshPolicy,
     DEFAULT_MAX_DELTA_FRACTION,
 };
-use gbmqo_storage::{shard_table_name, Catalog, Table};
+use gbmqo_storage::{Catalog, Snapshot, Table};
 use std::sync::Arc;
 
 /// What an [`Session::append`] did.
@@ -326,11 +326,13 @@ impl Session {
     /// execute `workload` for the request `ctx` describes, returning the
     /// per-set result tables plus the executed plan and search stats.
     /// This is the server's entry point; [`Session::grouping_sets`] adds
-    /// the UNION ALL on top. Six stages run — cover, plan, execute,
-    /// observe, admit, account — and `ctx` is polled before each: a
-    /// request whose token trips fails at the next stage boundary, and
-    /// one tripped before it starts leaves the caches untouched. Work is
-    /// charged to `ctx.metrics`, which the report's metrics copy.
+    /// the UNION ALL on top. The request's base relation is resolved
+    /// once (the workload's table, or the rows its filter selects), and
+    /// six stages read it — cover, plan, execute, observe, admit,
+    /// account; `ctx` is polled before each: a request whose token trips
+    /// fails at the next stage boundary, and one tripped before it starts
+    /// leaves the caches untouched. Work is charged to `ctx.metrics`,
+    /// which the report's metrics copy.
     pub fn run_workload_in(
         &mut self,
         workload: &Workload,
@@ -339,26 +341,24 @@ impl Session {
     ) -> Result<WorkloadOutcome> {
         let w = workload;
         ctx.check_cancelled()?;
-        let catalog = self.engine.catalog();
-        let req = self
-            .mat_cache
-            .request(catalog, &w.table, &w.aggregates, cache)?;
+        let base = self.base(w, ctx)?;
+        let req = self.mat_cache.request(&base, &w.aggregates, cache);
         let before = self.mat_cache.stats();
         let names = w.requests.iter().map(|&r| w.col_strings(r));
         let covers = self.mat_cache.cover(&self.engine, &req, names, ctx)?;
         ctx.check_cancelled()?;
-        let (mut plan, stats, estimates, planned) = match self.plan_uncovered(w, &covers)? {
+        let (mut plan, stats, estimates, planned) = match self.plan_uncovered(w, &base, &covers)? {
             Some((plan, stats, estimates, key)) => (plan, stats, estimates, Some(key)),
             None => Default::default(),
         };
         ctx.check_cancelled()?;
         let (mut report, mut hooks) =
-            self.execute_covered(&req, w, &mut plan, &estimates, &covers, ctx)?;
+            self.execute_covered(&req, w, &base, &mut plan, &estimates, &covers, ctx)?;
         ctx.check_cancelled()?;
         let obs = hooks.observations.as_deref().unwrap_or_default();
         let (catalog, metrics) = (self.engine.catalog(), &mut ctx.metrics);
         self.planner
-            .observe(catalog, w, planned, &plan, &estimates, obs, metrics)?;
+            .observe(catalog, &base, w, planned, &plan, &estimates, obs, metrics)?;
         ctx.check_cancelled()?;
         if let Some(harvest) = hooks.harvest.take() {
             let harvest = harvest.into_iter().map(|(cols, slot, table)| {
@@ -379,12 +379,35 @@ impl Session {
         })
     }
 
+    /// The base relation `workload` groups, resolved once for a request:
+    /// its table as the catalog holds it now, or, under a filter, the
+    /// selected rows materialized for this request (charged to `ctx` like
+    /// the paper's pushed-down selection, §5.1.1) and keyed by the table
+    /// and the canonical predicate at the table's version — so repeats
+    /// share plans, statistics and cached aggregates, and all of them go
+    /// stale when the table changes. Nothing is registered.
+    fn base(&self, workload: &Workload, ctx: &mut QueryCtx) -> Result<Snapshot> {
+        let source = self.engine.catalog().snapshot(&workload.table)?;
+        let Some(filter) = &workload.filter else {
+            return Ok(source);
+        };
+        let selected = self.engine.run_filter(&source.table, filter, ctx)?;
+        self.engine.materialize(&selected, ctx);
+        let name = format!("σ[{}]({})", filter.canonical(), source.name);
+        Ok(Snapshot::derived(name, source.version, selected))
+    }
+
     /// Plan stage: run the merge search only over the requests `covers`
     /// leaves uncovered (the plan cache applies to it; cache-dependent
     /// parts of the plan are never memoized, so a later request with a
     /// colder cache cannot reuse a plan that assumes warm state). `None`
     /// when every request is covered: no search runs.
-    fn plan_uncovered(&mut self, workload: &Workload, covers: &[Cover]) -> Result<Option<Keyed>> {
+    fn plan_uncovered(
+        &mut self,
+        workload: &Workload,
+        base: &Snapshot,
+        covers: &[Cover],
+    ) -> Result<Option<Keyed>> {
         let uncovered: Vec<ColSet> = workload
             .requests
             .iter()
@@ -396,13 +419,13 @@ impl Session {
             return Ok(None);
         }
         let planned = if uncovered.len() == workload.requests.len() {
-            self.planner.plan(&self.engine, workload)?
+            self.planner.plan(&self.engine, workload, base)?
         } else {
             let rest = Workload {
                 requests: uncovered,
                 ..workload.clone()
             };
-            self.planner.plan(&self.engine, &rest)?
+            self.planner.plan(&self.engine, &rest, base)?
         };
         Ok(Some(planned))
     }
@@ -413,10 +436,12 @@ impl Session {
     /// harvesting intermediates for admission when the request may
     /// admit, and always collecting per-node observations: the q-error
     /// report is produced under every statistics spec.
+    #[allow(clippy::too_many_arguments)]
     fn execute_covered(
         &self,
         req: &CacheRequest,
         workload: &Workload,
+        base: &Snapshot,
         plan: &mut LogicalPlan,
         estimates: &GroupEstimates,
         covers: &[Cover],
@@ -435,7 +460,7 @@ impl Session {
             harvest: req.admits().then(Vec::new),
             observations: Some(Vec::new()),
         };
-        let layout = Layout::of(self.engine.catalog(), workload, roots);
+        let layout = Layout::of(base, workload, roots);
         let physical = physicalize(plan, workload, estimates, &layout, self.run, &mut |_| 1.0)?;
         let report = execute_plan(physical, workload, &self.engine, ctx, &mut hooks)?;
         Ok((report, hooks))
@@ -459,7 +484,8 @@ impl Session {
 
     /// Optimize `workload` (or fetch the cached plan) without executing.
     pub fn plan(&mut self, workload: &Workload) -> Result<(LogicalPlan, SearchStats)> {
-        let (plan, stats, _, _) = self.planner.plan(&self.engine, workload)?;
+        let base = self.base(workload, &mut QueryCtx::default())?;
+        let (plan, stats, _, _) = self.planner.plan(&self.engine, workload, &base)?;
         Ok((plan, stats))
     }
 
@@ -499,10 +525,11 @@ impl Session {
         run: Run,
         size_estimate: &mut dyn FnMut(ColSet) -> f64,
     ) -> Result<ExecutionReport> {
-        let layout = Layout::of(self.engine.catalog(), workload, RootSources::default());
+        let (ctx, hooks) = (&mut QueryCtx::default(), &mut CacheHooks::default());
+        let base = self.base(workload, ctx)?;
+        let layout = Layout::of(&base, workload, RootSources::default());
         let est = GroupEstimates::default();
         let physical = physicalize(plan, workload, &est, &layout, run, size_estimate)?;
-        let (ctx, hooks) = (&mut QueryCtx::default(), &mut CacheHooks::default());
         execute_plan(physical, workload, &self.engine, ctx, hooks)
     }
 
@@ -534,16 +561,9 @@ impl Session {
         let appended = rows.num_rows();
         let version = self.engine.catalog_mut().append(name, rows)?;
         let mut reshard_hint = false;
-        if let Some(desc) = self.engine.catalog().shard_desc(name).cloned() {
-            let sizes: Vec<u64> = (0..desc.shard_count)
-                .map(|s| {
-                    let sname = shard_table_name(name, s);
-                    self.engine
-                        .catalog()
-                        .table(&sname)
-                        .map_or(0, |t| t.num_rows() as u64)
-                })
-                .collect();
+        let shards = self.engine.catalog().snapshot(name)?.shards;
+        if !shards.is_empty() {
+            let sizes: Vec<u64> = shards.iter().map(|&(_, _, rows)| rows as u64).collect();
             let skew = shard_skew(&sizes);
             self.pending.shard_skew = self.pending.shard_skew.max(skew);
             if skew >= RESHARD_SKEW_THRESHOLD {

@@ -3,8 +3,9 @@
 
 use super::*;
 use crate::cache::WorkloadFingerprint;
-use crate::planner::{current, q_error, Observed, Stats};
-use gbmqo_exec::{CancelToken, ExecError};
+use crate::physicalize::Read;
+use crate::planner::{current, q_error, Observed, Stats, MAX_DERIVED_STATS};
+use gbmqo_exec::{AggSpec, CancelToken, ExecError, Input, Predicate};
 use gbmqo_stats::{CardinalitySource, DistinctEstimator, SampleRule, SampledSource, StatsStore};
 use gbmqo_storage::{Column, DataType, Field, Schema};
 
@@ -142,8 +143,8 @@ fn the_default_prices_groups_and_each_spec_keys_its_own_plans() {
     let keys: std::collections::HashSet<WorkloadFingerprint> = specs
         .iter()
         .map(|spec| {
-            let catalog = s.engine().catalog();
-            WorkloadFingerprint::compute(&w, &SearchConfig::pruned(), spec.tag(0.0), catalog)
+            let base = s.engine().catalog().snapshot("r").unwrap();
+            WorkloadFingerprint::compute(&w, &SearchConfig::pruned(), spec.tag(0.0), &base)
         })
         .collect();
     assert_eq!(
@@ -304,10 +305,10 @@ fn a_cancelled_cover_stage_keeps_the_stale_entries() {
     let (mut s, w) = cached_session(0, RefreshPolicy::Lazy);
     s.grouping_sets(&w).unwrap();
     s.append("r", table()).unwrap();
-    let catalog = s.engine.catalog();
-    let control = CacheControl::Default;
-    let req = s.mat_cache.request(catalog, "r", &w.aggregates, control);
-    let req = req.unwrap();
+    let base = s.engine.catalog().snapshot("r").unwrap();
+    let req = s
+        .mat_cache
+        .request(&base, &w.aggregates, CacheControl::Default);
     let names = || w.requests.iter().map(|&r| w.col_strings(r));
     let token = CancelToken::new();
     token.cancel();
@@ -726,4 +727,132 @@ fn the_default_builder_is_the_documented_builder() {
     }
     assert_eq!(stats[0], (16, 1, 17));
     assert_eq!(stats[0], stats[1]);
+}
+
+/// Sorted `(group values, count)` rows of a result whose last column
+/// counts.
+fn counted_rows(t: &Table) -> Vec<(Vec<gbmqo_storage::Value>, i64)> {
+    let n = t.num_columns();
+    let mut rows: Vec<_> = (0..t.num_rows())
+        .map(|r| {
+            let keys = (0..n - 1).map(|c| t.value(r, c)).collect();
+            (keys, t.value(r, n - 1).as_int().unwrap())
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn a_filtered_workload_groups_the_selected_rows() {
+    let (mut s, _) = session(ExecutionMode::ClientSide);
+    let t = table();
+    let pred = Predicate::Ge("c".into(), gbmqo_storage::Value::Int(1));
+    let w = Workload::new("r", &t, &["a", "b"], &[vec!["a"], vec!["a", "b"]])
+        .unwrap()
+        .with_filter(Some(pred.clone()));
+    let out = s.run_workload(&w, CacheControl::Default).unwrap();
+    // One result per requested set, straight from the plan: no union.
+    assert_eq!(out.report.results.len(), 2);
+    let mut m = ExecMetrics::new();
+    let filtered = gbmqo_exec::filter(&t, &pred, &mut m).unwrap();
+    let direct = gbmqo_exec::sort_group_by(&filtered, &[0], &[AggSpec::count()], &mut m).unwrap();
+    let by_a = out.report.result_of(&w, &["a"]).unwrap();
+    assert_eq!(counted_rows(by_a), counted_rows(&direct));
+    let total: i64 = counted_rows(by_a).iter().map(|(_, n)| n).sum();
+    assert_eq!(total as usize, filtered.num_rows());
+    assert!(filtered.num_rows() < t.num_rows());
+}
+
+#[test]
+fn a_filtered_fact_is_one_unsharded_read_of_a_sharded_fact() {
+    let t = table();
+    let mut s = Session::builder().build().unwrap();
+    s.engine_mut()
+        .catalog_mut()
+        .register_sharded("r", t.clone(), 4, Some(vec!["a".into()]))
+        .unwrap();
+    let index = gbmqo_storage::IndexKind::NonClustered;
+    s.engine_mut()
+        .catalog_mut()
+        .create_index("r", "ix_a", index, vec![0])
+        .unwrap();
+    let w = Workload::single_columns("r", &t, &["a", "b"]).unwrap();
+    let plan = LogicalPlan::naive(&w);
+    let reads = |base: &Snapshot| {
+        let layout = Layout::of(base, &w, RootSources::default());
+        let est = GroupEstimates::default();
+        let p = physicalize(&plan, &w, &est, &layout, s.run, &mut |_| 1.0).unwrap();
+        p.edges().map(|e| e.reads.clone()).collect::<Vec<_>>()
+    };
+    let pred = Predicate::Ge("c".into(), gbmqo_storage::Value::Int(1));
+    let filtered = w.clone().with_filter(Some(pred));
+    let base = s.base(&filtered, &mut QueryCtx::default()).unwrap();
+    assert!(base.derived && base.shards.is_empty() && base.indexes.is_empty());
+    for edge in reads(&base) {
+        assert!(matches!(&edge[..], [Read::Base(Input::Table(t))] if Arc::ptr_eq(t, &base.table)));
+    }
+    // Unfiltered, the catalog's fact keeps its shards and its index.
+    let source = s.base(&w, &mut QueryCtx::default()).unwrap();
+    assert!(!source.derived && source.indexes.len() == 1);
+    for edge in reads(&source) {
+        assert_eq!(edge.len(), 4);
+        assert!(edge.iter().all(|read| matches!(read, Read::Shard(_))));
+    }
+    // Resolving a filtered base registered nothing.
+    assert_eq!(s.engine().catalog().entries().count(), 5);
+}
+
+/// Statistics held for relations the catalog does not hold.
+fn derived_stats_held(s: &mut Session) -> usize {
+    let catalog = s.engine.catalog();
+    let mut held = 0;
+    s.planner.stats.retain(|name| {
+        held += usize::from(!catalog.contains(name));
+        true
+    });
+    held
+}
+
+#[test]
+fn statistics_of_filtered_relations_stay_within_their_cap() {
+    let (mut s, w) = session(ExecutionMode::ClientSide);
+    for i in 0..MAX_DERIVED_STATS as i64 + 4 {
+        let pred = Predicate::Eq("c".into(), gbmqo_storage::Value::Int(i));
+        let filtered = w.clone().with_filter(Some(pred));
+        s.run_workload(&filtered, CacheControl::Default).unwrap();
+        assert!(derived_stats_held(&mut s) <= MAX_DERIVED_STATS);
+    }
+    assert_eq!(derived_stats_held(&mut s), MAX_DERIVED_STATS);
+    // Planning the catalog's own table drops none of them.
+    s.run_workload(&w, CacheControl::Default).unwrap();
+    assert_eq!(derived_stats_held(&mut s), MAX_DERIVED_STATS);
+}
+
+#[test]
+fn an_append_drops_a_filtered_relations_aggregates_under_every_policy() {
+    for policy in [
+        RefreshPolicy::Lazy,
+        RefreshPolicy::Eager,
+        RefreshPolicy::Disabled,
+    ] {
+        let (mut s, w) = cached_session(0, policy);
+        let pred = Predicate::Ge("c".into(), gbmqo_storage::Value::Int(1));
+        let filtered = w.with_filter(Some(pred));
+        s.run_workload(&filtered, CacheControl::Default).unwrap();
+        let held = s.mat_cache_stats().entries;
+        assert!(held > 0, "{policy:?}");
+        s.append("r", table()).unwrap();
+        let out = s.run_workload(&filtered, CacheControl::Default).unwrap();
+        assert_eq!(out.report.metrics.delta_refreshes, 0, "{policy:?}");
+        let stats = s.mat_cache_stats();
+        assert_eq!(
+            (stats.stale_drops, stats.entries),
+            (held, held),
+            "{policy:?}"
+        );
+        let by_a = out.report.result_of(&filtered, &["a"]).unwrap();
+        let total: i64 = counted_rows(by_a).iter().map(|(_, n)| n).sum();
+        assert_eq!(total, 2 * 192, "{policy:?}: both copies' rows with c >= 1");
+    }
 }

@@ -2,15 +2,18 @@
 
 use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
-use gbmqo_exec::AggSpec;
+use gbmqo_exec::{AggSpec, Predicate};
 use gbmqo_storage::Table;
 
 /// A GB-MQO problem instance: a base relation, the universe of columns the
 /// requests draw from, and the requested Group By queries.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Catalog name of the base relation `R`.
+    /// Catalog name of the table the base relation `R` selects from.
     pub table: String,
+    /// The selection that makes `R` from `table` (a statement's WHERE):
+    /// `R` is `σ(table)`, or the whole table when `None`.
+    pub filter: Option<Predicate>,
     /// Universe column names; bit `i` of every [`ColSet`] refers to
     /// `column_names[i]`.
     pub column_names: Vec<String>,
@@ -64,6 +67,7 @@ impl Workload {
         }
         Ok(Workload {
             table: table_name.to_string(),
+            filter: None,
             column_names,
             base_ordinals,
             requests: sets,
@@ -130,6 +134,12 @@ impl Workload {
     /// Replace the aggregate list (§7.2).
     pub fn with_aggregates(mut self, aggregates: Vec<AggSpec>) -> Self {
         self.aggregates = aggregates;
+        self
+    }
+
+    /// Group the rows of the table that `filter` selects.
+    pub fn with_filter(mut self, filter: Option<Predicate>) -> Self {
+        self.filter = filter;
         self
     }
 

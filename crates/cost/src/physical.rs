@@ -2,7 +2,7 @@
 //! optimizer cost model can price index-order streaming aggregation
 //! without holding a borrow of the catalog during optimization.
 
-use gbmqo_storage::{Catalog, IndexKind};
+use gbmqo_storage::{IndexKind, Snapshot};
 
 /// Index metadata for the base relation: key column ordinals per index.
 #[derive(Debug, Clone, Default)]
@@ -16,18 +16,9 @@ impl IndexSnapshot {
         Self::default()
     }
 
-    /// Capture the indexes of `table_name` in `catalog`.
-    pub fn capture(catalog: &Catalog, table_name: &str) -> Self {
-        let indexes = catalog
-            .get(table_name)
-            .map(|e| {
-                e.indexes
-                    .iter()
-                    .map(|i| (i.key_cols.clone(), i.kind))
-                    .collect()
-            })
-            .unwrap_or_default();
-        IndexSnapshot { indexes }
+    /// Capture the indexes of the base relation `base`.
+    pub fn capture(base: &Snapshot) -> Self {
+        IndexSnapshot::from_keys(base.indexes.clone())
     }
 
     /// Build from explicit key-column lists (tests, what-if design tuning).
@@ -60,7 +51,7 @@ impl IndexSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbmqo_storage::{Column, DataType, Field, Schema, Table};
+    use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Table};
 
     #[test]
     fn capture_reflects_catalog() {
@@ -79,13 +70,14 @@ mod tests {
         cat.create_index("r", "ix", IndexKind::NonClustered, vec![1, 0])
             .unwrap();
 
-        let snap = IndexSnapshot::capture(&cat, "r");
+        let snap = IndexSnapshot::capture(&cat.snapshot("r").unwrap());
         assert_eq!(snap.len(), 1);
         assert!(snap.serves_grouping(&[1]));
         assert!(snap.serves_grouping(&[0, 1]));
         assert!(!snap.serves_grouping(&[0]));
 
-        let none = IndexSnapshot::capture(&cat, "ghost");
+        cat.drop_indexes("r").unwrap();
+        let none = IndexSnapshot::capture(&cat.snapshot("r").unwrap());
         assert!(none.is_empty());
         assert!(!none.serves_grouping(&[0]));
     }

@@ -324,16 +324,15 @@ impl Engine {
         ctx.metrics.tables_materialized += 1;
     }
 
-    /// Run a selection over catalog table `input` (§5.1.1's pushed-down
+    /// Run a selection over base table `table` (§5.1.1's pushed-down
     /// selection). Charges scan I/O under row-store emulation.
     pub fn run_filter(
         &self,
-        input: &str,
+        table: &Table,
         predicate: &crate::filter::Predicate,
         ctx: &mut QueryCtx,
     ) -> Result<Table> {
         let start = Instant::now();
-        let table = self.catalog.table(input)?;
         if self.io_ns_per_byte > 0.0 {
             std::hint::black_box(crate::rowstore::full_scan_tax(table));
             let bytes = table.byte_size() as u64;

@@ -30,6 +30,30 @@ impl Predicate {
         Predicate::And(Box::new(self), Box::new(other))
     }
 
+    /// The predicate's conjuncts, sorted and deduplicated, as one text:
+    /// two predicates that select the same rows through reordered or
+    /// repeated conjuncts read the same, and two that differ in a column,
+    /// an operator or a literal (its type included) do not.
+    pub fn canonical(&self) -> String {
+        fn conjuncts(p: &Predicate, out: &mut Vec<String>) {
+            match p {
+                Predicate::Eq(col, v) => out.push(format!("{col:?} = {v:?}")),
+                Predicate::Le(col, v) => out.push(format!("{col:?} <= {v:?}")),
+                Predicate::Ge(col, v) => out.push(format!("{col:?} >= {v:?}")),
+                Predicate::IsNull(col) => out.push(format!("{col:?} IS NULL")),
+                Predicate::And(a, b) => {
+                    conjuncts(a, out);
+                    conjuncts(b, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        conjuncts(self, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out.join(" AND ")
+    }
+
     fn matches(&self, table: &Table, row: usize) -> Result<bool> {
         Ok(match self {
             Predicate::Eq(col, v) => {
@@ -127,5 +151,17 @@ mod tests {
         let t = input();
         let mut m = ExecMetrics::new();
         assert!(filter(&t, &Predicate::IsNull("nope".into()), &mut m).is_err());
+    }
+
+    #[test]
+    fn canonical_text_ignores_conjunct_order_and_repeats_only() {
+        let a = || Predicate::Eq("tag".into(), Value::str("a"));
+        let x = |v: Value| Predicate::Ge("x".into(), v);
+        let ax = a().and(x(Value::Int(2)));
+        assert_eq!(ax.canonical(), x(Value::Int(2)).and(a()).canonical());
+        assert_eq!(ax.canonical(), a().and(ax.clone()).canonical());
+        assert_ne!(ax.canonical(), a().and(x(Value::Int(3))).canonical());
+        assert_ne!(ax.canonical(), a().and(x(Value::str("2"))).canonical());
+        assert_ne!(ax.canonical(), a().canonical());
     }
 }

@@ -29,17 +29,21 @@
 //! disjoint partitions is the merge of per-partition aggregates). Only
 //! when a delta chain is unavailable or uneconomic does it fall back to
 //! dropping the stale entries. [`RefreshPolicy`] says when that happens.
+//! A relation derived from a table for one request (a filtered table,
+//! see [`gbmqo_storage::Snapshot::derived`]) is keyed by its own name at
+//! its source's version; it has no delta chain, so an append to the
+//! source drops its aggregates.
 //!
-//! Callers drive the cache by stages, in column names, catalog entries
-//! and shard ordinals — [`MatCache::request`], [`MatCache::cover`],
-//! [`MatCache::admit`], [`MatCache::appended`], [`MatCache::replaced`] —
-//! so which entry serves, and when a stale one is refreshed or dropped,
-//! is decided here alone.
+//! Callers drive the cache by stages, in column names, the request's
+//! base-relation [`Snapshot`] and shard ordinals — [`MatCache::request`],
+//! [`MatCache::cover`], [`MatCache::admit`], [`MatCache::appended`],
+//! [`MatCache::replaced`] — so which entry serves, and when a stale one
+//! is refreshed or dropped, is decided here alone.
 
 #![warn(missing_docs)]
 
 use gbmqo_exec::{AggFunc, AggSpec, Engine, ExecError, ExecMetrics, GroupByQuery, Input, QueryCtx};
-use gbmqo_storage::{shard_table_name, Catalog, StorageError, Table};
+use gbmqo_storage::{shard_table_name, Snapshot, Table};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -149,8 +153,9 @@ pub struct MatCacheStats {
     pub stale_drops: u64,
 }
 
-/// A catalog entry as the cache keys its aggregates — name, contents
-/// version, rows: a logical table or one of its shard entries.
+/// A relation as the cache keys its aggregates — name, contents
+/// version, rows: a logical table, one of its shard entries, or a
+/// relation derived from a table for one request.
 type CatalogEntry = (String, u64, usize);
 
 /// One request as the cache's stages read it: the base table's logical
@@ -259,23 +264,21 @@ impl MatCache {
         s
     }
 
-    /// A request over base table `table` computing `aggs`, under
+    /// A request over the base relation `base` computing `aggs`, under
     /// `control`, as the later stages read it.
     pub fn request(
         &self,
-        catalog: &Catalog,
-        table: &str,
+        base: &Snapshot,
         aggs: &[AggSpec],
         control: CacheControl,
-    ) -> Result<CacheRequest, StorageError> {
-        let (logical, shards) = catalog_entries(catalog, table)?;
-        Ok(CacheRequest {
-            logical,
-            shards,
+    ) -> CacheRequest {
+        CacheRequest {
+            logical: (base.name.clone(), base.version, base.rows()),
+            shards: base.shards.clone(),
             agg_sig: agg_signature(aggs),
             lookup: self.enabled() && control.allows_lookup(),
             admit: self.enabled() && control.allows_admit(),
-        })
+        }
     }
 
     /// Cover stage: which of `requests` (each a list of base column
@@ -380,8 +383,9 @@ impl MatCache {
     pub fn appended(&mut self, engine: &Engine, table: &str) -> Result<ExecMetrics, ExecError> {
         let mut ctx = QueryCtx::default();
         if self.refresh == RefreshPolicy::Eager && self.enabled() {
-            let (logical, shards) = catalog_entries(engine.catalog(), table)?;
-            for (entry, version, rows) in std::iter::once(logical).chain(shards) {
+            let base = engine.catalog().snapshot(table)?;
+            let logical = (base.name.clone(), base.version, base.rows());
+            for (entry, version, rows) in std::iter::once(logical).chain(base.shards) {
                 let stale: Vec<Entry> = self.stale(&entry, version).cloned().collect();
                 for stale in stale {
                     self.refresh_stale_entry(engine, &entry, version, rows, stale, &mut ctx)?;
@@ -403,8 +407,9 @@ impl MatCache {
 
     /// A cached aggregate of `entry` covering the columns `names`. On a
     /// miss the lazy refresh policy first brings the best stale covering
-    /// entry current (the next lookup then hits it); the disabled policy
-    /// drops the entry's stale aggregates.
+    /// entry current (the next lookup then hits it); the other policies
+    /// drop the entry's stale aggregates (under the eager one, an append
+    /// left stale only what it could not refresh: a derived relation's).
     fn covering(
         &mut self,
         engine: &Engine,
@@ -417,13 +422,9 @@ impl MatCache {
         if hit.is_some() {
             return Ok(hit);
         }
-        match self.refresh {
-            RefreshPolicy::Lazy => {}
-            RefreshPolicy::Eager => return Ok(None), // nothing stale survives an append
-            RefreshPolicy::Disabled => {
-                self.drop_stale(entry, *version);
-                return Ok(None);
-            }
+        if self.refresh != RefreshPolicy::Lazy {
+            self.drop_stale(entry, *version);
+            return Ok(None);
         }
         let Some(stale) = self.lookup_stale(entry, *version, names, agg_sig) else {
             return Ok(None);
@@ -789,25 +790,6 @@ impl MatCache {
     }
 }
 
-/// The catalog entries of base table `name`: the logical entry, then one
-/// per shard entry in shard order (none when unsharded).
-fn catalog_entries(
-    catalog: &Catalog,
-    name: &str,
-) -> Result<(CatalogEntry, Vec<CatalogEntry>), StorageError> {
-    let entry = |name: String| -> Result<CatalogEntry, StorageError> {
-        let e = catalog.get(&name)?;
-        Ok((name, e.version, e.table.num_rows()))
-    };
-    let shards = match catalog.shard_desc(name) {
-        Some(desc) => (0..desc.shard_count)
-            .map(|s| entry(shard_table_name(name, s)))
-            .collect::<Result<_, _>>()?,
-        None => Vec::new(),
-    };
-    Ok((entry(name.to_string())?, shards))
-}
-
 /// `sup` ⊇ `sub`, both sorted.
 fn covers(sup: &[String], sub: &[String]) -> bool {
     let mut it = sup.iter();
@@ -838,7 +820,7 @@ fn specs_mergeable(specs: &[AggSpec]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbmqo_storage::{Column, DataType, Field, Schema};
+    use gbmqo_storage::{Catalog, Column, DataType, Field, Schema};
 
     fn agg_table(cols: &[&str], rows: i64) -> Arc<Table> {
         let mut fields: Vec<Field> = cols
@@ -1245,8 +1227,8 @@ mod tests {
         let (aggs, mut mc, ctx) = (specs(), cache(1 << 20), &mut QueryCtx::default());
         let a = || [cols(&["a"])];
         let request = |mc: &MatCache, engine: &Engine| {
-            mc.request(engine.catalog(), "r", &aggs, CacheControl::Default)
-                .unwrap()
+            let base = engine.catalog().snapshot("r").unwrap();
+            mc.request(&base, &aggs, CacheControl::Default)
         };
         let req = request(&mc, &engine);
         assert!(req.admits());

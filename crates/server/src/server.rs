@@ -1166,9 +1166,10 @@ enum SqlJobError {
 }
 
 /// Compile and execute one SQL statement under the shared session on
-/// behalf of `ctx` — the SQL sibling of [`run_workload`]. Single-table
-/// statements go through `Session::run_workload_in`, so they share the
-/// plan cache and materialized aggregates with every other client.
+/// behalf of `ctx` — the SQL sibling of [`run_workload`]. Every
+/// statement, filtered or joined, runs its Group Bys through
+/// `Session::run_workload_in`, so it shares the plan cache and
+/// materialized aggregates with every other client.
 fn run_sql(
     shared: &Shared,
     sql: &str,

@@ -1,16 +1,15 @@
-//! Lowering: a [`BoundQuery`] becomes a GB-MQO workload (single-table
-//! queries) or a §5 star pushdown ([`gbmqo_core::grouping_sets_over_star`]),
-//! plus the driver that executes either against a [`Session`].
+//! Lowering: a [`BoundQuery`] becomes a GB-MQO workload, or a §5.1.1
+//! star pushdown ([`gbmqo_core::grouping_sets_over_star`]) whose pushed
+//! Group Bys are one; [`execute`] runs either against a [`Session`].
+//! Both run through [`Session::run_workload_in`], so the plan cache, the
+//! statistics, the materialized aggregate cache and sharded execution
+//! apply to every statement:
 //!
-//! The split decides which machinery serves the query:
-//!
-//! * **No joins, no WHERE** → [`LoweredQuery::Workload`]: goes through
-//!   [`Session::run_workload`], so the plan cache, the materialized
-//!   aggregate cache, and sharded execution all apply.
-//! * **Joins and/or WHERE** → [`LoweredQuery::Star`]: the engine-level
-//!   join-pushdown path (grouping below the join, `Grp-Tag` union, one
-//!   join per dimension). Filters are pushed to the table they
-//!   constrain.
+//! * **No joins** → [`LoweredQuery::Workload`]: the statement's WHERE,
+//!   if any, is the workload's filter ([`Workload::filter`]).
+//! * **Joins** → [`LoweredQuery::Star`]: grouping below the joins over
+//!   the filtered fact, a `Grp-Tag` union, one join per dimension.
+//!   Filters are pushed to the table they constrain.
 
 use crate::binder::BoundQuery;
 use crate::error::{Result, SqlError, SqlErrorKind};
@@ -21,14 +20,14 @@ use gbmqo_storage::{Catalog, Table};
 /// An executable lowering of one SQL statement.
 #[derive(Debug, Clone)]
 pub enum LoweredQuery {
-    /// Single-table GROUPING SETS: one GB-MQO workload.
+    /// Single-table GROUPING SETS, filtered or not: one GB-MQO workload.
     Workload {
         /// The workload (universe = union of all grouping sets).
         workload: Workload,
         /// The grouping sets in statement order (for result tags).
         sets: Vec<Vec<String>>,
     },
-    /// Star join and/or filtered: the §5.1.1 pushdown.
+    /// Star join: the §5.1.1 pushdown.
     Star {
         /// Fact table name.
         fact: String,
@@ -61,7 +60,7 @@ impl LoweredQuery {
 
 /// Lower a bound query. `catalog` is only read (schema lookups).
 pub fn lower(bound: &BoundQuery, catalog: &Catalog) -> Result<LoweredQuery> {
-    if bound.dims.is_empty() && bound.fact_filter.is_none() {
+    if bound.dims.is_empty() {
         let table = catalog.table(&bound.fact).map_err(internal)?;
         let mut universe: Vec<&str> = Vec::new();
         for set in &bound.sets {
@@ -78,7 +77,8 @@ pub fn lower(bound: &BoundQuery, catalog: &Catalog) -> Result<LoweredQuery> {
             .collect();
         let workload = Workload::new(&bound.fact, table, &universe, &requests)
             .map_err(internal)?
-            .with_aggregates(bound.aggregates.clone());
+            .with_aggregates(bound.aggregates.clone())
+            .with_filter(bound.fact_filter.clone());
         Ok(LoweredQuery::Workload {
             workload,
             sets: bound.sets.clone(),
@@ -122,27 +122,9 @@ pub fn execute(
     match lowered {
         LoweredQuery::Workload { workload, sets } => {
             let out = session.run_workload_in(workload, cache, ctx)?;
-            let mut results = Vec::with_capacity(sets.len());
-            for set in sets {
-                let names: Vec<&str> = set.iter().map(String::as_str).collect();
-                let table = out
-                    .report
-                    .results
-                    .iter()
-                    .find(|(cols, _)| {
-                        let got = workload.col_names(*cols);
-                        got.len() == names.len() && names.iter().all(|n| got.contains(n))
-                    })
-                    .map(|(_, t)| t.clone())
-                    .ok_or_else(|| {
-                        gbmqo_core::CoreError::InvalidPlan(format!(
-                            "no result for grouping set ({})",
-                            set.join(", ")
-                        ))
-                    })?;
-                results.push((set.join(","), table));
-            }
-            Ok(results)
+            sets.iter()
+                .map(|set| Ok((set.join(","), out.report.result_of(workload, set)?.clone())))
+                .collect()
         }
         LoweredQuery::Star {
             fact,
@@ -155,14 +137,9 @@ pub fn execute(
                 .iter()
                 .map(|s| s.iter().map(String::as_str).collect())
                 .collect();
+            let filter = fact_filter.as_ref();
             let out = grouping_sets_over_star(
-                session.engine(),
-                fact,
-                dims,
-                &requests,
-                fact_filter.as_ref(),
-                aggregates,
-                ctx,
+                session, fact, dims, &requests, filter, aggregates, cache, ctx,
             )?;
             Ok(out.results)
         }
@@ -213,14 +190,14 @@ mod tests {
     }
 
     #[test]
-    fn filter_forces_star_path() {
+    fn filter_lowers_to_a_filtered_workload() {
         let q = lower_sql("SELECT COUNT(*) FROM t WHERE a = 1 GROUP BY b");
         match q {
-            LoweredQuery::Star {
-                dims, fact_filter, ..
-            } => {
-                assert!(dims.is_empty());
-                assert!(fact_filter.is_some());
+            LoweredQuery::Workload { workload, sets } => {
+                assert_eq!(sets, [vec!["b".to_string()]]);
+                assert_eq!(workload.table, "t");
+                let a_is_1 = gbmqo_exec::Predicate::Eq("a".into(), gbmqo_storage::Value::Int(1));
+                assert_eq!(workload.filter, Some(a_is_1));
             }
             other => panic!("{other:?}"),
         }

@@ -64,6 +64,54 @@ pub struct DeltaRange {
     pub to_version: u64,
 }
 
+/// A base relation as one request reads it, resolved once: what the plan
+/// cache keys on, what the planner prices, what the aggregate cache
+/// serves and what the execution reads. A catalog table's snapshot is
+/// [`Catalog::snapshot`]; a relation derived from one (a filtered table)
+/// is [`Snapshot::derived`].
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// The catalog name, or the key of a derived relation.
+    pub name: String,
+    /// The contents version: the catalog's, or for a derived relation
+    /// its source's, so it goes stale exactly when the source changes.
+    pub version: u64,
+    /// The contents.
+    pub table: Arc<Table>,
+    /// Key column ordinals and kind of each index.
+    pub indexes: Vec<(Vec<usize>, IndexKind)>,
+    /// The shard-key columns; empty when unsharded.
+    pub shard_key: Vec<String>,
+    /// Each shard entry as `(name, contents version, rows)`, in shard
+    /// order; empty when unsharded.
+    pub shards: Vec<(String, u64, usize)>,
+    /// True for a relation derived for one request: reads take `table`
+    /// as handed over, with no index, not the catalog's entry.
+    pub derived: bool,
+}
+
+impl Snapshot {
+    /// A relation computed from a catalog table for one request: keyed
+    /// by `name`, valid at its source's contents `version`, unsharded
+    /// and index-free.
+    pub fn derived(name: String, version: u64, table: Table) -> Self {
+        Snapshot {
+            name,
+            version,
+            table: Arc::new(table),
+            indexes: Vec::new(),
+            shard_key: Vec::new(),
+            shards: Vec::new(),
+            derived: true,
+        }
+    }
+
+    /// Rows of the relation.
+    pub fn rows(&self) -> usize {
+        self.table.num_rows()
+    }
+}
+
 /// Delta descriptors retained per table before the oldest is compacted
 /// away. A consumer further behind than this many appends falls back to
 /// recomputation — the chain no longer reaches its snapshot version.
@@ -408,6 +456,38 @@ impl Catalog {
         self.tables
             .get(name)
             .ok_or_else(|| StorageError::TableNotFound(name.to_string()))
+    }
+
+    /// Table `name` as the catalog holds it now, with its indexes and
+    /// shard entries.
+    pub fn snapshot(&self, name: &str) -> Result<Snapshot> {
+        let entry = self.get(name)?;
+        let (shard_key, shards) = match self.shard_descs.get(name) {
+            Some(desc) => {
+                let shards = (0..desc.shard_count)
+                    .map(|s| {
+                        let shard = shard_table_name(name, s);
+                        let e = self.get(&shard)?;
+                        Ok((shard, e.version, e.table.num_rows()))
+                    })
+                    .collect::<Result<_>>()?;
+                (desc.key_cols.clone(), shards)
+            }
+            None => Default::default(),
+        };
+        Ok(Snapshot {
+            name: name.to_string(),
+            version: entry.version,
+            table: Arc::clone(&entry.table),
+            indexes: entry
+                .indexes
+                .iter()
+                .map(|i| (i.key_cols.clone(), i.kind))
+                .collect(),
+            shard_key,
+            shards,
+            derived: false,
+        })
     }
 
     /// Look up just the table data.

@@ -34,7 +34,7 @@ pub mod table;
 pub mod value;
 
 pub use bitmap::Bitmap;
-pub use catalog::{Catalog, DeltaDesc, DeltaRange, TableEntry, MAX_DELTA_LOG};
+pub use catalog::{Catalog, DeltaDesc, DeltaRange, Snapshot, TableEntry, MAX_DELTA_LOG};
 pub use column::{Column, ColumnBuilder};
 pub use dictionary::Dictionary;
 pub use error::{Result, StorageError};

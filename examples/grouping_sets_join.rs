@@ -8,13 +8,15 @@
 //! A lineitem-like fact table joins a small supplier dimension. The
 //! analyst asks for GROUPING SETS over fact columns; the example pushes
 //! the grouping below the join (sharing work across the pushed-down
-//! Group Bys via the GB-MQO optimizer), tags and unions the partial
-//! results, joins once, and verifies against the join-then-group plan.
+//! Group Bys: the session plans them as one GB-MQO workload), tags and
+//! unions the partial results, joins once, and verifies against the
+//! join-then-group plan.
 
-use gbmqo_core::grouping_sets_over_join;
+use gbmqo_core::prelude::*;
+use gbmqo_core::{grouping_sets_over_star, StarDim};
 use gbmqo_datagen::{ColumnGen, TableSpec};
-use gbmqo_exec::{hash_join, radix_group_by, AggSpec, Engine, ExecMetrics, QueryCtx};
-use gbmqo_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
+use gbmqo_exec::{hash_join, radix_group_by, AggSpec, ExecMetrics};
+use gbmqo_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 use std::time::Instant;
 
 fn fact(rows: usize) -> Table {
@@ -64,10 +66,11 @@ fn dimension() -> Table {
 
 fn main() {
     let rows = 150_000;
-    let mut catalog = Catalog::new();
-    catalog.register("fact", fact(rows)).unwrap();
-    catalog.register("supplier", dimension()).unwrap();
-    let engine = Engine::new(catalog);
+    let mut session = Session::builder()
+        .table("fact", fact(rows))
+        .table("supplier", dimension())
+        .build()
+        .unwrap();
     println!("fact: {rows} rows; supplier: 100 rows (keyed by suppkey)\n");
 
     let requests = [
@@ -77,11 +80,24 @@ fn main() {
         vec!["returnflag", "shipmode"],
     ];
 
+    let supplier = StarDim {
+        table: "supplier".into(),
+        fact_key: "suppkey".into(),
+        dim_key: "suppkey".into(),
+        filter: None,
+    };
     let start = Instant::now();
-    let mut ctx = QueryCtx::default();
-    let pushed =
-        grouping_sets_over_join(&engine, "fact", "supplier", "suppkey", &requests, &mut ctx)
-            .unwrap();
+    let pushed = grouping_sets_over_star(
+        &mut session,
+        "fact",
+        &[supplier],
+        &requests,
+        None,
+        &[AggSpec::count()],
+        CacheControl::Default,
+        &mut QueryCtx::default(),
+    )
+    .unwrap();
     let t_pushed = start.elapsed().as_secs_f64();
 
     println!("pushed-down plan (§5.1.1):");
@@ -94,8 +110,13 @@ fn main() {
     }
 
     // Reference: join first, then one Group By per set.
-    let fact_t = engine.catalog().table("fact").unwrap().clone();
-    let supp_t = engine.catalog().table("supplier").unwrap().clone();
+    let fact_t = session.engine().catalog().table("fact").unwrap().clone();
+    let supp_t = session
+        .engine()
+        .catalog()
+        .table("supplier")
+        .unwrap()
+        .clone();
     let mut m = ExecMetrics::new();
     let start = Instant::now();
     let joined = hash_join(&fact_t, &supp_t, &[0], &[0], &mut m).unwrap();

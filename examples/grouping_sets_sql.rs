@@ -34,14 +34,11 @@ fn run(sql: &str, session: &mut Session, preview: usize) {
         }
     };
     let shape = match &lowered {
-        LoweredQuery::Workload { .. } => "single-table workload",
-        LoweredQuery::Star { dims, .. } => {
-            if dims.is_empty() {
-                "filtered fact scan"
-            } else {
-                "star join with pushed-down grouping"
-            }
+        LoweredQuery::Workload { workload, .. } if workload.filter.is_some() => {
+            "filtered single-table workload"
         }
+        LoweredQuery::Workload { .. } => "single-table workload",
+        LoweredQuery::Star { .. } => "star join with its grouping pushed below the joins",
     };
     println!(
         "  lowered to a {shape}, {} grouping set(s)",

@@ -106,7 +106,7 @@ fn physical_design_changes_plans_and_stays_correct() {
         )
         .unwrap();
 
-    let snap = IndexSnapshot::capture(session.engine().catalog(), "lineitem");
+    let snap = IndexSnapshot::capture(&session.engine().catalog().snapshot("lineitem").unwrap());
     assert!(snap.serves_grouping(&[comment_ord]));
     let mut model = OptimizerCostModel::new(ExactSource::new(&t), snap);
     let (plan, _) = GbMqo::with_config(SearchConfig::pruned())

@@ -1,7 +1,7 @@
 //! Integration tests for the paper's §5.1.1 and §7 extensions.
 
 use gbmqo_core::prelude::*;
-use gbmqo_core::{grouping_sets_over_join, NodeKind};
+use gbmqo_core::{grouping_sets_over_star, NodeKind, StarDim};
 use gbmqo_cost::{CostConstants, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::{lineitem, sales};
 use gbmqo_exec::{hash_join, sort_group_by, AggSpec, ExecMetrics};
@@ -148,12 +148,20 @@ fn join_pushdown_on_generated_data() {
         .unwrap();
 
     let requests = [vec!["region"], vec!["channel"], vec!["region", "channel"]];
-    let out = grouping_sets_over_join(
-        session.engine(),
+    let stores = StarDim {
+        table: "stores".into(),
+        fact_key: "store_id".into(),
+        dim_key: "store_id".into(),
+        filter: None,
+    };
+    let out = grouping_sets_over_star(
+        &mut session,
         "sales",
-        "stores",
-        "store_id",
+        &[stores],
         &requests,
+        None,
+        &[AggSpec::count()],
+        CacheControl::Default,
         &mut QueryCtx::default(),
     )
     .unwrap();

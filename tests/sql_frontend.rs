@@ -3,7 +3,9 @@
 //! workloads across every execution mode, and hostile `SqlQuery`
 //! frames over the wire.
 
+use gbmqo_core::grouping_sets_over_star;
 use gbmqo_core::prelude::*;
+use gbmqo_exec::{filter, hash_join, sort_group_by, AggSpec, ExecMetrics, Predicate};
 use gbmqo_integration::{modular_table, normalize};
 use gbmqo_server::protocol::{
     decode_response, encode_frame, encode_request, read_frame, write_frame, Request, Response,
@@ -14,7 +16,7 @@ use gbmqo_sqlfe::ast::{
     AggCall, AggFuncName, ColumnRef, GroupSpec, Ident, Join, Literal, Query, SelectItem, WherePred,
 };
 use gbmqo_sqlfe::{compile, execute, parse, LoweredQuery, Span, SqlErrorKind};
-use gbmqo_storage::{Catalog, Table};
+use gbmqo_storage::{Catalog, DataType, Field, Schema, Table, TableBuilder, Value};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -410,6 +412,322 @@ fn star_grouping_sets_equal_per_set_statements() {
             normalize(&per_set[0].1, &names),
             "set {tag}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Star and filtered statements run through the session: its plan cache
+// and aggregate cache serve their repeats, and both go stale exactly
+// when the fact changes.
+// ---------------------------------------------------------------------
+
+const FILTERED: &str = "SELECT COUNT(*) AS n FROM sales WHERE qty = 3 \
+                        GROUP BY GROUPING SETS ((channel), (promo), (channel, promo))";
+
+const STAR: &str = "SELECT COUNT(*) AS n FROM sales \
+                    JOIN product ON sales.prod_key = product.prod_key \
+                    JOIN store ON sales.store_key = store.store_key \
+                    WHERE qty >= 5 \
+                    GROUP BY GROUPING SETS ((channel), (promo), (channel, promo))";
+
+/// A session over `gbmqo_datagen::star(4_000, 42)` with an aggregate
+/// cache of `budget` bytes, and its fact table.
+fn star_session(budget: usize) -> (Session, Table) {
+    let schema = gbmqo_datagen::star(4_000, 42);
+    let mut builder = Session::builder().mat_cache_budget_bytes(budget);
+    for (name, table) in schema.tables() {
+        builder = builder.table(name, table.clone());
+    }
+    (builder.build().unwrap(), schema.sales)
+}
+
+fn run_sql(session: &mut Session, sql: &str, cache: CacheControl) -> Vec<(String, Table)> {
+    let lowered =
+        compile(sql, session.engine().catalog()).unwrap_or_else(|e| panic!("{}", e.render(sql)));
+    execute(&lowered, session, cache, &mut QueryCtx::default()).unwrap()
+}
+
+/// Rows counted over every grouping set of an answer.
+fn counted(results: &[(String, Table)]) -> i64 {
+    let total = |t: &Table| -> i64 {
+        let n = t.num_columns() - 1;
+        (0..t.num_rows())
+            .map(|r| t.value(r, n).as_int().unwrap())
+            .sum()
+    };
+    results.iter().map(|(_, t)| total(t)).sum()
+}
+
+/// `FILTERED` with `qty = literal`, answered from `fact` directly:
+/// filter, then one Group By per set.
+fn filtered_reference(fact: &Table, literal: i64) -> Vec<(String, Table)> {
+    let mut m = ExecMetrics::new();
+    let pred = Predicate::Eq("qty".into(), Value::Int(literal));
+    let selected = filter(fact, &pred, &mut m).unwrap();
+    [vec!["channel"], vec!["promo"], vec!["channel", "promo"]]
+        .iter()
+        .map(|set| {
+            let cols: Vec<usize> = set
+                .iter()
+                .map(|c| fact.schema().index_of(c).unwrap())
+                .collect();
+            let t = sort_group_by(&selected, &cols, &[AggSpec::count()], &mut m).unwrap();
+            (set.join(","), t)
+        })
+        .collect()
+}
+
+fn assert_same_answer(a: &[(String, Table)], b: &[(String, Table)], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}");
+    for ((tag, x), (other, y)) in a.iter().zip(b) {
+        assert_eq!(tag, other, "{context}");
+        let names: Vec<&str> = tag.split(',').collect();
+        assert_eq!(
+            normalize(x, &names),
+            normalize(y, &names),
+            "{context}: set {tag}"
+        );
+    }
+}
+
+#[test]
+fn a_repeated_star_statement_is_a_plan_cache_hit() {
+    let (mut session, _) = star_session(0);
+    let lowered = compile(STAR, session.engine().catalog()).unwrap();
+    let LoweredQuery::Star {
+        fact,
+        dims,
+        sets,
+        fact_filter,
+        aggregates,
+    } = &lowered
+    else {
+        panic!("a JOIN lowers to the star pushdown: {lowered:?}");
+    };
+    let requests: Vec<Vec<&str>> = sets
+        .iter()
+        .map(|s| s.iter().map(String::as_str).collect())
+        .collect();
+    let run = |session: &mut Session| {
+        let ctx = &mut QueryCtx::default();
+        let filter = fact_filter.as_ref();
+        let cache = CacheControl::Default;
+        grouping_sets_over_star(
+            session, fact, dims, &requests, filter, aggregates, cache, ctx,
+        )
+        .unwrap()
+    };
+    let first = run(&mut session);
+    assert!(!first.stats.cache_hit && first.stats.optimizer_calls > 0);
+    let before = session.cache_stats();
+    let again = run(&mut session);
+    let after = session.cache_stats();
+    assert!(again.stats.cache_hit);
+    assert_eq!(again.stats.optimizer_calls, 0, "a repeat runs no search");
+    assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+    assert_same_answer(&first.results, &again.results, "repeat");
+}
+
+#[test]
+fn a_repeated_filtered_statement_is_served_from_the_aggregate_cache() {
+    let (mut session, fact) = star_session(1 << 22);
+    let first = run_sql(&mut session, FILTERED, CacheControl::Default);
+    let before = session.mat_cache_stats();
+    let again = run_sql(&mut session, FILTERED, CacheControl::Default);
+    assert!(session.mat_cache_stats().hits > before.hits);
+    assert_same_answer(&first, &again, "repeat");
+    assert_same_answer(&again, &filtered_reference(&fact, 3), "reference");
+}
+
+#[test]
+fn predicates_differing_in_one_literal_share_no_plan_and_no_aggregate() {
+    let (mut session, fact) = star_session(1 << 22);
+    for _ in 0..2 {
+        run_sql(&mut session, FILTERED, CacheControl::Default);
+    }
+    let (plans, aggregates) = (session.cache_stats(), session.mat_cache_stats());
+    let other = run_sql(
+        &mut session,
+        &FILTERED.replace("qty = 3", "qty = 4"),
+        CacheControl::Default,
+    );
+    let after = session.cache_stats();
+    assert_eq!((after.hits, after.misses), (plans.hits, plans.misses + 1));
+    assert_eq!(session.mat_cache_stats().hits, aggregates.hits);
+    assert_same_answer(&other, &filtered_reference(&fact, 4), "qty = 4");
+}
+
+#[test]
+fn appends_reach_the_next_filtered_and_star_answers() {
+    let (mut session, fact) = star_session(1 << 22);
+    let before = (
+        counted(&run_sql(&mut session, FILTERED, CacheControl::Default)),
+        counted(&run_sql(&mut session, STAR, CacheControl::Default)),
+    );
+    let delta = fact.gather(&(0..600).collect::<Vec<u32>>());
+    session.append("sales", delta.clone()).unwrap();
+    let grown = Table::concat(&[&fact, &delta]).unwrap();
+    let filtered = run_sql(&mut session, FILTERED, CacheControl::Default);
+    assert_same_answer(
+        &filtered,
+        &filtered_reference(&grown, 3),
+        "filtered after append",
+    );
+    let star = run_sql(&mut session, STAR, CacheControl::Default);
+    let qualifying = |t: &Table| {
+        let mut m = ExecMetrics::new();
+        let pred = Predicate::Ge("qty".into(), Value::Int(5));
+        filter(t, &pred, &mut m).unwrap().num_rows() as i64
+    };
+    // Every fact row finds its product and store: each set counts every
+    // qualifying row once.
+    assert_eq!(counted(&star), 3 * qualifying(&grown));
+    assert!(counted(&filtered) > before.0 && counted(&star) > before.1);
+}
+
+// ---------------------------------------------------------------------
+// Star == join-then-group, per set: NULL fact keys, an empty dimension,
+// a fact filter that keeps nothing, a dimension filter, an append
+// between two requests, 1/2/4 shards, a cold, warm or bypassed cache.
+// ---------------------------------------------------------------------
+
+/// `f(k1, k2, x, y)`: `k1` is NULL on every `null_every`-th row and
+/// otherwise ranges one past `d1`'s keys, `k2` one past `d2`'s.
+fn star_fact(rows: usize, seed: u64, null_every: usize, d1: i64, d2: i64) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("k1", DataType::Int64),
+        Field::new("k2", DataType::Int64),
+        Field::new("x", DataType::Int64),
+        Field::new("y", DataType::Int64),
+    ])
+    .unwrap();
+    let mut tb = TableBuilder::new(schema);
+    let mut h = seed | 1;
+    for i in 0..rows {
+        h = h
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (h >> 33) as i64;
+        let k1 = match i % null_every {
+            0 => Value::Null,
+            _ => Value::Int(r % (d1 + 1)),
+        };
+        let row = [
+            k1,
+            Value::Int((r >> 7) % (d2 + 1)),
+            Value::Int(r % 5),
+            Value::Int((r >> 3) % 3),
+        ];
+        tb.push_row(&row).unwrap();
+    }
+    tb.finish().unwrap()
+}
+
+/// A dimension `(key, label)` keyed by `0..keys`, labels `v0`/`v1`.
+fn star_dim(key: &str, label: &str, keys: i64) -> Table {
+    let schema = Schema::new(vec![
+        Field::new(key, DataType::Int64),
+        Field::new(label, DataType::Utf8),
+    ])
+    .unwrap();
+    let mut tb = TableBuilder::new(schema);
+    for k in 0..keys {
+        tb.push_row(&[Value::Int(k), Value::str(&format!("v{}", k % 2))])
+            .unwrap();
+    }
+    tb.finish().unwrap()
+}
+
+const STAR_SETS: [&[&str]; 5] = [&["x"], &["y"], &["x", "y"], &["k1"], &["k1", "y"]];
+
+/// The statement's answer computed the other way round: join the whole
+/// fact with both dimensions, apply the WHERE, then group each set.
+fn join_then_group(
+    fact: &Table,
+    d1: &Table,
+    d2: &Table,
+    where_: &[Predicate],
+) -> Vec<(String, Table)> {
+    let mut m = ExecMetrics::new();
+    let j1 = hash_join(fact, d1, &[0], &[0], &mut m).unwrap();
+    let k2 = j1.schema().index_of("k2").unwrap();
+    let mut joined = hash_join(&j1, d2, &[k2], &[0], &mut m).unwrap();
+    for pred in where_ {
+        joined = filter(&joined, pred, &mut m).unwrap();
+    }
+    STAR_SETS
+        .iter()
+        .map(|set| {
+            let cols: Vec<usize> = set
+                .iter()
+                .map(|c| joined.schema().index_of(c).unwrap())
+                .collect();
+            let t = sort_group_by(&joined, &cols, &[AggSpec::count()], &mut m).unwrap();
+            (set.join(","), t)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn star_results_equal_join_then_group_per_set(
+        rows in 20usize..160,
+        seed in any::<u64>(),
+        null_every in 2usize..7,
+        d1_keys in 0i64..5,
+        d2_keys in 1i64..4,
+        fact_filter in 0usize..3,
+        dim_filter in any::<bool>(),
+        shards in prop::sample::select(vec![1u32, 2, 4]),
+    ) {
+        let fact = star_fact(rows, seed, null_every, d1_keys, d2_keys);
+        let delta = star_fact(rows / 2 + 1, seed ^ 0x5eed, null_every, d1_keys, d2_keys);
+        let (d1, d2) = (star_dim("dk1", "l1", d1_keys), star_dim("dk2", "l2", d2_keys));
+        let mut where_: Vec<Predicate> = Vec::new();
+        let mut conjuncts: Vec<String> = Vec::new();
+        // 0: no fact filter; 1: one that keeps some rows; 2: one that keeps nothing.
+        let x_from = [None, Some(2), Some(99)][fact_filter];
+        if let Some(v) = x_from {
+            where_.push(Predicate::Ge("x".into(), Value::Int(v)));
+            conjuncts.push(format!("x >= {v}"));
+        }
+        if dim_filter {
+            where_.push(Predicate::Eq("l1".into(), Value::str("v1")));
+            conjuncts.push("l1 = 'v1'".into());
+        }
+        let sql = format!(
+            "SELECT COUNT(*) FROM f JOIN d1 ON f.k1 = d1.dk1 JOIN d2 ON f.k2 = d2.dk2{} \
+             GROUP BY GROUPING SETS ({})",
+            if conjuncts.is_empty() { String::new() } else { format!(" WHERE {}", conjuncts.join(" AND ")) },
+            STAR_SETS.iter().map(|s| format!("({})", s.join(", "))).collect::<Vec<_>>().join(", "),
+        );
+        for cache in ["cold", "warm", "bypass"] {
+            let mut session = Session::builder()
+                .table("f", fact.clone())
+                .table("d1", d1.clone())
+                .table("d2", d2.clone())
+                .shards(shards)
+                .mat_cache_budget_bytes(1 << 20)
+                .build()
+                .unwrap();
+            let control = match cache {
+                "bypass" => CacheControl::Bypass,
+                _ => CacheControl::Default,
+            };
+            if cache == "warm" {
+                run_sql(&mut session, &sql, CacheControl::Default);
+            }
+            let context = format!("{sql}; {shards} shards, {cache}");
+            let first = run_sql(&mut session, &sql, control);
+            assert_same_answer(&first, &join_then_group(&fact, &d1, &d2, &where_), &context);
+            session.append("f", delta.clone()).unwrap();
+            let grown = Table::concat(&[&fact, &delta]).unwrap();
+            let again = run_sql(&mut session, &sql, control);
+            let context = format!("{context}, after an append");
+            assert_same_answer(&again, &join_then_group(&grown, &d1, &d2, &where_), &context);
+        }
     }
 }
 
