@@ -211,14 +211,11 @@ mod tests {
         let mut session = Session::builder().engine(engine).build().unwrap();
         // §5.1.1: push the selection below GROUPING SETS by materializing
         // the filtered relation once.
-        let engine = session.engine();
-        let filtered = engine
-            .run_filter(
-                engine.catalog().table("r").unwrap(),
-                &Predicate::Ge("c".into(), Value::Int(2)),
-                &mut gbmqo_exec::QueryCtx::default(),
-            )
-            .unwrap();
+        let r = session.engine().catalog().table("r").unwrap();
+        let c_from_2 = Predicate::Ge("c".into(), Value::Int(2));
+        let ctx = &mut gbmqo_exec::QueryCtx::default();
+        let rows = session.engine().run_filter(r, Some(&c_from_2), &[], ctx);
+        let filtered = r.gather(&rows.unwrap().expect("c >= 2 drops rows"));
         assert!(filtered.num_rows() < 120);
         session
             .register_table("r_filtered", filtered.clone())

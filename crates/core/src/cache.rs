@@ -20,7 +20,7 @@
 //! * a caller-supplied *cost-model tag*, so plans are invalidated when
 //!   the model they were optimized under changes,
 //! * the request's base relation as resolved for it (a catalog table, or
-//!   a filtered one keyed by its source and predicate): its *contents
+//!   a selection of one keyed by its source and conjuncts): its *contents
 //!   version*, so replacing or appending to a table can never reuse a
 //!   plan optimized for (and estimated against) the old data, and its
 //!   *indexes*, which the optimizer model prices.

@@ -26,7 +26,9 @@
 //!   [`physicalize`], then one interpreter, [`executor`]; the mode switch
 //!   and the GROUPING SETS union-all facade → [`api`]; SQL rendering →
 //!   [`sql`]
-//! * §5.1.1 GROUPING SETS over joins (Grp-Tag) → [`join_pushdown`]
+//! * §5.1.1 selections and star joins below GROUPING SETS → the
+//!   request's base relation, resolved by [`Session`] (a join on a
+//!   dimension key is a semi-join: [`StarDim`])
 //! * §6.1 commercial GROUPING SETS baseline → [`grouping_sets`]
 //! * §6.3 exhaustive optimum → [`exhaustive`]
 //! * §7.1 CUBE/ROLLUP nodes → [`greedy::SearchConfig::cube_rollup_merges`]
@@ -88,7 +90,6 @@ pub mod exhaustive;
 pub mod explain;
 pub mod greedy;
 pub mod grouping_sets;
-pub mod join_pushdown;
 pub mod merge;
 pub mod physicalize;
 pub mod plan;
@@ -111,7 +112,6 @@ pub use gbmqo_exec::{CancelToken, QueryCtx};
 pub use gbmqo_matcache::{CacheControl, MatCacheStats, RefreshPolicy, DEFAULT_MAX_DELTA_FRACTION};
 pub use greedy::{GbMqo, SearchConfig, SearchStats};
 pub use grouping_sets::{grouping_sets_plan, BaselineKind};
-pub use join_pushdown::{grouping_sets_over_star, StarDim};
 pub use physicalize::{Merge, PhysicalEdge, PhysicalPlan, Read};
 pub use plan::{LogicalPlan, NodeKind, SubNode};
 pub use planner::{CostModelSpec, NodeCardReport, Stats};
@@ -120,7 +120,7 @@ pub use session::{
     AppendOutcome, Session, SessionBuilder, WorkloadOutcome, RESHARD_SKEW_THRESHOLD,
 };
 pub use sql::{quote_sql_ident, render_sql};
-pub use workload::Workload;
+pub use workload::{StarDim, Workload};
 
 /// Convenient glob-import surface.
 pub mod prelude {

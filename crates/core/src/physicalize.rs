@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// What one query instance of an edge reads.
 #[derive(Debug, Clone)]
 pub enum Read {
-    /// The whole base relation: the catalog table, or the table a
-    /// filtered workload selected from it for this request.
+    /// The whole base relation: the catalog table, or the rows the
+    /// workload's selection kept from it for this request.
     Base(Input),
     /// One shard entry of the base table.
     Shard(Input),
@@ -136,7 +136,7 @@ impl Layout {
             Some(bits.union(ColSet::single(i)))
         });
         Layout {
-            base: if base.derived {
+            base: if base.is_derived() {
                 Input::Table(Arc::clone(&base.table))
             } else {
                 Input::Catalog(base.name.clone())

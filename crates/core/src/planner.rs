@@ -5,8 +5,8 @@
 //! [`PlanCache`] and the [`StatsCatalog`]: per base relation, statistics
 //! of its current contents version beside the group counts execution
 //! observed over it. It reads the base relation from the request's
-//! [`Snapshot`]: a catalog table, or a filtered one keyed by its source
-//! and predicate at the source's version, whose statistics are held for
+//! [`Snapshot`]: a catalog table, or a selection of one keyed by its
+//! source and conjuncts at the source's version, whose statistics are held for
 //! at most [`MAX_DERIVED_STATS`] such relations at once. A cached plan is
 //! served while the base relation is the same — contents version and
 //! indexes — and the engine emulates the same I/O
@@ -131,8 +131,8 @@ impl CostModelSpec {
     }
 }
 
-/// Relations derived from a table for one request (a filtered table)
-/// whose statistics the planner holds at once: each distinct predicate is
+/// Relations derived from a table for one request (a selection) whose
+/// statistics the planner holds at once: each distinct selection is
 /// one, so beyond this many the least recently used one's are dropped.
 pub(crate) const MAX_DERIVED_STATS: usize = 16;
 
@@ -438,7 +438,7 @@ impl Planner {
     /// recently used and drop the derived relations beyond
     /// [`MAX_DERIVED_STATS`].
     fn hold(&mut self, catalog: &Catalog, base: &Snapshot) {
-        if base.derived {
+        if base.is_derived() {
             self.derived.retain(|name| *name != base.name);
             self.derived.push_back(base.name.clone());
             if self.derived.len() > MAX_DERIVED_STATS {

@@ -46,7 +46,7 @@ use crate::physicalize::{physicalize, Layout, Run};
 use crate::plan::{LogicalPlan, SubNode};
 use crate::planner::{CostModelSpec, Keyed, NodeCardReport, Planner};
 use crate::workload::Workload;
-use gbmqo_exec::{Engine, ExecMetrics, QueryCtx};
+use gbmqo_exec::{Engine, ExecError, ExecMetrics, Predicate, QueryCtx, SemiJoin};
 use gbmqo_matcache::{
     CacheControl, CacheRequest, Cover, MatCache, MatCacheStats, RefreshPolicy,
     DEFAULT_MAX_DELTA_FRACTION,
@@ -327,7 +327,7 @@ impl Session {
     /// per-set result tables plus the executed plan and search stats.
     /// This is the server's entry point; [`Session::grouping_sets`] adds
     /// the UNION ALL on top. The request's base relation is resolved
-    /// once (the workload's table, or the rows its filter selects), and
+    /// once (the workload's table, or the rows its selection keeps), and
     /// six stages read it — cover, plan, execute, observe, admit,
     /// account; `ctx` is polled before each: a request whose token trips
     /// fails at the next stage boundary, and one tripped before it starts
@@ -380,21 +380,59 @@ impl Session {
     }
 
     /// The base relation `workload` groups, resolved once for a request:
-    /// its table as the catalog holds it now, or, under a filter, the
-    /// selected rows materialized for this request (charged to `ctx` like
-    /// the paper's pushed-down selection, §5.1.1) and keyed by the table
-    /// and the canonical predicate at the table's version — so repeats
-    /// share plans, statistics and cached aggregates, and all of them go
-    /// stale when the table changes. Nothing is registered.
+    /// its table as the catalog holds it now, or the rows its selection
+    /// keeps — the WHERE and one key-membership test per star join
+    /// (§5.1.1's pushed-down selection, charged to `ctx`). A selection
+    /// that keeps every row is its table. Otherwise the kept rows are
+    /// materialized for this request and keyed by the table, the
+    /// canonical WHERE and each join's dimension, key columns, dimension
+    /// version and canonical dimension filter, at the table's version —
+    /// so repeats share plans, statistics and cached aggregates, and a
+    /// change to any table read makes a new key. Nothing is registered.
     fn base(&self, workload: &Workload, ctx: &mut QueryCtx) -> Result<Snapshot> {
-        let source = self.engine.catalog().snapshot(&workload.table)?;
-        let Some(filter) = &workload.filter else {
+        let catalog = self.engine.catalog();
+        let source = catalog.snapshot(&workload.table)?;
+        if workload.filter.is_none() && workload.joins.is_empty() {
+            return Ok(source);
+        }
+        let dims = (workload.joins.iter())
+            .map(|join| catalog.snapshot(&join.table))
+            .collect::<gbmqo_storage::Result<Vec<_>>>()?;
+        let joins: Vec<SemiJoin> = (workload.joins.iter().zip(&dims))
+            .map(|(join, dim)| SemiJoin {
+                column: &join.fact_key,
+                dim,
+                key: &join.dim_key,
+                filter: join.filter.as_ref(),
+            })
+            .collect();
+        let filter = workload.filter.as_ref();
+        let rows = match self.engine.run_filter(&source.table, filter, &joins, ctx) {
+            Err(ExecError::Invalid(why)) => return Err(CoreError::InvalidWorkload(why)),
+            rows => rows?,
+        };
+        let Some(rows) = rows else {
             return Ok(source);
         };
-        let selected = self.engine.run_filter(&source.table, filter, ctx)?;
+        let selected = source.table.gather(&rows);
         self.engine.materialize(&selected, ctx);
-        let name = format!("σ[{}]({})", filter.canonical(), source.name);
-        Ok(Snapshot::derived(name, source.version, selected))
+        let mut conjuncts: Vec<String> = filter.map(Predicate::canonical).into_iter().collect();
+        let mut reads = vec![source.name.clone()];
+        for (join, dim) in workload.joins.iter().zip(dims) {
+            let on = join.filter.as_ref().map(Predicate::canonical);
+            conjuncts.push(format!(
+                "{:?} ∈ {:?}@{}.{:?}[{}]",
+                join.fact_key,
+                dim.name,
+                dim.version,
+                join.dim_key,
+                on.unwrap_or_default()
+            ));
+            reads.push(dim.name);
+        }
+        conjuncts.sort_unstable();
+        let name = format!("σ[{}]({})", conjuncts.join(" AND "), source.name);
+        Ok(Snapshot::derived(name, source.version, selected, reads))
     }
 
     /// Plan stage: run the merge search only over the requests `covers`

@@ -788,13 +788,13 @@ fn a_filtered_fact_is_one_unsharded_read_of_a_sharded_fact() {
     let pred = Predicate::Ge("c".into(), gbmqo_storage::Value::Int(1));
     let filtered = w.clone().with_filter(Some(pred));
     let base = s.base(&filtered, &mut QueryCtx::default()).unwrap();
-    assert!(base.derived && base.shards.is_empty() && base.indexes.is_empty());
+    assert!(base.is_derived() && base.shards.is_empty() && base.indexes.is_empty());
     for edge in reads(&base) {
         assert!(matches!(&edge[..], [Read::Base(Input::Table(t))] if Arc::ptr_eq(t, &base.table)));
     }
     // Unfiltered, the catalog's fact keeps its shards and its index.
     let source = s.base(&w, &mut QueryCtx::default()).unwrap();
-    assert!(!source.derived && source.indexes.len() == 1);
+    assert!(!source.is_derived() && source.indexes.len() == 1);
     for edge in reads(&source) {
         assert_eq!(edge.len(), 4);
         assert!(edge.iter().all(|read| matches!(read, Read::Shard(_))));
@@ -855,4 +855,20 @@ fn an_append_drops_a_filtered_relations_aggregates_under_every_policy() {
         let total: i64 = counted_rows(by_a).iter().map(|(_, n)| n).sum();
         assert_eq!(total, 2 * 192, "{policy:?}: both copies' rows with c >= 1");
     }
+}
+
+#[test]
+fn replacing_a_table_drops_its_filtered_relations_aggregates() {
+    let (mut s, w) = cached_session(0, RefreshPolicy::Lazy);
+    let pred = Predicate::Ge("c".into(), gbmqo_storage::Value::Int(1));
+    let filtered = w.with_filter(Some(pred));
+    s.run_workload(&filtered, CacheControl::Default).unwrap();
+    assert!(s.mat_cache_stats().entries > 0);
+    s.register_table("r", table()).unwrap();
+    let stats = s.mat_cache_stats();
+    assert_eq!(
+        (stats.entries, stats.bytes),
+        (0, 0),
+        "nothing can serve again"
+    );
 }

@@ -5,15 +5,35 @@ use crate::error::{CoreError, Result};
 use gbmqo_exec::{AggSpec, Predicate};
 use gbmqo_storage::Table;
 
+/// One dimension of a star join: `fact.fact_key = table.dim_key`, with
+/// an optional selection over the dimension. The dimension key must be a
+/// key of the rows the selection keeps, so the join keeps each fact row
+/// at most once: it is a semi-join, a selection of the fact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StarDim {
+    /// Dimension table name.
+    pub table: String,
+    /// Join key column on the fact side.
+    pub fact_key: String,
+    /// Join key column on the dimension side.
+    pub dim_key: String,
+    /// ANDed WHERE conjuncts over this dimension's columns.
+    pub filter: Option<Predicate>,
+}
+
 /// A GB-MQO problem instance: a base relation, the universe of columns the
 /// requests draw from, and the requested Group By queries.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Catalog name of the table the base relation `R` selects from.
     pub table: String,
-    /// The selection that makes `R` from `table` (a statement's WHERE):
-    /// `R` is `σ(table)`, or the whole table when `None`.
+    /// The selection that makes `R` from `table` (a statement's WHERE),
+    /// together with `joins`: `R` is `σ(table)`, or the whole table when
+    /// both are empty.
     pub filter: Option<Predicate>,
+    /// The star joins of a statement: `R` keeps the rows of `table`
+    /// whose `fact_key` each dimension holds (see [`StarDim`]).
+    pub joins: Vec<StarDim>,
     /// Universe column names; bit `i` of every [`ColSet`] refers to
     /// `column_names[i]`.
     pub column_names: Vec<String>,
@@ -68,6 +88,7 @@ impl Workload {
         Ok(Workload {
             table: table_name.to_string(),
             filter: None,
+            joins: Vec::new(),
             column_names,
             base_ordinals,
             requests: sets,

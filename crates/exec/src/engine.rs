@@ -324,25 +324,31 @@ impl Engine {
         ctx.metrics.tables_materialized += 1;
     }
 
-    /// Run a selection over base table `table` (§5.1.1's pushed-down
-    /// selection). Charges scan I/O under row-store emulation.
+    /// Run a selection over `table` (§5.1.1's pushed-down selection):
+    /// the rows, ascending, that pass `predicate` and every semi-join in
+    /// `joins`, or `None` when every row does (see [`crate::select`]).
+    /// Charges the scans of the table and of each dimension under
+    /// row-store emulation.
     pub fn run_filter(
         &self,
         table: &Table,
-        predicate: &crate::filter::Predicate,
+        predicate: Option<&crate::filter::Predicate>,
+        joins: &[crate::filter::SemiJoin],
         ctx: &mut QueryCtx,
-    ) -> Result<Table> {
+    ) -> Result<Option<Vec<u32>>> {
         let start = Instant::now();
         if self.io_ns_per_byte > 0.0 {
-            std::hint::black_box(crate::rowstore::full_scan_tax(table));
-            let bytes = table.byte_size() as u64;
-            crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
-            ctx.metrics.bytes_scanned += bytes;
+            for scanned in std::iter::once(table).chain(joins.iter().map(|j| &*j.dim.table)) {
+                std::hint::black_box(crate::rowstore::full_scan_tax(scanned));
+                let bytes = scanned.byte_size() as u64;
+                crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
+                ctx.metrics.bytes_scanned += bytes;
+            }
         }
-        let result = crate::filter::filter(table, predicate, &mut ctx.metrics)?;
-        ctx.metrics.queries_executed += 1;
         ctx.metrics.add_elapsed(start.elapsed());
-        Ok(result)
+        let rows = crate::filter::select(table, predicate, joins, &mut ctx.metrics)?;
+        ctx.metrics.queries_executed += 1;
+        Ok(rows)
     }
 }
 

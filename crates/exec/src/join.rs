@@ -1,8 +1,6 @@
-//! Hash inner join.
-//!
-//! Needed for §5.1.1's transformation of a GROUPING SETS query over
-//! `Join(R, S)`: pushed-down Group Bys over `R` are joined back with `S`
-//! on the join attribute.
+//! Hash inner join: the reference that GROUPING SETS over a star join
+//! (§5.1.1), answered as a selection of the fact, is checked against —
+//! join first, then group.
 
 use crate::error::{ExecError, Result};
 use crate::metrics::ExecMetrics;

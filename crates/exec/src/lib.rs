@@ -15,8 +15,12 @@
 //!   and is the independent reference the tests compare the kernel with,
 //! * [`rollup()`] and [`cube()`] — §7.1's alternative plan nodes, computed by
 //!   lattice descent (each level re-aggregated from the previous),
-//! * [`filter()`], [`join`], [`union_all`] — the relational plumbing for
-//!   §5.1.1's GROUPING SETS over selections and joins with `Grp-Tag`,
+//! * [`select`] — §5.1.1's selection below GROUPING SETS: a WHERE and
+//!   one typed key-membership test per star join ([`SemiJoin`]), since a
+//!   join on a dimension key that adds no column only selects fact rows;
+//!   [`filter()`] materializes a selection, [`union_all`] tags the
+//!   GROUPING SETS result with `Grp-Tag`, and [`hash_join`] is the
+//!   join-then-group reference the tests check selections against,
 //! * [`engine::Engine`] — runs Group By queries over a
 //!   [`gbmqo_storage::Catalog`] table or a table handed to it (one
 //!   [`engine::Input`] type); [`Engine::aggregate_table`] is the same
@@ -50,7 +54,7 @@ pub use cancel::CancelToken;
 pub use cube::cube;
 pub use engine::{Engine, GroupByQuery, Input, QueryCtx};
 pub use error::{ExecError, Result};
-pub use filter::{filter, Predicate};
+pub use filter::{filter, select, Predicate, SemiJoin};
 pub use group_by::stream_group_by;
 pub use join::hash_join;
 pub use metrics::ExecMetrics;

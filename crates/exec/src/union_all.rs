@@ -2,10 +2,9 @@
 //!
 //! A GROUPING SETS query returns the union-all of its member Group Bys in
 //! one result set. §5.1.1 introduces a `Grp-Tag` column "with each tuple
-//! that denotes which Group By query it is a result of", used to filter
-//! the relevant rows above a join. This operator builds exactly that
-//! result: the schema is the union of all input schemas (missing columns
-//! padded with NULL) plus the tag column.
+//! that denotes which Group By query it is a result of". This operator
+//! builds exactly that result: the schema is the union of all input
+//! schemas (missing columns padded with NULL) plus the tag column.
 
 use crate::error::{ExecError, Result};
 use crate::metrics::ExecMetrics;

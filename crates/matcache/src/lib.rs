@@ -29,10 +29,10 @@
 //! disjoint partitions is the merge of per-partition aggregates). Only
 //! when a delta chain is unavailable or uneconomic does it fall back to
 //! dropping the stale entries. [`RefreshPolicy`] says when that happens.
-//! A relation derived from a table for one request (a filtered table,
+//! A relation derived from catalog tables for one request (a selection,
 //! see [`gbmqo_storage::Snapshot::derived`]) is keyed by its own name at
-//! its source's version; it has no delta chain, so an append to the
-//! source drops its aggregates.
+//! its source's version; it has no delta chain, so an append to, or a
+//! replacement of, any table it reads drops its aggregates.
 //!
 //! Callers drive the cache by stages, in column names, the request's
 //! base-relation [`Snapshot`] and shard ordinals — [`MatCache::request`],
@@ -164,6 +164,8 @@ type CatalogEntry = (String, u64, usize);
 #[derive(Debug)]
 pub struct CacheRequest {
     logical: CatalogEntry,
+    /// The catalog tables a derived base relation reads; empty otherwise.
+    reads: Vec<String>,
     shards: Vec<CatalogEntry>,
     agg_sig: u64,
     lookup: bool,
@@ -215,6 +217,8 @@ pub struct MatCache {
     budget_bytes: usize,
     total_bytes: usize,
     slots: FxHashMap<String, Vec<Entry>>,
+    /// The catalog tables each derived relation with a slot reads.
+    derived: FxHashMap<String, Vec<String>>,
     stats: MatCacheStats,
     /// When stale entries are delta-refreshed.
     refresh: RefreshPolicy,
@@ -245,6 +249,7 @@ impl MatCache {
             budget_bytes,
             total_bytes: 0,
             slots: FxHashMap::default(),
+            derived: FxHashMap::default(),
             stats: MatCacheStats::default(),
             refresh,
             max_delta_fraction,
@@ -274,6 +279,7 @@ impl MatCache {
     ) -> CacheRequest {
         CacheRequest {
             logical: (base.name.clone(), base.version, base.rows()),
+            reads: base.reads.clone(),
             shards: base.shards.clone(),
             agg_sig: agg_signature(aggs),
             lookup: self.enabled() && control.allows_lookup(),
@@ -348,6 +354,12 @@ impl MatCache {
         if !req.admit {
             return;
         }
+        if !req.reads.is_empty() {
+            let slots = &self.slots;
+            self.derived.retain(|name, _| slots.contains_key(name));
+            self.derived
+                .insert(req.logical.0.clone(), req.reads.clone());
+        }
         let mut offer = |(entry, version, rows): &CatalogEntry, cols: &[String], table| {
             self.offer(entry, *version, cols, req.agg_sig, aggs, table, *rows);
         };
@@ -377,10 +389,12 @@ impl MatCache {
         }
     }
 
-    /// Follow an append to base table `table`: under the eager policy,
-    /// bring every stale aggregate of it (logical entry and shard
-    /// entries alike) current, with no deadline. Returns the work done.
+    /// Follow an append to base table `table`: drop the aggregates of
+    /// every relation derived from it and, under the eager policy, bring
+    /// every stale aggregate of it (logical entry and shard entries
+    /// alike) current, with no deadline. Returns the work done.
     pub fn appended(&mut self, engine: &Engine, table: &str) -> Result<ExecMetrics, ExecError> {
+        self.drop_derived_from(table);
         let mut ctx = QueryCtx::default();
         if self.refresh == RefreshPolicy::Eager && self.enabled() {
             let base = engine.catalog().snapshot(table)?;
@@ -396,12 +410,30 @@ impl MatCache {
     }
 
     /// Follow a replacement or re-split of base table `name`: drop every
-    /// aggregate of it and of its first `shards` shard entries. Nothing
-    /// cached over the old contents can be refreshed.
+    /// aggregate of it, of its first `shards` shard entries and of every
+    /// relation derived from it. Nothing cached over the old contents can
+    /// be refreshed.
     pub fn replaced(&mut self, name: &str, shards: u32) {
         self.invalidate_table(name);
         for s in 0..shards {
             self.invalidate_table(&shard_table_name(name, s));
+        }
+        self.drop_derived_from(name);
+    }
+
+    /// Drop the aggregates of every derived relation that reads catalog
+    /// table `table`, counting them as stale drops: no delta chain
+    /// brings a derived relation current.
+    fn drop_derived_from(&mut self, table: &str) {
+        let stale: Vec<String> = self
+            .derived
+            .iter()
+            .filter(|(_, reads)| reads.iter().any(|t| t == table))
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in stale {
+            self.derived.remove(&name);
+            self.stats.stale_drops += self.invalidate_table(&name) as u64;
         }
     }
 
@@ -781,12 +813,12 @@ impl MatCache {
         true
     }
 
-    /// Drop every cached aggregate of `table` (any version).
-    fn invalidate_table(&mut self, table: &str) {
-        if let Some(slot) = self.slots.remove(table) {
-            let freed: usize = slot.iter().map(|e| e.bytes).sum();
-            self.total_bytes -= freed;
-        }
+    /// Drop every cached aggregate of `table` (any version); returns
+    /// how many there were.
+    fn invalidate_table(&mut self, table: &str) -> usize {
+        let slot = self.slots.remove(table).unwrap_or_default();
+        self.total_bytes -= slot.iter().map(|e| e.bytes).sum::<usize>();
+        slot.len()
     }
 }
 

@@ -10,24 +10,12 @@
 
 use crate::ast::*;
 use crate::error::{Result, Span, SqlError, SqlErrorKind};
+use gbmqo_core::StarDim;
 use gbmqo_exec::{AggSpec, Predicate};
 use gbmqo_storage::{Catalog, DataType, Schema, Value};
 
 /// Widest CUBE the front end will expand (2^k − 1 grouping sets).
 pub const MAX_CUBE_COLUMNS: usize = 10;
-
-/// A bound dimension join: `fact.fact_key = table.dim_key`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundDim {
-    /// Dimension table name.
-    pub table: String,
-    /// Join key column on the fact side.
-    pub fact_key: String,
-    /// Join key column on the dimension side.
-    pub dim_key: String,
-    /// ANDed WHERE conjuncts over this dimension's columns.
-    pub filter: Option<Predicate>,
-}
 
 /// A fully resolved query, ready for lowering.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +23,7 @@ pub struct BoundQuery {
     /// Fact table name.
     pub fact: String,
     /// Dimension joins in statement order.
-    pub dims: Vec<BoundDim>,
+    pub dims: Vec<StarDim>,
     /// Expanded grouping sets as fact column names (each non-empty,
     /// deduplicated, order-preserving).
     pub sets: Vec<Vec<String>>,
@@ -77,7 +65,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<BoundQuery> {
     }
 
     let sets = expand_groups(&query.group, &|col| b.grouping_column(col))?;
-    let aggregates = b.bind_select(&query.select, &sets, !query.joins.is_empty())?;
+    let aggregates = b.bind_select(&query.select, &sets)?;
 
     // WHERE conjuncts, split by the table they constrain.
     let mut fact_preds: Vec<Predicate> = Vec::new();
@@ -185,7 +173,7 @@ impl Binder<'_> {
         Ok(Resolved::Dim(dim, name.clone()))
     }
 
-    fn bind_join(&mut self, join: &Join) -> Result<BoundDim> {
+    fn bind_join(&mut self, join: &Join) -> Result<StarDim> {
         let dim_schema = schema_of(self.catalog, &join.table)?;
         self.dims.push((join.table.name.clone(), dim_schema));
         let dim_idx = self.dims.len() - 1;
@@ -232,7 +220,7 @@ impl Binder<'_> {
             }
         }
         match (fact_key, dim_key) {
-            (Some(fact_key), Some(dim_key)) => Ok(BoundDim {
+            (Some(fact_key), Some(dim_key)) => Ok(StarDim {
                 table: join.table.name.clone(),
                 fact_key,
                 dim_key,
@@ -249,10 +237,10 @@ impl Binder<'_> {
         }
     }
 
-    /// A grouping column must live on the fact side: that is what the
-    /// §5 join-pushdown rewrite requires (group below the join, join the
-    /// compacted aggregates once). Dimension-side grouping is reported
-    /// as unsupported rather than unresolved.
+    /// A grouping column must live on the fact side: then a join on a
+    /// dimension key adds no column and only selects fact rows (a
+    /// semi-join). Dimension-side grouping is reported as unsupported
+    /// rather than unresolved.
     fn grouping_column(&self, col: &ColumnRef) -> Result<String> {
         match self.resolve(col)? {
             Resolved::Fact(name) => Ok(name),
@@ -267,12 +255,7 @@ impl Binder<'_> {
         }
     }
 
-    fn bind_select(
-        &self,
-        select: &[SelectItem],
-        sets: &[Vec<String>],
-        has_joins: bool,
-    ) -> Result<Vec<AggSpec>> {
+    fn bind_select(&self, select: &[SelectItem], sets: &[Vec<String>]) -> Result<Vec<AggSpec>> {
         let mut aggs: Vec<AggSpec> = Vec::new();
         for item in select {
             match item {
@@ -296,14 +279,6 @@ impl Binder<'_> {
                             }
                         }
                         (func, Some(arg)) => {
-                            if has_joins {
-                                return Err(SqlError::new(
-                                    SqlErrorKind::Unsupported,
-                                    "only COUNT(*) is supported over a join \
-                                     (the Grp-Tag rewrite re-aggregates counts)",
-                                    call.span,
-                                ));
-                            }
                             let input = match self.resolve(arg)? {
                                 Resolved::Fact(name) => name,
                                 Resolved::Dim(_, name) => {
@@ -607,9 +582,6 @@ mod tests {
             // dimension-side grouping
             "SELECT COUNT(*) FROM sales JOIN product ON sales.prod_key = product.prod_key \
              GROUP BY brand",
-            // non-count aggregate over a join
-            "SELECT SUM(qty) FROM sales JOIN product ON sales.prod_key = product.prod_key \
-             GROUP BY qty",
             // grand-total set
             "SELECT COUNT(*) FROM sales GROUP BY GROUPING SETS ((), (qty))",
         ] {

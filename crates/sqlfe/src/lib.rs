@@ -13,10 +13,11 @@
 //!
 //! a binder that resolves names against the engine's
 //! [`gbmqo_storage::Catalog`] with byte-accurate error spans,
-//! and a lowering pass that emits GB-MQO workloads — applying the
-//! paper's §5 join-pushdown rewrite when grouping columns live on the
-//! fact side of a star join, and expanding CUBE/ROLLUP/GROUPING SETS
-//! specs into explicit column-set requests.
+//! and a lowering pass that emits one GB-MQO workload per statement —
+//! its WHERE and its star joins become the selection that makes the
+//! base relation (a join on a dimension key that adds no column is a
+//! semi-join of the fact), and CUBE/ROLLUP/GROUPING SETS specs expand
+//! into explicit column-set requests.
 //!
 //! The pipeline is `parse → bind → lower → execute`:
 //!
@@ -47,11 +48,10 @@
 //! ```
 //!
 //! Scope notes (each rejected with a spanned
-//! [`SqlErrorKind::Unsupported`]): grouping columns must live on the
-//! fact table (the §5 rewrite groups *below* the join); the grand-total
-//! (empty) grouping set is not representable as a GB-MQO request; over a
-//! join only `COUNT(*)` is available (the `Grp-Tag` union re-aggregates
-//! counts); CUBE is capped at [`binder::MAX_CUBE_COLUMNS`] columns.
+//! [`SqlErrorKind::Unsupported`]): grouping and aggregated columns must
+//! live on the fact table (so every join only selects fact rows); the
+//! grand-total (empty) grouping set is not representable as a GB-MQO
+//! request; CUBE is capped at [`binder::MAX_CUBE_COLUMNS`] columns.
 
 #![warn(missing_docs)]
 
@@ -63,7 +63,7 @@ pub mod lower;
 pub mod parser;
 
 pub use ast::Query;
-pub use binder::{bind, BoundDim, BoundQuery, MAX_CUBE_COLUMNS};
+pub use binder::{bind, BoundQuery, MAX_CUBE_COLUMNS};
 pub use error::{Result, Span, SqlError, SqlErrorKind};
 pub use lower::{execute, lower, LoweredQuery};
 pub use parser::parse;

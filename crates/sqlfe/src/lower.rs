@@ -1,54 +1,35 @@
-//! Lowering: a [`BoundQuery`] becomes a GB-MQO workload, or a §5.1.1
-//! star pushdown ([`gbmqo_core::grouping_sets_over_star`]) whose pushed
-//! Group Bys are one; [`execute`] runs either against a [`Session`].
-//! Both run through [`Session::run_workload_in`], so the plan cache, the
-//! statistics, the materialized aggregate cache and sharded execution
-//! apply to every statement:
-//!
-//! * **No joins** → [`LoweredQuery::Workload`]: the statement's WHERE,
-//!   if any, is the workload's filter ([`Workload::filter`]).
-//! * **Joins** → [`LoweredQuery::Star`]: grouping below the joins over
-//!   the filtered fact, a `Grp-Tag` union, one join per dimension.
-//!   Filters are pushed to the table they constrain.
+//! Lowering: a [`BoundQuery`] becomes one GB-MQO workload, and
+//! [`execute`] runs it through [`Session::run_workload_in`], so the plan
+//! cache, the statistics, the materialized aggregate cache and sharded
+//! execution apply to every statement. The statement's WHERE is the
+//! workload's filter ([`Workload::filter`]) and its star joins are the
+//! workload's joins ([`Workload::joins`]): the session resolves both, as
+//! one selection of the fact, into the request's base relation.
 
 use crate::binder::BoundQuery;
 use crate::error::{Result, SqlError, SqlErrorKind};
-use gbmqo_core::{grouping_sets_over_star, CacheControl, Session, StarDim, Workload};
-use gbmqo_exec::{AggSpec, Predicate, QueryCtx};
+use gbmqo_core::{CacheControl, Session, Workload};
+use gbmqo_exec::QueryCtx;
 use gbmqo_storage::{Catalog, Table};
 
 /// An executable lowering of one SQL statement.
 #[derive(Debug, Clone)]
 pub enum LoweredQuery {
-    /// Single-table GROUPING SETS, filtered or not: one GB-MQO workload.
+    /// GROUPING SETS over the fact rows the statement selects: one
+    /// GB-MQO workload.
     Workload {
         /// The workload (universe = union of all grouping sets).
         workload: Workload,
         /// The grouping sets in statement order (for result tags).
         sets: Vec<Vec<String>>,
     },
-    /// Star join: the §5.1.1 pushdown.
-    Star {
-        /// Fact table name.
-        fact: String,
-        /// Dimension joins.
-        dims: Vec<StarDim>,
-        /// The grouping sets in statement order.
-        sets: Vec<Vec<String>>,
-        /// ANDed fact-side WHERE conjuncts.
-        fact_filter: Option<Predicate>,
-        /// Aggregates each set computes.
-        aggregates: Vec<AggSpec>,
-    },
 }
 
 impl LoweredQuery {
     /// The grouping sets this query computes, in statement order.
     pub fn sets(&self) -> &[Vec<String>] {
-        match self {
-            LoweredQuery::Workload { sets, .. } => sets,
-            LoweredQuery::Star { sets, .. } => sets,
-        }
+        let LoweredQuery::Workload { sets, .. } = self;
+        sets
     }
 
     /// The result tag of grouping set `i` (comma-joined column names —
@@ -60,47 +41,31 @@ impl LoweredQuery {
 
 /// Lower a bound query. `catalog` is only read (schema lookups).
 pub fn lower(bound: &BoundQuery, catalog: &Catalog) -> Result<LoweredQuery> {
-    if bound.dims.is_empty() {
-        let table = catalog.table(&bound.fact).map_err(internal)?;
-        let mut universe: Vec<&str> = Vec::new();
-        for set in &bound.sets {
-            for c in set {
-                if !universe.contains(&c.as_str()) {
-                    universe.push(c);
-                }
+    let table = catalog.table(&bound.fact).map_err(internal)?;
+    let mut universe: Vec<&str> = Vec::new();
+    for set in &bound.sets {
+        for c in set {
+            if !universe.contains(&c.as_str()) {
+                universe.push(c);
             }
         }
-        let requests: Vec<Vec<&str>> = bound
-            .sets
-            .iter()
-            .map(|s| s.iter().map(String::as_str).collect())
-            .collect();
-        let workload = Workload::new(&bound.fact, table, &universe, &requests)
-            .map_err(internal)?
-            .with_aggregates(bound.aggregates.clone())
-            .with_filter(bound.fact_filter.clone());
-        Ok(LoweredQuery::Workload {
-            workload,
-            sets: bound.sets.clone(),
-        })
-    } else {
-        Ok(LoweredQuery::Star {
-            fact: bound.fact.clone(),
-            dims: bound
-                .dims
-                .iter()
-                .map(|d| StarDim {
-                    table: d.table.clone(),
-                    fact_key: d.fact_key.clone(),
-                    dim_key: d.dim_key.clone(),
-                    filter: d.filter.clone(),
-                })
-                .collect(),
-            sets: bound.sets.clone(),
-            fact_filter: bound.fact_filter.clone(),
-            aggregates: bound.aggregates.clone(),
-        })
     }
+    let requests: Vec<Vec<&str>> = bound
+        .sets
+        .iter()
+        .map(|s| s.iter().map(String::as_str).collect())
+        .collect();
+    let workload = Workload::new(&bound.fact, table, &universe, &requests)
+        .map_err(internal)?
+        .with_aggregates(bound.aggregates.clone())
+        .with_filter(bound.fact_filter.clone());
+    Ok(LoweredQuery::Workload {
+        workload: Workload {
+            joins: bound.dims.clone(),
+            ..workload
+        },
+        sets: bound.sets.clone(),
+    })
 }
 
 /// The binder validated everything lowering relies on, so an error here
@@ -119,31 +84,11 @@ pub fn execute(
     cache: CacheControl,
     ctx: &mut QueryCtx,
 ) -> gbmqo_core::Result<Vec<(String, Table)>> {
-    match lowered {
-        LoweredQuery::Workload { workload, sets } => {
-            let out = session.run_workload_in(workload, cache, ctx)?;
-            sets.iter()
-                .map(|set| Ok((set.join(","), out.report.result_of(workload, set)?.clone())))
-                .collect()
-        }
-        LoweredQuery::Star {
-            fact,
-            dims,
-            sets,
-            fact_filter,
-            aggregates,
-        } => {
-            let requests: Vec<Vec<&str>> = sets
-                .iter()
-                .map(|s| s.iter().map(String::as_str).collect())
-                .collect();
-            let filter = fact_filter.as_ref();
-            let out = grouping_sets_over_star(
-                session, fact, dims, &requests, filter, aggregates, cache, ctx,
-            )?;
-            Ok(out.results)
-        }
-    }
+    let LoweredQuery::Workload { workload, sets } = lowered;
+    let out = session.run_workload_in(workload, cache, ctx)?;
+    sets.iter()
+        .map(|set| Ok((set.join(","), out.report.result_of(workload, set)?.clone())))
+        .collect()
 }
 
 #[cfg(test)]
@@ -151,7 +96,9 @@ mod tests {
     use super::*;
     use crate::binder::bind;
     use crate::parser::parse;
-    use gbmqo_storage::{Column, DataType, Field, Schema};
+    use gbmqo_core::StarDim;
+    use gbmqo_exec::Predicate;
+    use gbmqo_storage::{Column, DataType, Field, Schema, Value};
 
     fn catalog() -> Catalog {
         let fact = Table::new(
@@ -166,8 +113,21 @@ mod tests {
             ],
         )
         .unwrap();
+        let dim = Table::new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("s", DataType::Utf8),
+            ])
+            .unwrap(),
+            vec![
+                Column::from_i64(vec![0, 1, 2]),
+                Column::from_strs(&["x", "y", "x"]),
+            ],
+        )
+        .unwrap();
         let mut cat = Catalog::new();
         cat.register("t", fact).unwrap();
+        cat.register("d", dim).unwrap();
         cat
     }
 
@@ -179,28 +139,43 @@ mod tests {
     #[test]
     fn single_table_lowers_to_workload() {
         let q = lower_sql("SELECT a, COUNT(*) FROM t GROUP BY GROUPING SETS ((a), (a, b))");
-        match &q {
-            LoweredQuery::Workload { workload, sets } => {
-                assert_eq!(workload.requests.len(), 2);
-                assert_eq!(sets.len(), 2);
-                assert_eq!(q.tag(1), "a,b");
-            }
-            other => panic!("{other:?}"),
-        }
+        let LoweredQuery::Workload { workload, sets } = &q;
+        assert_eq!(workload.requests.len(), 2);
+        assert_eq!(sets.len(), 2);
+        assert_eq!(q.tag(1), "a,b");
+        assert!(workload.filter.is_none() && workload.joins.is_empty());
     }
 
     #[test]
     fn filter_lowers_to_a_filtered_workload() {
         let q = lower_sql("SELECT COUNT(*) FROM t WHERE a = 1 GROUP BY b");
-        match q {
-            LoweredQuery::Workload { workload, sets } => {
-                assert_eq!(sets, [vec!["b".to_string()]]);
-                assert_eq!(workload.table, "t");
-                let a_is_1 = gbmqo_exec::Predicate::Eq("a".into(), gbmqo_storage::Value::Int(1));
-                assert_eq!(workload.filter, Some(a_is_1));
-            }
-            other => panic!("{other:?}"),
-        }
+        let LoweredQuery::Workload { workload, sets } = q;
+        assert_eq!(sets, [vec!["b".to_string()]]);
+        assert_eq!(workload.table, "t");
+        let a_is_1 = Predicate::Eq("a".into(), Value::Int(1));
+        assert_eq!(workload.filter, Some(a_is_1));
+    }
+
+    #[test]
+    fn a_star_join_lowers_to_the_workload_of_its_fact() {
+        let q = lower_sql(
+            "SELECT COUNT(*), SUM(b) FROM t JOIN d ON t.a = d.k \
+             WHERE s = 'x' AND b >= 1 GROUP BY b",
+        );
+        let LoweredQuery::Workload { workload, .. } = q;
+        assert_eq!(workload.table, "t");
+        assert_eq!(
+            workload.filter,
+            Some(Predicate::Ge("b".into(), Value::Int(1)))
+        );
+        let on_d = StarDim {
+            table: "d".into(),
+            fact_key: "a".into(),
+            dim_key: "k".into(),
+            filter: Some(Predicate::Eq("s".into(), Value::str("x"))),
+        };
+        assert_eq!(workload.joins, [on_d]);
+        assert_eq!(workload.aggregates.len(), 2);
     }
 
     #[test]

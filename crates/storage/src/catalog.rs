@@ -67,14 +67,15 @@ pub struct DeltaRange {
 /// A base relation as one request reads it, resolved once: what the plan
 /// cache keys on, what the planner prices, what the aggregate cache
 /// serves and what the execution reads. A catalog table's snapshot is
-/// [`Catalog::snapshot`]; a relation derived from one (a filtered table)
-/// is [`Snapshot::derived`].
+/// [`Catalog::snapshot`]; a relation derived from catalog tables (a
+/// selection of one) is [`Snapshot::derived`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The catalog name, or the key of a derived relation.
     pub name: String,
     /// The contents version: the catalog's, or for a derived relation
-    /// its source's, so it goes stale exactly when the source changes.
+    /// its source's, so it goes stale exactly when the source changes
+    /// (the versions of the other tables it reads are in its key).
     pub version: u64,
     /// The contents.
     pub table: Arc<Table>,
@@ -85,16 +86,16 @@ pub struct Snapshot {
     /// Each shard entry as `(name, contents version, rows)`, in shard
     /// order; empty when unsharded.
     pub shards: Vec<(String, u64, usize)>,
-    /// True for a relation derived for one request: reads take `table`
-    /// as handed over, with no index, not the catalog's entry.
-    pub derived: bool,
+    /// The catalog tables a derived relation was computed from; empty
+    /// for a catalog table's own snapshot.
+    pub reads: Vec<String>,
 }
 
 impl Snapshot {
-    /// A relation computed from a catalog table for one request: keyed
-    /// by `name`, valid at its source's contents `version`, unsharded
-    /// and index-free.
-    pub fn derived(name: String, version: u64, table: Table) -> Self {
+    /// A relation computed for one request from the catalog tables
+    /// `reads`: keyed by `name`, valid at its source's contents
+    /// `version`, unsharded and index-free.
+    pub fn derived(name: String, version: u64, table: Table, reads: Vec<String>) -> Self {
         Snapshot {
             name,
             version,
@@ -102,8 +103,14 @@ impl Snapshot {
             indexes: Vec::new(),
             shard_key: Vec::new(),
             shards: Vec::new(),
-            derived: true,
+            reads,
         }
+    }
+
+    /// True for a relation derived for one request: reads take `table`
+    /// as handed over, with no index, not the catalog's entry.
+    pub fn is_derived(&self) -> bool {
+        !self.reads.is_empty()
     }
 
     /// Rows of the relation.
@@ -486,7 +493,7 @@ impl Catalog {
                 .collect(),
             shard_key,
             shards,
-            derived: false,
+            reads: Vec::new(),
         })
     }
 

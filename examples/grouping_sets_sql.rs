@@ -14,8 +14,9 @@
 //!    shares (one scan, pipelined Group Bys), exactly the paper's
 //!    multiple-group-by setting.
 //! 2. `GROUP BY GROUPING SETS` over the three-table star join with a
-//!    dimension filter — the front end pushes fact-side grouping below
-//!    the join (§5), so the join and filter run once for all sets.
+//!    dimension filter — each join is on a dimension key and adds no
+//!    column, so it is a semi-join: the session selects the fact rows
+//!    once and groups them for all sets.
 
 use gbmqo_core::prelude::*;
 use gbmqo_datagen::star;
@@ -33,12 +34,11 @@ fn run(sql: &str, session: &mut Session, preview: usize) {
             std::process::exit(1);
         }
     };
-    let shape = match &lowered {
-        LoweredQuery::Workload { workload, .. } if workload.filter.is_some() => {
-            "filtered single-table workload"
-        }
-        LoweredQuery::Workload { .. } => "single-table workload",
-        LoweredQuery::Star { .. } => "star join with its grouping pushed below the joins",
+    let LoweredQuery::Workload { workload, .. } = &lowered;
+    let shape = match (workload.joins.len(), &workload.filter) {
+        (0, None) => "single-table workload".to_string(),
+        (0, Some(_)) => "filtered single-table workload".to_string(),
+        (n, _) => format!("workload over the fact, selected by {n} semi-join(s)"),
     };
     println!(
         "  lowered to a {shape}, {} grouping set(s)",
@@ -84,9 +84,10 @@ fn main() {
         4,
     );
 
-    // 2. GROUPING SETS over the star join, filtered on a dimension
-    //    attribute. Grouping columns are fact-side, so the Group Bys
-    //    run below the join; the filter and join happen once.
+    // 2. GROUPING SETS over the star join, filtered on a fact column.
+    //    Grouping columns are fact-side and each join is on a dimension
+    //    key, so the joins only select fact rows; the selection runs
+    //    once and the Group Bys share one plan over what it keeps.
     run(
         "SELECT COUNT(*) AS n FROM sales \
          JOIN product ON sales.prod_key = product.prod_key \

@@ -2,13 +2,14 @@
 //! execution equivalence, the workload plan cache, and the unified
 //! error type.
 
-use gbmqo_core::plan_to_text;
 use gbmqo_core::prelude::*;
+use gbmqo_core::{plan_to_text, StarDim};
 use gbmqo_cost::{CardinalityCostModel, CostConstants, IndexSnapshot, OptimizerCostModel};
 use gbmqo_datagen::{lineitem, LINEITEM_SC_COLUMNS};
-use gbmqo_integration::{assert_same_results, col_names, modular_table};
+use gbmqo_exec::{filter, hash_join, sort_group_by, ExecMetrics, Predicate};
+use gbmqo_integration::{assert_same_results, col_names, modular_table, normalize};
 use gbmqo_stats::ExactSource;
-use gbmqo_storage::{Column, DataType, Field, IndexKind, Schema, Table};
+use gbmqo_storage::{Column, DataType, Field, IndexKind, Schema, Table, Value};
 use proptest::prelude::*;
 
 fn workload_of(table: &gbmqo_storage::Table, requests: &[Vec<usize>]) -> Workload {
@@ -571,4 +572,200 @@ fn observed_counts_leave_with_their_table() {
         .run_workload(&on("b"), CacheControl::Default)
         .unwrap();
     assert_eq!(s.feedback_len(), only_b.feedback_len());
+}
+
+// ---------------------------------------------------------------------
+// Star joins are selections: a join on a dimension key that adds no
+// column keeps each fact row at most once, so the session answers the
+// workload over the fact rows it keeps — equal, per set, to joining
+// first and grouping after.
+// ---------------------------------------------------------------------
+
+/// A session over `r(a, b, c)` (90 rows: `a = i % 3`, `b = i % 5`,
+/// `c = i % 2`) and two dimensions keyed by its `a` and `b`: `s(a, s)`
+/// with labels `dim0`–`dim2` and `d(b, d)` with `d0`–`d4`.
+fn star_session(budget: usize) -> Session {
+    let int = |rows: i64, m: i64| Column::from_i64((0..rows).map(|i| i % m).collect());
+    let dim = |key: &str, label: &str, prefix: &str, keys: i64| {
+        let schema = Schema::new(vec![
+            Field::new(key, DataType::Int64),
+            Field::new(label, DataType::Utf8),
+        ])
+        .unwrap();
+        let labels: Vec<String> = (0..keys).map(|k| format!("{prefix}{k}")).collect();
+        Table::new(schema, vec![int(keys, keys), Column::from_strs(&labels)]).unwrap()
+    };
+    let fact_schema = Schema::new(
+        ["a", "b", "c"]
+            .map(|c| Field::new(c, DataType::Int64))
+            .to_vec(),
+    );
+    let fact = Table::new(
+        fact_schema.unwrap(),
+        vec![int(90, 3), int(90, 5), int(90, 2)],
+    )
+    .unwrap();
+    Session::builder()
+        .table("r", fact)
+        .table("s", dim("a", "s", "dim", 3))
+        .table("d", dim("b", "d", "d", 5))
+        .mat_cache_budget_bytes(budget)
+        .build()
+        .unwrap()
+}
+
+/// `r.key = table.key`, filtered by `filter`.
+fn on(table: &str, key: &str, filter: Option<Predicate>) -> StarDim {
+    let key = key.to_string();
+    let (fact_key, dim_key, table) = (key.clone(), key, table.to_string());
+    StarDim {
+        table,
+        fact_key,
+        dim_key,
+        filter,
+    }
+}
+
+/// The GROUPING SETS `sets` of `r`'s rows that pass `filter` and `joins`.
+fn star_workload(
+    s: &Session,
+    sets: &[Vec<&str>],
+    joins: Vec<StarDim>,
+    filter: Option<Predicate>,
+) -> Workload {
+    let r = s.engine().catalog().table("r").unwrap();
+    let w = Workload::new("r", r, &["a", "b", "c"], sets).unwrap();
+    Workload {
+        joins,
+        ..w.with_filter(filter)
+    }
+}
+
+/// `w` answered the other way round: filter each dimension, join the
+/// filtered fact with every dimension, then group each set.
+fn join_then_group(s: &Session, w: &Workload) -> Vec<(Vec<&'static str>, Table)> {
+    let catalog = s.engine().catalog();
+    let mut m = ExecMetrics::new();
+    let mut joined = catalog.table(&w.table).unwrap().clone();
+    if let Some(pred) = &w.filter {
+        joined = filter(&joined, pred, &mut m).unwrap();
+    }
+    for join in &w.joins {
+        let mut dim = catalog.table(&join.table).unwrap().clone();
+        if let Some(pred) = &join.filter {
+            dim = filter(&dim, pred, &mut m).unwrap();
+        }
+        let left = joined.schema().index_of(&join.fact_key).unwrap();
+        let right = dim.schema().index_of(&join.dim_key).unwrap();
+        joined = hash_join(&joined, &dim, &[left], &[right], &mut m).unwrap();
+    }
+    let names = ["a", "b", "c"];
+    w.requests
+        .iter()
+        .map(|&set| {
+            let set: Vec<&'static str> = set.iter().map(|b| names[w.base_ordinals[b]]).collect();
+            let cols: Vec<usize> = set
+                .iter()
+                .map(|c| joined.schema().index_of(c).unwrap())
+                .collect();
+            let t = sort_group_by(&joined, &cols, &w.aggregates, &mut m).unwrap();
+            (set, t)
+        })
+        .collect()
+}
+
+fn assert_star_answer(s: &mut Session, w: &Workload) -> WorkloadOutcome {
+    let out = s.run_workload(w, CacheControl::Default).unwrap();
+    assert_eq!(out.report.results.len(), w.requests.len());
+    for (set, direct) in join_then_group(s, w) {
+        let ours = out.report.result_of(w, &set).unwrap();
+        assert_eq!(
+            normalize(ours, &set),
+            normalize(&direct, &set),
+            "set {set:?}"
+        );
+    }
+    out
+}
+
+#[test]
+fn pushdown_matches_join_then_group() {
+    let mut s = star_session(0);
+    let sets = [vec!["b"], vec!["c"], vec!["b", "c"]];
+    let w = star_workload(&s, &sets, vec![on("s", "a", None)], None);
+    assert_star_answer(&mut s, &w);
+}
+
+#[test]
+fn two_dim_star_matches_join_then_group() {
+    let mut s = star_session(0);
+    let joins = vec![on("s", "a", None), on("d", "b", None)];
+    let w = star_workload(&s, &[vec!["c"], vec!["a", "c"]], joins, None);
+    assert_star_answer(&mut s, &w);
+}
+
+#[test]
+fn fact_filter_pushes_below_the_joins() {
+    let mut s = star_session(0);
+    let joins = vec![on("s", "a", None), on("d", "b", None)];
+    let c_is_1 = Some(Predicate::Eq("c".into(), Value::Int(1)));
+    let w = star_workload(&s, &[vec!["b"]], joins, c_is_1);
+    assert_star_answer(&mut s, &w);
+    // The selected fact was the request's own: nothing was registered.
+    assert_eq!(s.engine().catalog().entries().count(), 3);
+}
+
+#[test]
+fn dim_filter_applies_before_the_join() {
+    let mut s = star_session(0);
+    let dim1 = Some(Predicate::Eq("s".into(), Value::str("dim1")));
+    let w = star_workload(&s, &[vec!["b"]], vec![on("s", "a", dim1)], None);
+    let out = assert_star_answer(&mut s, &w);
+    // Only fact rows with a = 1 survive the keyed inner join: 30 of 90
+    // rows, spread over the 5 values of b.
+    let total: i64 = normalize(out.report.result_of(&w, &["b"]).unwrap(), &["b"])
+        .iter()
+        .map(|(_, n)| n)
+        .sum();
+    assert_eq!(total, 30);
+}
+
+#[test]
+fn non_key_join_column_rejected() {
+    let mut s = star_session(0);
+    // r.a repeats: r is no dimension of itself.
+    let w = star_workload(&s, &[vec!["b"]], vec![on("r", "a", None)], None);
+    let err = s.run_workload(&w, CacheControl::Default);
+    assert!(matches!(err, Err(CoreError::InvalidWorkload(_))), "{err:?}");
+}
+
+#[test]
+fn missing_tables_error() {
+    let mut s = star_session(0);
+    let ghost_dim = star_workload(&s, &[vec!["b"]], vec![on("ghost", "a", None)], None);
+    assert!(s.run_workload(&ghost_dim, CacheControl::Default).is_err());
+    let ghost_fact = Workload {
+        table: "ghost".into(),
+        ..star_workload(&s, &[vec!["b"]], vec![on("s", "a", None)], None)
+    };
+    assert!(s.run_workload(&ghost_fact, CacheControl::Default).is_err());
+}
+
+/// A selection that keeps every row is its table: the request reads the
+/// catalog's snapshot, so the unfiltered workload's plan and cached
+/// aggregates serve it.
+#[test]
+fn a_selection_that_keeps_every_row_shares_its_tables_plan_and_aggregates() {
+    let mut s = star_session(1 << 20);
+    let sets = [vec!["a"], vec!["b", "c"]];
+    let plain = star_workload(&s, &sets, Vec::new(), None);
+    s.run_workload(&plain, CacheControl::Default).unwrap();
+    let joins = vec![on("s", "a", None), on("d", "b", None)];
+    let everything = Some(Predicate::Le("c".into(), Value::Int(1)));
+    let star = star_workload(&s, &sets, joins, everything);
+    let (plans, aggregates) = (s.cache_stats(), s.mat_cache_stats());
+    assert_star_answer(&mut s, &star);
+    assert_eq!(s.cache_stats().misses, plans.misses, "no new plan");
+    assert!(s.mat_cache_stats().hits > aggregates.hits);
+    assert_eq!(s.mat_cache_stats().entries, aggregates.entries);
 }

@@ -3,7 +3,6 @@
 //! workloads across every execution mode, and hostile `SqlQuery`
 //! frames over the wire.
 
-use gbmqo_core::grouping_sets_over_star;
 use gbmqo_core::prelude::*;
 use gbmqo_exec::{filter, hash_join, sort_group_by, AggSpec, ExecMetrics, Predicate};
 use gbmqo_integration::{modular_table, normalize};
@@ -494,38 +493,35 @@ fn assert_same_answer(a: &[(String, Table)], b: &[(String, Table)], context: &st
 fn a_repeated_star_statement_is_a_plan_cache_hit() {
     let (mut session, _) = star_session(0);
     let lowered = compile(STAR, session.engine().catalog()).unwrap();
-    let LoweredQuery::Star {
-        fact,
-        dims,
-        sets,
-        fact_filter,
-        aggregates,
-    } = &lowered
-    else {
-        panic!("a JOIN lowers to the star pushdown: {lowered:?}");
-    };
-    let requests: Vec<Vec<&str>> = sets
-        .iter()
-        .map(|s| s.iter().map(String::as_str).collect())
-        .collect();
+    let LoweredQuery::Workload { workload, sets } = &lowered;
+    assert_eq!(workload.joins.len(), 2, "a JOIN lowers into the workload");
     let run = |session: &mut Session| {
-        let ctx = &mut QueryCtx::default();
-        let filter = fact_filter.as_ref();
-        let cache = CacheControl::Default;
-        grouping_sets_over_star(
-            session, fact, dims, &requests, filter, aggregates, cache, ctx,
-        )
-        .unwrap()
+        let out = session
+            .run_workload(workload, CacheControl::Default)
+            .unwrap();
+        let results: Vec<(String, Table)> = sets
+            .iter()
+            .map(|set| {
+                let table = out.report.result_of(workload, set).unwrap();
+                (set.join(","), table.clone())
+            })
+            .collect();
+        (out.stats, results)
     };
-    let first = run(&mut session);
-    assert!(!first.stats.cache_hit && first.stats.optimizer_calls > 0);
+    let (first, first_results) = run(&mut session);
+    assert!(!first.cache_hit && first.optimizer_calls > 0);
     let before = session.cache_stats();
-    let again = run(&mut session);
+    let (again, again_results) = run(&mut session);
     let after = session.cache_stats();
-    assert!(again.stats.cache_hit);
-    assert_eq!(again.stats.optimizer_calls, 0, "a repeat runs no search");
+    assert!(again.cache_hit);
+    assert_eq!(again.optimizer_calls, 0, "a repeat runs no search");
     assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
-    assert_same_answer(&first.results, &again.results, "repeat");
+    assert_same_answer(&first_results, &again_results, "repeat");
+    assert_same_answer(
+        &run_sql(&mut session, STAR, CacheControl::Bypass),
+        &again_results,
+        "SQL",
+    );
 }
 
 #[test]
@@ -727,6 +723,123 @@ proptest! {
             let again = run_sql(&mut session, &sql, control);
             let context = format!("{context}, after an append");
             assert_same_answer(&again, &join_then_group(&grown, &d1, &d2, &where_), &context);
+        }
+    }
+}
+
+/// `STAR_SETS` over `f ⋈ d1 ⋈ d2` (the tables of [`join_then_group`]).
+fn star_sql(select: &str, where_: &str) -> String {
+    let sets: Vec<String> = STAR_SETS
+        .iter()
+        .map(|s| format!("({})", s.join(", ")))
+        .collect();
+    format!(
+        "SELECT {select} FROM f JOIN d1 ON f.k1 = d1.dk1 JOIN d2 ON f.k2 = d2.dk2{where_} \
+         GROUP BY GROUPING SETS ({})",
+        sets.join(", ")
+    )
+}
+
+/// A dimension that changes between two requests changes the next
+/// answer, with the plan and aggregate caches warm: an append to one, a
+/// replacement through the session, and a replacement behind its back
+/// (which only the dimension's version in the selection's key sees).
+#[test]
+fn dimension_changes_reach_the_next_star_answer() {
+    let fact = star_fact(400, 7, 5, 4, 3);
+    let (mut d1, mut d2) = (star_dim("dk1", "l1", 3), star_dim("dk2", "l2", 3));
+    let mut session = Session::builder()
+        .table("f", fact.clone())
+        .table("d1", d1.clone())
+        .table("d2", d2.clone())
+        .mat_cache_budget_bytes(1 << 20)
+        .build()
+        .unwrap();
+    let sql = star_sql("COUNT(*)", "");
+    let check = |session: &mut Session, d1: &Table, d2: &Table, context: &str| {
+        for _ in 0..2 {
+            let answer = run_sql(session, &sql, CacheControl::Default);
+            assert_same_answer(&answer, &join_then_group(&fact, d1, d2, &[]), context);
+        }
+    };
+    check(&mut session, &d1, &d2, "before");
+    // Through the session, a change drops the old selection's aggregates.
+    let held = session.mat_cache_stats().entries;
+    assert!(held > 0);
+    let key_3 = star_dim("dk1", "l1", 4).gather(&[3]);
+    session.append("d1", key_3.clone()).unwrap();
+    assert_eq!(session.mat_cache_stats().entries, 0);
+    d1 = Table::concat(&[&d1, &key_3]).unwrap();
+    check(&mut session, &d1, &d2, "after an append to d1");
+    assert_eq!(session.mat_cache_stats().entries, held);
+    d2 = star_dim("dk2", "l2", 2);
+    session.register_table("d2", d2.clone()).unwrap();
+    assert_eq!(session.mat_cache_stats().entries, 0);
+    check(&mut session, &d1, &d2, "after d2 is replaced");
+    d1 = star_dim("dk1", "l1", 2);
+    let catalog = session.engine_mut().catalog_mut();
+    catalog.replace("d1", d1.clone()).unwrap();
+    check(
+        &mut session,
+        &d1,
+        &d2,
+        "after d1 is replaced behind the session",
+    );
+}
+
+/// SUM, MIN and MAX of fact columns over a two-join star, with a
+/// dimension filter, equal join-then-group per set, cold and warm, on
+/// one shard and four.
+#[test]
+fn star_sum_min_max_equal_join_then_group_per_set() {
+    let fact = star_fact(300, 11, 4, 4, 3);
+    let (d1, d2) = (star_dim("dk1", "l1", 4), star_dim("dk2", "l2", 3));
+    let aggs = [
+        AggSpec::sum("x", "sx"),
+        AggSpec::min("y", "lo"),
+        AggSpec::max("x", "hi"),
+    ];
+    let sql = star_sql(
+        "SUM(x) AS sx, MIN(y) AS lo, MAX(x) AS hi",
+        " WHERE l2 = 'v1'",
+    );
+    let mut m = ExecMetrics::new();
+    let j1 = hash_join(&fact, &d1, &[0], &[0], &mut m).unwrap();
+    let k2 = j1.schema().index_of("k2").unwrap();
+    let joined = hash_join(&j1, &d2, &[k2], &[0], &mut m).unwrap();
+    let pred = Predicate::Eq("l2".into(), Value::str("v1"));
+    let joined = filter(&joined, &pred, &mut m).unwrap();
+    assert!(joined.num_rows() > 0 && joined.num_rows() < fact.num_rows());
+    let cells = |t: &Table, set: &[&str]| {
+        let names = set.iter().copied().chain(["sx", "lo", "hi"]);
+        let cols: Vec<usize> = names.map(|n| t.schema().index_of(n).unwrap()).collect();
+        let mut rows: Vec<Vec<Value>> = (0..t.num_rows())
+            .map(|r| cols.iter().map(|&c| t.value(r, c)).collect())
+            .collect();
+        rows.sort();
+        rows
+    };
+    for shards in [1u32, 4] {
+        let mut session = Session::builder()
+            .table("f", fact.clone())
+            .table("d1", d1.clone())
+            .table("d2", d2.clone())
+            .shards(shards)
+            .mat_cache_budget_bytes(1 << 20)
+            .build()
+            .unwrap();
+        for cache in ["cold", "warm"] {
+            let answer = run_sql(&mut session, &sql, CacheControl::Default);
+            for (set, (tag, ours)) in STAR_SETS.iter().zip(&answer) {
+                assert_eq!(tag, &set.join(","));
+                let cols: Vec<usize> = set
+                    .iter()
+                    .map(|c| joined.schema().index_of(c).unwrap())
+                    .collect();
+                let direct = sort_group_by(&joined, &cols, &aggs, &mut m).unwrap();
+                let context = format!("set {tag}, {shards} shards, {cache}");
+                assert_eq!(cells(ours, set), cells(&direct, set), "{context}");
+            }
         }
     }
 }
