@@ -20,7 +20,7 @@ use crate::physicalize::{Merge, PhysicalEdge, PhysicalPlan, Read};
 use crate::plan::{LogicalPlan, NodeKind, SubNode};
 use crate::workload::Workload;
 use gbmqo_cost::CostModel;
-use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery, Input, QueryCtx};
+use gbmqo_exec::{cube, rollup, AggSpec, Engine, ExecMetrics, GroupByQuery, Input, QueryCtx, Rows};
 use gbmqo_storage::Table;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
@@ -91,23 +91,17 @@ pub fn temp_name(cols: ColSet) -> String {
     format!("__gbmqo_tmp_{:x}", cols.0)
 }
 
-/// Shard slot meaning "the whole logical table" in [`RootSources`] and
-/// [`Harvest`] entries: whatever is not a per-shard partial — everything
-/// over an unsharded table, and logical-level cache hits over a sharded
-/// one — uses this sentinel instead of a real shard ordinal.
-pub(crate) const WHOLE_TABLE_PIN: u32 = u32::MAX;
-
 /// Virtual-root sources for cache-served nodes: (node column-set bits,
-/// shard ordinal or [`WHOLE_TABLE_PIN`]) → the cached covering aggregate
+/// shard, `None` for the whole relation) → the cached covering aggregate
 /// that node's base-relation read in that slot reads instead, so a
 /// partially warm cache still serves the shards it covers.
-pub(crate) type RootSources = FxHashMap<(u128, u32), Arc<Table>>;
+pub(crate) type RootSources = FxHashMap<(u128, Option<u32>), Arc<Table>>;
 
 /// Intermediates harvested for cache admission: the column set, shard
-/// ordinal ([`WHOLE_TABLE_PIN`] for whole-table intermediates) and the
-/// materialized result of every intermediate an execution produced,
-/// moved out when its last reader has run.
-pub(crate) type Harvest = Vec<(ColSet, u32, Arc<Table>)>;
+/// (`None` for a whole-table intermediate) and the materialized result
+/// of every intermediate an execution produced, moved out when its last
+/// reader has run.
+pub(crate) type Harvest = Vec<(ColSet, Option<u32>, Arc<Table>)>;
 
 /// One whole-table Group By observed during plan execution. Every
 /// GroupBy plan node — whether it reads the base relation, an
@@ -147,13 +141,13 @@ impl CacheHooks {
     }
 }
 
-/// Rows of `input`, 0 when it names no catalog table. Sizes a
+/// Rows `input` reads, 0 when it names no catalog table. Sizes a
 /// re-aggregation's estimate and counts per-shard reads; an unregistered
 /// input only happens on error paths, which fail the execution anyway.
 fn input_rows_of(engine: &Engine, input: &Input) -> u64 {
     input
         .resolve(engine.catalog())
-        .map_or(0, |t| t.num_rows() as u64)
+        .map_or(0, |(table, rows)| Rows::of(&table, &rows).len() as u64)
 }
 
 /// Largest shard as a percentage of the mean shard size (100 = perfectly
@@ -179,10 +173,10 @@ struct LiveTemp {
 fn input_of(read: &Read, source: Option<ColSet>, live: &FxHashMap<u128, LiveTemp>) -> Input {
     match read {
         Read::Base(input) | Read::Shard(input) => input.clone(),
-        Read::Cached(table) => Input::Table(Arc::clone(table)),
+        Read::Cached(table) => Input::Table(Arc::clone(table), None),
         Read::Temp(part) => {
             let source = source.expect("a temp read has a source");
-            Input::Table(Arc::clone(&live[&source.0].parts[*part]))
+            Input::Table(Arc::clone(&live[&source.0].parts[*part]), None)
         }
     }
 }
@@ -387,7 +381,7 @@ pub(crate) fn execute_plan(
                     let bytes = combined.byte_size();
                     temp_bytes += bytes;
                     peak_temp_bytes = peak_temp_bytes.max(temp_bytes);
-                    (Input::Table(Arc::new(combined)), reagg.clone(), bytes)
+                    (Input::Table(Arc::new(combined), None), reagg.clone(), bytes)
                 }
             };
             let delivered = run_lattice(node, &input, workload, engine, ctx, &aggs)?;
@@ -416,8 +410,7 @@ pub(crate) fn execute_plan(
             for (slot, part) in temp.parts.into_iter().enumerate() {
                 temp_bytes -= part.byte_size();
                 if let Some(harvest) = hooks.harvest.as_mut() {
-                    let slot = if fanned { slot as u32 } else { WHOLE_TABLE_PIN };
-                    harvest.push((source, slot, part));
+                    harvest.push((source, fanned.then_some(slot as u32), part));
                 }
             }
         }
@@ -483,7 +476,8 @@ fn run_lattice(
         NodeKind::Rollup => rollup_order(node),
         _ => node.cols.iter().collect(),
     };
-    let table = input.resolve(engine.catalog())?;
+    let (table, selection) = input.resolve(engine.catalog())?;
+    let rows = Rows::of(&table, &selection);
     let cols: Vec<usize> = bits
         .iter()
         .map(|&b| table.schema().index_of(&workload.column_names[b]))
@@ -496,7 +490,7 @@ fn run_lattice(
     let delivered = if node.kind == NodeKind::Rollup {
         // Level i groups by bits[.. len - i], and every child is such a
         // prefix.
-        let levels = rollup(engine, &table, &cols, aggs, ctx)?;
+        let levels = rollup(engine, rows, &cols, aggs, ctx)?;
         wanted
             .map(|set| {
                 debug_assert_eq!(ColSet::from_cols(bits[..set.len()].iter().copied()), set);
@@ -505,7 +499,7 @@ fn run_lattice(
             .collect()
     } else {
         // Bit i of a subset's mask selects bits[i].
-        let subsets = cube(engine, &table, &cols, aggs, ctx)?;
+        let subsets = cube(engine, rows, &cols, aggs, ctx)?;
         wanted
             .map(|set| {
                 let mask = (0..bits.len())
@@ -529,7 +523,7 @@ mod tests {
     use crate::api::ExecutionMode;
     use crate::physicalize::{physicalize, Layout, Run};
     use crate::plan::SubNode;
-    use gbmqo_storage::{shard_table_name, Catalog, Column, DataType, Field, Schema, Value};
+    use gbmqo_storage::{Catalog, Column, DataType, Field, Schema, Value};
 
     fn base_table() -> Table {
         let schema = Schema::new(vec![
@@ -1068,28 +1062,27 @@ mod tests {
         let w = leaf_workload("u");
         // One non-empty shard's partial of (u), as the aggregate cache
         // would pin it (three key values leave a fourth shard empty).
-        let (slot, shard, pinned_rows) = (0..4u32)
-            .map(|s| (s, shard_table_name("r", s)))
-            .map(|(s, name)| {
-                (
-                    s,
-                    input_rows_of(&sharded, &Input::Catalog(name.clone())),
-                    name,
-                )
-            })
-            .find_map(|(s, rows, name)| (rows > 0).then_some((s, name, rows)))
+        let snap = sharded.catalog().snapshot("r").unwrap();
+        let (slot, shard) = (0..4u32)
+            .zip(&snap.shards)
+            .find(|(_, shard)| !shard.rows.is_empty())
             .unwrap();
+        let pinned_rows = shard.rows.len() as u64;
+        let rows = Some(Arc::clone(&shard.rows));
         let partial = Arc::new(
             sharded
                 .run_group_by(
-                    &GroupByQuery::count_star(&shard, &["u"]),
+                    &GroupByQuery {
+                        input: Input::Table(Arc::clone(&snap.table), rows),
+                        ..GroupByQuery::count_star("r", &["u"])
+                    },
                     &mut QueryCtx::default(),
                 )
                 .unwrap(),
         );
         for order in ORDERS {
             let expected = run_leaf(&w, &plain, order, Some(60), RootSources::default());
-            let roots: RootSources = [((w.requests[0].0, slot), Arc::clone(&partial))]
+            let roots: RootSources = [((w.requests[0].0, Some(slot)), Arc::clone(&partial))]
                 .into_iter()
                 .collect();
             let got = run_leaf(&w, &sharded, order, Some(60), roots);

@@ -8,7 +8,7 @@
 use crate::api::ExecutionMode;
 use crate::colset::ColSet;
 use crate::error::Result;
-use crate::executor::{GroupEstimates, RootSources, WHOLE_TABLE_PIN};
+use crate::executor::{GroupEstimates, RootSources};
 use crate::plan::{LogicalPlan, NodeKind};
 use crate::schedule::{level_plan, serial_waves, PlanEdge};
 use crate::workload::Workload;
@@ -23,7 +23,7 @@ pub enum Read {
     /// The whole base relation: the catalog table, or the rows the
     /// workload's selection kept from it for this request.
     Base(Input),
-    /// One shard entry of the base table.
+    /// One shard of the base table: the rows of it the shard selects.
     Shard(Input),
     /// A cached aggregate, served as a virtual root.
     Cached(Arc<Table>),
@@ -118,7 +118,8 @@ pub(crate) struct Layout {
     base: Input,
     /// Cache-served virtual roots, read instead of the base relation.
     roots: RootSources,
-    /// The base table's shard entries and their rows, in shard order.
+    /// The base table's shards, each as the selection of its rows, and
+    /// their row counts, in shard order.
     shards: Vec<Input>,
     shard_rows: Vec<u64>,
     /// Shard-key columns as workload bits; `None` when a key column is
@@ -137,21 +138,15 @@ impl Layout {
         });
         Layout {
             base: if base.is_derived() {
-                Input::Table(Arc::clone(&base.table))
+                Input::Table(Arc::clone(&base.table), None)
             } else {
                 Input::Catalog(base.name.clone())
             },
             roots,
-            shards: base
-                .shards
-                .iter()
-                .map(|(name, _, _)| Input::Catalog(name.clone()))
+            shards: (base.shards.iter())
+                .map(|s| Input::Table(Arc::clone(&base.table), Some(Arc::clone(&s.rows))))
                 .collect(),
-            shard_rows: base
-                .shards
-                .iter()
-                .map(|&(_, _, rows)| rows as u64)
-                .collect(),
+            shard_rows: (base.shards.iter()).map(|s| s.rows.len() as u64).collect(),
             key_set,
         }
     }
@@ -178,13 +173,14 @@ impl Layout {
         self.covers_key(target) || groups.is_none_or(|g| g.saturating_mul(shards) < rows)
     }
 
-    /// The base-relation read of `target` in `slot`: its cached root if
-    /// it has one, else the slot's shard entry or the whole relation.
-    fn read(&self, target: ColSet, slot: u32) -> Read {
+    /// The base-relation read of `target` in `slot` (a shard, or `None`
+    /// for the whole relation): its cached root if it has one, else the
+    /// shard or the whole relation.
+    fn read(&self, target: ColSet, slot: Option<u32>) -> Read {
         if let Some(root) = self.roots.get(&(target.0, slot)) {
             return Read::Cached(Arc::clone(root));
         }
-        match self.shards.get(slot as usize) {
+        match slot.and_then(|s| self.shards.get(s as usize)) {
             Some(shard) => Read::Shard(shard.clone()),
             None => Read::Base(self.base.clone()),
         }
@@ -229,19 +225,19 @@ pub(crate) fn physicalize(
         let mut edges: Vec<PhysicalEdge> = Vec::with_capacity(wave.len());
         for edge in wave {
             let est = estimates.get(&edge.target.0).copied();
-            let cached = |slot: u32| layout.roots.contains_key(&(edge.target.0, slot));
+            let cached = |slot| layout.roots.contains_key(&(edge.target.0, slot));
             let reads: Vec<Read> = match edge.source {
                 Some(s) => (0..parts[&s.0]).map(Read::Temp).collect(),
                 None if edge.kind == NodeKind::GroupBy
                     && nshards > 0
-                    && !cached(WHOLE_TABLE_PIN)
+                    && !cached(None)
                     && (layout.fan_out_pays(edge.target, est)
-                        || all_shards.clone().any(cached)) =>
+                        || all_shards.clone().any(|s| cached(Some(s)))) =>
                 {
-                    let read = |s| layout.read(edge.target, s);
+                    let read = |s| layout.read(edge.target, Some(s));
                     all_shards.clone().map(read).collect()
                 }
-                None => vec![layout.read(edge.target, WHOLE_TABLE_PIN)],
+                None => vec![layout.read(edge.target, None)],
             };
             let fans_out = reads.len() > 1;
             let covers_key = layout.covers_key(edge.target);
@@ -349,8 +345,8 @@ mod tests {
         let cached = Arc::new(t.clone());
         let served_by = |a: &Arc<Table>, b: &Arc<Table>| -> RootSources {
             [
-                ((ColSet::single(0).0, WHOLE_TABLE_PIN), Arc::clone(a)),
-                ((ColSet::single(1).0, WHOLE_TABLE_PIN), Arc::clone(b)),
+                ((ColSet::single(0).0, None), Arc::clone(a)),
+                ((ColSet::single(1).0, None), Arc::clone(b)),
             ]
             .into_iter()
             .collect()

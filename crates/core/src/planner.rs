@@ -483,7 +483,7 @@ pub(crate) fn current<'s>(
 ) -> (&'s mut TableStats, &'s mut StatsStore) {
     let (table_stats, (at, counts)) = stats.table(name, version);
     if *at != version {
-        match catalog.delta_chain(name, *at) {
+        match catalog.delta_chain(name, None, *at) {
             Some(chain) if chain.to_version == version => {
                 let rows = (chain.start_row + chain.rows) as f64;
                 counts.scale(rows / chain.start_row.max(1) as f64, rows);

@@ -39,7 +39,6 @@ use crate::colset::ColSet;
 use crate::error::{CoreError, Result};
 use crate::executor::{
     execute_plan, shard_skew, CacheHooks, ExecutionReport, GroupEstimates, RootSources,
-    WHOLE_TABLE_PIN,
 };
 use crate::greedy::{SearchConfig, SearchStats};
 use crate::physicalize::{physicalize, Layout, Run};
@@ -361,10 +360,8 @@ impl Session {
             .observe(catalog, &base, w, planned, &plan, &estimates, obs, metrics)?;
         ctx.check_cancelled()?;
         if let Some(harvest) = hooks.harvest.take() {
-            let harvest = harvest.into_iter().map(|(cols, slot, table)| {
-                let shard = (slot != WHOLE_TABLE_PIN).then_some(slot);
-                (w.col_strings(cols), shard, table)
-            });
+            let harvest = (harvest.into_iter())
+                .map(|(cols, shard, table)| (w.col_strings(cols), shard, table));
             let results = report.results.iter().map(|(c, t)| (w.col_strings(*c), t));
             self.mat_cache
                 .admit(&req, &covers, &w.aggregates, harvest, results);
@@ -417,7 +414,7 @@ impl Session {
         let selected = source.table.gather(&rows);
         self.engine.materialize(&selected, ctx);
         let mut conjuncts: Vec<String> = filter.map(Predicate::canonical).into_iter().collect();
-        let mut reads = vec![source.name.clone()];
+        let mut reads = vec![(source.name.clone(), source.version)];
         for (join, dim) in workload.joins.iter().zip(dims) {
             let on = join.filter.as_ref().map(Predicate::canonical);
             conjuncts.push(format!(
@@ -428,7 +425,7 @@ impl Session {
                 join.dim_key,
                 on.unwrap_or_default()
             ));
-            reads.push(dim.name);
+            reads.push((dim.name, dim.version));
         }
         conjuncts.sort_unstable();
         let name = format!("σ[{}]({})", conjuncts.join(" AND "), source.name);
@@ -491,8 +488,7 @@ impl Session {
             if !roots.keys().any(|(c, _)| *c == cols.0) {
                 plan.subplans.push(SubNode::leaf(cols));
             }
-            let slot = cover.shard.unwrap_or(WHOLE_TABLE_PIN);
-            roots.insert((cols.0, slot), Arc::clone(&cover.hit.table));
+            roots.insert((cols.0, cover.shard), Arc::clone(&cover.hit.table));
         }
         let mut hooks = CacheHooks {
             harvest: req.admits().then(Vec::new),
@@ -581,10 +577,11 @@ impl Session {
     }
 
     /// Append `rows` to base table `name` (schemas must match). The
-    /// catalog records a delta descriptor per touched entry — for a
-    /// sharded table the rows route through the existing shard key and
-    /// each receiving shard logs its own delta — so cached aggregates
-    /// are *refreshed* from just the appended range instead of being
+    /// catalog writes each row once, into the table, and records a delta
+    /// descriptor — for a sharded table the rows route through the
+    /// existing shard key, and each receiving shard's row selection grows
+    /// by their ids and logs its own delta — so cached aggregates are
+    /// *refreshed* from just the appended rows instead of being
     /// invalidated (per the session's [`RefreshPolicy`]). Cached plans
     /// stop matching automatically: the table's contents version is
     /// part of the plan fingerprint.
@@ -601,7 +598,7 @@ impl Session {
         let mut reshard_hint = false;
         let shards = self.engine.catalog().snapshot(name)?.shards;
         if !shards.is_empty() {
-            let sizes: Vec<u64> = shards.iter().map(|&(_, _, rows)| rows as u64).collect();
+            let sizes: Vec<u64> = shards.iter().map(|s| s.rows.len() as u64).collect();
             let skew = shard_skew(&sizes);
             self.pending.shard_skew = self.pending.shard_skew.max(skew);
             if skew >= RESHARD_SKEW_THRESHOLD {
@@ -620,7 +617,7 @@ impl Session {
     /// Re-split `name` into the session's shard count with a freshly
     /// selected shard key — the escape hatch when appends have skewed
     /// the layout (see [`AppendOutcome::reshard_hint`]). Resharding
-    /// rewrites every shard entry, so it invalidates the table's cached
+    /// reroutes every row, so it invalidates the table's cached
     /// aggregates and plans; use it like a (rare) re-registration.
     pub fn reshard(&mut self, name: &str) -> Result<()> {
         let table = self.engine.catalog().table(name)?.clone();
@@ -629,14 +626,12 @@ impl Session {
 
     /// Replace (or register) `name` with `table`, split into the
     /// session's shard count, and drop every aggregate cached over the
-    /// old entries.
+    /// old contents.
     fn replace(&mut self, name: &str, table: Table) -> Result<()> {
-        let catalog = self.engine.catalog();
-        let old_shards = catalog.shard_desc(name).map_or(0, |d| d.shard_count);
         self.engine
             .catalog_mut()
             .replace_sharded(name, table, self.shards, None)?;
-        self.mat_cache.replaced(name, old_shards.max(self.shards));
+        self.mat_cache.replaced(name);
         Ok(())
     }
 
@@ -673,8 +668,13 @@ impl Session {
     /// and statistics follow what the engine then holds: a cached plan
     /// is keyed by the base table's contents version and indexes and by
     /// the engine's emulated I/O, and statistics by the contents version.
-    /// Cached aggregates of a table replaced here are dropped the first
-    /// time a lookup finds them stale and their delta chain broken.
+    /// Cached aggregates of a table replaced or appended to here are
+    /// dropped the first time a lookup finds them stale and their delta
+    /// chain broken, or brought current by a delta scan — a read of the
+    /// table's appended rows, per shard the appended rows of the shard —
+    /// when the chain holds. Those of a selection reading a table changed
+    /// here are dropped when a selection reading its newer version is
+    /// admitted.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }

@@ -7,7 +7,7 @@
 //! smallest already-computed parent one column larger.
 
 use crate::agg::AggSpec;
-use crate::engine::{Engine, QueryCtx};
+use crate::engine::{Engine, QueryCtx, Rows};
 use crate::error::{ExecError, Result};
 use gbmqo_storage::Table;
 use rustc_hash::FxHashMap;
@@ -15,7 +15,8 @@ use rustc_hash::FxHashMap;
 /// Maximum cube dimensionality (2^k results are materialized).
 pub const MAX_CUBE_COLS: usize = 16;
 
-/// Compute `CUBE(cols)` over `input`.
+/// Compute `CUBE(cols)` over `input`: a table, or the rows a
+/// selection keeps of it ([`Rows`]).
 ///
 /// Returns one `(mask, table)` pair per subset of `cols`, where bit `i` of
 /// `mask` selects `cols[i]`; sorted by descending popcount then ascending
@@ -23,9 +24,9 @@ pub const MAX_CUBE_COLS: usize = 16;
 /// re-aggregated from a minimum-cardinality parent. Every Group By of
 /// the descent goes through [`Engine::aggregate_table`]: the engine's
 /// kernel threads and the request's token and counters.
-pub fn cube(
+pub fn cube<'t>(
     engine: &Engine,
-    input: &Table,
+    input: impl Into<Rows<'t>>,
     cols: &[usize],
     aggs: &[AggSpec],
     ctx: &mut QueryCtx,

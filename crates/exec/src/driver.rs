@@ -17,7 +17,7 @@
 
 use crate::agg::AggSpec;
 use crate::cancel::CancelToken;
-use crate::engine::{GroupByQuery, Input};
+use crate::engine::{GroupByQuery, Input, Rows};
 use crate::error::Result;
 use crate::group_by::stream_group_by;
 use crate::metrics::ExecMetrics;
@@ -29,6 +29,8 @@ use std::sync::Arc;
 /// catalog.
 struct Resolved<'a> {
     table: Arc<Table>,
+    /// The rows of `table` read, ascending; `None` reads all of them.
+    selection: Option<crate::engine::RowIds>,
     cols: Vec<usize>,
     aggs: &'a [AggSpec],
     /// Index order serving the grouping, if any.
@@ -47,9 +49,10 @@ impl Resolved<'_> {
         // Per-query cancellation boundary: a worker draining its strided
         // queue stops picking up new queries once the token trips.
         crate::cancel::check(cancel)?;
+        let rows = Rows::of(&self.table, &self.selection);
         if self.io_ns_per_byte > 0.0 {
             if self.order.is_none() {
-                std::hint::black_box(crate::rowstore::full_scan_tax(&self.table));
+                std::hint::black_box(crate::rowstore::full_scan_tax(rows));
             }
             crate::rowstore::simulated_io_wait(self.io_bytes, self.io_ns_per_byte);
             metrics.bytes_scanned += self.io_bytes;
@@ -62,7 +65,7 @@ impl Resolved<'_> {
             // plan-level wave parallelism and in-kernel parallelism draw
             // from one pool instead of oversubscribing the machine.
             None => radix_group_by(
-                &self.table,
+                rows,
                 &self.cols,
                 self.aggs,
                 self.inner_threads,
@@ -79,7 +82,7 @@ impl Resolved<'_> {
 ///
 /// The queries must be independent: none may read another one's result.
 /// A catalog input whose index serves the grouping is streamed in index
-/// order; a handed table has no indexes.
+/// order; a handed table, or a selection of one, has no indexes.
 ///
 /// The merged metrics carry summed counters but `elapsed_nanos = 0`:
 /// summing per-worker wall time would double-count overlapping work, so
@@ -101,7 +104,7 @@ pub(crate) fn run_batch(
         (threads / queries.len()).max(1)
     };
     for q in queries {
-        let table = q.input.resolve(catalog)?;
+        let (table, selection) = q.input.resolve(catalog)?;
         let cols: Vec<usize> = q
             .group_cols
             .iter()
@@ -109,7 +112,7 @@ pub(crate) fn run_batch(
             .collect::<gbmqo_storage::Result<_>>()?;
         let index = match &q.input {
             Input::Catalog(name) => catalog.index_serving(name, &cols),
-            Input::Table(_) => None,
+            Input::Table(..) => None,
         };
         let io_bytes = if io_ns_per_byte > 0.0 {
             match index {
@@ -118,13 +121,14 @@ pub(crate) fn run_batch(
                     .iter()
                     .map(|&c| table.column(c).byte_size() as u64)
                     .sum(),
-                None => table.byte_size() as u64,
+                None => Rows::of(&table, &selection).byte_size() as u64,
             }
         } else {
             0
         };
         resolved.push(Resolved {
             table,
+            selection,
             cols,
             aggs: &q.aggs,
             order: index.map(|idx| idx.perm.as_slice()),

@@ -13,6 +13,9 @@ use gbmqo_storage::{Catalog, Table};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The ascending ids of the rows a query reads of its table, shared.
+pub type RowIds = Arc<Vec<u32>>;
+
 /// What a query reads.
 #[derive(Debug, Clone)]
 pub enum Input {
@@ -21,28 +24,119 @@ pub enum Input {
     /// index's key columns or else the table's full width.
     Catalog(String),
     /// A table handed over by whoever owns it — a plan intermediate, a
-    /// cached aggregate, a filtered fact. It has no indexes, so under
-    /// row-store emulation it pays a full-width scan.
-    Table(Arc<Table>),
+    /// cached aggregate, a filtered fact — or, with a list of ascending
+    /// row ids, the rows of it the list selects: a shard of a catalog
+    /// table, an appended delta. It has no indexes, so under row-store
+    /// emulation it pays a full-width scan of the rows it reads.
+    Table(Arc<Table>, Option<RowIds>),
 }
 
 impl Input {
-    /// The table read: a shared handle, not a copy.
-    pub fn resolve(&self, catalog: &Catalog) -> Result<Arc<Table>> {
+    /// The table read and the rows of it selected (`None`: all of them):
+    /// shared handles, not copies. A selection reaching past the table is
+    /// refused.
+    pub fn resolve(&self, catalog: &Catalog) -> Result<(Arc<Table>, Option<RowIds>)> {
         match self {
-            Input::Catalog(name) => Ok(catalog.table_arc(name)?),
-            Input::Table(table) => Ok(Arc::clone(table)),
+            Input::Catalog(name) => Ok((catalog.table_arc(name)?, None)),
+            Input::Table(table, Some(rows))
+                if rows.last().is_some_and(|&r| r as usize >= table.num_rows()) =>
+            {
+                Err(crate::ExecError::Invalid(format!(
+                    "row selection reaches past a table of {} rows",
+                    table.num_rows()
+                )))
+            }
+            Input::Table(table, rows) => Ok((Arc::clone(table), rows.clone())),
+        }
+    }
+}
+
+/// What a kernel reads: every row of `table`, or the ascending row ids
+/// `selection` keeps of it. The ids index `table` itself, so the kernels
+/// fold, gather and assemble results from it as they would from a whole
+/// table; the per-read passes — the packed key layout's value ranges,
+/// the row-store scan tax and its byte charge — and the row loops read
+/// the selection, and each costs time in proportion to the rows read.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// The table the row ids index.
+    pub table: &'a Table,
+    /// The rows read, ascending; `None` reads every row.
+    pub selection: Option<&'a [u32]>,
+}
+
+impl<'a> From<&'a Table> for Rows<'a> {
+    fn from(table: &'a Table) -> Self {
+        Rows {
+            table,
+            selection: None,
+        }
+    }
+}
+
+impl<'a> Rows<'a> {
+    /// The rows of `table` that `selection` keeps, as a resolved
+    /// [`Input`] hands them over.
+    pub fn of(table: &'a Table, selection: &'a Option<RowIds>) -> Self {
+        Rows {
+            table,
+            selection: selection.as_deref().map(Vec::as_slice),
+        }
+    }
+
+    /// Rows read.
+    pub fn len(&self) -> usize {
+        self.selection.map_or(self.table.num_rows(), <[u32]>::len)
+    }
+
+    /// True when no row is read.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes a full-width scan of the rows read covers: what row-store
+    /// emulation charges.
+    pub fn byte_size(&self) -> usize {
+        match self.selection {
+            None => self.table.byte_size(),
+            Some(rows) => (self.table.columns().iter())
+                .map(|c| c.byte_size_of(rows.len()))
+                .sum(),
+        }
+    }
+
+    /// The ids of read rows `pos .. pos + len`: a slice of the selection,
+    /// or consecutive ids written to `buf`.
+    pub(crate) fn ids<'b>(&self, pos: usize, len: usize, buf: &'b mut Vec<u32>) -> &'b [u32]
+    where
+        'a: 'b,
+    {
+        match self.selection {
+            Some(rows) => &rows[pos..pos + len],
+            None => {
+                buf.clear();
+                buf.extend(pos as u32..(pos + len) as u32);
+                buf
+            }
         }
     }
 }
 
 /// Two inputs are the same when they name the same catalog table or hand
-/// over the same allocation: what a fused wave shares one scan of.
+/// over the same allocations, table and selection: what a fused wave
+/// shares one scan of.
 impl PartialEq for Input {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Input::Catalog(a), Input::Catalog(b)) => a == b,
-            (Input::Table(a), Input::Table(b)) => Arc::ptr_eq(a, b),
+            (Input::Table(a, ra), Input::Table(b, rb)) => {
+                Arc::ptr_eq(a, b)
+                    && match (ra, rb) {
+                        (None, None) => true,
+                        (Some(ra), Some(rb)) => Arc::ptr_eq(ra, rb),
+                        _ => false,
+                    }
+            }
             _ => false,
         }
     }
@@ -102,7 +196,11 @@ impl QueryCtx {
 
 /// Executes queries against a [`Catalog`]. It holds only the catalog
 /// and its configuration: every query takes `&self` and charges its
-/// work to the caller's [`QueryCtx`].
+/// work to the caller's [`QueryCtx`]. A shard read and a delta scan —
+/// the rows appended to a table, or to one of its shards, since a
+/// cached aggregate was computed — are one kind of query: an
+/// [`Input::Table`] with the ascending ids of the rows it reads, whose
+/// cost follows those rows, not the table's.
 #[derive(Debug)]
 pub struct Engine {
     catalog: Catalog,
@@ -172,54 +270,19 @@ impl Engine {
         Ok(tables.pop().expect("one query, one result"))
     }
 
-    /// Run one Group By over only rows `[start, start + rows)` of the
-    /// input — the delta-scan node of the ingest pipeline. It feeds the
-    /// same hash kernel as [`Engine::run_group_by`], but over a
-    /// cheap O(rows) slice of the table, so refreshing a cached
-    /// aggregate after an append costs work proportional to the delta
-    /// rather than the base. Indexes are ignored (they describe the
-    /// pre-append ordering) and under row-store emulation only the
-    /// slice's bytes are charged.
-    pub fn run_group_by_range(
-        &self,
-        q: &GroupByQuery,
-        start: usize,
-        rows: usize,
-        ctx: &mut QueryCtx,
-    ) -> Result<Table> {
-        let t0 = Instant::now();
-        let table = q.input.resolve(&self.catalog)?;
-        let cols: Vec<usize> = q
-            .group_cols
-            .iter()
-            .map(|n| table.schema().index_of(n))
-            .collect::<gbmqo_storage::Result<_>>()?;
-        let slice = table.slice_rows(start, rows)?;
-        if self.io_ns_per_byte > 0.0 {
-            let bytes = slice.byte_size() as u64;
-            crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
-            ctx.metrics.bytes_scanned += bytes;
-        }
-        let result = self.aggregate_table(&slice, &cols, &q.aggs, q.estimated_groups, ctx)?;
-        ctx.metrics.queries_executed += 1;
-        ctx.metrics.delta_rows += rows as u64;
-        ctx.metrics.add_elapsed(t0.elapsed());
-        Ok(result)
-    }
-
-    /// Group an in-memory `table` that is not a catalog entry — the
-    /// concatenated per-shard partials of a cross-shard merge, a cached
-    /// aggregate plus its delta, one level of a ROLLUP/CUBE descent —
-    /// through the same hash kernel as a catalog query
-    /// ([`radix_group_by`]), with the engine's kernel threads and the
-    /// request's token and counters. `estimated_groups` sizes the radix
-    /// fan-out as [`GroupByQuery::estimated_groups`] does. Rows and
+    /// Group an in-memory table, or a selection of one, that is not a
+    /// catalog entry — the concatenated per-shard partials of a
+    /// cross-shard merge, a cached aggregate plus its delta, one level of
+    /// a ROLLUP/CUBE descent — through the same hash kernel as a catalog
+    /// query ([`radix_group_by`]), with the engine's kernel threads and
+    /// the request's token and counters. `estimated_groups` sizes the
+    /// radix fan-out as [`GroupByQuery::estimated_groups`] does. Rows and
     /// kernel time are counted; a query is not (the caller's operator
     /// decides what one query is), and no simulated I/O is charged — the
     /// input is already in memory.
-    pub fn aggregate_table(
+    pub fn aggregate_table<'t>(
         &self,
-        table: &Table,
+        table: impl Into<Rows<'t>>,
         group_cols: &[usize],
         aggs: &[AggSpec],
         estimated_groups: Option<u64>,
@@ -286,7 +349,8 @@ impl Engine {
     ) -> Result<Vec<Table>> {
         ctx.check_cancelled()?;
         let start = Instant::now();
-        let table = input.resolve(&self.catalog)?;
+        let (table, selection) = input.resolve(&self.catalog)?;
+        let rows = Rows::of(&table, &selection);
         let ords: Vec<Vec<usize>> = groupings
             .iter()
             .map(|cols| {
@@ -296,13 +360,13 @@ impl Engine {
             })
             .collect::<gbmqo_storage::Result<_>>()?;
         if self.io_ns_per_byte > 0.0 {
-            std::hint::black_box(crate::rowstore::full_scan_tax(&table));
-            let bytes = table.byte_size() as u64;
+            std::hint::black_box(crate::rowstore::full_scan_tax(rows));
+            let bytes = rows.byte_size() as u64;
             crate::rowstore::simulated_io_wait(bytes, self.io_ns_per_byte);
             ctx.metrics.bytes_scanned += bytes;
         }
         let results = crate::shared::shared_scan_group_by(
-            &table,
+            rows,
             &ords,
             aggs,
             estimated_groups,
@@ -411,7 +475,7 @@ mod tests {
         let r = e
             .run_group_by(
                 &GroupByQuery {
-                    input: Input::Table(Arc::new(t_ab)),
+                    input: Input::Table(Arc::new(t_ab), None),
                     group_cols: vec!["b".into()],
                     aggs: vec![AggSpec::sum_count()],
                     estimated_groups: None,
@@ -454,7 +518,7 @@ mod tests {
     fn parallel_batch_matches_serial_and_materializes() {
         let e = Engine::new(catalog());
         let (mut serial, mut par) = (QueryCtx::default(), QueryCtx::default());
-        let handed = Input::Table(e.catalog().table_arc("r").unwrap());
+        let handed = Input::Table(e.catalog().table_arc("r").unwrap(), None);
         let queries = vec![
             GroupByQuery::count_star("r", &["a"]),
             GroupByQuery {
@@ -488,19 +552,60 @@ mod tests {
     fn range_scan_aggregates_only_the_slice() {
         let e = Engine::new(catalog());
         let mut ctx = QueryCtx::default();
-        let q = GroupByQuery::count_star("r", &["a"]);
-        // full table: a=1 ×2, a=2 ×3. Tail slice [2,5): a=2 ×3.
-        let r = e.run_group_by_range(&q, 2, 3, &mut ctx).unwrap();
-        assert_eq!(r.num_rows(), 1);
-        assert_eq!(r.value(0, 0), Value::Int(2));
-        assert_eq!(r.value(0, 1), Value::Int(3));
-        assert_eq!(ctx.metrics.delta_rows, 3);
+        let table = e.catalog().table_arc("r").unwrap();
+        let tail = |rows: std::ops::Range<u32>| GroupByQuery {
+            input: Input::Table(Arc::clone(&table), Some(Arc::new(rows.collect()))),
+            ..GroupByQuery::count_star("r", &["a"])
+        };
+        // full table: a=1 ×2, a=2 ×3. Tail rows [2,5): a=2 ×3.
+        let r = e.run_group_by(&tail(2..5), &mut ctx).unwrap();
+        assert_eq!(norm(&r), vec![(Value::Int(2), 3)]);
+        assert_eq!(ctx.metrics.rows_scanned, 3);
         assert_eq!(ctx.metrics.queries_executed, 1);
         // empty range: zero groups, still counted as a query
-        let empty = e.run_group_by_range(&q, 5, 0, &mut ctx).unwrap();
+        let empty = e.run_group_by(&tail(5..5), &mut ctx).unwrap();
         assert_eq!(empty.num_rows(), 0);
+        assert_eq!(ctx.metrics.queries_executed, 2);
         // out-of-range rejected
-        assert!(e.run_group_by_range(&q, 4, 5, &mut ctx).is_err());
+        assert!(e.run_group_by(&tail(4..9), &mut ctx).is_err());
+    }
+
+    #[test]
+    fn a_selection_reads_only_its_rows() {
+        let e = Engine::new(catalog());
+        let table = e.catalog().table_arc("r").unwrap();
+        let q = |rows: Vec<u32>| GroupByQuery {
+            input: Input::Table(Arc::clone(&table), Some(Arc::new(rows))),
+            ..GroupByQuery::count_star("r", &["a"])
+        };
+        // a: 1 1 2 2 2 and b: 7 8 7 7 9 — rows {1, 2, 4} hold a=1 once
+        // and a=2 twice, and b = 8, 7, 9
+        let mut ctx = QueryCtx::default();
+        let r = e.run_group_by(&q(vec![1, 2, 4]), &mut ctx).unwrap();
+        assert_eq!(norm(&r), vec![(Value::Int(1), 1), (Value::Int(2), 2)]);
+        assert_eq!(ctx.metrics.rows_scanned, 3);
+        assert_eq!(ctx.metrics.queries_executed, 1);
+        // an empty selection has no groups
+        let empty = e.run_group_by(&q(Vec::new()), &mut ctx).unwrap();
+        assert_eq!(empty.num_rows(), 0);
+        // the same rows through a shared scan
+        let shared = e
+            .run_shared_group_bys(
+                &q(vec![1, 2, 4]).input,
+                &[vec!["a".into()], vec!["b".into()]],
+                &[AggSpec::count()],
+                &[None, None],
+                &mut ctx,
+            )
+            .unwrap();
+        assert_eq!(norm(&shared[0]), norm(&r));
+        let once = |b| (Value::Int(b), 1);
+        assert_eq!(norm(&shared[1]), vec![once(7), once(8), once(9)]);
+        // selections are equal inputs only as the same allocation
+        let (one, same) = (q(vec![0]).input, q(vec![0]).input);
+        assert_ne!(one, same);
+        assert_eq!(one, one.clone());
+        assert_ne!(one, Input::Table(Arc::clone(&table), None));
     }
 
     #[test]
@@ -513,7 +618,7 @@ mod tests {
         let before = ctx.metrics;
         let table = e.catalog().table_arc("r").unwrap();
         let direct = e
-            .aggregate_table(&table, &[1], &[AggSpec::count()], Some(3), &mut ctx)
+            .aggregate_table(table.as_ref(), &[1], &[AggSpec::count()], Some(3), &mut ctx)
             .unwrap();
         assert_eq!(norm(&direct), norm(&by_name));
         // Rows are counted, a query is not.
@@ -525,7 +630,7 @@ mod tests {
         token.cancel();
         ctx.cancel = Some(token);
         let err = e
-            .aggregate_table(&table, &[1], &[AggSpec::count()], None, &mut ctx)
+            .aggregate_table(table.as_ref(), &[1], &[AggSpec::count()], None, &mut ctx)
             .unwrap_err();
         assert_eq!(err, crate::ExecError::Cancelled { timed_out: false });
     }

@@ -357,7 +357,7 @@ mod tests {
     }
 
     fn dim(table: Table) -> Snapshot {
-        Snapshot::derived("dim".into(), 1, table, vec!["dim".into()])
+        Snapshot::derived("dim".into(), 1, table, vec![("dim".into(), 1)])
     }
 
     fn semi_join(fact: &Table, dim: &Snapshot, filter: Option<&Predicate>) -> Result<Vec<u32>> {

@@ -6,6 +6,7 @@
 //! group columns first, aggregate outputs after.
 
 use crate::agg::{Accumulator, AggSpec};
+use crate::engine::Rows;
 use crate::error::Result;
 use crate::metrics::ExecMetrics;
 use gbmqo_storage::{Column, Field, Schema, Table};
@@ -81,21 +82,23 @@ pub fn stream_group_by(
     }
 
     let result = output_table(input, group_cols, aggs, representatives, accumulators)?;
-    record(metrics, input, group_cols, &result, start);
+    record(metrics, input.into(), group_cols, &result, start);
     Ok(result)
 }
 
-/// Record the standard scan/output counters for one group-by execution.
+/// Record the standard scan/output counters for one group-by execution
+/// over the rows `input` reads.
 pub(crate) fn record(
     metrics: &mut ExecMetrics,
-    input: &Table,
+    input: Rows<'_>,
     group_cols: &[usize],
     result: &Table,
     start: Instant,
 ) {
-    metrics.rows_scanned += input.num_rows() as u64;
+    let rows = input.len();
+    metrics.rows_scanned += rows as u64;
     metrics.rows_output += result.num_rows() as u64;
-    metrics.bytes_scanned += (input.num_rows() as f64 * input.avg_row_width(group_cols)) as u64;
+    metrics.bytes_scanned += (rows as f64 * input.table.avg_row_width(group_cols)) as u64;
     metrics.add_elapsed(start.elapsed());
 }
 

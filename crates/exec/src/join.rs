@@ -4,13 +4,15 @@
 
 use crate::error::{ExecError, Result};
 use crate::metrics::ExecMetrics;
-use gbmqo_storage::{Column, Field, KeyEncoder, RowKey, Schema, Table};
+use gbmqo_storage::{Column, Field, Schema, Table, Value};
 use rustc_hash::FxHashMap;
 use std::time::Instant;
 
 /// Inner equi-join of `left` and `right` on the given key columns.
 ///
-/// NULL keys never join (SQL semantics). Output columns are all of `left`'s
+/// Keys compare by value — strings by their text, whatever dictionary
+/// each side interned them in — and NULL keys never join (SQL
+/// semantics). Output columns are all of `left`'s
 /// followed by all of `right`'s; a right column whose name collides with a
 /// left column is prefixed with `right_`.
 pub fn hash_join(
@@ -27,18 +29,20 @@ pub fn hash_join(
     }
     let start = Instant::now();
 
+    // The key of `row`: its values in `cols`, or `None` when one is NULL.
+    fn key(cols: &[&Column], row: usize) -> Option<Vec<Value>> {
+        cols.iter()
+            .map(|c| Some(c.value(row)).filter(|v| !v.is_null()))
+            .collect()
+    }
+
     // Build side: right.
     let right_cols: Vec<&Column> = right_keys.iter().map(|&c| right.column(c)).collect();
-    let mut enc = KeyEncoder::new();
-    let mut build: FxHashMap<RowKey, Vec<u32>> = FxHashMap::default();
+    let mut build: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
     for row in 0..right.num_rows() {
-        if right_cols.iter().any(|c| c.is_null(row)) {
-            continue;
+        if let Some(k) = key(&right_cols, row) {
+            build.entry(k).or_default().push(row as u32);
         }
-        build
-            .entry(enc.encode(&right_cols, row))
-            .or_default()
-            .push(row as u32);
     }
 
     // Probe side: left.
@@ -46,10 +50,7 @@ pub fn hash_join(
     let mut left_rows: Vec<u32> = Vec::new();
     let mut right_rows: Vec<u32> = Vec::new();
     for row in 0..left.num_rows() {
-        if left_cols.iter().any(|c| c.is_null(row)) {
-            continue;
-        }
-        if let Some(matches) = build.get(&enc.encode(&left_cols, row)) {
+        if let Some(matches) = key(&left_cols, row).and_then(|k| build.get(&k)) {
             for &r in matches {
                 left_rows.push(row as u32);
                 right_rows.push(r);
@@ -144,6 +145,34 @@ mod tests {
                 (3, "r3".to_string())
             ]
         );
+    }
+
+    #[test]
+    fn string_keys_join_by_value_across_dictionaries() {
+        // Each side interns its own strings: "b" is code 1 on the left
+        // and code 0 on the right, and code 1 on the right is "c".
+        let left = t(
+            &[
+                (Value::Int(1), Value::str("a")),
+                (Value::Int(2), Value::str("b")),
+            ],
+            ("lk", "s"),
+        );
+        let right = t(
+            &[
+                (Value::Int(10), Value::str("b")),
+                (Value::Int(20), Value::str("c")),
+            ],
+            ("rk", "s"),
+        );
+        let mut m = ExecMetrics::new();
+        let out = hash_join(&left, &right, &[1], &[1], &mut m).unwrap();
+        let pairs: Vec<(Value, Value)> = (0..out.num_rows())
+            .map(|r| (out.value(r, 1), out.value(r, 3)))
+            .collect();
+        assert_eq!(pairs, vec![(Value::str("b"), Value::str("b"))]);
+        assert_eq!(out.value(0, 0), Value::Int(2));
+        assert_eq!(out.value(0, 2), Value::Int(10));
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   GROUPING SETS result with `Grp-Tag`, and [`hash_join`] is the
 //!   join-then-group reference the tests check selections against,
 //! * [`engine::Engine`] — runs Group By queries over a
-//!   [`gbmqo_storage::Catalog`] table or a table handed to it (one
-//!   [`engine::Input`] type); [`Engine::aggregate_table`] is the same
-//!   kernel dispatch for an in-memory table (shard merges, delta
-//!   refreshes, lattice levels). The engine holds only its catalog and
+//!   [`gbmqo_storage::Catalog`] table or a table handed to it, whole or
+//!   as a row selection — a shard, an appended delta (one
+//!   [`engine::Input`] type; kernels read it as [`Rows`]);
+//!   [`Engine::aggregate_table`] is the same kernel dispatch for an
+//!   in-memory table (shard merges, delta refreshes, lattice levels). The engine holds only its catalog and
 //!   configuration, so every query takes `&self`: a request's
 //!   [`CancelToken`] and [`metrics::ExecMetrics`] travel in the
 //!   [`QueryCtx`] its caller builds and passes down to the kernels.
@@ -52,7 +53,7 @@ pub mod union_all;
 pub use agg::{AggFunc, AggSpec};
 pub use cancel::CancelToken;
 pub use cube::cube;
-pub use engine::{Engine, GroupByQuery, Input, QueryCtx};
+pub use engine::{Engine, GroupByQuery, Input, QueryCtx, RowIds, Rows};
 pub use error::{ExecError, Result};
 pub use filter::{filter, select, Predicate, SemiJoin};
 pub use group_by::stream_group_by;

@@ -100,7 +100,9 @@ exec_metrics! {
     /// Shard skew: largest shard's row share as a percentage of the
     /// mean shard size (100 = perfectly even; a gauge, `+=` keeps max).
     shard_skew: Max,
-    /// Appended rows aggregated through delta scans (ingest pipeline).
+    /// Appended rows aggregated through delta scans (ingest pipeline): a
+    /// refresh reads the rows appended to a table, or to one of its
+    /// shards, as a selection of the table.
     delta_rows: Sum,
     /// Stale cached aggregates brought current by merging a delta
     /// aggregate instead of recomputing from the base table.

@@ -47,13 +47,15 @@
 //! groups. Handed inputs get that bound as `estimated_groups` where they
 //! are built: the plan interpreter (`execute_plan` in `gbmqo-core`)
 //! passes a cached root's, an intermediate's or a shard merge's rows
-//! where the plan has no estimate; the session's delta
-//! refresh (`Session::refresh_stale_entry`) passes the delta's rows for
-//! its scan and stale + delta rows for its merge. Their hash tables are
-//! sized once and do not grow.
+//! where the plan has no estimate; the aggregate cache's delta refresh
+//! (`MatCache::refresh_stale_entry` in `gbmqo-matcache`) passes the
+//! delta's rows for its scan of the appended rows and stale + delta
+//! rows for its merge. Their hash tables are sized once and do not
+//! grow.
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::cancel::CancelToken;
+use crate::engine::Rows;
 use crate::error::Result;
 use crate::group_by::{output_table, record, stream_group_by};
 use crate::metrics::ExecMetrics;
@@ -194,8 +196,16 @@ where
 /// key format is written once, here: bit-packed `u64`/`u128` codes
 /// ([`PackedKeySpec`]) and the byte-[`RowKey`] fallback ([`ByteKeys`]).
 pub(crate) trait KeyRepr<K>: Sync {
-    /// Replace `out` with the keys of rows `start .. start + len`.
-    fn encode(&self, key_cols: &[&Column], start: usize, len: usize, out: &mut Vec<K>);
+    /// Replace `out` with the keys of rows `start .. start + len`, or
+    /// with `ids` of the rows it lists (ascending, `len` of them).
+    fn encode(
+        &self,
+        key_cols: &[&Column],
+        start: usize,
+        ids: Option<&[u32]>,
+        len: usize,
+        out: &mut Vec<K>,
+    );
 
     /// A 64-bit hash whose *top* bits pick the key's radix partition.
     fn partition_hash(key: &K) -> u64;
@@ -206,10 +216,17 @@ pub(crate) trait KeyRepr<K>: Sync {
 }
 
 impl<K: KeyCode> KeyRepr<K> for PackedKeySpec {
-    fn encode(&self, key_cols: &[&Column], start: usize, len: usize, out: &mut Vec<K>) {
+    fn encode(
+        &self,
+        key_cols: &[&Column],
+        start: usize,
+        ids: Option<&[u32]>,
+        len: usize,
+        out: &mut Vec<K>,
+    ) {
         out.clear();
         out.resize(len, K::default());
-        self.encode_into(key_cols, start, out);
+        self.encode_into(key_cols, start, ids, out);
     }
 
     fn partition_hash(key: &K) -> u64 {
@@ -228,10 +245,20 @@ impl<K: KeyCode> KeyRepr<K> for PackedKeySpec {
 pub(crate) struct ByteKeys;
 
 impl KeyRepr<RowKey> for ByteKeys {
-    fn encode(&self, key_cols: &[&Column], start: usize, len: usize, out: &mut Vec<RowKey>) {
+    fn encode(
+        &self,
+        key_cols: &[&Column],
+        start: usize,
+        ids: Option<&[u32]>,
+        len: usize,
+        out: &mut Vec<RowKey>,
+    ) {
         let mut enc = KeyEncoder::new();
         out.clear();
-        out.extend((start..start + len).map(|row| enc.encode(key_cols, row)));
+        match ids {
+            Some(ids) => out.extend(ids.iter().map(|&row| enc.encode(key_cols, row as usize))),
+            None => out.extend((start..start + len).map(|row| enc.encode(key_cols, row))),
+        }
     }
 
     fn partition_hash(key: &RowKey) -> u64 {
@@ -248,18 +275,19 @@ impl KeyRepr<RowKey> for ByteKeys {
     }
 }
 
-/// Build the packing layout for `key_cols` if they pack, counting the
-/// `rows` about to be keyed as packed or fallback in `metrics`. `None`
-/// means [`ByteKeys`]; otherwise `fits_u64` picks the code width.
+/// Build the packing layout for `key_cols` over the rows `input` reads
+/// if they pack, counting those rows as packed or fallback in `metrics`.
+/// `None` means [`ByteKeys`]; otherwise `fits_u64` picks the code width.
 pub(crate) fn packed_spec(
     key_cols: &[&Column],
-    rows: usize,
+    input: Rows<'_>,
     metrics: &mut ExecMetrics,
 ) -> Option<PackedKeySpec> {
-    let spec = PackedKeySpec::build(key_cols);
+    let spec = PackedKeySpec::build(key_cols, input.selection);
+    let rows = input.len() as u64;
     match spec {
-        Some(_) => metrics.packed_key_rows += rows as u64,
-        None => metrics.fallback_key_rows += rows as u64,
+        Some(_) => metrics.packed_key_rows += rows,
+        None => metrics.fallback_key_rows += rows,
     }
     spec
 }
@@ -393,7 +421,7 @@ pub(crate) type Aggregated = (Vec<u32>, Vec<Accumulator>, u64);
 /// One invocation of the kernel over more than one partition: what both
 /// passes read.
 struct Job<'a> {
-    input: &'a Table,
+    input: Rows<'a>,
     key_cols: &'a [&'a Column],
     aggs: &'a [AggSpec],
     fanout: Fanout,
@@ -407,7 +435,7 @@ impl Job<'_> {
     /// every worker bail out early (the partial scatter is discarded by
     /// the caller's [`crate::cancel::check`]).
     fn scatter<K: Send, R: KeyRepr<K>>(&self, repr: &R) -> Vec<Scatter<K>> {
-        let rows = self.input.num_rows();
+        let rows = self.input.len();
         let partitions = self.fanout.partitions;
         let chunk = rows.div_ceil(self.fanout.scatter_workers);
         scoped_map(self.fanout.scatter_workers, |w| {
@@ -418,16 +446,21 @@ impl Job<'_> {
                 .collect();
             let mut keys: Vec<K> = Vec::new();
             let shift = 64 - partitions.trailing_zeros();
+            let mut scatter = |(key, row): (K, u32)| {
+                let j = (R::partition_hash(&key) >> shift) as usize;
+                parts[j].push((key, row));
+            };
             let mut pos = lo;
             while pos < hi {
                 if crate::cancel::tripped(self.cancel) {
                     break;
                 }
                 let len = MORSEL_ROWS.min(hi - pos);
-                repr.encode(self.key_cols, pos, len, &mut keys);
-                for (key, row) in keys.drain(..).zip(pos as u32..) {
-                    let j = (R::partition_hash(&key) >> shift) as usize;
-                    parts[j].push((key, row));
+                let ids = self.input.selection.map(|rows| &rows[pos..pos + len]);
+                repr.encode(self.key_cols, pos, ids, len, &mut keys);
+                match ids {
+                    Some(ids) => (keys.drain(..).zip(ids.iter().copied())).for_each(&mut scatter),
+                    None => (keys.drain(..).zip(pos as u32..)).for_each(&mut scatter),
                 }
                 pos += len;
             }
@@ -456,11 +489,11 @@ impl Job<'_> {
         let mut accumulators: Vec<Accumulator> = self
             .aggs
             .iter()
-            .map(|a| Accumulator::build(a, self.input))
+            .map(|a| Accumulator::build(a, self.input.table))
             .collect::<Result<_>>()?;
         for acc in &mut accumulators {
             acc.resize_groups(table.num_groups());
-            acc.update_batch(self.input, &rows, &gids);
+            acc.update_batch(self.input.table, &rows, &gids);
         }
         Ok(table.finish(accumulators))
     }
@@ -539,9 +572,10 @@ impl Job<'_> {
     }
 }
 
-/// Hash Group By over `input` on the columns at `group_cols`: one row
-/// per distinct combination of the group columns (NULL is a value; an
-/// empty input has no groups, an empty `group_cols` has one).
+/// Hash Group By over `input` — a table, or the rows a selection keeps
+/// of it ([`Rows`]) — on the columns at `group_cols`: one row per
+/// distinct combination of the group columns (NULL is a value; an empty
+/// input has no groups, an empty `group_cols` has one).
 ///
 /// `threads` bounds the workers used by *both* passes, so a plan
 /// executor running several edges at once can hand each edge a slice of
@@ -549,8 +583,8 @@ impl Job<'_> {
 /// cardinality estimate for this grouping, or a caller's bound on it)
 /// sizes the partition fan-out and the hash tables; `None` falls back
 /// to a rows-based guess (`Fanout::plan`).
-pub fn radix_group_by(
-    input: &Table,
+pub fn radix_group_by<'a>(
+    input: impl Into<Rows<'a>>,
     group_cols: &[usize],
     aggs: &[AggSpec],
     threads: usize,
@@ -560,10 +594,11 @@ pub fn radix_group_by(
 ) -> Result<Table> {
     crate::cancel::check(cancel)?;
     let start = Instant::now();
-    let rows = input.num_rows();
+    let input = input.into();
+    let rows = input.len();
     let fanout = Fanout::plan(threads, rows, estimated_groups);
-    let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
-    let spec = packed_spec(&key_cols, rows, metrics);
+    let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.table.column(c)).collect();
+    let spec = packed_spec(&key_cols, input, metrics);
     let dense = spec.as_ref().and_then(|s| dense_slots(s, rows)).is_some();
     // Nothing to scatter — one partition, or a directly addressed domain
     // on one worker: pass 2 alone, morsel by morsel.
@@ -591,7 +626,7 @@ pub fn radix_group_by(
     metrics.radix_partitions += partitions as u64;
     metrics.hash_resizes += resizes;
 
-    let result = output_table(input, group_cols, aggs, representatives, accumulators)?;
+    let result = output_table(input.table, group_cols, aggs, representatives, accumulators)?;
     record(metrics, input, group_cols, &result, start);
     Ok(result)
 }
@@ -763,7 +798,7 @@ mod tests {
         // and never more than 2^16.
         let bits = |b: u32| {
             let col = gbmqo_storage::Column::from_i64(vec![0, (1 << b) - 2]);
-            PackedKeySpec::build(&[&col]).unwrap()
+            PackedKeySpec::build(&[&col], None).unwrap()
         };
         assert_eq!(dense_slots(&bits(10), 0), Some(1_024));
         assert_eq!(dense_slots(&bits(11), 2_047), None);

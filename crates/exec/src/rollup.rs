@@ -5,11 +5,12 @@
 //! the whole hierarchy costs little more than the finest Group By.
 
 use crate::agg::AggSpec;
-use crate::engine::{Engine, QueryCtx};
+use crate::engine::{Engine, QueryCtx, Rows};
 use crate::error::Result;
 use gbmqo_storage::Table;
 
-/// Compute `ROLLUP(cols)` over `input`.
+/// Compute `ROLLUP(cols)` over `input`: a table, or the rows a
+/// selection keeps of it ([`Rows`]).
 ///
 /// Returns one table per level, finest first: index 0 groups by all of
 /// `cols`, index `k` by `cols[..cols.len()-k]`, and the last entry is the
@@ -21,9 +22,9 @@ use gbmqo_storage::Table;
 /// Follows this engine's GROUP BY convention that an empty input produces
 /// empty results at every level — including the grand total, where SQL's
 /// `ROLLUP` would emit a single `COUNT(*) = 0` row.
-pub fn rollup(
+pub fn rollup<'t>(
     engine: &Engine,
-    input: &Table,
+    input: impl Into<Rows<'t>>,
     cols: &[usize],
     aggs: &[AggSpec],
     ctx: &mut QueryCtx,

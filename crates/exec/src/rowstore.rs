@@ -17,15 +17,17 @@
 //! `io_ns_per_byte` constant, so predicted and executed costs agree. The
 //! library default is off (honest columnar behaviour).
 
+use crate::engine::Rows;
 use gbmqo_storage::column::ColumnData;
-use gbmqo_storage::Table;
 
-/// Read every byte of every column payload of `table`, returning a
-/// checksum that the caller should [`std::hint::black_box`] so the
-/// traversal cannot be optimized away. The pass runs in 8-byte words, so
-/// its cost is proportional to the table's *byte* size — matching how the
-/// row-store cost model prices scans per byte.
-pub fn full_scan_tax(table: &Table) -> u64 {
+/// Read every byte of every column payload of the rows `input` reads,
+/// returning a checksum that the caller should [`std::hint::black_box`]
+/// so the traversal cannot be optimized away. A whole table is read in
+/// 8-byte words, so its cost is proportional to the table's *byte* size
+/// — matching how the row-store cost model prices scans per byte; a
+/// selection reads each selected value, in time proportional to the rows
+/// it selects.
+pub fn full_scan_tax<'a>(input: impl Into<Rows<'a>>) -> u64 {
     #[inline]
     fn sum_words<T>(values: &[T]) -> u64 {
         // Safety-free reinterpretation: sum aligned u64 words, then fold
@@ -43,13 +45,23 @@ pub fn full_scan_tax(table: &Table) -> u64 {
         }
         acc
     }
+    /// The values at `rows`, each widened to a word, summed.
+    fn sum_selected<T: Copy>(values: &[T], rows: &[u32], word: impl Fn(T) -> u64) -> u64 {
+        rows.iter()
+            .fold(0u64, |acc, &r| acc.wrapping_add(word(values[r as usize])))
+    }
+    let input = input.into();
     let mut acc: u64 = 0;
-    for col in table.columns() {
-        acc = acc.wrapping_add(match col.data() {
-            ColumnData::Int64(v) => sum_words(v),
-            ColumnData::Float64(v) => sum_words(v),
-            ColumnData::Utf8 { codes, .. } => sum_words(codes),
-            ColumnData::Date32(v) => sum_words(v),
+    for col in input.table.columns() {
+        acc = acc.wrapping_add(match (col.data(), input.selection) {
+            (ColumnData::Int64(v), None) => sum_words(v),
+            (ColumnData::Float64(v), None) => sum_words(v),
+            (ColumnData::Utf8 { codes, .. }, None) => sum_words(codes),
+            (ColumnData::Date32(v), None) => sum_words(v),
+            (ColumnData::Int64(v), Some(rows)) => sum_selected(v, rows, |x| x as u64),
+            (ColumnData::Float64(v), Some(rows)) => sum_selected(v, rows, f64::to_bits),
+            (ColumnData::Utf8 { codes, .. }, Some(rows)) => sum_selected(codes, rows, u64::from),
+            (ColumnData::Date32(v), Some(rows)) => sum_selected(v, rows, |x| x as u32 as u64),
         });
     }
     acc
@@ -71,7 +83,7 @@ pub fn simulated_io_wait(bytes: u64, ns_per_byte: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbmqo_storage::{Column, DataType, Field, Schema};
+    use gbmqo_storage::{Column, DataType, Field, Schema, Table};
 
     #[test]
     fn tax_touches_all_columns() {
@@ -97,6 +109,17 @@ mod tests {
         assert_eq!(a, full_scan_tax(&t));
         let t2 = t.gather(&[0, 0]);
         assert_ne!(full_scan_tax(&t2), a);
+        // a selection reads its rows' values
+        let second = Rows {
+            table: &t,
+            selection: Some(&[1]),
+        };
+        assert_ne!(full_scan_tax(second), full_scan_tax(&t2));
+        let none = Rows {
+            table: &t,
+            selection: Some(&[]),
+        };
+        assert_eq!(full_scan_tax(none), 0);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::agg::{Accumulator, AggSpec};
 use crate::cancel::CancelToken;
+use crate::engine::Rows;
 use crate::error::Result;
 use crate::group_by::output_table;
 use crate::metrics::ExecMetrics;
@@ -43,17 +44,17 @@ struct Grouping<'t, K, R, T> {
 
 /// What the scan loop asks of a grouping, whatever its key type.
 pub(crate) trait MorselSink {
-    /// Fold one morsel of `input`: `rows` are the consecutive row ids
-    /// from `start` on.
-    fn consume(&mut self, input: &Table, start: usize, rows: &[u32]);
+    /// Fold one morsel of `input`: the rows `rows` (ascending ids) —
+    /// consecutive from `start` on unless `selected`.
+    fn consume(&mut self, input: &Table, start: usize, rows: &[u32], selected: bool);
 
     fn finish(self: Box<Self>) -> Aggregated;
 }
 
 impl<K, R: KeyRepr<K>, T: GidMap<K>> MorselSink for Grouping<'_, K, R, T> {
-    fn consume(&mut self, input: &Table, start: usize, rows: &[u32]) {
-        self.repr
-            .encode(&self.key_cols, start, rows.len(), &mut self.keys);
+    fn consume(&mut self, input: &Table, start: usize, rows: &[u32], selected: bool) {
+        let ids = selected.then_some(rows);
+        (self.repr).encode(&self.key_cols, start, ids, rows.len(), &mut self.keys);
         self.gids.clear();
         self.table.assign::<R>(&self.keys, rows, &mut self.gids);
         for acc in &mut self.accumulators {
@@ -69,11 +70,11 @@ impl<K, R: KeyRepr<K>, T: GidMap<K>> MorselSink for Grouping<'_, K, R, T> {
 
 /// The scan state of one grouping of `input` by `key_cols`, keyed by the
 /// layout `spec` [`packed_spec`] built for them (`None`: byte keys). A
-/// packed domain [`dense_slots`] admits for `input`'s rows gets a
+/// packed domain [`dense_slots`] admits for the rows `input` reads gets a
 /// direct-address table; any other grouping a hash table with room for
 /// `groups` groups, never more than there are rows.
 pub(crate) fn grouping<'t>(
-    input: &'t Table,
+    input: Rows<'t>,
     key_cols: Vec<&'t Column>,
     spec: Option<PackedKeySpec>,
     aggs: &[AggSpec],
@@ -95,11 +96,11 @@ pub(crate) fn grouping<'t>(
         })
     }
 
-    let n = input.num_rows();
+    let n = input.len();
     let groups = groups.min(n as u64) as usize;
     let accumulators = aggs
         .iter()
-        .map(|a| Accumulator::build(a, input))
+        .map(|a| Accumulator::build(a, input.table))
         .collect::<Result<_>>()?;
     Ok(match spec {
         Some(spec) => match dense_slots(&spec, n) {
@@ -133,27 +134,27 @@ pub(crate) fn grouping<'t>(
 /// the hash kernel's pass 2, amortized across all groupings.
 /// Cancellation is polled once per morsel.
 pub(crate) fn fused_pass(
-    input: &Table,
+    input: Rows<'_>,
     mut groupings: Vec<Box<dyn MorselSink + '_>>,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Aggregated>> {
-    let n = input.num_rows();
-    let mut rows_buf: Vec<u32> = Vec::with_capacity(MORSEL_ROWS.min(n));
+    let n = input.len();
+    let mut buf: Vec<u32> = Vec::with_capacity(MORSEL_ROWS.min(n));
     let mut pos = 0;
     while pos < n {
         crate::cancel::check(cancel)?;
         let len = MORSEL_ROWS.min(n - pos);
-        rows_buf.clear();
-        rows_buf.extend((pos..pos + len).map(|r| r as u32));
+        let rows = input.ids(pos, len, &mut buf);
         for grouping in &mut groupings {
-            grouping.consume(input, pos, &rows_buf);
+            grouping.consume(input.table, pos, rows, input.selection.is_some());
         }
         pos += len;
     }
     Ok(groupings.into_iter().map(|g| g.finish()).collect())
 }
 
-/// Compute several Group Bys over `input` in one shared scan.
+/// Compute several Group Bys over `input` — a table, or the rows a
+/// selection keeps of it ([`Rows`]) — in one shared scan.
 ///
 /// `groupings` lists the grouping-column ordinals of each output; all
 /// outputs compute the same `aggs`. `estimated_groups[i]`, when given,
@@ -162,8 +163,8 @@ pub(crate) fn fused_pass(
 /// grows. A grouping whose packed domain is small enough is addressed
 /// directly and never grows. Returns one table per grouping, in order —
 /// each identical to what [`crate::radix_group_by`] would produce.
-pub fn shared_scan_group_by(
-    input: &Table,
+pub fn shared_scan_group_by<'a>(
+    input: impl Into<Rows<'a>>,
     groupings: &[Vec<usize>],
     aggs: &[AggSpec],
     estimated_groups: &[Option<u64>],
@@ -171,13 +172,13 @@ pub fn shared_scan_group_by(
     metrics: &mut ExecMetrics,
 ) -> Result<Vec<Table>> {
     let start = Instant::now();
-    let rows = input.num_rows();
+    let input = input.into();
     let sinks = groupings
         .iter()
         .enumerate()
         .map(|(i, cols)| {
-            let key_cols: Vec<&Column> = cols.iter().map(|&c| input.column(c)).collect();
-            let spec = packed_spec(&key_cols, rows, metrics);
+            let key_cols: Vec<&Column> = cols.iter().map(|&c| input.table.column(c)).collect();
+            let spec = packed_spec(&key_cols, input, metrics);
             let groups = estimated_groups.get(i).copied().flatten().unwrap_or(0);
             grouping(input, key_cols, spec, aggs, groups)
         })
@@ -185,13 +186,13 @@ pub fn shared_scan_group_by(
     let aggregated = fused_pass(input, sinks, cancel)?;
     let mut outputs = Vec::with_capacity(groupings.len());
     for ((representatives, accumulators, resizes), cols) in aggregated.into_iter().zip(groupings) {
-        let out = output_table(input, cols, aggs, representatives, accumulators)?;
+        let out = output_table(input.table, cols, aggs, representatives, accumulators)?;
         metrics.hash_resizes += resizes;
         metrics.rows_output += out.num_rows() as u64;
         outputs.push(out);
     }
     // One shared scan of the input, not one per grouping.
-    metrics.rows_scanned += input.num_rows() as u64;
+    metrics.rows_scanned += input.len() as u64;
     metrics.add_elapsed(start.elapsed());
     Ok(outputs)
 }

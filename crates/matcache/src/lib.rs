@@ -15,12 +15,13 @@
 //! saves, refreshed on every hit and decayed as the cache churns, and
 //! eviction removes the lowest benefit-per-byte entry first.
 //!
-//! Keying is `(catalog entry name, column set, aggregate signature)`,
-//! and every entry records the entry's *version* (the
-//! [`gbmqo_storage::Catalog`]'s monotonic contents counter) it was
-//! computed at, together with the aggregate specs needed to merge more
-//! rows into it. A sharded table's partials are keyed by their shard
-//! entry, so an append to one shard leaves its siblings warm. Entries
+//! Keying is `(relation, shard, column set, aggregate signature)`, and
+//! every entry records the *version* (the [`gbmqo_storage::Catalog`]'s
+//! monotonic contents counter) of the table or shard it was computed at,
+//! together with the aggregate specs needed to merge more rows into it.
+//! A sharded table's partials are keyed by their shard, whose version
+//! moves only when an append routes rows to it, so an append to one
+//! shard leaves its siblings warm. Entries
 //! are **version-interval-valid**, not snapshot-valid: a lookup at the
 //! current version serves only entries computed at that version, but an
 //! entry left behind by an append is *not* purged — the cache
@@ -32,7 +33,9 @@
 //! A relation derived from catalog tables for one request (a selection,
 //! see [`gbmqo_storage::Snapshot::derived`]) is keyed by its own name at
 //! its source's version; it has no delta chain, so an append to, or a
-//! replacement of, any table it reads drops its aggregates.
+//! replacement of, any table it reads drops its aggregates — and so does
+//! the admission of a relation that reads one of its tables at a newer
+//! version, which is how a change made behind the cache shows.
 //!
 //! Callers drive the cache by stages, in column names, the request's
 //! base-relation [`Snapshot`] and shard ordinals — [`MatCache::request`],
@@ -43,7 +46,7 @@
 #![warn(missing_docs)]
 
 use gbmqo_exec::{AggFunc, AggSpec, Engine, ExecError, ExecMetrics, GroupByQuery, Input, QueryCtx};
-use gbmqo_storage::{shard_table_name, Snapshot, Table};
+use gbmqo_storage::{Snapshot, Table};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -153,20 +156,46 @@ pub struct MatCacheStats {
     pub stale_drops: u64,
 }
 
-/// A relation as the cache keys its aggregates — name, contents
-/// version, rows: a logical table, one of its shard entries, or a
-/// relation derived from a table for one request.
-type CatalogEntry = (String, u64, usize);
+/// What the cache keys aggregates by, as one request reads it: a
+/// relation — a catalog table, or one derived from catalog tables for a
+/// request — or one shard of a catalog table, with that part's contents
+/// version and rows.
+#[derive(Debug, Clone)]
+struct Rel {
+    name: String,
+    /// The shard; `None` for the whole relation.
+    shard: Option<u32>,
+    version: u64,
+    rows: usize,
+}
 
-/// One request as the cache's stages read it: the base table's logical
-/// and per-shard catalog entries, the aggregates' signature, and what the
-/// request lets the cache do.
+impl Rel {
+    /// The parts of `base` as the cache keys them: the whole relation,
+    /// then each shard in order.
+    fn parts(base: &Snapshot) -> (Rel, Vec<Rel>) {
+        let rel = |shard, version, rows| Rel {
+            name: base.name.clone(),
+            shard,
+            version,
+            rows,
+        };
+        let shards = (base.shards.iter().enumerate())
+            .map(|(s, shard)| rel(Some(s as u32), shard.version, shard.rows.len()))
+            .collect();
+        (rel(None, base.version, base.rows()), shards)
+    }
+}
+
+/// One request as the cache's stages read it: the base relation, whole
+/// and per shard, the aggregates' signature, and what the request lets
+/// the cache do.
 #[derive(Debug)]
 pub struct CacheRequest {
-    logical: CatalogEntry,
-    /// The catalog tables a derived base relation reads; empty otherwise.
-    reads: Vec<String>,
-    shards: Vec<CatalogEntry>,
+    logical: Rel,
+    /// The catalog tables a derived base relation reads, each at the
+    /// version it read; empty otherwise.
+    reads: Vec<(String, u64)>,
+    shards: Vec<Rel>,
     agg_sig: u64,
     lookup: bool,
     admit: bool,
@@ -180,18 +209,21 @@ impl CacheRequest {
     }
 }
 
-/// One cached aggregate for a table; a stale one is cloned out to be
+/// One cached aggregate of a relation; a stale one is cloned out to be
 /// refreshed.
 #[derive(Debug, Clone)]
 struct Entry {
+    /// The shard whose partial this is; `None` for the whole relation.
+    shard: Option<u32>,
     /// Sorted base column names.
     cols: Vec<String>,
     agg_sig: u64,
     table: Arc<Table>,
     rows: usize,
     bytes: usize,
-    /// Table version the payload reflects. Entries behind the table's
-    /// current version are stale-but-refreshable, not garbage.
+    /// Version of the table or shard the payload reflects. Entries
+    /// behind its current version are stale-but-refreshable, not
+    /// garbage.
     version: u64,
     /// Original aggregate specs, kept so a delta aggregate over the
     /// appended rows can be merged into the payload.
@@ -216,9 +248,11 @@ impl Entry {
 pub struct MatCache {
     budget_bytes: usize,
     total_bytes: usize,
+    /// Each relation's aggregates, whole and per shard.
     slots: FxHashMap<String, Vec<Entry>>,
-    /// The catalog tables each derived relation with a slot reads.
-    derived: FxHashMap<String, Vec<String>>,
+    /// The catalog tables each derived relation with a slot reads, each
+    /// at the version it read.
+    derived: FxHashMap<String, Vec<(String, u64)>>,
     stats: MatCacheStats,
     /// When stale entries are delta-refreshed.
     refresh: RefreshPolicy,
@@ -277,10 +311,11 @@ impl MatCache {
         aggs: &[AggSpec],
         control: CacheControl,
     ) -> CacheRequest {
+        let (logical, shards) = Rel::parts(base);
         CacheRequest {
-            logical: (base.name.clone(), base.version, base.rows()),
+            logical,
             reads: base.reads.clone(),
-            shards: base.shards.clone(),
+            shards,
             agg_sig: agg_signature(aggs),
             lookup: self.enabled() && control.allows_lookup(),
             admit: self.enabled() && control.allows_admit(),
@@ -291,8 +326,8 @@ impl MatCache {
     /// names) does a cached (same table contents, same aggregates)
     /// superset aggregate cover — first at the logical level, then, for
     /// a request still uncovered, shard by shard: every warm shard serves
-    /// its cached partial, cold shards scan their shard entry and the
-    /// plan merges partials at delivery. Under the lazy refresh policy a
+    /// its cached partial, cold shards scan their rows and the plan
+    /// merges partials at delivery. Under the lazy refresh policy a
     /// miss over a *stale* covering entry first tries to bring it current
     /// by aggregating only the appended row range and merging; only when
     /// that is impossible or uneconomic do stale entries get dropped —
@@ -324,8 +359,8 @@ impl MatCache {
             if covers.iter().any(|c| c.request == request) {
                 continue;
             }
-            for (s, entry) in req.shards.iter().enumerate() {
-                if let Some(hit) = self.covering(engine, entry, names, req.agg_sig, ctx)? {
+            for (s, shard) in req.shards.iter().enumerate() {
+                if let Some(hit) = self.covering(engine, shard, names, req.agg_sig, ctx)? {
                     covers.push(Cover {
                         request,
                         shard: Some(s as u32),
@@ -339,10 +374,13 @@ impl MatCache {
 
     /// Admit stage: offer an execution's materialized intermediates —
     /// `(base column names, shard or None, result)`, per-shard partials
-    /// under their shard entry, the granularity that survives appends to
+    /// under their shard, the granularity that survives appends to
     /// sibling shards — and the request `results` themselves, all
     /// computing `aggs`. Results answered verbatim by one of `covers`
-    /// are not re-admitted.
+    /// are not re-admitted. A derived relation's admission first drops
+    /// the aggregates of every other derived relation that read one of
+    /// its tables at an older version: that table changed, so no request
+    /// can key them again.
     pub fn admit<'t>(
         &mut self,
         req: &CacheRequest,
@@ -357,11 +395,15 @@ impl MatCache {
         if !req.reads.is_empty() {
             let slots = &self.slots;
             self.derived.retain(|name, _| slots.contains_key(name));
+            let older = |(table, version): &(String, u64)| {
+                (req.reads.iter()).any(|(t, v)| t == table && v > version)
+            };
+            self.drop_derived(|reads| reads.iter().any(older));
             self.derived
-                .insert(req.logical.0.clone(), req.reads.clone());
+                .insert(req.logical.name.clone(), req.reads.clone());
         }
-        let mut offer = |(entry, version, rows): &CatalogEntry, cols: &[String], table| {
-            self.offer(entry, *version, cols, req.agg_sig, aggs, table, *rows);
+        let mut offer = |rel: &Rel, cols: &[String], table| {
+            self.offer(rel, cols, req.agg_sig, aggs, table);
         };
         let mut admitted: Vec<Vec<String>> = Vec::new();
         for (cols, shard, table) in harvest {
@@ -371,8 +413,8 @@ impl MatCache {
                     admitted.push(cols);
                 }
                 Some(s) => {
-                    if let Some(entry) = req.shards.get(s as usize) {
-                        offer(entry, &cols, table);
+                    if let Some(shard) = req.shards.get(s as usize) {
+                        offer(shard, &cols, table);
                     }
                 }
             }
@@ -391,18 +433,17 @@ impl MatCache {
 
     /// Follow an append to base table `table`: drop the aggregates of
     /// every relation derived from it and, under the eager policy, bring
-    /// every stale aggregate of it (logical entry and shard entries
-    /// alike) current, with no deadline. Returns the work done.
+    /// every stale aggregate of it (whole and per shard alike) current,
+    /// with no deadline. Returns the work done.
     pub fn appended(&mut self, engine: &Engine, table: &str) -> Result<ExecMetrics, ExecError> {
-        self.drop_derived_from(table);
+        self.drop_derived(|reads| reads.iter().any(|(t, _)| t == table));
         let mut ctx = QueryCtx::default();
         if self.refresh == RefreshPolicy::Eager && self.enabled() {
-            let base = engine.catalog().snapshot(table)?;
-            let logical = (base.name.clone(), base.version, base.rows());
-            for (entry, version, rows) in std::iter::once(logical).chain(base.shards) {
-                let stale: Vec<Entry> = self.stale(&entry, version).cloned().collect();
+            let (whole, shards) = Rel::parts(&engine.catalog().snapshot(table)?);
+            for rel in std::iter::once(&whole).chain(&shards) {
+                let stale: Vec<Entry> = self.stale(rel).cloned().collect();
                 for stale in stale {
-                    self.refresh_stale_entry(engine, &entry, version, rows, stale, &mut ctx)?;
+                    self.refresh_stale_entry(engine, rel, stale, &mut ctx)?;
                 }
             }
         }
@@ -410,25 +451,22 @@ impl MatCache {
     }
 
     /// Follow a replacement or re-split of base table `name`: drop every
-    /// aggregate of it, of its first `shards` shard entries and of every
-    /// relation derived from it. Nothing cached over the old contents can
-    /// be refreshed.
-    pub fn replaced(&mut self, name: &str, shards: u32) {
+    /// aggregate of it, whole and per shard, and of every relation
+    /// derived from it. Nothing cached over the old contents can be
+    /// refreshed.
+    pub fn replaced(&mut self, name: &str) {
         self.invalidate_table(name);
-        for s in 0..shards {
-            self.invalidate_table(&shard_table_name(name, s));
-        }
-        self.drop_derived_from(name);
+        self.drop_derived(|reads| reads.iter().any(|(t, _)| t == name));
     }
 
-    /// Drop the aggregates of every derived relation that reads catalog
-    /// table `table`, counting them as stale drops: no delta chain
-    /// brings a derived relation current.
-    fn drop_derived_from(&mut self, table: &str) {
+    /// Drop the aggregates of every derived relation whose reads match
+    /// `stale`, counting them as stale drops: no delta chain brings a
+    /// derived relation current.
+    fn drop_derived(&mut self, stale: impl Fn(&[(String, u64)]) -> bool) {
         let stale: Vec<String> = self
             .derived
             .iter()
-            .filter(|(_, reads)| reads.iter().any(|t| t == table))
+            .filter(|(_, reads)| stale(reads))
             .map(|(name, _)| name.clone())
             .collect();
         for name in stale {
@@ -437,65 +475,64 @@ impl MatCache {
         }
     }
 
-    /// A cached aggregate of `entry` covering the columns `names`. On a
+    /// A cached aggregate of `rel` covering the columns `names`. On a
     /// miss the lazy refresh policy first brings the best stale covering
     /// entry current (the next lookup then hits it); the other policies
-    /// drop the entry's stale aggregates (under the eager one, an append
+    /// drop the part's stale aggregates (under the eager one, an append
     /// left stale only what it could not refresh: a derived relation's).
     fn covering(
         &mut self,
         engine: &Engine,
-        (entry, version, rows): &CatalogEntry,
+        rel: &Rel,
         names: &[String],
         agg_sig: u64,
         ctx: &mut QueryCtx,
     ) -> Result<Option<CachedAggregate>, ExecError> {
-        let hit = self.lookup_covering(entry, *version, names, agg_sig, *rows);
+        let hit = self.lookup_covering(rel, names, agg_sig);
         if hit.is_some() {
             return Ok(hit);
         }
         if self.refresh != RefreshPolicy::Lazy {
-            self.drop_stale(entry, *version);
+            self.drop_stale(rel);
             return Ok(None);
         }
-        let Some(stale) = self.lookup_stale(entry, *version, names, agg_sig) else {
+        let Some(stale) = self.lookup_stale(rel, names, agg_sig) else {
             return Ok(None);
         };
-        let refreshed = self.refresh_stale_entry(engine, entry, *version, *rows, stale, ctx)?;
+        let refreshed = self.refresh_stale_entry(engine, rel, stale, ctx)?;
         Ok(refreshed
-            .then(|| self.lookup_covering(entry, *version, names, agg_sig, *rows))
+            .then(|| self.lookup_covering(rel, names, agg_sig))
             .flatten())
     }
 
-    /// Bring one stale cached aggregate of catalog entry `entry`
-    /// current at `version`: aggregate only the delta row range with
-    /// the entry's original specs, concatenate with the cached partial,
-    /// and re-aggregate under the §7.2 lossless merge rules
-    /// ([`AggSpec::reaggregate`] — `SUM(cnt)`-style). Falls back to
-    /// dropping the table's stale entries when the delta chain is
-    /// broken (compacted or replaced), an aggregate is not mergeable,
-    /// the delta exceeds `max_delta_fraction` of the base, or its
+    /// Bring one stale cached aggregate of `rel` current at its version:
+    /// aggregate only the rows appended to it since — a selection of the
+    /// table's rows — with the entry's original specs, concatenate with
+    /// the cached partial, and re-aggregate under the §7.2 lossless merge
+    /// rules ([`AggSpec::reaggregate`] — `SUM(cnt)`-style). Falls back to
+    /// dropping the part's stale entries when the delta chain is broken
+    /// (compacted or replaced), an aggregate is not mergeable, the delta
+    /// exceeds `max_delta_fraction` of the part's rows, or its
     /// aggregation fails — unless it failed because `ctx` was
     /// cancelled: that error propagates and the stale entries stay.
     fn refresh_stale_entry(
         &mut self,
         engine: &Engine,
-        entry: &str,
-        version: u64,
-        base_rows: usize,
+        rel: &Rel,
         stale: Entry,
         ctx: &mut QueryCtx,
     ) -> Result<bool, ExecError> {
         let fallback = |mc: &mut MatCache, metrics: &mut ExecMetrics| {
-            mc.drop_stale(entry, version);
+            mc.drop_stale(rel);
             metrics.delta_fallbacks += 1;
             Ok(false)
         };
-        let chain = match engine.catalog().delta_chain(entry, stale.version) {
-            Some(c) if c.to_version == version && specs_mergeable(&stale.specs) => c,
+        let catalog = engine.catalog();
+        let chain = match catalog.delta_chain(&rel.name, rel.shard, stale.version) {
+            Some(c) if c.to_version == rel.version && specs_mergeable(&stale.specs) => c,
             _ => return fallback(self, &mut ctx.metrics),
         };
-        if (chain.rows as f64) > self.max_delta_fraction * base_rows as f64 {
+        if (chain.rows as f64) > self.max_delta_fraction * rel.rows as f64 {
             return fallback(self, &mut ctx.metrics);
         }
         // The cached payload's schema is its group columns followed by
@@ -509,34 +546,39 @@ impl MatCache {
         // Both aggregations are sized from rows they already know: the
         // delta has at most its rows as groups, the merge at most stale
         // rows + delta rows.
+        // The appended rows, as ids of the table: a run of them, or a
+        // shard's tail.
+        let base = catalog.snapshot(&rel.name)?;
+        let range = chain.start_row..chain.start_row + chain.rows;
+        let appended: Vec<u32> = match rel.shard {
+            None => range.map(|r| r as u32).collect(),
+            Some(s) => base.shards[s as usize].rows[range].to_vec(),
+        };
         let q = GroupByQuery {
-            input: Input::Catalog(entry.to_string()),
+            input: Input::Table(base.table, Some(Arc::new(appended))),
             group_cols,
             aggs: stale.specs.clone(),
             estimated_groups: Some(chain.rows as u64),
         };
-        let merged = engine
-            .run_group_by_range(&q, chain.start_row, chain.rows, ctx)
-            .and_then(|delta| {
-                let combined = Table::concat(&[stale.table.as_ref(), &delta])?;
-                let reagg: Vec<AggSpec> = stale.specs.iter().map(AggSpec::reaggregate).collect();
-                let idx: Vec<usize> = (0..ngroup).collect();
-                let groups = Some(combined.num_rows() as u64);
-                engine.aggregate_table(&combined, &idx, &reagg, groups, ctx)
-            });
+        let merged = engine.run_group_by(&q, ctx).and_then(|delta| {
+            let combined = Table::concat(&[stale.table.as_ref(), &delta])?;
+            let reagg: Vec<AggSpec> = stale.specs.iter().map(AggSpec::reaggregate).collect();
+            let idx: Vec<usize> = (0..ngroup).collect();
+            let groups = Some(combined.num_rows() as u64);
+            engine.aggregate_table(&combined, &idx, &reagg, groups, ctx)
+        });
         let merged = match merged {
             Ok(merged) => merged,
             Err(e @ ExecError::Cancelled { .. }) => return Err(e),
             Err(_) => return fallback(self, &mut ctx.metrics),
         };
+        ctx.metrics.delta_rows += chain.rows as u64;
         if self.refresh(
-            entry,
+            rel,
             &stale.cols,
             stale.agg_sig,
             stale.version,
-            version,
             Arc::new(merged),
-            base_rows,
         ) {
             ctx.metrics.delta_refreshes += 1;
             // Rows *not* rescanned: everything before the delta range.
@@ -547,24 +589,22 @@ impl MatCache {
         }
     }
 
-    /// Find the cheapest cached aggregate of `table` (at contents
-    /// `version`, under aggregate signature `agg_sig`) whose column set
+    /// Find the cheapest cached aggregate of `rel` (at its current
+    /// version, under aggregate signature `agg_sig`) whose column set
     /// covers `want_cols`. "Cheapest" is fewest rows — the paper's cost
     /// model charges re-aggregation by input cardinality. Entries
     /// cached under an older version are skipped, never served — but
     /// they stay resident as refresh candidates.
     fn lookup_covering(
         &mut self,
-        table: &str,
-        version: u64,
+        rel: &Rel,
         want_cols: &[String],
         agg_sig: u64,
-        base_rows: usize,
     ) -> Option<CachedAggregate> {
         if !self.enabled() {
             return None;
         }
-        let Some(slot) = self.slots.get_mut(table) else {
+        let Some(slot) = self.slots.get_mut(&rel.name) else {
             self.stats.misses += 1;
             return None;
         };
@@ -572,13 +612,18 @@ impl MatCache {
         want.sort_unstable();
         let Some(hit) = slot
             .iter_mut()
-            .filter(|e| e.version == version && e.agg_sig == agg_sig && covers(&e.cols, &want))
+            .filter(|e| {
+                e.shard == rel.shard
+                    && e.version == rel.version
+                    && e.agg_sig == agg_sig
+                    && covers(&e.cols, &want)
+            })
             .min_by_key(|e| e.rows)
         else {
             self.stats.misses += 1;
             return None;
         };
-        let saved = base_rows.saturating_sub(hit.rows) as u64;
+        let saved = rel.rows.saturating_sub(hit.rows) as u64;
         self.stats.hits += 1;
         self.stats.rows_saved += saved;
         hit.benefit += saved as f64;
@@ -590,60 +635,53 @@ impl MatCache {
         })
     }
 
-    /// The entries of `table` cached at a version older than `version`
-    /// (the table's current one), whatever their columns or aggregates.
-    fn stale(&self, table: &str, version: u64) -> impl Iterator<Item = &Entry> {
-        let slot = self.slots.get(table).into_iter().flatten();
-        slot.filter(move |e| e.version < version)
+    /// The entries of `rel` cached at a version older than its current
+    /// one, whatever their columns or aggregates.
+    fn stale<'r>(&'r self, rel: &'r Rel) -> impl Iterator<Item = &'r Entry> {
+        let slot = self.slots.get(&rel.name).into_iter().flatten();
+        slot.filter(move |e| e.shard == rel.shard && e.version < rel.version)
     }
 
-    /// Find the best *stale* covering aggregate of `table`, whose column
+    /// Find the best *stale* covering aggregate of `rel`, whose column
     /// set covers `want_cols`, for a delta merge to bring current. The
     /// most recent qualifying version wins (shortest delta chain), fewest
     /// rows breaking ties. Does not touch hit/miss counters — the fresh
     /// lookup already recorded the miss.
-    fn lookup_stale(
-        &self,
-        table: &str,
-        version: u64,
-        want_cols: &[String],
-        agg_sig: u64,
-    ) -> Option<Entry> {
+    fn lookup_stale(&self, rel: &Rel, want_cols: &[String], agg_sig: u64) -> Option<Entry> {
         let mut want = want_cols.to_vec();
         want.sort_unstable();
-        self.stale(table, version)
+        self.stale(rel)
             .filter(|e| e.agg_sig == agg_sig && covers(&e.cols, &want))
             .max_by(|a, b| a.version.cmp(&b.version).then(b.rows.cmp(&a.rows)))
             .cloned()
     }
 
-    /// Replace the payload of the stale entry `(cols, agg_sig)` cached
-    /// at `from_version` with `result` computed at `to_version` — the
-    /// commit step of a delta refresh. Benefit carries over (the entry
-    /// keeps its earned standing; it answered this request too). If the
-    /// refreshed payload grew past the budget, lower-density *other*
-    /// entries are evicted. Returns false if no such entry exists (it
-    /// was evicted in the meantime).
-    #[allow(clippy::too_many_arguments)]
+    /// Replace the payload of `rel`'s stale entry `(cols, agg_sig)`
+    /// cached at `from_version` with `result` computed at its current
+    /// version — the commit step of a delta refresh. Benefit carries over
+    /// (the entry keeps its earned standing; it answered this request
+    /// too). If the refreshed payload grew past the budget, lower-density
+    /// *other* entries are evicted. Returns false if no such entry exists
+    /// (it was evicted in the meantime).
     fn refresh(
         &mut self,
-        table: &str,
+        rel: &Rel,
         cols: &[String],
         agg_sig: u64,
         from_version: u64,
-        to_version: u64,
         result: Arc<Table>,
-        base_rows: usize,
     ) -> bool {
         let mut cols = cols.to_vec();
         cols.sort_unstable();
-        let Some(slot) = self.slots.get_mut(table) else {
+        let Some(slot) = self.slots.get_mut(&rel.name) else {
             return false;
         };
-        let Some(idx) = slot
-            .iter()
-            .position(|e| e.version == from_version && e.agg_sig == agg_sig && e.cols == cols)
-        else {
+        let Some(idx) = slot.iter().position(|e| {
+            e.shard == rel.shard
+                && e.version == from_version
+                && e.agg_sig == agg_sig
+                && e.cols == cols
+        }) else {
             return false;
         };
         let rows = result.num_rows();
@@ -654,25 +692,25 @@ impl MatCache {
             e.table = result;
             e.rows = rows;
             e.bytes = bytes;
-            e.version = to_version;
-            e.benefit = e.benefit.max(base_rows.saturating_sub(rows) as f64);
+            e.version = rel.version;
+            e.benefit = e.benefit.max(rel.rows.saturating_sub(rows) as f64);
         }
         self.stats.refreshes += 1;
-        self.evict_over_budget(Some((table, &cols, agg_sig, to_version)));
+        self.evict_over_budget(Some((rel, &cols, agg_sig)));
         true
     }
 
-    /// Drop every entry of `table` cached at a version other than
-    /// `version` — the invalidation fallback for deltas that cannot (or
+    /// Drop every entry of `rel` cached at a version other than its
+    /// current one — the invalidation fallback for deltas that cannot (or
     /// should not) be merged. Returns how many entries were dropped.
-    fn drop_stale(&mut self, table: &str, version: u64) -> usize {
-        let Some(slot) = self.slots.get_mut(table) else {
+    fn drop_stale(&mut self, rel: &Rel) -> usize {
+        let Some(slot) = self.slots.get_mut(&rel.name) else {
             return 0;
         };
         let before = slot.len();
         let mut freed = 0usize;
         slot.retain(|e| {
-            if e.version == version {
+            if e.shard != rel.shard || e.version == rel.version {
                 true
             } else {
                 freed += e.bytes;
@@ -681,7 +719,7 @@ impl MatCache {
         });
         let dropped = before - slot.len();
         if slot.is_empty() {
-            self.slots.remove(table);
+            self.slots.remove(&rel.name);
         }
         self.total_bytes -= freed;
         self.stats.stale_drops += dropped as u64;
@@ -689,16 +727,21 @@ impl MatCache {
     }
 
     /// Evict lowest-density entries until the cache fits its budget,
-    /// never touching `keep` (the entry just refreshed).
-    fn evict_over_budget(&mut self, keep: Option<(&str, &[String], u64, u64)>) {
+    /// never touching `keep` (the entry just refreshed: its part, columns
+    /// and aggregate signature, at the part's version).
+    fn evict_over_budget(&mut self, keep: Option<(&Rel, &[String], u64)>) {
         while self.total_bytes > self.budget_bytes {
             let victim = self
                 .slots
                 .iter()
                 .flat_map(|(t, s)| s.iter().enumerate().map(move |(i, e)| (t, i, e)))
                 .filter(|(t, _, e)| {
-                    keep.is_none_or(|(kt, kc, ks, kv)| {
-                        !(*t == kt && e.cols == kc && e.agg_sig == ks && e.version == kv)
+                    keep.is_none_or(|(rel, cols, sig)| {
+                        !(**t == rel.name
+                            && e.shard == rel.shard
+                            && e.cols == cols
+                            && e.agg_sig == sig
+                            && e.version == rel.version)
                     })
                 })
                 .min_by(|a, b| a.2.density().total_cmp(&b.2.density()));
@@ -713,27 +756,25 @@ impl MatCache {
         }
     }
 
-    /// Offer a freshly materialized aggregate of `table` (at contents
-    /// `version`) on `cols` for admission, carrying the workload's
+    /// Offer a freshly materialized aggregate of `rel` (at its current
+    /// version) on `cols` for admission, carrying the workload's
     /// aggregate `specs` so the entry can later be delta-refreshed.
     /// Returns whether it was kept. Rejects aggregates no smaller than
-    /// the base table (no re-aggregation benefit) and aggregates that
+    /// the part's rows (no re-aggregation benefit) and aggregates that
     /// cannot fit the budget without evicting entries of higher benefit
     /// density.
-    #[allow(clippy::too_many_arguments)]
     fn offer(
         &mut self,
-        table: &str,
-        version: u64,
+        rel: &Rel,
         cols: &[String],
         agg_sig: u64,
         specs: &[AggSpec],
         result: Arc<Table>,
-        base_rows: usize,
     ) -> bool {
         if !self.enabled() {
             return false;
         }
+        let (version, base_rows) = (rel.version, rel.rows);
         let rows = result.num_rows();
         let bytes = result.byte_size();
         if rows >= base_rows || bytes > self.budget_bytes {
@@ -751,10 +792,10 @@ impl MatCache {
         cols.sort_unstable();
         let benefit = base_rows.saturating_sub(rows) as f64;
 
-        let slot = self.slots.entry(table.to_string()).or_default();
+        let slot = self.slots.entry(rel.name.clone()).or_default();
         if let Some(e) = slot
             .iter_mut()
-            .find(|e| e.agg_sig == agg_sig && e.cols == cols)
+            .find(|e| e.shard == rel.shard && e.agg_sig == agg_sig && e.cols == cols)
         {
             // Same key: one entry per (cols, sig) — the cache keeps the
             // newest version of each aggregate, never two generations.
@@ -797,24 +838,22 @@ impl MatCache {
         }
         self.total_bytes += bytes;
         self.stats.insertions += 1;
-        self.slots
-            .entry(table.to_string())
-            .or_default()
-            .push(Entry {
-                cols,
-                agg_sig,
-                table: result,
-                rows,
-                bytes,
-                version,
-                specs: specs.to_vec(),
-                benefit,
-            });
+        self.slots.entry(rel.name.clone()).or_default().push(Entry {
+            shard: rel.shard,
+            cols,
+            agg_sig,
+            table: result,
+            rows,
+            bytes,
+            version,
+            specs: specs.to_vec(),
+            benefit,
+        });
         true
     }
 
-    /// Drop every cached aggregate of `table` (any version); returns
-    /// how many there were.
+    /// Drop every cached aggregate of `table` (whole and per shard, any
+    /// version); returns how many there were.
     fn invalidate_table(&mut self, table: &str) -> usize {
         let slot = self.slots.remove(table).unwrap_or_default();
         self.total_bytes -= slot.iter().map(|e| e.bytes).sum::<usize>();
@@ -877,6 +916,16 @@ mod tests {
     const SIG: u64 = 7;
     const BASE: usize = 1_000_000;
 
+    /// The whole relation `name` at `version`, of `rows` rows.
+    fn rel(name: &str, version: u64, rows: usize) -> Rel {
+        Rel {
+            name: name.to_string(),
+            shard: None,
+            version,
+            rows,
+        }
+    }
+
     fn cache(budget_bytes: usize) -> MatCache {
         MatCache::new(
             budget_bytes,
@@ -890,41 +939,37 @@ mod tests {
     fn lookup_prefers_the_smallest_covering_superset() {
         let mut mc = cache(1 << 20);
         assert!(mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a", "b", "c"]),
             SIG,
             &specs(),
-            agg_table(&["a", "b", "c"], 500),
-            BASE
+            agg_table(&["a", "b", "c"], 500)
         ));
         assert!(mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a", "b"]),
             SIG,
             &specs(),
-            agg_table(&["a", "b"], 100),
-            BASE
+            agg_table(&["a", "b"], 100)
         ));
 
         let hit = mc
-            .lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
             .unwrap();
         assert_eq!(hit.cols, cols(&["a", "b"]));
         assert_eq!(hit.rows, 100);
         assert!(!hit.exact);
 
         let exact = mc
-            .lookup_covering("r", 1, &cols(&["b", "a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["b", "a"]), SIG)
             .unwrap();
         assert!(exact.exact, "set equality ignores order");
 
         assert!(mc
-            .lookup_covering("r", 1, &cols(&["z"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["z"]), SIG)
             .is_none());
         assert!(mc
-            .lookup_covering("r", 1, &cols(&["a"]), SIG + 1, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG + 1)
             .is_none());
         let s = mc.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (2, 2, 2));
@@ -935,64 +980,76 @@ mod tests {
     fn stale_entries_survive_misses_and_refresh_forward() {
         let mut mc = cache(1 << 20);
         mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
             agg_table(&["a"], 10),
-            BASE,
         );
         // A lookup at a newer version misses — but the entry survives.
         assert!(mc
-            .lookup_covering("r", 2, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 2, BASE), &cols(&["a"]), SIG)
             .is_none());
         assert_eq!(mc.stats().entries, 1);
 
         // The surviving entry is surfaced as a refresh candidate, with
         // its merge specs intact.
-        let stale = mc.lookup_stale("r", 2, &cols(&["a"]), SIG).unwrap();
+        let stale = mc
+            .lookup_stale(&rel("r", 2, BASE), &cols(&["a"]), SIG)
+            .unwrap();
         assert_eq!(stale.version, 1);
         assert_eq!(stale.rows, 10);
         assert_eq!(stale.specs, specs());
         // Entries at the current version are not "stale".
-        assert!(mc.lookup_stale("r", 1, &cols(&["a"]), SIG).is_none());
+        assert!(mc
+            .lookup_stale(&rel("r", 1, BASE), &cols(&["a"]), SIG)
+            .is_none());
 
         // Committing a delta merge brings it current; it serves again.
-        assert!(mc.refresh("r", &cols(&["a"]), SIG, 1, 2, agg_table(&["a"], 12), BASE));
+        assert!(mc.refresh(
+            &rel("r", 2, BASE),
+            &cols(&["a"]),
+            SIG,
+            1,
+            agg_table(&["a"], 12)
+        ));
         let hit = mc
-            .lookup_covering("r", 2, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 2, BASE), &cols(&["a"]), SIG)
             .unwrap();
         assert_eq!(hit.rows, 12);
         assert_eq!(mc.stats().refreshes, 1);
         // Refreshing an entry that no longer exists at that version fails.
-        assert!(!mc.refresh("r", &cols(&["a"]), SIG, 1, 3, agg_table(&["a"], 12), BASE));
+        assert!(!mc.refresh(
+            &rel("r", 3, BASE),
+            &cols(&["a"]),
+            SIG,
+            1,
+            agg_table(&["a"], 12)
+        ));
     }
 
     #[test]
     fn lookup_stale_prefers_the_most_recent_version() {
         let mut mc = cache(1 << 20);
         mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a", "b"]),
             SIG,
             &specs(),
             agg_table(&["a", "b"], 50),
-            BASE,
         );
         mc.offer(
-            "r",
-            3,
+            &rel("r", 3, BASE),
             &cols(&["a", "c"]),
             SIG,
             &specs(),
             agg_table(&["a", "c"], 90),
-            BASE,
         );
         // Both cover {a}; the version-3 entry needs the shortest delta
         // chain even though it has more rows.
-        let stale = mc.lookup_stale("r", 5, &cols(&["a"]), SIG).unwrap();
+        let stale = mc
+            .lookup_stale(&rel("r", 5, BASE), &cols(&["a"]), SIG)
+            .unwrap();
         assert_eq!(stale.version, 3);
         assert_eq!(stale.cols, cols(&["a", "c"]));
     }
@@ -1001,28 +1058,26 @@ mod tests {
     fn drop_stale_removes_only_old_versions() {
         let mut mc = cache(1 << 20);
         mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
             agg_table(&["a"], 10),
-            BASE,
         );
         mc.offer(
-            "r",
-            4,
+            &rel("r", 4, BASE),
             &cols(&["b"]),
             SIG,
             &specs(),
             agg_table(&["b"], 10),
-            BASE,
         );
-        assert_eq!(mc.drop_stale("r", 4), 1);
+        assert_eq!(mc.drop_stale(&rel("r", 4, BASE)), 1);
         assert!(mc
-            .lookup_covering("r", 4, &cols(&["b"]), SIG, BASE)
+            .lookup_covering(&rel("r", 4, BASE), &cols(&["b"]), SIG)
             .is_some());
-        assert!(mc.lookup_stale("r", 4, &cols(&["a"]), SIG).is_none());
+        assert!(mc
+            .lookup_stale(&rel("r", 4, BASE), &cols(&["a"]), SIG)
+            .is_none());
         assert_eq!(mc.stats().stale_drops, 1);
         assert_eq!(mc.stats().entries, 1);
     }
@@ -1031,38 +1086,32 @@ mod tests {
     fn same_key_admission_is_version_guarded() {
         let mut mc = cache(1 << 20);
         assert!(mc.offer(
-            "r",
-            3,
+            &rel("r", 3, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 10),
-            BASE
+            agg_table(&["a"], 10)
         ));
         // A same-key admit from an older snapshot must not roll the
         // payload backwards.
         assert!(!mc.offer(
-            "r",
-            2,
+            &rel("r", 2, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 9),
-            BASE
+            agg_table(&["a"], 9)
         ));
         // A newer-version admit overwrites in place.
         assert!(mc.offer(
-            "r",
-            5,
+            &rel("r", 5, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 11),
-            BASE
+            agg_table(&["a"], 11)
         ));
         assert_eq!(mc.stats().entries, 1);
         let hit = mc
-            .lookup_covering("r", 5, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 5, BASE), &cols(&["a"]), SIG)
             .unwrap();
         assert_eq!(hit.rows, 11);
     }
@@ -1071,31 +1120,27 @@ mod tests {
     fn invalidate_table_frees_bytes() {
         let mut mc = cache(1 << 20);
         mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
             agg_table(&["a"], 10),
-            BASE,
         );
         mc.offer(
-            "s",
-            1,
+            &rel("s", 1, BASE),
             &cols(&["x"]),
             SIG,
             &specs(),
             agg_table(&["x"], 10),
-            BASE,
         );
         let before = mc.stats().bytes;
         mc.invalidate_table("r");
         assert!(mc.stats().bytes < before);
         assert!(mc
-            .lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
             .is_none());
         assert!(mc
-            .lookup_covering("s", 1, &cols(&["x"]), SIG, BASE)
+            .lookup_covering(&rel("s", 1, BASE), &cols(&["x"]), SIG)
             .is_some());
     }
 
@@ -1106,47 +1151,41 @@ mod tests {
         // Room for exactly two entries.
         let mut mc = cache(2 * unit);
         assert!(mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            Arc::clone(&small),
-            BASE
+            Arc::clone(&small)
         ));
         assert!(mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["b"]),
             SIG,
             &specs(),
-            agg_table(&["b"], 64),
-            BASE
+            agg_table(&["b"], 64)
         ));
         assert!(mc.stats().bytes <= 2 * unit as u64);
 
         // Make {a} clearly the most valuable resident.
         for _ in 0..5 {
-            mc.lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            mc.lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
                 .unwrap();
         }
         // A third entry must evict the colder {b}, not {a}.
         assert!(mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["c"]),
             SIG,
             &specs(),
-            agg_table(&["c"], 64),
-            BASE
+            agg_table(&["c"], 64)
         ));
         assert!(mc.stats().bytes <= 2 * unit as u64);
         assert_eq!(mc.stats().evictions, 1);
         assert!(mc
-            .lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
             .is_some());
         assert!(mc
-            .lookup_covering("r", 1, &cols(&["b"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["b"]), SIG)
             .is_none());
     }
 
@@ -1155,39 +1194,33 @@ mod tests {
         let mut mc = cache(1 << 20);
         // As many rows as the base table: re-aggregation saves nothing.
         assert!(!mc.offer(
-            "r",
-            1,
+            &rel("r", 1, 100),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 100),
-            100
+            agg_table(&["a"], 100)
         ));
         // Larger than the whole budget.
         let mut tiny = cache(8);
         assert!(!tiny.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 100),
-            BASE
+            agg_table(&["a"], 100)
         ));
         // Disabled cache: no lookups, no admissions, no counters.
         let mut off = cache(0);
         assert!(!off.enabled());
         assert!(!off.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 10),
-            BASE
+            agg_table(&["a"], 10)
         ));
         assert!(off
-            .lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
             .is_none());
         assert_eq!(off.stats(), MatCacheStats::default());
 
@@ -1195,23 +1228,21 @@ mod tests {
         // for a low-benefit candidate.
         let small = agg_table(&["a"], 64);
         let mut mc = cache(small.byte_size());
-        assert!(mc.offer("r", 1, &cols(&["a"]), SIG, &specs(), small, BASE));
+        assert!(mc.offer(&rel("r", 1, BASE), &cols(&["a"]), SIG, &specs(), small));
         for _ in 0..10 {
-            mc.lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            mc.lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
                 .unwrap();
         }
         // Nearly as many rows as base: minuscule benefit.
         assert!(!mc.offer(
-            "r",
-            1,
+            &rel("r", 1, 65),
             &cols(&["b"]),
             SIG,
             &specs(),
-            agg_table(&["b"], 64),
-            65
+            agg_table(&["b"], 64)
         ));
         assert!(mc
-            .lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
             .is_some());
     }
 
@@ -1219,26 +1250,22 @@ mod tests {
     fn same_key_admission_refreshes_in_place() {
         let mut mc = cache(1 << 20);
         assert!(mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 50),
-            BASE
+            agg_table(&["a"], 50)
         ));
         assert!(mc.offer(
-            "r",
-            1,
+            &rel("r", 1, BASE),
             &cols(&["a"]),
             SIG,
             &specs(),
-            agg_table(&["a"], 40),
-            BASE
+            agg_table(&["a"], 40)
         ));
         assert_eq!(mc.stats().entries, 1);
         let hit = mc
-            .lookup_covering("r", 1, &cols(&["a"]), SIG, BASE)
+            .lookup_covering(&rel("r", 1, BASE), &cols(&["a"]), SIG)
             .unwrap();
         assert_eq!(hit.rows, 40);
     }
@@ -1294,8 +1321,90 @@ mod tests {
             .sum();
         assert_eq!(counted, 90, "the refreshed counts cover the appended rows");
 
-        mc.replaced("r", 0);
+        mc.replaced("r");
         assert!(mc.cover(&engine, &req, a(), ctx).unwrap().is_empty());
+    }
+
+    /// A shard's cached partial is brought current from the rows
+    /// appended to that shard alone, read as a selection of the table.
+    #[test]
+    fn a_shard_partial_refreshes_from_the_rows_its_shard_received() {
+        let table = |keys: &[i64]| {
+            let fields = vec![
+                Field::new("k", DataType::Int64),
+                Field::new("a", DataType::Int64),
+            ];
+            let k = Column::from_i64(keys.to_vec());
+            let a = Column::from_i64(keys.iter().map(|i| i % 3).collect());
+            Table::new(Schema::new(fields).unwrap(), vec![k, a]).unwrap()
+        };
+        let keys: Vec<i64> = (0..64).collect();
+        let mut catalog = Catalog::new();
+        catalog
+            .register_sharded("r", table(&keys), 4, Some(cols(&["k"])))
+            .unwrap();
+        let mut engine = Engine::new(catalog);
+        let (aggs, mut mc, ctx) = (specs(), cache(1 << 20), &mut QueryCtx::default());
+        let partial = |engine: &Engine, snap: &Snapshot, s: usize| {
+            let q = GroupByQuery {
+                input: Input::Table(
+                    Arc::clone(&snap.table),
+                    Some(Arc::clone(&snap.shards[s].rows)),
+                ),
+                group_cols: cols(&["a"]),
+                aggs: specs(),
+                estimated_groups: None,
+            };
+            engine.run_group_by(&q, &mut QueryCtx::default()).unwrap()
+        };
+        // Admit every shard's partial of (a), as an execution's harvest
+        // would.
+        let before = engine.catalog().snapshot("r").unwrap();
+        let req = mc.request(&before, &aggs, CacheControl::Default);
+        let harvest = (0..4).map(|s| {
+            (
+                cols(&["a"]),
+                Some(s as u32),
+                Arc::new(partial(&engine, &before, s)),
+            )
+        });
+        mc.admit(&req, &[], &aggs, harvest, std::iter::empty());
+        assert_eq!(mc.stats().entries, 4);
+
+        // Ten rows of one key value: they all route to one shard.
+        engine
+            .catalog_mut()
+            .append("r", table(&[1000; 10]))
+            .unwrap();
+        let after = engine.catalog().snapshot("r").unwrap();
+        let received: Vec<usize> = (0..4)
+            .map(|s| after.shards[s].rows.len() - before.shards[s].rows.len())
+            .collect();
+        let touched = received.iter().position(|&n| n > 0).unwrap();
+        assert_eq!(received[touched], 10);
+
+        let req = mc.request(&after, &aggs, CacheControl::Default);
+        let covers = mc.cover(&engine, &req, [cols(&["a"])], ctx).unwrap();
+        assert_eq!(covers.len(), 4, "every shard serves its partial");
+        assert_eq!(ctx.metrics.delta_refreshes, 1);
+        assert_eq!(ctx.metrics.delta_rows, received[touched] as u64);
+        let refreshed = covers.iter().find(|c| c.shard == Some(touched as u32));
+        let norm = |t: &Table| {
+            let mut rows: Vec<(i64, i64)> = (0..t.num_rows())
+                .map(|r| {
+                    (
+                        t.value(r, 0).as_int().unwrap(),
+                        t.value(r, 1).as_int().unwrap(),
+                    )
+                })
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        assert_eq!(
+            norm(&refreshed.unwrap().hit.table),
+            norm(&partial(&engine, &after, touched))
+        );
     }
 
     #[test]

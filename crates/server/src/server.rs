@@ -1299,9 +1299,10 @@ fn run_workload(
 
 /// Render the server-wide stats JSON: admission/streaming
 /// counters, plan-cache statistics, materialized-aggregate-cache
-/// statistics, catalog-entry and connection counts, and the
-/// accumulated [`ExecMetrics`] (same field names as
-/// `gbmqo profile --json`).
+/// statistics, catalog and connection counts, and the accumulated
+/// [`ExecMetrics`] (same field names as `gbmqo profile --json`).
+/// `catalog_tables` counts tables: a sharded table is one, since its
+/// shards are row selections of it.
 fn stats_json(shared: &Shared) -> String {
     let (cache, mat, catalog_tables) = {
         let session = shared.session();

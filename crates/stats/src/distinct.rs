@@ -141,7 +141,7 @@ pub(crate) fn for_each_packed_key<K: KeyCode>(
     while start < rows {
         let out = &mut buf[..MORSEL.min(rows - start)];
         out.fill(K::default());
-        spec.encode_into(cols, start, out);
+        spec.encode_into(cols, start, None, out);
         out.iter().for_each(|&k| f(k));
         start += out.len();
     }
@@ -164,7 +164,7 @@ fn distinct_packed<K: KeyCode>(spec: &PackedKeySpec, cols: &[&Column], rows: usi
 pub fn exact_distinct(table: &Table, cols: &[usize]) -> usize {
     let key_cols: Vec<&Column> = cols.iter().map(|&c| table.column(c)).collect();
     let rows = table.num_rows();
-    let Some(spec) = PackedKeySpec::build(&key_cols) else {
+    let Some(spec) = PackedKeySpec::build(&key_cols, None) else {
         let mut enc = KeyEncoder::new();
         let mut seen: FxHashSet<RowKey> = FxHashSet::default();
         for row in 0..rows {

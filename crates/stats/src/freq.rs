@@ -45,7 +45,7 @@ impl FrequencyProfile {
     /// sample and never the whole table.
     pub fn of_columns(key_cols: &[&Column]) -> Self {
         let rows = key_cols.first().map_or(0, |c| c.len());
-        let per_value: Vec<usize> = match PackedKeySpec::build(key_cols) {
+        let per_value: Vec<usize> = match PackedKeySpec::build(key_cols, None) {
             Some(spec) if spec.fits_u64() => packed_occurrences::<u64>(&spec, key_cols, rows),
             Some(spec) => packed_occurrences::<u128>(&spec, key_cols, rows),
             None => {

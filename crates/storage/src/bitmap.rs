@@ -64,18 +64,6 @@ impl Bitmap {
         out
     }
 
-    /// Bits `range` as a bitmap of their own, a word at a time. Panics
-    /// if the range reaches past the bitmap.
-    pub fn slice(&self, range: Range<usize>) -> Bitmap {
-        let len = range.len();
-        let mut bm = Bitmap {
-            words: self.range_words(range).collect(),
-            len,
-        };
-        bm.mask_tail();
-        bm
-    }
-
     /// Bits `range` realigned to start at bit 0, one `u64` per 64 bits
     /// (the last word may carry bits past the range's end).
     fn range_words(&self, range: Range<usize>) -> impl Iterator<Item = u64> + '_ {
@@ -314,7 +302,9 @@ mod tests {
                 // The same alignments read back: `tail` bits from `head`.
                 let whole: Bitmap = (0..head + tail + 70).map(bit).collect();
                 let want: Bitmap = (head..head + tail).map(bit).collect();
-                assert_eq!(whole.slice(head..head + tail), want, "slice {head}, {tail}");
+                let bytes = whole.to_le_bytes(head..head + tail);
+                let got = Bitmap::from_le_bytes(&bytes, tail).unwrap();
+                assert_eq!(got, want, "range {head}, {tail}");
             }
         }
     }

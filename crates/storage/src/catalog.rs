@@ -1,16 +1,19 @@
-//! The catalog: named base tables, their shard entries and indexes,
-//! contents versions and append logs. It holds nothing a query computes —
-//! plan intermediates belong to the execution that scheduled them — so
-//! only registration, append and resharding write it.
+//! The catalog: named base tables with their indexes, contents versions
+//! and append logs, and for a sharded table the row selection of each
+//! shard. Every table is resident once. It holds nothing a query
+//! computes — plan intermediates belong to the execution that scheduled
+//! them — so only registration, append and resharding write it.
 
 use crate::error::{Result, StorageError};
 use crate::index::{Index, IndexKind};
-use crate::shard::{select_shard_key, shard_table_name, split_table, ShardDesc};
+use crate::shard::{select_shard_key, shard_rows, Shard, ShardDesc};
 use crate::table::Table;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
-/// A catalog entry: a table plus its indexes.
+/// A catalog entry: a table plus its indexes, its append history and,
+/// when sharded, its shards — each a row selection of the table, which
+/// is resident once.
 ///
 /// The table lives behind an [`Arc`] so operators that need an owned
 /// handle (e.g. to keep a table alive across a scoped-thread region or
@@ -29,22 +32,29 @@ pub struct TableEntry {
     /// aggregates, plan-cache fingerprints — can never confuse two
     /// generations of a same-named table.
     pub version: u64,
+    /// Append history (see [`DeltaDesc`]), bounded at [`MAX_DELTA_LOG`];
+    /// a replacement starts a new entry, whose contents share no row
+    /// prefix with the old.
+    log: Vec<DeltaDesc>,
+    /// How the table is split; `None` when unsharded.
+    sharding: Option<Sharding>,
 }
 
 /// One append's footprint on a table: which contiguous row range the
 /// delta occupies and which version interval it spans. The catalog keeps
-/// a bounded log of these per base table (and per shard entry of a
-/// sharded table — the shard router supplies per-shard deltas), so
-/// consumers holding an aggregate computed at an older version can
-/// re-aggregate *only the appended rows* and merge, instead of
-/// recomputing from scratch.
+/// a bounded log of these per base table, and per shard of a sharded
+/// table in the shard's own row coordinates (positions in its row-id
+/// list: a shard's delta is the tail of its list), so consumers holding
+/// an aggregate computed at an older version can re-aggregate *only the
+/// appended rows* and merge, instead of recomputing from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaDesc {
     /// Version of the table immediately before the append.
     pub from_version: u64,
     /// Version assigned by the append.
     pub to_version: u64,
-    /// Rows the table held before the append — the delta's first row.
+    /// Rows the table (or shard) held before the append — the delta's
+    /// first row.
     pub base_rows: usize,
     /// Rows the append added.
     pub delta_rows: usize,
@@ -83,19 +93,20 @@ pub struct Snapshot {
     pub indexes: Vec<(Vec<usize>, IndexKind)>,
     /// The shard-key columns; empty when unsharded.
     pub shard_key: Vec<String>,
-    /// Each shard entry as `(name, contents version, rows)`, in shard
-    /// order; empty when unsharded.
-    pub shards: Vec<(String, u64, usize)>,
-    /// The catalog tables a derived relation was computed from; empty
-    /// for a catalog table's own snapshot.
-    pub reads: Vec<String>,
+    /// Each shard's rows of `table` and version, in shard order; empty
+    /// when unsharded.
+    pub shards: Vec<Shard>,
+    /// The catalog tables a derived relation was computed from, each
+    /// with the contents version it was read at; empty for a catalog
+    /// table's own snapshot.
+    pub reads: Vec<(String, u64)>,
 }
 
 impl Snapshot {
     /// A relation computed for one request from the catalog tables
     /// `reads`: keyed by `name`, valid at its source's contents
     /// `version`, unsharded and index-free.
-    pub fn derived(name: String, version: u64, table: Table, reads: Vec<String>) -> Self {
+    pub fn derived(name: String, version: u64, table: Table, reads: Vec<(String, u64)>) -> Self {
         Snapshot {
             name,
             version,
@@ -133,20 +144,72 @@ pub const MAX_DELTA_LOG: usize = 64;
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: FxHashMap<String, TableEntry>,
-    /// Source of [`TableEntry::version`] values; starts at 1 so version
-    /// 0 can mean "no such table" in callers that want a sentinel.
+    /// Source of [`TableEntry::version`] and [`Shard::version`] values;
+    /// starts at 1 so version 0 can mean "no such table" in callers that
+    /// want a sentinel.
     next_version: u64,
-    /// Sharding metadata per sharded base table. A sharded table keeps
-    /// its full contiguous entry under its own name (statistics, plan
-    /// models and serial paths read it unchanged) plus one hidden base
-    /// entry per shard (`__gbmqo_shard_{name}_{i}`), each with its own
-    /// monotonic version so per-shard cached aggregates invalidate
-    /// independently.
-    shard_descs: FxHashMap<String, ShardDesc>,
-    /// Append history per table (see [`DeltaDesc`]). Bounded at
-    /// [`MAX_DELTA_LOG`] entries; replace/remove clear the log because
-    /// the new contents share no row prefix with the old.
-    delta_logs: FxHashMap<String, Vec<DeltaDesc>>,
+}
+
+/// A sharded table's split: its descriptor, and per shard its rows with
+/// their own version (so per-shard cached aggregates invalidate
+/// independently) and append history in the shard's row coordinates.
+#[derive(Debug, Clone)]
+struct Sharding {
+    desc: ShardDesc,
+    shards: Vec<Shard>,
+    logs: Vec<Vec<DeltaDesc>>,
+}
+
+/// Log an append of `delta_rows` rows to `base_rows` that moved a table
+/// or shard from version `from_version` to `to_version`, dropping the
+/// oldest descriptors once the log outgrows [`MAX_DELTA_LOG`]: consumers
+/// behind the surviving chain head can no longer catch up incrementally
+/// and fall back to recompute.
+fn log_append(
+    log: &mut Vec<DeltaDesc>,
+    from_version: u64,
+    to_version: u64,
+    base_rows: usize,
+    delta_rows: usize,
+) {
+    log.push(DeltaDesc {
+        from_version,
+        to_version,
+        base_rows,
+        delta_rows,
+    });
+    if log.len() > MAX_DELTA_LOG {
+        let excess = log.len() - MAX_DELTA_LOG;
+        log.drain(..excess);
+    }
+}
+
+/// The contiguous appended range `log` records between `since` and
+/// `current`, the version of a table or shard now holding `rows` rows;
+/// see [`Catalog::delta_chain`].
+fn chain(log: &[DeltaDesc], since: u64, current: u64, rows: usize) -> Option<DeltaRange> {
+    if since == current {
+        return Some(DeltaRange {
+            start_row: rows,
+            rows: 0,
+            to_version: current,
+        });
+    }
+    let first = log.iter().position(|d| d.from_version == since)?;
+    let mut appended = 0usize;
+    let mut at = since;
+    for d in &log[first..] {
+        if d.from_version != at {
+            return None; // chain broken (should not happen in practice)
+        }
+        appended += d.delta_rows;
+        at = d.to_version;
+    }
+    (at == current).then_some(DeltaRange {
+        start_row: log[first].base_rows,
+        rows: appended,
+        to_version: current,
+    })
 }
 
 // Compile-time guarantee for the parallel executor: worker threads borrow
@@ -179,42 +242,40 @@ impl Catalog {
         if self.tables.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }
-        self.insert(name, table);
+        self.insert(name, table, None);
         Ok(())
     }
 
-    /// (Re)place the entry `name` with a fresh version of `table`, no
-    /// indexes and no append history; returns the version.
-    fn insert(&mut self, name: String, table: Arc<Table>) -> u64 {
+    /// (Re)place the entry `name` with a fresh version of `table`, split
+    /// as `sharding` says, with no indexes and no append history; returns
+    /// the version.
+    fn insert(&mut self, name: String, table: Arc<Table>, sharding: Option<Sharding>) -> u64 {
         let version = self.bump_version();
-        self.delta_logs.remove(&name);
-        self.tables.insert(
-            name,
-            TableEntry {
-                table,
-                indexes: Vec::new(),
-                version,
-            },
-        );
+        let entry = TableEntry {
+            table,
+            indexes: Vec::new(),
+            version,
+            log: Vec::new(),
+            sharding,
+        };
+        self.tables.insert(name, entry);
         version
     }
 
     /// Register `table` under `name`, replacing any existing table of
     /// that name. The old entry's indexes are dropped: they describe the
-    /// old data. A previously sharded entry is unsharded — its shard
-    /// entries and descriptor go away. Returns the new version.
+    /// old data. A previously sharded table is unsharded. Returns the new
+    /// version.
     pub fn replace(&mut self, name: impl Into<String>, table: Table) -> Result<u64> {
-        let name = name.into();
-        self.drop_shards(&name);
-        Ok(self.insert(name, Arc::new(table)))
+        self.replace_sharded(&name.into(), table, 1, None)
     }
 
-    /// Register a base table split into `shards` hash-disjoint parts
-    /// (see [`crate::shard`]). The full contiguous table is registered
-    /// under `name` as usual; each part becomes a hidden base entry with
-    /// its own version. `key_cols` picks the routing columns; `None`
-    /// selects the highest-cardinality column automatically. A shard
-    /// count of 0 or 1 degrades to a plain [`Catalog::register`].
+    /// Register a base table split into `shards` hash-disjoint shards
+    /// (see [`crate::shard`]). The table is registered under `name` as
+    /// usual; each shard is the list of its rows' ids, with its own
+    /// version. `key_cols` picks the routing columns; `None` selects the
+    /// highest-cardinality column automatically. A shard count of 0 or 1
+    /// degrades to a plain [`Catalog::register`].
     pub fn register_sharded(
         &mut self,
         name: impl Into<String>,
@@ -223,22 +284,18 @@ impl Catalog {
         key_cols: Option<Vec<String>>,
     ) -> Result<()> {
         let name = name.into();
-        if shards <= 1 {
-            return self.register(name, table);
-        }
         if self.tables.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }
-        let (key_cols, parts) = self.shard_parts(&name, &table, shards, key_cols)?;
-        self.attach_shards(&name, key_cols, parts);
-        self.register(name, table)
+        self.replace_sharded(&name, table, shards, key_cols)
+            .map(drop)
     }
 
     /// [`Catalog::register_sharded`] with replace semantics: any
     /// existing base entry (sharded or not) of this name is superseded.
-    /// Returns the new version of the logical table. The key is picked
-    /// and the table split before anything is removed, so an error
-    /// leaves every entry as it was.
+    /// Returns the new version of the table. The key is picked and the
+    /// rows routed before anything is removed, so an error leaves every
+    /// entry as it was.
     pub fn replace_sharded(
         &mut self,
         name: &str,
@@ -246,77 +303,51 @@ impl Catalog {
         shards: u32,
         key_cols: Option<Vec<String>>,
     ) -> Result<u64> {
-        let sharded = if shards > 1 {
-            Some(self.shard_parts(name, &table, shards, key_cols)?)
-        } else {
-            None
-        };
-        self.drop_shards(name);
-        if let Some((key_cols, parts)) = sharded {
-            self.attach_shards(name, key_cols, parts);
-        }
-        Ok(self.insert(name.to_string(), Arc::new(table)))
+        let sharding = self.split(name, &table, shards, key_cols)?;
+        Ok(self.insert(name.to_string(), Arc::new(table), sharding))
     }
 
     /// Sharding metadata for `name`, if it was registered sharded.
     pub fn shard_desc(&self, name: &str) -> Option<&ShardDesc> {
-        self.shard_descs.get(name)
+        Some(&self.tables.get(name)?.sharding.as_ref()?.desc)
     }
 
-    /// Pick `name`'s shard key and split `table` into its shard parts,
-    /// changing nothing. Fails on an unknown key column, a shard count
-    /// that is not a power of two, a zero-column table, or a shard name
-    /// held by an entry that is not one of `name`'s own shards.
-    fn shard_parts(
-        &self,
+    /// `table` split into `shards` shards under `name`'s key — `None` at
+    /// a shard count of 0 or 1 — each with a fresh version and an empty
+    /// append history. Writes nothing else; fails on an unknown key
+    /// column, a shard count that is not a power of two, or a zero-column
+    /// table.
+    fn split(
+        &mut self,
         name: &str,
         table: &Table,
         shards: u32,
         key_cols: Option<Vec<String>>,
-    ) -> Result<(Vec<String>, Vec<Table>)> {
+    ) -> Result<Option<Sharding>> {
+        if shards <= 1 {
+            return Ok(None);
+        }
         let key_cols = match key_cols {
             Some(k) if !k.is_empty() => k,
             _ => vec![select_shard_key(table).ok_or_else(|| {
                 StorageError::Malformed(format!("cannot shard zero-column table {name}"))
             })?],
         };
-        let own = self.shard_descs.get(name).map_or(0, |d| d.shard_count);
-        for s in own..shards {
-            let shard_name = shard_table_name(name, s);
-            if self.tables.contains_key(&shard_name) {
-                return Err(StorageError::TableExists(shard_name));
-            }
-        }
-        let parts = split_table(table, &key_cols, shards)?;
-        Ok((key_cols, parts))
-    }
-
-    /// Register the parts [`Catalog::shard_parts`] made as shard entries
-    /// and record the descriptor. The logical entry itself is the
-    /// caller's business.
-    fn attach_shards(&mut self, name: &str, key_cols: Vec<String>, parts: Vec<Table>) {
-        let shard_count = parts.len() as u32;
-        for (s, part) in parts.into_iter().enumerate() {
-            self.insert(shard_table_name(name, s as u32), Arc::new(part));
-        }
-        self.shard_descs.insert(
-            name.to_string(),
-            ShardDesc {
+        let shards: Vec<Shard> = (shard_rows(table, &key_cols, shards)?.into_iter())
+            .map(|rows| Shard {
+                rows: Arc::new(rows),
+                version: self.bump_version(),
+            })
+            .collect();
+        let shard_count = shards.len() as u32;
+        Ok(Some(Sharding {
+            desc: ShardDesc {
                 key_cols,
                 shard_count,
             },
-        );
-    }
-
-    /// Remove `name`'s shard entries and descriptor, if any.
-    fn drop_shards(&mut self, name: &str) {
-        if let Some(desc) = self.shard_descs.remove(name) {
-            for s in 0..desc.shard_count {
-                let sname = shard_table_name(name, s);
-                self.tables.remove(&sname);
-                self.delta_logs.remove(&sname);
-            }
-        }
+            logs: vec![Vec::new(); shards.len()],
+            shards,
+        }))
     }
 
     /// Append `rows` (same schema) to base table `name`, producing a new
@@ -327,121 +358,90 @@ impl Catalog {
     /// `Arc` from [`Catalog::table_arc`], or a `Table` clone sharing its
     /// columns): that holder keeps seeing exactly the old rows, and this
     /// append pays one copy of the table to leave them alone. On a
-    /// sharded table the delta is routed by the shard key and appended
-    /// to the receiving shard entries only — shards no delta row landed
-    /// in keep their version, so their cached aggregates stay warm.
-    /// Everything that can fail is checked before the first row is
-    /// written, so an error leaves every entry as it was. Returns the new
-    /// version of the logical table.
+    /// sharded table the delta is routed by the shard key, and each
+    /// receiving shard's row-id list grows by the ids its rows took (with
+    /// the same copy-on-write rule) and logs its own delta; shards no
+    /// delta row landed in keep their version, so their cached aggregates
+    /// stay warm. Every row is written once, into the table. Everything
+    /// that can fail is checked before the first row is written, so an
+    /// error leaves every entry as it was. Returns the new version of the
+    /// table.
     pub fn append(&mut self, name: &str, rows: Table) -> Result<u64> {
-        self.check_append(name, &rows)?;
-        let parts = match self.shard_descs.get(name) {
-            Some(desc) => {
-                for s in 0..desc.shard_count {
-                    self.check_append(&shard_table_name(name, s), &rows)?;
-                }
-                split_table(&rows, &desc.key_cols, desc.shard_count)?
-            }
-            None => Vec::new(),
-        };
-        for (s, part) in parts.iter().enumerate() {
-            if part.num_rows() > 0 {
-                self.grow(&shard_table_name(name, s as u32), part);
-            }
-        }
-        Ok(self.grow(name, &rows))
-    }
-
-    /// The checks of [`Catalog::append`] for one entry: `name` is a table
-    /// with `rows`' schema.
-    fn check_append(&self, name: &str, rows: &Table) -> Result<()> {
-        if self.get(name)?.table.schema() != rows.schema() {
+        let entry = self.get(name)?;
+        if entry.table.schema() != rows.schema() {
             return Err(StorageError::Malformed(format!(
                 "append to {name}: schema mismatch"
             )));
         }
-        Ok(())
-    }
-
-    /// Grow one entry that passed [`Catalog::check_append`] by `rows`;
-    /// returns its new version.
-    fn grow(&mut self, name: &str, rows: &Table) -> u64 {
-        let version = self.bump_version();
-        let entry = self.tables.get_mut(name).expect("checked by check_append");
-        let desc = DeltaDesc {
-            from_version: entry.version,
-            to_version: version,
-            base_rows: entry.table.num_rows(),
-            delta_rows: rows.num_rows(),
+        let routed = match &entry.sharding {
+            Some(s) => shard_rows(&rows, &s.desc.key_cols, s.desc.shard_count)?,
+            None => Vec::new(),
         };
+        let version = self.bump_version();
+        let next = &mut self.next_version;
+        let entry = self.tables.get_mut(name).expect("checked above");
+        let first = entry.table.num_rows();
+        if let Some(sharding) = &mut entry.sharding {
+            let parts = sharding.shards.iter_mut().zip(&mut sharding.logs);
+            for ((shard, log), delta) in parts.zip(routed).filter(|(_, d)| !d.is_empty()) {
+                *next += 1;
+                log_append(log, shard.version, *next, shard.rows.len(), delta.len());
+                Arc::make_mut(&mut shard.rows).extend(delta.iter().map(|&r| first as u32 + r));
+                shard.version = *next;
+            }
+        }
+        log_append(
+            &mut entry.log,
+            entry.version,
+            version,
+            first,
+            rows.num_rows(),
+        );
         Arc::make_mut(&mut entry.table)
-            .append(rows)
-            .expect("schema checked by check_append");
+            .append(&rows)
+            .expect("schema checked above");
         entry.indexes.clear();
         entry.version = version;
-        let log = self.delta_logs.entry(name.to_string()).or_default();
-        log.push(desc);
-        // Compaction: drop the oldest descriptors once the log outgrows
-        // its bound. Consumers behind the surviving chain head can no
-        // longer catch up incrementally and fall back to recompute.
-        if log.len() > MAX_DELTA_LOG {
-            let excess = log.len() - MAX_DELTA_LOG;
-            log.drain(..excess);
-        }
-        version
+        Ok(version)
     }
 
     /// The append history of `name` still retained (oldest first). Empty
     /// for tables that were never appended to (or whose log was cleared
     /// by replace/remove).
     pub fn delta_log(&self, name: &str) -> &[DeltaDesc] {
-        self.delta_logs.get(name).map_or(&[], |v| v.as_slice())
+        self.tables.get(name).map_or(&[], |e| e.log.as_slice())
     }
 
     /// Resolve the contiguous appended row range between `since_version`
-    /// (a consumer's snapshot of table `name`) and the table's current
-    /// version. Returns `None` when the consumer cannot catch up
-    /// incrementally: its version precedes the retained log (compacted
-    /// away), the table was replaced (log cleared), or the chain does
-    /// not link up to the current version. A consumer already at the
-    /// current version gets an empty range.
-    pub fn delta_chain(&self, name: &str, since_version: u64) -> Option<DeltaRange> {
-        let current = self.tables.get(name)?.version;
-        if since_version == current {
-            return Some(DeltaRange {
-                start_row: self.tables[name].table.num_rows(),
-                rows: 0,
-                to_version: current,
-            });
-        }
-        let log = self.delta_logs.get(name)?;
-        let first = log.iter().position(|d| d.from_version == since_version)?;
-        let mut rows = 0usize;
-        let mut at = since_version;
-        for d in &log[first..] {
-            if d.from_version != at {
-                return None; // chain broken (should not happen in practice)
-            }
-            rows += d.delta_rows;
-            at = d.to_version;
-        }
-        if at != current {
-            return None;
-        }
-        Some(DeltaRange {
-            start_row: log[first].base_rows,
-            rows,
-            to_version: current,
-        })
+    /// (a consumer's snapshot of table `name`, or with `shard` of that
+    /// shard of it) and the current version — a shard's range in its own
+    /// row coordinates, positions in its row-id list. Returns `None` when
+    /// the consumer cannot catch up incrementally: its version precedes
+    /// the retained log (compacted away), the table was replaced (log
+    /// cleared), or the chain does not link up to the current version. A
+    /// consumer already at the current version gets an empty range.
+    pub fn delta_chain(
+        &self,
+        name: &str,
+        shard: Option<u32>,
+        since_version: u64,
+    ) -> Option<DeltaRange> {
+        let entry = self.tables.get(name)?;
+        let Some(s) = shard else {
+            let rows = entry.table.num_rows();
+            return chain(&entry.log, since_version, entry.version, rows);
+        };
+        let sharding = entry.sharding.as_ref()?;
+        let shard = sharding.shards.get(s as usize)?;
+        let log = &sharding.logs[s as usize];
+        chain(log, since_version, shard.version, shard.rows.len())
     }
 
-    /// Remove a table, with its shard entries and append history.
+    /// Remove a table, with its shards and append history.
     pub fn remove(&mut self, name: &str) -> Result<()> {
         self.tables
             .remove(name)
             .ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
-        self.delta_logs.remove(name);
-        self.drop_shards(name);
         Ok(())
     }
 
@@ -450,8 +450,8 @@ impl Catalog {
         Ok(self.get(name)?.version)
     }
 
-    /// Every entry by name — base tables and the shard entries of
-    /// sharded ones — in no particular order.
+    /// Every table by name, in no particular order: one entry per
+    /// table, sharded or not.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &TableEntry)> {
         self.tables
             .iter()
@@ -466,20 +466,11 @@ impl Catalog {
     }
 
     /// Table `name` as the catalog holds it now, with its indexes and
-    /// shard entries.
+    /// shards.
     pub fn snapshot(&self, name: &str) -> Result<Snapshot> {
         let entry = self.get(name)?;
-        let (shard_key, shards) = match self.shard_descs.get(name) {
-            Some(desc) => {
-                let shards = (0..desc.shard_count)
-                    .map(|s| {
-                        let shard = shard_table_name(name, s);
-                        let e = self.get(&shard)?;
-                        Ok((shard, e.version, e.table.num_rows()))
-                    })
-                    .collect::<Result<_>>()?;
-                (desc.key_cols.clone(), shards)
-            }
+        let (shard_key, shards) = match &entry.sharding {
+            Some(s) => (s.desc.key_cols.clone(), s.shards.clone()),
             None => Default::default(),
         };
         Ok(Snapshot {
@@ -573,6 +564,7 @@ mod tests {
     use super::*;
     use crate::column::{Column, ColumnData};
     use crate::schema::{Field, Schema};
+    use crate::shard::route_rows;
     use crate::value::{DataType, Value};
 
     fn tiny(n: i64) -> Table {
@@ -681,6 +673,22 @@ mod tests {
         }
     }
 
+    /// Each named table's version, cells and append log, and `t`'s
+    /// shards.
+    type State = (Vec<(u64, Vec<Vec<Value>>, Vec<DeltaDesc>)>, Vec<Shard>);
+
+    /// What a failed write must leave alone.
+    fn state(c: &Catalog, names: &[&str]) -> State {
+        let entries = names
+            .iter()
+            .map(|n| {
+                let e = c.get(n).unwrap();
+                (e.version, cells(&e.table), c.delta_log(n).to_vec())
+            })
+            .collect();
+        (entries, c.snapshot("t").unwrap().shards)
+    }
+
     #[test]
     fn failed_append_changes_nothing() {
         let mut c = Catalog::new();
@@ -688,20 +696,7 @@ mod tests {
             .unwrap();
         c.register("u", mixed(0..3, 3)).unwrap();
         c.append("t", mixed(40..48, 5)).unwrap();
-        let mut names: Vec<String> = (0..4).map(|s| shard_table_name("t", s)).collect();
-        names.push("t".into());
-        names.push("u".into());
-        let state =
-            |c: &Catalog, names: &[String]| -> Vec<(u64, Vec<Vec<Value>>, Vec<DeltaDesc>)> {
-                names
-                    .iter()
-                    .map(|n| {
-                        let e = c.get(n).unwrap();
-                        (e.version, cells(&e.table), c.delta_log(n).to_vec())
-                    })
-                    .collect()
-            };
-        let before = state(&c, &names);
+        let before = state(&c, &["t", "u"]);
 
         // wrong schema, unknown target
         assert!(c.append("t", tiny(2)).is_err());
@@ -710,18 +705,7 @@ mod tests {
             c.append("ghost", mixed(0..2, 3)),
             Err(StorageError::TableNotFound(_))
         ));
-        assert_eq!(state(&c, &names), before);
-
-        // a shard entry gone missing: refused before the shards that do
-        // exist, or the logical entry, take a row
-        c.remove(&names[3]).unwrap();
-        names.remove(3);
-        let before = state(&c, &names);
-        assert!(matches!(
-            c.append("t", mixed(48..80, 5)),
-            Err(StorageError::TableNotFound(_))
-        ));
-        assert_eq!(state(&c, &names), before);
+        assert_eq!(state(&c, &["t", "u"]), before);
     }
 
     #[test]
@@ -730,19 +714,7 @@ mod tests {
         c.register_sharded("t", mixed(0..40, 3), 4, Some(vec!["x".into()]))
             .unwrap();
         c.append("t", mixed(40..48, 5)).unwrap();
-        let mut names: Vec<String> = (0..4).map(|s| shard_table_name("t", s)).collect();
-        names.push("t".into());
-        let state = |c: &Catalog| {
-            let entries: Vec<(u64, Vec<Vec<Value>>, Vec<DeltaDesc>)> = names
-                .iter()
-                .map(|n| {
-                    let e = c.get(n).unwrap();
-                    (e.version, cells(&e.table), c.delta_log(n).to_vec())
-                })
-                .collect();
-            (entries, c.shard_desc("t").cloned())
-        };
-        let before = state(&c);
+        let before = (state(&c, &["t"]), c.shard_desc("t").cloned());
         assert!(before.1.is_some());
 
         let no_columns = Table::new(Schema::new(vec![]).unwrap(), vec![]).unwrap();
@@ -752,7 +724,7 @@ mod tests {
             (no_columns, 4, None),
         ] {
             assert!(c.replace_sharded("t", table, shards, key).is_err());
-            assert_eq!(state(&c), before);
+            assert_eq!((state(&c, &["t"]), c.shard_desc("t").cloned()), before);
         }
     }
 
@@ -791,7 +763,7 @@ mod tests {
         assert_eq!(c.delta_log("t").len(), 3);
 
         // the chain over the grown table is exactly the appended rows
-        let r = c.delta_chain("t", v0).unwrap();
+        let r = c.delta_chain("t", None, v0).unwrap();
         assert_eq!((r.start_row, r.rows), (20, 21));
         let appended = t.slice_rows(r.start_row, r.rows).unwrap();
         let want = Table::concat(&[&d1, &d2, &d3]).unwrap();
@@ -848,53 +820,103 @@ mod tests {
     fn sharded_register_append_and_cleanup() {
         let mut c = Catalog::new();
         c.register_sharded("t", tiny(64), 4, None).unwrap();
-        assert_eq!(c.entries().count(), 5, "the logical entry and four shards");
+        assert_eq!(c.entries().count(), 1, "the table, and no shard copies");
         let desc = c.shard_desc("t").unwrap().clone();
         assert_eq!(desc.shard_count, 4);
         assert_eq!(desc.key_cols, vec!["x".to_string()]);
-        let total: usize = (0..4)
-            .map(|s| {
-                c.table(&crate::shard::shard_table_name("t", s))
-                    .unwrap()
-                    .num_rows()
-            })
-            .sum();
-        assert_eq!(total, 64);
+        let total = |c: &Catalog| -> usize {
+            let snap = c.snapshot("t").unwrap();
+            snap.shards.iter().map(|s| s.rows.len()).sum()
+        };
+        assert_eq!(total(&c), 64);
 
         // append a narrow delta: only receiving shards bump
-        let before: Vec<u64> = (0..4)
-            .map(|s| {
-                c.table_version(&crate::shard::shard_table_name("t", s))
-                    .unwrap()
-            })
-            .collect();
-        let logical_before = c.table_version("t").unwrap();
+        let before = c.snapshot("t").unwrap();
         c.append("t", tiny(1)).unwrap(); // single row: exactly one shard receives it
-        assert!(c.table_version("t").unwrap() > logical_before);
-        assert_eq!(c.table("t").unwrap().num_rows(), 65);
-        let bumped: Vec<u32> = (0..4)
-            .filter(|&s| {
-                c.table_version(&crate::shard::shard_table_name("t", s))
-                    .unwrap()
-                    > before[s as usize]
-            })
-            .collect();
-        assert_eq!(bumped.len(), 1, "one-row delta must touch one shard");
-        let total: usize = (0..4)
-            .map(|s| {
-                c.table(&crate::shard::shard_table_name("t", s))
-                    .unwrap()
-                    .num_rows()
-            })
-            .sum();
-        assert_eq!(total, 65);
+        let after = c.snapshot("t").unwrap();
+        assert!(after.version > before.version);
+        assert_eq!(after.rows(), 65);
+        let bumped = (before.shards.iter().zip(&after.shards))
+            .filter(|(b, a)| a.version > b.version)
+            .count();
+        assert_eq!(bumped, 1, "one-row delta must touch one shard");
+        assert_eq!(total(&c), 65);
 
-        // remove cleans up shard entries and the descriptor
+        // remove cleans up the shards and the descriptor
         c.remove("t").unwrap();
         assert!(c.shard_desc("t").is_none());
+        assert!(c.snapshot("t").is_err());
+    }
+
+    /// Shard `s`'s rows in `snap`.
+    fn shard_ids(snap: &Snapshot, s: usize) -> &[u32] {
+        snap.shards[s].rows.as_slice()
+    }
+
+    #[test]
+    fn a_sharded_table_is_resident_once() {
+        let mut c = Catalog::new();
+        c.register_sharded("t", mixed(0..300, 7), 4, Some(vec!["s".into()]))
+            .unwrap();
+        assert_eq!(c.entries().count(), 1, "one entry: the table");
+        let before = c.snapshot("t").unwrap();
+        assert_eq!(before.shards.len(), 4);
+
+        // Ascending, disjoint, covering, and where routing sends each row.
+        let route = |t: &Table| route_rows(&[t.column_by_name("s").unwrap()], t.num_rows(), 4);
+        let routes = route(&before.table);
+        let mut seen = vec![false; 300];
         for s in 0..4 {
-            assert!(!c.contains(&crate::shard::shard_table_name("t", s)));
+            let ids = shard_ids(&before, s);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "shard {s} ascends");
+            for &r in ids {
+                assert!(
+                    !std::mem::replace(&mut seen[r as usize], true),
+                    "row {r} twice"
+                );
+                assert_eq!(routes[r as usize] as usize, s);
+            }
         }
+        assert!(seen.iter().all(|&s| s), "every row is in a shard");
+
+        // An append of k rows grows the one table by k and each shard's
+        // list by the ids of the delta rows routed to it.
+        let delta = mixed(300..340, 11);
+        let delta_routes = route(&delta);
+        c.append("t", delta.clone()).unwrap();
+        assert_eq!(c.entries().count(), 1);
+        let after = c.snapshot("t").unwrap();
+        assert_eq!(after.rows(), 340);
+        for s in 0..4 {
+            let grown: Vec<u32> = (0..40u32)
+                .filter(|&r| delta_routes[r as usize] as usize == s)
+                .map(|r| 300 + r)
+                .collect();
+            let old = shard_ids(&before, s);
+            assert_eq!(
+                shard_ids(&after, s),
+                [old, &grown[..]].concat(),
+                "shard {s}"
+            );
+            let bumped = after.shards[s].version != before.shards[s].version;
+            assert_eq!(
+                bumped,
+                !grown.is_empty(),
+                "shard {s} bumps iff it received rows"
+            );
+        }
+        assert_eq!(cells(&after.table)[300..], cells(&delta)[..]);
+
+        // The snapshot taken before still reads the old rows and lists.
+        assert_eq!(before.rows(), 300);
+        assert_eq!(cells(&before.table)[..], cells(&after.table)[..300]);
+        let total: usize = before.shards.iter().map(|s| s.rows.len()).sum();
+        assert_eq!(total, 300);
+
+        // remove drops the table and its shards
+        c.remove("t").unwrap();
+        assert!(c.shard_desc("t").is_none());
+        assert_eq!(c.entries().count(), 0);
     }
 
     #[test]
@@ -904,11 +926,11 @@ mod tests {
         let v = c.replace_sharded("t", tiny(32), 2, None).unwrap();
         assert_eq!(c.table_version("t").unwrap(), v);
         assert!(c.shard_desc("t").is_some());
-        assert!(c.contains(&crate::shard::shard_table_name("t", 0)));
+        assert_eq!(c.snapshot("t").unwrap().shards.len(), 2);
         // plain replace unshards
         c.replace("t", tiny(4)).unwrap();
         assert!(c.shard_desc("t").is_none());
-        assert!(!c.contains(&crate::shard::shard_table_name("t", 0)));
+        assert!(c.snapshot("t").unwrap().shards.is_empty());
         // shards <= 1 degrades to plain registration
         c.register_sharded("u", tiny(4), 1, None).unwrap();
         assert!(c.shard_desc("u").is_none());
@@ -923,7 +945,7 @@ mod tests {
         let v0 = c.table_version("t").unwrap();
         assert_eq!(c.delta_log("t").len(), 0);
         // caught-up consumer: empty range at the current end
-        let r = c.delta_chain("t", v0).unwrap();
+        let r = c.delta_chain("t", None, v0).unwrap();
         assert_eq!((r.start_row, r.rows, r.to_version), (10, 0, v0));
 
         let v1 = c.append("t", tiny(4)).unwrap();
@@ -931,22 +953,22 @@ mod tests {
         assert_eq!(c.delta_log("t").len(), 2);
 
         // from v0: both appends combine into one contiguous range
-        let r = c.delta_chain("t", v0).unwrap();
+        let r = c.delta_chain("t", None, v0).unwrap();
         assert_eq!((r.start_row, r.rows, r.to_version), (10, 10, v2));
         // from v1: only the second append
-        let r = c.delta_chain("t", v1).unwrap();
+        let r = c.delta_chain("t", None, v1).unwrap();
         assert_eq!((r.start_row, r.rows, r.to_version), (14, 6, v2));
         // unknown / pre-history versions cannot catch up
-        assert!(c.delta_chain("t", 0).is_none());
-        assert!(c.delta_chain("t", v2 + 1).is_none());
-        assert!(c.delta_chain("ghost", v0).is_none());
+        assert!(c.delta_chain("t", None, 0).is_none());
+        assert!(c.delta_chain("t", None, v2 + 1).is_none());
+        assert!(c.delta_chain("ghost", None, v0).is_none());
 
         // replace severs the chain entirely
         let v3 = c.replace("t", tiny(3)).unwrap();
-        assert!(c.delta_chain("t", v0).is_none());
-        assert!(c.delta_chain("t", v2).is_none());
+        assert!(c.delta_chain("t", None, v0).is_none());
+        assert!(c.delta_chain("t", None, v2).is_none());
         assert_eq!(c.delta_log("t").len(), 0);
-        assert_eq!(c.delta_chain("t", v3).unwrap().rows, 0);
+        assert_eq!(c.delta_chain("t", None, v3).unwrap().rows, 0);
     }
 
     #[test]
@@ -963,8 +985,8 @@ mod tests {
         }
         assert_eq!(c.delta_log("t").len(), MAX_DELTA_LOG);
         // the oldest chain head was compacted away; a recent one survives
-        assert!(c.delta_chain("t", v0).is_none());
-        let r = c.delta_chain("t", mid).unwrap();
+        assert!(c.delta_chain("t", None, v0).is_none());
+        let r = c.delta_chain("t", None, mid).unwrap();
         assert_eq!(r.rows, MAX_DELTA_LOG);
         assert_eq!(r.start_row, 1 + 8);
     }
@@ -985,7 +1007,7 @@ mod tests {
         // folds into one contiguous range from the registration version
         assert_eq!(c.delta_log("t").len(), MAX_DELTA_LOG);
         let current = c.table_version("t").unwrap();
-        let r = c.delta_chain("t", v0).unwrap();
+        let r = c.delta_chain("t", None, v0).unwrap();
         assert_eq!(
             (r.start_row, r.rows, r.to_version),
             (2, MAX_DELTA_LOG, current)
@@ -998,10 +1020,10 @@ mod tests {
         c.append("t", tiny(1)).unwrap();
         assert_eq!(c.delta_log("t").len(), MAX_DELTA_LOG);
         assert!(
-            c.delta_chain("t", v0).is_none(),
+            c.delta_chain("t", None, v0).is_none(),
             "compacted-away chain head must force a recompute"
         );
-        let r = c.delta_chain("t", v1).unwrap();
+        let r = c.delta_chain("t", None, v1).unwrap();
         assert_eq!(r.rows, MAX_DELTA_LOG);
         assert_eq!(r.start_row, 3, "range starts after base + first delta");
     }
@@ -1010,37 +1032,27 @@ mod tests {
     fn sharded_append_logs_per_shard_deltas() {
         let mut c = Catalog::new();
         c.register_sharded("t", tiny(64), 4, None).unwrap();
-        let before: Vec<u64> = (0..4)
-            .map(|s| {
-                c.table_version(&crate::shard::shard_table_name("t", s))
-                    .unwrap()
-            })
-            .collect();
+        let before = c.snapshot("t").unwrap();
         c.append("t", tiny(1)).unwrap();
-        // exactly the receiving shard gained a delta descriptor whose
-        // range matches its pre-append row count
+        let after = c.snapshot("t").unwrap();
+        // exactly the receiving shard gained a delta: the tail of its
+        // list, in its own row coordinates, naming the appended row
         let mut logged = 0;
-        for s in 0..4u32 {
-            let sname = crate::shard::shard_table_name("t", s);
-            let log = c.delta_log(&sname);
-            if log.is_empty() {
+        for (s, shard) in before.shards.iter().enumerate() {
+            let range = c.delta_chain("t", Some(s as u32), shard.version).unwrap();
+            if range.rows == 0 {
                 continue;
             }
             logged += 1;
-            let r = c.delta_chain(&sname, before[s as usize]).unwrap();
-            assert_eq!(r.rows, 1);
-            assert_eq!(
-                r.start_row + 1,
-                c.table(&sname).unwrap().num_rows(),
-                "delta range must sit at the shard's tail"
-            );
+            assert_eq!((range.start_row, range.rows), (shard.rows.len(), 1));
+            assert_eq!(after.shards[s].rows[range.start_row..], [64]);
         }
         assert_eq!(logged, 1);
-        // remove clears shard logs too
+        assert!(c.delta_chain("t", Some(4), before.version).is_none());
+        // remove clears the shards and their logs
         c.remove("t").unwrap();
-        assert_eq!(
-            c.delta_log(&crate::shard::shard_table_name("t", 0)).len(),
-            0
-        );
+        assert!(c
+            .delta_chain("t", Some(0), before.shards[0].version)
+            .is_none());
     }
 }

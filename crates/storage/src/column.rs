@@ -248,16 +248,21 @@ impl Column {
     /// whole dictionary — this keeps temp-table storage accounting
     /// (§4.4 of the paper) proportional to what the temp actually adds.
     pub fn byte_size(&self) -> usize {
+        self.byte_size_of(self.len())
+    }
+
+    /// [`Column::byte_size`] of a column holding `rows` of this column's
+    /// rows: what a read of a selection of them covers.
+    pub fn byte_size_of(&self, rows: usize) -> usize {
         let payload = match &self.data {
-            ColumnData::Int64(v) => v.len() * 8,
-            ColumnData::Float64(v) => v.len() * 8,
-            ColumnData::Utf8 { codes, dict } => {
-                let string_share = ((codes.len() as f64) * dict.avg_len()).ceil() as usize;
-                codes.len() * 4 + dict.byte_size().min(string_share)
+            ColumnData::Int64(_) | ColumnData::Float64(_) => rows * 8,
+            ColumnData::Utf8 { dict, .. } => {
+                let string_share = ((rows as f64) * dict.avg_len()).ceil() as usize;
+                rows * 4 + dict.byte_size().min(string_share)
             }
-            ColumnData::Date32(v) => v.len() * 4,
+            ColumnData::Date32(_) => rows * 4,
         };
-        payload + self.validity.as_ref().map_or(0, |v| v.byte_size())
+        payload + self.validity.as_ref().map_or(0, |_| rows.div_ceil(64) * 8)
     }
 
     /// Build a new column from the rows selected by `indices`, in order.
@@ -287,30 +292,6 @@ impl Column {
     /// Iterate all values (allocating `Value`s; for tests and result reads).
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.value(i))
-    }
-
-    /// A new column holding rows `[start, start + len)`. String columns
-    /// share the dictionary (codes are copied, strings are not), so
-    /// slicing an appended delta off a large table costs O(len), never
-    /// O(table). Panics if the range exceeds the column.
-    pub fn slice(&self, start: usize, len: usize) -> Column {
-        assert!(
-            start + len <= self.len(),
-            "slice [{start}, {}) exceeds column of {} rows",
-            start + len,
-            self.len()
-        );
-        let data = match &self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(v[start..start + len].to_vec()),
-            ColumnData::Float64(v) => ColumnData::Float64(v[start..start + len].to_vec()),
-            ColumnData::Utf8 { codes, dict } => ColumnData::Utf8 {
-                codes: codes[start..start + len].to_vec(),
-                dict: Arc::clone(dict),
-            },
-            ColumnData::Date32(v) => ColumnData::Date32(v[start..start + len].to_vec()),
-        };
-        let validity = self.validity.as_ref().map(|v| v.slice(start..start + len));
-        Column::new(data, validity).expect("slice preserves lengths")
     }
 
     /// An empty column of `data_type` with room for `capacity` rows.
@@ -831,8 +812,8 @@ mod tests {
         let vals: Vec<Value> = base.iter_values().collect();
         let want = ["a", "b", "c", "c", "a", "c"].map(Value::str);
         assert_eq!(vals, want);
-        // a delta sliced off the column shares the Arc and adds its codes
-        let tail = base.slice(1, 2);
+        // a delta gathered from the column shares the Arc and adds its codes
+        let tail = base.gather(&[1, 2]);
         base.append(&tail);
         assert!(Arc::ptr_eq(dict_of(&base), &shared));
         assert_eq!(base.value(7), Value::str("c"));
@@ -1039,7 +1020,7 @@ mod concat_properties {
                 // growing `ca` in place by a delta that shares its
                 // dictionary (a slice of itself) or brings its own
                 let mut grown = ca.clone();
-                grown.append(&ca.slice(0, a.len() / 2));
+                grown.append(&ca.gather(&(0..(a.len() / 2) as u32).collect::<Vec<_>>()));
                 grown.append(&cb);
                 let want = a[..a.len() / 2].iter().chain(b.iter());
                 prop_assert_eq!(grown.len(), a.len() + a.len() / 2 + b.len());

@@ -74,27 +74,6 @@ impl Dictionary {
     pub fn byte_size(&self) -> usize {
         self.total_bytes
     }
-
-    /// Codes sorted by their string values, as a permutation of `0..len`.
-    ///
-    /// Used to give dictionary columns a value-ordered sort key even though
-    /// codes are assigned in insertion order.
-    pub fn sorted_codes(&self) -> Vec<u32> {
-        let mut codes: Vec<u32> = (0..self.values.len() as u32).collect();
-        codes.sort_unstable_by(|&a, &b| self.values[a as usize].cmp(&self.values[b as usize]));
-        codes
-    }
-
-    /// Rank of each code in value order: `rank[code]` is the position of
-    /// `code`'s string among all distinct strings sorted ascending.
-    pub fn value_ranks(&self) -> Vec<u32> {
-        let sorted = self.sorted_codes();
-        let mut ranks = vec![0u32; sorted.len()];
-        for (rank, &code) in sorted.iter().enumerate() {
-            ranks[code as usize] = rank as u32;
-        }
-        ranks
-    }
 }
 
 #[cfg(test)]
@@ -126,23 +105,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_codes_and_ranks() {
-        let mut d = Dictionary::new();
-        let c_b = d.intern("b");
-        let c_a = d.intern("a");
-        let c_c = d.intern("c");
-        assert_eq!(d.sorted_codes(), vec![c_a, c_b, c_c]);
-        let ranks = d.value_ranks();
-        assert_eq!(ranks[c_a as usize], 0);
-        assert_eq!(ranks[c_b as usize], 1);
-        assert_eq!(ranks[c_c as usize], 2);
-    }
-
-    #[test]
     fn empty_dictionary() {
         let d = Dictionary::new();
         assert!(d.is_empty());
         assert_eq!(d.avg_len(), 0.0);
-        assert!(d.sorted_codes().is_empty());
     }
 }

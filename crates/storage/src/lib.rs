@@ -9,9 +9,10 @@
 //! * typed [`Column`]s (`Int64`, `Float64`, dictionary-encoded `Utf8`,
 //!   `Date32`) with validity bitmaps,
 //! * [`Table`]s with [`Schema`]s and builders,
-//! * a [`Catalog`] of named base tables, their shard entries, versions
-//!   and append logs (plan intermediates are owned by the execution that
-//!   computes them, never by the catalog),
+//! * a [`Catalog`] of named base tables, each resident once — a shard
+//!   is a row selection of its table — with versions and append logs
+//!   (plan intermediates are owned by the execution that computes them,
+//!   never by the catalog),
 //! * clustered / non-clustered [`Index`]es, modeled as sort permutations
 //!   (needed for the paper's §6.9 physical-design experiment),
 //! * compact per-row [`RowKey`] encodings used by hash aggregation, plus
@@ -42,7 +43,8 @@ pub use index::{Index, IndexKind};
 pub use key::{KeyEncoder, RowKey};
 pub use packed::{KeyCode, PackedKeySpec};
 pub use schema::{Field, Schema};
-pub use shard::{route_rows, select_shard_key, shard_table_name, split_table, ShardDesc};
+// All of it, the gathered split kept for callers that time one included.
+pub use shard::*;
 pub use sort::sort_permutation;
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, Value};

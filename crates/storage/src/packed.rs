@@ -99,16 +99,19 @@ pub struct PackedKeySpec {
 }
 
 impl PackedKeySpec {
-    /// Build a packing layout for `cols`, or `None` if the columns are
-    /// not packable (any `Float64`, or more than 128 bits total).
-    pub fn build(cols: &[&Column]) -> Option<Self> {
+    /// Build a packing layout for the rows `rows` of `cols` (ascending
+    /// row ids; `None`: every row), or `None` if the columns are not
+    /// packable (any `Float64`, or more than 128 bits total). The value
+    /// ranges are scanned over those rows alone, in time proportional to
+    /// them.
+    pub fn build(cols: &[&Column], rows: Option<&[u32]>) -> Option<Self> {
         let mut packed = Vec::with_capacity(cols.len());
         let mut total = 0u32;
         for col in cols {
             let (base, max_code) = match col.data() {
                 ColumnData::Float64(_) => return None,
-                ColumnData::Int64(v) => code_range(value_range(v, col.validity(), 0..v.len())),
-                ColumnData::Date32(v) => code_range(value_range(v, col.validity(), 0..v.len())),
+                ColumnData::Int64(v) => code_range(range_over(v, col.validity(), rows)),
+                ColumnData::Date32(v) => code_range(range_over(v, col.validity(), rows)),
                 // Dictionary codes are dense in 0..len, no scan needed;
                 // the packed value is code + 1.
                 ColumnData::Utf8 { dict, .. } => (0i64, dict.len() as u128),
@@ -140,28 +143,35 @@ impl PackedKeySpec {
         self.total_bits <= 64
     }
 
-    /// Encode rows `start .. start + out.len()` of `cols` into `out`.
+    /// Encode rows `start .. start + out.len()` of `cols` into `out`, or
+    /// with `ids` the rows it lists (ascending row ids, as many as `out`
+    /// holds).
     ///
     /// `cols` must be the same columns (in the same order) the spec was
     /// built from, and `out` must be zero-initialized. The loop order is
     /// column-major: each column's field is OR-ed into the whole morsel
     /// before the next column, so the per-row work is a subtract, a
     /// shift and an OR with no type dispatch.
-    pub fn encode_into<K: KeyCode>(&self, cols: &[&Column], start: usize, out: &mut [K]) {
+    pub fn encode_into<K: KeyCode>(
+        &self,
+        cols: &[&Column],
+        start: usize,
+        ids: Option<&[u32]>,
+        out: &mut [K],
+    ) {
         debug_assert_eq!(cols.len(), self.cols.len());
         debug_assert!(self.total_bits <= K::BITS);
         for (pc, col) in self.cols.iter().zip(cols) {
-            let (base, shift, valid) = (pc.base, pc.shift, col.validity());
+            let (base, valid) = (pc.base, col.validity());
+            let at = (start, ids, pc.shift);
             match col.data() {
                 ColumnData::Int64(v) => {
-                    or_column(out, v, valid, start, shift, |x| x.wrapping_sub(base) as u64)
+                    or_column(out, v, valid, at, |x| x.wrapping_sub(base) as u64)
                 }
-                ColumnData::Date32(v) => or_column(out, v, valid, start, shift, |x| {
+                ColumnData::Date32(v) => or_column(out, v, valid, at, |x| {
                     i64::from(x).wrapping_sub(base) as u64
                 }),
-                ColumnData::Utf8 { codes, .. } => {
-                    or_column(out, codes, valid, start, shift, u64::from)
-                }
+                ColumnData::Utf8 { codes, .. } => or_column(out, codes, valid, at, u64::from),
                 ColumnData::Float64(_) => {
                     unreachable!("Float64 columns are rejected by PackedKeySpec::build")
                 }
@@ -170,19 +180,22 @@ impl PackedKeySpec {
     }
 }
 
-/// OR one column's field into `out`, the codes of rows `start ..
-/// start + out.len()`: `offset` maps a stored value to its distance from
-/// the column's minimum, and a NULL row keeps field 0. The no-NULL loop
-/// runs over zipped slices with no index and no branch, so it
+/// OR one column's field, at bit offset `shift`, into `out`: the codes
+/// of rows `start .. start + out.len()`, or of the rows `ids` when given.
+/// `offset` maps a stored value to its distance from the column's
+/// minimum, and a NULL row keeps field 0. The no-NULL loop over a row
+/// range runs over zipped slices with no index and no branch, so it
 /// vectorizes.
 fn or_column<K: KeyCode, T: Copy>(
     out: &mut [K],
     values: &[T],
     validity: Option<&Bitmap>,
-    start: usize,
-    shift: u32,
+    (start, ids, shift): (usize, Option<&[u32]>, u32),
     offset: impl Fn(T) -> u64,
 ) {
+    if let Some(ids) = ids {
+        return or_rows(out, values, validity, ids, shift, offset);
+    }
     let values = &values[start..start + out.len()];
     match validity {
         None => {
@@ -196,6 +209,25 @@ fn or_column<K: KeyCode, T: Copy>(
                     *slot = slot.or_offset(offset(v), shift);
                 }
             }
+        }
+    }
+}
+
+/// [`or_column`] over the rows `ids`, gathering each value. Kept out of
+/// line: inlined into `or_column`, it slowed the row-range loop that
+/// every whole-table read takes.
+#[inline(never)]
+fn or_rows<K: KeyCode, T: Copy>(
+    out: &mut [K],
+    values: &[T],
+    validity: Option<&Bitmap>,
+    ids: &[u32],
+    shift: u32,
+    offset: impl Fn(T) -> u64,
+) {
+    for (slot, &row) in out.iter_mut().zip(ids) {
+        if validity.is_none_or(|valid| valid.get(row as usize)) {
+            *slot = slot.or_offset(offset(values[row as usize]), shift);
         }
     }
 }
@@ -243,6 +275,25 @@ pub fn value_range<T: Copy + Into<i64>>(
     any.then_some((min, max))
 }
 
+/// [`value_range`] over the rows `rows` (ascending row ids), or over
+/// every row when `None`.
+fn range_over<T: Copy + Into<i64>>(
+    values: &[T],
+    validity: Option<&Bitmap>,
+    rows: Option<&[u32]>,
+) -> Option<(i64, i64)> {
+    let Some(rows) = rows else {
+        return value_range(values, validity, 0..values.len());
+    };
+    let valid = rows
+        .iter()
+        .filter(|&&row| validity.is_none_or(|v| v.get(row as usize)));
+    valid.fold(None, |range, &row| {
+        let v = values[row as usize].into();
+        Some(range.map_or((v, v), |(min, max): (i64, i64)| (min.min(v), max.max(v))))
+    })
+}
+
 /// (min, largest packed value) for a key column whose non-null rows
 /// span `range`: codes `1..=max - min + 1`, `0` being NULL.
 fn code_range(range: Option<(i64, i64)>) -> (i64, u128) {
@@ -261,14 +312,14 @@ mod tests {
     fn encode_all_u64(spec: &PackedKeySpec, cols: &[&Column]) -> Vec<u64> {
         let n = cols.first().map_or(0, |c| c.len());
         let mut out = vec![0u64; n];
-        spec.encode_into(cols, 0, &mut out);
+        spec.encode_into(cols, 0, None, &mut out);
         out
     }
 
     #[test]
     fn small_int_column_packs_tightly() {
         let c = Column::from_i64(vec![3, 4, 5, 3]);
-        let spec = PackedKeySpec::build(&[&c]).unwrap();
+        let spec = PackedKeySpec::build(&[&c], None).unwrap();
         // range 3..=5 plus NULL sentinel -> 4 codes -> 2 bits
         assert_eq!(spec.total_bits(), 2);
         let codes = encode_all_u64(&spec, &[&c]);
@@ -282,7 +333,7 @@ mod tests {
             b.push(&v).unwrap();
         }
         let c = b.finish();
-        let spec = PackedKeySpec::build(&[&c]).unwrap();
+        let spec = PackedKeySpec::build(&[&c], None).unwrap();
         let codes = encode_all_u64(&spec, &[&c]);
         assert_eq!(codes[0], codes[2]);
         assert_eq!(codes[1], 0);
@@ -294,7 +345,7 @@ mod tests {
     fn multi_column_fields_are_disjoint() {
         let a = Column::from_i64(vec![0, 1, 0, 1]);
         let b = Column::from_strs(&["x", "x", "y", "y"]);
-        let spec = PackedKeySpec::build(&[&a, &b]).unwrap();
+        let spec = PackedKeySpec::build(&[&a, &b], None).unwrap();
         let codes = encode_all_u64(&spec, &[&a, &b]);
         // all four (a, b) combinations are distinct codes
         let mut uniq = codes.clone();
@@ -306,19 +357,19 @@ mod tests {
     #[test]
     fn float_columns_are_not_packable() {
         let f = Column::from_f64(vec![1.0, 2.0]);
-        assert!(PackedKeySpec::build(&[&f]).is_none());
+        assert!(PackedKeySpec::build(&[&f], None).is_none());
         let i = Column::from_i64(vec![1, 2]);
-        assert!(PackedKeySpec::build(&[&i, &f]).is_none());
+        assert!(PackedKeySpec::build(&[&i, &f], None).is_none());
     }
 
     #[test]
     fn full_range_int_needs_u128() {
         let wide = Column::from_i64(vec![i64::MIN, i64::MAX]);
-        let spec = PackedKeySpec::build(&[&wide]).unwrap();
+        let spec = PackedKeySpec::build(&[&wide], None).unwrap();
         assert_eq!(spec.total_bits(), 65);
         assert!(!spec.fits_u64());
         let mut out = vec![0u128; 2];
-        spec.encode_into(&[&wide], 0, &mut out);
+        spec.encode_into(&[&wide], 0, None, &mut out);
         assert_eq!(out[0], 1);
         assert_eq!(out[1], u64::MAX as u128 + 1);
     }
@@ -327,20 +378,20 @@ mod tests {
     fn too_wide_layout_is_rejected() {
         let wide = Column::from_i64(vec![i64::MIN, i64::MAX]);
         // 65 + 65 = 130 bits > 128
-        assert!(PackedKeySpec::build(&[&wide, &wide]).is_none());
+        assert!(PackedKeySpec::build(&[&wide, &wide], None).is_none());
     }
 
     #[test]
     fn empty_and_all_null_columns_build() {
         let empty = Column::from_i64(vec![]);
-        let spec = PackedKeySpec::build(&[&empty]).unwrap();
+        let spec = PackedKeySpec::build(&[&empty], None).unwrap();
         assert_eq!(spec.total_bits(), 1);
 
         let mut b = ColumnBuilder::new(DataType::Int64);
         b.push_null();
         b.push_null();
         let nulls = b.finish();
-        let spec = PackedKeySpec::build(&[&nulls]).unwrap();
+        let spec = PackedKeySpec::build(&[&nulls], None).unwrap();
         let codes = encode_all_u64(&spec, &[&nulls]);
         assert_eq!(codes, vec![0, 0]);
     }
@@ -348,11 +399,36 @@ mod tests {
     #[test]
     fn offset_encoding_matches_full_encoding() {
         let c = Column::from_i64((0..100).map(|i| i % 9).collect());
-        let spec = PackedKeySpec::build(&[&c]).unwrap();
+        let spec = PackedKeySpec::build(&[&c], None).unwrap();
         let full = encode_all_u64(&spec, &[&c]);
         let mut tail = vec![0u64; 40];
-        spec.encode_into(&[&c], 60, &mut tail);
+        spec.encode_into(&[&c], 60, None, &mut tail);
         assert_eq!(&full[60..], &tail[..]);
+    }
+
+    #[test]
+    fn a_selection_packs_and_encodes_only_its_rows() {
+        let mut b = ColumnBuilder::new(DataType::Int64);
+        for v in [100, 5, 7, 100, 6, 9] {
+            b.push(&Value::Int(v)).unwrap();
+        }
+        b.push_null();
+        let c = b.finish();
+        // rows 1, 2, 4 hold 5, 7, 6: a 2-bit field, not the 7 bits of 5..=100
+        let rows = [1u32, 2, 4];
+        let spec = PackedKeySpec::build(&[&c], Some(&rows)).unwrap();
+        assert_eq!(spec.total_bits(), 2);
+        let mut out = vec![0u64; 3];
+        spec.encode_into(&[&c], 0, Some(&rows), &mut out);
+        assert_eq!(out, vec![1, 3, 2]);
+        // gathered rows encode as the whole column does, NULL included
+        let whole = PackedKeySpec::build(&[&c], None).unwrap();
+        let full = encode_all_u64(&whole, &[&c]);
+        let sparse = [0u32, 5, 6];
+        let mut gathered = vec![0u64; 3];
+        whole.encode_into(&[&c], 0, Some(&sparse), &mut gathered);
+        assert_eq!(gathered, vec![full[0], full[5], full[6]]);
+        assert_eq!(gathered[2], 0);
     }
 
     #[test]
@@ -378,7 +454,7 @@ mod tests {
     #[test]
     fn date_columns_pack() {
         let d = Column::from_dates(vec![-10, 0, 10, -10]);
-        let spec = PackedKeySpec::build(&[&d]).unwrap();
+        let spec = PackedKeySpec::build(&[&d], None).unwrap();
         let codes = encode_all_u64(&spec, &[&d]);
         assert_eq!(codes[0], codes[3]);
         assert_eq!(codes[0], 1); // min maps to 1

@@ -1,10 +1,11 @@
 //! Hash-disjoint sharding of base tables.
 //!
-//! A sharded table is stored as N parts routed by a salted hash of each
-//! row's *values* in the shard-key columns. Rows that agree on the key
-//! columns always land in the same shard, so the shards hold disjoint
-//! group sets for any grouping that covers the shard key: Group By
-//! results over such groupings concatenate across shards with no
+//! A sharded table is stored once. Each shard is a row selection of it:
+//! the ascending ids of the rows a salted hash of their *values* in the
+//! shard-key columns routes to it ([`shard_rows`]). Rows that agree on
+//! the key columns always land in the same shard, so the shards hold
+//! disjoint group sets for any grouping that covers the shard key: Group
+//! By results over such groupings concatenate across shards with no
 //! re-aggregation (the merge-elision rule), and every other grouping
 //! merges by re-aggregating per-shard partials — the paper's §7
 //! aggregate-union argument applied across shards.
@@ -18,8 +19,9 @@ use crate::error::{Result, StorageError};
 use crate::table::Table;
 use rustc_hash::{FxHashSet, FxHasher};
 use std::hash::Hasher;
+use std::sync::Arc;
 
-/// Sharding metadata the catalog keeps per sharded table.
+/// How a sharded table is split: the catalog keeps one per sharded table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardDesc {
     /// Names of the columns whose values route rows to shards.
@@ -34,9 +36,18 @@ pub struct ShardDesc {
 /// collapse the kernel's partitions to one per shard).
 const SHARD_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Catalog name of shard `shard` of the sharded table `table`.
-pub fn shard_table_name(table: &str, shard: u32) -> String {
-    format!("__gbmqo_shard_{table}_{shard}")
+/// One shard of a sharded table, as the catalog holds it and a
+/// [`crate::Snapshot`] hands it out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Shard {
+    /// Ascending ids of the table's rows routed to this shard. A clone
+    /// of this `Arc` never changes: an append extends the catalog's list
+    /// in place only while no clone is alive, and copies it otherwise.
+    pub rows: Arc<Vec<u32>>,
+    /// Contents version of the shard, from the catalog's one counter: an
+    /// append bumps it only on the shards that received rows, so cached
+    /// per-shard aggregates of the others stay current.
+    pub version: u64,
 }
 
 /// splitmix64 finalizer: FxHasher's output is weak in its high bits for
@@ -90,27 +101,41 @@ pub fn route_rows(key_cols: &[&Column], num_rows: usize, shards: u32) -> Vec<u32
         .collect()
 }
 
-/// Split `table` into `shards` hash-disjoint parts routed by `key_cols`.
-/// Parts come back in shard order; empty shards are empty tables.
-pub fn split_table(table: &Table, key_cols: &[String], shards: u32) -> Result<Vec<Table>> {
+/// The rows of `table` each of `shards` hash-disjoint shards routed by
+/// `key_cols` holds: ascending row ids, in shard order. One shard holds
+/// every row. Fails on a shard count that is not a power of two or an
+/// unknown key column.
+pub fn shard_rows(table: &Table, key_cols: &[String], shards: u32) -> Result<Vec<Vec<u32>>> {
     if !shards.is_power_of_two() {
         return Err(StorageError::Malformed(format!(
             "shard count must be a power of two, got {shards}"
         )));
     }
-    if shards <= 1 {
-        return Ok(vec![table.clone()]);
-    }
     let cols: Vec<&Column> = key_cols
         .iter()
         .map(|n| table.schema().index_of(n).map(|o| table.column(o)))
         .collect::<Result<_>>()?;
-    let routes = route_rows(&cols, table.num_rows(), shards);
-    let mut indices: Vec<Vec<u32>> = vec![Vec::new(); shards as usize];
-    for (row, &s) in routes.iter().enumerate() {
-        indices[s as usize].push(row as u32);
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); shards as usize];
+    for (row, s) in route_rows(&cols, table.num_rows(), shards)
+        .into_iter()
+        .enumerate()
+    {
+        rows[s as usize].push(row as u32);
     }
-    Ok(indices.iter().map(|idx| table.gather(idx)).collect())
+    Ok(rows)
+}
+
+/// Split `table` into `shards` hash-disjoint tables routed by
+/// `key_cols`, each a gathered copy of its [`shard_rows`]; parts come
+/// back in shard order, empty shards as empty tables. The catalog keeps
+/// the row ids instead; this copy is what a split costs a system that
+/// stores shards apart.
+pub fn split_table(table: &Table, key_cols: &[String], shards: u32) -> Result<Vec<Table>> {
+    if shards == 1 {
+        return Ok(vec![table.clone()]);
+    }
+    let rows = shard_rows(table, key_cols, shards)?;
+    Ok(rows.iter().map(|idx| table.gather(idx)).collect())
 }
 
 /// Default shard key: the column with the most distinct values over a

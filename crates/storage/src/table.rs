@@ -112,13 +112,6 @@ impl Table {
             .sum()
     }
 
-    /// Average materialized row width over all columns.
-    pub fn avg_total_row_width(&self) -> f64 {
-        (0..self.num_columns())
-            .map(|c| self.columns[c].avg_value_width())
-            .sum()
-    }
-
     /// Stored (columnar) row width in bytes over the given column
     /// ordinals — see [`Column::stored_value_width`].
     pub fn stored_row_width(&self, cols: &[usize]) -> f64 {
@@ -147,10 +140,9 @@ impl Table {
         Table::new(self.schema.clone(), columns).expect("gather is consistent")
     }
 
-    /// New table holding rows `[start, start + len)` of this one — the
-    /// delta-scan primitive: aggregating only an appended tail slices it
-    /// off in O(len) (string dictionaries are shared, not copied).
-    /// Errors if the range exceeds the table.
+    /// New table holding rows `[start, start + len)` of this one, gathered
+    /// in O(len) (string dictionaries are shared, not copied). Errors if
+    /// the range exceeds the table.
     pub fn slice_rows(&self, start: usize, len: usize) -> Result<Table> {
         if start + len > self.num_rows {
             return Err(StorageError::Malformed(format!(
@@ -159,8 +151,7 @@ impl Table {
                 self.num_rows
             )));
         }
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.slice(start, len)).collect();
-        Table::new(self.schema.clone(), columns)
+        Ok(self.gather(&(start as u32..(start + len) as u32).collect::<Vec<_>>()))
     }
 
     /// Append `rows` (same schema) to this table. While no clone shares
@@ -480,7 +471,6 @@ mod tests {
         let t = sample();
         assert!(t.byte_size() > 0);
         assert!(t.avg_row_width(&[0, 2]) > 8.0);
-        assert!(t.avg_total_row_width() > t.avg_row_width(&[0]));
     }
 
     #[test]

@@ -413,7 +413,7 @@ proptest! {
             let want = Table::concat(&parts).unwrap();
             prop_assert_eq!(cells(catalog.table("t").unwrap()), cells(&want));
         }
-        let range = catalog.delta_chain("t", v0).unwrap();
+        let range = catalog.delta_chain("t", None, v0).unwrap();
         prop_assert_eq!(range.start_row, base.num_rows());
         let appended = catalog
             .table("t")
@@ -431,7 +431,7 @@ proptest! {
 
     /// The same schedules through `Session::append`, at 1 / 2 / 4 shards
     /// under lazy and eager refresh: the logical table is the concat of
-    /// its parts, the shard entries partition it, and a warm session's
+    /// its parts, the shards' rows partition it, and a warm session's
     /// answers equal a cold session's over base + deltas.
     #[test]
     fn session_appends_equal_concat_and_cold_recompute(
@@ -459,16 +459,12 @@ proptest! {
                 let want = Table::concat(&parts).unwrap();
                 let catalog = warm.engine().catalog();
                 prop_assert_eq!(cells(catalog.table("t").unwrap()), cells(&want));
-                if let Some(desc) = catalog.shard_desc("t") {
-                    let shard_tables: Vec<&Table> = (0..desc.shard_count)
-                        .map(|s| {
-                            catalog
-                                .table(&gbmqo_storage::shard_table_name("t", s))
-                                .unwrap()
-                        })
-                        .collect();
+                let snap = catalog.snapshot("t").unwrap();
+                if !snap.shards.is_empty() {
+                    let shard_tables: Vec<Table> =
+                        snap.shards.iter().map(|s| snap.table.gather(&s.rows)).collect();
                     prop_assert_eq!(
-                        rows_by_name(&Table::concat(&shard_tables).unwrap()),
+                        rows_by_name(&Table::concat(&shard_tables.iter().collect::<Vec<_>>()).unwrap()),
                         rows_by_name(&want)
                     );
                 }

@@ -6,7 +6,7 @@ use gbmqo_core::prelude::*;
 use gbmqo_core::{Merge, NodeKind};
 use gbmqo_exec::Engine;
 use gbmqo_integration::{assert_same_results, col_names, modular_table, session_with};
-use gbmqo_storage::{route_rows, shard_table_name, Catalog, Column, Schema, Table};
+use gbmqo_storage::{route_rows, Catalog, Column, Schema, Table};
 use proptest::prelude::*;
 
 /// Strategy: 2–6 columns with cardinalities from tiny to row count,
@@ -166,8 +166,8 @@ fn single_shard_append_keeps_sibling_shards_warm() {
     assert_eq!(s.engine().catalog().shard_desc("t").unwrap().shard_count, 4);
 
     // Cold run: the optimizer shares a (c0, c1) parent between the two
-    // requests; its per-shard partials are admitted under each shard
-    // entry's own name and version when the temps retire.
+    // requests; its per-shard partials are admitted under each shard's
+    // own version when the temps retire.
     let cold = s.run_workload(&w, CacheControl::Default).unwrap();
     assert_eq!(cold.report.metrics.matcache_hits, 0);
     assert!(
@@ -181,17 +181,14 @@ fn single_shard_append_keeps_sibling_shards_warm() {
     let key_col = schema.index_of(&desc.key_cols[0]).unwrap();
     let (delta, touched) = delta_for_one_shard(&schema, key_col, desc.shard_count, 8);
     s.engine_mut().catalog_mut().append("t", delta).unwrap();
-    let touched_rows = s
-        .engine()
-        .catalog()
-        .table(&shard_table_name("t", touched))
-        .unwrap()
-        .num_rows() as u64;
+    let touched_rows = s.engine().catalog().snapshot("t").unwrap().shards[touched as usize]
+        .rows
+        .len() as u64;
 
     // Warm run: the logical-level entries died with the logical table
     // version, but three of the four shards kept their versions — both
     // requests are served per-shard: 3 warm hits each, and only the
-    // touched shard's base entry is rescanned.
+    // touched shard's rows are rescanned.
     let warm = s.run_workload(&w, CacheControl::Default).unwrap();
     assert_eq!(
         warm.report.metrics.matcache_hits, 6,
@@ -200,7 +197,7 @@ fn single_shard_append_keeps_sibling_shards_warm() {
     assert_eq!(
         warm.report.metrics.shard_rows,
         2 * touched_rows,
-        "only the appended shard recomputes from its base entry"
+        "only the appended shard recomputes from its rows"
     );
 
     // And the mixed warm/cold merge is still correct.

@@ -587,14 +587,16 @@ fn appends_reach_the_next_filtered_and_star_answers() {
 // between two requests, 1/2/4 shards, a cold, warm or bypassed cache.
 // ---------------------------------------------------------------------
 
-/// `f(k1, k2, x, y)`: `k1` is NULL on every `null_every`-th row and
-/// otherwise ranges one past `d1`'s keys, `k2` one past `d2`'s.
+/// `f(k1, k2, x, y, k3)`: `k1` is NULL on every `null_every`-th row and
+/// otherwise ranges one past `d1`'s keys, `k2` one past `d2`'s; `k3` is
+/// a string key, `s0` to `s3` (see [`string_dim`]).
 fn star_fact(rows: usize, seed: u64, null_every: usize, d1: i64, d2: i64) -> Table {
     let schema = Schema::new(vec![
         Field::new("k1", DataType::Int64),
         Field::new("k2", DataType::Int64),
         Field::new("x", DataType::Int64),
         Field::new("y", DataType::Int64),
+        Field::new("k3", DataType::Utf8),
     ])
     .unwrap();
     let mut tb = TableBuilder::new(schema);
@@ -613,6 +615,7 @@ fn star_fact(rows: usize, seed: u64, null_every: usize, d1: i64, d2: i64) -> Tab
             Value::Int((r >> 7) % (d2 + 1)),
             Value::Int(r % 5),
             Value::Int((r >> 3) % 3),
+            Value::str(&format!("s{}", (r >> 11) % 4)),
         ];
         tb.push_row(&row).unwrap();
     }
@@ -630,6 +633,22 @@ fn star_dim(key: &str, label: &str, keys: i64) -> Table {
     for k in 0..keys {
         tb.push_row(&[Value::Int(k), Value::str(&format!("v{}", k % 2))])
             .unwrap();
+    }
+    tb.finish().unwrap()
+}
+
+/// A dimension `(dk3, l3)` keyed by the strings `s3`, `s1`, `s2`: in
+/// another order than the fact interns them, and without `s0`, so a
+/// join that compared dictionary codes would pair the wrong rows.
+fn string_dim() -> Table {
+    let schema = Schema::new(vec![
+        Field::new("dk3", DataType::Utf8),
+        Field::new("l3", DataType::Utf8),
+    ])
+    .unwrap();
+    let mut tb = TableBuilder::new(schema);
+    for (k, l) in [("s3", "u3"), ("s1", "u1"), ("s2", "u2")] {
+        tb.push_row(&[Value::str(k), Value::str(l)]).unwrap();
     }
     tb.finish().unwrap()
 }
@@ -727,14 +746,15 @@ proptest! {
     }
 }
 
-/// `STAR_SETS` over `f ⋈ d1 ⋈ d2` (the tables of [`join_then_group`]).
-fn star_sql(select: &str, where_: &str) -> String {
+/// `STAR_SETS` over `f ⋈ d1 ⋈ d2` (the tables of [`join_then_group`]),
+/// with `tail` — more joins, a WHERE — after the two joins.
+fn star_sql(select: &str, tail: &str) -> String {
     let sets: Vec<String> = STAR_SETS
         .iter()
         .map(|s| format!("({})", s.join(", ")))
         .collect();
     format!(
-        "SELECT {select} FROM f JOIN d1 ON f.k1 = d1.dk1 JOIN d2 ON f.k2 = d2.dk2{where_} \
+        "SELECT {select} FROM f JOIN d1 ON f.k1 = d1.dk1 JOIN d2 ON f.k2 = d2.dk2{tail} \
          GROUP BY GROUPING SETS ({})",
         sets.join(", ")
     )
@@ -785,15 +805,33 @@ fn dimension_changes_reach_the_next_star_answer() {
         &d2,
         "after d1 is replaced behind the session",
     );
+    // The selection keyed by the old d1 read d1 at an older version than
+    // the one that replaced it: its aggregates went when the new one's
+    // were admitted, and the cache holds what a fresh session holds.
+    let mut fresh = Session::builder()
+        .table("f", fact.clone())
+        .table("d1", d1.clone())
+        .table("d2", d2.clone())
+        .mat_cache_budget_bytes(1 << 20)
+        .build()
+        .unwrap();
+    check(&mut fresh, &d1, &d2, "a fresh session");
+    let held = fresh.mat_cache_stats().entries;
+    assert!(held > 0);
+    assert_eq!(session.mat_cache_stats().entries, held);
 }
 
-/// SUM, MIN and MAX of fact columns over a two-join star, with a
-/// dimension filter, equal join-then-group per set, cold and warm, on
-/// one shard and four.
+/// SUM, MIN and MAX of fact columns over a three-join star — one join on
+/// a string key — with a dimension filter, equal join-then-group per
+/// set, cold and warm, on one shard and four.
 #[test]
 fn star_sum_min_max_equal_join_then_group_per_set() {
     let fact = star_fact(300, 11, 4, 4, 3);
-    let (d1, d2) = (star_dim("dk1", "l1", 4), star_dim("dk2", "l2", 3));
+    let (d1, d2, d3) = (
+        star_dim("dk1", "l1", 4),
+        star_dim("dk2", "l2", 3),
+        string_dim(),
+    );
     let aggs = [
         AggSpec::sum("x", "sx"),
         AggSpec::min("y", "lo"),
@@ -801,12 +839,14 @@ fn star_sum_min_max_equal_join_then_group_per_set() {
     ];
     let sql = star_sql(
         "SUM(x) AS sx, MIN(y) AS lo, MAX(x) AS hi",
-        " WHERE l2 = 'v1'",
+        " JOIN d3 ON f.k3 = d3.dk3 WHERE l2 = 'v1'",
     );
     let mut m = ExecMetrics::new();
     let j1 = hash_join(&fact, &d1, &[0], &[0], &mut m).unwrap();
     let k2 = j1.schema().index_of("k2").unwrap();
-    let joined = hash_join(&j1, &d2, &[k2], &[0], &mut m).unwrap();
+    let j2 = hash_join(&j1, &d2, &[k2], &[0], &mut m).unwrap();
+    let k3 = j2.schema().index_of("k3").unwrap();
+    let joined = hash_join(&j2, &d3, &[k3], &[0], &mut m).unwrap();
     let pred = Predicate::Eq("l2".into(), Value::str("v1"));
     let joined = filter(&joined, &pred, &mut m).unwrap();
     assert!(joined.num_rows() > 0 && joined.num_rows() < fact.num_rows());
@@ -824,6 +864,7 @@ fn star_sum_min_max_equal_join_then_group_per_set() {
             .table("f", fact.clone())
             .table("d1", d1.clone())
             .table("d2", d2.clone())
+            .table("d3", d3.clone())
             .shards(shards)
             .mat_cache_budget_bytes(1 << 20)
             .build()
