@@ -32,13 +32,17 @@
 //! scan's fused morsel loop ([`crate::shared`]) over one grouping, each
 //! morsel encoded, probed and folded on the calling thread.
 //!
-//! A small key domain is not hashed at all. When a packed `u64` layout
-//! has at most `max(rows, 1024)` codes, and at most 2^16, its gids come
-//! from a slot array indexed by the code (`SlotTable`; `dense_slots`
-//! is the rule). Clearing the array then never costs more than the scan.
-//! Such an input runs as that one pass whenever `Fanout::plan` gives it
-//! one aggregate worker, however many partitions a hash table would
-//! have wanted; only a multi-worker fan-out partitions it.
+//! A key domain that is cheaper to address than to hash is not hashed.
+//! When a packed `u64` layout has at most `16 × rows` codes (but always
+//! 1024, and never more than 2^16), its gids come from a slot array
+//! indexed by the code (`SlotTable`; `dense_slots` is the rule). Clearing
+//! a 4-byte slot costs a small fraction of hashing a row, so up to 16
+//! slots a row the array is paid for by the hashing it saves; the 2^16
+//! cap (256 KiB) keeps the array cache-resident. `calibrate`'s domain
+//! sweep fixes the 16 (EXPERIMENTS.md). Such an input runs as that one
+//! pass whenever `Fanout::plan` gives it one aggregate worker, however
+//! many partitions a hash table would have wanted; only a multi-worker
+//! fan-out partitions it.
 //!
 //! Small inputs are mostly re-aggregations — of a materialized
 //! intermediate, a cached aggregate, a shard merge, a delta refresh —
@@ -96,12 +100,24 @@ const MAX_DENSE_SLOTS: usize = 1 << 16;
 /// Slots a direct-address table may hold whatever the input's rows.
 const MIN_DENSE_SLOTS: usize = 1024;
 
+/// Slots a direct-address table may spend per input row. Clearing a slot
+/// is a 4-byte store, hashing a row a hash and a probe: in `calibrate`'s
+/// domain sweep (EXPERIMENTS.md) the one-pass kernel runs direct in
+/// 0.42–0.69 of its hashed time up to 16 slots a row, at 2,000 and at
+/// 20,000 rows, and in 0.86–0.97 at 26, so 16 is the factor beyond
+/// which direct address stops buying a clear gain.
+const DENSE_SLOTS_PER_ROW: usize = 16;
+
 /// The slots of a direct-address table for `spec` over `rows` rows — one
 /// per code of its domain — or `None` when the domain is too large to
-/// address directly and the keys are hashed.
+/// address directly and the keys are hashed: more than
+/// [`DENSE_SLOTS_PER_ROW`] slots a row (but at least
+/// [`MIN_DENSE_SLOTS`] are always allowed), or more than
+/// [`MAX_DENSE_SLOTS`].
 pub(crate) fn dense_slots(spec: &PackedKeySpec, rows: usize) -> Option<usize> {
     let slots = 1usize.checked_shl(spec.total_bits())?;
-    (slots <= rows.clamp(MIN_DENSE_SLOTS, MAX_DENSE_SLOTS)).then_some(slots)
+    let bound = rows.saturating_mul(DENSE_SLOTS_PER_ROW);
+    (slots <= bound.clamp(MIN_DENSE_SLOTS, MAX_DENSE_SLOTS)).then_some(slots)
 }
 
 /// Distinct groups to plan for: the optimizer's estimate for this
@@ -794,15 +810,21 @@ mod tests {
         assert_eq!(wide.partitions, 16);
         assert_eq!(wide.groups_per_partition, 1 << 12);
 
-        // Direct address: a domain of at most max(rows, 1,024) codes,
-        // and never more than 2^16.
+        // Direct address: a domain of at most 16 codes a row, 1,024
+        // codes whatever the rows, and never more than 2^16.
         let bits = |b: u32| {
             let col = gbmqo_storage::Column::from_i64(vec![0, (1 << b) - 2]);
             PackedKeySpec::build(&[&col], None).unwrap()
         };
+        assert_eq!(DENSE_SLOTS_PER_ROW, 16);
         assert_eq!(dense_slots(&bits(10), 0), Some(1_024));
-        assert_eq!(dense_slots(&bits(11), 2_047), None);
-        assert_eq!(dense_slots(&bits(11), 2_048), Some(2_048));
+        assert_eq!(dense_slots(&bits(11), 0), None);
+        assert_eq!(dense_slots(&bits(11), 127), None);
+        assert_eq!(dense_slots(&bits(11), 128), Some(2_048));
+        assert_eq!(dense_slots(&bits(15), 2_047), None);
+        assert_eq!(dense_slots(&bits(15), 2_048), Some(1 << 15));
+        assert_eq!(dense_slots(&bits(16), 4_095), None);
+        assert_eq!(dense_slots(&bits(16), 4_096), Some(1 << 16));
         assert_eq!(dense_slots(&bits(16), usize::MAX), Some(1 << 16));
         assert_eq!(dense_slots(&bits(17), usize::MAX), None);
     }
@@ -831,15 +853,17 @@ mod tests {
     fn reserved_tables_do_not_resize() {
         let t = table(5_000, 97);
         let mut m = ExecMetrics::new();
-        // `v` is distinct per row, 5,000 keys in a domain of 8,192 codes:
-        // hashed, into a table reserved for them.
-        radix_group_by(&t, &[2], &aggs(), 1, Some(5_000), None, &mut m).unwrap();
+        // `(v, k)` is distinct per row, 5,000 keys in a domain of 2^20
+        // codes: hashed, into a table reserved for them.
+        radix_group_by(&t, &[2, 0], &aggs(), 1, Some(5_000), None, &mut m).unwrap();
         assert_eq!(m.hash_resizes, 0);
-        // 97 keys + NULL by two strings fill a domain of 512 codes, which
-        // is addressed directly: an under-estimate grows nothing.
+        // 97 keys + NULL by two strings fill a domain of 512 codes, and
+        // `v` alone a domain of 8,192: both addressed directly, so an
+        // under-estimate grows nothing.
         radix_group_by(&t, &[0, 1], &aggs(), 1, Some(2), None, &mut m).unwrap();
-        assert_eq!(m.hash_resizes, 0);
         radix_group_by(&t, &[2], &aggs(), 1, Some(2), None, &mut m).unwrap();
+        assert_eq!(m.hash_resizes, 0);
+        radix_group_by(&t, &[2, 0], &aggs(), 1, Some(2), None, &mut m).unwrap();
         assert!(m.hash_resizes > 0, "an under-estimate grows and is counted");
     }
 

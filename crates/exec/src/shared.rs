@@ -80,6 +80,20 @@ pub(crate) fn grouping<'t>(
     aggs: &[AggSpec],
     groups: u64,
 ) -> Result<Box<dyn MorselSink + 't>> {
+    let slots = spec.as_ref().and_then(|s| dense_slots(s, input.len()));
+    grouping_with(input, key_cols, spec, aggs, groups, slots)
+}
+
+/// [`grouping`] with the direct-address table's `slots` given (`None`:
+/// hashed); `Some` requires a `spec` that fits a `u64`.
+fn grouping_with<'t>(
+    input: Rows<'t>,
+    key_cols: Vec<&'t Column>,
+    spec: Option<PackedKeySpec>,
+    aggs: &[AggSpec],
+    groups: u64,
+    slots: Option<usize>,
+) -> Result<Box<dyn MorselSink + 't>> {
     fn sink<'t, K: 't, R: KeyRepr<K> + 't, T: GidMap<K> + 't>(
         repr: R,
         key_cols: Vec<&'t Column>,
@@ -103,7 +117,7 @@ pub(crate) fn grouping<'t>(
         .map(|a| Accumulator::build(a, input.table))
         .collect::<Result<_>>()?;
     Ok(match spec {
-        Some(spec) => match dense_slots(&spec, n) {
+        Some(spec) => match slots {
             Some(slots) => sink(spec, key_cols, SlotTable::new(slots, groups), accumulators),
             None if spec.fits_u64() => sink::<u64, _, _>(
                 spec,
@@ -151,6 +165,40 @@ pub(crate) fn fused_pass(
         pos += len;
     }
     Ok(groupings.into_iter().map(|g| g.finish()).collect())
+}
+
+/// One Group By of all of `input` as the one-pass kernel runs it, with
+/// the gid map picked by the caller instead of by [`dense_slots`]: a
+/// slot per code of the packed domain when `direct`, a hash table with
+/// room for `groups` groups otherwise. It is a calibration probe —
+/// `calibrate` times both sides of the direct-address bound with it —
+/// and nothing in the engine calls it. A `direct` probe of a grouping
+/// that does not pack into a `u64` code is [`ExecError::Invalid`].
+///
+/// [`ExecError::Invalid`]: crate::ExecError::Invalid
+#[doc(hidden)]
+pub fn one_pass_probe(
+    input: &Table,
+    group_cols: &[usize],
+    aggs: &[AggSpec],
+    groups: u64,
+    direct: bool,
+) -> Result<Table> {
+    let rows = Rows::from(input);
+    let key_cols: Vec<&Column> = group_cols.iter().map(|&c| input.column(c)).collect();
+    let spec = PackedKeySpec::build(&key_cols, None);
+    let slots = spec
+        .as_ref()
+        .filter(|spec| direct && spec.fits_u64())
+        .and_then(|spec| 1usize.checked_shl(spec.total_bits()));
+    if direct && slots.is_none() {
+        return Err(crate::ExecError::Invalid(format!(
+            "grouping {group_cols:?} has no direct-address domain"
+        )));
+    }
+    let one = grouping_with(rows, key_cols, spec, aggs, groups, slots)?;
+    let (representatives, accumulators, _) = fused_pass(rows, vec![one], None)?.remove(0);
+    output_table(input, group_cols, aggs, representatives, accumulators)
 }
 
 /// Compute several Group Bys over `input` — a table, or the rows a

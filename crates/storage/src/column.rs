@@ -3,9 +3,11 @@
 use crate::bitmap::Bitmap;
 use crate::dictionary::Dictionary;
 use crate::error::{Result, StorageError};
+use crate::packed::value_range;
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// The typed payload of a column.
 #[derive(Debug, Clone)]
@@ -31,6 +33,10 @@ pub enum ColumnData {
 pub struct Column {
     data: ColumnData,
     validity: Option<Bitmap>,
+    /// [`Column::range`] once a caller has asked for it: set by one scan
+    /// on first use, extended by [`Column::append`]. A column shared
+    /// behind a table's `Arc` is scanned once for all its holders.
+    range: OnceLock<Option<(i64, i64)>>,
 }
 
 impl Column {
@@ -48,44 +54,40 @@ impl Column {
             }
         }
         let validity = validity.filter(|v| !v.all_set());
-        Ok(Column { data, validity })
+        Ok(Column::unchecked(data, validity))
+    }
+
+    /// A column of `data` and `validity`, whose lengths the caller has
+    /// matched, with no range kept yet.
+    fn unchecked(data: ColumnData, validity: Option<Bitmap>) -> Self {
+        Column {
+            data,
+            validity,
+            range: OnceLock::new(),
+        }
     }
 
     /// Build an `Int64` column with no nulls.
     pub fn from_i64(values: Vec<i64>) -> Self {
-        Column {
-            data: ColumnData::Int64(values),
-            validity: None,
-        }
+        Column::unchecked(ColumnData::Int64(values), None)
     }
 
     /// Build a `Float64` column with no nulls.
     pub fn from_f64(values: Vec<f64>) -> Self {
-        Column {
-            data: ColumnData::Float64(values),
-            validity: None,
-        }
+        Column::unchecked(ColumnData::Float64(values), None)
     }
 
     /// Build a `Date32` column with no nulls.
     pub fn from_dates(values: Vec<i32>) -> Self {
-        Column {
-            data: ColumnData::Date32(values),
-            validity: None,
-        }
+        Column::unchecked(ColumnData::Date32(values), None)
     }
 
     /// Build a `Utf8` column from string slices (dictionary created here).
     pub fn from_strs<S: AsRef<str>>(values: &[S]) -> Self {
         let mut dict = Dictionary::new();
         let codes = values.iter().map(|s| dict.intern(s.as_ref())).collect();
-        Column {
-            data: ColumnData::Utf8 {
-                codes,
-                dict: Arc::new(dict),
-            },
-            validity: None,
-        }
+        let dict = Arc::new(dict);
+        Column::unchecked(ColumnData::Utf8 { codes, dict }, None)
     }
 
     /// Number of rows.
@@ -130,6 +132,26 @@ impl Column {
     /// Number of NULL rows.
     pub fn null_count(&self) -> usize {
         self.validity.as_ref().map_or(0, |v| v.count_zeros())
+    }
+
+    /// The minimum and maximum of the non-null values of an `Int64` or
+    /// `Date32` column, widened to `i64`; `None` for any other type or
+    /// when no row holds a value. The first call scans the column
+    /// ([`value_range`]) and keeps the result, which every holder of the
+    /// column then reads in O(1); [`Column::append`] extends a kept range
+    /// by scanning only the appended rows. A gathered, concatenated or
+    /// newly built column keeps none until it is asked.
+    pub fn range(&self) -> Option<(i64, i64)> {
+        *self.range.get_or_init(|| self.scan_range(0..self.len()))
+    }
+
+    /// [`Column::range`] over the rows `rows`, scanned.
+    fn scan_range(&self, rows: Range<usize>) -> Option<(i64, i64)> {
+        match &self.data {
+            ColumnData::Int64(v) => value_range(v, self.validity(), rows),
+            ColumnData::Date32(v) => value_range(v, self.validity(), rows),
+            ColumnData::Float64(_) | ColumnData::Utf8 { .. } => None,
+        }
     }
 
     /// Read row `i` as a dynamic [`Value`].
@@ -305,10 +327,7 @@ impl Column {
                 dict: Arc::default(),
             },
         };
-        Column {
-            data,
-            validity: None,
-        }
+        Column::unchecked(data, None)
     }
 
     /// Append `other`'s rows to this column in place, in O(`other`)
@@ -319,7 +338,8 @@ impl Column {
     /// column has never seen interns — copy-on-write, so whoever shares
     /// the old `Arc<Dictionary>` keeps it and the codes already stored
     /// never change. A column with no rows adopts the delta's dictionary.
-    /// Validity appears, all ones, when the first NULL arrives.
+    /// Validity appears, all ones, when the first NULL arrives. A kept
+    /// [`Column::range`] is widened by the appended rows' range.
     ///
     /// Panics if the data types differ.
     pub fn append(&mut self, other: &Column) {
@@ -375,6 +395,10 @@ impl Column {
         } else if let Some(v) = &mut self.validity {
             v.extend_ones(other.len());
         }
+        if let Some(&kept) = self.range.get() {
+            let delta = self.scan_range(old_len..self.len());
+            self.range = OnceLock::from(widen(kept, delta));
+        }
     }
 
     /// Concatenate same-typed columns into one: [`Column::append`]
@@ -397,6 +421,14 @@ impl Column {
             out.append(part);
         }
         Ok(out)
+    }
+}
+
+/// The smallest range holding both `a` and `b` (`None`: no value).
+fn widen(a: Option<(i64, i64)>, b: Option<(i64, i64)>) -> Option<(i64, i64)> {
+    match (a, b) {
+        (Some((min_a, max_a)), Some((min_b, max_b))) => Some((min_a.min(min_b), max_a.max(max_b))),
+        (a, b) => a.or(b),
     }
 }
 
@@ -1029,5 +1061,139 @@ mod concat_properties {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod range_properties {
+    use super::*;
+    use crate::packed::PackedKeySpec;
+    use crate::schema::{Field, Schema};
+    use crate::table::Table;
+    use proptest::prelude::*;
+
+    /// A NULL or a value, the extremes of both key types included.
+    fn value() -> impl Strategy<Value = Option<i64>> {
+        let extremes = vec![i64::MIN, i64::MAX, i32::MIN.into(), i32::MAX.into()];
+        prop_oneof![
+            1 => Just(None),
+            1 => prop::sample::select(extremes).prop_map(Some),
+            4 => (-50i64..50).prop_map(Some),
+        ]
+    }
+
+    /// A one-column table of `xs` (`Date32` keeps the low 32 bits).
+    fn table_of(dt: DataType, xs: &[Option<i64>]) -> Table {
+        let mut b = ColumnBuilder::new(dt);
+        for x in xs {
+            match (dt, x) {
+                (_, None) => b.push_null(),
+                (DataType::Int64, Some(v)) => b.push_i64(*v),
+                (_, Some(v)) => b.push_date(*v as i32),
+            }
+        }
+        Table::new(
+            Schema::new(vec![Field::new("k", dt)]).unwrap(),
+            vec![b.finish()],
+        )
+        .unwrap()
+    }
+
+    /// A fresh scan of the whole column, bypassing what it keeps.
+    fn scanned(col: &Column) -> Option<(i64, i64)> {
+        col.scan_range(0..col.len())
+    }
+
+    /// The column's kept range and its reported range both equal a fresh
+    /// scan, and its whole-column packing equals the one a scan of every
+    /// row as a selection builds. (The vendored `prop_assert*` panic, so
+    /// plain helpers can use them.)
+    fn assert_true(col: &Column, what: &str) {
+        let all: Vec<u32> = (0..col.len() as u32).collect();
+        prop_assert_eq!(col.range(), scanned(col), "{}", what);
+        prop_assert_eq!(col.range.get().copied(), Some(scanned(col)), "{}", what);
+        prop_assert_eq!(
+            PackedKeySpec::build(&[col], None),
+            PackedKeySpec::build(&[col], Some(&all)),
+            "{}",
+            what
+        );
+    }
+
+    /// A derived column keeps no range until asked, then reports a scan.
+    fn assert_derived(col: &Column, what: &str) {
+        assert!(col.range.get().is_none(), "{what} kept a range");
+        assert_true(col, what);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Steps: 0 an in-place append, 1 an append through a held clone
+        /// (copy-on-write: the copy keeps no range, the clone its own), 2
+        /// a NULL-only delta, 3 the range asked for between appends, 4 two
+        /// threads asking a fresh gather at once.
+        #[test]
+        fn a_kept_range_stays_true_under_any_append_schedule(
+            start in prop::collection::vec(value(), 0..12),
+            steps in prop::collection::vec((0u8..5, prop::collection::vec(value(), 0..12)), 0..10),
+        ) {
+            for dt in [DataType::Int64, DataType::Date32] {
+                let mut table = table_of(dt, &start);
+                for (step, xs) in &steps {
+                    let nulls = vec![None; xs.len()];
+                    let delta = table_of(dt, if *step == 2 { &nulls } else { xs });
+                    let kept = table.column(0).range.get().is_some();
+                    match step {
+                        1 => {
+                            let held = table.clone();
+                            let before = held.column(0).range.get().copied();
+                            table.append(&delta).unwrap();
+                            prop_assert_eq!(held.column(0).range.get().copied(), before);
+                            prop_assert_eq!(held.column(0).range(), scanned(held.column(0)));
+                        }
+                        3 => {
+                            table.column(0).range();
+                        }
+                        4 => {
+                            let ids: Vec<u32> = (0..table.num_rows() as u32).step_by(2).collect();
+                            let fresh = table.column(0).gather(&ids);
+                            let [a, b] = std::thread::scope(|s| {
+                                let ask = || s.spawn(|| fresh.range());
+                                [ask(), ask()].map(|h| h.join().unwrap())
+                            });
+                            prop_assert_eq!(a, b);
+                            assert_true(&fresh, "a gather asked from two threads");
+                        }
+                        _ => table.append(&delta).unwrap(),
+                    }
+                    let col = table.column(0);
+                    let what = format!("{dt:?} after step {step}");
+                    match step {
+                        1 => assert_derived(col, &what),
+                        3 => assert_true(col, &what),
+                        _ if kept => assert_true(col, &what),
+                        _ => prop_assert!(col.range.get().is_none(), "an append computed a range"),
+                    }
+                    let ids: Vec<u32> = (0..col.len() as u32).rev().step_by(3).collect();
+                    assert_derived(&col.gather(&ids), "a gather");
+                    assert_derived(&Column::concat(&[col, delta.column(0)]).unwrap(), "a concat");
+                    let tail = table.slice_rows(col.len() / 2, col.len() - col.len() / 2).unwrap();
+                    assert_derived(tail.column(0), "a slice");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_integer_and_date_columns_have_a_range() {
+        assert_eq!(Column::from_i64(vec![4, -2]).range(), Some((-2, 4)));
+        assert_eq!(Column::from_dates(vec![9]).range(), Some((9, 9)));
+        assert_eq!(Column::from_i64(vec![]).range(), None);
+        assert_eq!(Column::from_f64(vec![1.0]).range(), None);
+        assert_eq!(Column::from_strs(&["a"]).range(), None);
+        let mut grown = Column::from_i64(vec![]);
+        grown.range();
+        grown.append(&Column::from_i64(vec![7, 3]));
+        assert_eq!(grown.range.get().copied(), Some(Some((3, 7))));
     }
 }

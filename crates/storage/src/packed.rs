@@ -2,12 +2,13 @@
 //! `u64`/`u128` integer instead of a variable-length byte [`RowKey`].
 //!
 //! All fixed-width column types (`Int64`, `Date32`, dictionary-coded
-//! `Utf8`) can be packed: a build-time scan finds each column's value
-//! range, assigns it `ceil(log2(range + 2))` bits, and lays the columns
-//! out side by side from bit 0 upward. Within a column's field, code `0`
-//! is the NULL sentinel and a non-null value `v` maps to `v - min + 1`,
-//! so NULL forms its own group exactly like the byte encoding's null
-//! tag. `Float64` columns and layouts wider than 128 bits are not
+//! `Utf8`) can be packed: each column's value range — the one the column
+//! keeps ([`Column::range`]) when every row is read, a scan of the kept
+//! rows for a selection — is assigned `ceil(log2(range + 2))` bits, and
+//! the columns are laid out side by side from bit 0 upward. Within a
+//! column's field, code `0` is the NULL sentinel and a non-null value
+//! `v` maps to `v - min + 1`, so NULL forms its own group exactly like
+//! the byte encoding's null tag. `Float64` columns and layouts wider than 128 bits are not
 //! packable; callers fall back to [`crate::key::KeyEncoder`].
 //!
 //! Packing exists for speed: a packed code is built with a shift and an
@@ -101,20 +102,27 @@ pub struct PackedKeySpec {
 impl PackedKeySpec {
     /// Build a packing layout for the rows `rows` of `cols` (ascending
     /// row ids; `None`: every row), or `None` if the columns are not
-    /// packable (any `Float64`, or more than 128 bits total). The value
-    /// ranges are scanned over those rows alone, in time proportional to
-    /// them.
+    /// packable (any `Float64`, or more than 128 bits total). A whole
+    /// column's value range is the one it keeps ([`Column::range`]), so
+    /// a read of every row costs O(columns) once each column has been
+    /// asked; a selection's ranges are scanned over its rows alone, in
+    /// time proportional to them.
     pub fn build(cols: &[&Column], rows: Option<&[u32]>) -> Option<Self> {
         let mut packed = Vec::with_capacity(cols.len());
         let mut total = 0u32;
         for col in cols {
-            let (base, max_code) = match col.data() {
-                ColumnData::Float64(_) => return None,
-                ColumnData::Int64(v) => code_range(range_over(v, col.validity(), rows)),
-                ColumnData::Date32(v) => code_range(range_over(v, col.validity(), rows)),
+            let (base, max_code) = match (col.data(), rows) {
+                (ColumnData::Float64(_), _) => return None,
                 // Dictionary codes are dense in 0..len, no scan needed;
                 // the packed value is code + 1.
-                ColumnData::Utf8 { dict, .. } => (0i64, dict.len() as u128),
+                (ColumnData::Utf8 { dict, .. }, _) => (0i64, dict.len() as u128),
+                (_, None) => code_range(col.range()),
+                (ColumnData::Int64(v), Some(rows)) => {
+                    code_range(range_over(v, col.validity(), rows))
+                }
+                (ColumnData::Date32(v), Some(rows)) => {
+                    code_range(range_over(v, col.validity(), rows))
+                }
             };
             let bits = bits_for(max_code).max(1);
             packed.push(PackedColumn {
@@ -241,9 +249,9 @@ pub fn bits_for(max: u128) -> u32 {
 /// `i64`, or `None` when that range holds no non-null row. `validity`
 /// is the column's bitmap, indexed like `values`.
 ///
-/// This is the one range scan behind every bit-width decision: the
-/// packed group keys above take it over a whole column, the wire codec
-/// over one chunk's rows.
+/// This is the one range scan behind every bit-width decision:
+/// [`Column::range`] takes it over a whole column once and keeps it for
+/// the packed group keys above, the wire codec over one chunk's rows.
 pub fn value_range<T: Copy + Into<i64>>(
     values: &[T],
     validity: Option<&Bitmap>,
@@ -275,16 +283,12 @@ pub fn value_range<T: Copy + Into<i64>>(
     any.then_some((min, max))
 }
 
-/// [`value_range`] over the rows `rows` (ascending row ids), or over
-/// every row when `None`.
+/// [`value_range`] over the rows `rows` (ascending row ids).
 fn range_over<T: Copy + Into<i64>>(
     values: &[T],
     validity: Option<&Bitmap>,
-    rows: Option<&[u32]>,
+    rows: &[u32],
 ) -> Option<(i64, i64)> {
-    let Some(rows) = rows else {
-        return value_range(values, validity, 0..values.len());
-    };
     let valid = rows
         .iter()
         .filter(|&&row| validity.is_none_or(|v| v.get(row as usize)));

@@ -158,8 +158,9 @@ impl Table {
     /// the columns they grow in place, in O(`rows`) amortised
     /// ([`Column::append`]); otherwise the sharers keep the old columns
     /// untouched and this table pays one copy, made with room for the
-    /// delta. A schema mismatch is the only error and leaves the table
-    /// unchanged.
+    /// delta. An in-place append widens a column's kept
+    /// [`Column::range`] by the delta; the copy keeps none until asked. A
+    /// schema mismatch is the only error and leaves the table unchanged.
     pub fn append(&mut self, rows: &Table) -> Result<()> {
         if self.schema != rows.schema {
             return Err(StorageError::Malformed(format!(

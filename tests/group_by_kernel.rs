@@ -18,8 +18,14 @@ type Row = (Option<i64>, Option<&'static str>, Option<i64>, Option<i64>);
 /// 23 bytes so row-key fallbacks heap-allocate), g_wide (up to the full
 /// i64 range: one column needs 65 bits, two overflow u128), v
 /// (aggregated), g_float (derived from v; a float key is never
-/// packable), g_dom (the row's position modulo `rows - 1`: a domain of
-/// `2^k` codes at `2^k` rows, of `rows + 1` codes at `2^k - 1` rows).
+/// packable), g_dom (16 × the row's position, the last row's raised to
+/// `16 × rows - 2`: with NULL's code, a domain of exactly `16 × rows`
+/// codes — 16 codes a row being the kernel's direct-address bound — so
+/// addressed directly at `2^k` rows up to 4,096 and hashed at `2^k - 1`),
+/// g_over (g_dom with one code more: hashed at every size), g_cap (the
+/// row's position modulo `rows - 1`: a domain of `2^k` codes at `2^k`
+/// rows, so of 2^16 codes, the largest direct-address table, at 65,536
+/// rows and of 2^17 at 65,537).
 fn build(rows: &[Row]) -> Table {
     let schema = Schema::new(vec![
         Field::new("g_small", DataType::Int64),
@@ -28,12 +34,16 @@ fn build(rows: &[Row]) -> Table {
         Field::new("v", DataType::Int64),
         Field::new("g_float", DataType::Float64),
         Field::new("g_dom", DataType::Int64),
+        Field::new("g_over", DataType::Int64),
+        Field::new("g_cap", DataType::Int64),
     ])
     .unwrap();
     let mut tb = TableBuilder::new(schema);
     let val = |o: Option<i64>| o.map(Value::Int).unwrap_or(Value::Null);
-    let span = rows.len().saturating_sub(1).max(1) as i64;
+    let n = rows.len() as i64;
+    let span = (n - 1).max(1);
     for ((a, s, w, v), i) in rows.iter().zip(0i64..) {
+        let last = i + 1 == n;
         tb.push_row(&[
             val(*a),
             s.map(Value::str).unwrap_or(Value::Null),
@@ -41,6 +51,8 @@ fn build(rows: &[Row]) -> Table {
             val(*v),
             v.map(|v| Value::Float((v % 7) as f64 * 0.5))
                 .unwrap_or(Value::Null),
+            Value::Int(if last { 16 * n - 2 } else { 16 * i }),
+            Value::Int(if last { 16 * n - 1 } else { 16 * i }),
             Value::Int(i % span),
         ])
         .unwrap();
@@ -49,9 +61,10 @@ fn build(rows: &[Row]) -> Table {
 }
 
 /// One grouping per key representation — packed u64 (g_small, g_str,
-/// g_dom), 65-bit u128 (g_wide), byte row keys (g_float) — their mixes,
-/// the all-columns key and the empty grouping. At one thread, the packed
-/// u64 ones whose domain fits the rows are addressed directly.
+/// g_dom, g_over, g_cap), 65-bit u128 (g_wide), byte row keys (g_float) — their
+/// mixes, the all-columns key and the empty grouping. At one thread, the
+/// packed u64 ones whose domain is within the direct-address bound are
+/// addressed directly.
 fn groupings() -> Vec<Vec<usize>> {
     vec![
         vec![],
@@ -64,6 +77,8 @@ fn groupings() -> Vec<Vec<usize>> {
         vec![2, 0],
         vec![4, 1],
         vec![5, 1],
+        vec![6],
+        vec![7],
         vec![0, 1, 2],
     ]
 }
@@ -93,13 +108,14 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
 /// 4,096 rows per partition, 8,192 (a second partition), 16,384 (more
 /// than one worker, more than one morsel), 32,768 (pass 1 on more than
 /// one worker; a second morsel of the one-partition pass on one). At
-/// `2^k - 1` rows g_dom's domain is `rows + 1` codes (hashed), at `2^k`
-/// exactly `rows` (direct address); 65,536 and 65,537 rows put it at 16
-/// bits (the largest direct-address table) and 17.
+/// 1,024 and 4,096 rows g_dom's domain is exactly 16 codes a row (direct
+/// address; at 4,096 also the 2^16 cap) and g_over's one code more
+/// (hashed); at 1,023 and 4,095 rows both are hashed. 65,536 and 65,537
+/// rows put g_cap at 16 bits (the largest direct-address table) and 17.
 fn straddling_size() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![
-        4_095usize, 4_096, 4_097, 8_191, 8_192, 8_193, 16_383, 16_384, 16_385, 32_767, 32_768,
-        32_769, 65_536, 65_537,
+        1_023usize, 1_024, 4_095, 4_096, 4_097, 8_191, 8_192, 8_193, 16_383, 16_384, 16_385,
+        32_767, 32_768, 32_769, 65_536, 65_537,
     ])
 }
 
@@ -268,6 +284,31 @@ fn metrics_track_packed_and_fallback_rows() {
     radix_group_by(&wide, &[0, 1], &[AggSpec::count()], 2, None, None, &mut m).unwrap();
     assert_eq!(m.fallback_key_rows, 1000);
     assert_eq!(m.packed_key_rows, 0);
+}
+
+/// The direct-address bound sits where the kernel's documentation puts
+/// it: at 1,024 rows g_dom's domain of 16 codes a row is addressed
+/// directly and g_over's one code more is hashed, and at 65,536 rows
+/// g_cap's 2^16 codes are addressed directly and at 65,537 its 2^17 are
+/// hashed. A hashed grouping under-estimated at one group grows its
+/// table; a directly addressed one never resizes.
+#[test]
+fn direct_address_bound_is_sixteen_codes_a_row_up_to_two_to_the_sixteen() {
+    let resizes = |rows: usize, col: usize| {
+        let rows: Vec<Row> = (0..rows)
+            .map(|_| (Some(1), Some("x"), Some(0), Some(1)))
+            .collect();
+        let table = build(&rows);
+        assert_kernels_agree(&table, &[col]);
+        let mut m = ExecMetrics::new();
+        radix_group_by(&table, &[col], &aggs(), 1, Some(1), None, &mut m).unwrap();
+        m.hash_resizes
+    };
+    assert_eq!(resizes(1_024, 5), 0, "g_dom: 16 codes a row, direct");
+    assert!(resizes(1_024, 6) > 0, "g_over: one code more, hashed");
+    assert!(resizes(1_023, 5) > 0, "g_dom at 2^k - 1 rows, hashed");
+    assert_eq!(resizes(65_536, 7), 0, "g_cap: 2^16 codes, direct");
+    assert!(resizes(65_537, 7) > 0, "g_cap: 2^17 codes, hashed");
 }
 
 #[test]
